@@ -16,12 +16,11 @@ from .coverage import (CoverageQuery, LinkBudget, OutageRow,
                        outage_table, receiver_threshold_dbm,
                        region_outage_probability, useful_area_fraction)
 from .diversity import (ConditionPolicy, DistanceStats, DropRealization, Node,
-                        ReceptionRecord, Scenario, SweepGrid,
-                        all_angle_reception_probability, best_n_path_loss,
-                        distance_3d, enumerate_serving_combinations,
+                        Scenario, SweepGrid, best_n_path_loss,
+                        combination_count, distance_3d,
                         nearest_neighbor_order, nn_distance_stats,
-                        reception_table_from_records,
-                        reception_vs_serving_count, simulate_drop)
+                        reception_counts, reception_vs_serving_count,
+                        simulate_drop)
 from .fitting import (DirectionalScan, FitDiagnostics, FitError,
                       PathLossSample, ScanEntry, fit_ci,
                       group_samples_by_condition, residual_diagnostics,
@@ -31,9 +30,9 @@ from .propagation import (CiModel, Condition, ci_mean_path_loss_db,
                           friis_received_power_dbm, fspl_db,
                           gain_from_aperture_dbi, gain_increase,
                           received_power_dbm, wavelength_m)
-from .results import (CdfPoint, ModelCard, OutagePctRow, ReceptionRow,
-                      ResultBundle, RunMetadata, build_cdf, emit_results,
-                      format_pct, load_model_cards)
+from .results import (CdfPoint, ModelCard, ReceptionRow, ResultBundle,
+                      RunMetadata, build_cdf, emit_results, format_pct,
+                      load_model_cards)
 from .rng import substream
 from .scenario_io import (ScenarioError, load_scenario, load_topology,
                           parse_scenario, read_masks_csv, read_samples_csv,
@@ -54,16 +53,15 @@ __all__ = [
     "edge_coverage_probability", "edge_outage_probability",
     "useful_area_fraction", "region_outage_probability", "outage_table",
     # diversity
-    "Node", "SweepGrid", "ConditionPolicy", "Scenario", "ReceptionRecord",
-    "DropRealization", "DistanceStats", "distance_3d", "nearest_neighbor_order",
-    "nn_distance_stats", "best_n_path_loss", "enumerate_serving_combinations",
-    "all_angle_reception_probability", "simulate_drop",
-    "reception_vs_serving_count", "reception_table_from_records",
+    "Node", "SweepGrid", "ConditionPolicy", "Scenario", "DropRealization",
+    "DistanceStats", "distance_3d", "nearest_neighbor_order",
+    "nn_distance_stats", "best_n_path_loss", "combination_count",
+    "reception_counts", "simulate_drop", "reception_vs_serving_count",
     # io + results
     "ScenarioError", "parse_scenario", "load_scenario", "load_topology",
     "read_samples_csv", "write_samples_csv", "read_masks_csv",
     "write_masks_csv", "scenario_to_json", "RunMetadata", "ModelCard",
-    "ReceptionRow", "CdfPoint", "OutagePctRow", "ResultBundle", "format_pct",
+    "ReceptionRow", "CdfPoint", "ResultBundle", "format_pct",
     "build_cdf", "emit_results", "load_model_cards",
     # rng
     "substream",

@@ -25,16 +25,14 @@ from pathlib import Path
 
 from . import __version__
 from .coverage import LinkBudget, outage_table
-from .diversity import (best_n_path_loss, enumerate_serving_combinations,
-                        reception_table_from_records, reception_vs_serving_count,
-                        simulate_drop)
-from .fitting import FitError, fit_ci, group_samples_by_condition
+from .diversity import (best_n_path_loss, combination_count, reception_counts,
+                        reception_vs_serving_count, simulate_drop)
+from .fitting import VV, FitError, fit_ci, group_samples_by_condition
 from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M, DEFAULT_SEED,
                      DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET)
 from .propagation import CiModel, Condition
-from .results import (ModelCard, OutagePctRow, ReceptionRow, ResultBundle,
-                      RunMetadata, build_cdf, emit_results, format_pct,
-                      load_model_cards)
+from .results import (ModelCard, ReceptionRow, ResultBundle, RunMetadata,
+                      build_cdf, emit_results, format_pct, load_model_cards)
 from .scenario_io import (ScenarioError, load_scenario, load_topology,
                           read_masks_csv, read_samples_csv)
 
@@ -95,11 +93,12 @@ def _cmd_fit(args) -> int:
     for cond, group in sorted(group_samples_by_condition(samples).items(),
                               key=lambda kv: kv[0].value):
         model = fit_ci(group, args.f_ghz, include_vh=args.include_vh)
+        n_fitted = sum(args.include_vh or s.polarization == VV for s in group)
         cards.append(ModelCard(label=cond.value, f_ghz=model.f_ghz,
                                ple=model.ple, sigma_db=model.sigma_db,
-                               condition=cond, n_samples=len(group)))
+                               condition=cond, n_samples=n_fitted))
         print(f"{cond.value}: ple={model.ple:.2f} sigma={model.sigma_db:.2f} dB "
-              f"(n={len(group)})")
+              f"(n={n_fitted})")
     config = RunConfig("fit", _resolve_out(args))
     _emit(ResultBundle(config.metadata(), model_cards=cards), config.out_dir)
     return 0
@@ -121,14 +120,12 @@ def _cmd_coverage(args) -> int:
     distances = (_parse_distances(args.distances) if args.distances
                  else list(DEFAULT_COVERAGE_DISTANCES_M))
     rows = outage_table(models, budget, distances)
-    pct_rows = [OutagePctRow(r.condition, r.distance_m, r.p_out_edge,
-                             r.p_out_region) for r in rows]
     print("condition distance_m edge_outage_pct region_outage_pct")
-    for row in pct_rows:
+    for row in rows:
         print(f"{row.condition} {row.distance_m:g} "
               f"{format_pct(row.p_out_edge)} {format_pct(row.p_out_region)}")
     config = RunConfig("coverage", _resolve_out(args))
-    _emit(ResultBundle(config.metadata(), outage_rows=pct_rows), config.out_dir)
+    _emit(ResultBundle(config.metadata(), outage_rows=rows), config.out_dir)
     return 0
 
 
@@ -140,10 +137,9 @@ def _cmd_simulate(args) -> int:
     n_bs = len(scenario.base_stations)
     k_max = args.k_max if args.k_max is not None else min(5, n_bs)
     realizations = simulate_drop(scenario, args.trials)
-    probs = reception_vs_serving_count(scenario, args.trials, k_max,
-                                       realizations=realizations)
+    probs = reception_vs_serving_count(scenario, realizations, k_max)
     topology = scenario.topology()
-    rows = [ReceptionRow(k, p, len(enumerate_serving_combinations(topology, k)))
+    rows = [ReceptionRow(k, p, combination_count(topology, k))
             for k, p in sorted(probs.items())]
     for row in rows:
         print(f"k={row.k} reception={format_pct(row.probability)}% "
@@ -167,11 +163,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise ScenarioError(f"--k must be >= 1, got {args.k}")
     topology = load_topology(args.topology)
+    sizes = [len(set(s)) for s in topology.values()]
+    limit = args.k if args.k is not None else max(sizes)
     if args.masks is not None:
-        records = read_masks_csv(args.masks, n_directions=args.directions)
-        table = reception_table_from_records(records, topology, k_max=args.k)
-        rows = [ReceptionRow(k, p, n) for k, (p, n) in sorted(table.items())]
+        masks = read_masks_csv(args.masks, n_directions=args.directions)
+        counts = reception_counts(masks, topology, limit, args.directions)
+        rows = [ReceptionRow(k, hits / n, n)
+                for k, (hits, n) in sorted(counts.items())]
         for row in rows:
             print(f"k={row.k}: {row.n_combinations} combinations, "
                   f"reception={format_pct(row.probability)}%")
@@ -179,15 +180,13 @@ def _cmd_enumerate(args) -> int:
         _emit(ResultBundle(config.metadata(), reception_rows=rows),
               config.out_dir)
         return 0
-    sizes = [len(set(s)) for s in topology.values()]
-    limit = args.k if args.k is not None else max(sizes)
     counts = []
     for k in range(1, limit + 1):
-        combos = enumerate_serving_combinations(topology, k)
-        if not combos:
+        n = combination_count(topology, k)
+        if not n:
             break
-        counts.append(len(combos))
-        print(f"k={k}: {len(combos)} combinations")
+        counts.append(n)
+        print(f"k={k}: {n} combinations")
     print("counts:", ",".join(str(c) for c in counts))
     return 0
 

@@ -7,11 +7,12 @@ for every link and every (TX sector angle, RX direction) combination it
 draws a shadow-faded directional path loss, marks the combination
 detectable when the draw stays within the budget's maximum measurable path
 loss, synthesizes per-link omnidirectional path loss from the detectable
-combinations, and reduces each link to a per-RX-direction reception mask.
+combinations, and reduces each link to a reception mask: an int bitset
+with one bit per RX direction.
 
 Reception-over-all-angles statistics for k serving base stations are then
 combinatorial: a k-combination of serving stations covers a user when the
-entrywise OR of its reception masks is all-true.
+bitwise OR of its reception masks has every direction bit set.
 
 Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
@@ -19,7 +20,6 @@ independent; no angular correlation model is applied.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -73,22 +73,6 @@ class SweepGrid:
     @property
     def n_rx_directions(self) -> int:
         return self.rx_azimuths * self.rx_elevations
-
-
-@dataclass(frozen=True)
-class ReceptionRecord:
-    """Per-link detectability over the RX direction grid.
-
-    ``mask[el * n_azimuths + az]`` is True when that RX direction received
-    signal from at least one TX sector angle (elevation-major ordering).
-    """
-
-    link: LinkKey
-    mask: tuple[bool, ...]
-
-    @property
-    def full_reception(self) -> bool:
-        return all(self.mask)
 
 
 @dataclass(frozen=True)
@@ -156,13 +140,17 @@ class Scenario:
 
 @dataclass
 class DropRealization:
-    """One Monte Carlo trial: per-link conditions, omni path loss, masks."""
+    """One Monte Carlo trial: per-link conditions, omni path loss, masks.
+
+    ``masks[link]`` is an int bitset over the RX direction grid: bit
+    ``el * n_azimuths + az`` is set when that RX direction received signal
+    from at least one TX sector angle (elevation-major ordering).
+    """
 
     trial: int
     conditions: dict[LinkKey, Condition]
     omni_pl_db: dict[LinkKey, float]
-    records: dict[LinkKey, ReceptionRecord]
-    best_order: dict[str, tuple[str, ...]]
+    masks: dict[LinkKey, int]
 
 
 @dataclass(frozen=True)
@@ -226,57 +214,47 @@ def best_n_path_loss(ue_id: str, scenario: Scenario,
                   for bs in scenario.base_stations)
 
 
-def enumerate_serving_combinations(
-        topology: Mapping[str, Iterable[str]],
-        k: int) -> list[tuple[str, tuple[str, ...]]]:
-    """All k-subsets of each UE's serving set, lexicographically ordered.
-
-    UEs with fewer than k serving stations contribute no combinations.
-    """
+def combination_count(topology: Mapping[str, Iterable[str]], k: int) -> int:
+    """Number of k-subsets over all UEs' serving sets."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    combos = []
-    for ue_id in sorted(topology):
-        serving = sorted(topology[ue_id])
-        for subset in itertools.combinations(serving, k):
-            combos.append((ue_id, subset))
-    return combos
+    return sum(math.comb(len(set(s)), k) for s in topology.values())
 
 
-def all_angle_reception_probability(records: Mapping[LinkKey, ReceptionRecord],
-                                    topology: Mapping[str, Iterable[str]],
-                                    k: int) -> float:
-    """Fraction of k-combinations that receive over every RX direction.
+def reception_counts(masks: Mapping[LinkKey, int],
+                     topology: Mapping[str, Iterable[str]], k_max: int,
+                     n_directions: int) -> dict[int, tuple[int, int]]:
+    """Full-coverage and total k-subset counts for k = 1..k_max.
 
-    A combination counts as reception when the entrywise OR of its member
-    links' masks has no uncovered direction.
+    Returns k -> (subsets whose masks OR to all ``n_directions`` bits,
+    subsets) for every k that some serving set reaches.  Level k extends
+    each level k-1 union with every later serving station, so each subset
+    costs one OR and the pass stops at ``min(k_max, |serving|)`` per UE.
     """
-    combos = enumerate_serving_combinations(topology, k)
-    if not combos:
-        raise ValueError(f"no serving set has {k} or more base stations")
-    masks = {}
-    for ue_id, subset in combos:
-        for bs_id in subset:
-            link = (ue_id, bs_id)
-            if link not in masks:
-                rec = records.get(link)
-                if rec is None:
-                    raise ValueError(f"missing reception record for link {link}")
-                masks[link] = np.array(rec.mask, dtype=bool)
-    hits = 0
-    for ue_id, subset in combos:
-        union = np.zeros_like(masks[(ue_id, subset[0])])
-        for bs_id in subset:
-            union |= masks[(ue_id, bs_id)]
-        if union.all():
-            hits += 1
-    return hits / len(combos)
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    full = (1 << n_directions) - 1
+    counts: dict[int, tuple[int, int]] = {}
+    for ue_id in sorted(topology):
+        serving = sorted(set(topology[ue_id]))
+        try:
+            m = [masks[(ue_id, b)] for b in serving]
+        except KeyError as exc:
+            raise ValueError(
+                f"missing reception mask for link {exc.args[0]}") from None
+        level = [(0, 0)]  # (union, index of the next station to add)
+        for k in range(1, min(k_max, len(m)) + 1):
+            level = [(union | m[j], j + 1)
+                     for union, nxt in level for j in range(nxt, len(m))]
+            hits, n = counts.get(k, (0, 0))
+            counts[k] = (hits + sum(u == full for u, _ in level), n + len(level))
+    return counts
 
 
 def _simulate_link(model: CiModel, best_model: CiModel | None, d_m: float,
                    sweep: SweepGrid, budget: LinkBudget,
-                   rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Directional draws for one link: (detect mask over RX dirs, omni PL)."""
+                   rng: np.random.Generator) -> tuple[int, float]:
+    """Directional draws for one link: (RX-direction bitset, omni PL)."""
     shape = (sweep.tx_angles, sweep.rx_elevations, sweep.rx_azimuths)
     pl = ci_sample_path_loss_db(model, d_m, rng, size=shape)
     pl = pl.reshape(sweep.tx_angles, sweep.n_rx_directions)
@@ -286,8 +264,9 @@ def _simulate_link(model: CiModel, best_model: CiModel | None, d_m: float,
         best_pl = float(ci_sample_path_loss_db(best_model, d_m, rng))
         pl.flat[np.argmin(pl)] = best_pl
     detect = pl <= budget.max_pl_db
-    mask = detect.any(axis=0)
-    if detect.any():
+    mask = int.from_bytes(
+        np.packbits(detect.any(axis=0), bitorder="little").tobytes(), "little")
+    if mask:
         omni = float(-10.0 * np.log10(np.sum(10.0 ** (-pl[detect] / 10.0))))
     else:
         omni = math.inf
@@ -310,62 +289,34 @@ def simulate_drop(scenario: Scenario, trials: int) -> list[DropRealization]:
         rng = substream(scenario.seed, t)
         conditions: dict[LinkKey, Condition] = {}
         omni: dict[LinkKey, float] = {}
-        records: dict[LinkKey, ReceptionRecord] = {}
+        masks: dict[LinkKey, int] = {}
         for ue, bs in links:
             link = (ue.id, bs.id)
             cond = scenario.condition_policy.resolve(link, rng)
             model = scenario.models[cond]
             d = distance_3d(ue, bs)
-            mask, omni_pl = _simulate_link(
+            masks[link], omni[link] = _simulate_link(
                 model, best_model if cond is Condition.NLOS else None,
                 d, scenario.sweep, scenario.budget, rng)
             conditions[link] = cond
-            omni[link] = omni_pl
-            records[link] = ReceptionRecord(link, tuple(bool(b) for b in mask))
-        best_order = {
-            ue.id: tuple(sorted((bs.id for bs in scenario.base_stations),
-                                key=lambda b: (omni[(ue.id, b)], b)))
-            for ue in scenario.ues
-        }
-        realizations.append(DropRealization(t, conditions, omni, records, best_order))
+        realizations.append(DropRealization(t, conditions, omni, masks))
     return realizations
 
 
-def reception_vs_serving_count(scenario: Scenario, trials: int, k_max: int,
-                               realizations: Sequence[DropRealization] | None = None
-                               ) -> dict[int, float]:
+def reception_vs_serving_count(scenario: Scenario,
+                               realizations: Sequence[DropRealization],
+                               k_max: int) -> dict[int, float]:
     """Mean all-angle reception probability for k = 1..k_max serving stations.
 
-    Pass ``realizations`` to reuse drops already simulated for this scenario.
+    Each trial's probability is its full-coverage share of k-subsets; the
+    result is the mean over ``realizations`` of this scenario.
     """
     n_bs = len(scenario.base_stations)
     if not 1 <= k_max <= n_bs:
         raise ValueError(f"k_max must be in [1, {n_bs}], got {k_max}")
     topology = scenario.topology()
-    if realizations is None:
-        realizations = simulate_drop(scenario, trials)
-    return {
-        k: float(np.mean([all_angle_reception_probability(r.records, topology, k)
-                          for r in realizations]))
-        for k in range(1, k_max + 1)
-    }
-
-
-def reception_table_from_records(records: Mapping[LinkKey, ReceptionRecord],
-                                 topology: Mapping[str, Iterable[str]],
-                                 k_max: int | None = None
-                                 ) -> dict[int, tuple[float, int]]:
-    """Reception probabilities from measured (or fixture) masks, no simulation.
-
-    Returns k -> (probability, combination count) for every k with at
-    least one combination, up to ``k_max`` or the largest serving set.
-    """
-    sizes = [len(set(s)) for s in topology.values()]
-    limit = max(sizes) if k_max is None else k_max
-    out = {}
-    for k in range(1, limit + 1):
-        combos = enumerate_serving_combinations(topology, k)
-        if not combos:
-            break
-        out[k] = (all_angle_reception_probability(records, topology, k), len(combos))
-    return out
+    per_trial = [reception_counts(r.masks, topology, k_max,
+                                  scenario.sweep.n_rx_directions)
+                 for r in realizations]
+    return {k: float(np.mean([c[k][0] / c[k][1] for c in per_trial]))
+            for k in range(1, k_max + 1)}

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .coverage import OutageRow
 from .propagation import CiModel, Condition
 
 _FLOAT_FMT = "%.12g"  # round-trips path-loss scale values to well under 1e-9
@@ -58,7 +59,6 @@ class ModelCard:
     sigma_db: float
     condition: Condition
     n_samples: int | None = None
-    rms_residual_db: float | None = None
 
     def to_model(self) -> CiModel:
         return CiModel(self.f_ghz, self.ple, self.sigma_db, self.condition)
@@ -79,21 +79,13 @@ class CdfPoint:
     p: float
 
 
-@dataclass(frozen=True)
-class OutagePctRow:
-    condition: str
-    distance_m: float
-    p_out_edge: float
-    p_out_region: float
-
-
 @dataclass
 class ResultBundle:
     """Everything one run produced; validated on construction."""
 
     metadata: RunMetadata
     model_cards: Sequence[ModelCard] = ()
-    outage_rows: Sequence[OutagePctRow] = ()
+    outage_rows: Sequence[OutageRow] = ()
     reception_rows: Sequence[ReceptionRow] = ()
     cdfs: Mapping[str, Sequence[CdfPoint]] = field(default_factory=dict)
 
@@ -152,8 +144,6 @@ def _model_card_obj(card: ModelCard) -> dict:
     }
     if card.n_samples is not None:
         obj["n_samples"] = card.n_samples
-    if card.rms_residual_db is not None:
-        obj["rms_residual_db"] = float(_fmt(card.rms_residual_db))
     return obj
 
 
@@ -216,7 +206,6 @@ def load_model_cards(path: str | Path) -> list[ModelCard]:
                 sigma_db=float(obj["sigma_db"]),
                 condition=Condition(obj["condition"]),
                 n_samples=obj.get("n_samples"),
-                rms_residual_db=obj.get("rms_residual_db"),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad model card at index {i}: {exc}") from None

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, TextIO
 
 from .coverage import LinkBudget
-from .diversity import ConditionPolicy, LinkKey, Node, ReceptionRecord, Scenario, SweepGrid
+from .diversity import ConditionPolicy, LinkKey, Node, Scenario, SweepGrid
 from .fitting import PathLossSample
 from .params import (BS_HEIGHT_M, DEFAULT_P_LOS, DEFAULT_SEED,
                      DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET, UE_HEIGHT_M)
@@ -187,13 +187,11 @@ def parse_scenario(obj) -> Scenario:
     seed = obj.get("seed", DEFAULT_SEED)
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("scenario.seed", f"expected an integer, got {seed!r}")
-    known_ids = {n.id for n in bss} | {n.id for n in ues}
     for (ue_id, bs_id) in explicit:
         if ue_id not in {n.id for n in ues}:
             _fail("scenario.conditions", f"unknown UE id {ue_id!r}")
         if bs_id not in {n.id for n in bss}:
             _fail("scenario.conditions", f"unknown base station id {bs_id!r}")
-    del known_ids
     try:
         policy = ConditionPolicy(explicit=explicit, p_los=p_los)
         return Scenario(bss, ues, policy, models, budget, sweep, seed)
@@ -270,11 +268,12 @@ MASK_FIELDS = ("rx_id", "tx_id", "mask")
 
 
 def read_masks_csv(source: str | Path | TextIO,
-                   n_directions: int = 72) -> dict[LinkKey, ReceptionRecord]:
+                   n_directions: int = 72) -> dict[LinkKey, int]:
     """Read per-link reception masks: ``rx_id,tx_id,mask``.
 
     The mask is a string of 0/1 of length ``n_directions`` in
-    elevation-major order (index = elevation * n_azimuths + azimuth).
+    elevation-major order (index = elevation * n_azimuths + azimuth);
+    character i becomes bit i of the returned int bitset.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
@@ -287,7 +286,7 @@ def read_masks_csv(source: str | Path | TextIO,
     if tuple(h.strip() for h in header) != MASK_FIELDS:
         raise ScenarioError(
             f"masks CSV line 1: header must be {','.join(MASK_FIELDS)}")
-    records = {}
+    masks = {}
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -298,24 +297,26 @@ def read_masks_csv(source: str | Path | TextIO,
             raise ScenarioError(
                 f"masks CSV line {lineno}: mask must be {n_directions} chars of 0/1")
         link = (rx_id, tx_id)
-        if link in records:
+        if link in masks:
             raise ScenarioError(f"masks CSV line {lineno}: duplicate link {link}")
-        records[link] = ReceptionRecord(link, tuple(c == "1" for c in bits))
-    return records
+        masks[link] = int(bits[::-1], 2)
+    return masks
 
 
-def write_masks_csv(records: Mapping[LinkKey, ReceptionRecord],
-                    dest: str | Path | TextIO):
+def write_masks_csv(masks: Mapping[LinkKey, int], dest: str | Path | TextIO,
+                    n_directions: int = 72):
+    """Write masks in the format ``read_masks_csv`` accepts."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", newline="") as fh:
-            write_masks_csv(records, fh)
+            write_masks_csv(masks, fh, n_directions=n_directions)
             return
     writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(MASK_FIELDS)
-    for link in sorted(records):
-        rec = records[link]
+    for link in sorted(masks):
+        if masks[link] >> n_directions:
+            raise ValueError(f"mask for link {link} exceeds {n_directions} bits")
         writer.writerow([link[0], link[1],
-                         "".join("1" if b else "0" for b in rec.mask)])
+                         format(masks[link], f"0{n_directions}b")[::-1]])
 
 
 def load_topology(path: str | Path) -> dict[str, tuple[str, ...]]:

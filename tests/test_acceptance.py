@@ -97,21 +97,19 @@ def test_criterion_3_link_budget(capsys):
 def test_criterion_4_combinatorics(capsys):
     with criterion(capsys, 4, "serving-set combination counts and the "
                               "20-of-36 full-reception fixture"):
-        counts = [len(m.enumerate_serving_combinations(CAMPAIGN_SERVING_SETS, k))
+        counts = [m.combination_count(CAMPAIGN_SERVING_SETS, k)
                   for k in range(1, 6)]
         assert counts == [36, 54, 42, 17, 3]
 
         links = [(u, b) for u in sorted(CAMPAIGN_SERVING_SETS)
                  for b in sorted(CAMPAIGN_SERVING_SETS[u])]
-        records = {}
-        for i, link in enumerate(links):
-            mask = [True] * 72
-            if i >= 20:
-                mask[i % 72] = False
-            records[link] = m.ReceptionRecord(link, tuple(mask))
-        p1 = 100.0 * m.all_angle_reception_probability(
-            records, CAMPAIGN_SERVING_SETS, 1)
-        assert abs(p1 - 55.6) <= 0.05
+        full = (1 << 72) - 1
+        masks = {link: full if i < 20 else full & ~(1 << (i % 72))
+                 for i, link in enumerate(links)}
+        reception = m.reception_counts(masks, CAMPAIGN_SERVING_SETS, 5, 72)
+        assert [reception[k][1] for k in range(1, 6)] == counts
+        hits, n = reception[1]
+        assert abs(100.0 * hits / n - 55.6) <= 0.05
 
 
 def test_criterion_5_fit_recovery(capsys):
@@ -166,7 +164,7 @@ def test_criterion_6_property_spot_checks(capsys):
         sc = m.Scenario(bss, ues, m.ConditionPolicy(p_los=0.0),
                         DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET,
                         m.SweepGrid(), 73)
-        probs = m.reception_vs_serving_count(sc, 20, 4)
+        probs = m.reception_vs_serving_count(sc, m.simulate_drop(sc, 20), 4)
         assert all(probs[k] <= probs[k + 1] + 1e-12 for k in range(1, 4))
         [real] = m.simulate_drop(sc, 1)
         for ue in ues:
@@ -186,7 +184,7 @@ def test_criterion_6_property_spot_checks(capsys):
             reals = m.simulate_drop(sc, 5)
             rows = [m.ReceptionRow(k, p, 8)
                     for k, p in m.reception_vs_serving_count(
-                        sc, 5, 4, realizations=reals).items()]
+                        sc, reals, 4).items()]
             values = [pl for r in reals for pl in r.omni_pl_db.values()]
             bundle = m.ResultBundle(m.RunMetadata("simulate", "test"),
                                     reception_rows=rows,

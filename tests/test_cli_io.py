@@ -6,9 +6,8 @@ import math
 
 import pytest
 
-from mmwcomp import (CdfPoint, Condition, ModelCard, OutagePctRow,
-                     PathLossSample, ReceptionRecord, ResultBundle,
-                     RunMetadata, ScenarioError, build_cdf, emit_results,
+from mmwcomp import (CdfPoint, Condition, ModelCard, OutageRow,
+                     PathLossSample, ResultBundle, RunMetadata, ScenarioError, build_cdf, emit_results,
                      format_pct, load_model_cards, load_scenario,
                      load_topology, parse_scenario, read_masks_csv,
                      read_samples_csv, scenario_to_json, write_masks_csv,
@@ -142,11 +141,23 @@ class TestSamplesCsv:
 
 class TestMasksCsv:
     def test_round_trip(self, tmp_path):
-        mask = tuple(i % 3 != 0 for i in range(72))
-        records = {("U1", "B1"): ReceptionRecord(("U1", "B1"), mask)}
-        path = tmp_path / "masks.csv"
-        write_masks_csv(records, path)
-        assert read_masks_csv(path) == records
+        for n_directions in (72, 5):
+            bits = "".join("0" if i % 3 == 0 else "1"
+                           for i in range(n_directions))
+            masks = {("U1", "B1"): int(bits[::-1], 2), ("U1", "B2"): 1}
+            path = tmp_path / f"masks{n_directions}.csv"
+            write_masks_csv(masks, path, n_directions=n_directions)
+            assert path.read_text().splitlines()[1] == f"U1,B1,{bits}"
+            assert read_masks_csv(path, n_directions=n_directions) == masks
+
+    def test_char_i_is_bit_i(self):
+        buf = io.StringIO("rx_id,tx_id,mask\nU1,B1,1100\n")
+        assert read_masks_csv(buf, n_directions=4) == {("U1", "B1"): 0b0011}
+
+    def test_write_rejects_wide_mask(self):
+        with pytest.raises(ValueError, match="4 bits"):
+            write_masks_csv({("U1", "B1"): 1 << 4}, io.StringIO(),
+                            n_directions=4)
 
     def test_bad_mask_length(self):
         buf = io.StringIO("rx_id,tx_id,mask\nU1,B1,101\n")
@@ -206,8 +217,8 @@ class TestResults:
     def test_emit_outage_schema_and_determinism(self, tmp_path):
         bundle = ResultBundle(
             RunMetadata("coverage", "0.1.0"),
-            outage_rows=[OutagePctRow("NLOS", 63.0, 0.024186, 0.00742),
-                         OutagePctRow("NLOS_BEST", 63.0, 6.942e-7, 1.757e-7)])
+            outage_rows=[OutageRow("NLOS", 63.0, 0.024186, 0.00742),
+                         OutageRow("NLOS_BEST", 63.0, 6.942e-7, 1.757e-7)])
         first = {p.name: p.read_bytes()
                  for p in emit_results(bundle, tmp_path / "a")}
         second = {p.name: p.read_bytes()
@@ -231,6 +242,15 @@ class TestResults:
         assert back.sigma_db == pytest.approx(cards[0].sigma_db, abs=1e-9)
         assert back.condition is Condition.NLOS
         assert back.to_model().ple == back.ple
+
+    def test_model_cards_ignore_legacy_rms_residual(self, tmp_path):
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps([{
+            "label": "NLOS", "f_ghz": 73.5, "ple": 4.6, "sigma_db": 11.4,
+            "condition": "NLOS", "n_samples": 10, "rms_residual_db": 11.4}]))
+        [card] = load_model_cards(path)
+        assert card == ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS,
+                                 n_samples=10)
 
 
 SCENARIO_JSON = {
@@ -304,18 +324,44 @@ class TestCli:
                                     for u, s in CAMPAIGN_SERVING_SETS.items()}))
         links = [(u, b) for u in sorted(CAMPAIGN_SERVING_SETS)
                  for b in sorted(CAMPAIGN_SERVING_SETS[u])]
-        records = {}
-        for i, link in enumerate(links):
-            bits = [True] * 72
-            if i >= 20:
-                bits[i % 72] = False
-            records[link] = ReceptionRecord(link, tuple(bits))
+        full = (1 << 72) - 1
         masks = tmp_path / "masks.csv"
-        write_masks_csv(records, masks)
+        write_masks_csv({link: full if i < 20 else full & ~(1 << (i % 72))
+                         for i, link in enumerate(links)}, masks)
         assert main(["enumerate", "--topology", str(topo),
                      "--masks", str(masks)]) == 0
         out = capsys.readouterr().out
         assert "k=1: 36 combinations, reception=55.6%" in out
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    @pytest.mark.parametrize("with_masks", [False, True])
+    def test_enumerate_rejects_k_below_1(self, tmp_path, capsys, k,
+                                         with_masks):
+        topo = tmp_path / "topology.json"
+        topo.write_text(json.dumps({"U1": ["B1", "B2"]}))
+        masks = tmp_path / "masks.csv"
+        write_masks_csv({("U1", "B1"): 1, ("U1", "B2"): 2}, masks)
+        argv = ["enumerate", "--topology", str(topo), "--k", k]
+        if with_masks:
+            argv += ["--masks", str(masks)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k must be >= 1" in captured.err
+
+    def test_fit_counts_only_fitted_samples(self, tmp_path, capsys):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("d_m,pl_db,condition,polarization\n"
+                            "20,120,NLOS,VV\n40,130,NLOS,VV\n"
+                            "30,140,NLOS,VH\n")
+        out_dir = tmp_path / "fit"
+        assert main(["fit", "--samples", str(csv_path),
+                     "--out", str(out_dir)]) == 0
+        assert "(n=2)" in capsys.readouterr().out
+        [card] = json.loads((out_dir / "models.json").read_text())
+        assert card["n_samples"] == 2
+        assert main(["fit", "--samples", str(csv_path), "--include-vh"]) == 0
+        assert "(n=3)" in capsys.readouterr().out
 
     def test_fit_end_to_end(self, tmp_path, capsys):
         import numpy as np

@@ -5,12 +5,10 @@ import math
 
 import pytest
 
-from mmwcomp import (CiModel, Condition, ConditionPolicy, Node,
-                     ReceptionRecord, Scenario, SweepGrid,
-                     all_angle_reception_probability, best_n_path_loss,
-                     distance_3d, enumerate_serving_combinations,
-                     nearest_neighbor_order, nn_distance_stats,
-                     reception_table_from_records, reception_vs_serving_count,
+from mmwcomp import (CiModel, Condition, ConditionPolicy, Node, Scenario,
+                     SweepGrid, best_n_path_loss, combination_count,
+                     distance_3d, nearest_neighbor_order, nn_distance_stats,
+                     reception_counts, reception_vs_serving_count,
                      simulate_drop, substream)
 from mmwcomp.params import CAMPAIGN_SERVING_SETS, SOUNDER_LINK_BUDGET
 
@@ -120,8 +118,7 @@ def test_nn_stats_rank_bounds():
 
 
 def test_campaign_combination_counts():
-    counts = [len(enumerate_serving_combinations(CAMPAIGN_SERVING_SETS, k))
-              for k in range(1, 6)]
+    counts = [combination_count(CAMPAIGN_SERVING_SETS, k) for k in range(1, 6)]
     assert counts == [36, 54, 42, 17, 3]
 
 
@@ -129,88 +126,79 @@ def test_combinations_against_brute_force():
     topology = {"U1": ("B1", "B2", "B3", "B4"), "U2": ("B2", "B5"),
                 "U3": ("B1",)}
     for k in range(1, 5):
-        got = enumerate_serving_combinations(topology, k)
-        expect = sum(math.comb(len(s), k) for s in topology.values())
-        assert len(got) == expect
-        brute = {(u, sub) for u, s in topology.items()
-                 for sub in itertools.combinations(sorted(s), k)}
-        assert set(got) == brute
-        assert got == sorted(got)  # deterministic lexicographic order
+        brute = [sub for s in topology.values()
+                 for sub in itertools.combinations(s, k)]
+        assert combination_count(topology, k) == len(brute)
 
 
 def test_combinations_k_too_large_is_empty():
-    assert enumerate_serving_combinations({"U1": ("B1", "B2")}, 3) == []
+    assert combination_count({"U1": ("B1", "B2")}, 3) == 0
 
 
 def test_combinations_k_validation():
     with pytest.raises(ValueError):
-        enumerate_serving_combinations({"U1": ("B1",)}, 0)
+        combination_count({"U1": ("B1",)}, 0)
 
 
-def full_mask():
-    return tuple([True] * 72)
+FULL = (1 << 72) - 1
 
 
 def holed_mask(hole=0):
-    m = [True] * 72
-    m[hole] = False
-    return tuple(m)
+    return FULL & ~(1 << hole)
 
 
-def fixture_records(n_full=20):
+def fixture_masks(n_full=20):
     """Campaign-topology masks with exactly n_full full-reception links."""
     links = [(u, b) for u in sorted(CAMPAIGN_SERVING_SETS)
              for b in sorted(CAMPAIGN_SERVING_SETS[u])]
-    records = {}
-    for i, link in enumerate(links):
-        mask = full_mask() if i < n_full else holed_mask(i % 72)
-        records[link] = ReceptionRecord(link, mask)
-    return records
+    return {link: FULL if i < n_full else holed_mask(i % 72)
+            for i, link in enumerate(links)}
+
+
+def probabilities(masks, topology, k_max, n_directions=72):
+    counts = reception_counts(masks, topology, k_max, n_directions)
+    return {k: hits / n for k, (hits, n) in counts.items()}
 
 
 def test_k1_reception_fixture():
-    records = fixture_records(20)
-    p = all_angle_reception_probability(records, CAMPAIGN_SERVING_SETS, 1)
+    p = probabilities(fixture_masks(20), CAMPAIGN_SERVING_SETS, 1)[1]
     assert 100.0 * p == pytest.approx(100.0 * 20 / 36, abs=1e-9)
 
 
 def test_reception_all_true_masks():
-    records = {link: ReceptionRecord(link, full_mask())
-               for link in fixture_records()}
-    for k in range(1, 6):
-        assert all_angle_reception_probability(
-            records, CAMPAIGN_SERVING_SETS, k) == 1.0
+    masks = dict.fromkeys(fixture_masks(), FULL)
+    assert probabilities(masks, CAMPAIGN_SERVING_SETS, 5) == {
+        k: 1.0 for k in range(1, 6)}
 
 
 def test_reception_union_semantics():
-    half_a = tuple(i < 36 for i in range(72))
-    half_b = tuple(i >= 36 for i in range(72))
+    half_a = (1 << 36) - 1
+    half_b = FULL ^ half_a
     topology = {"U1": ("B1", "B2")}
-    records = {("U1", "B1"): ReceptionRecord(("U1", "B1"), half_a),
-               ("U1", "B2"): ReceptionRecord(("U1", "B2"), half_b)}
-    assert all_angle_reception_probability(records, topology, 1) == 0.0
-    assert all_angle_reception_probability(records, topology, 2) == 1.0
+    masks = {("U1", "B1"): half_a, ("U1", "B2"): half_b}
+    assert probabilities(masks, topology, 2) == {1: 0.0, 2: 1.0}
 
 
 def test_reception_missing_record():
     topology = {"U1": ("B1", "B2")}
-    records = {("U1", "B1"): ReceptionRecord(("U1", "B1"), full_mask())}
+    with pytest.raises(ValueError, match="missing reception mask"):
+        reception_counts({("U1", "B1"): FULL}, topology, 1, 72)
+
+
+def test_reception_k_max_validation():
     with pytest.raises(ValueError):
-        all_angle_reception_probability(records, topology, 1)
+        reception_counts(fixture_masks(), CAMPAIGN_SERVING_SETS, 0, 72)
 
 
 def test_reception_monotone_in_k_on_fixture():
-    records = fixture_records(20)
-    probs = [all_angle_reception_probability(records, CAMPAIGN_SERVING_SETS, k)
-             for k in range(1, 6)]
-    assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
+    probs = probabilities(fixture_masks(20), CAMPAIGN_SERVING_SETS, 5)
+    assert all(probs[k + 1] >= probs[k] - 1e-12 for k in range(1, 5))
 
 
-def test_reception_table_from_records():
-    table = reception_table_from_records(fixture_records(20),
-                                         CAMPAIGN_SERVING_SETS)
-    assert [table[k][1] for k in range(1, 6)] == [36, 54, 42, 17, 3]
-    assert table[1][0] == pytest.approx(20 / 36, abs=1e-12)
+def test_reception_counts_fixture_table():
+    counts = reception_counts(fixture_masks(20), CAMPAIGN_SERVING_SETS, 9, 72)
+    assert [counts[k][1] for k in sorted(counts)] == [36, 54, 42, 17, 3]
+    assert counts[1] == (20, 36)
 
 
 def test_scenario_validation():
@@ -244,8 +232,7 @@ def test_simulate_sigma0_los_all_detectable():
     sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   policy=ConditionPolicy(p_los=1.0))
     [real] = simulate_drop(sc, 1)
-    rec = real.records[("U1", "B1")]
-    assert rec.full_reception
+    assert real.masks[("U1", "B1")] == FULL
     d = distance_3d(sc.ues[0], sc.base_stations[0])
     mean_pl = 69.7257467816839 + 20.0 * math.log10(d)
     # 15 x 72 equal-power detectable angles power-sum below the mean PL.
@@ -261,9 +248,7 @@ def test_simulate_sigma0_nlos_beyond_range_all_false():
     sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   policy=all_nlos())
     [real] = simulate_drop(sc, 1)
-    rec = real.records[("U1", "B1")]
-    assert not rec.full_reception
-    assert not any(rec.mask)
+    assert real.masks[("U1", "B1")] == 0
     assert math.isinf(real.omni_pl_db[("U1", "B1")])
 
 
@@ -277,8 +262,7 @@ def test_simulate_sigma0_nlos_best_single_angle():
     sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   policy=all_nlos())
     [real] = simulate_drop(sc, 1)
-    rec = real.records[("U1", "B1")]
-    assert sum(rec.mask) == 1
+    assert real.masks[("U1", "B1")].bit_count() == 1
     d = distance_3d(sc.ues[0], sc.base_stations[0])
     best_pl = 69.7257467816839 + 29.0 * math.log10(d)
     assert real.omni_pl_db[("U1", "B1")] == pytest.approx(best_pl, abs=1e-9)
@@ -292,7 +276,7 @@ def test_simulate_deterministic_and_prefix_stable():
     c = simulate_drop(sc, 5)
     for t in range(3):
         assert a[t].omni_pl_db == b[t].omni_pl_db == c[t].omni_pl_db
-        assert a[t].records == b[t].records == c[t].records
+        assert a[t].masks == b[t].masks == c[t].masks
         assert a[t].conditions == c[t].conditions
 
 
@@ -312,7 +296,6 @@ def test_best_n_sorted_and_order_invariant_to_bs_input_order():
     losses = best_n_path_loss("U1", sc_fwd, real_fwd)
     assert losses == sorted(losses)
     assert losses == best_n_path_loss("U1", sc_rev, real_rev)
-    assert real_fwd.best_order == real_rev.best_order
 
 
 def test_reception_vs_k_always_detectable():
@@ -320,7 +303,7 @@ def test_reception_vs_k_always_detectable():
               Condition.NLOS: CiModel(73.5, 2.0, 0.0, Condition.NLOS)}
     sc = scenario([bs(1, 10.0, 0.0), bs(2, 0.0, 10.0)], [ue(1, 0.0, 0.0)],
                   models=models)
-    probs = reception_vs_serving_count(sc, 2, 2)
+    probs = reception_vs_serving_count(sc, simulate_drop(sc, 2), 2)
     assert probs == {1: 1.0, 2: 1.0}
 
 
@@ -328,7 +311,7 @@ def test_reception_vs_k_monotone_under_shadowing():
     sc = scenario([bs(1, 150.0, 0.0), bs(2, 0.0, 160.0), bs(3, -170.0, 0.0)],
                   [ue(1, 0.0, 0.0), ue(2, 30.0, 30.0)],
                   policy=all_nlos())
-    probs = reception_vs_serving_count(sc, 30, 3)
+    probs = reception_vs_serving_count(sc, simulate_drop(sc, 30), 3)
     assert probs[1] <= probs[2] + 1e-12
     assert probs[2] <= probs[3] + 1e-12
     assert 0.0 <= probs[1] and probs[3] <= 1.0
@@ -337,6 +320,6 @@ def test_reception_vs_k_monotone_under_shadowing():
 def test_reception_vs_k_bounds():
     sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)])
     with pytest.raises(ValueError):
-        reception_vs_serving_count(sc, 1, 2)
+        reception_vs_serving_count(sc, simulate_drop(sc, 1), 2)
     with pytest.raises(ValueError):
         simulate_drop(sc, 0)

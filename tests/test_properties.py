@@ -1,5 +1,6 @@
 """Property-based checks over the numeric core."""
 
+import itertools
 import math
 
 import pytest
@@ -7,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwcomp import (CiModel, Condition, CoverageQuery, DirectionalScan,
-                     LinkBudget, ReceptionRecord, ScanEntry,
-                     all_angle_reception_probability, build_cdf,
-                     ci_mean_path_loss_db, edge_outage_probability,
-                     enumerate_serving_combinations, format_pct,
-                     friis_received_power_dbm, fspl_db,
+                     LinkBudget, ScanEntry, build_cdf, ci_mean_path_loss_db,
+                     combination_count, edge_outage_probability, format_pct,
+                     friis_received_power_dbm, fspl_db, reception_counts,
                      region_outage_probability, substream,
                      synthesize_omni_path_loss_db)
 
@@ -98,23 +97,61 @@ serving_sets = st.sets(st.sampled_from(["B1", "B2", "B3", "B4", "B5"]),
        st.integers(min_value=1, max_value=5))
 def test_combination_count_formula(topology, k):
     topology = {u: tuple(sorted(s)) for u, s in topology.items()}
-    got = enumerate_serving_combinations(topology, k)
-    assert len(got) == sum(math.comb(len(s), k) for s in topology.values())
-    assert len(set(got)) == len(got)
+    brute = {(u, sub) for u, s in topology.items()
+             for sub in itertools.combinations(s, k)}
+    assert combination_count(topology, k) == len(brute)
 
 
-@given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans(),
-                          st.booleans()), min_size=1, max_size=5))
+@given(st.lists(st.integers(min_value=0, max_value=15), min_size=1,
+                max_size=5))
 def test_reception_monotone_per_ue(masks):
-    # Single-UE topology: a larger serving combination can only add mask
-    # coverage, so the reception fraction is non-decreasing in k.
+    # Single-UE topology with 4-direction masks: a larger serving
+    # combination can only add mask coverage, so the reception fraction is
+    # non-decreasing in k.
     topology = {"U1": tuple(f"B{i}" for i in range(len(masks)))}
-    records = {("U1", f"B{i}"): ReceptionRecord(("U1", f"B{i}"), m)
-               for i, m in enumerate(masks)}
-    probs = [all_angle_reception_probability(records, topology, k)
-             for k in range(1, len(masks) + 1)]
+    links = {("U1", f"B{i}"): m for i, m in enumerate(masks)}
+    counts = reception_counts(links, topology, len(masks), 4)
+    probs = [hits / n for _, (hits, n) in sorted(counts.items())]
     for a, b in zip(probs, probs[1:]):
         assert b >= a - 1e-12
+
+
+def brute_force_reception_counts(masks, topology, k, n_directions):
+    """(full-coverage subsets, subsets) of size k by explicit OR."""
+    full = (1 << n_directions) - 1
+    hits = n = 0
+    for ue, serving in topology.items():
+        for subset in itertools.combinations(serving, k):
+            union = 0
+            for bs in subset:
+                union |= masks[(ue, bs)]
+            hits += union == full
+            n += 1
+    return hits, n
+
+
+@given(st.one_of(st.integers(min_value=1, max_value=12), st.just(72)),
+       st.data())
+def test_reception_counts_match_brute_force(n_directions, data):
+    full = (1 << n_directions) - 1
+    # Masks biased towards dense coverage so that unions reach full often.
+    mask = st.one_of(st.integers(0, full), st.just(full),
+                     st.builds(lambda a, b: a | b, st.integers(0, full),
+                               st.integers(0, full)))
+    stations = [f"B{i}" for i in range(8)]
+    topology = data.draw(st.dictionaries(
+        st.sampled_from(["U1", "U2", "U3"]),
+        st.lists(st.sampled_from(stations), min_size=1, max_size=8,
+                 unique=True).map(tuple),
+        min_size=1, max_size=3))
+    masks = {(ue, bs): data.draw(mask) for ue, serving in topology.items()
+             for bs in serving}
+    k_max = max(len(s) for s in topology.values())
+    counts = reception_counts(masks, topology, k_max, n_directions)
+    assert sorted(counts) == list(range(1, k_max + 1))
+    for k in range(1, k_max + 1):
+        assert counts[k] == brute_force_reception_counts(
+            masks, topology, k, n_directions)
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 100))
