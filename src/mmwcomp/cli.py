@@ -105,6 +105,8 @@ def _cmd_fit(args) -> int:
 
 
 def _load_models(args) -> tuple[dict[Condition, CiModel], LinkBudget]:
+    if args.models is not None and args.scenario is not None:
+        raise ScenarioError("--models and --scenario are mutually exclusive")
     if args.models is not None:
         cards = load_model_cards(args.models)
         models = {c.condition: c.to_model() for c in cards}
@@ -136,6 +138,10 @@ def _cmd_simulate(args) -> int:
         scenario = replace(scenario, seed=seed)
     n_bs = len(scenario.base_stations)
     k_max = args.k_max if args.k_max is not None else min(5, n_bs)
+    if not 1 <= k_max <= n_bs:
+        raise ScenarioError(f"k_max must be in [1, {n_bs}], got {k_max}")
+    if args.trials < 1:
+        raise ScenarioError(f"trials must be >= 1, got {args.trials}")
     realizations = simulate_drop(scenario, args.trials)
     probs = reception_vs_serving_count(scenario, realizations, k_max)
     topology = scenario.topology()

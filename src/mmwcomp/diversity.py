@@ -8,7 +8,10 @@ draws a shadow-faded directional path loss, marks the combination
 detectable when the draw stays within the budget's maximum measurable path
 loss, synthesizes per-link omnidirectional path loss from the detectable
 combinations, and reduces each link to a reception mask: an int bitset
-with one bit per RX direction.
+with one bit per RX direction.  Trial t draws from the (seed, t)
+sub-stream, for all L links in ``Scenario.links()`` order: L uniforms for
+the conditions, one (L, T*R) standard normal block for the sweep (TX angle
+major), then L best-beam normals when the scenario has an NLOS_BEST model.
 
 Reception-over-all-angles statistics for k serving base stations are then
 combinatorial: a k-combination of serving stations covers a user when the
@@ -28,7 +31,7 @@ import numpy as np
 
 from .coverage import LinkBudget
 from .params import DEFAULT_P_LOS, DEFAULT_SEED
-from .propagation import CiModel, Condition, ci_sample_path_loss_db
+from .propagation import CiModel, Condition, ci_mean_path_loss_db
 from .rng import substream
 
 LinkKey = tuple[str, str]  # (ue_id, bs_id)
@@ -80,7 +83,7 @@ class ConditionPolicy:
     """Per-link condition assignment.
 
     Explicit entries take precedence; remaining links draw LOS with
-    probability ``p_los`` (Bernoulli, one draw per link per trial).
+    probability ``p_los`` (Bernoulli, one uniform per link per trial).
     """
 
     explicit: Mapping[LinkKey, Condition] = field(default_factory=dict)
@@ -94,11 +97,14 @@ class ConditionPolicy:
                 raise ValueError(
                     f"explicit condition for link {link} must be LOS or NLOS")
 
-    def resolve(self, link: LinkKey, rng: np.random.Generator) -> Condition:
-        cond = self.explicit.get(link)
-        if cond is not None:
-            return cond
-        return Condition.LOS if rng.random() < self.p_los else Condition.NLOS
+    def resolve_los(self, links: Sequence[LinkKey],
+                    rng: np.random.Generator) -> np.ndarray:
+        """LOS flags for ``links``: one uniform per link, explicit entries win."""
+        los = rng.random(len(links)) < self.p_los
+        for i, link in enumerate(links):
+            if link in self.explicit:
+                los[i] = self.explicit[link] is Condition.LOS
+        return los
 
 
 @dataclass(frozen=True)
@@ -251,55 +257,52 @@ def reception_counts(masks: Mapping[LinkKey, int],
     return counts
 
 
-def _simulate_link(model: CiModel, best_model: CiModel | None, d_m: float,
-                   sweep: SweepGrid, budget: LinkBudget,
-                   rng: np.random.Generator) -> tuple[int, float]:
-    """Directional draws for one link: (RX-direction bitset, omni PL)."""
-    shape = (sweep.tx_angles, sweep.rx_elevations, sweep.rx_azimuths)
-    pl = ci_sample_path_loss_db(model, d_m, rng, size=shape)
-    pl = pl.reshape(sweep.tx_angles, sweep.n_rx_directions)
-    if best_model is not None:
-        # The single best-aligned angle pair follows its own statistics;
-        # the lowest arbitrary-angle draw is replaced by a best-model draw.
-        best_pl = float(ci_sample_path_loss_db(best_model, d_m, rng))
-        pl.flat[np.argmin(pl)] = best_pl
-    detect = pl <= budget.max_pl_db
-    mask = int.from_bytes(
-        np.packbits(detect.any(axis=0), bitorder="little").tobytes(), "little")
-    if mask:
-        omni = float(-10.0 * np.log10(np.sum(10.0 ** (-pl[detect] / 10.0))))
-    else:
-        omni = math.inf
-    return mask, omni
-
-
 def simulate_drop(scenario: Scenario, trials: int) -> list[DropRealization]:
     """Run ``trials`` independent drops of the beam-sweep emulation.
 
-    Trial t draws from the (seed, t) sub-stream, so any prefix of trials is
-    identical regardless of the total trial count, and trials can be
-    distributed without changing results.
+    Trial t draws from the (seed, t) sub-stream in the layout the module
+    docstring gives, so any prefix of trials is identical regardless of the
+    total trial count, and trials can be distributed without changing results.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     links = scenario.links()
-    best_model = scenario.models.get(Condition.NLOS_BEST)
+    keys = [(ue.id, bs.id) for ue, bs in links]
+    d = np.array([distance_3d(ue, bs) for ue, bs in links])
+    los_model, nlos_model, best_model = (scenario.models.get(c) for c in (
+        Condition.LOS, Condition.NLOS, Condition.NLOS_BEST))
+    mean_los, mean_nlos, mean_best = (
+        None if m is None else ci_mean_path_loss_db(m, d)
+        for m in (los_model, nlos_model, best_model))
+    n_links, n_tx = len(keys), scenario.sweep.tx_angles
     realizations = []
     for t in range(trials):
         rng = substream(scenario.seed, t)
-        conditions: dict[LinkKey, Condition] = {}
-        omni: dict[LinkKey, float] = {}
-        masks: dict[LinkKey, int] = {}
-        for ue, bs in links:
-            link = (ue.id, bs.id)
-            cond = scenario.condition_policy.resolve(link, rng)
-            model = scenario.models[cond]
-            d = distance_3d(ue, bs)
-            masks[link], omni[link] = _simulate_link(
-                model, best_model if cond is Condition.NLOS else None,
-                d, scenario.sweep, scenario.budget, rng)
-            conditions[link] = cond
-        realizations.append(DropRealization(t, conditions, omni, masks))
+        los = scenario.condition_policy.resolve_los(keys, rng)
+        pl = rng.standard_normal((n_links, n_tx * scenario.sweep.n_rx_directions))
+        pl *= np.where(los, los_model.sigma_db, nlos_model.sigma_db)[:, None]
+        pl += np.where(los, mean_los, mean_nlos)[:, None]
+        if best_model is not None:
+            # The single best-aligned angle pair follows its own statistics;
+            # on NLOS links it replaces the lowest arbitrary-angle draw.
+            best = mean_best + best_model.sigma_db * rng.standard_normal(n_links)
+            nlos = np.flatnonzero(~los)
+            pl[nlos, pl[nlos].argmin(axis=1)] = best[nlos]
+        detect = pl <= scenario.budget.max_pl_db
+        packed = np.packbits(detect.reshape(n_links, n_tx, -1).any(axis=1),
+                             axis=1, bitorder="little")
+        # Linear power exp(-PL ln10 / 10) summed over detected pairs; with
+        # none detected the sum is 0 and the omni path loss +inf.
+        pl *= -math.log(10.0) / 10.0
+        np.exp(pl, out=pl)
+        pl *= detect
+        with np.errstate(divide="ignore"):
+            omni = -10.0 * np.log10(pl.sum(axis=1))
+        conditions = [Condition.LOS if x else Condition.NLOS for x in los.tolist()]
+        masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        realizations.append(DropRealization(t, dict(zip(keys, conditions)),
+                                            dict(zip(keys, omni.tolist())),
+                                            dict(zip(keys, masks))))
     return realizations
 
 

@@ -310,6 +310,36 @@ class TestCli:
         assert main(["simulate", "--scenario", sc, "--trials", "2"]) == 0
         assert set(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k-max", "9"], "k_max must be in [1, 2], got 9"),
+        (["--k-max", "0"], "k_max must be in [1, 2], got 0"),
+        (["--trials", "0"], "trials must be >= 1, got 0"),
+    ])
+    def test_simulate_validates_before_drawing(self, tmp_path, capsys,
+                                               monkeypatch, flags, message):
+        def fail(*args):
+            raise AssertionError("simulate_drop called")
+
+        monkeypatch.setattr("mmwcomp.cli.simulate_drop", fail)
+        sc = self.write_scenario(tmp_path)
+        assert main(["simulate", "--scenario", sc, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_coverage_rejects_models_with_scenario(self, tmp_path, capsys):
+        models = tmp_path / "models.json"
+        emit_results(ResultBundle(RunMetadata("fit", "test"), model_cards=[
+            ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS)]), tmp_path)
+        assert models.is_file()
+        argv = ["coverage", "--models", str(models),
+                "--scenario", self.write_scenario(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --models and --scenario are mutually exclusive\n")
+
     def test_enumerate_counts(self, tmp_path, capsys):
         topo = tmp_path / "topology.json"
         topo.write_text(json.dumps({u: list(s)

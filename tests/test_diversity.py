@@ -4,9 +4,10 @@ import itertools
 import math
 
 import pytest
+from scipy import integrate, special
 
-from mmwcomp import (CiModel, Condition, ConditionPolicy, Node, Scenario,
-                     SweepGrid, best_n_path_loss, combination_count,
+from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget, Node,
+                     Scenario, SweepGrid, best_n_path_loss, combination_count,
                      distance_3d, nearest_neighbor_order, nn_distance_stats,
                      reception_counts, reception_vs_serving_count,
                      simulate_drop, substream)
@@ -28,9 +29,9 @@ def ue(i, x, y):
 
 
 def scenario(bss, ues, models=MODELS, policy=None, budget=SOUNDER_LINK_BUDGET,
-             seed=73):
+             seed=73, sweep=SweepGrid()):
     return Scenario(tuple(bss), tuple(ues), policy or ConditionPolicy(),
-                    models, budget, SweepGrid(), seed)
+                    models, budget, sweep, seed)
 
 
 def all_nlos():
@@ -214,12 +215,18 @@ def test_scenario_validation():
 
 
 def test_condition_policy_explicit_and_bernoulli():
-    policy = ConditionPolicy(explicit={("U1", "B1"): Condition.LOS}, p_los=0.0)
+    explicit = {("U1", "B1"): Condition.LOS, ("U1", "B3"): Condition.NLOS}
+    links = [("U1", "B1"), ("U1", "B2"), ("U1", "B3")]
+    never = ConditionPolicy(explicit=explicit, p_los=0.0)
+    assert never.resolve_los(links, substream(1, 0)).tolist() == [
+        True, False, False]
+    sure = ConditionPolicy(explicit=explicit, p_los=1.0)
+    assert sure.resolve_los(links, substream(1, 0)).tolist() == [
+        True, True, False]
+    # One uniform per link, explicit or not.
     rng = substream(1, 0)
-    assert policy.resolve(("U1", "B1"), rng) is Condition.LOS
-    assert policy.resolve(("U1", "B2"), rng) is Condition.NLOS
-    sure = ConditionPolicy(p_los=1.0)
-    assert sure.resolve(("U9", "B9"), rng) is Condition.LOS
+    never.resolve_los(links, rng)
+    assert rng.random() == substream(1, 0).random(4)[3]
     with pytest.raises(ValueError):
         ConditionPolicy(p_los=1.5)
     with pytest.raises(ValueError):
@@ -323,3 +330,152 @@ def test_reception_vs_k_bounds():
         reception_vs_serving_count(sc, simulate_drop(sc, 1), 2)
     with pytest.raises(ValueError):
         simulate_drop(sc, 0)
+
+
+# Analytic oracles for the simulator.  A small sweep grid (T = 3 TX angles,
+# R = 4 RX directions) keeps trials cheap; four UEs on a circle around one
+# base station give four independent, identically distributed links per
+# trial, so k=1 reception is a mean of 4 * trials Bernoulli outcomes.
+SMALL_T, SMALL_R = 3, 4
+SMALL_SWEEP = SweepGrid(tx_angles=SMALL_T, rx_azimuths=SMALL_R,
+                        rx_elevations=1, rx_step_deg=90.0)
+ORACLE_TRIALS = 1000
+CI_1M_DB = 32.4 + 20.0 * math.log10(73.5)
+
+
+def ring_scenario(radius_m, models, policy, max_pl_db):
+    ues = [ue(i, radius_m * math.cos(i), radius_m * math.sin(i))
+           for i in range(4)]
+    budget = LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db)
+    return scenario([bs(1, 0.0, 0.0)], ues, models=models, policy=policy,
+                    budget=budget, sweep=SMALL_SWEEP)
+
+
+def assert_k1_within_5se(sc, expected):
+    probs = reception_vs_serving_count(sc, simulate_drop(sc, ORACLE_TRIALS), 1)
+    se = math.sqrt(expected * (1.0 - expected) / (4 * ORACLE_TRIALS))
+    assert abs(probs[1] - expected) <= 5.0 * se, (probs[1], expected, se)
+
+
+def ci_mean_db(ple, radius_m):
+    """CI mean at horizontal ``radius_m`` between 4.0 m and 1.4 m antennas."""
+    return CI_1M_DB + 10.0 * ple * math.log10(math.hypot(radius_m, 2.6))
+
+
+def test_los_k1_reception_matches_closed_form():
+    radius, max_pl = 100.0, 110.0
+    p = special.ndtr((max_pl - ci_mean_db(LOS.ple, radius)) / LOS.sigma_db)
+    expected = (1.0 - (1.0 - p) ** SMALL_T) ** SMALL_R
+    assert 0.2 < expected < 0.8
+    assert_k1_within_5se(ring_scenario(radius, MODELS, ConditionPolicy(p_los=1.0),
+                                       max_pl), expected)
+
+
+def nlos_best_full_reception(mean, sigma, best_mean, best_sigma, max_pl):
+    """P(full reception) when the lowest of T*R iid N(mean, sigma) draws is
+    replaced by an independent N(best_mean, best_sigma) draw (R >= 2).
+
+    Conditioned on the minimum M = m <= max_pl, the other draws are iid
+    given > m: a direction is missed by each with r = S(max_pl) / S(m),
+    and the minimum's own direction also by the best-beam draw.  With
+    M > max_pl only the best-beam draw can be detected, which cannot cover
+    R >= 2 directions.
+    """
+    n = SMALL_T * SMALL_R
+    s_max = special.ndtr((mean - max_pl) / sigma)
+    q_best = special.ndtr((max_pl - best_mean) / best_sigma)
+
+    def integrand(x):  # x = (m - mean) / sigma
+        s_m = special.ndtr(-x)
+        r = s_max / s_m
+        density = n * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        return (density * s_m ** (n - 1) * (1.0 - r ** SMALL_T) ** (SMALL_R - 1)
+                * (1.0 - r ** (SMALL_T - 1) * (1.0 - q_best)))
+
+    val, _ = integrate.quad(integrand, -12.0, (max_pl - mean) / sigma,
+                            epsabs=1e-13, epsrel=1e-11, limit=200)
+    return val
+
+
+@pytest.mark.parametrize("best", [NLOS_BEST,
+                                  CiModel(73.5, 6.0, 1.0, Condition.NLOS_BEST)])
+def test_nlos_best_beam_k1_reception_matches_order_statistic(best):
+    # The second best-beam model is never detected, so replacing the lowest
+    # draw removes it: reception falls well below the no-replacement value.
+    radius, max_pl = 40.0, 145.0
+    mean = ci_mean_db(NLOS.ple, radius)
+    expected = nlos_best_full_reception(
+        mean, NLOS.sigma_db, ci_mean_db(best.ple, radius), best.sigma_db, max_pl)
+    no_best = (1.0 - special.ndtr((mean - max_pl) / NLOS.sigma_db) ** SMALL_T
+               ) ** SMALL_R
+    assert 0.2 < expected < 0.8
+    if best is not NLOS_BEST:
+        assert no_best - expected > 0.1
+    models = {Condition.LOS: LOS, Condition.NLOS: NLOS, Condition.NLOS_BEST: best}
+    assert_k1_within_5se(ring_scenario(radius, models, all_nlos(), max_pl),
+                         expected)
+
+
+def test_omni_within_budget_iff_mask_nonzero():
+    budget = LinkBudget(14.9, 27.0, 20.0, max_pl_db=120.0)
+    sc = scenario([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -30.0, -20.0)],
+                  [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0)],
+                  policy=ConditionPolicy(p_los=0.5), budget=budget,
+                  sweep=SMALL_SWEEP)
+    seen = set()
+    for real in simulate_drop(sc, 200):
+        for link, mask in real.masks.items():
+            omni = real.omni_pl_db[link]
+            if mask:
+                assert omni <= budget.max_pl_db + 1e-9
+            else:
+                assert math.isinf(omni) and omni > 0
+            seen.add(bool(mask))
+    assert seen == {True, False}
+
+
+def test_los_share_of_random_links_matches_p_los():
+    p_los, trials = 0.3, 300
+    explicit = {("U1", "B1"): Condition.LOS, ("U2", "B3"): Condition.NLOS}
+    sc = scenario([bs(i, 30.0 * i, 0.0) for i in range(1, 4)],
+                  [ue(i, 0.0, 20.0 * i) for i in range(1, 5)],
+                  policy=ConditionPolicy(explicit=explicit, p_los=p_los),
+                  sweep=SMALL_SWEEP)
+    n_los = n = 0
+    for real in simulate_drop(sc, trials):
+        for link, cond in real.conditions.items():
+            if link in explicit:
+                assert cond is explicit[link]
+            else:
+                n_los += cond is Condition.LOS
+                n += 1
+    assert n == 10 * trials
+    se = math.sqrt(p_los * (1.0 - p_los) / n)
+    assert abs(n_los / n - p_los) <= 5.0 * se
+
+
+def test_golden_trial_zero():
+    # Pins the per-trial stream layout: one uniform per link, the (L, T*R)
+    # normal block, then one best-beam normal per link.  A change here must
+    # be a deliberate change of the realised simulate values.
+    policy = ConditionPolicy(explicit={("U1", "B1"): Condition.NLOS,
+                                       ("U1", "B2"): Condition.LOS,
+                                       ("U2", "B1"): Condition.LOS},
+                             p_los=0.5)
+    sc = scenario([bs(1, 0.0, 0.0), bs(2, 120.0, 0.0)],
+                  [ue(1, 20.0, 0.0), ue(2, 100.0, 10.0)], policy=policy,
+                  budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=108.0),
+                  seed=75)
+    [real] = simulate_drop(sc, 1)
+    assert real.conditions == {
+        ("U1", "B1"): Condition.NLOS, ("U1", "B2"): Condition.LOS,
+        ("U2", "B1"): Condition.LOS, ("U2", "B2"): Condition.NLOS}
+    assert real.masks == {
+        ("U1", "B1"): 0xe811344061c655c47a,
+        ("U1", "B2"): 0xd7ffffffffffffffbf,
+        ("U2", "B1"): 0xffdffddfffffefcffe,
+        ("U2", "B2"): 0x1044006a430000aad1}
+    expected_omni = {
+        ("U1", "B1"): 86.26707598711603, ("U1", "B2"): 84.13904572926874,
+        ("U2", "B1"): 84.68460688675947, ("U2", "B2"): 88.6393954055026}
+    assert real.omni_pl_db == pytest.approx(expected_omni, abs=1e-9)
