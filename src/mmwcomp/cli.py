@@ -69,12 +69,16 @@ def _resolve_seed(flag_seed, scenario) -> int:
 
 
 def _parse_distances(text: str) -> list[float]:
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
-        distances = [float(tok) for tok in text.split(",") if tok.strip()]
+        distances = [float(tok) for tok in tokens]
     except ValueError:
         raise ScenarioError(f"bad --distances value {text!r}") from None
     if not distances:
         raise ScenarioError("--distances must list at least one radius")
+    for tok, d in zip(tokens, distances):
+        if not math.isfinite(d):
+            raise ScenarioError(f"--distances radius {tok!r} is not finite")
     return distances
 
 
@@ -171,6 +175,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.k is not None and args.k < 1:
         raise ScenarioError(f"--k must be >= 1, got {args.k}")
+    if args.directions < 1:
+        raise ScenarioError(f"--directions must be >= 1, got {args.directions}")
     topology = load_topology(args.topology)
     sizes = [len(set(s)) for s in topology.values()]
     limit = args.k if args.k is not None else max(sizes)

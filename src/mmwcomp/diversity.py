@@ -19,20 +19,26 @@ bitwise OR of its reception masks has every direction bit set.
 
 Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
+
+numpy is imported on the first call of a function that builds arrays
+(:func:`simulate_drop`, :func:`reception_vs_serving_count`,
+:func:`nn_distance_stats`); the mask reducer and the serving-set counts are
+pure Python, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .coverage import LinkBudget
 from .params import DEFAULT_P_LOS, DEFAULT_SEED
 from .propagation import CiModel, Condition, ci_mean_path_loss_db
 from .rng import substream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LinkKey = tuple[str, str]  # (ue_id, bs_id)
 
@@ -187,6 +193,7 @@ def nn_distance_stats(scenario: Scenario,
     Returns a map rank (1-based) -> stats; standard deviation is the
     population value.  Values are unrounded, rounding is left to display.
     """
+    import numpy as np
     n_bs = len(scenario.base_stations)
     if max_rank is None:
         max_rank = n_bs
@@ -264,6 +271,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> list[DropRealization]:
     docstring gives, so any prefix of trials is identical regardless of the
     total trial count, and trials can be distributed without changing results.
     """
+    import numpy as np
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     links = scenario.links()
@@ -314,6 +322,7 @@ def reception_vs_serving_count(scenario: Scenario,
     Each trial's probability is its full-coverage share of k-subsets; the
     result is the mean over ``realizations`` of this scenario.
     """
+    import numpy as np
     n_bs = len(scenario.base_stations)
     if not 1 <= k_max <= n_bs:
         raise ValueError(f"k_max must be in [1, {n_bs}], got {k_max}")

@@ -9,7 +9,8 @@ anchor is fixed, so the minimum-mean-square-error fit is closed form:
 with the shadow-fading sigma taken as the root-mean-square residual
 (divide by N).  Omnidirectional path loss is synthesized from a directional
 scan by summing received power linearly over the unique antenna pointing
-combinations that detected signal.
+combinations that detected signal.  numpy is imported on the first call
+of :func:`fit_ci` or :func:`residual_diagnostics`, not with this module.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .propagation import CiModel, Condition, REFERENCE_DISTANCE_M, fspl_db
 
@@ -116,6 +115,7 @@ def fit_ci(samples: Sequence[PathLossSample], f_ghz: float,
         CiModel labeled with the samples' condition; sigma_db is the RMS
         fit residual.
     """
+    import numpy as np
     used = _fit_inputs(samples, include_vh)
     if len(used) < 2:
         raise FitError(f"need at least 2 samples, got {len(used)}")
@@ -141,6 +141,7 @@ class FitDiagnostics:
 def residual_diagnostics(model: CiModel, samples: Sequence[PathLossSample],
                          include_vh: bool = False) -> FitDiagnostics:
     """Residual statistics of ``samples`` against a CI model's mean curve."""
+    import numpy as np
     used = _fit_inputs(samples, include_vh)
     if used[0].condition != model.condition:
         raise FitError(

@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
@@ -80,8 +82,8 @@ class CiModel:
     d0_m: float = REFERENCE_DISTANCE_M
 
     def __post_init__(self):
-        if self.f_ghz <= 0:
-            raise ValueError(f"f_ghz must be positive, got {self.f_ghz}")
+        if not 0 < self.f_ghz < math.inf:
+            raise ValueError(f"f_ghz must be positive and finite, got {self.f_ghz}")
         if not math.isfinite(self.ple):
             raise ValueError(f"ple must be finite, got {self.ple}")
         if not self.sigma_db >= 0:
@@ -100,8 +102,8 @@ def fspl_db(f_ghz: float, d_m: float) -> float:
         f_ghz: carrier frequency in GHz (> 0).
         d_m: 3D TX-RX separation in meters (>= 1 mm).
     """
-    if f_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {f_ghz} GHz")
+    if not 0 < f_ghz < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got {f_ghz} GHz")
     if d_m < MIN_DISTANCE_M:
         raise ValueError(f"distance must be >= {MIN_DISTANCE_M} m, got {d_m}")
     return FSPL_1GHZ_1M_DB + 20.0 * math.log10(f_ghz) + 20.0 * math.log10(d_m)
@@ -146,12 +148,19 @@ def ci_mean_path_loss_db(model: CiModel, d_m):
     """Mean CI path loss at distance(s) ``d_m``.
 
     Accepts a scalar or array of distances; returns the distance-dependent
-    mean FSPL(f, 1 m) + 10 n log10(d) without shadow fading.
+    mean FSPL(f, 1 m) + 10 n log10(d) without shadow fading.  A Python
+    int or float is computed with ``math.log10`` and returns a float;
+    anything else goes through numpy and returns a float for a 0-d input.
 
     Raises:
         ValueError: if any distance is below the 1 m reference distance,
             where the model is not defined.
     """
+    if isinstance(d_m, (int, float)):
+        if d_m < model.d0_m:
+            raise ValueError(f"CI model is defined for d >= {model.d0_m} m")
+        return fspl_db(model.f_ghz, model.d0_m) + 10.0 * model.ple * math.log10(d_m)
+    import numpy as np
     d = np.asarray(d_m, dtype=float)
     if np.any(d < model.d0_m):
         raise ValueError(f"CI model is defined for d >= {model.d0_m} m")
@@ -171,6 +180,7 @@ def ci_sample_path_loss_db(model: CiModel, d_m, rng: np.random.Generator,
         size: optional numpy shape for the draw; defaults to the shape of
             ``d_m``.
     """
+    import numpy as np
     mean = ci_mean_path_loss_db(model, d_m)
     if size is None and np.ndim(mean) > 0:
         size = np.shape(mean)

@@ -193,7 +193,10 @@ def emit_results(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
 
 def load_model_cards(path: str | Path) -> list[ModelCard]:
     """Read back a models.json written by ``emit_results``."""
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected an array of model cards")
     cards = []

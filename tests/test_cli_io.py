@@ -3,9 +3,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import mmwcomp
 from mmwcomp import (CdfPoint, Condition, ModelCard, OutageRow,
                      PathLossSample, ResultBundle, RunMetadata, ScenarioError, build_cdf, emit_results,
                      format_pct, load_model_cards, load_scenario,
@@ -432,7 +438,109 @@ class TestCli:
         bad.write_text(json.dumps({"base_stations": [], "ues": []}))
         assert main(["simulate", "--scenario", str(bad)]) == 1
 
+    @pytest.mark.parametrize("distances, token", [
+        ("100,nan", "nan"), ("inf", "inf"), ("1e400", "1e400")])
+    def test_coverage_rejects_non_finite_radius(self, capsys, distances,
+                                                token):
+        assert main(["coverage", "--distances", distances]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --distances radius '{token}' is not finite\n")
+
+    @pytest.mark.parametrize("f_ghz", ["nan", "inf", "-inf", "0"])
+    def test_fit_rejects_bad_frequency(self, tmp_path, capsys, f_ghz):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("d_m,pl_db,condition,polarization\n"
+                            "20,120,NLOS,VV\n40,130,NLOS,VV\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--samples", str(csv_path),
+                         f"--f-ghz={f_ghz}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: frequency must be positive and "
+                                f"finite, got {float(f_ghz)} GHz\n")
+
+    @pytest.mark.parametrize("directions", ["0", "-3"])
+    def test_enumerate_rejects_directions_below_1(self, tmp_path, capsys,
+                                                  directions):
+        # The topology does not exist: the flag is checked before any read.
+        assert main(["enumerate", "--topology", str(tmp_path / "none.json"),
+                     "--directions", directions]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --directions must be >= 1, got {directions}\n")
+
+    def test_coverage_models_invalid_json_names_path(self, tmp_path, capsys):
+        models = tmp_path / "models.json"
+        models.write_text("not json")
+        assert main(["coverage", "--models", str(models)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {models}: invalid JSON (")
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+# Runs CLI commands in a fresh interpreter and reports whether numpy was
+# loaded: importing the package must not load it either way.
+_NUMPY_PROBE = """
+import json, sys
+import mmwcomp, mmwcomp.cli
+assert "numpy" not in sys.modules, "importing mmwcomp loaded numpy"
+for argv in json.loads(sys.argv[1]):
+    assert mmwcomp.cli.main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+def _numpy_loaded_by(runs, cwd) -> bool:
+    src = str(Path(mmwcomp.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "MMWCOMP_OUT"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
+                           json.dumps(runs)],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+class TestNumpyImportBoundary:
+    def test_closed_form_commands_do_not_load_numpy(self, tmp_path):
+        models_dir = tmp_path / "fit"
+        emit_results(ResultBundle(RunMetadata("fit", "test"), model_cards=[
+            ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 10)]),
+            models_dir)
+        topo = tmp_path / "topology.json"
+        topo.write_text(json.dumps({"U1": ["B1", "B2"], "U2": ["B2"]}))
+        masks = tmp_path / "masks.csv"
+        write_masks_csv({("U1", "B1"): 1, ("U1", "B2"): 2, ("U2", "B2"): 3},
+                        masks, n_directions=2)
+        runs = [
+            ["coverage", "--out", str(tmp_path / "cov")],
+            ["coverage", "--models", str(models_dir / "models.json"),
+             "--distances", "63,200"],
+            ["enumerate", "--topology", str(topo)],
+            ["enumerate", "--topology", str(topo), "--masks", str(masks),
+             "--directions", "2"],
+            ["report", "--bundle", str(tmp_path / "cov")],
+            ["report", "--bundle", str(models_dir)],
+        ]
+        assert not _numpy_loaded_by(runs, tmp_path)
+
+    def test_fit_and_simulate_load_numpy_on_use(self, tmp_path):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("d_m,pl_db,condition,polarization\n"
+                            "20,120,NLOS,VV\n40,130,NLOS,VV\n")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(SCENARIO_JSON))
+        assert _numpy_loaded_by([["fit", "--samples", str(csv_path)]],
+                                tmp_path)
+        assert _numpy_loaded_by([["simulate", "--scenario", str(scenario),
+                                  "--trials", "2"]], tmp_path)

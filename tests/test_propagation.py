@@ -36,6 +36,14 @@ def test_fspl_rejects_bad_inputs():
         fspl_db(73.5, 1e-4)
 
 
+@pytest.mark.parametrize("f_ghz", [math.nan, math.inf, -math.inf])
+def test_non_finite_frequency_rejected(f_ghz):
+    with pytest.raises(ValueError, match=f"got {f_ghz}"):
+        fspl_db(f_ghz, 10.0)
+    with pytest.raises(ValueError, match=f"got {f_ghz}"):
+        CiModel(f_ghz, 2.0, 1.0, Condition.LOS)
+
+
 def test_friis_log_form_matches_linear_form():
     # Linear-domain Friis with the same rounded anchor, computed in mW.
     pt, gt, gr, f, d = 14.9, 27.0, 20.0, 73.5, 25.0
@@ -177,6 +185,21 @@ def test_ci_mean_array_input():
     assert out.shape == (3,)
     assert out[0] == pytest.approx(fspl_db(73.5, 1.0))
     assert isinstance(ci_mean_path_loss_db(model, 10.0), float)
+
+
+def test_ci_mean_scalar_and_array_paths_agree():
+    # Python scalars take math.log10, arrays np.log10; the two may differ
+    # in the last bit of the logarithm but not beyond.
+    d = np.geomspace(1.0, 1e4, 301)
+    for f_ghz in (28.0, 73.5, 140.0):
+        for ple in (1.5, 2.0, 2.9, 4.6):
+            model = CiModel(f_ghz, ple, 5.0, Condition.NLOS)
+            arr = ci_mean_path_loss_db(model, d)
+            scalar = [ci_mean_path_loss_db(model, float(x)) for x in d]
+            assert all(isinstance(x, float) for x in scalar)
+            np.testing.assert_allclose(scalar, arr, rtol=1e-15, atol=0)
+            assert ci_mean_path_loss_db(model, 10) == pytest.approx(
+                ci_mean_path_loss_db(model, np.array(10.0)), rel=1e-15)
 
 
 def test_ci_sample_zero_sigma_is_deterministic():
