@@ -15,9 +15,8 @@ from .coverage import (CoverageQuery, LinkBudget, OutageRow,
                        edge_coverage_probability, edge_outage_probability,
                        outage_table, receiver_threshold_dbm,
                        region_outage_probability, useful_area_fraction)
-from .diversity import (ConditionPolicy, DistanceStats, DropRealization, Node,
-                        Scenario, SweepGrid, best_n_path_loss,
-                        combination_count, distance_3d,
+from .diversity import (ConditionPolicy, DistanceStats, Drops, Node, Scenario,
+                        SweepGrid, combination_count, distance_3d,
                         nearest_neighbor_order, nn_distance_stats,
                         reception_counts, reception_vs_serving_count,
                         simulate_drop)
@@ -26,8 +25,7 @@ from .fitting import (DirectionalScan, FitDiagnostics, FitError,
                       group_samples_by_condition, residual_diagnostics,
                       synthesize_omni_path_loss_db)
 from .propagation import (CiModel, Condition, ci_mean_path_loss_db,
-                          ci_sample_path_loss_db, frequency_hz,
-                          friis_received_power_dbm, fspl_db,
+                          frequency_hz, friis_received_power_dbm, fspl_db,
                           gain_from_aperture_dbi, gain_increase,
                           received_power_dbm, wavelength_m)
 from .results import (CdfPoint, ModelCard, ReceptionRow, ResultBundle,
@@ -42,7 +40,7 @@ __all__ = [
     "__version__",
     # propagation
     "CiModel", "Condition", "fspl_db", "ci_mean_path_loss_db",
-    "ci_sample_path_loss_db", "received_power_dbm", "friis_received_power_dbm",
+    "received_power_dbm", "friis_received_power_dbm",
     "gain_increase", "gain_from_aperture_dbi", "frequency_hz", "wavelength_m",
     # fitting
     "PathLossSample", "ScanEntry", "DirectionalScan", "FitError",
@@ -53,9 +51,9 @@ __all__ = [
     "edge_coverage_probability", "edge_outage_probability",
     "useful_area_fraction", "region_outage_probability", "outage_table",
     # diversity
-    "Node", "SweepGrid", "ConditionPolicy", "Scenario", "DropRealization",
+    "Node", "SweepGrid", "ConditionPolicy", "Scenario", "Drops",
     "DistanceStats", "distance_3d", "nearest_neighbor_order",
-    "nn_distance_stats", "best_n_path_loss", "combination_count",
+    "nn_distance_stats", "combination_count",
     "reception_counts", "simulate_drop", "reception_vs_serving_count",
     # io + results
     "ScenarioError", "parse_scenario", "load_scenario", "load_topology",

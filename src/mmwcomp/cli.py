@@ -20,12 +20,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .coverage import LinkBudget, outage_table
-from .diversity import (best_n_path_loss, combination_count, reception_counts,
+from .diversity import (combination_count, reception_counts,
                         reception_vs_serving_count, simulate_drop)
 from .fitting import VV, FitError, fit_ci, group_samples_by_condition
 from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M, DEFAULT_SEED,
@@ -37,20 +37,6 @@ from .scenario_io import (ScenarioError, load_scenario, load_topology,
                           read_masks_csv, read_samples_csv)
 
 OUT_ENV_VAR = "MMWCOMP_OUT"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options shared by all subcommands."""
-
-    command: str
-    out_dir: Path | None
-    seed: int | None = None
-    trials: int | None = None
-
-    def metadata(self) -> RunMetadata:
-        return RunMetadata(command=self.command, package_version=__version__,
-                           seed=self.seed, trials=self.trials)
 
 
 def _resolve_out(args) -> Path | None:
@@ -103,8 +89,8 @@ def _cmd_fit(args) -> int:
                                condition=cond, n_samples=n_fitted))
         print(f"{cond.value}: ple={model.ple:.2f} sigma={model.sigma_db:.2f} dB "
               f"(n={n_fitted})")
-    config = RunConfig("fit", _resolve_out(args))
-    _emit(ResultBundle(config.metadata(), model_cards=cards), config.out_dir)
+    _emit(ResultBundle(RunMetadata("fit", __version__), model_cards=cards),
+          _resolve_out(args))
     return 0
 
 
@@ -130,8 +116,8 @@ def _cmd_coverage(args) -> int:
     for row in rows:
         print(f"{row.condition} {row.distance_m:g} "
               f"{format_pct(row.p_out_edge)} {format_pct(row.p_out_region)}")
-    config = RunConfig("coverage", _resolve_out(args))
-    _emit(ResultBundle(config.metadata(), outage_rows=rows), config.out_dir)
+    _emit(ResultBundle(RunMetadata("coverage", __version__), outage_rows=rows),
+          _resolve_out(args))
     return 0
 
 
@@ -146,29 +132,22 @@ def _cmd_simulate(args) -> int:
         raise ScenarioError(f"k_max must be in [1, {n_bs}], got {k_max}")
     if args.trials < 1:
         raise ScenarioError(f"trials must be >= 1, got {args.trials}")
-    realizations = simulate_drop(scenario, args.trials)
-    probs = reception_vs_serving_count(scenario, realizations, k_max)
+    drops = simulate_drop(scenario, args.trials)
+    probs = reception_vs_serving_count(scenario, drops, k_max)
     topology = scenario.topology()
     rows = [ReceptionRow(k, p, combination_count(topology, k))
             for k, p in sorted(probs.items())]
     for row in rows:
         print(f"k={row.k} reception={format_pct(row.probability)}% "
               f"({row.n_combinations} combinations per trial)")
-    # Best-N CDFs: the N-th lowest per-link omni path loss per UE per trial.
-    by_rank: dict[int, list[float]] = {n: [] for n in range(1, k_max + 1)}
-    for r in realizations:
-        for ue in scenario.ues:
-            ordered = best_n_path_loss(ue.id, scenario, r)
-            for n in range(1, k_max + 1):
-                by_rank[n].append(ordered[n - 1])
-    cdfs = {}
-    for n, values in by_rank.items():
-        if any(math.isfinite(v) for v in values):
-            cdfs[f"best{n}_pl_db"] = build_cdf(values)
-    config = RunConfig("simulate", _resolve_out(args), seed=seed,
-                       trials=args.trials)
-    _emit(ResultBundle(config.metadata(), reception_rows=rows, cdfs=cdfs),
-          config.out_dir)
+    # Best-n CDFs: links are UE-major, so each row holds one UE's omni path
+    # losses in one trial, and sorted column n-1 is its n-th lowest.
+    import numpy as np
+    best = np.sort(drops.omni_pl_db.reshape(-1, n_bs), axis=1)
+    cdfs = {f"best{n}_pl_db": build_cdf(best[:, n - 1].tolist())
+            for n in range(1, k_max + 1) if np.isfinite(best[:, n - 1]).any()}
+    meta = RunMetadata("simulate", __version__, seed, args.trials)
+    _emit(ResultBundle(meta, reception_rows=rows, cdfs=cdfs), _resolve_out(args))
     return 0
 
 
@@ -188,9 +167,8 @@ def _cmd_enumerate(args) -> int:
         for row in rows:
             print(f"k={row.k}: {row.n_combinations} combinations, "
                   f"reception={format_pct(row.probability)}%")
-        config = RunConfig("enumerate", _resolve_out(args))
-        _emit(ResultBundle(config.metadata(), reception_rows=rows),
-              config.out_dir)
+        _emit(ResultBundle(RunMetadata("enumerate", __version__),
+                           reception_rows=rows), _resolve_out(args))
         return 0
     counts = []
     for k in range(1, limit + 1):

@@ -12,6 +12,7 @@ with one bit per RX direction.  Trial t draws from the (seed, t)
 sub-stream, for all L links in ``Scenario.links()`` order: L uniforms for
 the conditions, one (L, T*R) standard normal block for the sweep (TX angle
 major), then L best-beam normals when the scenario has an NLOS_BEST model.
+All trials come back as one :class:`Drops` record with one column per link.
 
 Reception-over-all-angles statistics for k serving base stations are then
 combinatorial: a k-combination of serving stations covers a user when the
@@ -150,19 +151,22 @@ class Scenario:
         return {ue.id: bs_ids for ue in sorted(self.ues, key=lambda n: n.id)}
 
 
-@dataclass
-class DropRealization:
-    """One Monte Carlo trial: per-link conditions, omni path loss, masks.
+@dataclass(frozen=True, eq=False)
+class Drops:
+    """Monte Carlo drops: row t is trial t, column i is link ``links[i]``.
 
-    ``masks[link]`` is an int bitset over the RX direction grid: bit
-    ``el * n_azimuths + az`` is set when that RX direction received signal
-    from at least one TX sector angle (elevation-major ordering).
+    ``links`` follows ``Scenario.links()``: UE-major, base stations by id.
+    ``los`` and ``omni_pl_db`` are (trials, L) arrays; the omni path loss
+    is +inf where no angle pair was detected.  ``masks[t][i]`` is an int
+    bitset over the RX direction grid: bit ``el * n_azimuths + az`` is set
+    when that RX direction received signal from at least one TX sector
+    angle (elevation-major ordering).
     """
 
-    trial: int
-    conditions: dict[LinkKey, Condition]
-    omni_pl_db: dict[LinkKey, float]
-    masks: dict[LinkKey, int]
+    links: tuple[LinkKey, ...]
+    los: np.ndarray
+    omni_pl_db: np.ndarray
+    masks: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -217,16 +221,6 @@ def nn_distance_stats(scenario: Scenario,
     return out
 
 
-def best_n_path_loss(ue_id: str, scenario: Scenario,
-                     realization: DropRealization) -> list[float]:
-    """Per-link omni path losses for one UE, ascending (Best-1 first).
-
-    Links with no detectable angle carry infinite path loss and sort last.
-    """
-    return sorted(realization.omni_pl_db[(ue_id, bs.id)]
-                  for bs in scenario.base_stations)
-
-
 def combination_count(topology: Mapping[str, Iterable[str]], k: int) -> int:
     """Number of k-subsets over all UEs' serving sets."""
     if k < 1:
@@ -264,7 +258,7 @@ def reception_counts(masks: Mapping[LinkKey, int],
     return counts
 
 
-def simulate_drop(scenario: Scenario, trials: int) -> list[DropRealization]:
+def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     """Run ``trials`` independent drops of the beam-sweep emulation.
 
     Trial t draws from the (seed, t) sub-stream in the layout the module
@@ -275,7 +269,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> list[DropRealization]:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     links = scenario.links()
-    keys = [(ue.id, bs.id) for ue, bs in links]
+    keys = tuple((ue.id, bs.id) for ue, bs in links)
     d = np.array([distance_3d(ue, bs) for ue, bs in links])
     los_model, nlos_model, best_model = (scenario.models.get(c) for c in (
         Condition.LOS, Condition.NLOS, Condition.NLOS_BEST))
@@ -283,10 +277,12 @@ def simulate_drop(scenario: Scenario, trials: int) -> list[DropRealization]:
         None if m is None else ci_mean_path_loss_db(m, d)
         for m in (los_model, nlos_model, best_model))
     n_links, n_tx = len(keys), scenario.sweep.tx_angles
-    realizations = []
+    los_all = np.empty((trials, n_links), dtype=bool)
+    omni_all = np.empty((trials, n_links))
+    masks = []
     for t in range(trials):
         rng = substream(scenario.seed, t)
-        los = scenario.condition_policy.resolve_los(keys, rng)
+        los = los_all[t] = scenario.condition_policy.resolve_los(keys, rng)
         pl = rng.standard_normal((n_links, n_tx * scenario.sweep.n_rx_directions))
         pl *= np.where(los, los_model.sigma_db, nlos_model.sigma_db)[:, None]
         pl += np.where(los, mean_los, mean_nlos)[:, None]
@@ -305,30 +301,26 @@ def simulate_drop(scenario: Scenario, trials: int) -> list[DropRealization]:
         np.exp(pl, out=pl)
         pl *= detect
         with np.errstate(divide="ignore"):
-            omni = -10.0 * np.log10(pl.sum(axis=1))
-        conditions = [Condition.LOS if x else Condition.NLOS for x in los.tolist()]
-        masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        realizations.append(DropRealization(t, dict(zip(keys, conditions)),
-                                            dict(zip(keys, omni.tolist())),
-                                            dict(zip(keys, masks))))
-    return realizations
+            omni_all[t] = -10.0 * np.log10(pl.sum(axis=1))
+        masks.append(tuple(int.from_bytes(row.tobytes(), "little")
+                           for row in packed))
+    return Drops(keys, los_all, omni_all, tuple(masks))
 
 
-def reception_vs_serving_count(scenario: Scenario,
-                               realizations: Sequence[DropRealization],
+def reception_vs_serving_count(scenario: Scenario, drops: Drops,
                                k_max: int) -> dict[int, float]:
     """Mean all-angle reception probability for k = 1..k_max serving stations.
 
     Each trial's probability is its full-coverage share of k-subsets; the
-    result is the mean over ``realizations`` of this scenario.
+    result is the mean over the trials of ``drops`` of this scenario.
     """
     import numpy as np
     n_bs = len(scenario.base_stations)
     if not 1 <= k_max <= n_bs:
         raise ValueError(f"k_max must be in [1, {n_bs}], got {k_max}")
     topology = scenario.topology()
-    per_trial = [reception_counts(r.masks, topology, k_max,
+    per_trial = [reception_counts(dict(zip(drops.links, row)), topology, k_max,
                                   scenario.sweep.n_rx_directions)
-                 for r in realizations]
+                 for row in drops.masks]
     return {k: float(np.mean([c[k][0] / c[k][1] for c in per_trial]))
             for k in range(1, k_max + 1)}

@@ -48,9 +48,9 @@ class PathLossSample:
     rx_angle_id: int | None = None
 
     def __post_init__(self):
-        if self.d_m < REFERENCE_DISTANCE_M:
-            raise ValueError(
-                f"sample distance must be >= {REFERENCE_DISTANCE_M} m, got {self.d_m}")
+        if not REFERENCE_DISTANCE_M <= self.d_m < math.inf:
+            raise ValueError(f"sample distance must be finite and >= "
+                             f"{REFERENCE_DISTANCE_M} m, got {self.d_m}")
         if not math.isfinite(self.pl_db):
             raise ValueError(f"pl_db must be finite, got {self.pl_db}")
         if self.condition not in (Condition.LOS, Condition.NLOS):

@@ -20,11 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
-
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
 # Free-space path loss at 1 GHz and 1 m in the CI convention.  This is the
@@ -167,21 +162,3 @@ def ci_mean_path_loss_db(model: CiModel, d_m):
     out = fspl_db(model.f_ghz, model.d0_m) + 10.0 * model.ple * np.log10(d)
     return float(out) if out.ndim == 0 else out
 
-
-def ci_sample_path_loss_db(model: CiModel, d_m, rng: np.random.Generator,
-                           size=None):
-    """Draw shadow-faded CI path loss: mean plus N(0, sigma^2) dB.
-
-    Args:
-        model: CI parameter set.
-        d_m: scalar or array of distances (broadcast against ``size``).
-        rng: numpy Generator; the caller owns stream identity so draws are
-            reproducible (see :func:`mmwcomp.rng.substream`).
-        size: optional numpy shape for the draw; defaults to the shape of
-            ``d_m``.
-    """
-    import numpy as np
-    mean = ci_mean_path_loss_db(model, d_m)
-    if size is None and np.ndim(mean) > 0:
-        size = np.shape(mean)
-    return mean + rng.normal(0.0, model.sigma_db, size=size)

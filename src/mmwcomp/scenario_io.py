@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 from typing import Mapping, TextIO
@@ -47,7 +48,13 @@ def _number(obj: Mapping, key: str, path: str, default=None):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         _fail(f"{path}.{key}", f"expected a number, got {val!r}")
-    return float(val)
+    try:
+        num = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        _fail(f"{path}.{key}", f"expected a finite number, got {num!r}")
+    return num
 
 
 def _parse_node(obj, default_height: float, path: str) -> Node:
@@ -57,9 +64,10 @@ def _parse_node(obj, default_height: float, path: str) -> Node:
     node_id = obj.get("id")
     if not isinstance(node_id, str) or not node_id:
         _fail(f"{path}.id", "expected a non-empty string")
+    coords = (_number(obj, "x_m", path), _number(obj, "y_m", path),
+              _number(obj, "height_m", path, default=default_height))
     try:
-        return Node(node_id, _number(obj, "x_m", path), _number(obj, "y_m", path),
-                    _number(obj, "height_m", path, default=default_height))
+        return Node(node_id, *coords)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -76,9 +84,10 @@ def _parse_model(obj, cond: Condition, path: str) -> CiModel:
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     _check_keys(obj, {"f_ghz", "ple", "sigma_db"}, path)
+    params = (_number(obj, "f_ghz", path), _number(obj, "ple", path),
+              _number(obj, "sigma_db", path))
     try:
-        return CiModel(_number(obj, "f_ghz", path), _number(obj, "ple", path),
-                       _number(obj, "sigma_db", path), cond)
+        return CiModel(*params, cond)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -96,19 +105,14 @@ def _parse_models(obj, path: str) -> dict[Condition, CiModel]:
 def _parse_budget(obj, path: str) -> LinkBudget:
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
-    _check_keys(obj, {"pt_dbm", "gt_dbi", "gr_dbi", "bw_ghz", "max_pl_db",
-                      "snr_threshold_db"}, path)
-    base = SOUNDER_LINK_BUDGET
+    keys = ("pt_dbm", "gt_dbi", "gr_dbi", "bw_ghz", "max_pl_db",
+            "snr_threshold_db")
+    _check_keys(obj, set(keys), path)
+    kwargs = {key: _number(obj, key, path,
+                           default=getattr(SOUNDER_LINK_BUDGET, key))
+              for key in keys}
     try:
-        return LinkBudget(
-            pt_dbm=_number(obj, "pt_dbm", path, default=base.pt_dbm),
-            gt_dbi=_number(obj, "gt_dbi", path, default=base.gt_dbi),
-            gr_dbi=_number(obj, "gr_dbi", path, default=base.gr_dbi),
-            bw_ghz=_number(obj, "bw_ghz", path, default=base.bw_ghz),
-            max_pl_db=_number(obj, "max_pl_db", path, default=base.max_pl_db),
-            snr_threshold_db=_number(obj, "snr_threshold_db", path,
-                                     default=base.snr_threshold_db),
-        )
+        return LinkBudget(**kwargs)
     except ValueError as exc:
         _fail(path, str(exc))
 

@@ -16,8 +16,8 @@ from mmwcomp import (CdfPoint, Condition, ModelCard, OutageRow,
                      PathLossSample, ResultBundle, RunMetadata, ScenarioError, build_cdf, emit_results,
                      format_pct, load_model_cards, load_scenario,
                      load_topology, parse_scenario, read_masks_csv,
-                     read_samples_csv, scenario_to_json, write_masks_csv,
-                     write_samples_csv)
+                     read_samples_csv, scenario_to_json, simulate_drop,
+                     write_masks_csv, write_samples_csv)
 from mmwcomp.cli import main
 from mmwcomp.params import CAMPAIGN_SERVING_SETS
 
@@ -91,6 +91,13 @@ class TestParseScenario:
         obj["ues"][0]["x_m"] = "thirty"
         with pytest.raises(ScenarioError, match="x_m"):
             parse_scenario(obj)
+
+    def test_bad_number_names_key_once(self):
+        obj = minimal(budget={"max_pl_db": "high"})
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(obj)
+        assert str(exc.value) == (
+            "scenario.budget.max_pl_db: expected a number, got 'high'")
 
     def test_round_trip_through_json(self):
         sc = parse_scenario(minimal(conditions={"U1/B1": "NLOS"}, seed=99))
@@ -401,11 +408,12 @@ class TestCli:
 
     def test_fit_end_to_end(self, tmp_path, capsys):
         import numpy as np
-        from mmwcomp import CiModel, ci_sample_path_loss_db, substream
+        from mmwcomp import CiModel, ci_mean_path_loss_db, substream
         model = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
         rng = substream(5, 0)
         d = 10.0 ** rng.uniform(1, np.log10(200.0), size=2000)
-        pl = ci_sample_path_loss_db(model, d, rng)
+        pl = ci_mean_path_loss_db(model, d) + rng.normal(0.0, model.sigma_db,
+                                                         d.size)
         samples = [PathLossSample(float(a), float(b), Condition.NLOS)
                    for a, b in zip(d, pl)]
         csv_path = tmp_path / "samples.csv"
@@ -461,6 +469,72 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: frequency must be positive and "
                                 f"finite, got {float(f_ghz)} GHz\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj.update(budget={"max_pl_db": math.nan}),
+         "scenario.budget.max_pl_db: expected a finite number, got nan"),
+        (lambda obj: obj["ues"][0].update(x_m=math.inf),
+         "scenario.ues[0].x_m: expected a finite number, got inf"),
+        (lambda obj: obj["base_stations"][0].update(y_m=10 ** 400),
+         "scenario.base_stations[0].y_m: expected a finite number, got inf"),
+    ], ids=["max_pl_db-NaN", "x_m-Infinity", "y_m-huge-integer"])
+    def test_coverage_rejects_non_finite_scenario_number(self, tmp_path,
+                                                         capsys, edit,
+                                                         message):
+        obj = minimal()
+        edit(obj)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))  # writes the NaN / Infinity literals
+        assert main(["coverage", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("d_m", ["inf", "nan"])
+    def test_fit_rejects_non_finite_distance(self, tmp_path, capsys, d_m):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("d_m,pl_db,condition,polarization\n"
+                            f"{d_m},130,NLOS,VV\n20,120,NLOS,VV\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--samples", str(csv_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: samples CSV line 2: sample distance must be finite and "
+            f">= 1.0 m, got {float(d_m)}\n")
+
+    def test_simulate_best_n_cdfs_are_per_ue_order_statistics(self, tmp_path,
+                                                               capsys):
+        # Three UEs listed out of id order and two base stations, far enough
+        # apart that some links go undetected, so both the UE-major grouping
+        # and the finite filter show in the CDFs.
+        obj = {"base_stations": [{"id": "B2", "x_m": 150.0, "y_m": 0.0},
+                                 {"id": "B1", "x_m": 0.0, "y_m": 0.0}],
+               "ues": [{"id": "U3", "x_m": 140.0, "y_m": 10.0},
+                       {"id": "U1", "x_m": 10.0, "y_m": 5.0},
+                       {"id": "U2", "x_m": 75.0, "y_m": 30.0}],
+               "budget": {"max_pl_db": 110.0}, "seed": 11}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(path), "--trials", "20",
+                     "--k-max", "2", "--out", str(out_dir)]) == 0
+        drops = simulate_drop(load_scenario(path), 20)
+        per_ue = {}
+        for link, column in zip(drops.links, drops.omni_pl_db.T.tolist()):
+            per_ue.setdefault(link[0], []).append(column)
+        assert sorted(per_ue) == ["U1", "U2", "U3"]
+        undetected = 0
+        for n in (1, 2):
+            values = [sorted(losses)[n - 1] for cols in per_ue.values()
+                      for losses in zip(*cols)]
+            finite = sorted(v for v in values if math.isfinite(v))
+            undetected += len(values) - len(finite)
+            lines = (out_dir / f"cdf_best{n}_pl_db.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in lines[1:]] == [
+                "%.12g" % v for v in finite]
+        assert undetected > 0
 
     @pytest.mark.parametrize("directions", ["0", "-3"])
     def test_enumerate_rejects_directions_below_1(self, tmp_path, capsys,

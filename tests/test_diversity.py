@@ -3,12 +3,13 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate, special
 
 from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget, Node,
-                     Scenario, SweepGrid, best_n_path_loss, combination_count,
-                     distance_3d, nearest_neighbor_order, nn_distance_stats,
+                     Scenario, SweepGrid, combination_count, distance_3d,
+                     nearest_neighbor_order, nn_distance_stats,
                      reception_counts, reception_vs_serving_count,
                      simulate_drop, substream)
 from mmwcomp.params import CAMPAIGN_SERVING_SETS, SOUNDER_LINK_BUDGET
@@ -238,13 +239,14 @@ def test_simulate_sigma0_los_all_detectable():
               Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS)}
     sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   policy=ConditionPolicy(p_los=1.0))
-    [real] = simulate_drop(sc, 1)
-    assert real.masks[("U1", "B1")] == FULL
+    drops = simulate_drop(sc, 1)
+    assert drops.links == (("U1", "B1"),)
+    assert drops.masks == ((FULL,),)
     d = distance_3d(sc.ues[0], sc.base_stations[0])
     mean_pl = 69.7257467816839 + 20.0 * math.log10(d)
     # 15 x 72 equal-power detectable angles power-sum below the mean PL.
     expect = mean_pl - 10.0 * math.log10(15 * 72)
-    assert real.omni_pl_db[("U1", "B1")] == pytest.approx(expect, abs=1e-9)
+    assert drops.omni_pl_db[0, 0] == pytest.approx(expect, abs=1e-9)
 
 
 def test_simulate_sigma0_nlos_beyond_range_all_false():
@@ -254,9 +256,9 @@ def test_simulate_sigma0_nlos_beyond_range_all_false():
               Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS)}
     sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   policy=all_nlos())
-    [real] = simulate_drop(sc, 1)
-    assert real.masks[("U1", "B1")] == 0
-    assert math.isinf(real.omni_pl_db[("U1", "B1")])
+    drops = simulate_drop(sc, 1)
+    assert drops.masks == ((0,),)
+    assert math.isinf(drops.omni_pl_db[0, 0])
 
 
 def test_simulate_sigma0_nlos_best_single_angle():
@@ -268,11 +270,11 @@ def test_simulate_sigma0_nlos_best_single_angle():
               Condition.NLOS_BEST: CiModel(73.5, 2.9, 0.0, Condition.NLOS_BEST)}
     sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   policy=all_nlos())
-    [real] = simulate_drop(sc, 1)
-    assert real.masks[("U1", "B1")].bit_count() == 1
+    drops = simulate_drop(sc, 1)
+    assert drops.masks[0][0].bit_count() == 1
     d = distance_3d(sc.ues[0], sc.base_stations[0])
     best_pl = 69.7257467816839 + 29.0 * math.log10(d)
-    assert real.omni_pl_db[("U1", "B1")] == pytest.approx(best_pl, abs=1e-9)
+    assert drops.omni_pl_db[0, 0] == pytest.approx(best_pl, abs=1e-9)
 
 
 def test_simulate_deterministic_and_prefix_stable():
@@ -281,28 +283,31 @@ def test_simulate_deterministic_and_prefix_stable():
     a = simulate_drop(sc, 3)
     b = simulate_drop(sc, 3)
     c = simulate_drop(sc, 5)
-    for t in range(3):
-        assert a[t].omni_pl_db == b[t].omni_pl_db == c[t].omni_pl_db
-        assert a[t].masks == b[t].masks == c[t].masks
-        assert a[t].conditions == c[t].conditions
+    assert a.omni_pl_db.shape == a.los.shape == (3, 4)
+    assert np.array_equal(a.omni_pl_db, b.omni_pl_db)
+    assert np.array_equal(a.omni_pl_db, c.omni_pl_db[:3])
+    assert a.masks == b.masks == c.masks[:3]
+    assert np.array_equal(a.los, c.los[:3])
 
 
 def test_simulate_seed_changes_output():
     sc1 = scenario([bs(1, 40.0, 0.0)], [ue(1, 10.0, 10.0)], seed=1)
     sc2 = scenario([bs(1, 40.0, 0.0)], [ue(1, 10.0, 10.0)], seed=2)
-    assert (simulate_drop(sc1, 1)[0].omni_pl_db
-            != simulate_drop(sc2, 1)[0].omni_pl_db)
+    assert not np.array_equal(simulate_drop(sc1, 1).omni_pl_db,
+                              simulate_drop(sc2, 1).omni_pl_db)
 
 
 def test_best_n_sorted_and_order_invariant_to_bs_input_order():
     bss = [bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -60.0, 10.0)]
     sc_fwd = scenario(bss, [ue(1, 5.0, 5.0)])
     sc_rev = scenario(list(reversed(bss)), [ue(1, 5.0, 5.0)])
-    [real_fwd] = simulate_drop(sc_fwd, 1)
-    [real_rev] = simulate_drop(sc_rev, 1)
-    losses = best_n_path_loss("U1", sc_fwd, real_fwd)
-    assert losses == sorted(losses)
-    assert losses == best_n_path_loss("U1", sc_rev, real_rev)
+    fwd = simulate_drop(sc_fwd, 1)
+    rev = simulate_drop(sc_rev, 1)
+    assert fwd.links == rev.links == (("U1", "B1"), ("U1", "B2"), ("U1", "B3"))
+    assert np.array_equal(fwd.omni_pl_db, rev.omni_pl_db)
+    assert fwd.masks == rev.masks
+    losses = np.sort(fwd.omni_pl_db.reshape(-1, 3), axis=1)[0].tolist()
+    assert losses == sorted(fwd.omni_pl_db[0].tolist())
 
 
 def test_reception_vs_k_always_detectable():
@@ -423,9 +428,9 @@ def test_omni_within_budget_iff_mask_nonzero():
                   policy=ConditionPolicy(p_los=0.5), budget=budget,
                   sweep=SMALL_SWEEP)
     seen = set()
-    for real in simulate_drop(sc, 200):
-        for link, mask in real.masks.items():
-            omni = real.omni_pl_db[link]
+    drops = simulate_drop(sc, 200)
+    for row, omni_row in zip(drops.masks, drops.omni_pl_db.tolist()):
+        for mask, omni in zip(row, omni_row):
             if mask:
                 assert omni <= budget.max_pl_db + 1e-9
             else:
@@ -442,13 +447,13 @@ def test_los_share_of_random_links_matches_p_los():
                   policy=ConditionPolicy(explicit=explicit, p_los=p_los),
                   sweep=SMALL_SWEEP)
     n_los = n = 0
-    for real in simulate_drop(sc, trials):
-        for link, cond in real.conditions.items():
-            if link in explicit:
-                assert cond is explicit[link]
-            else:
-                n_los += cond is Condition.LOS
-                n += 1
+    drops = simulate_drop(sc, trials)
+    for link, los in zip(drops.links, drops.los.T.tolist()):
+        if link in explicit:
+            assert los == [explicit[link] is Condition.LOS] * trials
+        else:
+            n_los += sum(los)
+            n += trials
     assert n == 10 * trials
     se = math.sqrt(p_los * (1.0 - p_los) / n)
     assert abs(n_los / n - p_los) <= 5.0 * se
@@ -466,16 +471,13 @@ def test_golden_trial_zero():
                   [ue(1, 20.0, 0.0), ue(2, 100.0, 10.0)], policy=policy,
                   budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=108.0),
                   seed=75)
-    [real] = simulate_drop(sc, 1)
-    assert real.conditions == {
-        ("U1", "B1"): Condition.NLOS, ("U1", "B2"): Condition.LOS,
-        ("U2", "B1"): Condition.LOS, ("U2", "B2"): Condition.NLOS}
-    assert real.masks == {
-        ("U1", "B1"): 0xe811344061c655c47a,
-        ("U1", "B2"): 0xd7ffffffffffffffbf,
-        ("U2", "B1"): 0xffdffddfffffefcffe,
-        ("U2", "B2"): 0x1044006a430000aad1}
-    expected_omni = {
-        ("U1", "B1"): 86.26707598711603, ("U1", "B2"): 84.13904572926874,
-        ("U2", "B1"): 84.68460688675947, ("U2", "B2"): 88.6393954055026}
-    assert real.omni_pl_db == pytest.approx(expected_omni, abs=1e-9)
+    drops = simulate_drop(sc, 1)
+    assert drops.links == (("U1", "B1"), ("U1", "B2"), ("U2", "B1"),
+                           ("U2", "B2"))
+    assert drops.los.tolist() == [[False, True, True, False]]
+    assert drops.masks == ((0xe811344061c655c47a, 0xd7ffffffffffffffbf,
+                            0xffdffddfffffefcffe, 0x1044006a430000aad1),)
+    expected_omni = [86.26707598711603, 84.13904572926874,
+                     84.68460688675947, 88.6393954055026]
+    assert drops.omni_pl_db[0].tolist() == pytest.approx(expected_omni,
+                                                         abs=1e-9)

@@ -7,7 +7,7 @@ import pytest
 
 from mmwcomp import (CiModel, Condition, DirectionalScan, FitError,
                      PathLossSample, ScanEntry, ci_mean_path_loss_db,
-                     ci_sample_path_loss_db, fit_ci, fspl_db,
+                     fit_ci, fspl_db,
                      group_samples_by_condition, residual_diagnostics,
                      substream, synthesize_omni_path_loss_db)
 
@@ -18,8 +18,9 @@ def make_samples(model, distances, rng=None, condition=None):
     cond = condition or model.condition
     out = []
     for d in distances:
-        pl = (ci_mean_path_loss_db(model, d) if rng is None
-              else float(ci_sample_path_loss_db(model, d, rng)))
+        pl = ci_mean_path_loss_db(model, d)
+        if rng is not None:
+            pl = float(pl + rng.normal(0.0, model.sigma_db))
         out.append(PathLossSample(d, pl, cond))
     return out
 
@@ -185,7 +186,8 @@ def test_synthesized_omni_fits_lower_ple_than_directional():
     rng = substream(11, 4)
     omni_samples = []
     for d in 10.0 ** rng.uniform(1, 2.3, size=120):
-        pls = ci_sample_path_loss_db(directional, d, rng, size=24)
+        pls = (ci_mean_path_loss_db(directional, d)
+               + rng.normal(0.0, directional.sigma_db, 24))
         entries = tuple(ScanEntry(0, i, 0, pt + gt + gr - float(pl))
                         for i, pl in enumerate(pls))
         omni_pl = synthesize_omni_path_loss_db(

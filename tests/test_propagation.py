@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mmwcomp import (CiModel, Condition, ci_mean_path_loss_db,
-                     ci_sample_path_loss_db, friis_received_power_dbm, fspl_db,
+                     friis_received_power_dbm, fspl_db,
                      gain_from_aperture_dbi, gain_increase, received_power_dbm,
                      substream, wavelength_m)
 from mmwcomp.propagation import SPEED_OF_LIGHT_M_PER_S
@@ -200,41 +200,6 @@ def test_ci_mean_scalar_and_array_paths_agree():
             np.testing.assert_allclose(scalar, arr, rtol=1e-15, atol=0)
             assert ci_mean_path_loss_db(model, 10) == pytest.approx(
                 ci_mean_path_loss_db(model, np.array(10.0)), rel=1e-15)
-
-
-def test_ci_sample_zero_sigma_is_deterministic():
-    model = CiModel(73.5, 4.6, 0.0, Condition.NLOS)
-    rng = substream(1, 0)
-    assert ci_sample_path_loss_db(model, 63.0, rng) == pytest.approx(
-        ci_mean_path_loss_db(model, 63.0), abs=1e-12)
-
-
-def test_ci_sample_per_element_noise():
-    model = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
-    rng = substream(1, 1)
-    d = np.full(1000, 63.0)
-    draws = ci_sample_path_loss_db(model, d, rng)
-    assert draws.shape == (1000,)
-    # Distinct draws per element, centered on the mean.
-    assert np.std(draws) > 5.0
-    assert abs(np.mean(draws) - ci_mean_path_loss_db(model, 63.0)) < 2.0
-
-
-def test_ci_sample_explicit_size():
-    model = CiModel(73.5, 2.0, 1.9, Condition.LOS)
-    rng = substream(1, 2)
-    draws = ci_sample_path_loss_db(model, 10.0, rng, size=(4, 5))
-    assert draws.shape == (4, 5)
-
-
-def test_ci_sample_large_n_statistics():
-    model = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
-    n = 1_000_000
-    draws = ci_sample_path_loss_db(model, 63.0, substream(9, 0), size=n)
-    resid = draws - ci_mean_path_loss_db(model, 63.0)
-    assert abs(np.mean(resid)) < 4.0 * model.sigma_db / math.sqrt(n)
-    assert np.std(resid) == pytest.approx(model.sigma_db, rel=0.01)
-    assert np.var(resid) == pytest.approx(model.sigma_db**2, rel=0.05)
 
 
 def test_substream_reproducible_and_independent():
