@@ -14,6 +14,13 @@ the conditions, one (L, T*R) standard normal block for the sweep (TX angle
 major), then L best-beam normals when the scenario has an NLOS_BEST model.
 All trials come back as one :class:`Drops` record with one column per link.
 
+:func:`simulate_drop` and :func:`reception_vs_serving_count` run their
+trials in contiguous chunks, one per usable CPU: the calling process runs
+the first and forked workers run the rest.  Because every trial owns its
+sub-stream and chunks are joined in trial order, the output is
+byte-identical for any split; nothing needs setting.  Platforms without
+``os.fork``, and daemonic processes, run every trial in one process.
+
 Reception-over-all-angles statistics for k serving base stations are then
 combinatorial: a k-combination of serving stations covers a user when the
 bitwise OR of its reception masks has every direction bit set.
@@ -24,14 +31,17 @@ independent; no angular correlation model is applied.
 numpy is imported on the first call of a function that builds arrays
 (:func:`simulate_drop`, :func:`reception_vs_serving_count`,
 :func:`nn_distance_stats`); the mask reducer and the serving-set counts are
-pure Python, so importing this module does not load numpy.
+pure Python, so importing this module loads neither numpy nor the worker
+pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, Sequence,
+                    TypeVar)
 
 from .coverage import LinkBudget
 from .params import DEFAULT_P_LOS, DEFAULT_SEED
@@ -42,6 +52,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 LinkKey = tuple[str, str]  # (ue_id, bs_id)
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -258,6 +269,47 @@ def reception_counts(masks: Mapping[LinkKey, int],
     return counts
 
 
+_chunk_fn: Callable[[int, int], object] | None = None  # set in workers only
+
+
+def _set_chunk_fn(fn: Callable[[int, int], object]) -> None:
+    global _chunk_fn
+    _chunk_fn = fn
+
+
+def _run_chunk(lo: int, hi: int) -> object:
+    return _chunk_fn(lo, hi)
+
+
+def _map_trials(fn: Callable[[int, int], _T], trials: int) -> list[_T]:
+    """``fn(lo, hi)`` over contiguous trial chunks, one per usable CPU.
+
+    Chunk i covers trials ``[trials*i//w, trials*(i+1)//w)`` with
+    ``w = min(trials, usable CPUs)``; results come back in chunk order.  The
+    caller runs chunk 0 while forked workers run the rest.  Workers inherit
+    ``fn`` at fork, so it may be a closure; only ``(lo, hi)`` and the chunk
+    results are pickled.  Forking skips the interpreter and numpy start-up
+    that a spawned worker would pay on every call.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    w = min(trials, cpus)
+    if w <= 1 or not hasattr(os, "fork"):
+        return [fn(0, trials)]
+    import multiprocessing
+    if multiprocessing.current_process().daemon:  # may not have children
+        return [fn(0, trials)]
+    from concurrent.futures import ProcessPoolExecutor
+    bounds = [trials * i // w for i in range(w + 1)]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(w - 1, mp_context=fork, initializer=_set_chunk_fn,
+                             initargs=(fn,)) as pool:
+        rest = pool.map(_run_chunk, bounds[1:-1], bounds[2:])
+        return [fn(0, bounds[1]), *rest]
+
+
 def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     """Run ``trials`` independent drops of the beam-sweep emulation.
 
@@ -277,34 +329,41 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
         None if m is None else ci_mean_path_loss_db(m, d)
         for m in (los_model, nlos_model, best_model))
     n_links, n_tx = len(keys), scenario.sweep.tx_angles
-    los_all = np.empty((trials, n_links), dtype=bool)
-    omni_all = np.empty((trials, n_links))
-    masks = []
-    for t in range(trials):
-        rng = substream(scenario.seed, t)
-        los = los_all[t] = scenario.condition_policy.resolve_los(keys, rng)
-        pl = rng.standard_normal((n_links, n_tx * scenario.sweep.n_rx_directions))
-        pl *= np.where(los, los_model.sigma_db, nlos_model.sigma_db)[:, None]
-        pl += np.where(los, mean_los, mean_nlos)[:, None]
-        if best_model is not None:
-            # The single best-aligned angle pair follows its own statistics;
-            # on NLOS links it replaces the lowest arbitrary-angle draw.
-            best = mean_best + best_model.sigma_db * rng.standard_normal(n_links)
-            nlos = np.flatnonzero(~los)
-            pl[nlos, pl[nlos].argmin(axis=1)] = best[nlos]
-        detect = pl <= scenario.budget.max_pl_db
-        packed = np.packbits(detect.reshape(n_links, n_tx, -1).any(axis=1),
-                             axis=1, bitorder="little")
-        # Linear power exp(-PL ln10 / 10) summed over detected pairs; with
-        # none detected the sum is 0 and the omni path loss +inf.
-        pl *= -math.log(10.0) / 10.0
-        np.exp(pl, out=pl)
-        pl *= detect
-        with np.errstate(divide="ignore"):
-            omni_all[t] = -10.0 * np.log10(pl.sum(axis=1))
-        masks.append(tuple(int.from_bytes(row.tobytes(), "little")
-                           for row in packed))
-    return Drops(keys, los_all, omni_all, tuple(masks))
+
+    def chunk(lo: int, hi: int):
+        los_all = np.empty((hi - lo, n_links), dtype=bool)
+        omni_all = np.empty((hi - lo, n_links))
+        masks = []
+        for t in range(lo, hi):
+            rng = substream(scenario.seed, t)
+            los = los_all[t - lo] = scenario.condition_policy.resolve_los(keys, rng)
+            pl = rng.standard_normal((n_links, n_tx * scenario.sweep.n_rx_directions))
+            pl *= np.where(los, los_model.sigma_db, nlos_model.sigma_db)[:, None]
+            pl += np.where(los, mean_los, mean_nlos)[:, None]
+            if best_model is not None:
+                # The single best-aligned angle pair follows its own statistics;
+                # on NLOS links it replaces the lowest arbitrary-angle draw.
+                best = mean_best + best_model.sigma_db * rng.standard_normal(n_links)
+                nlos = np.flatnonzero(~los)
+                pl[nlos, pl[nlos].argmin(axis=1)] = best[nlos]
+            detect = pl <= scenario.budget.max_pl_db
+            packed = np.packbits(detect.reshape(n_links, n_tx, -1).any(axis=1),
+                                 axis=1, bitorder="little")
+            # Linear power exp(-PL ln10 / 10) summed over detected pairs; with
+            # none detected the sum is 0 and the omni path loss +inf.
+            pl *= -math.log(10.0) / 10.0
+            np.exp(pl, out=pl)
+            pl *= detect
+            with np.errstate(divide="ignore"):
+                omni_all[t - lo] = -10.0 * np.log10(pl.sum(axis=1))
+            masks.append(tuple(int.from_bytes(row.tobytes(), "little")
+                               for row in packed))
+        return los_all, omni_all, masks
+
+    parts = _map_trials(chunk, trials)
+    return Drops(keys, np.concatenate([p[0] for p in parts]),
+                 np.concatenate([p[1] for p in parts]),
+                 tuple(m for p in parts for m in p[2]))
 
 
 def reception_vs_serving_count(scenario: Scenario, drops: Drops,
@@ -319,8 +378,13 @@ def reception_vs_serving_count(scenario: Scenario, drops: Drops,
     if not 1 <= k_max <= n_bs:
         raise ValueError(f"k_max must be in [1, {n_bs}], got {k_max}")
     topology = scenario.topology()
-    per_trial = [reception_counts(dict(zip(drops.links, row)), topology, k_max,
-                                  scenario.sweep.n_rx_directions)
-                 for row in drops.masks]
+
+    def chunk(lo: int, hi: int):
+        return [reception_counts(dict(zip(drops.links, row)), topology, k_max,
+                                 scenario.sweep.n_rx_directions)
+                for row in drops.masks[lo:hi]]
+
+    per_trial = [c for part in _map_trials(chunk, len(drops.masks))
+                 for c in part]
     return {k: float(np.mean([c[k][0] / c[k][1] for c in per_trial]))
             for k in range(1, k_max + 1)}

@@ -561,28 +561,32 @@ class TestCli:
         assert exc.value.code == 2
 
 
-# Runs CLI commands in a fresh interpreter and reports whether numpy was
-# loaded: importing the package must not load it either way.
-_NUMPY_PROBE = """
+# Runs CLI commands in a fresh interpreter and reports which of numpy and
+# the modules of simulate's worker pool they loaded: importing the package
+# must load none of them.
+_IMPORT_PROBE = """
 import json, sys
 import mmwcomp, mmwcomp.cli
-assert "numpy" not in sys.modules, "importing mmwcomp loaded numpy"
+watched = ("numpy", "multiprocessing", "concurrent.futures")
+def loaded():
+    return [m for m in watched if m in sys.modules]
+assert not loaded(), f"importing mmwcomp.cli loaded {loaded()}"
 for argv in json.loads(sys.argv[1]):
     assert mmwcomp.cli.main(argv) == 0, argv
-print("numpy" in sys.modules)
+print(json.dumps(loaded()))
 """
 
 
-def _numpy_loaded_by(runs, cwd) -> bool:
+def _modules_loaded_by(runs, cwd) -> set[str]:
     src = str(Path(mmwcomp.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k != "MMWCOMP_OUT"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            json.dumps(runs)],
                           capture_output=True, text=True, env=env, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 class TestNumpyImportBoundary:
@@ -606,7 +610,7 @@ class TestNumpyImportBoundary:
             ["report", "--bundle", str(tmp_path / "cov")],
             ["report", "--bundle", str(models_dir)],
         ]
-        assert not _numpy_loaded_by(runs, tmp_path)
+        assert _modules_loaded_by(runs, tmp_path) == set()
 
     def test_fit_and_simulate_load_numpy_on_use(self, tmp_path):
         csv_path = tmp_path / "samples.csv"
@@ -614,7 +618,19 @@ class TestNumpyImportBoundary:
                             "20,120,NLOS,VV\n40,130,NLOS,VV\n")
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(SCENARIO_JSON))
-        assert _numpy_loaded_by([["fit", "--samples", str(csv_path)]],
-                                tmp_path)
-        assert _numpy_loaded_by([["simulate", "--scenario", str(scenario),
-                                  "--trials", "2"]], tmp_path)
+        assert _modules_loaded_by([["fit", "--samples", str(csv_path)]],
+                                  tmp_path) == {"numpy"}
+        assert "numpy" in _modules_loaded_by(
+            [["simulate", "--scenario", str(scenario), "--trials", "2"]],
+            tmp_path)
+
+
+def test_readme_library_examples_run(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```python\n")[1:]
+    assert len(blocks) == 2
+    monkeypatch.chdir(root)
+    for block in blocks:
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget, Node,
+from mmwcomp import (CiModel, Condition, ConditionPolicy, Drops, LinkBudget, Node,
                      Scenario, SweepGrid, combination_count, distance_3d,
                      nearest_neighbor_order, nn_distance_stats,
                      reception_counts, reception_vs_serving_count,
@@ -481,3 +483,146 @@ def test_golden_trial_zero():
                      84.68460688675947, 88.6393954055026]
     assert drops.omni_pl_db[0].tolist() == pytest.approx(expected_omni,
                                                          abs=1e-9)
+
+
+# Exact k >= 2 reception.  Without an NLOS_BEST model every RX direction of
+# a link is covered independently, with q = 1 - (1 - p)^T, so a k-subset S
+# receives with [1 - prod_S (1 - q)]^R given the conditions of S; random
+# conditions are summed out over the 2^B LOS/NLOS patterns of a user's
+# links.  The Monte Carlo bound uses the exact pairwise joint reception
+# [1 - m_S - m_S' + m_{S u S'}]^R, with m the per-direction miss product.
+DENSE_MODELS = {Condition.LOS: CiModel(73.5, 2.0, 6.0, Condition.LOS),
+                Condition.NLOS: CiModel(73.5, 3.0, 9.0, Condition.NLOS)}
+DENSE_TRIALS = 400
+DENSE_BSS = [bs(i, 25.0 * i * math.cos(i), 25.0 * i * math.sin(i))
+             for i in range(1, 7)]
+DENSE_UES = [ue(i, 10.0 * i, -5.0 * i) for i in range(1, 4)]
+
+
+def dense_scenario(policy, max_pl_db):
+    return scenario(DENSE_BSS, DENSE_UES, models=DENSE_MODELS, policy=policy,
+                    budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db),
+                    seed=7, sweep=SMALL_SWEEP)
+
+
+def exact_reception(sc, k, trials):
+    """Exact k-subset reception of ``sc`` and the standard error of its
+    ``trials``-trial estimate: (mean over users and subsets, SE)."""
+    bss = sorted(sc.base_stations, key=lambda n: n.id)
+    n_bs = len(bss)
+    # Row a: bit j of a, read as link j's LOS flag in condition pattern a,
+    # or as whether link j belongs to the link set with bitmask a.
+    los_state = (np.arange(1 << n_bs)[:, None] >> np.arange(n_bs)) & 1
+    member = los_state.astype(bool)
+    bits = np.array([sum(1 << j for j in s)
+                     for s in itertools.combinations(range(n_bs), k)])
+    union = bits[:, None] | bits[None, :]
+    means, variances = [], []
+    for u in sorted(sc.ues, key=lambda n: n.id):
+        miss = np.empty((2, n_bs))    # [NLOS, LOS] per-direction miss
+        weight = np.empty((2, n_bs))  # [NLOS, LOS] condition probability
+        for j, b in enumerate(bss):
+            for state, cond in enumerate((Condition.NLOS, Condition.LOS)):
+                model = sc.models[cond]
+                mean = CI_1M_DB + 10.0 * model.ple * math.log10(
+                    distance_3d(u, b))
+                p = special.ndtr((sc.budget.max_pl_db - mean) / model.sigma_db)
+                miss[state, j] = (1.0 - p) ** sc.sweep.tx_angles
+            pinned = sc.condition_policy.explicit.get((u.id, b.id))
+            p_los = (sc.condition_policy.p_los if pinned is None
+                     else float(pinned is Condition.LOS))
+            weight[:, j] = 1.0 - p_los, p_los
+        pattern_p = np.prod(weight[los_state, np.arange(n_bs)], axis=1)
+        link_miss = miss[los_state, np.arange(n_bs)]
+        set_miss = np.prod(np.where(member[None], link_miss[:, None, :], 1.0),
+                           axis=2)  # (pattern, link set)
+        m = set_miss[:, bits]
+        r = sc.sweep.n_rx_directions
+        full = pattern_p @ (1.0 - m) ** r
+        both = np.einsum("p,pij->ij", pattern_p, np.maximum(
+            1.0 - m[:, :, None] - m[:, None, :] + set_miss[:, union], 0.0) ** r)
+        means.append(full.mean())
+        variances.append(both.mean() - full.mean() ** 2)
+    n_ue = len(means)
+    return (float(np.mean(means)),
+            math.sqrt(max(sum(variances), 0.0) / trials) / n_ue)
+
+
+_DENSE_KEYS = [(u.id, b.id) for u in DENSE_UES for b in DENSE_BSS]
+
+
+@pytest.mark.parametrize("policy,max_pl_db", [
+    (ConditionPolicy(p_los=1.0), 100.0),
+    (ConditionPolicy(explicit={
+        key: Condition.LOS if i % 3 == 0 else Condition.NLOS
+        for i, key in enumerate(_DENSE_KEYS)}), 108.0),
+    (ConditionPolicy(p_los=0.4), 110.0),
+], ids=["pinned_los", "pinned_mixed", "bernoulli"])
+def test_k_subset_reception_matches_exact_oracle(policy, max_pl_db):
+    sc = dense_scenario(policy, max_pl_db)
+    probs = reception_vs_serving_count(sc, simulate_drop(sc, DENSE_TRIALS), 6)
+    for k in range(2, 7):
+        expected, se = exact_reception(sc, k, DENSE_TRIALS)
+        assert 0.2 < expected < 0.9995, (k, expected)
+        assert abs(probs[k] - expected) <= 5.0 * se + 1e-12, (k, probs[k],
+                                                             expected, se)
+
+
+def _with_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def test_simulate_output_independent_of_worker_count(monkeypatch):
+    policy = ConditionPolicy(explicit={("U1", "B1"): Condition.LOS,
+                                       ("U2", "B3"): Condition.NLOS},
+                             p_los=0.5)
+    sc = scenario([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -60.0, 10.0)],
+                  [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0)], policy=policy,
+                  budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=130.0),
+                  sweep=SMALL_SWEEP)
+    assert Condition.NLOS_BEST in sc.models
+    for trials in (1, 2, 7):
+        outcomes = []
+        for cpus in (1, 2, 3):
+            _with_cpus(monkeypatch, cpus)
+            drops = simulate_drop(sc, trials)
+            outcomes.append((drops.los.tolist(), drops.omni_pl_db.tolist(),
+                             drops.masks,
+                             reception_vs_serving_count(sc, drops, 3)))
+        assert outcomes[0] == outcomes[1] == outcomes[2], trials
+
+
+def test_worker_error_reaches_caller(monkeypatch):
+    import multiprocessing
+    sc = scenario([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0)], [ue(1, 10.0, 10.0)],
+                  sweep=SMALL_SWEEP)
+    drops = simulate_drop(sc, 7)
+    # The last trial lacks one link's mask, so only the last chunk fails.
+    bad = Drops(drops.links, drops.los, drops.omni_pl_db,
+                drops.masks[:-1] + (drops.masks[-1][:-1],))
+    _with_cpus(monkeypatch, 2)
+
+    def hung(signum, frame):
+        raise TimeoutError("worker pool did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ValueError, match="missing reception mask"):
+            reception_vs_serving_count(sc, bad, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def test_daemon_process_runs_trials_in_process(monkeypatch):
+    import multiprocessing
+    sc = scenario([bs(1, 40.0, 0.0)], [ue(1, 10.0, 10.0)], sweep=SMALL_SWEEP)
+    expected = simulate_drop(sc, 3).masks
+    _with_cpus(monkeypatch, 2)
+    # Daemonic processes, such as multiprocessing.Pool workers, may not
+    # start children of their own.
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert simulate_drop(sc, 3).masks == expected
