@@ -14,16 +14,17 @@ the conditions, one (L, T*R) standard normal block for the sweep (TX angle
 major), then L best-beam normals when the scenario has an NLOS_BEST model.
 All trials come back as one :class:`Drops` record with one column per link.
 
-:func:`simulate_drop` and :func:`reception_vs_serving_count` run their
-trials in contiguous chunks, one per usable CPU: the calling process runs
-the first and forked workers run the rest.  Because every trial owns its
-sub-stream and chunks are joined in trial order, the output is
-byte-identical for any split; nothing needs setting.  Platforms without
-``os.fork``, and daemonic processes, run every trial in one process.
+:func:`simulate_drop` draws its trials in contiguous chunks, one per
+usable CPU: the calling process draws the first and forked children the
+rest.  Because every trial owns its sub-stream and chunks are joined in
+trial order, the output is byte-identical for any split; nothing needs
+setting.  Platforms without ``os.fork`` draw every trial in one process.
 
 Reception-over-all-angles statistics for k serving base stations are then
 combinatorial: a k-combination of serving stations covers a user when the
 bitwise OR of its reception masks has every direction bit set.
+:func:`reception_counts` counts those combinations by miss set, and
+:func:`reception_vs_serving_count` runs it in the calling process.
 
 Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
@@ -31,8 +32,7 @@ independent; no angular correlation model is applied.
 numpy is imported on the first call of a function that builds arrays
 (:func:`simulate_drop`, :func:`reception_vs_serving_count`,
 :func:`nn_distance_stats`); the mask reducer and the serving-set counts are
-pure Python, so importing this module loads neither numpy nor the worker
-pool.
+pure Python, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -245,9 +245,12 @@ def reception_counts(masks: Mapping[LinkKey, int],
     """Full-coverage and total k-subset counts for k = 1..k_max.
 
     Returns k -> (subsets whose masks OR to all ``n_directions`` bits,
-    subsets) for every k that some serving set reaches.  Level k extends
-    each level k-1 union with every later serving station, so each subset
-    costs one OR and the pass stops at ``min(k_max, |serving|)`` per UE.
+    subsets) for every k that some serving set reaches.  Per UE, ``level[s]``
+    counts the s-subsets by miss set, the directions none of them covers.
+    Station j moves each level s-1 entry to level s with its bits cleared,
+    for s in descending order so that j joins each subset once.  Equal
+    unions share an entry, and full ones all land on miss set 0, so the
+    work grows with the distinct partial unions, not with the subsets.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -260,25 +263,21 @@ def reception_counts(masks: Mapping[LinkKey, int],
         except KeyError as exc:
             raise ValueError(
                 f"missing reception mask for link {exc.args[0]}") from None
-        level = [(0, 0)]  # (union, index of the next station to add)
-        for k in range(1, min(k_max, len(m)) + 1):
-            level = [(union | m[j], j + 1)
-                     for union, nxt in level for j in range(nxt, len(m))]
+        top = min(k_max, len(m))
+        level: list[dict[int, int]] = [{full: 1}] + [{} for _ in range(top)]
+        for j, mj in enumerate(m):
+            if mj >> n_directions:
+                raise ValueError(f"reception mask for link {(ue_id, serving[j])}"
+                                 f" exceeds {n_directions} bits")
+            for s in range(min(top, j + 1), 0, -1):
+                nxt = level[s]
+                for miss, c in level[s - 1].items():
+                    miss &= ~mj
+                    nxt[miss] = nxt.get(miss, 0) + c
+        for k in range(1, top + 1):
             hits, n = counts.get(k, (0, 0))
-            counts[k] = (hits + sum(u == full for u, _ in level), n + len(level))
+            counts[k] = (hits + level[k].get(0, 0), n + math.comb(len(m), k))
     return counts
-
-
-_chunk_fn: Callable[[int, int], object] | None = None  # set in workers only
-
-
-def _set_chunk_fn(fn: Callable[[int, int], object]) -> None:
-    global _chunk_fn
-    _chunk_fn = fn
-
-
-def _run_chunk(lo: int, hi: int) -> object:
-    return _chunk_fn(lo, hi)
 
 
 def _map_trials(fn: Callable[[int, int], _T], trials: int) -> list[_T]:
@@ -286,10 +285,14 @@ def _map_trials(fn: Callable[[int, int], _T], trials: int) -> list[_T]:
 
     Chunk i covers trials ``[trials*i//w, trials*(i+1)//w)`` with
     ``w = min(trials, usable CPUs)``; results come back in chunk order.  The
-    caller runs chunk 0 while forked workers run the rest.  Workers inherit
-    ``fn`` at fork, so it may be a closure; only ``(lo, hi)`` and the chunk
-    results are pickled.  Forking skips the interpreter and numpy start-up
-    that a spawned worker would pay on every call.
+    caller runs chunk 0 while forked children run the rest, so ``fn`` may be
+    a closure.  A child pickles ``(ok, result or exception)`` to its pipe and
+    always leaves through ``os._exit``, never returning into the caller's
+    code.  The caller reads every pipe to its end before it reaps, and it
+    reaps every child even when its own chunk raises.  A child's exception
+    is raised again; a child that exits without a result raises
+    ``RuntimeError`` naming its exit status.  Forking skips the interpreter
+    and numpy start-up that a spawned worker would pay on every call.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -298,16 +301,49 @@ def _map_trials(fn: Callable[[int, int], _T], trials: int) -> list[_T]:
     w = min(trials, cpus)
     if w <= 1 or not hasattr(os, "fork"):
         return [fn(0, trials)]
-    import multiprocessing
-    if multiprocessing.current_process().daemon:  # may not have children
-        return [fn(0, trials)]
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
     bounds = [trials * i // w for i in range(w + 1)]
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(w - 1, mp_context=fork, initializer=_set_chunk_fn,
-                             initargs=(fn,)) as pool:
-        rest = pool.map(_run_chunk, bounds[1:-1], bounds[2:])
-        return [fn(0, bounds[1]), *rest]
+    pids: list[int] = []
+    reads: list[int] = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, wr = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        try:
+                            out = (True, fn(lo, hi))
+                        except Exception as exc:
+                            out = (False, exc)
+                        with open(wr, "wb") as pipe:
+                            pickle.dump(out, pipe)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            finally:
+                os.close(wr)  # in the caller; a child never gets here
+            pids.append(pid)
+        results = [fn(0, bounds[1])]
+        blobs = []
+        for r in reads:
+            with open(r, "rb", closefd=False) as pipe:
+                blobs.append(pipe.read())
+    finally:
+        for r in reads:
+            os.close(r)
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    for pid in pids]
+    for blob, status in zip(blobs, statuses):
+        if status or not blob:
+            raise RuntimeError(
+                f"trial worker exited with status {status} without a result")
+        ok, value = pickle.loads(blob)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def simulate_drop(scenario: Scenario, trials: int) -> Drops:
@@ -378,13 +414,8 @@ def reception_vs_serving_count(scenario: Scenario, drops: Drops,
     if not 1 <= k_max <= n_bs:
         raise ValueError(f"k_max must be in [1, {n_bs}], got {k_max}")
     topology = scenario.topology()
-
-    def chunk(lo: int, hi: int):
-        return [reception_counts(dict(zip(drops.links, row)), topology, k_max,
-                                 scenario.sweep.n_rx_directions)
-                for row in drops.masks[lo:hi]]
-
-    per_trial = [c for part in _map_trials(chunk, len(drops.masks))
-                 for c in part]
+    per_trial = [reception_counts(dict(zip(drops.links, row)), topology, k_max,
+                                  scenario.sweep.n_rx_directions)
+                 for row in drops.masks]
     return {k: float(np.mean([c[k][0] / c[k][1] for c in per_trial]))
             for k in range(1, k_max + 1)}

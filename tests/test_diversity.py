@@ -1,5 +1,6 @@
 """Geometry, serving-set combinatorics and the drop simulator."""
 
+import contextlib
 import itertools
 import math
 import os
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from mmwcomp import (CiModel, Condition, ConditionPolicy, Drops, LinkBudget, Node,
+from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget, Node,
                      Scenario, SweepGrid, combination_count, distance_3d,
                      nearest_neighbor_order, nn_distance_stats,
                      reception_counts, reception_vs_serving_count,
                      simulate_drop, substream)
+from mmwcomp.diversity import _map_trials
 from mmwcomp.params import CAMPAIGN_SERVING_SETS, SOUNDER_LINK_BUDGET
 
 LOS = CiModel(73.5, 2.0, 1.9, Condition.LOS)
@@ -187,6 +189,14 @@ def test_reception_missing_record():
     topology = {"U1": ("B1", "B2")}
     with pytest.raises(ValueError, match="missing reception mask"):
         reception_counts({("U1", "B1"): FULL}, topology, 1, 72)
+
+
+def test_reception_rejects_mask_wider_than_directions():
+    topology = {"U1": ("B1", "B2")}
+    masks = {("U1", "B1"): 0b11, ("U1", "B2"): 0b101}
+    with pytest.raises(ValueError,
+                       match=r"link \('U1', 'B2'\) exceeds 2 bits"):
+        reception_counts(masks, topology, 2, 2)
 
 
 def test_reception_k_max_validation():
@@ -593,28 +603,80 @@ def test_simulate_output_independent_of_worker_count(monkeypatch):
         assert outcomes[0] == outcomes[1] == outcomes[2], trials
 
 
-def test_worker_error_reaches_caller(monkeypatch):
-    import multiprocessing
-    sc = scenario([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0)], [ue(1, 10.0, 10.0)],
-                  sweep=SMALL_SWEEP)
-    drops = simulate_drop(sc, 7)
-    # The last trial lacks one link's mask, so only the last chunk fails.
-    bad = Drops(drops.links, drops.los, drops.omni_pl_db,
-                drops.masks[:-1] + (drops.masks[-1][:-1],))
-    _with_cpus(monkeypatch, 2)
-
+@contextlib.contextmanager
+def _deadline(seconds):
     def hung(signum, frame):
-        raise TimeoutError("worker pool did not return")
+        raise TimeoutError("trial workers did not return")
 
     previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
+    signal.alarm(seconds)
     try:
-        with pytest.raises(ValueError, match="missing reception mask"):
-            reception_vs_serving_count(sc, bad, 2)
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _reception_chunks(bad_trial):
+    """A chunk function over 7 trials whose trial ``bad_trial`` lacks a mask."""
+    sc = scenario([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0)], [ue(1, 10.0, 10.0)],
+                  sweep=SMALL_SWEEP)
+    drops = simulate_drop(sc, 7)
+    rows = [row[:-1] if t == bad_trial else row
+            for t, row in enumerate(drops.masks)]
+
+    def chunk(lo, hi):
+        return [reception_counts(dict(zip(drops.links, row)), sc.topology(), 2,
+                                 SMALL_SWEEP.n_rx_directions)
+                for row in rows[lo:hi]]
+    return chunk
+
+
+def test_worker_error_reaches_caller(monkeypatch):
+    # The last trial lacks one link's mask, so only the forked chunk fails.
+    chunk = _reception_chunks(6)
+    _with_cpus(monkeypatch, 2)
+    with _deadline(60):
+        with pytest.raises(ValueError, match="missing reception mask"):
+            _map_trials(chunk, 7)
+    _assert_no_children_left()
+
+
+def test_caller_chunk_error_reaps_workers(monkeypatch):
+    chunk = _reception_chunks(0)
+    _with_cpus(monkeypatch, 2)
+    with _deadline(60):
+        with pytest.raises(ValueError, match="missing reception mask"):
+            _map_trials(chunk, 7)
+    _assert_no_children_left()
+
+
+def test_worker_exit_without_result_names_status(monkeypatch):
+    _with_cpus(monkeypatch, 3)
+
+    def chunk(lo, hi):
+        if lo > 0:
+            os._exit(3)
+        return lo, hi
+
+    with _deadline(60):
+        with pytest.raises(RuntimeError, match="status 3"):
+            _map_trials(chunk, 5)
+    _assert_no_children_left()
+
+
+def test_worker_results_larger_than_a_pipe_buffer(monkeypatch):
+    _with_cpus(monkeypatch, 3)
+    with _deadline(60):
+        parts = _map_trials(lambda lo, hi: (lo, hi, bytes(1 << 18)), 5)
+    assert [p[:2] for p in parts] == [(0, 1), (1, 3), (3, 5)]
+    assert all(len(p[2]) == 1 << 18 for p in parts)
+    _assert_no_children_left()
 
 
 def test_daemon_process_runs_trials_in_process(monkeypatch):

@@ -154,6 +154,29 @@ def test_reception_counts_match_brute_force(n_directions, data):
             masks, topology, k, n_directions)
 
 
+def test_reception_counts_match_brute_force_on_twelve_stations():
+    # 12 stations at k <= 6 with duplicate, empty and full masks, so that
+    # many subsets share a miss set and full unions collapse early.
+    n_directions = 10
+    full = (1 << n_directions) - 1
+    base = [0b1111100000, 0b0000011111, 0b1010101010, 0b0101010101,
+            0b1100110011, 0b0011001100, 0b1110001110]
+    serving = {
+        "U1": base + [base[0], base[2], 0, full, 0b0001110001],
+        "U2": [full, full, 0, 0] + base[:6] + [base[6], 0b1000000001],
+        "U3": [0b1 << i for i in range(n_directions)] + [full ^ 1, 1],
+    }
+    topology = {ue: tuple(f"B{i:02d}" for i in range(12)) for ue in serving}
+    masks = {(ue, f"B{i:02d}"): m for ue, ms in serving.items()
+             for i, m in enumerate(ms)}
+    counts = reception_counts(masks, topology, 6, n_directions)
+    assert sorted(counts) == list(range(1, 7))
+    for k in range(1, 7):
+        assert counts[k] == brute_force_reception_counts(
+            masks, topology, k, n_directions), k
+    assert all(0 < counts[k][0] < counts[k][1] for k in range(2, 7))
+
+
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 100))
 @settings(max_examples=25)
 def test_substream_deterministic(seed, key):
