@@ -25,9 +25,6 @@ from pathlib import Path
 
 from . import __version__
 from .coverage import LinkBudget, outage_table
-from .diversity import (combination_count, reception_counts,
-                        reception_vs_serving_count, simulate_drop)
-from .fitting import VV, FitError, fit_ci, group_samples_by_condition
 from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M, DEFAULT_SEED,
                      DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET)
 from .propagation import CiModel, Condition
@@ -76,6 +73,7 @@ def _emit(bundle: ResultBundle, out_dir: Path | None):
 
 
 def _cmd_fit(args) -> int:
+    from .fitting import VV, fit_ci, group_samples_by_condition
     samples = read_samples_csv(args.samples, strict=args.strict)
     if not samples:
         raise ScenarioError(f"{args.samples}: no usable samples")
@@ -122,6 +120,8 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .diversity import (combination_count, reception_vs_serving_count,
+                            simulate_drop)
     scenario = load_scenario(args.scenario)
     seed = _resolve_seed(args.seed, scenario)
     if seed != scenario.seed:
@@ -152,6 +152,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .diversity import combination_count, reception_counts
     if args.k is not None and args.k < 1:
         raise ScenarioError(f"--k must be >= 1, got {args.k}")
     if args.directions < 1:
@@ -276,8 +277,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FitError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
+        # ScenarioError, FitError and json.JSONDecodeError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure, distinct from bad input

@@ -30,9 +30,9 @@ Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
 
 numpy is imported on the first call of a function that builds arrays
-(:func:`simulate_drop`, :func:`reception_vs_serving_count`,
-:func:`nn_distance_stats`); the mask reducer and the serving-set counts are
-pure Python, so importing this module does not load numpy.
+(:func:`simulate_drop`, :func:`reception_vs_serving_count`); the mask
+reducer and the serving-set counts are pure Python, so importing this
+module does not load numpy.
 """
 
 from __future__ import annotations
@@ -180,56 +180,10 @@ class Drops:
     masks: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class DistanceStats:
-    mean_m: float
-    median_m: float
-    std_m: float
-    min_m: float
-    max_m: float
-
-
 def distance_3d(a: Node, b: Node) -> float:
     """3D Euclidean separation including the height difference."""
     return math.sqrt((a.x_m - b.x_m) ** 2 + (a.y_m - b.y_m) ** 2
                      + (a.height_m - b.height_m) ** 2)
-
-
-def nearest_neighbor_order(ue: Node, scenario: Scenario) -> list[str]:
-    """Base station ids by ascending 3D distance; ties by ascending id."""
-    return [bs.id for bs in sorted(scenario.base_stations,
-                                   key=lambda bs: (distance_3d(ue, bs), bs.id))]
-
-
-def nn_distance_stats(scenario: Scenario,
-                      max_rank: int | None = None) -> dict[int, DistanceStats]:
-    """Across-UE statistics of the k-th nearest base station distance.
-
-    Returns a map rank (1-based) -> stats; standard deviation is the
-    population value.  Values are unrounded, rounding is left to display.
-    """
-    import numpy as np
-    n_bs = len(scenario.base_stations)
-    if max_rank is None:
-        max_rank = n_bs
-    if not 1 <= max_rank <= n_bs:
-        raise ValueError(f"max_rank must be in [1, {n_bs}], got {max_rank}")
-    by_rank: dict[int, list[float]] = {r: [] for r in range(1, max_rank + 1)}
-    for ue in scenario.ues:
-        dists = sorted(distance_3d(ue, bs) for bs in scenario.base_stations)
-        for r in range(1, max_rank + 1):
-            by_rank[r].append(dists[r - 1])
-    out = {}
-    for r, vals in by_rank.items():
-        arr = np.array(vals)
-        out[r] = DistanceStats(
-            mean_m=float(arr.mean()),
-            median_m=float(np.median(arr)),
-            std_m=float(arr.std()),
-            min_m=float(arr.min()),
-            max_m=float(arr.max()),
-        )
-    return out
 
 
 def combination_count(topology: Mapping[str, Iterable[str]], k: int) -> int:

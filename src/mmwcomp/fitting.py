@@ -7,10 +7,10 @@ anchor is fixed, so the minimum-mean-square-error fit is closed form:
                                        y_i = PL_i - FSPL(f, 1 m)
 
 with the shadow-fading sigma taken as the root-mean-square residual
-(divide by N).  Omnidirectional path loss is synthesized from a directional
-scan by summing received power linearly over the unique antenna pointing
-combinations that detected signal.  numpy is imported on the first call
-of :func:`fit_ci` or :func:`residual_diagnostics`, not with this module.
+(divide by N).  The sums are exactly rounded ``math.fsum`` sums, so the
+fit needs no numpy.  Omnidirectional path loss is synthesized from a
+directional scan by summing received power linearly over the unique
+antenna pointing combinations that detected signal.
 """
 
 from __future__ import annotations
@@ -115,46 +115,23 @@ def fit_ci(samples: Sequence[PathLossSample], f_ghz: float,
         CiModel labeled with the samples' condition; sigma_db is the RMS
         fit residual.
     """
-    import numpy as np
     used = _fit_inputs(samples, include_vh)
     if len(used) < 2:
         raise FitError(f"need at least 2 samples, got {len(used)}")
-    d = np.array([s.d_m for s in used])
-    if np.unique(d).size < 2:
+    if len({s.d_m for s in used}) < 2:
         raise FitError("samples must span at least two distinct distances")
-    x = 10.0 * np.log10(d)
-    y = np.array([s.pl_db for s in used]) - fspl_db(f_ghz, REFERENCE_DISTANCE_M)
-    ple = float(np.sum(x * y) / np.sum(x * x))
-    resid = y - ple * x
-    sigma = float(np.sqrt(np.mean(resid**2)))
+    anchor_db = fspl_db(f_ghz, REFERENCE_DISTANCE_M)
+    x = [10.0 * math.log10(s.d_m) for s in used]
+    y = [s.pl_db - anchor_db for s in used]
+    try:
+        ple = (math.fsum(a * b for a, b in zip(x, y))
+               / math.fsum(a * a for a in x))
+        sigma = math.sqrt(math.fsum((b - ple * a) ** 2 for a, b in zip(x, y))
+                          / len(used))
+    except (OverflowError, ValueError):  # fsum overflow or inf - inf
+        raise FitError("path loss values are too large to fit") from None
     return CiModel(f_ghz=f_ghz, ple=ple, sigma_db=sigma,
                    condition=used[0].condition)
-
-
-@dataclass(frozen=True)
-class FitDiagnostics:
-    mean_residual_db: float
-    rms_residual_db: float
-    residuals_db: tuple[float, ...]
-
-
-def residual_diagnostics(model: CiModel, samples: Sequence[PathLossSample],
-                         include_vh: bool = False) -> FitDiagnostics:
-    """Residual statistics of ``samples`` against a CI model's mean curve."""
-    import numpy as np
-    used = _fit_inputs(samples, include_vh)
-    if used[0].condition != model.condition:
-        raise FitError(
-            f"samples are {used[0].condition.value} but model is {model.condition.value}")
-    resid = [s.pl_db - (fspl_db(model.f_ghz, model.d0_m)
-                        + 10.0 * model.ple * math.log10(s.d_m))
-             for s in used]
-    arr = np.array(resid)
-    return FitDiagnostics(
-        mean_residual_db=float(arr.mean()),
-        rms_residual_db=float(np.sqrt(np.mean(arr**2))),
-        residuals_db=tuple(resid),
-    )
 
 
 def synthesize_omni_path_loss_db(scan: DirectionalScan, gt_dbi: float,

@@ -13,14 +13,16 @@ import json
 import math
 import warnings
 from pathlib import Path
-from typing import Mapping, TextIO
+from typing import TYPE_CHECKING, Mapping, TextIO
 
 from .coverage import LinkBudget
-from .diversity import ConditionPolicy, LinkKey, Node, Scenario, SweepGrid
-from .fitting import PathLossSample
 from .params import (BS_HEIGHT_M, DEFAULT_P_LOS, DEFAULT_SEED,
                      DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET, UE_HEIGHT_M)
 from .propagation import CiModel, Condition
+
+if TYPE_CHECKING:
+    from .diversity import LinkKey, Node, Scenario, SweepGrid
+    from .fitting import PathLossSample
 
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -58,6 +60,7 @@ def _number(obj: Mapping, key: str, path: str, default=None):
 
 
 def _parse_node(obj, default_height: float, path: str) -> Node:
+    from .diversity import Node
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     _check_keys(obj, {"id", "x_m", "y_m", "height_m"}, path)
@@ -118,6 +121,7 @@ def _parse_budget(obj, path: str) -> LinkBudget:
 
 
 def _parse_sweep(obj, path: str) -> SweepGrid:
+    from .diversity import SweepGrid
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     _check_keys(obj, {"tx_angles", "rx_azimuths", "rx_elevations",
@@ -163,6 +167,7 @@ def parse_scenario(obj) -> Scenario:
     directional CI models, the channel-sounder link budget, the standard
     sweep grid, p_los 11/36 and seed 73.
     """
+    from .diversity import ConditionPolicy, Scenario, SweepGrid
     if not isinstance(obj, dict):
         _fail("scenario", "top level must be an object")
     _check_keys(obj, {"schema_version", "base_stations", "ues", "models",
@@ -223,6 +228,7 @@ def read_samples_csv(source: str | Path | TextIO,
     In strict mode any malformed row raises ScenarioError with its line
     number; in lenient mode malformed rows are skipped.
     """
+    from .fitting import PathLossSample
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return read_samples_csv(fh, strict=strict)
@@ -252,20 +258,6 @@ def read_samples_csv(source: str | Path | TextIO,
         warnings.warn("samples CSV contains a header but no data rows",
                       stacklevel=2)
     return samples
-
-
-def write_samples_csv(samples: list[PathLossSample], dest: str | Path | TextIO):
-    """Write samples in the format ``read_samples_csv`` accepts."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
-            write_samples_csv(samples, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(SAMPLE_FIELDS)
-    for s in samples:
-        # repr round-trips floats exactly, so reload loses nothing.
-        writer.writerow([repr(s.d_m), repr(s.pl_db),
-                         s.condition.value, s.polarization])
 
 
 MASK_FIELDS = ("rx_id", "tx_id", "mask")

@@ -17,7 +17,7 @@ from mmwcomp import (CdfPoint, Condition, ModelCard, OutageRow,
                      format_pct, load_model_cards, load_scenario,
                      load_topology, parse_scenario, read_masks_csv,
                      read_samples_csv, scenario_to_json, simulate_drop,
-                     write_masks_csv, write_samples_csv)
+                     write_masks_csv)
 from mmwcomp.cli import main
 from mmwcomp.params import CAMPAIGN_SERVING_SETS
 
@@ -25,6 +25,12 @@ MINIMAL = {
     "base_stations": [{"id": "B1", "x_m": 0.0, "y_m": 0.0}],
     "ues": [{"id": "U1", "x_m": 30.0, "y_m": 0.0}],
 }
+
+
+def write_samples(samples, path):
+    path.write_text("d_m,pl_db,condition,polarization\n" + "".join(
+        f"{s.d_m!r},{s.pl_db!r},{s.condition.value},{s.polarization}\n"
+        for s in samples))
 
 
 def minimal(**extra):
@@ -116,9 +122,9 @@ class TestSamplesCsv:
         samples = [PathLossSample(63.0, 152.49541205654867, Condition.NLOS),
                    PathLossSample(10.5, 91.25, Condition.LOS, "VH")]
         path = tmp_path / "samples.csv"
-        write_samples_csv(samples, path)
+        write_samples(samples, path)
         back = read_samples_csv(path)
-        assert back == samples  # repr emission reloads bit-exact
+        assert back == samples  # repr text reloads bit-exact
 
     def test_parse_basic_row(self):
         buf = io.StringIO("d_m,pl_db,condition,polarization\n63,152.5,NLOS,VV\n")
@@ -333,7 +339,7 @@ class TestCli:
         def fail(*args):
             raise AssertionError("simulate_drop called")
 
-        monkeypatch.setattr("mmwcomp.cli.simulate_drop", fail)
+        monkeypatch.setattr("mmwcomp.diversity.simulate_drop", fail)
         sc = self.write_scenario(tmp_path)
         assert main(["simulate", "--scenario", sc, *flags]) == 1
         captured = capsys.readouterr()
@@ -417,13 +423,23 @@ class TestCli:
         samples = [PathLossSample(float(a), float(b), Condition.NLOS)
                    for a, b in zip(d, pl)]
         csv_path = tmp_path / "samples.csv"
-        write_samples_csv(samples, csv_path)
+        write_samples(samples, csv_path)
         out_dir = tmp_path / "fit"
         assert main(["fit", "--samples", str(csv_path),
                      "--out", str(out_dir)]) == 0
         [card] = load_model_cards(out_dir / "models.json")
         assert card.ple == pytest.approx(4.6, abs=0.15)
         assert card.sigma_db == pytest.approx(11.4, abs=0.7)
+
+    def test_fit_single_distance_exits_1(self, tmp_path, capsys):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("d_m,pl_db,condition,polarization\n"
+                            "50,140,NLOS,VV\n50,150,NLOS,VV\n")
+        assert main(["fit", "--samples", str(csv_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: samples must span at least two "
+                                "distinct distances\n")
 
     def test_report_summarizes_bundle(self, tmp_path, capsys):
         sc = self.write_scenario(tmp_path)
@@ -561,14 +577,15 @@ class TestCli:
         assert exc.value.code == 2
 
 
-# Runs CLI commands in a fresh interpreter and reports which of numpy and
-# the stdlib process-pool modules they loaded: importing the package must
-# load none of them.  The result is printed once, so a forked worker that
-# returned into the CLI would show as a second line.
+# Runs CLI commands in a fresh interpreter and reports which of the watched
+# modules they loaded (by default numpy and the stdlib process-pool
+# modules): importing the package must load none of them.  The result is
+# printed once, so a forked worker that returned into the CLI would show as
+# a second line.
 _IMPORT_PROBE = """
 import json, sys
 import mmwcomp, mmwcomp.cli
-watched = ("numpy", "multiprocessing", "concurrent.futures")
+watched = json.loads(sys.argv[2])
 def loaded():
     return [m for m in watched if m in sys.modules]
 assert not loaded(), f"importing mmwcomp.cli loaded {loaded()}"
@@ -578,55 +595,93 @@ print("loaded:", json.dumps(loaded()))
 """
 
 
-def _modules_loaded_by(runs, cwd) -> set[str]:
+def _run_python(code, *args, cwd) -> subprocess.CompletedProcess:
     src = str(Path(mmwcomp.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k != "MMWCOMP_OUT"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _modules_loaded_by(runs, cwd, watched=("numpy", "multiprocessing",
+                                           "concurrent.futures")) -> set[str]:
+    proc = _run_python(_IMPORT_PROBE, json.dumps(runs), json.dumps(watched),
+                       cwd=cwd)
     reports = [line.split(" ", 1)[1] for line in proc.stdout.splitlines()
                if line.startswith("loaded: ")]
     assert len(reports) == 1, proc.stdout
     return set(json.loads(reports[0]))
 
 
+def _write_models(tmp_path) -> Path:
+    emit_results(ResultBundle(RunMetadata("fit", "test"), model_cards=[
+        ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 10)]),
+        tmp_path / "fit")
+    return tmp_path / "fit" / "models.json"
+
+
 class TestNumpyImportBoundary:
     def test_closed_form_commands_do_not_load_numpy(self, tmp_path):
-        models_dir = tmp_path / "fit"
-        emit_results(ResultBundle(RunMetadata("fit", "test"), model_cards=[
-            ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 10)]),
-            models_dir)
+        models = _write_models(tmp_path)
+        samples = tmp_path / "samples.csv"
+        samples.write_text("d_m,pl_db,condition,polarization\n"
+                           "20,120,NLOS,VV\n40,130,NLOS,VV\n"
+                           "10,90,LOS,VV\n30,100,LOS,VH\n50,104,LOS,VV\n")
         topo = tmp_path / "topology.json"
         topo.write_text(json.dumps({"U1": ["B1", "B2"], "U2": ["B2"]}))
         masks = tmp_path / "masks.csv"
         write_masks_csv({("U1", "B1"): 1, ("U1", "B2"): 2, ("U2", "B2"): 3},
                         masks, n_directions=2)
         runs = [
+            ["fit", "--samples", str(samples), "--out", str(tmp_path / "f")],
             ["coverage", "--out", str(tmp_path / "cov")],
-            ["coverage", "--models", str(models_dir / "models.json"),
-             "--distances", "63,200"],
+            ["coverage", "--models", str(models), "--distances", "63,200"],
             ["enumerate", "--topology", str(topo)],
             ["enumerate", "--topology", str(topo), "--masks", str(masks),
              "--directions", "2"],
             ["report", "--bundle", str(tmp_path / "cov")],
-            ["report", "--bundle", str(models_dir)],
+            ["report", "--bundle", str(models.parent)],
         ]
         assert _modules_loaded_by(runs, tmp_path) == set()
 
-    def test_fit_and_simulate_load_numpy_on_use(self, tmp_path):
-        csv_path = tmp_path / "samples.csv"
-        csv_path.write_text("d_m,pl_db,condition,polarization\n"
-                            "20,120,NLOS,VV\n40,130,NLOS,VV\n")
+    def test_simulate_loads_numpy_on_use(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(SCENARIO_JSON))
-        assert _modules_loaded_by([["fit", "--samples", str(csv_path)]],
-                                  tmp_path) == {"numpy"}
         assert _modules_loaded_by(
             [["simulate", "--scenario", str(scenario), "--trials", "2"]],
             tmp_path) == {"numpy"}
+
+
+class TestLazyPackage:
+    def test_coverage_loads_neither_simulator_nor_fitting(self, tmp_path):
+        runs = [["coverage"],
+                ["coverage", "--models", str(_write_models(tmp_path))]]
+        assert _modules_loaded_by(
+            runs, tmp_path, watched=("numpy", "mmwcomp.diversity",
+                                     "mmwcomp.fitting")) == set()
+
+    def test_import_loads_no_submodule(self, tmp_path):
+        proc = _run_python(
+            "import sys, mmwcomp\n"
+            "print([m for m in sys.modules if m.startswith('mmwcomp.')])",
+            cwd=tmp_path)
+        assert proc.stdout == "[]\n"
+
+    def test_every_export_resolves(self):
+        assert len(set(mmwcomp.__all__)) == len(mmwcomp.__all__)
+        namespace = {}
+        exec("from mmwcomp import *", namespace)
+        for name in mmwcomp.__all__:
+            assert namespace[name] is getattr(mmwcomp, name)
+        assert mmwcomp.fit_ci is sys.modules["mmwcomp.fitting"].fit_ci
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mmwcomp.no_such_name
+        assert not hasattr(mmwcomp, "write_samples_csv")
 
 
 def test_readme_library_examples_run(monkeypatch):

@@ -12,7 +12,6 @@ from scipy import integrate, special
 
 from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget, Node,
                      Scenario, SweepGrid, combination_count, distance_3d,
-                     nearest_neighbor_order, nn_distance_stats,
                      reception_counts, reception_vs_serving_count,
                      simulate_drop, substream)
 from mmwcomp.diversity import _map_trials
@@ -78,49 +77,6 @@ def test_sweep_grid_validation():
         SweepGrid(rx_azimuths=24, rx_step_deg=10.0)  # 240 != 360
     with pytest.raises(ValueError):
         SweepGrid(tx_angles=0)
-
-
-def test_nearest_neighbor_order():
-    sc = scenario([bs(1, 80.0, 0.0), bs(2, 21.0, 0.0), bs(3, 50.0, 0.0)],
-                  [ue(1, 0.0, 0.0)])
-    assert nearest_neighbor_order(sc.ues[0], sc) == ["B2", "B3", "B1"]
-
-
-def test_nearest_neighbor_tie_by_id():
-    sc = scenario([bs(2, 30.0, 0.0), bs(1, -30.0, 0.0)], [ue(1, 0.0, 0.0)])
-    assert nearest_neighbor_order(sc.ues[0], sc) == ["B1", "B2"]
-
-
-def test_nn_stats_two_ues():
-    sc = scenario([bs(1, 0.0, 0.0)],
-                  [ue(1, 0.0, 0.0), ue(2, 0.0, 0.0)])
-    # Place the UEs so their single-BS distances are exactly 40 and 80 m.
-    h = 2.6
-    d1, d2 = 40.0, 80.0
-    sc = scenario([bs(1, 0.0, 0.0)],
-                  [Node("U1", math.sqrt(d1**2 - h**2), 0.0, 1.4),
-                   Node("U2", math.sqrt(d2**2 - h**2), 0.0, 1.4)])
-    stats = nn_distance_stats(sc)[1]
-    assert stats.mean_m == pytest.approx(60.0, abs=1e-9)
-    assert stats.median_m == pytest.approx(60.0, abs=1e-9)
-    assert stats.std_m == pytest.approx(20.0, abs=1e-9)  # population std
-    assert stats.min_m == pytest.approx(40.0, abs=1e-9)
-    assert stats.max_m == pytest.approx(80.0, abs=1e-9)
-
-
-def test_nn_stats_equidistant():
-    sc = scenario([bs(1, 0.0, 0.0)],
-                  [ue(1, 30.0, 0.0), ue(2, -30.0, 0.0), ue(3, 0.0, 30.0)])
-    stats = nn_distance_stats(sc)[1]
-    assert stats.std_m == pytest.approx(0.0, abs=1e-12)
-    assert stats.mean_m == pytest.approx(stats.median_m, abs=1e-12)
-
-
-def test_nn_stats_rank_bounds():
-    sc = scenario([bs(1, 0.0, 0.0), bs(2, 50.0, 0.0)], [ue(1, 10.0, 0.0)])
-    with pytest.raises(ValueError):
-        nn_distance_stats(sc, max_rank=3)
-    assert set(nn_distance_stats(sc, max_rank=2)) == {1, 2}
 
 
 def test_campaign_combination_counts():

@@ -1,4 +1,4 @@
-"""CI model fitting, residual diagnostics and omni synthesis."""
+"""CI model fitting and omni synthesis."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 
 from mmwcomp import (CiModel, Condition, DirectionalScan, FitError,
                      PathLossSample, ScanEntry, ci_mean_path_loss_db,
-                     fit_ci, fspl_db,
-                     group_samples_by_condition, residual_diagnostics,
+                     fit_ci, fspl_db, group_samples_by_condition,
                      substream, synthesize_omni_path_loss_db)
 
 F = 73.5
@@ -92,6 +91,15 @@ def test_fit_requires_two_distinct_distances():
         fit_ci([s, PathLossSample(50.0, 150.0, Condition.NLOS)], F)
 
 
+@pytest.mark.parametrize("pl_db", [(1e307,) * 30, (1e308, -1e308)])
+def test_fit_rejects_path_loss_beyond_float_range(pl_db):
+    # Every product is finite but the sums overflow, or they hold inf - inf.
+    samples = [PathLossSample(10.0 + i, pl, Condition.NLOS)
+               for i, pl in enumerate(pl_db)]
+    with pytest.raises(FitError, match="too large to fit"):
+        fit_ci(samples, F)
+
+
 def test_fit_rejects_mixed_conditions():
     samples = [PathLossSample(10.0, 100.0, Condition.LOS),
                PathLossSample(20.0, 120.0, Condition.NLOS)]
@@ -111,31 +119,43 @@ def test_fit_vh_excluded_by_default():
         fit_ci(cross, F)  # nothing co-polarized left after the filter
 
 
-def test_residual_diagnostics_noise_free():
-    truth = CiModel(F, 2.0, 0.0, Condition.LOS)
-    samples = make_samples(truth, [10.0, 31.6, 100.0])
-    diag = residual_diagnostics(fit_ci(samples, F), samples)
-    assert diag.mean_residual_db == pytest.approx(0.0, abs=1e-9)
-    assert diag.rms_residual_db == pytest.approx(0.0, abs=1e-9)
-
-
 def test_residuals_orthogonal_to_regressor():
     # The anchored one-parameter fit leaves residuals orthogonal to
     # 10*log10(d); their plain mean is generally nonzero.
     truth = CiModel(F, 4.6, 11.4, Condition.NLOS)
     rng = substream(11, 2)
     samples = make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=500), rng)
-    diag = residual_diagnostics(fit_ci(samples, F), samples)
+    fit = fit_ci(samples, F)
     x = np.array([10.0 * math.log10(s.d_m) for s in samples])
-    assert float(x @ np.asarray(diag.residuals_db)) == pytest.approx(
-        0.0, abs=1e-6)
+    resid = np.array([s.pl_db - ci_mean_path_loss_db(fit, s.d_m)
+                      for s in samples])
+    assert float(x @ resid) == pytest.approx(0.0, abs=1e-6)
+    assert fit.sigma_db == pytest.approx(
+        math.sqrt(float(resid @ resid) / len(samples)), rel=1e-12)
 
 
-def test_residual_diagnostics_condition_mismatch():
-    model = CiModel(F, 2.0, 1.9, Condition.LOS)
-    samples = [PathLossSample(10.0, 100.0, Condition.NLOS)]
-    with pytest.raises(FitError):
-        residual_diagnostics(model, samples)
+@pytest.mark.parametrize("n", [2, 3, 17, 1000, 100_000])
+def test_fit_matches_numpy_least_squares(n):
+    # Oracle: the same closed form over numpy arrays with np.sum, on
+    # distances across [1, 1e4] m and a share of cross-polarized rows that
+    # the fit must leave out.
+    rng = substream(23, n)
+    d = 10.0 ** rng.uniform(0.0, 4.0, size=n)
+    ple_true, sigma_true = rng.uniform(1.5, 6.0), rng.uniform(1.0, 15.0)
+    pl = fspl_db(F, 1.0) + 10.0 * ple_true * np.log10(d) + rng.normal(
+        0.0, sigma_true, n)
+    vh = rng.uniform(size=n) < 0.2
+    vh[:2] = False
+    samples = [PathLossSample(float(a), float(b), Condition.NLOS,
+                              "VH" if c else "VV")
+               for a, b, c in zip(d, pl, vh)]
+    fit = fit_ci(samples, F)
+    x = 10.0 * np.log10(d[~vh])
+    y = pl[~vh] - fspl_db(F, 1.0)
+    ple = np.sum(x * y) / np.sum(x * x)
+    sigma = np.sqrt(np.sum((y - ple * x) ** 2) / x.size)
+    assert fit.ple == pytest.approx(float(ple), rel=1e-12, abs=0)
+    assert fit.sigma_db == pytest.approx(float(sigma), rel=1e-12, abs=0)
 
 
 def test_omni_single_angle_equals_directional():
