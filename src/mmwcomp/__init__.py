@@ -19,7 +19,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "propagation": ("CiModel", "Condition", "fspl_db", "ci_mean_path_loss_db",
-                    "received_power_dbm", "friis_received_power_dbm"),
+                    "received_power_dbm", "friis_received_power_dbm",
+                    "frequency_hz", "wavelength_m", "gain_increase",
+                    "gain_from_aperture_dbi"),
     "fitting": ("PathLossSample", "ScanEntry", "DirectionalScan", "FitError",
                 "fit_ci", "synthesize_omni_path_loss_db",
                 "group_samples_by_condition"),
