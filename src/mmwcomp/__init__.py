@@ -19,9 +19,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "propagation": ("CiModel", "Condition", "fspl_db", "ci_mean_path_loss_db",
-                    "received_power_dbm", "friis_received_power_dbm",
-                    "frequency_hz", "wavelength_m", "gain_increase",
-                    "gain_from_aperture_dbi"),
+                    "received_power_dbm", "friis_received_power_dbm"),
     "fitting": ("PathLossSample", "ScanEntry", "DirectionalScan", "FitError",
                 "fit_ci", "synthesize_omni_path_loss_db",
                 "group_samples_by_condition"),

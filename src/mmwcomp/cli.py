@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -125,7 +124,7 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = _resolve_seed(args.seed, scenario)
     if seed != scenario.seed:
-        scenario = replace(scenario, seed=seed)
+        scenario = scenario._replace(seed=seed)
     n_bs = len(scenario.base_stations)
     k_max = args.k_max if args.k_max is not None else min(5, n_bs)
     if not 1 <= k_max <= n_bs:

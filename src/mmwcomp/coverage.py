@@ -15,17 +15,17 @@ Both are noise-limited figures; interference is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .propagation import CiModel, Condition, ci_mean_path_loss_db, received_power_dbm
+from .propagation import (CiModel, Condition, ci_mean_path_loss_db,
+                          received_power_dbm, validated)
 
 _SQRT2 = math.sqrt(2.0)
 _LOG10_E = math.log10(math.e)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+@validated
+class LinkBudget(NamedTuple):
     """System link budget yielding a receiver detection threshold.
 
     ``max_pl_db`` is the maximum measurable path loss with the TX/RX
@@ -41,29 +41,28 @@ class LinkBudget:
     max_pl_db: float = 175.0
     snr_threshold_db: float = 5.0
 
-    def __post_init__(self):
+    def _validate(self):
         if self.bw_ghz <= 0:
             raise ValueError(f"bw_ghz must be positive, got {self.bw_ghz}")
         if self.max_pl_db <= 0:
             raise ValueError(f"max_pl_db must be positive, got {self.max_pl_db}")
 
 
-@dataclass(frozen=True)
-class CoverageQuery:
+@validated
+class CoverageQuery(NamedTuple):
     """One (model, budget, distance) coverage evaluation point."""
 
     model: CiModel
     budget: LinkBudget
     radius_m: float
 
-    def __post_init__(self):
+    def _validate(self):
         if self.radius_m < self.model.d0_m:
             raise ValueError(
                 f"radius_m must be >= {self.model.d0_m} m, got {self.radius_m}")
 
 
-@dataclass(frozen=True)
-class OutageRow:
+class OutageRow(NamedTuple):
     """One row of an outage table (probabilities as fractions, not %)."""
 
     condition: str

@@ -14,6 +14,10 @@ the conditions, one (L, T*R) standard normal block for the sweep (TX angle
 major), then L best-beam normals when the scenario has an NLOS_BEST model.
 All trials come back as one :class:`Drops` record with one column per link.
 
+The records here are ``typing.NamedTuple`` classes: they are immutable and
+unpack like tuples, and ``_replace`` copies one without re-running its
+checks.  :class:`Drops` compares by identity, since its fields are arrays.
+
 :func:`simulate_drop` draws its trials in contiguous chunks, one per
 usable CPU: the calling process draws the first and forked children the
 rest.  Because every trial owns its sub-stream and chunks are joined in
@@ -39,13 +43,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, Sequence,
-                    TypeVar)
+from types import MappingProxyType
+from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple,
+                    Sequence, TypeVar)
 
 from .coverage import LinkBudget
 from .params import DEFAULT_P_LOS, DEFAULT_SEED
-from .propagation import CiModel, Condition, ci_mean_path_loss_db
+from .propagation import CiModel, Condition, ci_mean_path_loss_db, validated
 from .rng import substream
 
 if TYPE_CHECKING:
@@ -55,8 +59,8 @@ LinkKey = tuple[str, str]  # (ue_id, bs_id)
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class Node:
+@validated
+class Node(NamedTuple):
     """A base station or user position; height is antenna height AGL."""
 
     id: str
@@ -64,13 +68,13 @@ class Node:
     y_m: float
     height_m: float
 
-    def __post_init__(self):
+    def _validate(self):
         if self.height_m <= 0:
             raise ValueError(f"height_m must be positive, got {self.height_m}")
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+@validated
+class SweepGrid(NamedTuple):
     """Beam sweep geometry: TX sector angles by RX azimuth/elevation bins.
 
     Defaults: 15 TX pointing angles at 8 degree increments (a 120 degree
@@ -85,7 +89,7 @@ class SweepGrid:
     tx_step_deg: float = 8.0
     rx_step_deg: float = 15.0
 
-    def __post_init__(self):
+    def _validate(self):
         if self.tx_angles < 1 or self.rx_azimuths < 1 or self.rx_elevations < 1:
             raise ValueError("sweep grid counts must be >= 1")
         if abs(self.rx_azimuths * self.rx_step_deg - 360.0) > 1e-9:
@@ -96,18 +100,18 @@ class SweepGrid:
         return self.rx_azimuths * self.rx_elevations
 
 
-@dataclass(frozen=True)
-class ConditionPolicy:
+@validated
+class ConditionPolicy(NamedTuple):
     """Per-link condition assignment.
 
     Explicit entries take precedence; remaining links draw LOS with
     probability ``p_los`` (Bernoulli, one uniform per link per trial).
     """
 
-    explicit: Mapping[LinkKey, Condition] = field(default_factory=dict)
+    explicit: Mapping[LinkKey, Condition] = MappingProxyType({})
     p_los: float = DEFAULT_P_LOS
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0.0 <= self.p_los <= 1.0:
             raise ValueError(f"p_los must be in [0, 1], got {self.p_los}")
         for link, cond in self.explicit.items():
@@ -125,8 +129,8 @@ class ConditionPolicy:
         return los
 
 
-@dataclass(frozen=True)
-class Scenario:
+@validated
+class Scenario(NamedTuple):
     """A drop-simulation scenario; see the module docstring."""
 
     base_stations: tuple[Node, ...]
@@ -137,7 +141,7 @@ class Scenario:
     sweep: SweepGrid = SweepGrid()
     seed: int = DEFAULT_SEED
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.base_stations:
             raise ValueError("scenario needs at least one base station")
         if not self.ues:
@@ -162,8 +166,7 @@ class Scenario:
         return {ue.id: bs_ids for ue in sorted(self.ues, key=lambda n: n.id)}
 
 
-@dataclass(frozen=True, eq=False)
-class Drops:
+class Drops(NamedTuple):
     """Monte Carlo drops: row t is trial t, column i is link ``links[i]``.
 
     ``links`` follows ``Scenario.links()``: UE-major, base stations by id.
@@ -178,6 +181,11 @@ class Drops:
     los: np.ndarray
     omni_pl_db: np.ndarray
     masks: tuple[tuple[int, ...], ...]
+
+    # Identity, not field-wise, comparison: the fields are arrays.
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def distance_3d(a: Node, b: Node) -> float:

@@ -16,10 +16,10 @@ antenna pointing combinations that detected signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .propagation import CiModel, Condition, REFERENCE_DISTANCE_M, fspl_db
+from .propagation import (CiModel, Condition, REFERENCE_DISTANCE_M, fspl_db,
+                          validated)
 
 VV = "VV"
 VH = "VH"
@@ -30,8 +30,8 @@ class FitError(ValueError):
     """Raised when a sample set cannot support a CI fit."""
 
 
-@dataclass(frozen=True)
-class PathLossSample:
+@validated
+class PathLossSample(NamedTuple):
     """One path loss observation with antenna gains removed.
 
     Angle-bin ids are optional and only meaningful for directional data;
@@ -47,7 +47,7 @@ class PathLossSample:
     tx_angle_id: int | None = None
     rx_angle_id: int | None = None
 
-    def __post_init__(self):
+    def _validate(self):
         if not REFERENCE_DISTANCE_M <= self.d_m < math.inf:
             raise ValueError(f"sample distance must be finite and >= "
                              f"{REFERENCE_DISTANCE_M} m, got {self.d_m}")
@@ -59,8 +59,7 @@ class PathLossSample:
             raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     """Received power at one (TX sector angle, RX azimuth, RX elevation) bin."""
 
     tx_angle_id: int
@@ -73,8 +72,8 @@ class ScanEntry:
         return (self.tx_angle_id, self.rx_azimuth_id, self.rx_elevation_id)
 
 
-@dataclass(frozen=True)
-class DirectionalScan:
+@validated
+class DirectionalScan(NamedTuple):
     """Detected-angle sweep record for one TX-RX link.
 
     Only angle combinations where signal was detected appear; each angle
@@ -82,9 +81,9 @@ class DirectionalScan:
     """
 
     link_id: str
-    entries: tuple[ScanEntry, ...] = field(default=())
+    entries: tuple[ScanEntry, ...] = ()
 
-    def __post_init__(self):
+    def _validate(self):
         keys = [e.angle_key for e in self.entries]
         if len(set(keys)) != len(keys):
             raise ValueError(f"duplicate angle triple in scan for link {self.link_id}")

@@ -1,8 +1,8 @@
 """Closed-form propagation math for millimeter-wave link analysis.
 
-Free-space path loss, the Friis transmission equation, aperture/gain
-relations, and the single-slope close-in (CI) reference-distance path loss
-model with lognormal shadow fading.
+Free-space path loss, the Friis transmission equation and the single-slope
+close-in (CI) reference-distance path loss model with lognormal shadow
+fading.
 
 Conventions used throughout the package: path loss in dB, powers in dBm,
 antenna gains in dBi, distances in meters, carrier frequencies in GHz.
@@ -17,10 +17,10 @@ deviation (in dB) with standard deviation ``sigma_db`` around that mean.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
-SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
+from typing import NamedTuple
 
 # Free-space path loss at 1 GHz and 1 m in the CI convention.  This is the
 # rounded anchor used by the CI / 3GPP model family; it differs from the
@@ -46,20 +46,28 @@ class Condition(str, Enum):
     NLOS_BEST = "NLOS_BEST"
 
 
-def frequency_hz(f_ghz: float) -> float:
-    """Carrier frequency in Hz."""
-    if f_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {f_ghz} GHz")
-    return f_ghz * 1e9
+def validated(cls):
+    """Run ``_validate`` on every record that calling ``cls`` builds.
+
+    The package's records are ``typing.NamedTuple`` classes, whose class
+    body may not define ``__new__``; this wraps the generated one instead.
+    ``_make`` and ``_replace`` build through ``tuple.__new__`` and so copy a
+    record without checking it again.
+    """
+    new = cls.__new__
+
+    @functools.wraps(new)
+    def __new__(cls_, *args, **kwargs):
+        self = new(cls_, *args, **kwargs)
+        self._validate()
+        return self
+
+    cls.__new__ = staticmethod(__new__)
+    return cls
 
 
-def wavelength_m(f_ghz: float) -> float:
-    """Carrier wavelength in meters (c = 299,792,458 m/s)."""
-    return SPEED_OF_LIGHT_M_PER_S / frequency_hz(f_ghz)
-
-
-@dataclass(frozen=True)
-class CiModel:
+@validated
+class CiModel(NamedTuple):
     """Fitted close-in reference-distance path loss model.
 
     Attributes:
@@ -76,7 +84,7 @@ class CiModel:
     condition: Condition
     d0_m: float = REFERENCE_DISTANCE_M
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0 < self.f_ghz < math.inf:
             raise ValueError(f"f_ghz must be positive and finite, got {self.f_ghz}")
         if not math.isfinite(self.ple):
@@ -118,25 +126,6 @@ def friis_received_power_dbm(pt_dbm: float, gt_dbi: float, gr_dbi: float,
     form P_t * g_t * g_r * (lambda / 4 pi d)^2 expressed in dBm.
     """
     return received_power_dbm(pt_dbm, gt_dbi, gr_dbi, fspl_db(f_ghz, d_m))
-
-
-def gain_increase(f1_ghz: float, f2_ghz: float) -> float:
-    """Linear received-power gain of f2 over f1 for fixed aperture sizes.
-
-    With identical physical TX and RX apertures at both frequencies, free
-    space favors the higher frequency by (f2/f1)^2.
-    """
-    if f1_ghz <= 0 or f2_ghz <= 0:
-        raise ValueError("frequencies must be positive")
-    return (f2_ghz / f1_ghz) ** 2
-
-
-def gain_from_aperture_dbi(aperture_m2: float, f_ghz: float) -> float:
-    """Antenna gain in dBi from effective aperture area: G = A_e 4 pi / lambda^2."""
-    if aperture_m2 <= 0:
-        raise ValueError(f"aperture must be positive, got {aperture_m2}")
-    lam = wavelength_m(f_ghz)
-    return 10.0 * math.log10(aperture_m2 * 4.0 * math.pi / lam**2)
 
 
 def ci_mean_path_loss_db(model: CiModel, d_m):

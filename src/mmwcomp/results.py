@@ -4,18 +4,23 @@ Every writer here produces byte-identical output for identical inputs:
 keys are sorted, line endings are "\\n", floats go through one shared
 formatter, and no wall-clock time is recorded unless the caller supplies
 a timestamp explicitly.
+
+The records are ``typing.NamedTuple`` classes, as everywhere in the
+package: they are immutable and unpack like tuples, and ``_replace``
+copies one without re-running its checks.  Writers name each field, so a
+record never reaches ``json`` as a bare list.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .coverage import OutageRow
-from .propagation import CiModel, Condition
+from .propagation import CiModel, Condition, validated
 
 _FLOAT_FMT = "%.12g"  # round-trips path-loss scale values to well under 1e-9
 
@@ -40,8 +45,7 @@ def format_pct(fraction: float) -> str:
     return f"{mantissa}E{int(exponent)}"
 
 
-@dataclass(frozen=True)
-class RunMetadata:
+class RunMetadata(NamedTuple):
     command: str
     package_version: str
     seed: int | None = None
@@ -49,8 +53,7 @@ class RunMetadata:
     timestamp: str | None = None
 
 
-@dataclass(frozen=True)
-class ModelCard:
+class ModelCard(NamedTuple):
     """Fitted (or configured) CI model parameters plus fit context."""
 
     label: str
@@ -64,8 +67,7 @@ class ModelCard:
         return CiModel(self.f_ghz, self.ple, self.sigma_db, self.condition)
 
 
-@dataclass(frozen=True)
-class ReceptionRow:
+class ReceptionRow(NamedTuple):
     """All-angle reception probability for k serving base stations."""
 
     k: int
@@ -73,23 +75,22 @@ class ReceptionRow:
     n_combinations: int
 
 
-@dataclass(frozen=True)
-class CdfPoint:
+class CdfPoint(NamedTuple):
     x: float
     p: float
 
 
-@dataclass
-class ResultBundle:
+@validated
+class ResultBundle(NamedTuple):
     """Everything one run produced; validated on construction."""
 
     metadata: RunMetadata
     model_cards: Sequence[ModelCard] = ()
     outage_rows: Sequence[OutageRow] = ()
     reception_rows: Sequence[ReceptionRow] = ()
-    cdfs: Mapping[str, Sequence[CdfPoint]] = field(default_factory=dict)
+    cdfs: Mapping[str, Sequence[CdfPoint]] = MappingProxyType({})
 
-    def __post_init__(self):
+    def _validate(self):
         for name, pts in self.cdfs.items():
             _validate_cdf(name, pts)
 

@@ -219,6 +219,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 SAMPLE_FIELDS = ("d_m", "pl_db", "condition", "polarization")
+_CONDITION_OF = {c.value: c for c in Condition}
 
 
 def read_samples_csv(source: str | Path | TextIO,
@@ -249,7 +250,9 @@ def read_samples_csv(source: str | Path | TextIO,
                 raise ValueError(f"expected {len(SAMPLE_FIELDS)} fields, got {len(row)}")
             d_m = float(row[0])
             pl_db = float(row[1])
-            cond = Condition(row[2].strip())
+            text = row[2].strip()
+            # Condition(text) only for an unknown label, to raise its error.
+            cond = _CONDITION_OF[text] if text in _CONDITION_OF else Condition(text)
             samples.append(PathLossSample(d_m, pl_db, cond, row[3].strip()))
         except ValueError as exc:
             if strict:

@@ -144,6 +144,21 @@ class TestSamplesCsv:
         samples = read_samples_csv(buf, strict=False)
         assert len(samples) == 1 and samples[0].d_m == 63.0
 
+    @pytest.mark.parametrize("label,message", [
+        ("los", "'los' is not a valid Condition"),
+        ("", "'' is not a valid Condition"),
+        ("NLOS_BEST", "sample condition must be LOS or NLOS, got "
+                      f"{Condition.NLOS_BEST}"),
+    ])
+    def test_condition_labels(self, label, message):
+        text = ("d_m,pl_db,condition,polarization\n"
+                f"63,152.5, NLOS ,VV\n70,150,{label},VV\n")
+        with pytest.raises(ScenarioError) as exc:
+            read_samples_csv(io.StringIO(text))
+        assert str(exc.value) == f"samples CSV line 3: {message}"
+        [kept] = read_samples_csv(io.StringIO(text), strict=False)
+        assert kept.condition is Condition.NLOS
+
     def test_header_mismatch(self):
         with pytest.raises(ScenarioError, match="header"):
             read_samples_csv(io.StringIO("distance,pl\n1,2\n"))
@@ -623,36 +638,43 @@ def _write_models(tmp_path) -> Path:
     return tmp_path / "fit" / "models.json"
 
 
+def _closed_form_runs(tmp_path) -> list[list[str]]:
+    """Seven table and report runs on small inputs; each report reads a
+    bundle that an earlier run writes."""
+    models = _write_models(tmp_path)
+    samples = tmp_path / "samples.csv"
+    samples.write_text("d_m,pl_db,condition,polarization\n"
+                       "20,120,NLOS,VV\n40,130,NLOS,VV\n"
+                       "10,90,LOS,VV\n30,100,LOS,VH\n50,104,LOS,VV\n")
+    topo = tmp_path / "topology.json"
+    topo.write_text(json.dumps({"U1": ["B1", "B2"], "U2": ["B2"]}))
+    masks = tmp_path / "masks.csv"
+    write_masks_csv({("U1", "B1"): 1, ("U1", "B2"): 2, ("U2", "B2"): 3},
+                    masks, n_directions=2)
+    return [
+        ["fit", "--samples", str(samples), "--out", str(tmp_path / "f")],
+        ["coverage", "--out", str(tmp_path / "cov")],
+        ["coverage", "--models", str(models), "--distances", "63,200"],
+        ["enumerate", "--topology", str(topo)],
+        ["enumerate", "--topology", str(topo), "--masks", str(masks),
+         "--directions", "2"],
+        ["report", "--bundle", str(tmp_path / "cov")],
+        ["report", "--bundle", str(models.parent)],
+    ]
+
+
+def _simulate_run(tmp_path) -> list[list[str]]:
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO_JSON))
+    return [["simulate", "--scenario", str(scenario), "--trials", "2"]]
+
+
 class TestNumpyImportBoundary:
     def test_closed_form_commands_do_not_load_numpy(self, tmp_path):
-        models = _write_models(tmp_path)
-        samples = tmp_path / "samples.csv"
-        samples.write_text("d_m,pl_db,condition,polarization\n"
-                           "20,120,NLOS,VV\n40,130,NLOS,VV\n"
-                           "10,90,LOS,VV\n30,100,LOS,VH\n50,104,LOS,VV\n")
-        topo = tmp_path / "topology.json"
-        topo.write_text(json.dumps({"U1": ["B1", "B2"], "U2": ["B2"]}))
-        masks = tmp_path / "masks.csv"
-        write_masks_csv({("U1", "B1"): 1, ("U1", "B2"): 2, ("U2", "B2"): 3},
-                        masks, n_directions=2)
-        runs = [
-            ["fit", "--samples", str(samples), "--out", str(tmp_path / "f")],
-            ["coverage", "--out", str(tmp_path / "cov")],
-            ["coverage", "--models", str(models), "--distances", "63,200"],
-            ["enumerate", "--topology", str(topo)],
-            ["enumerate", "--topology", str(topo), "--masks", str(masks),
-             "--directions", "2"],
-            ["report", "--bundle", str(tmp_path / "cov")],
-            ["report", "--bundle", str(models.parent)],
-        ]
-        assert _modules_loaded_by(runs, tmp_path) == set()
+        assert _modules_loaded_by(_closed_form_runs(tmp_path), tmp_path) == set()
 
     def test_simulate_loads_numpy_on_use(self, tmp_path):
-        scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(SCENARIO_JSON))
-        assert _modules_loaded_by(
-            [["simulate", "--scenario", str(scenario), "--trials", "2"]],
-            tmp_path) == {"numpy"}
+        assert _modules_loaded_by(_simulate_run(tmp_path), tmp_path) == {"numpy"}
 
 
 class TestLazyPackage:
@@ -682,6 +704,21 @@ class TestLazyPackage:
         with pytest.raises(AttributeError, match="no_such_name"):
             mmwcomp.no_such_name
         assert not hasattr(mmwcomp, "write_samples_csv")
+
+
+# The records are NamedTuples, so no command needs ``dataclasses`` or the
+# ``inspect`` module it imports.  numpy imports ``inspect`` itself, so the
+# simulate run watches ``dataclasses`` alone.
+class TestRecordImports:
+    def test_table_commands_load_neither_dataclasses_nor_inspect(self,
+                                                                 tmp_path):
+        assert _modules_loaded_by(
+            _closed_form_runs(tmp_path), tmp_path,
+            watched=("dataclasses", "inspect")) == set()
+
+    def test_simulate_loads_no_dataclasses(self, tmp_path):
+        assert _modules_loaded_by(_simulate_run(tmp_path), tmp_path,
+                                  watched=("dataclasses",)) == set()
 
 
 def test_readme_library_examples_run(monkeypatch):

@@ -1,4 +1,4 @@
-"""Free-space path loss, Friis, gains and the CI model."""
+"""Free-space path loss, Friis and the CI model."""
 
 import math
 
@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from mmwcomp import (CiModel, Condition, ci_mean_path_loss_db,
-                     friis_received_power_dbm, fspl_db,
-                     gain_from_aperture_dbi, gain_increase, received_power_dbm,
-                     substream, wavelength_m)
-from mmwcomp.propagation import SPEED_OF_LIGHT_M_PER_S
+                     friis_received_power_dbm, fspl_db, received_power_dbm,
+                     substream)
 
 
 def test_fspl_anchor_at_1ghz_1m():
@@ -88,57 +86,6 @@ def test_received_power_round_trips_with_friis():
     pt, gt, gr, f, d = 14.9, 27.0, 20.0, 73.5, 42.0
     assert received_power_dbm(pt, gt, gr, fspl_db(f, d)) == pytest.approx(
         friis_received_power_dbm(pt, gt, gr, f, d), abs=1e-12)
-
-
-def test_gain_increase_with_fixed_apertures():
-    assert gain_increase(3.0, 73.5) == pytest.approx(600.25, abs=1e-9)
-    assert gain_increase(1.0, 2.0) == pytest.approx(4.0, abs=1e-12)
-    assert gain_increase(73.5, 73.5) == 1.0
-    with pytest.raises(ValueError):
-        gain_increase(0.0, 73.5)
-
-
-def test_gain_increase_composes():
-    for f1, f2, f3 in ((1.0, 3.0, 28.0), (3.0, 28.0, 73.5), (2.4, 5.8, 60.0)):
-        assert gain_increase(f1, f2) * gain_increase(f2, f3) == pytest.approx(
-            gain_increase(f1, f3), rel=1e-12)
-
-
-def test_aperture_gain_uses_physical_wavelength():
-    f = 73.5
-    lam = SPEED_OF_LIGHT_M_PER_S / (f * 1e9)
-    assert wavelength_m(f) == pytest.approx(lam, rel=1e-14)
-    a = 0.01
-    expect = 10.0 * math.log10(a * 4.0 * math.pi / lam**2)
-    assert gain_from_aperture_dbi(a, f) == pytest.approx(expect, abs=1e-12)
-
-
-def test_aperture_gain_isotropic_and_frequency_doubling():
-    for f in (1.0, 28.0, 73.5):
-        iso = wavelength_m(f) ** 2 / (4.0 * math.pi)
-        assert gain_from_aperture_dbi(iso, f) == pytest.approx(0.0, abs=1e-12)
-    # Fixed aperture, half the wavelength: gain rises by 20*log10(2).
-    a = 0.01
-    assert gain_from_aperture_dbi(a, 56.0) - gain_from_aperture_dbi(
-        a, 28.0) == pytest.approx(20.0 * math.log10(2.0), abs=1e-12)
-    with pytest.raises(ValueError):
-        gain_from_aperture_dbi(0.0, 73.5)
-
-
-def test_aperture_gain_consistency_with_gain_increase():
-    # Identical physical apertures at both ends: moving f1 -> f2 raises the
-    # received power by exactly (f2/f1)^2 despite the higher path loss.
-    a_t, a_r, d = 0.02, 0.005, 50.0
-    f1, f2 = 3.0, 73.5
-
-    def pr(f):
-        return friis_received_power_dbm(
-            0.0, gain_from_aperture_dbi(a_t, f), gain_from_aperture_dbi(a_r, f),
-            f, d)
-
-    delta_db = pr(f2) - pr(f1)
-    assert 10.0 ** (delta_db / 10.0) == pytest.approx(gain_increase(f1, f2),
-                                                      rel=1e-9)
 
 
 def test_ci_model_validation():
