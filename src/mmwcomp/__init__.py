@@ -21,8 +21,7 @@ _EXPORTS = {
     "propagation": ("CiModel", "Condition", "fspl_db", "ci_mean_path_loss_db",
                     "received_power_dbm", "friis_received_power_dbm"),
     "fitting": ("PathLossSample", "ScanEntry", "DirectionalScan", "FitError",
-                "fit_ci", "synthesize_omni_path_loss_db",
-                "group_samples_by_condition"),
+                "fit_ci", "group_samples_by_condition"),
     "coverage": ("LinkBudget", "CoverageQuery", "OutageRow",
                  "receiver_threshold_dbm", "edge_coverage_probability",
                  "edge_outage_probability", "useful_area_fraction",

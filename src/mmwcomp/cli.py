@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .coverage import LinkBudget, outage_table
-from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M, DEFAULT_SEED,
+from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M,
                      DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET)
 from .propagation import CiModel, Condition
 from .results import (ModelCard, ReceptionRow, ResultBundle, RunMetadata,
@@ -40,14 +40,6 @@ def _resolve_out(args) -> Path | None:
         return Path(args.out)
     env = os.environ.get(OUT_ENV_VAR)
     return Path(env) if env else None
-
-
-def _resolve_seed(flag_seed, scenario) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if scenario is not None:
-        return scenario.seed
-    return DEFAULT_SEED
 
 
 def _parse_distances(text: str) -> list[float]:
@@ -122,9 +114,8 @@ def _cmd_simulate(args) -> int:
     from .diversity import (combination_count, reception_vs_serving_count,
                             simulate_drop)
     scenario = load_scenario(args.scenario)
-    seed = _resolve_seed(args.seed, scenario)
-    if seed != scenario.seed:
-        scenario = scenario._replace(seed=seed)
+    if args.seed is not None:
+        scenario = scenario._replace(seed=args.seed)
     n_bs = len(scenario.base_stations)
     k_max = args.k_max if args.k_max is not None else min(5, n_bs)
     if not 1 <= k_max <= n_bs:
@@ -145,7 +136,7 @@ def _cmd_simulate(args) -> int:
     best = np.sort(drops.omni_pl_db.reshape(-1, n_bs), axis=1)
     cdfs = {f"best{n}_pl_db": build_cdf(best[:, n - 1].tolist())
             for n in range(1, k_max + 1) if np.isfinite(best[:, n - 1]).any()}
-    meta = RunMetadata("simulate", __version__, seed, args.trials)
+    meta = RunMetadata("simulate", __version__, scenario.seed, args.trials)
     _emit(ResultBundle(meta, reception_rows=rows, cdfs=cdfs), _resolve_out(args))
     return 0
 
@@ -187,7 +178,12 @@ def _cmd_report(args) -> int:
     if not meta_path.is_file():
         raise ScenarioError(f"{bundle_dir}: not a result bundle "
                             f"(missing metadata.json)")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{meta_path}: invalid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ScenarioError(f"{meta_path}: expected a JSON object")
     print(f"run: {meta.get('command')} "
           f"(version {meta.get('package_version')}, seed {meta.get('seed')}, "
           f"trials {meta.get('trials')})")

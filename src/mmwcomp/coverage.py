@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .propagation import (CiModel, Condition, ci_mean_path_loss_db,
-                          received_power_dbm, validated)
+from .propagation import (CiModel, Condition, REFERENCE_DISTANCE_M,
+                          ci_mean_path_loss_db, received_power_dbm, validated)
 
 _SQRT2 = math.sqrt(2.0)
 _LOG10_E = math.log10(math.e)
@@ -57,9 +57,9 @@ class CoverageQuery(NamedTuple):
     radius_m: float
 
     def _validate(self):
-        if self.radius_m < self.model.d0_m:
-            raise ValueError(
-                f"radius_m must be >= {self.model.d0_m} m, got {self.radius_m}")
+        if self.radius_m < REFERENCE_DISTANCE_M:
+            raise ValueError(f"radius_m must be >= {REFERENCE_DISTANCE_M} m, "
+                             f"got {self.radius_m}")
 
 
 class OutageRow(NamedTuple):

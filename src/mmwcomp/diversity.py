@@ -6,13 +6,17 @@ sweep grid.  The Monte Carlo drop simulator emulates a directional sweep:
 for every link and every (TX sector angle, RX direction) combination it
 draws a shadow-faded directional path loss, marks the combination
 detectable when the draw stays within the budget's maximum measurable path
-loss, synthesizes per-link omnidirectional path loss from the detectable
-combinations, and reduces each link to a reception mask: an int bitset
-with one bit per RX direction.  Trial t draws from the (seed, t)
-sub-stream, for all L links in ``Scenario.links()`` order: L uniforms for
-the conditions, one (L, T*R) standard normal block for the sweep (TX angle
-major), then L best-beam normals when the scenario has an NLOS_BEST model.
-All trials come back as one :class:`Drops` record with one column per link.
+loss, synthesizes per-link omnidirectional path loss as the linear power
+sum over the detectable combinations, and reduces each link to a
+reception mask: an int bitset with one bit per RX direction.  That sum is
+the package's only omni synthesis; over n detected combinations it lies
+between the lowest directional loss and 10 log10(n) dB below it.
+
+Trial t draws from the (seed, t) sub-stream, for all L links in
+``Scenario.links()`` order: L uniforms for the conditions, one (L, T*R)
+standard normal block for the sweep (TX angle major), then L best-beam
+normals when the scenario has an NLOS_BEST model.  All trials come back
+as one :class:`Drops` record with one column per link.
 
 The records here are ``typing.NamedTuple`` classes: they are immutable and
 unpack like tuples, and ``_replace`` copies one without re-running its

@@ -1,4 +1,4 @@
-"""CI model parameter estimation and omnidirectional path loss synthesis.
+"""CI model parameter estimation.
 
 The CI model has a single free slope parameter once the 1 m free-space
 anchor is fixed, so the minimum-mean-square-error fit is closed form:
@@ -8,9 +8,7 @@ anchor is fixed, so the minimum-mean-square-error fit is closed form:
 
 with the shadow-fading sigma taken as the root-mean-square residual
 (divide by N).  The sums are exactly rounded ``math.fsum`` sums, so the
-fit needs no numpy.  Omnidirectional path loss is synthesized from a
-directional scan by summing received power linearly over the unique
-antenna pointing combinations that detected signal.
+fit needs no numpy.
 """
 
 from __future__ import annotations
@@ -34,8 +32,7 @@ class FitError(ValueError):
 class PathLossSample(NamedTuple):
     """One path loss observation with antenna gains removed.
 
-    Angle-bin ids are optional and only meaningful for directional data;
-    cross-polarized (VH) samples are carried but excluded from fitting by
+    Cross-polarized (VH) samples are carried but excluded from fitting by
     default since no cross-polarized model parameters are published for
     this campaign.
     """
@@ -44,8 +41,6 @@ class PathLossSample(NamedTuple):
     pl_db: float
     condition: Condition
     polarization: str = VV
-    tx_angle_id: int | None = None
-    rx_angle_id: int | None = None
 
     def _validate(self):
         if not REFERENCE_DISTANCE_M <= self.d_m < math.inf:
@@ -54,7 +49,8 @@ class PathLossSample(NamedTuple):
         if not math.isfinite(self.pl_db):
             raise ValueError(f"pl_db must be finite, got {self.pl_db}")
         if self.condition not in (Condition.LOS, Condition.NLOS):
-            raise ValueError(f"sample condition must be LOS or NLOS, got {self.condition}")
+            label = getattr(self.condition, "value", self.condition)
+            raise ValueError(f"sample condition must be LOS or NLOS, got {label}")
         if self.polarization not in _POLARIZATIONS:
             raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
 
@@ -131,23 +127,6 @@ def fit_ci(samples: Sequence[PathLossSample], f_ghz: float,
         raise FitError("path loss values are too large to fit") from None
     return CiModel(f_ghz=f_ghz, ple=ple, sigma_db=sigma,
                    condition=used[0].condition)
-
-
-def synthesize_omni_path_loss_db(scan: DirectionalScan, gt_dbi: float,
-                                 gr_dbi: float, pt_dbm: float) -> float:
-    """Omnidirectional path loss synthesized from a directional scan.
-
-    Sums received power linearly over the scan's unique angle triples and
-    removes transmit power and antenna gains:
-
-        PL_omni = P_t + G_t + G_r - 10 log10(sum_i 10^(P_r,i / 10))
-
-    The result never exceeds the lowest directional path loss in the scan.
-    """
-    if not scan.entries:
-        raise ValueError(f"scan for link {scan.link_id} is empty")
-    p_lin_mw = sum(10.0 ** (e.p_r_dbm / 10.0) for e in scan.entries)
-    return pt_dbm + gt_dbi + gr_dbi - 10.0 * math.log10(p_lin_mw)
 
 
 def group_samples_by_condition(

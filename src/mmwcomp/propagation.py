@@ -75,14 +75,12 @@ class CiModel(NamedTuple):
         ple: path loss exponent (n = 2 is free space).
         sigma_db: shadow fading standard deviation in dB.
         condition: environment label the parameters were derived for.
-        d0_m: reference distance; fixed at 1 m so the 32.4 dB anchor holds.
     """
 
     f_ghz: float
     ple: float
     sigma_db: float
     condition: Condition
-    d0_m: float = REFERENCE_DISTANCE_M
 
     def _validate(self):
         if not 0 < self.f_ghz < math.inf:
@@ -91,8 +89,6 @@ class CiModel(NamedTuple):
             raise ValueError(f"ple must be finite, got {self.ple}")
         if not self.sigma_db >= 0:
             raise ValueError(f"sigma_db must be >= 0, got {self.sigma_db}")
-        if self.d0_m != REFERENCE_DISTANCE_M:
-            raise ValueError("reference distance is fixed at 1 m")
 
 
 def fspl_db(f_ghz: float, d_m: float) -> float:
@@ -140,14 +136,15 @@ def ci_mean_path_loss_db(model: CiModel, d_m):
         ValueError: if any distance is below the 1 m reference distance,
             where the model is not defined.
     """
+    d0 = REFERENCE_DISTANCE_M
     if isinstance(d_m, (int, float)):
-        if d_m < model.d0_m:
-            raise ValueError(f"CI model is defined for d >= {model.d0_m} m")
-        return fspl_db(model.f_ghz, model.d0_m) + 10.0 * model.ple * math.log10(d_m)
+        if d_m < d0:
+            raise ValueError(f"CI model is defined for d >= {d0} m")
+        return fspl_db(model.f_ghz, d0) + 10.0 * model.ple * math.log10(d_m)
     import numpy as np
     d = np.asarray(d_m, dtype=float)
-    if np.any(d < model.d0_m):
-        raise ValueError(f"CI model is defined for d >= {model.d0_m} m")
-    out = fspl_db(model.f_ghz, model.d0_m) + 10.0 * model.ple * np.log10(d)
+    if np.any(d < d0):
+        raise ValueError(f"CI model is defined for d >= {d0} m")
+    out = fspl_db(model.f_ghz, d0) + 10.0 * model.ple * np.log10(d)
     return float(out) if out.ndim == 0 else out
 

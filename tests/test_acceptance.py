@@ -80,7 +80,7 @@ def test_criterion_2_region_outage(capsys):
                         return (2.0 * r / radius**2 * m.edge_outage_probability(
                             query(model, r)))
 
-                    oracle, err = integrate.quad(integrand, model.d0_m, radius,
+                    oracle, err = integrate.quad(integrand, 1.0, radius,
                                                  limit=200)
                     assert err < 1e-7
                     got_cf = m.region_outage_probability(q)
@@ -171,13 +171,21 @@ def test_criterion_6_property_spot_checks(capsys):
         assert best.shape == (len(ues), 4)
         assert (np.diff(best, axis=1) >= 0).all()
 
-        # Omni synthesis bounds and the equal-power pair
-        pr = 14.9 + 27.0 + 20.0 - 150.0
-        pair = m.DirectionalScan("L", (m.ScanEntry(0, 0, 0, pr),
-                                       m.ScanEntry(1, 0, 0, pr)))
-        omni = m.synthesize_omni_path_loss_db(pair, 27.0, 20.0, 14.9)
-        assert omni == pytest.approx(150.0 - 3.010299956639812, abs=1e-9)
-        assert omni <= 150.0
+        # Omni synthesis: an equal-power pair of detected angles gains 3 dB
+        flat = {c: m.CiModel(73.5, ple, 0.0, c)
+                for c, ple in ((Condition.LOS, 2.0), (Condition.NLOS, 4.6))}
+        pair = m.Scenario((m.Node("B1", 10.0, 0.0, 4.0),),
+                          (m.Node("U1", 0.0, 0.0, 1.4),),
+                          m.ConditionPolicy(p_los=1.0), flat,
+                          SOUNDER_LINK_BUDGET,
+                          m.SweepGrid(tx_angles=2, rx_azimuths=1,
+                                      rx_elevations=1, rx_step_deg=360.0), 73)
+        directional = m.ci_mean_path_loss_db(
+            flat[Condition.LOS], m.distance_3d(*pair.links()[0]))
+        omni = float(m.simulate_drop(pair, 1).omni_pl_db[0, 0])
+        assert omni == pytest.approx(directional - 3.010299956639812,
+                                     abs=1e-9)
+        assert omni <= directional
 
         # Identical seeds emit byte-identical bundles
         def emit(out_dir):

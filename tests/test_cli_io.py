@@ -147,8 +147,7 @@ class TestSamplesCsv:
     @pytest.mark.parametrize("label,message", [
         ("los", "'los' is not a valid Condition"),
         ("", "'' is not a valid Condition"),
-        ("NLOS_BEST", "sample condition must be LOS or NLOS, got "
-                      f"{Condition.NLOS_BEST}"),
+        ("NLOS_BEST", "sample condition must be LOS or NLOS, got NLOS_BEST"),
     ])
     def test_condition_labels(self, label, message):
         text = ("d_m,pl_db,condition,polarization\n"
@@ -467,6 +466,86 @@ class TestCli:
         assert "run: simulate" in out
         assert "reception.csv" in out
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "expected a JSON object"),
+        ("{not json", "invalid JSON ("),
+    ], ids=["array", "invalid"])
+    def test_report_rejects_bad_metadata(self, tmp_path, capsys, text,
+                                         message):
+        meta = tmp_path / "metadata.json"
+        meta.write_text(text)
+        assert main(["report", "--bundle", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {meta}: {message}")
+
+    def test_golden_outputs(self, tmp_path, capsys):
+        # Exact bytes of three commands on small fixed inputs.  coverage is
+        # left out because its LOS rows print 0.0 where the exact outage is
+        # a tiny nonzero number; the stable outage kernels planned in
+        # ROADMAP.md change those bytes on purpose.  The CDF
+        # files are left out because their %.12g values come from numpy's
+        # exp, whose last bit may differ between CPUs.
+        samples = tmp_path / "samples.csv"
+        samples.write_text("d_m,pl_db,condition,polarization\n"
+                           "20,120.5,NLOS,VV\n45,141.25,NLOS,VV\n"
+                           "90,150,NLOS,VV\n150,163.75,NLOS,VH\n"
+                           "10,88.5,LOS,VV\n35,101,LOS,VV\n")
+        assert main(["fit", "--samples", str(samples),
+                     "--out", str(tmp_path / "fit")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "fit" / "models.json").read_bytes() == b"""\
+[
+  {
+    "condition": "LOS",
+    "f_ghz": 73.5,
+    "label": "LOS",
+    "n_samples": 2,
+    "ple": 1.98170604149,
+    "sigma_db": 0.878510872055
+  },
+  {
+    "condition": "NLOS",
+    "f_ghz": 73.5,
+    "label": "NLOS",
+    "n_samples": 3,
+    "ple": 4.13808366155,
+    "sigma_db": 2.54479198716
+  }
+]
+"""
+        topo = tmp_path / "topology.json"
+        topo.write_text('{"U1": ["B1", "B2", "B3"], "U2": ["B2", "B3"]}')
+        masks = tmp_path / "masks.csv"
+        masks.write_text("rx_id,tx_id,mask\nU1,B1,1100\nU1,B2,0011\n"
+                         "U1,B3,1010\nU2,B2,0111\nU2,B3,1000\n")
+        out = tmp_path / "enum"
+        assert main(["enumerate", "--topology", str(topo), "--masks",
+                     str(masks), "--directions", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "k=1: 5 combinations, reception=0.0%\n"
+            "k=2: 4 combinations, reception=50.0%\n"
+            "k=3: 1 combinations, reception=100.0%\n"
+            f"wrote {out / 'metadata.json'}\nwrote {out / 'reception.csv'}\n")
+        assert (out / "reception.csv").read_bytes() == (
+            b"k,p_reception_pct,n_combinations\n1,0.0,5\n2,50.0,4\n"
+            b"3,100.0,1\n")
+        scenario = Path(__file__).resolve().parents[1] / "configs" / (
+            "example_scenario.json")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(scenario), "--seed", "11",
+                     "--trials", "3", "--k-max", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "k=1 reception=100.0% (16 combinations per trial)\n"
+            "k=2 reception=100.0% (24 combinations per trial)\n"
+            "k=3 reception=100.0% (16 combinations per trial)\n"
+            + "".join(f"wrote {out / name}\n" for name in (
+                "metadata.json", "reception.csv", "cdf_best1_pl_db.csv",
+                "cdf_best2_pl_db.csv", "cdf_best3_pl_db.csv")))
+        assert (out / "reception.csv").read_bytes() == (
+            b"k,p_reception_pct,n_combinations\n1,100.0,16\n2,100.0,24\n"
+            b"3,100.0,16\n")
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["simulate", "--scenario",
                      str(tmp_path / "nope.json")]) == 1
@@ -704,6 +783,7 @@ class TestLazyPackage:
         with pytest.raises(AttributeError, match="no_such_name"):
             mmwcomp.no_such_name
         assert not hasattr(mmwcomp, "write_samples_csv")
+        assert not hasattr(mmwcomp, "synthesize_omni_path_loss_db")
 
 
 # The records are NamedTuples, so no command needs ``dataclasses`` or the

@@ -101,7 +101,7 @@ def quadrature_region_outage(query: CoverageQuery, panels=20_000) -> float:
         point = CoverageQuery(model=model, budget=budget, radius_m=r)
         return 2.0 * r / radius**2 * edge_outage_probability(point)
 
-    grid = [model.d0_m + (radius - model.d0_m) * i / panels
+    grid = [1.0 + (radius - 1.0) * i / panels
             for i in range(panels + 1)]
     return integrate.simpson([integrand(r) for r in grid], x=grid)
 

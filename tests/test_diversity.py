@@ -11,9 +11,9 @@ import pytest
 from scipy import integrate, special
 
 from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget, Node,
-                     Scenario, SweepGrid, combination_count, distance_3d,
-                     reception_counts, reception_vs_serving_count,
-                     simulate_drop, substream)
+                     PathLossSample, Scenario, SweepGrid, ci_mean_path_loss_db,
+                     combination_count, distance_3d, fit_ci, reception_counts,
+                     reception_vs_serving_count, simulate_drop, substream)
 from mmwcomp.diversity import _map_trials
 from mmwcomp.params import CAMPAIGN_SERVING_SETS, SOUNDER_LINK_BUDGET
 
@@ -202,19 +202,84 @@ def test_condition_policy_explicit_and_bernoulli():
         ConditionPolicy(explicit={("U1", "B1"): Condition.NLOS_BEST})
 
 
-def test_simulate_sigma0_los_all_detectable():
+ONE_RX = {"rx_azimuths": 1, "rx_elevations": 1, "rx_step_deg": 360.0}
+
+
+@pytest.mark.parametrize("sweep, pairs", [
+    (SweepGrid(tx_angles=1, **ONE_RX), 1),
+    (SweepGrid(tx_angles=2, **ONE_RX), 2),
+    (SweepGrid(), 15 * 72),
+], ids=["1_pair", "2_pairs", "15x72_pairs"])
+def test_simulate_sigma0_los_all_detectable(sweep, pairs):
     models = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
               Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS)}
     sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
-                  policy=ConditionPolicy(p_los=1.0))
+                  policy=ConditionPolicy(p_los=1.0), sweep=sweep)
     drops = simulate_drop(sc, 1)
     assert drops.links == (("U1", "B1"),)
-    assert drops.masks == ((FULL,),)
+    assert drops.masks == (((1 << sweep.n_rx_directions) - 1,),)
     d = distance_3d(sc.ues[0], sc.base_stations[0])
     mean_pl = 69.7257467816839 + 20.0 * math.log10(d)
-    # 15 x 72 equal-power detectable angles power-sum below the mean PL.
-    expect = mean_pl - 10.0 * math.log10(15 * 72)
+    # Equal-power detectable pairs power-sum below the mean PL: one pair
+    # equals its directional loss, two gain 3.0103 dB.
+    expect = mean_pl - 10.0 * math.log10(pairs)
     assert drops.omni_pl_db[0, 0] == pytest.approx(expect, abs=1e-9)
+
+
+def test_simulate_omni_bounded_by_best_detected_pair():
+    # Rebuild each trial's directional draws from its sub-stream in the
+    # documented layout.  The omni loss is the power sum over the n
+    # detected pairs, so it lies between the best pair and the best pair
+    # minus 10 log10(n).  The links span 150-220 m, where NLOS detection
+    # is partial.
+    sweep = SweepGrid(tx_angles=3, rx_azimuths=4, rx_elevations=2,
+                      rx_step_deg=90.0)
+    sc = scenario([bs(1, 160.0, 0.0), bs(2, 0.0, 230.0), bs(3, -190.0, 40.0)],
+                  [ue(1, 10.0, 10.0), ue(2, -30.0, 60.0)], sweep=sweep)
+    trials = 6
+    drops = simulate_drop(sc, trials)
+    d = np.array([distance_3d(u, b) for u, b in sc.links()])
+    n_links, n_pairs = d.size, sweep.tx_angles * sweep.n_rx_directions
+    bounded = 0
+    for t in range(trials):
+        rng = substream(sc.seed, t)
+        los = rng.random(n_links) < sc.condition_policy.p_los
+        z = rng.standard_normal((n_links, n_pairs))
+        z_best = rng.standard_normal(n_links)
+        for i in range(n_links):
+            model = LOS if los[i] else NLOS
+            pl = ci_mean_path_loss_db(model, d[i]) + model.sigma_db * z[i]
+            if not los[i]:
+                pl[pl.argmin()] = (ci_mean_path_loss_db(NLOS_BEST, d[i])
+                                   + NLOS_BEST.sigma_db * z_best[i])
+            detect = pl <= sc.budget.max_pl_db
+            covered = detect.reshape(sweep.tx_angles, -1).any(axis=0)
+            assert drops.masks[t][i] == sum(1 << int(b)
+                                            for b in np.flatnonzero(covered))
+            omni, n = drops.omni_pl_db[t, i], int(detect.sum())
+            if n == 0:
+                assert omni == math.inf
+                continue
+            assert omni == pytest.approx(
+                -10.0 * math.log10(np.sum(10.0 ** (-pl[detect] / 10.0))),
+                abs=1e-9)
+            best = pl[detect].min()
+            assert best - 10.0 * math.log10(n) - 1e-9 <= omni <= best + 1e-9
+            bounded += 1 < n < n_pairs
+    assert bounded >= 5
+
+
+def test_simulated_omni_fits_lower_ple_than_directional():
+    # Power-summing many directional looks lowers the effective path loss,
+    # so a CI fit over the omni losses sits below the directional slope.
+    ues = [ue(i, 20.0 + 180.0 * i / 19, 0.0) for i in range(20)]
+    sc = scenario([bs(1, 0.0, 0.0)], ues, policy=all_nlos())
+    drops = simulate_drop(sc, 10)
+    d = {(u.id, b.id): distance_3d(u, b) for u, b in sc.links()}
+    samples = [PathLossSample(d[link], pl, Condition.NLOS)
+               for row in drops.omni_pl_db.tolist()
+               for link, pl in zip(drops.links, row) if math.isfinite(pl)]
+    assert fit_ci(samples, 73.5).ple < NLOS.ple
 
 
 def test_simulate_sigma0_nlos_beyond_range_all_false():

@@ -1,4 +1,4 @@
-"""CI model fitting and omni synthesis."""
+"""CI model fitting and the sample and scan records."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 
 from mmwcomp import (CiModel, Condition, DirectionalScan, FitError,
                      PathLossSample, ScanEntry, ci_mean_path_loss_db,
-                     fit_ci, fspl_db, group_samples_by_condition,
-                     substream, synthesize_omni_path_loss_db)
+                     fit_ci, fspl_db, group_samples_by_condition, substream)
 
 F = 73.5
 
@@ -158,62 +157,10 @@ def test_fit_matches_numpy_least_squares(n):
     assert fit.sigma_db == pytest.approx(float(sigma), rel=1e-12, abs=0)
 
 
-def test_omni_single_angle_equals_directional():
-    pt, gt, gr = 14.9, 27.0, 20.0
-    pl = 150.0
-    scan = DirectionalScan("L1", (ScanEntry(0, 0, 0, pt + gt + gr - pl),))
-    assert synthesize_omni_path_loss_db(scan, gt, gr, pt) == pytest.approx(
-        pl, abs=1e-12)
-
-
-def test_omni_two_equal_angles_gain_3db():
-    pt, gt, gr = 14.9, 27.0, 20.0
-    pr = pt + gt + gr - 150.0
-    scan = DirectionalScan("L1", (ScanEntry(0, 0, 0, pr), ScanEntry(1, 0, 0, pr)))
-    omni = synthesize_omni_path_loss_db(scan, gt, gr, pt)
-    assert omni == pytest.approx(150.0 - 10.0 * math.log10(2.0), abs=1e-12)
-    assert omni == pytest.approx(150.0 - 3.010299956639812, abs=1e-12)
-
-
-def test_omni_never_exceeds_best_directional():
-    pt, gt, gr = 14.9, 27.0, 20.0
-    rng = substream(11, 3)
-    prs = rng.uniform(-120.0, -60.0, size=30)
-    entries = tuple(ScanEntry(i % 15, i % 24, i // 24, float(p))
-                    for i, p in enumerate(prs))
-    scan = DirectionalScan("L1", entries)
-    omni = synthesize_omni_path_loss_db(scan, gt, gr, pt)
-    best_directional = min(pt + gt + gr - p for p in prs)
-    assert omni <= best_directional + 1e-12
-
-
-def test_omni_empty_scan_rejected():
-    with pytest.raises(ValueError):
-        synthesize_omni_path_loss_db(DirectionalScan("L1", ()), 27.0, 20.0, 14.9)
-
-
 def test_scan_rejects_duplicate_angle_triples():
     with pytest.raises(ValueError):
         DirectionalScan("L1", (ScanEntry(0, 0, 0, -90.0),
                                ScanEntry(0, 0, 0, -95.0)))
-
-
-def test_synthesized_omni_fits_lower_ple_than_directional():
-    # Power-summing many directional looks reduces effective path loss, so
-    # the omni fit sits below the arbitrary-angle directional fit.
-    directional = CiModel(F, 4.6, 11.4, Condition.NLOS)
-    pt, gt, gr = 14.9, 27.0, 20.0
-    rng = substream(11, 4)
-    omni_samples = []
-    for d in 10.0 ** rng.uniform(1, 2.3, size=120):
-        pls = (ci_mean_path_loss_db(directional, d)
-               + rng.normal(0.0, directional.sigma_db, 24))
-        entries = tuple(ScanEntry(0, i, 0, pt + gt + gr - float(pl))
-                        for i, pl in enumerate(pls))
-        omni_pl = synthesize_omni_path_loss_db(
-            DirectionalScan("L", entries), gt, gr, pt)
-        omni_samples.append(PathLossSample(float(d), omni_pl, Condition.NLOS))
-    assert fit_ci(omni_samples, F).ple < directional.ple
 
 
 def test_group_samples_by_condition():

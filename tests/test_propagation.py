@@ -93,8 +93,6 @@ def test_ci_model_validation():
         CiModel(0.0, 2.0, 1.0, Condition.LOS)
     with pytest.raises(ValueError):
         CiModel(73.5, 2.0, -1.0, Condition.LOS)
-    with pytest.raises(ValueError):
-        CiModel(73.5, 2.0, 1.0, Condition.LOS, d0_m=2.0)
 
 
 def test_ci_mean_free_space_reduces_to_fspl():

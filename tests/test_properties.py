@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwcomp import (CiModel, Condition, CoverageQuery, DirectionalScan,
-                     LinkBudget, ScanEntry, build_cdf, ci_mean_path_loss_db,
-                     combination_count, edge_outage_probability, format_pct,
+from mmwcomp import (CiModel, Condition, CoverageQuery, LinkBudget, build_cdf,
+                     ci_mean_path_loss_db, combination_count,
+                     edge_outage_probability, format_pct,
                      friis_received_power_dbm, fspl_db, reception_counts,
-                     region_outage_probability, substream,
-                     synthesize_omni_path_loss_db)
+                     region_outage_probability, substream)
 
 freqs = st.floats(min_value=0.5, max_value=200.0)
 dists = st.floats(min_value=1.0, max_value=1000.0)
@@ -74,18 +73,6 @@ def test_build_cdf_well_formed(values):
     assert pts[-1].p == pytest.approx(1.0, abs=1e-12)
     for a, b in zip(pts, pts[1:]):
         assert a.x <= b.x and a.p <= b.p
-
-
-@given(st.lists(st.floats(min_value=-130.0, max_value=-60.0), min_size=1,
-                max_size=40))
-def test_omni_bounded_by_best_directional(prs):
-    pt, gt, gr = 14.9, 27.0, 20.0
-    entries = tuple(ScanEntry(i // 24, i % 24, 0, p) for i, p in enumerate(prs))
-    omni = synthesize_omni_path_loss_db(DirectionalScan("L", entries), gt, gr, pt)
-    best = min(pt + gt + gr - p for p in prs)
-    # Power summing can only help, and by at most 10*log10(n).
-    assert omni <= best + 1e-9
-    assert omni >= best - 10.0 * math.log10(len(prs)) - 1e-9
 
 
 serving_sets = st.sets(st.sampled_from(["B1", "B2", "B3", "B4", "B5"]),

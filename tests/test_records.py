@@ -29,7 +29,7 @@ RECORDS = [
     BUDGET,
     CoverageQuery(NLOS, BUDGET, 100.0),
     OutageRow("NLOS", 63.0, 0.024, 0.007),
-    PathLossSample(20.0, 120.0, Condition.NLOS, "VH", 3, 4),
+    PathLossSample(20.0, 120.0, Condition.NLOS, "VH"),
     ENTRY,
     DirectionalScan("U1/B1", (ENTRY,)),
     META,
@@ -49,12 +49,12 @@ RECORDS = [
 # For each validated record: valid fields in field order with one bad
 # value, and the message the check gives for it.
 INVALID = [
-    (CiModel, (0.0, 2.0, 1.0, Condition.LOS, 1.0),
+    (CiModel, (0.0, 2.0, 1.0, Condition.LOS),
      "f_ghz must be positive and finite, got 0.0"),
     (LinkBudget, (14.9, 27.0, 20.0, 0.0, 175.0, 5.0),
      "bw_ghz must be positive, got 0.0"),
     (CoverageQuery, (NLOS, BUDGET, 0.5), "radius_m must be >= 1.0 m, got 0.5"),
-    (PathLossSample, (0.5, 120.0, Condition.NLOS, "VV", None, None),
+    (PathLossSample, (0.5, 120.0, Condition.NLOS, "VV"),
      "sample distance must be finite and >= 1.0 m, got 0.5"),
     (DirectionalScan, ("U1/B1", (ENTRY, ENTRY)),
      "duplicate angle triple in scan for link U1/B1"),
@@ -78,6 +78,14 @@ def test_every_record_class_is_covered():
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 17
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
     assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 10
+
+
+def test_record_fields():
+    # The reference distance is the constant REFERENCE_DISTANCE_M, not a
+    # field, and a sample carries no angle ids.
+    assert CiModel._fields == ("f_ghz", "ple", "sigma_db", "condition")
+    assert PathLossSample._fields == ("d_m", "pl_db", "condition",
+                                      "polarization")
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_name)
