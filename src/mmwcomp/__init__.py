@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "propagation": ("CiModel", "Condition", "fspl_db", "ci_mean_path_loss_db",
                     "received_power_dbm", "friis_received_power_dbm"),
-    "fitting": ("PathLossSample", "ScanEntry", "DirectionalScan", "FitError",
-                "fit_ci", "group_samples_by_condition"),
+    "fitting": ("PathLossSample", "FitError", "fit_ci",
+                "group_samples_by_condition"),
     "coverage": ("LinkBudget", "CoverageQuery", "OutageRow",
                  "receiver_threshold_dbm", "edge_coverage_probability",
                  "edge_outage_probability", "useful_area_fraction",

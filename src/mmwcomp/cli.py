@@ -184,6 +184,8 @@ def _cmd_report(args) -> int:
         raise ScenarioError(f"{meta_path}: invalid JSON ({exc})") from None
     if not isinstance(meta, dict):
         raise ScenarioError(f"{meta_path}: expected a JSON object")
+    cdfs = [(path.name, _read_cdf_values(path))
+            for path in sorted(bundle_dir.glob("cdf_*.csv"))]
     print(f"run: {meta.get('command')} "
           f"(version {meta.get('package_version')}, seed {meta.get('seed')}, "
           f"trials {meta.get('trials')})")
@@ -200,12 +202,24 @@ def _cmd_report(args) -> int:
             print(f"{name}:")
             for line in path.read_text().splitlines():
                 print(f"  {line}")
-    for path in sorted(bundle_dir.glob("cdf_*.csv")):
-        lines = path.read_text().splitlines()[1:]
-        xs = [float(line.split(",")[0]) for line in lines]
-        mid = xs[len(xs) // 2] if xs else float("nan")
-        print(f"{path.name}: {len(xs)} points, median {mid:.1f}")
+    for name, xs in cdfs:
+        print(f"{name}: {len(xs)} points, median {xs[len(xs) // 2]:.1f}")
     return 0
+
+
+def _read_cdf_values(path: Path) -> list[float]:
+    """The x column of a ``cdf_*.csv`` file, below its header line."""
+    xs = []
+    for lineno, line in enumerate(path.read_text().splitlines()[1:], 2):
+        x = line.split(",")[0]
+        try:
+            xs.append(float(x))
+        except ValueError:
+            raise ScenarioError(f"{path} line {lineno}: x must be a number, "
+                                f"got {x!r}") from None
+    if not xs:
+        raise ScenarioError(f"{path}: no CDF points below the header")
+    return xs
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,8 +15,16 @@ between the lowest directional loss and 10 log10(n) dB below it.
 Trial t draws from the (seed, t) sub-stream, for all L links in
 ``Scenario.links()`` order: L uniforms for the conditions, one (L, T*R)
 standard normal block for the sweep (TX angle major), then L best-beam
-normals when the scenario has an NLOS_BEST model.  All trials come back
-as one :class:`Drops` record with one column per link.
+normals when the scenario has an NLOS_BEST model.  A trial only draws;
+scaling, detection, mask packing and the omni power sum run once per
+batch of trials.  All trials come back as one :class:`Drops` record with
+one column per link.
+
+A batch of masks is one int with one lane per mask: over n directions a
+lane is ``lane_bytes(n) = n // 8 + 1`` bytes, so at least one spare guard
+bit sits above every mask, and lane l starts at bit ``l * 8 *
+lane_bytes(n)``.  ``Drops.masks[i]`` holds link i's masks in one such
+int, lane t for trial t.
 
 The records here are ``typing.NamedTuple`` classes: they are immutable and
 unpack like tuples, and ``_replace`` copies one without re-running its
@@ -30,17 +38,19 @@ setting.  Platforms without ``os.fork`` draw every trial in one process.
 
 Reception-over-all-angles statistics for k serving base stations are then
 combinatorial: a k-combination of serving stations covers a user when the
-bitwise OR of its reception masks has every direction bit set.
-:func:`reception_counts` counts those combinations by miss set, and
-:func:`reception_vs_serving_count` runs it in the calling process.
+bitwise OR of its reception masks has every direction bit set.  One
+miss-set kernel counts those combinations for every lane of its packed
+masks at once.  :func:`reception_counts` runs it with one lane per user;
+:func:`reception_vs_serving_count` runs it once per run, in the calling
+process, with one lane per user and trial.
 
 Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
 
 numpy is imported on the first call of a function that builds arrays
-(:func:`simulate_drop`, :func:`reception_vs_serving_count`); the mask
-reducer and the serving-set counts are pure Python, so importing this
-module does not load numpy.
+(:func:`simulate_drop`, :func:`reception_vs_serving_count`); the miss-set
+kernel, :func:`reception_counts` and the serving-set counts are pure
+Python, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -61,6 +71,10 @@ if TYPE_CHECKING:
 
 LinkKey = tuple[str, str]  # (ue_id, bs_id)
 _T = TypeVar("_T")
+
+# Batches of trials are post-processed together, their normal blocks
+# filling about this many bytes of float64.
+_BATCH_BYTES = 2 << 20
 
 
 @validated
@@ -123,14 +137,14 @@ class ConditionPolicy(NamedTuple):
                 raise ValueError(
                     f"explicit condition for link {link} must be LOS or NLOS")
 
-    def resolve_los(self, links: Sequence[LinkKey],
-                    rng: np.random.Generator) -> np.ndarray:
-        """LOS flags for ``links``: one uniform per link, explicit entries win."""
-        los = rng.random(len(links)) < self.p_los
-        for i, link in enumerate(links):
-            if link in self.explicit:
-                los[i] = self.explicit[link] is Condition.LOS
-        return los
+    def pinned(self, links: Sequence[LinkKey]) -> tuple[list[int], list[bool]]:
+        """Positions in ``links`` with an explicit condition, and their LOS flags.
+
+        A link is LOS when its uniform is below ``p_los``; these positions
+        then overwrite the drawn flags, as index arrays built once per run.
+        """
+        pos = [i for i, link in enumerate(links) if link in self.explicit]
+        return pos, [self.explicit[links[i]] is Condition.LOS for i in pos]
 
 
 @validated
@@ -175,16 +189,17 @@ class Drops(NamedTuple):
 
     ``links`` follows ``Scenario.links()``: UE-major, base stations by id.
     ``los`` and ``omni_pl_db`` are (trials, L) arrays; the omni path loss
-    is +inf where no angle pair was detected.  ``masks[t][i]`` is an int
-    bitset over the RX direction grid: bit ``el * n_azimuths + az`` is set
-    when that RX direction received signal from at least one TX sector
-    angle (elevation-major ordering).
+    is +inf where no angle pair was detected.  ``masks[i]`` holds link i's
+    reception masks for every trial in one int, one lane per trial: with
+    n RX directions, lane t starts at bit ``t * 8 * lane_bytes(n)``, and
+    its bit ``el * n_azimuths + az`` is set when that RX direction received
+    signal from at least one TX sector angle (elevation-major ordering).
     """
 
     links: tuple[LinkKey, ...]
     los: np.ndarray
     omni_pl_db: np.ndarray
-    masks: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     # Identity, not field-wise, comparison: the fields are arrays.
     __eq__ = object.__eq__
@@ -205,22 +220,66 @@ def combination_count(topology: Mapping[str, Iterable[str]], k: int) -> int:
     return sum(math.comb(len(set(s)), k) for s in topology.values())
 
 
+def lane_bytes(n_directions: int) -> int:
+    """Bytes per lane of a packed mask: room for n bits and a spare guard bit."""
+    return n_directions // 8 + 1
+
+
+def _lane_ones(lanes: int, width: int) -> int:
+    """An int with bit 0 of each of ``lanes`` lanes of ``width`` bytes set."""
+    return int.from_bytes(b"\1".ljust(width, b"\0") * lanes, "little")
+
+
+def _lane_values(packed: int, lanes: int, width: int) -> list[int]:
+    """The ``lanes`` lanes of ``width`` bytes in ``packed``, lane 0 first."""
+    raw = packed.to_bytes(lanes * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
+
+
+def _miss_set_hits(columns: Sequence[int], one: int, n: int,
+                   top: int) -> list[int]:
+    """Lane-packed full-coverage counts of the k-subsets of ``columns``.
+
+    Each column is one station's masks packed in lanes, ``one`` has bit 0
+    of every lane set, and every lane holds n direction bits with room for
+    a guard bit above them.  Returns, for k = 1..top, an int whose lane l
+    counts the k-subsets that cover all n directions in lane l; each lane
+    must be wide enough for that count.  ``level[s]`` counts the s-subsets
+    by miss set, the directions none of them covers.  Station j moves each
+    level s-1 entry to level s with its bits cleared, for s in descending
+    order so that j joins each subset once.  Equal miss sets share an
+    entry, and full unions all land on miss set 0, so the work grows with
+    the distinct partial unions, not with the subsets.  Adding ``full`` to
+    a miss set carries into a lane's guard bit exactly when that lane
+    misses a direction, so the flipped guard bits mark the lanes it hits.
+    """
+    full = one * ((1 << n) - 1)
+    guard = one << n
+    level: list[dict[int, int]] = [{full: 1}] + [{} for _ in range(top)]
+    for j, mj in enumerate(columns):
+        clear = ~mj
+        for s in range(min(top, j + 1), 0, -1):
+            nxt = level[s]
+            for miss, c in level[s - 1].items():
+                miss &= clear
+                nxt[miss] = nxt.get(miss, 0) + c
+    return [sum(c * ((((miss + full) & guard) ^ guard) >> n)
+                for miss, c in level[k].items())
+            for k in range(1, top + 1)]
+
+
 def reception_counts(masks: Mapping[LinkKey, int],
                      topology: Mapping[str, Iterable[str]], k_max: int,
                      n_directions: int) -> dict[int, tuple[int, int]]:
     """Full-coverage and total k-subset counts for k = 1..k_max.
 
     Returns k -> (subsets whose masks OR to all ``n_directions`` bits,
-    subsets) for every k that some serving set reaches.  Per UE, ``level[s]``
-    counts the s-subsets by miss set, the directions none of them covers.
-    Station j moves each level s-1 entry to level s with its bits cleared,
-    for s in descending order so that j joins each subset once.  Equal
-    unions share an entry, and full ones all land on miss set 0, so the
-    work grows with the distinct partial unions, not with the subsets.
+    subsets) for every k that some serving set reaches.  Each UE's serving
+    set is counted by the miss-set kernel with a single lane.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    full = (1 << n_directions) - 1
     counts: dict[int, tuple[int, int]] = {}
     for ue_id in sorted(topology):
         serving = sorted(set(topology[ue_id]))
@@ -229,20 +288,14 @@ def reception_counts(masks: Mapping[LinkKey, int],
         except KeyError as exc:
             raise ValueError(
                 f"missing reception mask for link {exc.args[0]}") from None
-        top = min(k_max, len(m))
-        level: list[dict[int, int]] = [{full: 1}] + [{} for _ in range(top)]
-        for j, mj in enumerate(m):
+        for b, mj in zip(serving, m):
             if mj >> n_directions:
-                raise ValueError(f"reception mask for link {(ue_id, serving[j])}"
+                raise ValueError(f"reception mask for link {(ue_id, b)}"
                                  f" exceeds {n_directions} bits")
-            for s in range(min(top, j + 1), 0, -1):
-                nxt = level[s]
-                for miss, c in level[s - 1].items():
-                    miss &= ~mj
-                    nxt[miss] = nxt.get(miss, 0) + c
-        for k in range(1, top + 1):
-            hits, n = counts.get(k, (0, 0))
-            counts[k] = (hits + level[k].get(0, 0), n + math.comb(len(m), k))
+        top = min(k_max, len(m))
+        for k, hits in enumerate(_miss_set_hits(m, 1, n_directions, top), 1):
+            h, n = counts.get(k, (0, 0))
+            counts[k] = (h + hits, n + math.comb(len(m), k))
     return counts
 
 
@@ -318,6 +371,8 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     Trial t draws from the (seed, t) sub-stream in the layout the module
     docstring gives, so any prefix of trials is identical regardless of the
     total trial count, and trials can be distributed without changing results.
+    Each trial only draws; the rest runs on batches of trials whose normal
+    blocks fill about ``_BATCH_BYTES``.
     """
     import numpy as np
     if trials < 1:
@@ -330,42 +385,59 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     mean_los, mean_nlos, mean_best = (
         None if m is None else ci_mean_path_loss_db(m, d)
         for m in (los_model, nlos_model, best_model))
-    n_links, n_tx = len(keys), scenario.sweep.tx_angles
+    pinned, pinned_los = scenario.condition_policy.pinned(keys)
+    sweep = scenario.sweep
+    n_links, n_tx, n_rx = len(keys), sweep.tx_angles, sweep.n_rx_directions
+    n_pairs, width = n_tx * n_rx, lane_bytes(n_rx)
+    batch = max(1, _BATCH_BYTES // (8 * n_links * n_pairs))
 
     def chunk(lo: int, hi: int):
-        los_all = np.empty((hi - lo, n_links), dtype=bool)
-        omni_all = np.empty((hi - lo, n_links))
-        masks = []
-        for t in range(lo, hi):
-            rng = substream(scenario.seed, t)
-            los = los_all[t - lo] = scenario.condition_policy.resolve_los(keys, rng)
-            pl = rng.standard_normal((n_links, n_tx * scenario.sweep.n_rx_directions))
-            pl *= np.where(los, los_model.sigma_db, nlos_model.sigma_db)[:, None]
-            pl += np.where(los, mean_los, mean_nlos)[:, None]
+        n = hi - lo
+        uniforms = np.empty((n, n_links))
+        best_z = np.empty((n, n_links))
+        los_all = np.empty((n, n_links), dtype=bool)
+        omni_all = np.empty((n, n_links))
+        packed = np.zeros((n, n_links, width), dtype=np.uint8)
+        block = np.empty((min(batch, n), n_links, n_pairs))
+        for b0 in range(0, n, batch):
+            b1 = min(n, b0 + batch)
+            pl = block[:b1 - b0]
+            for i in range(b0, b1):
+                rng = substream(scenario.seed, lo + i)
+                rng.random(out=uniforms[i])
+                rng.standard_normal(out=pl[i - b0])
+                if best_model is not None:
+                    rng.standard_normal(out=best_z[i])
+            los = los_all[b0:b1]
+            np.less(uniforms[b0:b1], scenario.condition_policy.p_los, out=los)
+            los[:, pinned] = pinned_los
+            pl *= np.where(los, los_model.sigma_db, nlos_model.sigma_db)[..., None]
+            pl += np.where(los, mean_los, mean_nlos)[..., None]
             if best_model is not None:
                 # The single best-aligned angle pair follows its own statistics;
                 # on NLOS links it replaces the lowest arbitrary-angle draw.
-                best = mean_best + best_model.sigma_db * rng.standard_normal(n_links)
-                nlos = np.flatnonzero(~los)
-                pl[nlos, pl[nlos].argmin(axis=1)] = best[nlos]
+                best = mean_best + best_model.sigma_db * best_z[b0:b1]
+                tt, ll = np.nonzero(~los)
+                pl[tt, ll, pl.argmin(axis=2)[tt, ll]] = best[tt, ll]
             detect = pl <= scenario.budget.max_pl_db
-            packed = np.packbits(detect.reshape(n_links, n_tx, -1).any(axis=1),
-                                 axis=1, bitorder="little")
+            covered = detect.reshape(b1 - b0, n_links, n_tx, n_rx).any(axis=2)
+            packed[b0:b1, :, :(n_rx + 7) // 8] = np.packbits(
+                covered, axis=2, bitorder="little")
             # Linear power exp(-PL ln10 / 10) summed over detected pairs; with
             # none detected the sum is 0 and the omni path loss +inf.
             pl *= -math.log(10.0) / 10.0
             np.exp(pl, out=pl)
             pl *= detect
             with np.errstate(divide="ignore"):
-                omni_all[t - lo] = -10.0 * np.log10(pl.sum(axis=1))
-            masks.append(tuple(int.from_bytes(row.tobytes(), "little")
-                               for row in packed))
-        return los_all, omni_all, masks
+                omni_all[b0:b1] = -10.0 * np.log10(pl.sum(axis=2))
+        return los_all, omni_all, packed
 
     parts = _map_trials(chunk, trials)
+    packed = np.concatenate([p[2] for p in parts])
     return Drops(keys, np.concatenate([p[0] for p in parts]),
                  np.concatenate([p[1] for p in parts]),
-                 tuple(m for p in parts for m in p[2]))
+                 tuple(int.from_bytes(packed[:, i].tobytes(), "little")
+                       for i in range(n_links)))
 
 
 def reception_vs_serving_count(scenario: Scenario, drops: Drops,
@@ -373,15 +445,45 @@ def reception_vs_serving_count(scenario: Scenario, drops: Drops,
     """Mean all-angle reception probability for k = 1..k_max serving stations.
 
     Each trial's probability is its full-coverage share of k-subsets; the
-    result is the mean over the trials of ``drops`` of this scenario.
+    result is the mean over the trials of ``drops`` of this scenario.  One
+    kernel call counts every user in every trial: station j's column holds
+    lane ``u * trials + t`` for user u in trial t, and every user is served
+    by every station.  Lanes are widened beyond ``lane_bytes`` only when a
+    trial's count summed over users could outgrow them.
     """
     import numpy as np
     n_bs = len(scenario.base_stations)
     if not 1 <= k_max <= n_bs:
         raise ValueError(f"k_max must be in [1, {n_bs}], got {k_max}")
-    topology = scenario.topology()
-    per_trial = [reception_counts(dict(zip(drops.links, row)), topology, k_max,
-                                  scenario.sweep.n_rx_directions)
-                 for row in drops.masks]
-    return {k: float(np.mean([c[k][0] / c[k][1] for c in per_trial]))
-            for k in range(1, k_max + 1)}
+    n = scenario.sweep.n_rx_directions
+    trials, lb = len(drops.los), lane_bytes(n)
+    ues = sorted(u.id for u in scenario.ues)
+    bss = sorted(b.id for b in scenario.base_stations)
+    most = len(ues) * math.comb(n_bs, min(k_max, n_bs // 2))
+    width = max(lb, -(-most.bit_length() // 8))
+    in_lanes = _lane_ones(trials, lb) * ((1 << n) - 1)
+    masks = dict(zip(drops.links, drops.masks))
+    stack = np.zeros((n_bs, len(ues), trials, width), dtype=np.uint8)
+    for u, ue_id in enumerate(ues):
+        for j, bs_id in enumerate(bss):
+            link = (ue_id, bs_id)
+            if link not in masks:
+                raise ValueError(f"missing reception mask for link {link}")
+            if masks[link] & ~in_lanes:
+                raise ValueError(f"reception mask for link {link} does not "
+                                 f"fit {trials} lanes of {n} bits")
+            stack[j, u, :, :lb] = np.frombuffer(
+                masks[link].to_bytes(trials * lb, "little"),
+                dtype=np.uint8).reshape(trials, lb)
+    columns = [int.from_bytes(col.tobytes(), "little") for col in stack]
+    hits = _miss_set_hits(columns, _lane_ones(len(ues) * trials, width), n,
+                          k_max)
+    probs = {}
+    for k, packed in enumerate(hits, 1):
+        # Each user's lanes form one block of trials * width bytes; adding
+        # the blocks sums every trial's counts over the users.
+        per_trial = sum(_lane_values(packed, len(ues), trials * width))
+        n_k = len(ues) * math.comb(n_bs, k)
+        probs[k] = float(np.mean([h / n_k for h in
+                                  _lane_values(per_trial, trials, width)]))
+    return probs

@@ -55,36 +55,6 @@ class PathLossSample(NamedTuple):
             raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
 
 
-class ScanEntry(NamedTuple):
-    """Received power at one (TX sector angle, RX azimuth, RX elevation) bin."""
-
-    tx_angle_id: int
-    rx_azimuth_id: int
-    rx_elevation_id: int
-    p_r_dbm: float
-
-    @property
-    def angle_key(self) -> tuple[int, int, int]:
-        return (self.tx_angle_id, self.rx_azimuth_id, self.rx_elevation_id)
-
-
-@validated
-class DirectionalScan(NamedTuple):
-    """Detected-angle sweep record for one TX-RX link.
-
-    Only angle combinations where signal was detected appear; each angle
-    triple must be unique within the link.
-    """
-
-    link_id: str
-    entries: tuple[ScanEntry, ...] = ()
-
-    def _validate(self):
-        keys = [e.angle_key for e in self.entries]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate angle triple in scan for link {self.link_id}")
-
-
 def _fit_inputs(samples: Sequence[PathLossSample],
                 include_vh: bool) -> list[PathLossSample]:
     used = [s for s in samples if include_vh or s.polarization == VV]

@@ -479,6 +479,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {meta}: {message}")
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,p\n120.5,0.5\nabc,1.0\n", " line 3: x must be a number, got 'abc'"),
+        ("x,p\n", ": no CDF points below the header"),
+    ], ids=["non_numeric", "header_only"])
+    def test_report_rejects_bad_cdf(self, tmp_path, capsys, text, message):
+        sc = self.write_scenario(tmp_path)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--scenario", sc, "--trials", "3",
+                     "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        cdf = out_dir / "cdf_best1_pl_db.csv"
+        cdf.write_text(text)
+        assert main(["report", "--bundle", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cdf}{message}\n"
+
     def test_golden_outputs(self, tmp_path, capsys):
         # Exact bytes of three commands on small fixed inputs.  coverage is
         # left out because its LOS rows print 0.0 where the exact outage is

@@ -14,7 +14,8 @@ from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget, Node,
                      PathLossSample, Scenario, SweepGrid, ci_mean_path_loss_db,
                      combination_count, distance_3d, fit_ci, reception_counts,
                      reception_vs_serving_count, simulate_drop, substream)
-from mmwcomp.diversity import _map_trials
+from mmwcomp import diversity
+from mmwcomp.diversity import _map_trials, lane_bytes
 from mmwcomp.params import CAMPAIGN_SERVING_SETS, SOUNDER_LINK_BUDGET
 
 LOS = CiModel(73.5, 2.0, 1.9, Condition.LOS)
@@ -40,6 +41,22 @@ def scenario(bss, ues, models=MODELS, policy=None, budget=SOUNDER_LINK_BUDGET,
 
 def all_nlos():
     return ConditionPolicy(p_los=0.0)
+
+
+def masks_by_trial(drops, n):
+    """``drops.masks`` as one tuple per trial, indexed [t][i]: lane t of
+    each link's packed mask over n RX directions.
+
+    Also checks that every packed mask is exactly its lanes, so no bit
+    lies outside the n direction bits of a trial's lane.
+    """
+    width = 8 * lane_bytes(n)
+    rows = tuple(tuple((m >> (t * width)) & ((1 << n) - 1)
+                       for m in drops.masks)
+                 for t in range(len(drops.los)))
+    for i, m in enumerate(drops.masks):
+        assert m == sum(row[i] << (t * width) for t, row in enumerate(rows))
+    return rows
 
 
 def test_distance_3d_vertical_only():
@@ -186,16 +203,23 @@ def test_scenario_validation():
 def test_condition_policy_explicit_and_bernoulli():
     explicit = {("U1", "B1"): Condition.LOS, ("U1", "B3"): Condition.NLOS}
     links = [("U1", "B1"), ("U1", "B2"), ("U1", "B3")]
-    never = ConditionPolicy(explicit=explicit, p_los=0.0)
-    assert never.resolve_los(links, substream(1, 0)).tolist() == [
-        True, False, False]
-    sure = ConditionPolicy(explicit=explicit, p_los=1.0)
-    assert sure.resolve_los(links, substream(1, 0)).tolist() == [
-        True, True, False]
-    # One uniform per link, explicit or not.
-    rng = substream(1, 0)
-    never.resolve_los(links, rng)
-    assert rng.random() == substream(1, 0).random(4)[3]
+    assert ConditionPolicy(explicit=explicit).pinned(links) == (
+        [0, 2], [True, False])
+    assert ConditionPolicy().pinned(links) == ([], [])
+    bss = [bs(i, 30.0 * i, 0.0) for i in range(1, 4)]
+    for p_los, expected in ((0.0, [True, False, False]),
+                            (1.0, [True, True, False])):
+        sc = scenario(bss, [ue(1, 0.0, 0.0)], sweep=SMALL_SWEEP,
+                      policy=ConditionPolicy(explicit=explicit, p_los=p_los))
+        assert simulate_drop(sc, 2).los.tolist() == [expected] * 2
+    # One uniform per link, explicit or not: the free middle link reads the
+    # second uniform of each trial's sub-stream.
+    sc = scenario(bss, [ue(1, 0.0, 0.0)], sweep=SMALL_SWEEP,
+                  policy=ConditionPolicy(explicit=explicit, p_los=0.5))
+    drops = simulate_drop(sc, 40)
+    free = [bool(substream(sc.seed, t).random(3)[1] < 0.5) for t in range(40)]
+    assert drops.los[:, 1].tolist() == free and 0 < sum(free) < 40
+    assert drops.los[:, 0].all() and not drops.los[:, 2].any()
     with pytest.raises(ValueError):
         ConditionPolicy(p_los=1.5)
     with pytest.raises(ValueError):
@@ -217,7 +241,8 @@ def test_simulate_sigma0_los_all_detectable(sweep, pairs):
                   policy=ConditionPolicy(p_los=1.0), sweep=sweep)
     drops = simulate_drop(sc, 1)
     assert drops.links == (("U1", "B1"),)
-    assert drops.masks == (((1 << sweep.n_rx_directions) - 1,),)
+    n = sweep.n_rx_directions
+    assert masks_by_trial(drops, n) == (((1 << n) - 1,),)
     d = distance_3d(sc.ues[0], sc.base_stations[0])
     mean_pl = 69.7257467816839 + 20.0 * math.log10(d)
     # Equal-power detectable pairs power-sum below the mean PL: one pair
@@ -238,6 +263,7 @@ def test_simulate_omni_bounded_by_best_detected_pair():
                   [ue(1, 10.0, 10.0), ue(2, -30.0, 60.0)], sweep=sweep)
     trials = 6
     drops = simulate_drop(sc, trials)
+    masks = masks_by_trial(drops, sweep.n_rx_directions)
     d = np.array([distance_3d(u, b) for u, b in sc.links()])
     n_links, n_pairs = d.size, sweep.tx_angles * sweep.n_rx_directions
     bounded = 0
@@ -254,8 +280,8 @@ def test_simulate_omni_bounded_by_best_detected_pair():
                                    + NLOS_BEST.sigma_db * z_best[i])
             detect = pl <= sc.budget.max_pl_db
             covered = detect.reshape(sweep.tx_angles, -1).any(axis=0)
-            assert drops.masks[t][i] == sum(1 << int(b)
-                                            for b in np.flatnonzero(covered))
+            assert masks[t][i] == sum(1 << int(b)
+                                      for b in np.flatnonzero(covered))
             omni, n = drops.omni_pl_db[t, i], int(detect.sum())
             if n == 0:
                 assert omni == math.inf
@@ -290,7 +316,7 @@ def test_simulate_sigma0_nlos_beyond_range_all_false():
     sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   policy=all_nlos())
     drops = simulate_drop(sc, 1)
-    assert drops.masks == ((0,),)
+    assert masks_by_trial(drops, 72) == ((0,),)
     assert math.isinf(drops.omni_pl_db[0, 0])
 
 
@@ -304,7 +330,7 @@ def test_simulate_sigma0_nlos_best_single_angle():
     sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   policy=all_nlos())
     drops = simulate_drop(sc, 1)
-    assert drops.masks[0][0].bit_count() == 1
+    assert masks_by_trial(drops, 72)[0][0].bit_count() == 1
     d = distance_3d(sc.ues[0], sc.base_stations[0])
     best_pl = 69.7257467816839 + 29.0 * math.log10(d)
     assert drops.omni_pl_db[0, 0] == pytest.approx(best_pl, abs=1e-9)
@@ -319,7 +345,8 @@ def test_simulate_deterministic_and_prefix_stable():
     assert a.omni_pl_db.shape == a.los.shape == (3, 4)
     assert np.array_equal(a.omni_pl_db, b.omni_pl_db)
     assert np.array_equal(a.omni_pl_db, c.omni_pl_db[:3])
-    assert a.masks == b.masks == c.masks[:3]
+    assert (masks_by_trial(a, 72) == masks_by_trial(b, 72)
+            == masks_by_trial(c, 72)[:3])
     assert np.array_equal(a.los, c.los[:3])
 
 
@@ -368,6 +395,23 @@ def test_reception_vs_k_bounds():
         reception_vs_serving_count(sc, simulate_drop(sc, 1), 2)
     with pytest.raises(ValueError):
         simulate_drop(sc, 0)
+
+
+def test_reception_vs_k_rejects_bad_masks():
+    sc = scenario([bs(1, 10.0, 0.0), bs(2, 0.0, 10.0)], [ue(1, 0.0, 0.0)],
+                  sweep=SMALL_SWEEP)
+    drops = simulate_drop(sc, 2)
+    one_link = drops._replace(links=drops.links[:1], masks=drops.masks[:1])
+    with pytest.raises(ValueError, match=r"missing reception mask for link "
+                                         r"\('U1', 'B2'\)"):
+        reception_vs_serving_count(sc, one_link, 2)
+    # A one-byte lane over 4 directions: bit 4 is lane 0's guard bit and
+    # bit 16 would be a third trial's lane.
+    for stray in (1 << 4, 1 << 16):
+        bad = drops._replace(masks=(drops.masks[0], drops.masks[1] | stray))
+        with pytest.raises(ValueError, match=r"link \('U1', 'B2'\) does not "
+                                             r"fit 2 lanes of 4 bits"):
+            reception_vs_serving_count(sc, bad, 2)
 
 
 # Analytic oracles for the simulator.  A small sweep grid (T = 3 TX angles,
@@ -462,7 +506,8 @@ def test_omni_within_budget_iff_mask_nonzero():
                   sweep=SMALL_SWEEP)
     seen = set()
     drops = simulate_drop(sc, 200)
-    for row, omni_row in zip(drops.masks, drops.omni_pl_db.tolist()):
+    for row, omni_row in zip(masks_by_trial(drops, SMALL_R),
+                             drops.omni_pl_db.tolist()):
         for mask, omni in zip(row, omni_row):
             if mask:
                 assert omni <= budget.max_pl_db + 1e-9
@@ -508,8 +553,9 @@ def test_golden_trial_zero():
     assert drops.links == (("U1", "B1"), ("U1", "B2"), ("U2", "B1"),
                            ("U2", "B2"))
     assert drops.los.tolist() == [[False, True, True, False]]
-    assert drops.masks == ((0xe811344061c655c47a, 0xd7ffffffffffffffbf,
-                            0xffdffddfffffefcffe, 0x1044006a430000aad1),)
+    # One trial: each link's packed mask is its lane-0 mask alone.
+    assert drops.masks == (0xe811344061c655c47a, 0xd7ffffffffffffffbf,
+                           0xffdffddfffffefcffe, 0x1044006a430000aad1)
     expected_omni = [86.26707598711603, 84.13904572926874,
                      84.68460688675947, 88.6393954055026]
     assert drops.omni_pl_db[0].tolist() == pytest.approx(expected_omni,
@@ -604,7 +650,8 @@ def _with_cpus(monkeypatch, n):
                         raising=False)
 
 
-def test_simulate_output_independent_of_worker_count(monkeypatch):
+def mixed_scenario():
+    """3 BS x 2 UE with pinned and drawn conditions and NLOS_BEST."""
     policy = ConditionPolicy(explicit={("U1", "B1"): Condition.LOS,
                                        ("U2", "B3"): Condition.NLOS},
                              p_los=0.5)
@@ -613,6 +660,26 @@ def test_simulate_output_independent_of_worker_count(monkeypatch):
                   budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=130.0),
                   sweep=SMALL_SWEEP)
     assert Condition.NLOS_BEST in sc.models
+    return sc
+
+
+def test_simulate_output_independent_of_batch_size(monkeypatch):
+    sc = mixed_scenario()
+    whole = simulate_drop(sc, 7)
+    trial_bytes = 8 * len(sc.links()) * SMALL_T * SMALL_R
+    for per_batch in (1, 2, 3):
+        # Batches of 1, 2 or 3 trials, so the last batch of a chunk is short.
+        monkeypatch.setattr(diversity, "_BATCH_BYTES", per_batch * trial_bytes)
+        for cpus in (1, 2):
+            _with_cpus(monkeypatch, cpus)
+            drops = simulate_drop(sc, 7)
+            assert np.array_equal(drops.los, whole.los)
+            assert np.array_equal(drops.omni_pl_db, whole.omni_pl_db)
+            assert drops.masks == whole.masks
+
+
+def test_simulate_output_independent_of_worker_count(monkeypatch):
+    sc = mixed_scenario()
     for trials in (1, 2, 7):
         outcomes = []
         for cpus in (1, 2, 3):
@@ -622,6 +689,40 @@ def test_simulate_output_independent_of_worker_count(monkeypatch):
                              drops.masks,
                              reception_vs_serving_count(sc, drops, 3)))
         assert outcomes[0] == outcomes[1] == outcomes[2], trials
+
+
+def per_trial_reception(sc, drops, k_max):
+    """Mean over trials of each trial's one-lane ``reception_counts`` share."""
+    n = sc.sweep.n_rx_directions
+    per_trial = [reception_counts(dict(zip(drops.links, row)), sc.topology(),
+                                  k_max, n)
+                 for row in masks_by_trial(drops, n)]
+    return {k: float(np.mean([c[k][0] / c[k][1] for c in per_trial]))
+            for k in range(1, k_max + 1)}
+
+
+@pytest.mark.parametrize("bss, ues, max_pl_db, trials, k_max", [
+    ([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -60.0, 10.0)],
+     [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0), ue(3, 30.0, -50.0)], 130.0, 9, 3),
+    # Up to 2 * C(10, 5) = 504 hits per trial outgrow a one-byte lane.
+    ([bs(i, 20.0 * i * math.cos(i), 20.0 * i * math.sin(i))
+      for i in range(1, 11)], [ue(1, 0.0, 0.0), ue(2, 15.0, 5.0)], 125.0, 5, 5),
+], ids=["3bs_3ue", "10bs_widened_lanes"])
+def test_stacked_reduction_matches_per_trial_counts(monkeypatch, bss, ues,
+                                                     max_pl_db, trials, k_max):
+    policy = ConditionPolicy(explicit={("U1", "B1"): Condition.LOS,
+                                       ("U2", "B3"): Condition.NLOS},
+                             p_los=0.6)
+    sc = scenario(bss, ues, policy=policy, sweep=SMALL_SWEEP,
+                  budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db))
+    assert Condition.NLOS_BEST in sc.models
+    for cpus in (1, 2, 3):
+        _with_cpus(monkeypatch, cpus)
+        drops = simulate_drop(sc, trials)
+        assert drops.los.any() and not drops.los.all()
+        expected = per_trial_reception(sc, drops, k_max)
+        assert reception_vs_serving_count(sc, drops, k_max) == expected
+        assert 0.0 < expected[1] < expected[k_max - 1] < 1.0
 
 
 @contextlib.contextmanager
@@ -649,7 +750,7 @@ def _reception_chunks(bad_trial):
                   sweep=SMALL_SWEEP)
     drops = simulate_drop(sc, 7)
     rows = [row[:-1] if t == bad_trial else row
-            for t, row in enumerate(drops.masks)]
+            for t, row in enumerate(masks_by_trial(drops, SMALL_R))]
 
     def chunk(lo, hi):
         return [reception_counts(dict(zip(drops.links, row)), sc.topology(), 2,

@@ -1,13 +1,13 @@
-"""CI model fitting and the sample and scan records."""
+"""CI model fitting and the sample record."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mmwcomp import (CiModel, Condition, DirectionalScan, FitError,
-                     PathLossSample, ScanEntry, ci_mean_path_loss_db,
-                     fit_ci, fspl_db, group_samples_by_condition, substream)
+from mmwcomp import (CiModel, Condition, FitError, PathLossSample,
+                     ci_mean_path_loss_db, fit_ci, fspl_db,
+                     group_samples_by_condition, substream)
 
 F = 73.5
 
@@ -155,12 +155,6 @@ def test_fit_matches_numpy_least_squares(n):
     sigma = np.sqrt(np.sum((y - ple * x) ** 2) / x.size)
     assert fit.ple == pytest.approx(float(ple), rel=1e-12, abs=0)
     assert fit.sigma_db == pytest.approx(float(sigma), rel=1e-12, abs=0)
-
-
-def test_scan_rejects_duplicate_angle_triples():
-    with pytest.raises(ValueError):
-        DirectionalScan("L1", (ScanEntry(0, 0, 0, -90.0),
-                               ScanEntry(0, 0, 0, -95.0)))
 
 
 def test_group_samples_by_condition():

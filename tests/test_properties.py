@@ -1,7 +1,9 @@
 """Property-based checks over the numeric core."""
 
+import functools
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from mmwcomp import (CiModel, Condition, CoverageQuery, LinkBudget, build_cdf,
                      edge_outage_probability, format_pct,
                      friis_received_power_dbm, fspl_db, reception_counts,
                      region_outage_probability, substream)
+from mmwcomp.diversity import _miss_set_hits, lane_bytes
 
 freqs = st.floats(min_value=0.5, max_value=200.0)
 dists = st.floats(min_value=1.0, max_value=1000.0)
@@ -162,6 +165,30 @@ def test_reception_counts_match_brute_force_on_twelve_stations():
         assert counts[k] == brute_force_reception_counts(
             masks, topology, k, n_directions), k
     assert all(0 < counts[k][0] < counts[k][1] for k in range(2, 7))
+
+
+@given(st.sampled_from([1, 7, 8, 9, 64, 72]), st.integers(1, 9),
+       st.integers(1, 6), st.data())
+def test_lane_kernel_counts_every_lane_like_brute_force(n, lanes, n_bs, data):
+    # n spans the lane-width edges: n = 7 fills a one-byte lane below its
+    # guard bit, n = 8 and n = 64 need a further byte, n = 72 is the grid.
+    full = (1 << n) - 1
+    mask = st.one_of(st.just(0), st.just(full),
+                     st.integers(0, n - 1).map(lambda i: full & ~(1 << i)))
+    per_lane = [[data.draw(mask) for _ in range(n_bs)] for _ in range(lanes)]
+    top = data.draw(st.integers(1, n_bs))
+    width = 8 * lane_bytes(n)
+    columns = [sum(ms[j] << (lane * width) for lane, ms in enumerate(per_lane))
+               for j in range(n_bs)]
+    one = sum(1 << (lane * width) for lane in range(lanes))
+    hits = _miss_set_hits(columns, one, n, top)
+    assert len(hits) == top
+    for k, packed in enumerate(hits, 1):
+        assert packed >> (lanes * width) == 0
+        for lane, ms in enumerate(per_lane):
+            expected = sum(functools.reduce(operator.or_, subset) == full
+                           for subset in itertools.combinations(ms, k))
+            assert (packed >> (lane * width)) & ((1 << width) - 1) == expected
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 100))

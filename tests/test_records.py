@@ -7,14 +7,12 @@ import pytest
 
 import mmwcomp
 from mmwcomp import (CdfPoint, CiModel, Condition, ConditionPolicy,
-                     CoverageQuery, DirectionalScan, Drops, LinkBudget,
-                     ModelCard, Node, OutageRow, PathLossSample,
-                     ReceptionRow, ResultBundle, RunMetadata, ScanEntry,
-                     Scenario, SweepGrid)
+                     CoverageQuery, Drops, LinkBudget, ModelCard, Node,
+                     OutageRow, PathLossSample, ReceptionRow, ResultBundle,
+                     RunMetadata, Scenario, SweepGrid)
 
 NLOS = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
 BUDGET = LinkBudget(14.9, 27.0, 20.0)
-ENTRY = ScanEntry(0, 1, 2, -80.0)
 META = RunMetadata("simulate", "0.1.0", 7, 2)
 B1 = Node("B1", 0.0, 0.0, 4.0)
 U1 = Node("U1", 30.0, 0.0, 1.4)
@@ -30,8 +28,6 @@ RECORDS = [
     CoverageQuery(NLOS, BUDGET, 100.0),
     OutageRow("NLOS", 63.0, 0.024, 0.007),
     PathLossSample(20.0, 120.0, Condition.NLOS, "VH"),
-    ENTRY,
-    DirectionalScan("U1/B1", (ENTRY,)),
     META,
     ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 10),
     ReceptionRow(2, 0.5, 6),
@@ -42,8 +38,9 @@ RECORDS = [
     SweepGrid(),
     POLICY,
     Scenario((B1,), (U1,), POLICY, MODELS, BUDGET, SweepGrid(), 7),
+    # One link over two trials in one-byte lanes: masks 0b1, then 0b11.
     Drops((("U1", "B1"),), np.ones((2, 1), dtype=bool), np.full((2, 1), 90.0),
-          ((1,), (3,))),
+          (1 | 3 << 8,)),
 ]
 
 # For each validated record: valid fields in field order with one bad
@@ -56,8 +53,6 @@ INVALID = [
     (CoverageQuery, (NLOS, BUDGET, 0.5), "radius_m must be >= 1.0 m, got 0.5"),
     (PathLossSample, (0.5, 120.0, Condition.NLOS, "VV"),
      "sample distance must be finite and >= 1.0 m, got 0.5"),
-    (DirectionalScan, ("U1/B1", (ENTRY, ENTRY)),
-     "duplicate angle triple in scan for link U1/B1"),
     (ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
      "CDF 'best1_pl_db' is empty"),
     (Node, ("B1", 0.0, 0.0, 0.0), "height_m must be positive, got 0.0"),
@@ -75,9 +70,9 @@ def _name(record):
 def test_every_record_class_is_covered():
     exported = [getattr(mmwcomp, name) for name in mmwcomp.__all__]
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
-    assert records == {type(r) for r in RECORDS} and len(RECORDS) == 17
+    assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
-    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 10
+    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 9
 
 
 def test_record_fields():
