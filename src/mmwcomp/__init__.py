@@ -28,7 +28,7 @@ _EXPORTS = {
                  "region_outage_probability", "outage_table"),
     "diversity": ("Node", "SweepGrid", "ConditionPolicy", "Scenario", "Drops",
                   "distance_3d", "combination_count", "reception_counts",
-                  "simulate_drop", "reception_vs_serving_count"),
+                  "simulate_drop"),
     "scenario_io": ("ScenarioError", "parse_scenario", "load_scenario",
                     "load_topology", "read_samples_csv", "read_masks_csv",
                     "write_masks_csv", "scenario_to_json"),

@@ -111,10 +111,12 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .diversity import (combination_count, reception_vs_serving_count,
-                            simulate_drop)
+    from .diversity import reception_counts, simulate_drop
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
+        # _replace runs no checks, and substream's own error names no flag.
+        if args.seed < 0:
+            raise ScenarioError(f"--seed must be non-negative, got {args.seed}")
         scenario = scenario._replace(seed=args.seed)
     n_bs = len(scenario.base_stations)
     k_max = args.k_max if args.k_max is not None else min(5, n_bs)
@@ -123,16 +125,18 @@ def _cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ScenarioError(f"trials must be >= 1, got {args.trials}")
     drops = simulate_drop(scenario, args.trials)
-    probs = reception_vs_serving_count(scenario, drops, k_max)
-    topology = scenario.topology()
-    rows = [ReceptionRow(k, p, combination_count(topology, k))
-            for k, p in sorted(probs.items())]
+    counts = reception_counts(dict(zip(drops.links, drops.masks)),
+                              scenario.topology(), k_max,
+                              scenario.sweep.n_rx_directions, args.trials)
+    import numpy as np
+    # Each trial's reception is its full-coverage share of the k-subsets.
+    rows = [ReceptionRow(k, float(np.mean([h / n_k for h in hits])), n_k)
+            for k, (hits, n_k) in sorted(counts.items())]
     for row in rows:
         print(f"k={row.k} reception={format_pct(row.probability)}% "
               f"({row.n_combinations} combinations per trial)")
     # Best-n CDFs: links are UE-major, so each row holds one UE's omni path
     # losses in one trial, and sorted column n-1 is its n-th lowest.
-    import numpy as np
     best = np.sort(drops.omni_pl_db.reshape(-1, n_bs), axis=1)
     cdfs = {f"best{n}_pl_db": build_cdf(best[:, n - 1].tolist())
             for n in range(1, k_max + 1) if np.isfinite(best[:, n - 1]).any()}
@@ -152,8 +156,11 @@ def _cmd_enumerate(args) -> int:
     limit = args.k if args.k is not None else max(sizes)
     if args.masks is not None:
         masks = read_masks_csv(args.masks, n_directions=args.directions)
-        counts = reception_counts(masks, topology, limit, args.directions)
-        rows = [ReceptionRow(k, hits / n, n)
+        try:
+            counts = reception_counts(masks, topology, limit, args.directions)
+        except ValueError as exc:  # a topology link without a mask row
+            raise ScenarioError(f"{args.masks}: {exc}") from None
+        rows = [ReceptionRow(k, hits[0] / n, n)
                 for k, (hits, n) in sorted(counts.items())]
         for row in rows:
             print(f"k={row.k}: {row.n_combinations} combinations, "

@@ -40,15 +40,14 @@ Reception-over-all-angles statistics for k serving base stations are then
 combinatorial: a k-combination of serving stations covers a user when the
 bitwise OR of its reception masks has every direction bit set.  One
 miss-set kernel counts those combinations for every lane of its packed
-masks at once.  :func:`reception_counts` runs it with one lane per user;
-:func:`reception_vs_serving_count` runs it once per run, in the calling
-process, with one lane per user and trial.
+masks at once, and :func:`reception_counts`, the one reception reducer,
+calls it once per distinct serving set: with one lane for measured masks
+and with ``Drops.masks`` and one lane per trial for simulated drops.
 
 Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
 
-numpy is imported on the first call of a function that builds arrays
-(:func:`simulate_drop`, :func:`reception_vs_serving_count`); the miss-set
+numpy is imported only when :func:`simulate_drop` runs; the miss-set
 kernel, :func:`reception_counts` and the serving-set counts are pure
 Python, so importing this module does not load numpy.
 """
@@ -194,6 +193,9 @@ class Drops(NamedTuple):
     n RX directions, lane t starts at bit ``t * 8 * lane_bytes(n)``, and
     its bit ``el * n_azimuths + az`` is set when that RX direction received
     signal from at least one TX sector angle (elevation-major ordering).
+    ``reception_counts(dict(zip(links, masks)), ..., lanes=trials)`` reduces
+    them.  Only :func:`simulate_drop` builds this record, so it alone loads
+    numpy; the masks are plain ints.
     """
 
     links: tuple[LinkKey, ...]
@@ -269,33 +271,65 @@ def _miss_set_hits(columns: Sequence[int], one: int, n: int,
             for k in range(1, top + 1)]
 
 
+def _widen(packed: int, lanes: int, width: int, wider: int) -> int:
+    """The ``lanes`` lanes of ``width`` bytes in ``packed``, each padded to
+    ``wider`` bytes."""
+    if wider == width:
+        return packed
+    raw = packed.to_bytes(lanes * width, "little")
+    return int.from_bytes(b"".join(raw[i:i + width].ljust(wider, b"\0")
+                                   for i in range(0, len(raw), width)),
+                          "little")
+
+
 def reception_counts(masks: Mapping[LinkKey, int],
                      topology: Mapping[str, Iterable[str]], k_max: int,
-                     n_directions: int) -> dict[int, tuple[int, int]]:
-    """Full-coverage and total k-subset counts for k = 1..k_max.
+                     n_directions: int, lanes: int = 1
+                     ) -> dict[int, tuple[list[int], int]]:
+    """Per-lane full-coverage and total k-subset counts for k = 1..k_max.
 
-    Returns k -> (subsets whose masks OR to all ``n_directions`` bits,
-    subsets) for every k that some serving set reaches.  Each UE's serving
-    set is counted by the miss-set kernel with a single lane.
+    Every mask packs ``lanes`` masks of ``n_directions`` bits, lane l at bit
+    ``l * 8 * lane_bytes(n_directions)``: a plain bitset is one lane, and
+    ``Drops.masks`` has one lane per trial.  Returns k -> (for each lane,
+    the subsets whose masks OR to all ``n_directions`` bits, summed over
+    UEs; the subsets in each lane) for every k that some serving set
+    reaches.  UEs with the same serving set share one miss-set kernel call,
+    each UE's lanes above the previous UE's.  Lanes are widened beyond
+    ``lane_bytes`` only when a lane's count summed over such a group could
+    outgrow them.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    counts: dict[int, tuple[int, int]] = {}
+    lb = lane_bytes(n_directions)
+    in_lanes = _lane_ones(lanes, lb) * ((1 << n_directions) - 1)
+    groups: dict[tuple[str, ...], list[str]] = {}
     for ue_id in sorted(topology):
-        serving = sorted(set(topology[ue_id]))
-        try:
-            m = [masks[(ue_id, b)] for b in serving]
-        except KeyError as exc:
-            raise ValueError(
-                f"missing reception mask for link {exc.args[0]}") from None
-        for b, mj in zip(serving, m):
-            if mj >> n_directions:
-                raise ValueError(f"reception mask for link {(ue_id, b)}"
-                                 f" exceeds {n_directions} bits")
-        top = min(k_max, len(m))
-        for k, hits in enumerate(_miss_set_hits(m, 1, n_directions, top), 1):
-            h, n = counts.get(k, (0, 0))
-            counts[k] = (h + hits, n + math.comb(len(m), k))
+        serving = tuple(sorted(set(topology[ue_id])))
+        for b in serving:
+            link = (ue_id, b)
+            if link not in masks:
+                raise ValueError(f"missing reception mask for link {link}")
+            if masks[link] & ~in_lanes:
+                raise ValueError(f"reception mask for link {link} does not "
+                                 f"fit {lanes} lane(s) of {n_directions} bits")
+        groups.setdefault(serving, []).append(ue_id)
+    counts: dict[int, tuple[list[int], int]] = {}
+    for serving, ues in groups.items():
+        s, top = len(serving), min(k_max, len(serving))
+        most = len(ues) * math.comb(s, min(top, s // 2))
+        width = max(lb, -(-most.bit_length() // 8))
+        block = 8 * lanes * width
+        columns = [sum(_widen(masks[(u, b)], lanes, lb, width) << (i * block)
+                       for i, u in enumerate(ues)) for b in serving]
+        hits = _miss_set_hits(columns, _lane_ones(len(ues) * lanes, width),
+                              n_directions, top)
+        for k, packed in enumerate(hits, 1):
+            # Adding the UEs' blocks of lanes sums each lane over the UEs.
+            summed = sum(_lane_values(packed, len(ues), lanes * width))
+            h, n = counts.get(k, ([0] * lanes, 0))
+            counts[k] = ([a + b for a, b in
+                          zip(h, _lane_values(summed, lanes, width))],
+                         n + len(ues) * math.comb(s, k))
     return counts
 
 
@@ -438,52 +472,3 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
                  np.concatenate([p[1] for p in parts]),
                  tuple(int.from_bytes(packed[:, i].tobytes(), "little")
                        for i in range(n_links)))
-
-
-def reception_vs_serving_count(scenario: Scenario, drops: Drops,
-                               k_max: int) -> dict[int, float]:
-    """Mean all-angle reception probability for k = 1..k_max serving stations.
-
-    Each trial's probability is its full-coverage share of k-subsets; the
-    result is the mean over the trials of ``drops`` of this scenario.  One
-    kernel call counts every user in every trial: station j's column holds
-    lane ``u * trials + t`` for user u in trial t, and every user is served
-    by every station.  Lanes are widened beyond ``lane_bytes`` only when a
-    trial's count summed over users could outgrow them.
-    """
-    import numpy as np
-    n_bs = len(scenario.base_stations)
-    if not 1 <= k_max <= n_bs:
-        raise ValueError(f"k_max must be in [1, {n_bs}], got {k_max}")
-    n = scenario.sweep.n_rx_directions
-    trials, lb = len(drops.los), lane_bytes(n)
-    ues = sorted(u.id for u in scenario.ues)
-    bss = sorted(b.id for b in scenario.base_stations)
-    most = len(ues) * math.comb(n_bs, min(k_max, n_bs // 2))
-    width = max(lb, -(-most.bit_length() // 8))
-    in_lanes = _lane_ones(trials, lb) * ((1 << n) - 1)
-    masks = dict(zip(drops.links, drops.masks))
-    stack = np.zeros((n_bs, len(ues), trials, width), dtype=np.uint8)
-    for u, ue_id in enumerate(ues):
-        for j, bs_id in enumerate(bss):
-            link = (ue_id, bs_id)
-            if link not in masks:
-                raise ValueError(f"missing reception mask for link {link}")
-            if masks[link] & ~in_lanes:
-                raise ValueError(f"reception mask for link {link} does not "
-                                 f"fit {trials} lanes of {n} bits")
-            stack[j, u, :, :lb] = np.frombuffer(
-                masks[link].to_bytes(trials * lb, "little"),
-                dtype=np.uint8).reshape(trials, lb)
-    columns = [int.from_bytes(col.tobytes(), "little") for col in stack]
-    hits = _miss_set_hits(columns, _lane_ones(len(ues) * trials, width), n,
-                          k_max)
-    probs = {}
-    for k, packed in enumerate(hits, 1):
-        # Each user's lanes form one block of trials * width bytes; adding
-        # the blocks sums every trial's counts over the users.
-        per_trial = sum(_lane_values(packed, len(ues), trials * width))
-        n_k = len(ues) * math.comb(n_bs, k)
-        probs[k] = float(np.mean([h / n_k for h in
-                                  _lane_values(per_trial, trials, width)]))
-    return probs

@@ -196,6 +196,8 @@ def parse_scenario(obj) -> Scenario:
     seed = obj.get("seed", DEFAULT_SEED)
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("scenario.seed", f"expected an integer, got {seed!r}")
+    if seed < 0:
+        _fail("scenario.seed", f"must be non-negative, got {seed}")
     for (ue_id, bs_id) in explicit:
         if ue_id not in {n.id for n in ues}:
             _fail("scenario.conditions", f"unknown UE id {ue_id!r}")

@@ -105,6 +105,11 @@ class TestParseScenario:
         assert str(exc.value) == (
             "scenario.budget.max_pl_db: expected a number, got 'high'")
 
+    def test_negative_seed_rejected_with_key_path(self):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(minimal(seed=-1))
+        assert str(exc.value) == "scenario.seed: must be non-negative, got -1"
+
     def test_round_trip_through_json(self):
         sc = parse_scenario(minimal(conditions={"U1/B1": "NLOS"}, seed=99))
         again = parse_scenario(json.loads(scenario_to_json(sc)))
@@ -347,6 +352,7 @@ class TestCli:
         (["--k-max", "9"], "k_max must be in [1, 2], got 9"),
         (["--k-max", "0"], "k_max must be in [1, 2], got 0"),
         (["--trials", "0"], "trials must be >= 1, got 0"),
+        (["--seed", "-5"], "--seed must be non-negative, got -5"),
     ])
     def test_simulate_validates_before_drawing(self, tmp_path, capsys,
                                                monkeypatch, flags, message):
@@ -395,6 +401,18 @@ class TestCli:
                      "--masks", str(masks)]) == 0
         out = capsys.readouterr().out
         assert "k=1: 36 combinations, reception=55.6%" in out
+
+    def test_enumerate_masks_missing_link_names_file(self, tmp_path, capsys):
+        topo = tmp_path / "topology.json"
+        topo.write_text(json.dumps({"U1": ["B1", "B2"]}))
+        masks = tmp_path / "masks.csv"
+        write_masks_csv({("U1", "B1"): 1}, masks)
+        assert main(["enumerate", "--topology", str(topo),
+                     "--masks", str(masks)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {masks}: missing reception mask for "
+                                f"link ('U1', 'B2')\n")
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     @pytest.mark.parametrize("with_masks", [False, True])

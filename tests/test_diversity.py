@@ -13,7 +13,7 @@ from scipy import integrate, special
 from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget, Node,
                      PathLossSample, Scenario, SweepGrid, ci_mean_path_loss_db,
                      combination_count, distance_3d, fit_ci, reception_counts,
-                     reception_vs_serving_count, simulate_drop, substream)
+                     simulate_drop, substream)
 from mmwcomp import diversity
 from mmwcomp.diversity import _map_trials, lane_bytes
 from mmwcomp.params import CAMPAIGN_SERVING_SETS, SOUNDER_LINK_BUDGET
@@ -136,7 +136,7 @@ def fixture_masks(n_full=20):
 
 def probabilities(masks, topology, k_max, n_directions=72):
     counts = reception_counts(masks, topology, k_max, n_directions)
-    return {k: hits / n for k, (hits, n) in counts.items()}
+    return {k: hits[0] / n for k, (hits, n) in counts.items()}
 
 
 def test_k1_reception_fixture():
@@ -168,7 +168,8 @@ def test_reception_rejects_mask_wider_than_directions():
     topology = {"U1": ("B1", "B2")}
     masks = {("U1", "B1"): 0b11, ("U1", "B2"): 0b101}
     with pytest.raises(ValueError,
-                       match=r"link \('U1', 'B2'\) exceeds 2 bits"):
+                       match=r"link \('U1', 'B2'\) does not fit 1 lane\(s\) "
+                             r"of 2 bits"):
         reception_counts(masks, topology, 2, 2)
 
 
@@ -185,7 +186,7 @@ def test_reception_monotone_in_k_on_fixture():
 def test_reception_counts_fixture_table():
     counts = reception_counts(fixture_masks(20), CAMPAIGN_SERVING_SETS, 9, 72)
     assert [counts[k][1] for k in sorted(counts)] == [36, 54, 42, 17, 3]
-    assert counts[1] == (20, 36)
+    assert counts[1] == ([20], 36)
 
 
 def test_scenario_validation():
@@ -370,12 +371,22 @@ def test_best_n_sorted_and_order_invariant_to_bs_input_order():
     assert losses == sorted(fwd.omni_pl_db[0].tolist())
 
 
+def mean_reception(sc, drops, k_max):
+    """Mean over trials of each trial's full-coverage share, as ``simulate``
+    writes it, from one ``reception_counts`` call with a lane per trial."""
+    counts = reception_counts(dict(zip(drops.links, drops.masks)),
+                              sc.topology(), k_max, sc.sweep.n_rx_directions,
+                              len(drops.los))
+    return {k: float(np.mean([h / n for h in hits]))
+            for k, (hits, n) in counts.items()}
+
+
 def test_reception_vs_k_always_detectable():
     models = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
               Condition.NLOS: CiModel(73.5, 2.0, 0.0, Condition.NLOS)}
     sc = scenario([bs(1, 10.0, 0.0), bs(2, 0.0, 10.0)], [ue(1, 0.0, 0.0)],
                   models=models)
-    probs = reception_vs_serving_count(sc, simulate_drop(sc, 2), 2)
+    probs = mean_reception(sc, simulate_drop(sc, 2), 2)
     assert probs == {1: 1.0, 2: 1.0}
 
 
@@ -383,7 +394,7 @@ def test_reception_vs_k_monotone_under_shadowing():
     sc = scenario([bs(1, 150.0, 0.0), bs(2, 0.0, 160.0), bs(3, -170.0, 0.0)],
                   [ue(1, 0.0, 0.0), ue(2, 30.0, 30.0)],
                   policy=all_nlos())
-    probs = reception_vs_serving_count(sc, simulate_drop(sc, 30), 3)
+    probs = mean_reception(sc, simulate_drop(sc, 30), 3)
     assert probs[1] <= probs[2] + 1e-12
     assert probs[2] <= probs[3] + 1e-12
     assert 0.0 <= probs[1] and probs[3] <= 1.0
@@ -391,8 +402,8 @@ def test_reception_vs_k_monotone_under_shadowing():
 
 def test_reception_vs_k_bounds():
     sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)])
-    with pytest.raises(ValueError):
-        reception_vs_serving_count(sc, simulate_drop(sc, 1), 2)
+    # No serving set reaches k = 2, so only k = 1 is counted.
+    assert mean_reception(sc, simulate_drop(sc, 1), 2).keys() == {1}
     with pytest.raises(ValueError):
         simulate_drop(sc, 0)
 
@@ -401,17 +412,17 @@ def test_reception_vs_k_rejects_bad_masks():
     sc = scenario([bs(1, 10.0, 0.0), bs(2, 0.0, 10.0)], [ue(1, 0.0, 0.0)],
                   sweep=SMALL_SWEEP)
     drops = simulate_drop(sc, 2)
-    one_link = drops._replace(links=drops.links[:1], masks=drops.masks[:1])
     with pytest.raises(ValueError, match=r"missing reception mask for link "
                                          r"\('U1', 'B2'\)"):
-        reception_vs_serving_count(sc, one_link, 2)
+        reception_counts({drops.links[0]: drops.masks[0]}, sc.topology(), 2,
+                         SMALL_R, 2)
     # A one-byte lane over 4 directions: bit 4 is lane 0's guard bit and
     # bit 16 would be a third trial's lane.
     for stray in (1 << 4, 1 << 16):
-        bad = drops._replace(masks=(drops.masks[0], drops.masks[1] | stray))
+        bad = dict(zip(drops.links, (drops.masks[0], drops.masks[1] | stray)))
         with pytest.raises(ValueError, match=r"link \('U1', 'B2'\) does not "
-                                             r"fit 2 lanes of 4 bits"):
-            reception_vs_serving_count(sc, bad, 2)
+                                             r"fit 2 lane\(s\) of 4 bits"):
+            reception_counts(bad, sc.topology(), 2, SMALL_R, 2)
 
 
 # Analytic oracles for the simulator.  A small sweep grid (T = 3 TX angles,
@@ -434,7 +445,7 @@ def ring_scenario(radius_m, models, policy, max_pl_db):
 
 
 def assert_k1_within_5se(sc, expected):
-    probs = reception_vs_serving_count(sc, simulate_drop(sc, ORACLE_TRIALS), 1)
+    probs = mean_reception(sc, simulate_drop(sc, ORACLE_TRIALS), 1)
     se = math.sqrt(expected * (1.0 - expected) / (4 * ORACLE_TRIALS))
     assert abs(probs[1] - expected) <= 5.0 * se, (probs[1], expected, se)
 
@@ -637,7 +648,7 @@ _DENSE_KEYS = [(u.id, b.id) for u in DENSE_UES for b in DENSE_BSS]
 ], ids=["pinned_los", "pinned_mixed", "bernoulli"])
 def test_k_subset_reception_matches_exact_oracle(policy, max_pl_db):
     sc = dense_scenario(policy, max_pl_db)
-    probs = reception_vs_serving_count(sc, simulate_drop(sc, DENSE_TRIALS), 6)
+    probs = mean_reception(sc, simulate_drop(sc, DENSE_TRIALS), 6)
     for k in range(2, 7):
         expected, se = exact_reception(sc, k, DENSE_TRIALS)
         assert 0.2 < expected < 0.9995, (k, expected)
@@ -687,42 +698,48 @@ def test_simulate_output_independent_of_worker_count(monkeypatch):
             drops = simulate_drop(sc, trials)
             outcomes.append((drops.los.tolist(), drops.omni_pl_db.tolist(),
                              drops.masks,
-                             reception_vs_serving_count(sc, drops, 3)))
+                             mean_reception(sc, drops, 3)))
         assert outcomes[0] == outcomes[1] == outcomes[2], trials
 
 
-def per_trial_reception(sc, drops, k_max):
-    """Mean over trials of each trial's one-lane ``reception_counts`` share."""
-    n = sc.sweep.n_rx_directions
-    per_trial = [reception_counts(dict(zip(drops.links, row)), sc.topology(),
-                                  k_max, n)
-                 for row in masks_by_trial(drops, n)]
-    return {k: float(np.mean([c[k][0] / c[k][1] for c in per_trial]))
-            for k in range(1, k_max + 1)}
+THREE_BSS = [bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -60.0, 10.0)]
+THREE_UES = [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0), ue(3, 30.0, -50.0)]
 
 
-@pytest.mark.parametrize("bss, ues, max_pl_db, trials, k_max", [
-    ([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -60.0, 10.0)],
-     [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0), ue(3, 30.0, -50.0)], 130.0, 9, 3),
+@pytest.mark.parametrize("bss, ues, topology, max_pl_db, trials, k_max", [
+    (THREE_BSS, THREE_UES, None, 130.0, 9, 3),
+    # U1 and U3 share a serving set and one kernel call; U2's set differs.
+    (THREE_BSS, THREE_UES, {"U1": ("B1", "B2", "B3"), "U2": ("B3", "B2"),
+                            "U3": ("B3", "B1", "B2")}, 130.0, 9, 3),
     # Up to 2 * C(10, 5) = 504 hits per trial outgrow a one-byte lane.
     ([bs(i, 20.0 * i * math.cos(i), 20.0 * i * math.sin(i))
-      for i in range(1, 11)], [ue(1, 0.0, 0.0), ue(2, 15.0, 5.0)], 125.0, 5, 5),
-], ids=["3bs_3ue", "10bs_widened_lanes"])
+      for i in range(1, 11)], [ue(1, 0.0, 0.0), ue(2, 15.0, 5.0)], None,
+     125.0, 5, 5),
+], ids=["3bs_3ue", "3bs_shared_serving_sets", "10bs_widened_lanes"])
 def test_stacked_reduction_matches_per_trial_counts(monkeypatch, bss, ues,
-                                                     max_pl_db, trials, k_max):
+                                                     topology, max_pl_db,
+                                                     trials, k_max):
     policy = ConditionPolicy(explicit={("U1", "B1"): Condition.LOS,
                                        ("U2", "B3"): Condition.NLOS},
                              p_los=0.6)
     sc = scenario(bss, ues, policy=policy, sweep=SMALL_SWEEP,
                   budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db))
     assert Condition.NLOS_BEST in sc.models
+    topology = topology or sc.topology()
     for cpus in (1, 2, 3):
         _with_cpus(monkeypatch, cpus)
         drops = simulate_drop(sc, trials)
         assert drops.los.any() and not drops.los.all()
-        expected = per_trial_reception(sc, drops, k_max)
-        assert reception_vs_serving_count(sc, drops, k_max) == expected
-        assert 0.0 < expected[1] < expected[k_max - 1] < 1.0
+        per_trial = [reception_counts(dict(zip(drops.links, row)), topology,
+                                      k_max, SMALL_R)
+                     for row in masks_by_trial(drops, SMALL_R)]
+        stacked = reception_counts(dict(zip(drops.links, drops.masks)),
+                                   topology, k_max, SMALL_R, trials)
+        assert stacked == {k: ([c[k][0][0] for c in per_trial],
+                               per_trial[0][k][1])
+                           for k in range(1, k_max + 1)}
+        share = [np.mean(hits) / n for hits, n in stacked.values()]
+        assert 0.0 < share[0] < share[k_max - 2] < 1.0
 
 
 @contextlib.contextmanager

@@ -101,7 +101,7 @@ def test_reception_monotone_per_ue(masks):
     topology = {"U1": tuple(f"B{i}" for i in range(len(masks)))}
     links = {("U1", f"B{i}"): m for i, m in enumerate(masks)}
     counts = reception_counts(links, topology, len(masks), 4)
-    probs = [hits / n for _, (hits, n) in sorted(counts.items())]
+    probs = [hits[0] / n for _, (hits, n) in sorted(counts.items())]
     for a, b in zip(probs, probs[1:]):
         assert b >= a - 1e-12
 
@@ -121,27 +121,36 @@ def brute_force_reception_counts(masks, topology, k, n_directions):
 
 
 @given(st.one_of(st.integers(min_value=1, max_value=12), st.just(72)),
-       st.data())
-def test_reception_counts_match_brute_force(n_directions, data):
+       st.integers(1, 3), st.data())
+def test_reception_counts_match_brute_force(n_directions, lanes, data):
     full = (1 << n_directions) - 1
     # Masks biased towards dense coverage so that unions reach full often.
     mask = st.one_of(st.integers(0, full), st.just(full),
                      st.builds(lambda a, b: a | b, st.integers(0, full),
                                st.integers(0, full)))
-    stations = [f"B{i}" for i in range(8)]
+    stations = [f"B{i}" for i in range(10)]
+    # A fixed set drawn often, in any order, so that UEs share serving sets;
+    # three UEs sharing all ten stations outgrow a one-byte lane.
+    serving = st.one_of(
+        st.permutations(stations[:3]).map(tuple),
+        st.just(tuple(stations)),
+        st.lists(st.sampled_from(stations), min_size=1, max_size=10,
+                 unique=True).map(tuple))
     topology = data.draw(st.dictionaries(
-        st.sampled_from(["U1", "U2", "U3"]),
-        st.lists(st.sampled_from(stations), min_size=1, max_size=8,
-                 unique=True).map(tuple),
-        min_size=1, max_size=3))
-    masks = {(ue, bs): data.draw(mask) for ue, serving in topology.items()
-             for bs in serving}
+        st.sampled_from(["U1", "U2", "U3"]), serving, min_size=1, max_size=3))
+    links = [(ue, bs) for ue, s in topology.items() for bs in s]
+    per_lane = [{link: data.draw(mask) for link in links}
+                for _ in range(lanes)]
+    width = 8 * lane_bytes(n_directions)
+    masks = {link: sum(m[link] << (lane * width)
+                       for lane, m in enumerate(per_lane)) for link in links}
     k_max = max(len(s) for s in topology.values())
-    counts = reception_counts(masks, topology, k_max, n_directions)
+    counts = reception_counts(masks, topology, k_max, n_directions, lanes)
     assert sorted(counts) == list(range(1, k_max + 1))
     for k in range(1, k_max + 1):
-        assert counts[k] == brute_force_reception_counts(
-            masks, topology, k, n_directions)
+        brute = [brute_force_reception_counts(m, topology, k, n_directions)
+                 for m in per_lane]
+        assert counts[k] == ([hits for hits, _ in brute], brute[0][1])
 
 
 def test_reception_counts_match_brute_force_on_twelve_stations():
@@ -162,9 +171,9 @@ def test_reception_counts_match_brute_force_on_twelve_stations():
     counts = reception_counts(masks, topology, 6, n_directions)
     assert sorted(counts) == list(range(1, 7))
     for k in range(1, 7):
-        assert counts[k] == brute_force_reception_counts(
-            masks, topology, k, n_directions), k
-    assert all(0 < counts[k][0] < counts[k][1] for k in range(2, 7))
+        hits, n = brute_force_reception_counts(masks, topology, k, n_directions)
+        assert counts[k] == ([hits], n), k
+    assert all(0 < counts[k][0][0] < counts[k][1] for k in range(2, 7))
 
 
 @given(st.sampled_from([1, 7, 8, 9, 64, 72]), st.integers(1, 9),
