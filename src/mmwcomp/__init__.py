@@ -19,13 +19,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "propagation": ("CiModel", "Condition", "fspl_db", "ci_mean_path_loss_db",
-                    "received_power_dbm", "friis_received_power_dbm"),
+                    "friis_received_power_dbm"),
     "fitting": ("PathLossSample", "FitError", "fit_ci",
                 "group_samples_by_condition"),
     "coverage": ("LinkBudget", "CoverageQuery", "OutageRow",
-                 "receiver_threshold_dbm", "edge_coverage_probability",
-                 "edge_outage_probability", "useful_area_fraction",
-                 "region_outage_probability", "outage_table"),
+                 "max_detectable_pl_db", "receiver_threshold_dbm",
+                 "edge_outage_probability", "region_outage_probability",
+                 "outage_table"),
     "diversity": ("Node", "SweepGrid", "ConditionPolicy", "Scenario", "Drops",
                   "distance_3d", "combination_count", "reception_counts",
                   "simulate_drop"),

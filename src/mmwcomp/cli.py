@@ -26,7 +26,7 @@ from . import __version__
 from .coverage import LinkBudget, outage_table
 from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M,
                      DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET)
-from .propagation import CiModel, Condition
+from .propagation import REFERENCE_DISTANCE_M, CiModel, Condition
 from .results import (ModelCard, ReceptionRow, ResultBundle, RunMetadata,
                       build_cdf, emit_results, format_pct, load_model_cards)
 from .scenario_io import (ScenarioError, load_scenario, load_topology,
@@ -53,6 +53,9 @@ def _parse_distances(text: str) -> list[float]:
     for tok, d in zip(tokens, distances):
         if not math.isfinite(d):
             raise ScenarioError(f"--distances radius {tok!r} is not finite")
+        if d < REFERENCE_DISTANCE_M:
+            raise ScenarioError(f"--distances radius {tok!r} must be >= "
+                                f"{REFERENCE_DISTANCE_M} m")
     return distances
 
 
@@ -191,15 +194,16 @@ def _cmd_report(args) -> int:
         raise ScenarioError(f"{meta_path}: invalid JSON ({exc})") from None
     if not isinstance(meta, dict):
         raise ScenarioError(f"{meta_path}: expected a JSON object")
+    models_path = bundle_dir / "models.json"
+    cards = load_model_cards(models_path) if models_path.is_file() else None
     cdfs = [(path.name, _read_cdf_values(path))
             for path in sorted(bundle_dir.glob("cdf_*.csv"))]
     print(f"run: {meta.get('command')} "
           f"(version {meta.get('package_version')}, seed {meta.get('seed')}, "
           f"trials {meta.get('trials')})")
-    models_path = bundle_dir / "models.json"
-    if models_path.is_file():
+    if cards is not None:
         print("models:")
-        for card in load_model_cards(models_path):
+        for card in cards:
             extra = f", n={card.n_samples}" if card.n_samples is not None else ""
             print(f"  {card.label}: ple={card.ple:g} sigma={card.sigma_db:g} dB "
                   f"at {card.f_ghz:g} GHz{extra}")

@@ -1,10 +1,11 @@
-"""Link-budget thresholding and lognormal-shadowing outage probabilities.
+"""Link-budget detection limit and lognormal-shadowing outage probabilities.
 
-Two coverage figures are computed for a cell of radius R served from its
-center:
+A budget becomes one detection limit, :func:`max_detectable_pl_db`, which
+the drop simulator detects against too.  For a cell of radius R served
+from its center, with margin m = mean CI path loss at R minus that limit:
 
-* cell-edge outage: probability that the shadow-faded received power at
-  distance R falls below the receiver threshold, ``0.5 + 0.5 erf(...)``;
+* cell-edge outage: probability that the shadow-faded path loss at R
+  exceeds the limit, ``1 - (0.5 - 0.5 erf(m / (sigma sqrt(2))))``;
 * region outage: one minus the useful-area fraction of the whole disk,
   using the classical closed form for lognormal shadowing over a power-law
   mean (the area integral of the edge expression).
@@ -18,7 +19,7 @@ import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .propagation import (CiModel, Condition, REFERENCE_DISTANCE_M,
-                          ci_mean_path_loss_db, received_power_dbm, validated)
+                          ci_mean_path_loss_db, validated)
 
 _SQRT2 = math.sqrt(2.0)
 _LOG10_E = math.log10(math.e)
@@ -26,12 +27,12 @@ _LOG10_E = math.log10(math.e)
 
 @validated
 class LinkBudget(NamedTuple):
-    """System link budget yielding a receiver detection threshold.
+    """System link budget yielding one detection limit.
 
     ``max_pl_db`` is the maximum measurable path loss with the TX/RX
-    antennas in place; ``snr_threshold_db`` is the detection SNR it was
-    derived at (informational).  Bandwidth scales the threshold relative
-    to 1 GHz.
+    antennas in place at 1 GHz RF bandwidth; ``snr_threshold_db`` is the
+    detection SNR it was derived at (informational).  Bandwidth scales the
+    limit relative to 1 GHz: see :func:`max_detectable_pl_db`.
     """
 
     pt_dbm: float
@@ -71,72 +72,64 @@ class OutageRow(NamedTuple):
     p_out_region: float
 
 
+def max_detectable_pl_db(budget: LinkBudget) -> float:
+    """Largest detectable path loss, PL_max - 10 log10(BW / 1 GHz); the
+    outage kernels and the drop simulator both detect against it."""
+    return budget.max_pl_db - 10.0 * math.log10(budget.bw_ghz)
+
+
 def receiver_threshold_dbm(budget: LinkBudget) -> float:
-    """Receiver detection threshold implied by the link budget.
-
-    P_t + G_t + G_r - PL_max + 10 log10(BW / 1 GHz).
-    """
-    return (budget.pt_dbm + budget.gt_dbi + budget.gr_dbi - budget.max_pl_db
-            + 10.0 * math.log10(budget.bw_ghz))
+    """Receiver detection threshold: the detection limit seen from the
+    transmitter, P_t + G_t + G_r - :func:`max_detectable_pl_db`."""
+    return (budget.pt_dbm + budget.gt_dbi + budget.gr_dbi
+            - max_detectable_pl_db(budget))
 
 
-def _mean_received_dbm(q: CoverageQuery) -> float:
-    pl = ci_mean_path_loss_db(q.model, q.radius_m)
-    return received_power_dbm(q.budget.pt_dbm, q.budget.gt_dbi, q.budget.gr_dbi, pl)
-
-
-def edge_coverage_probability(q: CoverageQuery) -> float:
-    """Probability the received signal exceeds the threshold at distance R.
-
-    With mean received power x_bar at R, threshold x0 and shadow fading
-    sigma: 0.5 - 0.5 erf((x0 - x_bar) / (sigma sqrt(2))).  A zero sigma
-    degenerates to a step function (0.5 exactly at x_bar = x0).
-    """
-    x0 = receiver_threshold_dbm(q.budget)
-    x_bar = _mean_received_dbm(q)
-    sigma = q.model.sigma_db
-    if sigma == 0.0:
-        if x_bar > x0:
-            return 1.0
-        return 0.5 if x_bar == x0 else 0.0
-    return 0.5 - 0.5 * math.erf((x0 - x_bar) / (sigma * _SQRT2))
+def _margin_db(q: CoverageQuery) -> float:
+    """Mean path loss at the radius minus the detection limit."""
+    return (ci_mean_path_loss_db(q.model, q.radius_m)
+            - max_detectable_pl_db(q.budget))
 
 
 def edge_outage_probability(q: CoverageQuery) -> float:
-    """Complement of :func:`edge_coverage_probability`."""
-    return 1.0 - edge_coverage_probability(q)
+    """Probability the shadow-faded path loss at distance R is not detected.
+
+    1 - (0.5 - 0.5 erf(m / (sigma sqrt(2)))) for margin m; a zero sigma
+    degenerates to a step function (0.5 exactly at m = 0).
+    """
+    m = _margin_db(q)
+    sigma = q.model.sigma_db
+    if sigma == 0.0:
+        return 0.5 if m == 0.0 else float(m > 0.0)
+    return 1.0 - (0.5 - 0.5 * math.erf(m / (sigma * _SQRT2)))
 
 
-def useful_area_fraction(q: CoverageQuery) -> float:
-    """Fraction of the radius-R disk where received power exceeds threshold.
+def region_outage_probability(q: CoverageQuery) -> float:
+    """Outage probability over the whole coverage disk of radius R.
 
-    Closed form for a power-law mean (10 n dB/decade) with lognormal
-    shadowing, with a = (x0 - x_bar(R)) / (sigma sqrt(2)) and
-    b = 10 n log10(e) / (sigma sqrt(2)):
+    1 - F_u, with F_u the useful-area fraction for a power-law mean
+    (10 n dB/decade), a = m / (sigma sqrt(2)) and b = 10 n log10(e) /
+    (sigma sqrt(2)):
 
         F_u = 1/2 [1 - erf(a) + exp((1 - 2ab)/b^2) (1 - erf((1 - ab)/b))]
 
-    Requires sigma > 0 and n > 0.
+    A zero sigma leaves the share of the disk beyond the coverage radius,
+    max(0, 1 - 10^(-m / (5 n))).  Requires n > 0.
     """
-    sigma = q.model.sigma_db
-    if sigma == 0.0:
-        raise ValueError("useful-area closed form requires sigma_db > 0")
     if q.model.ple <= 0:
         raise ValueError("useful-area closed form requires ple > 0")
-    x0 = receiver_threshold_dbm(q.budget)
-    x_bar = _mean_received_dbm(q)
-    a = (x0 - x_bar) / (sigma * _SQRT2)
+    m = _margin_db(q)
+    sigma = q.model.sigma_db
+    if sigma == 0.0:
+        # m <= 0 covers the whole disk; testing it first avoids overflow.
+        return 0.0 if m <= 0.0 else 1.0 - 10.0 ** (-m / (5.0 * q.model.ple))
+    a = m / (sigma * _SQRT2)
     b = 10.0 * q.model.ple * _LOG10_E / (sigma * _SQRT2)
     f_u = 0.5 * (1.0 - math.erf(a)
                  + math.exp((1.0 - 2.0 * a * b) / (b * b))
                  * (1.0 - math.erf((1.0 - a * b) / b)))
     # Cancellation in the erf terms can push the sum a few ulp outside [0, 1].
-    return min(max(f_u, 0.0), 1.0)
-
-
-def region_outage_probability(q: CoverageQuery) -> float:
-    """Outage probability over the whole coverage disk of radius R."""
-    return 1.0 - useful_area_fraction(q)
+    return 1.0 - min(max(f_u, 0.0), 1.0)
 
 
 def outage_table(models: Mapping[Condition, CiModel], budget: LinkBudget,

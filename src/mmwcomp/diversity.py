@@ -5,8 +5,9 @@ LOS/NLOS conditions, CI models per condition, a link budget and a beam
 sweep grid.  The Monte Carlo drop simulator emulates a directional sweep:
 for every link and every (TX sector angle, RX direction) combination it
 draws a shadow-faded directional path loss, marks the combination
-detectable when the draw stays within the budget's maximum measurable path
-loss, synthesizes per-link omnidirectional path loss as the linear power
+detectable when the draw stays within ``max_detectable_pl_db(budget)``,
+the detection limit the outage kernels of :mod:`.coverage` also use,
+synthesizes per-link omnidirectional path loss as the linear power
 sum over the detectable combinations, and reduces each link to a
 reception mask: an int bitset with one bit per RX direction.  That sum is
 the package's only omni synthesis; over n detected combinations it lies
@@ -60,7 +61,7 @@ from types import MappingProxyType
 from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple,
                     Sequence, TypeVar)
 
-from .coverage import LinkBudget
+from .coverage import LinkBudget, max_detectable_pl_db
 from .params import DEFAULT_P_LOS, DEFAULT_SEED
 from .propagation import CiModel, Condition, ci_mean_path_loss_db, validated
 from .rng import substream
@@ -420,6 +421,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
         None if m is None else ci_mean_path_loss_db(m, d)
         for m in (los_model, nlos_model, best_model))
     pinned, pinned_los = scenario.condition_policy.pinned(keys)
+    limit = max_detectable_pl_db(scenario.budget)
     sweep = scenario.sweep
     n_links, n_tx, n_rx = len(keys), sweep.tx_angles, sweep.n_rx_directions
     n_pairs, width = n_tx * n_rx, lane_bytes(n_rx)
@@ -453,7 +455,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
                 best = mean_best + best_model.sigma_db * best_z[b0:b1]
                 tt, ll = np.nonzero(~los)
                 pl[tt, ll, pl.argmin(axis=2)[tt, ll]] = best[tt, ll]
-            detect = pl <= scenario.budget.max_pl_db
+            detect = pl <= limit
             covered = detect.reshape(b1 - b0, n_links, n_tx, n_rx).any(axis=2)
             packed[b0:b1, :, :(n_rx + 7) // 8] = np.packbits(
                 covered, axis=2, bitorder="little")

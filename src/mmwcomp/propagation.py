@@ -108,12 +108,6 @@ def fspl_db(f_ghz: float, d_m: float) -> float:
     return FSPL_1GHZ_1M_DB + 20.0 * math.log10(f_ghz) + 20.0 * math.log10(d_m)
 
 
-def received_power_dbm(pt_dbm: float, gt_dbi: float, gr_dbi: float,
-                       pl_db: float) -> float:
-    """Received power from transmit power, antenna gains and path loss."""
-    return pt_dbm + gt_dbi + gr_dbi - pl_db
-
-
 def friis_received_power_dbm(pt_dbm: float, gt_dbi: float, gr_dbi: float,
                              f_ghz: float, d_m: float) -> float:
     """Friis free-space received power in dBm.
@@ -121,7 +115,7 @@ def friis_received_power_dbm(pt_dbm: float, gt_dbi: float, gr_dbi: float,
     Log-domain form: P_t + G_t + G_r - FSPL(f, d).  Equivalent to the linear
     form P_t * g_t * g_r * (lambda / 4 pi d)^2 expressed in dBm.
     """
-    return received_power_dbm(pt_dbm, gt_dbi, gr_dbi, fspl_db(f_ghz, d_m))
+    return pt_dbm + gt_dbi + gr_dbi - fspl_db(f_ghz, d_m)
 
 
 def ci_mean_path_loss_db(model: CiModel, d_m):

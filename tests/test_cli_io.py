@@ -497,6 +497,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {meta}: {message}")
 
+    def test_report_rejects_bad_model_card(self, tmp_path, capsys):
+        models = _write_models(tmp_path)
+        cards = json.loads(models.read_text())
+        del cards[0]["f_ghz"]
+        models.write_text(json.dumps(cards))
+        assert main(["report", "--bundle", str(models.parent)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {models}: bad model card at index 0: 'f_ghz'\n")
+
     @pytest.mark.parametrize("text, message", [
         ("x,p\n120.5,0.5\nabc,1.0\n", " line 3: x must be a number, got 'abc'"),
         ("x,p\n", ": no CDF points below the header"),
@@ -600,6 +611,30 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (
             f"error: --distances radius '{token}' is not finite\n")
+
+    @pytest.mark.parametrize("argv, token", [
+        (["--distances=-5"], "-5"), (["--distances", "0.5"], "0.5"),
+        (["--distances", "63,0"], "0")])
+    def test_coverage_rejects_radius_below_reference(self, capsys, argv,
+                                                      token):
+        assert main(["coverage", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --distances radius '{token}' must be >= 1.0 m\n")
+
+    def test_coverage_models_zero_sigma(self, tmp_path, capsys):
+        # Without shadowing the edge outage is a step and the region
+        # outage the share of the disk beyond the coverage radius.
+        models = tmp_path / "models.json"
+        models.write_text(json.dumps([{"label": "NLOS", "f_ghz": 73.5,
+                                       "ple": 4.6, "sigma_db": 0.0,
+                                       "condition": "NLOS"}]))
+        assert main(["coverage", "--models", str(models),
+                     "--distances", "63,200"]) == 0
+        assert capsys.readouterr().out == (
+            "condition distance_m edge_outage_pct region_outage_pct\n"
+            "NLOS 63 0.0 0.0\nNLOS 200 100.0 5.6\n")
 
     @pytest.mark.parametrize("f_ghz", ["nan", "inf", "-inf", "0"])
     def test_fit_rejects_bad_frequency(self, tmp_path, capsys, f_ghz):

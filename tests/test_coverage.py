@@ -6,9 +6,9 @@ import pytest
 from scipy import integrate
 
 from mmwcomp import (CiModel, Condition, CoverageQuery, LinkBudget,
-                     edge_coverage_probability, edge_outage_probability,
-                     outage_table, receiver_threshold_dbm,
-                     region_outage_probability, useful_area_fraction)
+                     edge_outage_probability, fspl_db, friis_received_power_dbm,
+                     max_detectable_pl_db, outage_table,
+                     receiver_threshold_dbm, region_outage_probability)
 
 SOUNDER = LinkBudget(pt_dbm=14.9, gt_dbi=27.0, gr_dbi=20.0)
 NLOS = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
@@ -25,6 +25,36 @@ def test_receiver_threshold():
 def test_receiver_threshold_scales_with_bandwidth():
     tenth = LinkBudget(14.9, 27.0, 20.0, bw_ghz=0.1)
     assert receiver_threshold_dbm(tenth) == pytest.approx(-123.1, abs=1e-9)
+
+
+def test_detection_limit_drops_with_bandwidth():
+    assert max_detectable_pl_db(SOUNDER) == 175.0
+    for bw, limit in ((0.1, 185.0), (10.0, 165.0), (100.0, 155.0)):
+        budget = LinkBudget(14.9, 27.0, 20.0, bw_ghz=bw)
+        assert max_detectable_pl_db(budget) == pytest.approx(limit, abs=1e-12)
+
+
+def test_receiver_threshold_is_detection_limit_seen_from_transmitter():
+    # Plain budget arithmetic: P_t + G_t + G_r minus the detection limit,
+    # which is the Friis received power where free-space loss meets it.
+    assert receiver_threshold_dbm(LinkBudget(10.0, 3.0, 2.0,
+                                             max_pl_db=100.0)) == -85.0
+    budget = LinkBudget(14.9, 27.0, 20.0, bw_ghz=4.0)
+    d = 10.0 ** ((max_detectable_pl_db(budget) - fspl_db(73.5, 1.0)) / 20.0)
+    assert friis_received_power_dbm(14.9, 27.0, 20.0, 73.5, d) == pytest.approx(
+        receiver_threshold_dbm(budget), abs=1e-9)
+
+
+def test_outage_depends_on_budget_only_through_detection_limit():
+    # Transmit power and antenna gains cancel from the margin; a 10x wider
+    # bandwidth is the same as a 10 dB lower maximum path loss.
+    wide = LinkBudget(14.9, 27.0, 20.0, bw_ghz=10.0)
+    for budget in (LinkBudget(0.0, 0.0, 0.0, max_pl_db=165.0),
+                   LinkBudget(30.0, 10.0, 5.0, max_pl_db=165.0)):
+        for d in (30.0, 100.0, 200.0):
+            for fn in (edge_outage_probability, region_outage_probability):
+                assert fn(q(NLOS, d, budget)) == pytest.approx(
+                    fn(q(NLOS, d, wide)), abs=1e-12)
 
 
 def test_budget_validation():
@@ -55,26 +85,19 @@ def test_region_outage_nlos_values():
             pct, abs=1e-3)
 
 
-def test_edge_coverage_plus_outage_is_one():
-    for d in (10.0, 63.0, 200.0, 400.0):
-        query = q(NLOS, d)
-        total = edge_coverage_probability(query) + edge_outage_probability(query)
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-
 def test_edge_half_at_mean_equal_threshold():
     # Mean PL at the radius exactly equals the tolerable maximum.
     model = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
     d = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
-    assert edge_coverage_probability(q(model, d)) == pytest.approx(0.5, abs=1e-9)
+    assert edge_outage_probability(q(model, d)) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_edge_zero_sigma_step():
     near = CiModel(73.5, 4.6, 0.0, Condition.NLOS)
-    assert edge_coverage_probability(q(near, 63.0)) == 1.0   # 152.5 < 175
-    assert edge_coverage_probability(q(near, 200.0)) == 0.0  # 175.6 > 175
+    assert edge_outage_probability(q(near, 63.0)) == 0.0   # 152.5 < 175
+    assert edge_outage_probability(q(near, 200.0)) == 1.0  # 175.6 > 175
     d_crit = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
-    assert edge_coverage_probability(q(near, d_crit)) == 0.5
+    assert edge_outage_probability(q(near, d_crit)) == 0.5
 
 
 def test_region_outage_below_edge_outage():
@@ -86,11 +109,31 @@ def test_region_outage_below_edge_outage():
                 query)
 
 
-def test_useful_area_requires_positive_sigma_and_ple():
-    with pytest.raises(ValueError):
-        useful_area_fraction(q(CiModel(73.5, 4.6, 0.0, Condition.NLOS), 63.0))
-    with pytest.raises(ValueError):
-        useful_area_fraction(q(CiModel(73.5, -1.0, 11.4, Condition.NLOS), 63.0))
+def test_region_outage_requires_positive_ple():
+    for sigma in (11.4, 0.0):
+        with pytest.raises(ValueError, match="requires ple > 0"):
+            region_outage_probability(
+                q(CiModel(73.5, -1.0, sigma, Condition.NLOS), 63.0))
+
+
+def test_region_outage_zero_sigma_is_disk_share_beyond_coverage_radius():
+    # Without shadowing a point is in outage beyond the radius where the
+    # mean path loss meets the 175 dB limit: d_crit = 10^((175 - FSPL) / 46).
+    near = CiModel(73.5, 4.6, 0.0, Condition.NLOS)
+    d_crit = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
+    for d in (63.0, d_crit):
+        assert region_outage_probability(q(near, d)) == 0.0
+    for d in (200.0, 400.0):
+        assert region_outage_probability(q(near, d)) == pytest.approx(
+            1.0 - (d_crit / d) ** 2, rel=1e-9)
+    # ... and it is the limit of the shadowed closed form as sigma -> 0.
+    assert region_outage_probability(q(near, 200.0)) == pytest.approx(
+        region_outage_probability(q(near._replace(sigma_db=0.005), 200.0)),
+        abs=1e-6)
+    # A huge negative margin must not overflow the power.
+    flat = CiModel(73.5, 0.01, 0.0, Condition.NLOS)
+    assert region_outage_probability(q(flat, 10.0, LinkBudget(
+        14.9, 27.0, 20.0, max_pl_db=1000.0))) == 0.0
 
 
 def quadrature_region_outage(query: CoverageQuery, panels=20_000) -> float:

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget, Node,
-                     PathLossSample, Scenario, SweepGrid, ci_mean_path_loss_db,
-                     combination_count, distance_3d, fit_ci, reception_counts,
-                     simulate_drop, substream)
+from mmwcomp import (CiModel, Condition, ConditionPolicy, CoverageQuery,
+                     LinkBudget, Node, PathLossSample, Scenario, SweepGrid,
+                     ci_mean_path_loss_db, combination_count, distance_3d,
+                     edge_outage_probability, fit_ci, max_detectable_pl_db,
+                     reception_counts, simulate_drop, substream)
 from mmwcomp import diversity
 from mmwcomp.diversity import _map_trials, lane_bytes
 from mmwcomp.params import CAMPAIGN_SERVING_SETS, SOUNDER_LINK_BUDGET
@@ -279,7 +280,7 @@ def test_simulate_omni_bounded_by_best_detected_pair():
             if not los[i]:
                 pl[pl.argmin()] = (ci_mean_path_loss_db(NLOS_BEST, d[i])
                                    + NLOS_BEST.sigma_db * z_best[i])
-            detect = pl <= sc.budget.max_pl_db
+            detect = pl <= max_detectable_pl_db(sc.budget)
             covered = detect.reshape(sweep.tx_angles, -1).any(axis=0)
             assert masks[t][i] == sum(1 << int(b)
                                       for b in np.flatnonzero(covered))
@@ -462,6 +463,30 @@ def test_los_k1_reception_matches_closed_form():
     assert 0.2 < expected < 0.8
     assert_k1_within_5se(ring_scenario(radius, MODELS, ConditionPolicy(p_los=1.0),
                                        max_pl), expected)
+
+
+@pytest.mark.parametrize("bw_ghz", [1.0, 100.0])
+def test_simulate_k1_reception_matches_edge_coverage(bw_ghz):
+    # With one TX angle and one RX direction a link is received exactly when
+    # its single draw stays within the detection limit, so simulate's k=1
+    # reception estimates coverage's 1 - edge outage at the link distance.
+    # Both read the budget's bandwidth through the same limit.
+    station, user = bs(1, 0.0, 0.0), ue(1, 30.0, 0.0)
+    sc = scenario([station], [user],
+                  models={Condition.LOS: LOS, Condition.NLOS: NLOS},
+                  policy=ConditionPolicy(
+                      explicit={("U1", "B1"): Condition.NLOS}),
+                  budget=LinkBudget(14.9, 27.0, 20.0, bw_ghz=bw_ghz,
+                                    max_pl_db=150.0),
+                  sweep=SweepGrid(tx_angles=1, rx_azimuths=1,
+                                  rx_elevations=1, rx_step_deg=360.0))
+    trials = 4000
+    expected = 1.0 - edge_outage_probability(
+        CoverageQuery(NLOS, sc.budget, distance_3d(user, station)))
+    assert 0.2 < expected < 0.9
+    got = mean_reception(sc, simulate_drop(sc, trials), 1)[1]
+    se = math.sqrt(expected * (1.0 - expected) / trials)
+    assert abs(got - expected) <= 5.0 * se, (got, expected, se)
 
 
 def nlos_best_full_reception(mean, sigma, best_mean, best_sigma, max_pl):

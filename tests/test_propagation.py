@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from mmwcomp import (CiModel, Condition, ci_mean_path_loss_db,
-                     friis_received_power_dbm, fspl_db, received_power_dbm,
-                     substream)
+                     friis_received_power_dbm, fspl_db, substream)
 
 
 def test_fspl_anchor_at_1ghz_1m():
@@ -74,18 +73,6 @@ def test_friis_doubling_distance_costs_6db():
         drop = (friis_received_power_dbm(14.9, 27.0, 20.0, 73.5, d)
                 - friis_received_power_dbm(14.9, 27.0, 20.0, 73.5, 2.0 * d))
         assert drop == pytest.approx(delta, abs=1e-12)
-
-
-def test_received_power_is_plain_budget_arithmetic():
-    assert received_power_dbm(10.0, 3.0, 2.0, 100.0) == -85.0
-    assert received_power_dbm(14.9, 27.0, 20.0, 175.0) == pytest.approx(-113.1)
-    assert received_power_dbm(14.9, 27.0, 20.0, 0.0) == pytest.approx(61.9)
-
-
-def test_received_power_round_trips_with_friis():
-    pt, gt, gr, f, d = 14.9, 27.0, 20.0, 73.5, 42.0
-    assert received_power_dbm(pt, gt, gr, fspl_db(f, d)) == pytest.approx(
-        friis_received_power_dbm(pt, gt, gr, f, d), abs=1e-12)
 
 
 def test_ci_model_validation():
