@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mmwcomp import (CiModel, Condition, ci_mean_path_loss_db,
-                     friis_received_power_dbm, fspl_db, substream)
+from mmwcomp import (CiModel, Condition, LinkBudget, ci_mean_path_loss_db,
+                     friis_received_power_dbm, fspl_db, receiver_threshold_dbm,
+                     substream)
 
 
 def test_fspl_anchor_at_1ghz_1m():
@@ -73,6 +74,24 @@ def test_friis_doubling_distance_costs_6db():
         drop = (friis_received_power_dbm(14.9, 27.0, 20.0, 73.5, d)
                 - friis_received_power_dbm(14.9, 27.0, 20.0, 73.5, 2.0 * d))
         assert drop == pytest.approx(delta, abs=1e-12)
+
+
+def test_received_power_is_plain_budget_arithmetic():
+    # Received power at path loss PL is P_t + G_t + G_r - PL; the receiver
+    # threshold is that power at the detection limit (PL_max at 1 GHz).
+    assert receiver_threshold_dbm(LinkBudget(10.0, 3.0, 2.0,
+                                             max_pl_db=100.0)) == -85.0
+    assert receiver_threshold_dbm(LinkBudget(14.9, 27.0, 20.0,
+                                             max_pl_db=175.0)) == pytest.approx(-113.1)
+    assert friis_received_power_dbm(14.9, 27.0, 20.0, 1.0, 1.0) == pytest.approx(
+        61.9 - 32.4)
+
+
+def test_received_power_round_trips_with_friis():
+    pt, gt, gr, f, d = 14.9, 27.0, 20.0, 73.5, 42.0
+    budget = LinkBudget(pt, gt, gr, max_pl_db=fspl_db(f, d))
+    assert receiver_threshold_dbm(budget) == pytest.approx(
+        friis_received_power_dbm(pt, gt, gr, f, d), abs=1e-12)
 
 
 def test_ci_model_validation():
