@@ -31,7 +31,7 @@ _EXPORTS = {
                   "simulate_drop"),
     "scenario_io": ("ScenarioError", "parse_scenario", "load_scenario",
                     "load_topology", "read_samples_csv", "read_masks_csv",
-                    "write_masks_csv", "scenario_to_json"),
+                    "scenario_to_json"),
     "results": ("RunMetadata", "ModelCard", "ReceptionRow", "CdfPoint",
                 "ResultBundle", "format_pct", "build_cdf", "emit_results",
                 "load_model_cards"),

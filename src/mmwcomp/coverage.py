@@ -114,10 +114,8 @@ def region_outage_probability(q: CoverageQuery) -> float:
         F_u = 1/2 [1 - erf(a) + exp((1 - 2ab)/b^2) (1 - erf((1 - ab)/b))]
 
     A zero sigma leaves the share of the disk beyond the coverage radius,
-    max(0, 1 - 10^(-m / (5 n))).  Requires n > 0.
+    max(0, 1 - 10^(-m / (5 n))).  ``CiModel`` guarantees n > 0.
     """
-    if q.model.ple <= 0:
-        raise ValueError("useful-area closed form requires ple > 0")
     m = _margin_db(q)
     sigma = q.model.sigma_db
     if sigma == 0.0:

@@ -18,8 +18,9 @@ Trial t draws from the (seed, t) sub-stream, for all L links in
 standard normal block for the sweep (TX angle major), then L best-beam
 normals when the scenario has an NLOS_BEST model.  A trial only draws;
 scaling, detection, mask packing and the omni power sum run once per
-batch of trials.  All trials come back as one :class:`Drops` record with
-one column per link.
+batch of trials, and the LOS flags live only as long as their batch.  All
+trials come back as one :class:`Drops` record with one column per link:
+the omni path loss and the reception masks.
 
 A batch of masks is one int with one lane per mask: over n directions a
 lane is ``lane_bytes(n) = n // 8 + 1`` bytes, so at least one spare guard
@@ -188,19 +189,18 @@ class Drops(NamedTuple):
     """Monte Carlo drops: row t is trial t, column i is link ``links[i]``.
 
     ``links`` follows ``Scenario.links()``: UE-major, base stations by id.
-    ``los`` and ``omni_pl_db`` are (trials, L) arrays; the omni path loss
-    is +inf where no angle pair was detected.  ``masks[i]`` holds link i's
-    reception masks for every trial in one int, one lane per trial: with
-    n RX directions, lane t starts at bit ``t * 8 * lane_bytes(n)``, and
-    its bit ``el * n_azimuths + az`` is set when that RX direction received
-    signal from at least one TX sector angle (elevation-major ordering).
+    ``omni_pl_db`` is a (trials, L) array, +inf where no angle pair was
+    detected.  ``masks[i]`` holds link i's reception masks for every trial
+    in one int, one lane per trial: with n RX directions, lane t starts at
+    bit ``t * 8 * lane_bytes(n)``, and its bit ``el * n_azimuths + az`` is
+    set when that RX direction received signal from at least one TX sector
+    angle (elevation-major ordering).
     ``reception_counts(dict(zip(links, masks)), ..., lanes=trials)`` reduces
     them.  Only :func:`simulate_drop` builds this record, so it alone loads
     numpy; the masks are plain ints.
     """
 
     links: tuple[LinkKey, ...]
-    los: np.ndarray
     omni_pl_db: np.ndarray
     masks: tuple[int, ...]
 
@@ -431,10 +431,10 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
         n = hi - lo
         uniforms = np.empty((n, n_links))
         best_z = np.empty((n, n_links))
-        los_all = np.empty((n, n_links), dtype=bool)
         omni_all = np.empty((n, n_links))
         packed = np.zeros((n, n_links, width), dtype=np.uint8)
         block = np.empty((min(batch, n), n_links, n_pairs))
+        los_block = np.empty((min(batch, n), n_links), dtype=bool)
         for b0 in range(0, n, batch):
             b1 = min(n, b0 + batch)
             pl = block[:b1 - b0]
@@ -444,7 +444,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
                 rng.standard_normal(out=pl[i - b0])
                 if best_model is not None:
                     rng.standard_normal(out=best_z[i])
-            los = los_all[b0:b1]
+            los = los_block[:b1 - b0]
             np.less(uniforms[b0:b1], scenario.condition_policy.p_los, out=los)
             los[:, pinned] = pinned_los
             pl *= np.where(los, los_model.sigma_db, nlos_model.sigma_db)[..., None]
@@ -466,11 +466,10 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
             pl *= detect
             with np.errstate(divide="ignore"):
                 omni_all[b0:b1] = -10.0 * np.log10(pl.sum(axis=2))
-        return los_all, omni_all, packed
+        return omni_all, packed
 
     parts = _map_trials(chunk, trials)
-    packed = np.concatenate([p[2] for p in parts])
+    packed = np.concatenate([p[1] for p in parts])
     return Drops(keys, np.concatenate([p[0] for p in parts]),
-                 np.concatenate([p[1] for p in parts]),
                  tuple(int.from_bytes(packed[:, i].tobytes(), "little")
                        for i in range(n_links)))

@@ -79,6 +79,10 @@ def fit_ci(samples: Sequence[PathLossSample], f_ghz: float,
     Returns:
         CiModel labeled with the samples' condition; sigma_db is the RMS
         fit residual.
+
+    Raises:
+        FitError: if the samples cannot be fitted, or if the fitted slope is
+            not positive, which no CI model accepts.
     """
     used = _fit_inputs(samples, include_vh)
     if len(used) < 2:
@@ -95,8 +99,11 @@ def fit_ci(samples: Sequence[PathLossSample], f_ghz: float,
                           / len(used))
     except (OverflowError, ValueError):  # fsum overflow or inf - inf
         raise FitError("path loss values are too large to fit") from None
-    return CiModel(f_ghz=f_ghz, ple=ple, sigma_db=sigma,
-                   condition=used[0].condition)
+    condition = used[0].condition
+    if not ple > 0:
+        raise FitError(f"{condition.value} samples fit a path loss exponent "
+                       f"of {ple:.6g}; the CI model needs ple > 0")
+    return CiModel(f_ghz=f_ghz, ple=ple, sigma_db=sigma, condition=condition)
 
 
 def group_samples_by_condition(

@@ -72,7 +72,7 @@ class CiModel(NamedTuple):
 
     Attributes:
         f_ghz: carrier frequency in GHz.
-        ple: path loss exponent (n = 2 is free space).
+        ple: path loss exponent (n = 2 is free space); must be > 0.
         sigma_db: shadow fading standard deviation in dB.
         condition: environment label the parameters were derived for.
     """
@@ -85,8 +85,8 @@ class CiModel(NamedTuple):
     def _validate(self):
         if not 0 < self.f_ghz < math.inf:
             raise ValueError(f"f_ghz must be positive and finite, got {self.f_ghz}")
-        if not math.isfinite(self.ple):
-            raise ValueError(f"ple must be finite, got {self.ple}")
+        if not 0 < self.ple < math.inf:
+            raise ValueError(f"ple must be positive and finite, got {self.ple}")
         if not self.sigma_db >= 0:
             raise ValueError(f"sigma_db must be >= 0, got {self.sigma_db}")
 

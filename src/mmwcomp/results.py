@@ -125,16 +125,6 @@ def build_cdf(values: Iterable[float]) -> list[CdfPoint]:
     return [CdfPoint(v, (i + 1) / n) for i, v in enumerate(finite)]
 
 
-def _metadata_obj(meta: RunMetadata) -> dict:
-    return {
-        "command": meta.command,
-        "package_version": meta.package_version,
-        "seed": meta.seed,
-        "trials": meta.trials,
-        "timestamp": meta.timestamp,
-    }
-
-
 def _model_card_obj(card: ModelCard) -> dict:
     obj = {
         "label": card.label,
@@ -167,7 +157,7 @@ def emit_results(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
         path.write_bytes(text.encode("utf-8"))
         written.append(path)
 
-    write("metadata.json", _dump_json(_metadata_obj(bundle.metadata)))
+    write("metadata.json", _dump_json(bundle.metadata._asdict()))
     if bundle.model_cards:
         write("models.json",
               _dump_json([_model_card_obj(c) for c in bundle.model_cards]))
@@ -203,14 +193,16 @@ def load_model_cards(path: str | Path) -> list[ModelCard]:
     cards = []
     for i, obj in enumerate(raw):
         try:
-            cards.append(ModelCard(
+            card = ModelCard(
                 label=obj["label"],
                 f_ghz=float(obj["f_ghz"]),
                 ple=float(obj["ple"]),
                 sigma_db=float(obj["sigma_db"]),
                 condition=Condition(obj["condition"]),
                 n_samples=obj.get("n_samples"),
-            ))
+            )
+            card.to_model()  # the CI model's checks, under the card's index
+            cards.append(card)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad model card at index {i}: {exc}") from None
     return cards

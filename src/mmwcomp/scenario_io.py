@@ -304,22 +304,6 @@ def read_masks_csv(source: str | Path | TextIO,
     return masks
 
 
-def write_masks_csv(masks: Mapping[LinkKey, int], dest: str | Path | TextIO,
-                    n_directions: int = 72):
-    """Write masks in the format ``read_masks_csv`` accepts."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
-            write_masks_csv(masks, fh, n_directions=n_directions)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(MASK_FIELDS)
-    for link in sorted(masks):
-        if masks[link] >> n_directions:
-            raise ValueError(f"mask for link {link} exceeds {n_directions} bits")
-        writer.writerow([link[0], link[1],
-                         format(masks[link], f"0{n_directions}b")[::-1]])
-
-
 def load_topology(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Read a serving-set JSON file: {ue_id: [bs_id, ...], ...}."""
     try:
@@ -344,28 +328,13 @@ def scenario_to_json(scenario: Scenario) -> str:
     """Serialize a scenario back to its JSON format (round-trippable)."""
     obj = {
         "schema_version": SCENARIO_SCHEMA_VERSION,
-        "base_stations": [{"id": n.id, "x_m": n.x_m, "y_m": n.y_m,
-                           "height_m": n.height_m} for n in scenario.base_stations],
-        "ues": [{"id": n.id, "x_m": n.x_m, "y_m": n.y_m, "height_m": n.height_m}
-                for n in scenario.ues],
+        "base_stations": [n._asdict() for n in scenario.base_stations],
+        "ues": [n._asdict() for n in scenario.ues],
         "models": {cond.value: {"f_ghz": m.f_ghz, "ple": m.ple,
                                 "sigma_db": m.sigma_db}
                    for cond, m in scenario.models.items()},
-        "budget": {
-            "pt_dbm": scenario.budget.pt_dbm,
-            "gt_dbi": scenario.budget.gt_dbi,
-            "gr_dbi": scenario.budget.gr_dbi,
-            "bw_ghz": scenario.budget.bw_ghz,
-            "max_pl_db": scenario.budget.max_pl_db,
-            "snr_threshold_db": scenario.budget.snr_threshold_db,
-        },
-        "sweep": {
-            "tx_angles": scenario.sweep.tx_angles,
-            "rx_azimuths": scenario.sweep.rx_azimuths,
-            "rx_elevations": scenario.sweep.rx_elevations,
-            "tx_step_deg": scenario.sweep.tx_step_deg,
-            "rx_step_deg": scenario.sweep.rx_step_deg,
-        },
+        "budget": scenario.budget._asdict(),
+        "sweep": scenario.sweep._asdict(),
         "conditions": {f"{ue}/{bs}": cond.value
                        for (ue, bs), cond
                        in sorted(scenario.condition_policy.explicit.items())},

@@ -43,7 +43,8 @@ def mean_reception(sc, drops, k_max):
     """Mean over trials of each trial's full-coverage share of k-subsets."""
     counts = m.reception_counts(dict(zip(drops.links, drops.masks)),
                                 sc.topology(), k_max,
-                                sc.sweep.n_rx_directions, len(drops.los))
+                                sc.sweep.n_rx_directions,
+                                drops.omni_pl_db.shape[0])
     return {k: float(np.mean([h / n for h in hits]))
             for k, (hits, n) in counts.items()}
 

@@ -16,8 +16,7 @@ from mmwcomp import (CdfPoint, Condition, ModelCard, OutageRow,
                      PathLossSample, ResultBundle, RunMetadata, ScenarioError, build_cdf, emit_results,
                      format_pct, load_model_cards, load_scenario,
                      load_topology, parse_scenario, read_masks_csv,
-                     read_samples_csv, scenario_to_json, simulate_drop,
-                     write_masks_csv)
+                     read_samples_csv, scenario_to_json, simulate_drop)
 from mmwcomp.cli import main
 from mmwcomp.params import CAMPAIGN_SERVING_SETS
 
@@ -31,6 +30,14 @@ def write_samples(samples, path):
     path.write_text("d_m,pl_db,condition,polarization\n" + "".join(
         f"{s.d_m!r},{s.pl_db!r},{s.condition.value},{s.polarization}\n"
         for s in samples))
+
+
+def write_masks(masks, path, n_directions=72):
+    """Write ``masks`` in the ``rx_id,tx_id,mask`` format of ``read_masks_csv``:
+    character i of a mask is its bit i."""
+    path.write_text("rx_id,tx_id,mask\n" + "".join(
+        f"{ue},{bs},{format(m, f'0{n_directions}b')[::-1]}\n"
+        for (ue, bs), m in sorted(masks.items())))
 
 
 def minimal(**extra):
@@ -184,18 +191,13 @@ class TestMasksCsv:
                            for i in range(n_directions))
             masks = {("U1", "B1"): int(bits[::-1], 2), ("U1", "B2"): 1}
             path = tmp_path / f"masks{n_directions}.csv"
-            write_masks_csv(masks, path, n_directions=n_directions)
+            write_masks(masks, path, n_directions=n_directions)
             assert path.read_text().splitlines()[1] == f"U1,B1,{bits}"
             assert read_masks_csv(path, n_directions=n_directions) == masks
 
     def test_char_i_is_bit_i(self):
         buf = io.StringIO("rx_id,tx_id,mask\nU1,B1,1100\n")
         assert read_masks_csv(buf, n_directions=4) == {("U1", "B1"): 0b0011}
-
-    def test_write_rejects_wide_mask(self):
-        with pytest.raises(ValueError, match="4 bits"):
-            write_masks_csv({("U1", "B1"): 1 << 4}, io.StringIO(),
-                            n_directions=4)
 
     def test_bad_mask_length(self):
         buf = io.StringIO("rx_id,tx_id,mask\nU1,B1,101\n")
@@ -395,8 +397,8 @@ class TestCli:
                  for b in sorted(CAMPAIGN_SERVING_SETS[u])]
         full = (1 << 72) - 1
         masks = tmp_path / "masks.csv"
-        write_masks_csv({link: full if i < 20 else full & ~(1 << (i % 72))
-                         for i, link in enumerate(links)}, masks)
+        write_masks({link: full if i < 20 else full & ~(1 << (i % 72))
+                     for i, link in enumerate(links)}, masks)
         assert main(["enumerate", "--topology", str(topo),
                      "--masks", str(masks)]) == 0
         out = capsys.readouterr().out
@@ -406,7 +408,7 @@ class TestCli:
         topo = tmp_path / "topology.json"
         topo.write_text(json.dumps({"U1": ["B1", "B2"]}))
         masks = tmp_path / "masks.csv"
-        write_masks_csv({("U1", "B1"): 1}, masks)
+        write_masks({("U1", "B1"): 1}, masks)
         assert main(["enumerate", "--topology", str(topo),
                      "--masks", str(masks)]) == 1
         captured = capsys.readouterr()
@@ -421,7 +423,7 @@ class TestCli:
         topo = tmp_path / "topology.json"
         topo.write_text(json.dumps({"U1": ["B1", "B2"]}))
         masks = tmp_path / "masks.csv"
-        write_masks_csv({("U1", "B1"): 1, ("U1", "B2"): 2}, masks)
+        write_masks({("U1", "B1"): 1, ("U1", "B2"): 2}, masks)
         argv = ["enumerate", "--topology", str(topo), "--k", k]
         if with_masks:
             argv += ["--masks", str(masks)]
@@ -670,6 +672,39 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("ple", -1.0, "ple must be positive and finite, got -1.0"),
+        ("ple", 0.0, "ple must be positive and finite, got 0.0"),
+        ("sigma_db", -3.0, "sigma_db must be >= 0, got -3.0"),
+    ], ids=["negative-ple", "zero-ple", "negative-sigma"])
+    def test_coverage_rejects_bad_card_with_its_index(self, tmp_path, capsys,
+                                                      key, value, message):
+        models = _write_models(tmp_path)
+        cards = json.loads(models.read_text())
+        cards[0][key] = value
+        models.write_text(json.dumps(cards))
+        assert main(["coverage", "--models", str(models),
+                     "--distances", "63"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {models}: bad model card at index 0: {message}\n")
+
+    @pytest.mark.parametrize("command", ["coverage", "simulate"])
+    def test_scenario_model_with_negative_ple_names_key_path(self, tmp_path,
+                                                             capsys, command):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(minimal(models={
+            "NLOS": {"f_ghz": 73.5, "ple": -1.0, "sigma_db": 8.0}})))
+        argv = [command, "--scenario", str(path)]
+        if command == "simulate":
+            argv += ["--trials", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: scenario.models.NLOS: ple must be "
+                                "positive and finite, got -1.0\n")
+
     @pytest.mark.parametrize("d_m", ["inf", "nan"])
     def test_fit_rejects_non_finite_distance(self, tmp_path, capsys, d_m):
         csv_path = tmp_path / "samples.csv"
@@ -798,8 +833,8 @@ def _closed_form_runs(tmp_path) -> list[list[str]]:
     topo = tmp_path / "topology.json"
     topo.write_text(json.dumps({"U1": ["B1", "B2"], "U2": ["B2"]}))
     masks = tmp_path / "masks.csv"
-    write_masks_csv({("U1", "B1"): 1, ("U1", "B2"): 2, ("U2", "B2"): 3},
-                    masks, n_directions=2)
+    write_masks({("U1", "B1"): 1, ("U1", "B2"): 2, ("U2", "B2"): 3}, masks,
+                n_directions=2)
     return [
         ["fit", "--samples", str(samples), "--out", str(tmp_path / "f")],
         ["coverage", "--out", str(tmp_path / "cov")],

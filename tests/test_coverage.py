@@ -110,10 +110,14 @@ def test_region_outage_below_edge_outage():
 
 
 def test_region_outage_requires_positive_ple():
-    for sigma in (11.4, 0.0):
-        with pytest.raises(ValueError, match="requires ple > 0"):
-            region_outage_probability(
-                q(CiModel(73.5, -1.0, sigma, Condition.NLOS), 63.0))
+    # The useful-area closed form needs n > 0; CiModel rejects any other
+    # exponent, so no query can reach the kernel with one.
+    for ple in (-1.0, 0.0, math.inf, math.nan):
+        for sigma in (11.4, 0.0):
+            with pytest.raises(ValueError,
+                               match=f"ple must be positive and finite, "
+                                     f"got {ple}"):
+                CiModel(73.5, ple, sigma, Condition.NLOS)
 
 
 def test_region_outage_zero_sigma_is_disk_share_beyond_coverage_radius():

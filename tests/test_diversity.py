@@ -7,8 +7,9 @@ import os
 import signal
 
 import numpy as np
+import oracles
 import pytest
-from scipy import integrate, special
+from scipy import special
 
 from mmwcomp import (CiModel, Condition, ConditionPolicy, CoverageQuery,
                      LinkBudget, Node, PathLossSample, Scenario, SweepGrid,
@@ -54,7 +55,7 @@ def masks_by_trial(drops, n):
     width = 8 * lane_bytes(n)
     rows = tuple(tuple((m >> (t * width)) & ((1 << n) - 1)
                        for m in drops.masks)
-                 for t in range(len(drops.los)))
+                 for t in range(drops.omni_pl_db.shape[0]))
     for i, m in enumerate(drops.masks):
         assert m == sum(row[i] << (t * width) for t, row in enumerate(rows))
     return rows
@@ -202,6 +203,39 @@ def test_scenario_validation():
                  models={Condition.LOS: LOS})
 
 
+# Shadowing-free models and a 120 dB limit, which every LOS draw meets and
+# no NLOS draw does on links of 30-125 m, with no best-beam replacement: a
+# link's mask is full exactly when the link is LOS in that trial.
+SIGMA0_MODELS = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
+                 Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS)}
+
+
+def condition_scenario(bss, ues, policy):
+    return scenario(bss, ues, models=SIGMA0_MODELS, policy=policy,
+                    budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=120.0),
+                    sweep=SMALL_SWEEP)
+
+
+def los_by_trial(drops):
+    """Each trial's LOS flags, [t][i], read from a ``condition_scenario``
+    drop: every mask is full (LOS) or empty (NLOS)."""
+    full = (1 << SMALL_R) - 1
+    rows = masks_by_trial(drops, SMALL_R)
+    assert {m for row in rows for m in row} <= {0, full}
+    return [[m == full for m in row] for row in rows]
+
+
+def stream_los(sc, trials):
+    """(trials, L) LOS flags as the documented stream draws them: trial t's
+    first L uniforms below ``p_los``, overwritten on the pinned links."""
+    keys = [(u.id, b.id) for u, b in sc.links()]
+    pos, flags = sc.condition_policy.pinned(keys)
+    los = np.array([substream(sc.seed, t).random(len(keys))
+                    < sc.condition_policy.p_los for t in range(trials)])
+    los[:, pos] = flags
+    return los
+
+
 def test_condition_policy_explicit_and_bernoulli():
     explicit = {("U1", "B1"): Condition.LOS, ("U1", "B3"): Condition.NLOS}
     links = [("U1", "B1"), ("U1", "B2"), ("U1", "B3")]
@@ -211,17 +245,18 @@ def test_condition_policy_explicit_and_bernoulli():
     bss = [bs(i, 30.0 * i, 0.0) for i in range(1, 4)]
     for p_los, expected in ((0.0, [True, False, False]),
                             (1.0, [True, True, False])):
-        sc = scenario(bss, [ue(1, 0.0, 0.0)], sweep=SMALL_SWEEP,
-                      policy=ConditionPolicy(explicit=explicit, p_los=p_los))
-        assert simulate_drop(sc, 2).los.tolist() == [expected] * 2
+        sc = condition_scenario(bss, [ue(1, 0.0, 0.0)],
+                                ConditionPolicy(explicit=explicit, p_los=p_los))
+        assert los_by_trial(simulate_drop(sc, 2)) == [expected] * 2
     # One uniform per link, explicit or not: the free middle link reads the
     # second uniform of each trial's sub-stream.
-    sc = scenario(bss, [ue(1, 0.0, 0.0)], sweep=SMALL_SWEEP,
-                  policy=ConditionPolicy(explicit=explicit, p_los=0.5))
-    drops = simulate_drop(sc, 40)
+    sc = condition_scenario(bss, [ue(1, 0.0, 0.0)],
+                            ConditionPolicy(explicit=explicit, p_los=0.5))
+    los = np.array(los_by_trial(simulate_drop(sc, 40)))
     free = [bool(substream(sc.seed, t).random(3)[1] < 0.5) for t in range(40)]
-    assert drops.los[:, 1].tolist() == free and 0 < sum(free) < 40
-    assert drops.los[:, 0].all() and not drops.los[:, 2].any()
+    assert los[:, 1].tolist() == free and 0 < sum(free) < 40
+    assert los[:, 0].all() and not los[:, 2].any()
+    assert np.array_equal(los, stream_los(sc, 40))
     with pytest.raises(ValueError):
         ConditionPolicy(p_los=1.5)
     with pytest.raises(ValueError):
@@ -344,12 +379,11 @@ def test_simulate_deterministic_and_prefix_stable():
     a = simulate_drop(sc, 3)
     b = simulate_drop(sc, 3)
     c = simulate_drop(sc, 5)
-    assert a.omni_pl_db.shape == a.los.shape == (3, 4)
+    assert a.omni_pl_db.shape == (3, 4)
     assert np.array_equal(a.omni_pl_db, b.omni_pl_db)
     assert np.array_equal(a.omni_pl_db, c.omni_pl_db[:3])
     assert (masks_by_trial(a, 72) == masks_by_trial(b, 72)
             == masks_by_trial(c, 72)[:3])
-    assert np.array_equal(a.los, c.los[:3])
 
 
 def test_simulate_seed_changes_output():
@@ -377,7 +411,7 @@ def mean_reception(sc, drops, k_max):
     writes it, from one ``reception_counts`` call with a lane per trial."""
     counts = reception_counts(dict(zip(drops.links, drops.masks)),
                               sc.topology(), k_max, sc.sweep.n_rx_directions,
-                              len(drops.los))
+                              drops.omni_pl_db.shape[0])
     return {k: float(np.mean([h / n for h in hits]))
             for k, (hits, n) in counts.items()}
 
@@ -434,7 +468,6 @@ SMALL_T, SMALL_R = 3, 4
 SMALL_SWEEP = SweepGrid(tx_angles=SMALL_T, rx_azimuths=SMALL_R,
                         rx_elevations=1, rx_step_deg=90.0)
 ORACLE_TRIALS = 1000
-CI_1M_DB = 32.4 + 20.0 * math.log10(73.5)
 
 
 def ring_scenario(radius_m, models, policy, max_pl_db):
@@ -451,15 +484,12 @@ def assert_k1_within_5se(sc, expected):
     assert abs(probs[1] - expected) <= 5.0 * se, (probs[1], expected, se)
 
 
-def ci_mean_db(ple, radius_m):
-    """CI mean at horizontal ``radius_m`` between 4.0 m and 1.4 m antennas."""
-    return CI_1M_DB + 10.0 * ple * math.log10(math.hypot(radius_m, 2.6))
-
-
 def test_los_k1_reception_matches_closed_form():
     radius, max_pl = 100.0, 110.0
-    p = special.ndtr((max_pl - ci_mean_db(LOS.ple, radius)) / LOS.sigma_db)
-    expected = (1.0 - (1.0 - p) ** SMALL_T) ** SMALL_R
+    # The ring's links span ``radius`` across and 4.0 - 1.4 m in height.
+    d = math.hypot(radius, 2.6)
+    expected = oracles.los_full_reception(
+        max_pl, oracles.ci_mean_db(LOS.ple, d), LOS.sigma_db, SMALL_T, SMALL_R)
     assert 0.2 < expected < 0.8
     assert_k1_within_5se(ring_scenario(radius, MODELS, ConditionPolicy(p_los=1.0),
                                        max_pl), expected)
@@ -489,43 +519,19 @@ def test_simulate_k1_reception_matches_edge_coverage(bw_ghz):
     assert abs(got - expected) <= 5.0 * se, (got, expected, se)
 
 
-def nlos_best_full_reception(mean, sigma, best_mean, best_sigma, max_pl):
-    """P(full reception) when the lowest of T*R iid N(mean, sigma) draws is
-    replaced by an independent N(best_mean, best_sigma) draw (R >= 2).
-
-    Conditioned on the minimum M = m <= max_pl, the other draws are iid
-    given > m: a direction is missed by each with r = S(max_pl) / S(m),
-    and the minimum's own direction also by the best-beam draw.  With
-    M > max_pl only the best-beam draw can be detected, which cannot cover
-    R >= 2 directions.
-    """
-    n = SMALL_T * SMALL_R
-    s_max = special.ndtr((mean - max_pl) / sigma)
-    q_best = special.ndtr((max_pl - best_mean) / best_sigma)
-
-    def integrand(x):  # x = (m - mean) / sigma
-        s_m = special.ndtr(-x)
-        r = s_max / s_m
-        density = n * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return (density * s_m ** (n - 1) * (1.0 - r ** SMALL_T) ** (SMALL_R - 1)
-                * (1.0 - r ** (SMALL_T - 1) * (1.0 - q_best)))
-
-    val, _ = integrate.quad(integrand, -12.0, (max_pl - mean) / sigma,
-                            epsabs=1e-13, epsrel=1e-11, limit=200)
-    return val
-
-
 @pytest.mark.parametrize("best", [NLOS_BEST,
                                   CiModel(73.5, 6.0, 1.0, Condition.NLOS_BEST)])
 def test_nlos_best_beam_k1_reception_matches_order_statistic(best):
     # The second best-beam model is never detected, so replacing the lowest
     # draw removes it: reception falls well below the no-replacement value.
     radius, max_pl = 40.0, 145.0
-    mean = ci_mean_db(NLOS.ple, radius)
-    expected = nlos_best_full_reception(
-        mean, NLOS.sigma_db, ci_mean_db(best.ple, radius), best.sigma_db, max_pl)
-    no_best = (1.0 - special.ndtr((mean - max_pl) / NLOS.sigma_db) ** SMALL_T
-               ) ** SMALL_R
+    d = math.hypot(radius, 2.6)
+    mean = oracles.ci_mean_db(NLOS.ple, d)
+    expected = oracles.nlos_full_reception(
+        max_pl, mean, NLOS.sigma_db, oracles.ci_mean_db(best.ple, d),
+        best.sigma_db, SMALL_T, SMALL_R)
+    no_best = oracles.los_full_reception(max_pl, mean, NLOS.sigma_db, SMALL_T,
+                                         SMALL_R)
     assert 0.2 < expected < 0.8
     if best is not NLOS_BEST:
         assert no_best - expected > 0.1
@@ -556,13 +562,13 @@ def test_omni_within_budget_iff_mask_nonzero():
 def test_los_share_of_random_links_matches_p_los():
     p_los, trials = 0.3, 300
     explicit = {("U1", "B1"): Condition.LOS, ("U2", "B3"): Condition.NLOS}
-    sc = scenario([bs(i, 30.0 * i, 0.0) for i in range(1, 4)],
-                  [ue(i, 0.0, 20.0 * i) for i in range(1, 5)],
-                  policy=ConditionPolicy(explicit=explicit, p_los=p_los),
-                  sweep=SMALL_SWEEP)
+    sc = condition_scenario([bs(i, 30.0 * i, 0.0) for i in range(1, 4)],
+                            [ue(i, 0.0, 20.0 * i) for i in range(1, 5)],
+                            ConditionPolicy(explicit=explicit, p_los=p_los))
     n_los = n = 0
     drops = simulate_drop(sc, trials)
-    for link, los in zip(drops.links, drops.los.T.tolist()):
+    for link, los in zip(drops.links,
+                         np.array(los_by_trial(drops)).T.tolist()):
         if link in explicit:
             assert los == [explicit[link] is Condition.LOS] * trials
         else:
@@ -588,7 +594,6 @@ def test_golden_trial_zero():
     drops = simulate_drop(sc, 1)
     assert drops.links == (("U1", "B1"), ("U1", "B2"), ("U2", "B1"),
                            ("U2", "B2"))
-    assert drops.los.tolist() == [[False, True, True, False]]
     # One trial: each link's packed mask is its lane-0 mask alone.
     assert drops.masks == (0xe811344061c655c47a, 0xd7ffffffffffffffbf,
                            0xffdffddfffffefcffe, 0x1044006a430000aad1)
@@ -637,8 +642,7 @@ def exact_reception(sc, k, trials):
         for j, b in enumerate(bss):
             for state, cond in enumerate((Condition.NLOS, Condition.LOS)):
                 model = sc.models[cond]
-                mean = CI_1M_DB + 10.0 * model.ple * math.log10(
-                    distance_3d(u, b))
+                mean = oracles.ci_mean_db(model.ple, distance_3d(u, b))
                 p = special.ndtr((sc.budget.max_pl_db - mean) / model.sigma_db)
                 miss[state, j] = (1.0 - p) ** sc.sweep.tx_angles
             pinned = sc.condition_policy.explicit.get((u.id, b.id))
@@ -709,7 +713,6 @@ def test_simulate_output_independent_of_batch_size(monkeypatch):
         for cpus in (1, 2):
             _with_cpus(monkeypatch, cpus)
             drops = simulate_drop(sc, 7)
-            assert np.array_equal(drops.los, whole.los)
             assert np.array_equal(drops.omni_pl_db, whole.omni_pl_db)
             assert drops.masks == whole.masks
 
@@ -721,8 +724,7 @@ def test_simulate_output_independent_of_worker_count(monkeypatch):
         for cpus in (1, 2, 3):
             _with_cpus(monkeypatch, cpus)
             drops = simulate_drop(sc, trials)
-            outcomes.append((drops.los.tolist(), drops.omni_pl_db.tolist(),
-                             drops.masks,
+            outcomes.append((drops.omni_pl_db.tolist(), drops.masks,
                              mean_reception(sc, drops, 3)))
         assert outcomes[0] == outcomes[1] == outcomes[2], trials
 
@@ -751,10 +753,11 @@ def test_stacked_reduction_matches_per_trial_counts(monkeypatch, bss, ues,
                   budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db))
     assert Condition.NLOS_BEST in sc.models
     topology = topology or sc.topology()
+    los = stream_los(sc, trials)
+    assert los.any() and not los.all()
     for cpus in (1, 2, 3):
         _with_cpus(monkeypatch, cpus)
         drops = simulate_drop(sc, trials)
-        assert drops.los.any() and not drops.los.all()
         per_trial = [reception_counts(dict(zip(drops.links, row)), topology,
                                       k_max, SMALL_R)
                      for row in masks_by_trial(drops, SMALL_R)]

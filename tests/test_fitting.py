@@ -99,6 +99,18 @@ def test_fit_rejects_path_loss_beyond_float_range(pl_db):
         fit_ci(samples, F)
 
 
+@pytest.mark.parametrize("pl_db", [(fspl_db(F, 1.0),) * 2, (60.0, 50.0)],
+                         ids=["flat-at-anchor", "falling"])
+def test_fit_rejects_non_positive_slope(pl_db):
+    # A slope of 0 or below is no CI model; the error names the condition.
+    samples = [PathLossSample(d, pl, Condition.LOS)
+               for d, pl in zip((10.0, 40.0), pl_db)]
+    with pytest.raises(FitError, match="^LOS samples fit a path loss "
+                                       "exponent of .*; the CI model needs "
+                                       "ple > 0$"):
+        fit_ci(samples, F)
+
+
 def test_fit_rejects_mixed_conditions():
     samples = [PathLossSample(10.0, 100.0, Condition.LOS),
                PathLossSample(20.0, 120.0, Condition.NLOS)]

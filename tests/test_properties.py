@@ -1,10 +1,9 @@
 """Property-based checks over the numeric core."""
 
-import functools
 import itertools
 import math
-import operator
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,20 +105,6 @@ def test_reception_monotone_per_ue(masks):
         assert b >= a - 1e-12
 
 
-def brute_force_reception_counts(masks, topology, k, n_directions):
-    """(full-coverage subsets, subsets) of size k by explicit OR."""
-    full = (1 << n_directions) - 1
-    hits = n = 0
-    for ue, serving in topology.items():
-        for subset in itertools.combinations(serving, k):
-            union = 0
-            for bs in subset:
-                union |= masks[(ue, bs)]
-            hits += union == full
-            n += 1
-    return hits, n
-
-
 @given(st.one_of(st.integers(min_value=1, max_value=12), st.just(72)),
        st.integers(1, 3), st.data())
 def test_reception_counts_match_brute_force(n_directions, lanes, data):
@@ -148,7 +133,7 @@ def test_reception_counts_match_brute_force(n_directions, lanes, data):
     counts = reception_counts(masks, topology, k_max, n_directions, lanes)
     assert sorted(counts) == list(range(1, k_max + 1))
     for k in range(1, k_max + 1):
-        brute = [brute_force_reception_counts(m, topology, k, n_directions)
+        brute = [oracles.union_reception(topology, m, n_directions, k)
                  for m in per_lane]
         assert counts[k] == ([hits for hits, _ in brute], brute[0][1])
 
@@ -171,7 +156,7 @@ def test_reception_counts_match_brute_force_on_twelve_stations():
     counts = reception_counts(masks, topology, 6, n_directions)
     assert sorted(counts) == list(range(1, 7))
     for k in range(1, 7):
-        hits, n = brute_force_reception_counts(masks, topology, k, n_directions)
+        hits, n = oracles.union_reception(topology, masks, n_directions, k)
         assert counts[k] == ([hits], n), k
     assert all(0 < counts[k][0][0] < counts[k][1] for k in range(2, 7))
 
@@ -192,11 +177,12 @@ def test_lane_kernel_counts_every_lane_like_brute_force(n, lanes, n_bs, data):
     one = sum(1 << (lane * width) for lane in range(lanes))
     hits = _miss_set_hits(columns, one, n, top)
     assert len(hits) == top
+    topology = {"U1": [f"B{j}" for j in range(n_bs)]}
     for k, packed in enumerate(hits, 1):
         assert packed >> (lanes * width) == 0
         for lane, ms in enumerate(per_lane):
-            expected = sum(functools.reduce(operator.or_, subset) == full
-                           for subset in itertools.combinations(ms, k))
+            expected, _ = oracles.union_reception(
+                topology, {("U1", f"B{j}"): m for j, m in enumerate(ms)}, n, k)
             assert (packed >> (lane * width)) & ((1 << width) - 1) == expected
 
 

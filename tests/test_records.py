@@ -39,8 +39,7 @@ RECORDS = [
     POLICY,
     Scenario((B1,), (U1,), POLICY, MODELS, BUDGET, SweepGrid(), 7),
     # One link over two trials in one-byte lanes: masks 0b1, then 0b11.
-    Drops((("U1", "B1"),), np.ones((2, 1), dtype=bool), np.full((2, 1), 90.0),
-          (1 | 3 << 8,)),
+    Drops((("U1", "B1"),), np.full((2, 1), 90.0), (1 | 3 << 8,)),
 ]
 
 # For each validated record: valid fields in field order with one bad
@@ -106,7 +105,6 @@ def test_pickle_round_trip(record):
     assert type(copy) is type(record)
     if isinstance(record, Drops):  # identity equality; compare the fields
         assert copy.links == record.links and copy.masks == record.masks
-        np.testing.assert_array_equal(copy.los, record.los)
         np.testing.assert_array_equal(copy.omni_pl_db, record.omni_pl_db)
     else:
         assert copy == record
