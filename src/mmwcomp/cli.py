@@ -16,7 +16,6 @@ either, output is stdout only.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -28,8 +27,9 @@ from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M,
                      DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET)
 from .propagation import REFERENCE_DISTANCE_M, CiModel, Condition
 from .results import (ModelCard, ReceptionRow, ResultBundle, RunMetadata,
-                      build_cdf, emit_results, format_pct, load_model_cards)
-from .scenario_io import (ScenarioError, load_scenario, load_topology,
+                      build_cdf, emit_results, format_pct)
+from .scenario_io import (ScenarioError, _csv_rows, _read_json,
+                          load_model_cards, load_scenario, load_topology,
                           read_masks_csv, read_samples_csv)
 
 OUT_ENV_VAR = "MMWCOMP_OUT"
@@ -152,15 +152,13 @@ def _cmd_enumerate(args) -> int:
     from .diversity import combination_count, reception_counts
     if args.k is not None and args.k < 1:
         raise ScenarioError(f"--k must be >= 1, got {args.k}")
-    if args.directions < 1:
-        raise ScenarioError(f"--directions must be >= 1, got {args.directions}")
     topology = load_topology(args.topology)
     sizes = [len(set(s)) for s in topology.values()]
     limit = args.k if args.k is not None else max(sizes)
     if args.masks is not None:
-        masks = read_masks_csv(args.masks, n_directions=args.directions)
+        masks, n_directions = read_masks_csv(args.masks)
         try:
-            counts = reception_counts(masks, topology, limit, args.directions)
+            counts = reception_counts(masks, topology, limit, n_directions)
         except ValueError as exc:  # a topology link without a mask row
             raise ScenarioError(f"{args.masks}: {exc}") from None
         rows = [ReceptionRow(k, hits[0] / n, n)
@@ -188,10 +186,7 @@ def _cmd_report(args) -> int:
     if not meta_path.is_file():
         raise ScenarioError(f"{bundle_dir}: not a result bundle "
                             f"(missing metadata.json)")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{meta_path}: invalid JSON ({exc})") from None
+    meta = _read_json(meta_path)
     if not isinstance(meta, dict):
         raise ScenarioError(f"{meta_path}: expected a JSON object")
     models_path = bundle_dir / "models.json"
@@ -211,7 +206,7 @@ def _cmd_report(args) -> int:
         path = bundle_dir / name
         if path.is_file():
             print(f"{name}:")
-            for line in path.read_text().splitlines():
+            for line in path.read_text(encoding="utf-8").splitlines():
                 print(f"  {line}")
     for name, xs in cdfs:
         print(f"{name}: {len(xs)} points, median {xs[len(xs) // 2]:.1f}")
@@ -219,15 +214,14 @@ def _cmd_report(args) -> int:
 
 
 def _read_cdf_values(path: Path) -> list[float]:
-    """The x column of a ``cdf_*.csv`` file, below its header line."""
+    """The x column of a ``cdf_*.csv`` file, below its ``x,p`` header."""
     xs = []
-    for lineno, line in enumerate(path.read_text().splitlines()[1:], 2):
-        x = line.split(",")[0]
+    for lineno, row in _csv_rows(path, ("x", "p"), str(path)):
         try:
-            xs.append(float(x))
+            xs.append(float(row[0]))
         except ValueError:
             raise ScenarioError(f"{path} line {lineno}: x must be a number, "
-                                f"got {x!r}") from None
+                                f"got {row[0]!r}") from None
     if not xs:
         raise ScenarioError(f"{path}: no CDF points below the header")
     return xs
@@ -277,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--topology", required=True,
                         help="serving-set JSON: {ue_id: [bs_id, ...]}")
     p_enum.add_argument("--masks", help="reception-mask CSV to score against")
-    p_enum.add_argument("--directions", type=int, default=72,
-                        help="mask length (default 72)")
     p_enum.add_argument("--k", type=int,
                         help="evaluate serving-set sizes 1..K (default: all)")
     p_enum.add_argument("--out", help="output directory")
@@ -298,7 +290,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # ScenarioError, FitError and json.JSONDecodeError are ValueErrors.
+        # ScenarioError and FitError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure, distinct from bad input

@@ -1,5 +1,8 @@
 """Result records and deterministic emission to disk.
 
+This module only writes: ``scenario_io.load_model_cards`` reads a
+``models.json`` back, next to the package's other input readers.
+
 Every writer here produces byte-identical output for identical inputs:
 keys are sorted, line endings are "\\n", floats go through one shared
 formatter, and no wall-clock time is recorded unless the caller supplies
@@ -181,28 +184,3 @@ def emit_results(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
         write(f"cdf_{name}.csv", "\n".join(lines) + "\n")
     return written
 
-
-def load_model_cards(path: str | Path) -> list[ModelCard]:
-    """Read back a models.json written by ``emit_results``."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: expected an array of model cards")
-    cards = []
-    for i, obj in enumerate(raw):
-        try:
-            card = ModelCard(
-                label=obj["label"],
-                f_ghz=float(obj["f_ghz"]),
-                ple=float(obj["ple"]),
-                sigma_db=float(obj["sigma_db"]),
-                condition=Condition(obj["condition"]),
-                n_samples=obj.get("n_samples"),
-            )
-            card.to_model()  # the CI model's checks, under the card's index
-            cards.append(card)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad model card at index {i}: {exc}") from None
-    return cards

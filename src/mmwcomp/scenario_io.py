@@ -1,7 +1,12 @@
-"""File formats: scenario JSON, path-loss sample CSV, reception-mask CSV.
+"""Reading every input file: scenario, topology and model-card JSON, and
+path-loss sample and reception-mask CSV.
 
-All parsers reject unknown keys and report errors with a dotted key path
-(scenario JSON) or a 1-based line number (CSV) so a bad input file can be
+Files are read as UTF-8 whatever the locale.  JSON goes through one loader
+(``_read_json``), CSV through one row reader (``_csv_rows``), and every JSON
+record through one field-driven parser (``_parse_record``).  All parsers
+reject unknown keys, and every bad input raises ScenarioError with the
+file (undecodable JSON), a dotted key path (scenario JSON), the file and a
+card index (``models.json``) or a 1-based line number (CSV), so it can be
 fixed without reading tracebacks.
 """
 
@@ -13,7 +18,7 @@ import json
 import math
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, TextIO
+from typing import TYPE_CHECKING, Iterator, Mapping, TextIO
 
 from .coverage import LinkBudget
 from .params import (BS_HEIGHT_M, DEFAULT_P_LOS, DEFAULT_SEED,
@@ -21,58 +26,63 @@ from .params import (BS_HEIGHT_M, DEFAULT_P_LOS, DEFAULT_SEED,
 from .propagation import CiModel, Condition
 
 if TYPE_CHECKING:
-    from .diversity import LinkKey, Node, Scenario, SweepGrid
+    from .diversity import LinkKey, Scenario
     from .fitting import PathLossSample
+    from .results import ModelCard
 
 
 SCENARIO_SCHEMA_VERSION = 1
 
 
 class ScenarioError(ValueError):
-    """Scenario or CSV input rejected; message carries the offending path."""
+    """An input file rejected; the message names the file, key path or line."""
 
 
 def _fail(path: str, msg: str):
-    raise ScenarioError(f"{path}: {msg}")
+    raise ScenarioError(f"{path}: {msg}" if path else msg)
+
+
+def _read_json(path: str | Path):
+    """Decode a JSON file read as UTF-8; any decoding failure names ``path``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _csv_rows(source: str | Path | TextIO, fields: tuple[str, ...],
+              label: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, row)`` for each non-blank row below a ``fields`` header.
+
+    A path is read as UTF-8.  Errors start with ``label`` and, past an
+    empty file, give the 1-based line.
+    """
+    if isinstance(source, (str, Path)):
+        data = Path(source).read_bytes()
+        try:
+            source = io.StringIO(data.decode("utf-8"), newline="")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ScenarioError(f"{label} line {line}: {exc}") from None
+    reader = csv.reader(source)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ScenarioError(f"{label}: empty file")
+        if tuple(h.strip() for h in header) != fields:
+            raise ScenarioError(
+                f"{label} line 1: header must be {','.join(fields)}")
+        for lineno, row in enumerate(reader, start=2):
+            if row and any(cell.strip() for cell in row):
+                yield lineno, row
+    except csv.Error as exc:
+        raise ScenarioError(f"{label} line {reader.line_num}: {exc}") from None
 
 
 def _check_keys(obj: Mapping, allowed: set[str], path: str):
     unknown = set(obj) - allowed
     if unknown:
         _fail(path, f"unknown key(s) {sorted(unknown)}")
-
-
-def _number(obj: Mapping, key: str, path: str, default=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        _fail(path, f"missing required key {key!r}")
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {val!r}")
-    try:
-        num = float(val)
-    except OverflowError:  # an integer literal beyond the float range
-        num = math.inf
-    if not math.isfinite(num):
-        _fail(f"{path}.{key}", f"expected a finite number, got {num!r}")
-    return num
-
-
-def _parse_node(obj, default_height: float, path: str) -> Node:
-    from .diversity import Node
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
-    _check_keys(obj, {"id", "x_m", "y_m", "height_m"}, path)
-    node_id = obj.get("id")
-    if not isinstance(node_id, str) or not node_id:
-        _fail(f"{path}.id", "expected a non-empty string")
-    coords = (_number(obj, "x_m", path), _number(obj, "y_m", path),
-              _number(obj, "height_m", path, default=default_height))
-    try:
-        return Node(node_id, *coords)
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 def _parse_condition(raw, path: str) -> Condition:
@@ -83,16 +93,65 @@ def _parse_condition(raw, path: str) -> Condition:
                     f"{[c.value for c in Condition]}, got {raw!r}")
 
 
-def _parse_model(obj, cond: Condition, path: str) -> CiModel:
+def _value(raw, kind: type, path: str):
+    """``raw`` checked as ``kind``: a non-empty str, an int, a finite float
+    (given as a JSON int or float) or a Condition label.  A bool is never a
+    number."""
+    if kind is Condition:
+        return _parse_condition(raw, path)
+    if kind is str:
+        if not isinstance(raw, str) or not raw:
+            _fail(path, "expected a non-empty string")
+        return raw
+    if kind is int:
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            _fail(path, f"expected an integer, got {raw!r}")
+        return raw
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        _fail(path, f"expected a number, got {raw!r}")
+    try:
+        num = float(raw)
+    except OverflowError:  # an integer literal beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        _fail(path, f"expected a finite number, got {num!r}")
+    return num
+
+
+def _kinds_of(defaults: Mapping) -> dict[str, type]:
+    return {key: type(val) for key, val in defaults.items()}
+
+
+def _parse_record(cls, obj, path: str, kinds: Mapping[str, type],
+                  defaults: Mapping, **fixed):
+    """``cls(**fields, **fixed)`` from the JSON object ``obj``.
+
+    Each key of ``kinds`` is read by ``_value`` under the key path
+    ``path.key`` (the bare key when ``path`` is empty); a key absent from
+    ``obj`` takes its value from ``defaults`` and is required when it has
+    none there.  Unknown keys and the record's own checks fail under
+    ``path``.
+    """
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
-    _check_keys(obj, {"f_ghz", "ple", "sigma_db"}, path)
-    params = (_number(obj, "f_ghz", path), _number(obj, "ple", path),
-              _number(obj, "sigma_db", path))
+    _check_keys(obj, set(kinds), path)
+    fields = {}
+    for key, kind in kinds.items():
+        if key in obj:
+            fields[key] = _value(obj[key], kind,
+                                 f"{path}.{key}" if path else key)
+        elif key in defaults:
+            fields[key] = defaults[key]
+        else:
+            _fail(path, f"missing required key {key!r}")
     try:
-        return CiModel(*params, cond)
+        return cls(**fields, **fixed)
     except ValueError as exc:
         _fail(path, str(exc))
+
+
+_NODE_KINDS = {"id": str, "x_m": float, "y_m": float, "height_m": float}
+_MODEL_KINDS = {"f_ghz": float, "ple": float, "sigma_db": float}
 
 
 def _parse_models(obj, path: str) -> dict[Condition, CiModel]:
@@ -101,47 +160,9 @@ def _parse_models(obj, path: str) -> dict[Condition, CiModel]:
     models = dict(DIRECTIONAL_CI_73GHZ)
     for key, sub in obj.items():
         cond = _parse_condition(key, path)
-        models[cond] = _parse_model(sub, cond, f"{path}.{key}")
+        models[cond] = _parse_record(CiModel, sub, f"{path}.{key}",
+                                     _MODEL_KINDS, {}, condition=cond)
     return models
-
-
-def _parse_budget(obj, path: str) -> LinkBudget:
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
-    keys = ("pt_dbm", "gt_dbi", "gr_dbi", "bw_ghz", "max_pl_db",
-            "snr_threshold_db")
-    _check_keys(obj, set(keys), path)
-    kwargs = {key: _number(obj, key, path,
-                           default=getattr(SOUNDER_LINK_BUDGET, key))
-              for key in keys}
-    try:
-        return LinkBudget(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
-
-
-def _parse_sweep(obj, path: str) -> SweepGrid:
-    from .diversity import SweepGrid
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
-    _check_keys(obj, {"tx_angles", "rx_azimuths", "rx_elevations",
-                      "tx_step_deg", "rx_step_deg"}, path)
-    base = SweepGrid()
-    kwargs = {}
-    for key in ("tx_angles", "rx_azimuths", "rx_elevations"):
-        if key in obj:
-            val = obj[key]
-            if isinstance(val, bool) or not isinstance(val, int):
-                _fail(f"{path}.{key}", f"expected an integer, got {val!r}")
-            kwargs[key] = val
-        else:
-            kwargs[key] = getattr(base, key)
-    for key in ("tx_step_deg", "rx_step_deg"):
-        kwargs[key] = _number(obj, key, path, default=getattr(base, key))
-    try:
-        return SweepGrid(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 def _parse_conditions(obj, path: str) -> dict[LinkKey, Condition]:
@@ -167,7 +188,7 @@ def parse_scenario(obj) -> Scenario:
     directional CI models, the channel-sounder link budget, the standard
     sweep grid, p_los 11/36 and seed 73.
     """
-    from .diversity import ConditionPolicy, Scenario, SweepGrid
+    from .diversity import ConditionPolicy, Node, Scenario, SweepGrid
     if not isinstance(obj, dict):
         _fail("scenario", "top level must be an object")
     _check_keys(obj, {"schema_version", "base_stations", "ues", "models",
@@ -180,22 +201,24 @@ def parse_scenario(obj) -> Scenario:
     for key in ("base_stations", "ues"):
         if key not in obj or not isinstance(obj[key], list) or not obj[key]:
             _fail(f"scenario.{key}", "expected a non-empty array")
-    bss = tuple(_parse_node(n, BS_HEIGHT_M, f"scenario.base_stations[{i}]")
+    bss = tuple(_parse_record(Node, n, f"scenario.base_stations[{i}]",
+                              _NODE_KINDS, {"height_m": BS_HEIGHT_M})
                 for i, n in enumerate(obj["base_stations"]))
-    ues = tuple(_parse_node(n, UE_HEIGHT_M, f"scenario.ues[{i}]")
+    ues = tuple(_parse_record(Node, n, f"scenario.ues[{i}]",
+                              _NODE_KINDS, {"height_m": UE_HEIGHT_M})
                 for i, n in enumerate(obj["ues"]))
     models = (_parse_models(obj["models"], "scenario.models")
               if "models" in obj else dict(DIRECTIONAL_CI_73GHZ))
-    budget = (_parse_budget(obj["budget"], "scenario.budget")
-              if "budget" in obj else SOUNDER_LINK_BUDGET)
-    sweep = (_parse_sweep(obj["sweep"], "scenario.sweep")
-             if "sweep" in obj else SweepGrid())
+    budget_defaults = SOUNDER_LINK_BUDGET._asdict()
+    budget = _parse_record(LinkBudget, obj.get("budget", {}), "scenario.budget",
+                           _kinds_of(budget_defaults), budget_defaults)
+    sweep = _parse_record(SweepGrid, obj.get("sweep", {}), "scenario.sweep",
+                          _kinds_of(SweepGrid._field_defaults),
+                          SweepGrid._field_defaults)
     explicit = (_parse_conditions(obj["conditions"], "scenario.conditions")
                 if "conditions" in obj else {})
-    p_los = _number(obj, "p_los", "scenario", default=DEFAULT_P_LOS)
-    seed = obj.get("seed", DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail("scenario.seed", f"expected an integer, got {seed!r}")
+    p_los = _value(obj.get("p_los", DEFAULT_P_LOS), float, "scenario.p_los")
+    seed = _value(obj.get("seed", DEFAULT_SEED), int, "scenario.seed")
     if seed < 0:
         _fail("scenario.seed", f"must be non-negative, got {seed}")
     for (ue_id, bs_id) in explicit:
@@ -212,12 +235,7 @@ def parse_scenario(obj) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario JSON file."""
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_scenario(obj)
+    return parse_scenario(_read_json(path))
 
 
 SAMPLE_FIELDS = ("d_m", "pl_db", "condition", "polarization")
@@ -232,21 +250,8 @@ def read_samples_csv(source: str | Path | TextIO,
     number; in lenient mode malformed rows are skipped.
     """
     from .fitting import PathLossSample
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return read_samples_csv(fh, strict=strict)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ScenarioError("samples CSV: empty file") from None
-    if tuple(h.strip() for h in header) != SAMPLE_FIELDS:
-        raise ScenarioError(
-            f"samples CSV line 1: header must be {','.join(SAMPLE_FIELDS)}")
     samples = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for lineno, row in _csv_rows(source, SAMPLE_FIELDS, "samples CSV"):
         try:
             if len(row) != len(SAMPLE_FIELDS):
                 raise ValueError(f"expected {len(SAMPLE_FIELDS)} fields, got {len(row)}")
@@ -268,48 +273,36 @@ def read_samples_csv(source: str | Path | TextIO,
 MASK_FIELDS = ("rx_id", "tx_id", "mask")
 
 
-def read_masks_csv(source: str | Path | TextIO,
-                   n_directions: int = 72) -> dict[LinkKey, int]:
+def read_masks_csv(source: str | Path | TextIO
+                   ) -> tuple[dict[LinkKey, int], int]:
     """Read per-link reception masks: ``rx_id,tx_id,mask``.
 
-    The mask is a string of 0/1 of length ``n_directions`` in
-    elevation-major order (index = elevation * n_azimuths + azimuth);
-    character i becomes bit i of the returned int bitset.
+    Returns the masks and their width.  The first row's mask sets the
+    width (72 directions for the standard sweep) and every other row must
+    match it; a file without mask rows has width 0.  A mask is a string of
+    0/1 in elevation-major order (index = elevation * n_azimuths +
+    azimuth); character i becomes bit i of the returned int bitset.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return read_masks_csv(fh, n_directions=n_directions)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ScenarioError("masks CSV: empty file") from None
-    if tuple(h.strip() for h in header) != MASK_FIELDS:
-        raise ScenarioError(
-            f"masks CSV line 1: header must be {','.join(MASK_FIELDS)}")
-    masks = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
+    masks: dict[LinkKey, int] = {}
+    width = 0
+    for lineno, row in _csv_rows(source, MASK_FIELDS, "masks CSV"):
+        if len(row) != len(MASK_FIELDS):
             raise ScenarioError(f"masks CSV line {lineno}: expected 3 fields")
         rx_id, tx_id, bits = (cell.strip() for cell in row)
-        if len(bits) != n_directions or set(bits) - {"0", "1"}:
-            raise ScenarioError(
-                f"masks CSV line {lineno}: mask must be {n_directions} chars of 0/1")
+        width = width or len(bits)
+        if not bits or len(bits) != width or set(bits) - {"0", "1"}:
+            raise ScenarioError(f"masks CSV line {lineno}: mask must be "
+                                f"{width or 'one or more'} chars of 0/1")
         link = (rx_id, tx_id)
         if link in masks:
             raise ScenarioError(f"masks CSV line {lineno}: duplicate link {link}")
         masks[link] = int(bits[::-1], 2)
-    return masks
+    return masks, width
 
 
 def load_topology(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Read a serving-set JSON file: {ue_id: [bs_id, ...], ...}."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict) or not obj:
         raise ScenarioError(f"{path}: expected a non-empty object")
     topology = {}
@@ -322,6 +315,36 @@ def load_topology(path: str | Path) -> dict[str, tuple[str, ...]]:
             raise ScenarioError(f"{path}: {ue_id}: duplicate base station id")
         topology[ue_id] = tuple(serving)
     return topology
+
+
+_CARD_KINDS = {"label": str, **_MODEL_KINDS, "condition": Condition,
+               "n_samples": int}
+
+
+def load_model_cards(path: str | Path) -> list[ModelCard]:
+    """Read back a models.json written by ``emit_results``.
+
+    Each card follows the scenario's number rules and the CI model's
+    checks; ``n_samples`` is optional, and the legacy ``rms_residual_db``
+    key is ignored.
+    """
+    from .results import ModelCard
+    raw = _read_json(path)
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{path}: expected an array of model cards")
+    cards = []
+    for i, obj in enumerate(raw):
+        if isinstance(obj, dict):
+            obj.pop("rms_residual_db", None)
+        try:
+            card = _parse_record(ModelCard, obj, "", _CARD_KINDS,
+                                 {"n_samples": None})
+            card.to_model()  # the CI model's checks, under the card's index
+        except ValueError as exc:
+            raise ScenarioError(
+                f"{path}: bad model card at index {i}: {exc}") from None
+        cards.append(card)
+    return cards
 
 
 def scenario_to_json(scenario: Scenario) -> str:

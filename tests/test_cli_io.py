@@ -26,6 +26,12 @@ MINIMAL = {
 }
 
 
+# Inputs that no reader may turn into an internal error: JSON nested past
+# the recursion limit, and a CSV field past the csv module's field limit.
+DEEP_JSON = b"[" * 100000 + b"]" * 100000
+LONG_FIELD = b"9" * 200000
+
+
 def write_samples(samples, path):
     path.write_text("d_m,pl_db,condition,polarization\n" + "".join(
         f"{s.d_m!r},{s.pl_db!r},{s.condition.value},{s.polarization}\n"
@@ -193,14 +199,15 @@ class TestMasksCsv:
             path = tmp_path / f"masks{n_directions}.csv"
             write_masks(masks, path, n_directions=n_directions)
             assert path.read_text().splitlines()[1] == f"U1,B1,{bits}"
-            assert read_masks_csv(path, n_directions=n_directions) == masks
+            assert read_masks_csv(path) == (masks, n_directions)
 
     def test_char_i_is_bit_i(self):
         buf = io.StringIO("rx_id,tx_id,mask\nU1,B1,1100\n")
-        assert read_masks_csv(buf, n_directions=4) == {("U1", "B1"): 0b0011}
+        assert read_masks_csv(buf) == ({("U1", "B1"): 0b0011}, 4)
 
     def test_bad_mask_length(self):
-        buf = io.StringIO("rx_id,tx_id,mask\nU1,B1,101\n")
+        buf = io.StringIO("rx_id,tx_id,mask\nU1,B1," + "1" * 72
+                          + "\nU1,B2,101\n")
         with pytest.raises(ScenarioError, match="72"):
             read_masks_csv(buf)
 
@@ -508,7 +515,8 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: {models}: bad model card at index 0: 'f_ghz'\n")
+            f"error: {models}: bad model card at index 0: "
+            f"missing required key 'f_ghz'\n")
 
     @pytest.mark.parametrize("text, message", [
         ("x,p\n120.5,0.5\nabc,1.0\n", " line 3: x must be a number, got 'abc'"),
@@ -569,7 +577,7 @@ class TestCli:
                          "U1,B3,1010\nU2,B2,0111\nU2,B3,1000\n")
         out = tmp_path / "enum"
         assert main(["enumerate", "--topology", str(topo), "--masks",
-                     str(masks), "--directions", "4", "--out", str(out)]) == 0
+                     str(masks), "--out", str(out)]) == 0
         assert capsys.readouterr().out == (
             "k=1: 5 combinations, reception=0.0%\n"
             "k=2: 4 combinations, reception=50.0%\n"
@@ -676,7 +684,12 @@ class TestCli:
         ("ple", -1.0, "ple must be positive and finite, got -1.0"),
         ("ple", 0.0, "ple must be positive and finite, got 0.0"),
         ("sigma_db", -3.0, "sigma_db must be >= 0, got -3.0"),
-    ], ids=["negative-ple", "zero-ple", "negative-sigma"])
+        ("f_ghz", True, "f_ghz: expected a number, got True"),
+        ("ple", "2.0", "ple: expected a number, got '2.0'"),
+        ("n_samples", "many", "n_samples: expected an integer, got 'many'"),
+        ("rms_db", 1.0, "unknown key(s) ['rms_db']"),
+    ], ids=["negative-ple", "zero-ple", "negative-sigma", "bool-f_ghz",
+            "string-ple", "string-n_samples", "unknown-key"])
     def test_coverage_rejects_bad_card_with_its_index(self, tmp_path, capsys,
                                                       key, value, message):
         models = _write_models(tmp_path)
@@ -751,17 +764,6 @@ class TestCli:
                 "%.12g" % v for v in finite]
         assert undetected > 0
 
-    @pytest.mark.parametrize("directions", ["0", "-3"])
-    def test_enumerate_rejects_directions_below_1(self, tmp_path, capsys,
-                                                  directions):
-        # The topology does not exist: the flag is checked before any read.
-        assert main(["enumerate", "--topology", str(tmp_path / "none.json"),
-                     "--directions", directions]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: --directions must be >= 1, got {directions}\n")
-
     def test_coverage_models_invalid_json_names_path(self, tmp_path, capsys):
         models = tmp_path / "models.json"
         models.write_text("not json")
@@ -769,6 +771,42 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {models}: invalid JSON (")
+
+    @pytest.mark.parametrize("argv, name, data, message", [
+        ("coverage --scenario {path}", "scenario.json", DEEP_JSON,
+         "{path}: invalid JSON (maximum recursion depth exceeded"),
+        ("enumerate --topology {path}", "topology.json", DEEP_JSON,
+         "{path}: invalid JSON (maximum recursion depth exceeded"),
+        ("coverage --models {path}", "models.json", DEEP_JSON,
+         "{path}: invalid JSON (maximum recursion depth exceeded"),
+        ("report --bundle {dir}", "metadata.json", DEEP_JSON,
+         "{path}: invalid JSON (maximum recursion depth exceeded"),
+        ("fit --samples {path}", "samples.csv",
+         b"d_m,pl_db,condition,polarization\n63," + LONG_FIELD + b",NLOS,VV\n",
+         "samples CSV line 2: field larger than field limit (131072)"),
+        ("enumerate --topology {topo} --masks {path}", "masks.csv",
+         b"rx_id,tx_id,mask\nU1,B1," + LONG_FIELD + b"\n",
+         "masks CSV line 2: field larger than field limit (131072)"),
+        ("coverage --scenario {path}", "scenario.json", b'{"seed": 7\xff}',
+         "{path}: invalid JSON ('utf-8' codec can't decode byte 0xff"),
+        ("fit --samples {path}", "samples.csv",
+         b"d_m,pl_db,condition,polarization\n63,152.5,NLOS,V\xff\n",
+         "samples CSV line 2: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["scenario-deep", "topology-deep", "models-deep", "metadata-deep",
+            "samples-long-field", "masks-long-field", "scenario-not-utf8",
+            "samples-not-utf8"])
+    def test_unreadable_input_exits_1(self, tmp_path, capsys, argv, name,
+                                      data, message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        topo = tmp_path / "topology.json"
+        if not topo.exists():
+            topo.write_text('{"U1": ["B1"]}')
+        names = {"path": path, "dir": tmp_path, "topo": topo}
+        assert main([arg.format(**names) for arg in argv.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message.format(**names)}")
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -840,8 +878,7 @@ def _closed_form_runs(tmp_path) -> list[list[str]]:
         ["coverage", "--out", str(tmp_path / "cov")],
         ["coverage", "--models", str(models), "--distances", "63,200"],
         ["enumerate", "--topology", str(topo)],
-        ["enumerate", "--topology", str(topo), "--masks", str(masks),
-         "--directions", "2"],
+        ["enumerate", "--topology", str(topo), "--masks", str(masks)],
         ["report", "--bundle", str(tmp_path / "cov")],
         ["report", "--bundle", str(models.parent)],
     ]
