@@ -28,7 +28,7 @@ from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M,
 from .propagation import REFERENCE_DISTANCE_M, CiModel, Condition
 from .results import (ModelCard, ReceptionRow, ResultBundle, RunMetadata,
                       build_cdf, emit_results, format_pct)
-from .scenario_io import (ScenarioError, _csv_rows, _read_json,
+from .scenario_io import (ScenarioError, _csv_rows, _read_json, _read_text,
                           load_model_cards, load_scenario, load_topology,
                           read_masks_csv, read_samples_csv)
 
@@ -69,13 +69,14 @@ def _emit(bundle: ResultBundle, out_dir: Path | None):
 def _cmd_fit(args) -> int:
     from .fitting import VV, fit_ci, group_samples_by_condition
     samples = read_samples_csv(args.samples, strict=args.strict)
-    if not samples:
+    if not samples.d_m:
         raise ScenarioError(f"{args.samples}: no usable samples")
     cards = []
     for cond, group in sorted(group_samples_by_condition(samples).items(),
                               key=lambda kv: kv[0].value):
         model = fit_ci(group, args.f_ghz, include_vh=args.include_vh)
-        n_fitted = sum(args.include_vh or s.polarization == VV for s in group)
+        n_fitted = (len(group.d_m) if args.include_vh
+                    else group.polarization.count(VV))
         cards.append(ModelCard(label=cond.value, f_ghz=model.f_ghz,
                                ple=model.ple, sigma_db=model.sigma_db,
                                condition=cond, n_samples=n_fitted))
@@ -191,6 +192,9 @@ def _cmd_report(args) -> int:
         raise ScenarioError(f"{meta_path}: expected a JSON object")
     models_path = bundle_dir / "models.json"
     cards = load_model_cards(models_path) if models_path.is_file() else None
+    tables = [(name, _read_text(path, str(path)).splitlines())
+              for name in ("outage.csv", "reception.csv")
+              if (path := bundle_dir / name).is_file()]
     cdfs = [(path.name, _read_cdf_values(path))
             for path in sorted(bundle_dir.glob("cdf_*.csv"))]
     print(f"run: {meta.get('command')} "
@@ -202,12 +206,10 @@ def _cmd_report(args) -> int:
             extra = f", n={card.n_samples}" if card.n_samples is not None else ""
             print(f"  {card.label}: ple={card.ple:g} sigma={card.sigma_db:g} dB "
                   f"at {card.f_ghz:g} GHz{extra}")
-    for name in ("outage.csv", "reception.csv"):
-        path = bundle_dir / name
-        if path.is_file():
-            print(f"{name}:")
-            for line in path.read_text(encoding="utf-8").splitlines():
-                print(f"  {line}")
+    for name, lines in tables:
+        print(f"{name}:")
+        for line in lines:
+            print(f"  {line}")
     for name, xs in cdfs:
         print(f"{name}: {len(xs)} points, median {xs[len(xs) // 2]:.1f}")
     return 0

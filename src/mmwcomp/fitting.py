@@ -9,12 +9,17 @@ anchor is fixed, so the minimum-mean-square-error fit is closed form:
 with the shadow-fading sigma taken as the root-mean-square residual
 (divide by N).  The sums are exactly rounded ``math.fsum`` sums, so the
 fit needs no numpy.
+
+Samples are held as columns in one ``PathLossSamples`` record, as
+``read_samples_csv`` returns them; ``group_samples_by_condition`` splits
+one by condition and ``fit_ci`` fits one condition's columns.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from itertools import compress
+from typing import NamedTuple
 
 from .propagation import (CiModel, Condition, REFERENCE_DISTANCE_M, fspl_db,
                           validated)
@@ -22,51 +27,67 @@ from .propagation import (CiModel, Condition, REFERENCE_DISTANCE_M, fspl_db,
 VV = "VV"
 VH = "VH"
 _POLARIZATIONS = (VV, VH)
+_SAMPLE_CONDITIONS = (Condition.LOS, Condition.NLOS)
 
 
 class FitError(ValueError):
     """Raised when a sample set cannot support a CI fit."""
 
 
-@validated
-class PathLossSample(NamedTuple):
-    """One path loss observation with antenna gains removed.
+def check_sample(d_m: float, pl_db: float, condition: Condition,
+                 polarization: str):
+    """Raise ValueError naming the first field of one sample that is bad."""
+    if not REFERENCE_DISTANCE_M <= d_m < math.inf:
+        raise ValueError(f"sample distance must be finite and >= "
+                         f"{REFERENCE_DISTANCE_M} m, got {d_m}")
+    if not math.isfinite(pl_db):
+        raise ValueError(f"pl_db must be finite, got {pl_db}")
+    if condition not in _SAMPLE_CONDITIONS:
+        label = getattr(condition, "value", condition)
+        raise ValueError(f"sample condition must be LOS or NLOS, got {label}")
+    if polarization not in _POLARIZATIONS:
+        raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
 
-    Cross-polarized (VH) samples are carried but excluded from fitting by
-    default since no cross-polarized model parameters are published for
-    this campaign.
+
+@validated
+class PathLossSamples(NamedTuple):
+    """Path-loss observations with antenna gains removed, one column per field.
+
+    The fields are equal-length tuples, and entry i of each is sample i:
+    distance in meters (finite, >= 1 m), path loss in dB (finite), a LOS
+    or NLOS label and the polarization, ``VV`` or ``VH``.  Cross-polarized
+    (VH) samples are carried but excluded from fitting by default since no
+    cross-polarized model parameters are published for this campaign.
+    ``PathLossSamples()`` is the empty set, and ``PathLossSamples(*zip(*rows))``
+    builds one from ``(d_m, pl_db, condition, polarization)`` rows.
+
+    The check runs over whole columns; when one fails, the first bad
+    sample is checked alone by ``check_sample``, whose message is raised.
     """
 
-    d_m: float
-    pl_db: float
-    condition: Condition
-    polarization: str = VV
+    d_m: tuple[float, ...] = ()
+    pl_db: tuple[float, ...] = ()
+    condition: tuple[Condition, ...] = ()
+    polarization: tuple[str, ...] = ()
 
     def _validate(self):
-        if not REFERENCE_DISTANCE_M <= self.d_m < math.inf:
-            raise ValueError(f"sample distance must be finite and >= "
-                             f"{REFERENCE_DISTANCE_M} m, got {self.d_m}")
-        if not math.isfinite(self.pl_db):
-            raise ValueError(f"pl_db must be finite, got {self.pl_db}")
-        if self.condition not in (Condition.LOS, Condition.NLOS):
-            label = getattr(self.condition, "value", self.condition)
-            raise ValueError(f"sample condition must be LOS or NLOS, got {label}")
-        if self.polarization not in _POLARIZATIONS:
-            raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
+        n = len(self.d_m)
+        if not len(self.pl_db) == len(self.condition) == len(self.polarization) == n:
+            raise ValueError(f"sample columns must have equal lengths, got "
+                             f"{[len(col) for col in self]}")
+        # tuple.count compares by identity first, so the label checks stay
+        # in C; a NaN fails isfinite, which min() alone would not see.
+        if (all(map(math.isfinite, self.d_m))
+                and (not n or min(self.d_m) >= REFERENCE_DISTANCE_M)
+                and all(map(math.isfinite, self.pl_db))
+                and sum(map(self.condition.count, _SAMPLE_CONDITIONS)) == n
+                and sum(map(self.polarization.count, _POLARIZATIONS)) == n):
+            return
+        for sample in zip(*self):
+            check_sample(*sample)
 
 
-def _fit_inputs(samples: Sequence[PathLossSample],
-                include_vh: bool) -> list[PathLossSample]:
-    used = [s for s in samples if include_vh or s.polarization == VV]
-    if not used:
-        raise FitError("no usable samples (cross-polarized rows are excluded by default)")
-    conditions = {s.condition for s in used}
-    if len(conditions) != 1:
-        raise FitError(f"samples mix conditions {sorted(c.value for c in conditions)}")
-    return used
-
-
-def fit_ci(samples: Sequence[PathLossSample], f_ghz: float,
+def fit_ci(samples: PathLossSamples, f_ghz: float,
            include_vh: bool = False) -> CiModel:
     """Closed-form MMSE fit of the CI slope and shadow-fading sigma.
 
@@ -84,22 +105,31 @@ def fit_ci(samples: Sequence[PathLossSample], f_ghz: float,
         FitError: if the samples cannot be fitted, or if the fitted slope is
             not positive, which no CI model accepts.
     """
-    used = _fit_inputs(samples, include_vh)
-    if len(used) < 2:
-        raise FitError(f"need at least 2 samples, got {len(used)}")
-    if len({s.d_m for s in used}) < 2:
+    d_m, pl_db, conditions = samples.d_m, samples.pl_db, samples.condition
+    if not include_vh:
+        keep = [p == VV for p in samples.polarization]
+        d_m, pl_db, conditions = (tuple(compress(col, keep))
+                                  for col in (d_m, pl_db, conditions))
+    if not d_m:
+        raise FitError("no usable samples (cross-polarized rows are excluded by default)")
+    condition = conditions[0]
+    if conditions.count(condition) != len(conditions):
+        raise FitError(f"samples mix conditions "
+                       f"{sorted(c.value for c in set(conditions))}")
+    if len(d_m) < 2:
+        raise FitError(f"need at least 2 samples, got {len(d_m)}")
+    if len(set(d_m)) < 2:
         raise FitError("samples must span at least two distinct distances")
     anchor_db = fspl_db(f_ghz, REFERENCE_DISTANCE_M)
-    x = [10.0 * math.log10(s.d_m) for s in used]
-    y = [s.pl_db - anchor_db for s in used]
+    x = [10.0 * math.log10(d) for d in d_m]
+    y = [pl - anchor_db for pl in pl_db]
     try:
         ple = (math.fsum(a * b for a, b in zip(x, y))
                / math.fsum(a * a for a in x))
         sigma = math.sqrt(math.fsum((b - ple * a) ** 2 for a, b in zip(x, y))
-                          / len(used))
+                          / len(d_m))
     except (OverflowError, ValueError):  # fsum overflow or inf - inf
         raise FitError("path loss values are too large to fit") from None
-    condition = used[0].condition
     if not ple > 0:
         raise FitError(f"{condition.value} samples fit a path loss exponent "
                        f"of {ple:.6g}; the CI model needs ple > 0")
@@ -107,9 +137,18 @@ def fit_ci(samples: Sequence[PathLossSample], f_ghz: float,
 
 
 def group_samples_by_condition(
-        samples: Iterable[PathLossSample]) -> dict[Condition, list[PathLossSample]]:
-    """Split a mixed sample set by condition label, preserving order."""
-    groups: dict[Condition, list[PathLossSample]] = {}
-    for s in samples:
-        groups.setdefault(s.condition, []).append(s)
+        samples: PathLossSamples) -> dict[Condition, PathLossSamples]:
+    """Split a mixed sample set by condition label, preserving order.
+
+    The groups come in order of each label's first sample, and each keeps
+    its samples in their original order.
+    """
+    present = sorted((c for c in _SAMPLE_CONDITIONS if c in samples.condition),
+                     key=samples.condition.index)
+    groups = {}
+    for cond in present:
+        keep = [c == cond for c in samples.condition]
+        # Rows of an already checked record need no second check.
+        groups[cond] = PathLossSamples._make(tuple(compress(col, keep))
+                                             for col in samples)
     return groups

@@ -2,12 +2,18 @@
 path-loss sample and reception-mask CSV.
 
 Files are read as UTF-8 whatever the locale.  JSON goes through one loader
-(``_read_json``), CSV through one row reader (``_csv_rows``), and every JSON
-record through one field-driven parser (``_parse_record``).  All parsers
-reject unknown keys, and every bad input raises ScenarioError with the
-file (undecodable JSON), a dotted key path (scenario JSON), the file and a
-card index (``models.json``) or a 1-based line number (CSV), so it can be
-fixed without reading tracebacks.
+(``_read_json``), text through one decoder (``_read_text``), CSV through one
+row reader (``_csv_rows``), and every JSON record through one field-driven
+parser (``_parse_record``).  All parsers reject unknown keys, and every bad
+input raises ScenarioError with the file (undecodable JSON), a dotted key
+path (scenario JSON), the file and a card index (``models.json``) or a
+1-based line number (CSV), so it can be fixed without reading tracebacks.
+
+Path-loss samples are read as columns into one ``PathLossSamples`` record:
+each column is parsed and checked whole, and the rows are walked one by
+one only to name the first bad line or to drop bad rows.  The CSV and
+topology readers load neither ``coverage`` nor ``params``; only the
+scenario parser needs them.
 """
 
 from __future__ import annotations
@@ -20,14 +26,11 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, TextIO
 
-from .coverage import LinkBudget
-from .params import (BS_HEIGHT_M, DEFAULT_P_LOS, DEFAULT_SEED,
-                     DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET, UE_HEIGHT_M)
 from .propagation import CiModel, Condition
 
 if TYPE_CHECKING:
     from .diversity import LinkKey, Scenario
-    from .fitting import PathLossSample
+    from .fitting import PathLossSamples
     from .results import ModelCard
 
 
@@ -50,20 +53,26 @@ def _read_json(path: str | Path):
         raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
 
 
+def _read_text(path: str | Path, label: str) -> str:
+    """The file at ``path`` decoded as UTF-8; a bad byte fails as
+    ``<label> line N: ...`` with its 1-based line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioError(f"{label} line {line}: {exc}") from None
+
+
 def _csv_rows(source: str | Path | TextIO, fields: tuple[str, ...],
               label: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(lineno, row)`` for each non-blank row below a ``fields`` header.
 
-    A path is read as UTF-8.  Errors start with ``label`` and, past an
-    empty file, give the 1-based line.
+    A path is read by ``_read_text``.  Errors start with ``label`` and,
+    past an empty file, give the 1-based line.
     """
     if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-        try:
-            source = io.StringIO(data.decode("utf-8"), newline="")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ScenarioError(f"{label} line {line}: {exc}") from None
+        source = io.StringIO(_read_text(source, label), newline="")
     reader = csv.reader(source)
     try:
         header = next(reader, None)
@@ -73,7 +82,7 @@ def _csv_rows(source: str | Path | TextIO, fields: tuple[str, ...],
             raise ScenarioError(
                 f"{label} line 1: header must be {','.join(fields)}")
         for lineno, row in enumerate(reader, start=2):
-            if row and any(cell.strip() for cell in row):
+            if any(map(str.strip, row)):
                 yield lineno, row
     except csv.Error as exc:
         raise ScenarioError(f"{label} line {reader.line_num}: {exc}") from None
@@ -155,6 +164,7 @@ _MODEL_KINDS = {"f_ghz": float, "ple": float, "sigma_db": float}
 
 
 def _parse_models(obj, path: str) -> dict[Condition, CiModel]:
+    from .params import DIRECTIONAL_CI_73GHZ
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     models = dict(DIRECTIONAL_CI_73GHZ)
@@ -188,7 +198,11 @@ def parse_scenario(obj) -> Scenario:
     directional CI models, the channel-sounder link budget, the standard
     sweep grid, p_los 11/36 and seed 73.
     """
+    from .coverage import LinkBudget
     from .diversity import ConditionPolicy, Node, Scenario, SweepGrid
+    from .params import (BS_HEIGHT_M, DEFAULT_P_LOS, DEFAULT_SEED,
+                         DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET,
+                         UE_HEIGHT_M)
     if not isinstance(obj, dict):
         _fail("scenario", "top level must be an object")
     _check_keys(obj, {"schema_version", "base_stations", "ues", "models",
@@ -221,10 +235,12 @@ def parse_scenario(obj) -> Scenario:
     seed = _value(obj.get("seed", DEFAULT_SEED), int, "scenario.seed")
     if seed < 0:
         _fail("scenario.seed", f"must be non-negative, got {seed}")
+    ue_ids = {n.id for n in ues}
+    bs_ids = {n.id for n in bss}
     for (ue_id, bs_id) in explicit:
-        if ue_id not in {n.id for n in ues}:
+        if ue_id not in ue_ids:
             _fail("scenario.conditions", f"unknown UE id {ue_id!r}")
-        if bs_id not in {n.id for n in bss}:
+        if bs_id not in bs_ids:
             _fail("scenario.conditions", f"unknown base station id {bs_id!r}")
     try:
         policy = ConditionPolicy(explicit=explicit, p_los=p_los)
@@ -243,31 +259,61 @@ _CONDITION_OF = {c.value: c for c in Condition}
 
 
 def read_samples_csv(source: str | Path | TextIO,
-                     strict: bool = True) -> list[PathLossSample]:
+                     strict: bool = True) -> PathLossSamples:
     """Read path-loss samples from CSV with header ``d_m,pl_db,condition,polarization``.
 
-    In strict mode any malformed row raises ScenarioError with its line
-    number; in lenient mode malformed rows are skipped.
+    Returns one ``PathLossSamples`` record with a column per field, in
+    file order.  In strict mode any malformed row raises ScenarioError with
+    its line number; in lenient mode malformed rows are skipped.
     """
-    from .fitting import PathLossSample
-    samples = []
-    for lineno, row in _csv_rows(source, SAMPLE_FIELDS, "samples CSV"):
-        try:
-            if len(row) != len(SAMPLE_FIELDS):
-                raise ValueError(f"expected {len(SAMPLE_FIELDS)} fields, got {len(row)}")
-            d_m = float(row[0])
-            pl_db = float(row[1])
-            text = row[2].strip()
-            # Condition(text) only for an unknown label, to raise its error.
-            cond = _CONDITION_OF[text] if text in _CONDITION_OF else Condition(text)
-            samples.append(PathLossSample(d_m, pl_db, cond, row[3].strip()))
-        except ValueError as exc:
-            if strict:
-                raise ScenarioError(f"samples CSV line {lineno}: {exc}") from None
-    if not samples:
+    rows: list[tuple[int, list[str]]] = []
+    try:
+        rows.extend(_csv_rows(source, SAMPLE_FIELDS, "samples CSV"))
+    except ScenarioError:
+        if strict:  # a bad row above an unreadable line is named first
+            _walk_samples(rows, strict)
+        raise
+    try:
+        samples = _sample_columns([row for _, row in rows])
+    except (ValueError, KeyError):  # a bad cell, label or row width
+        samples = _walk_samples(rows, strict)
+    if not samples.d_m:
         warnings.warn("samples CSV contains a header but no data rows",
                       stacklevel=2)
     return samples
+
+
+def _sample_columns(rows: list[list[str]]) -> PathLossSamples:
+    """Every row parsed a column at a time; any bad row raises."""
+    from .fitting import PathLossSamples
+    if not rows:
+        return PathLossSamples()
+    d_m, pl_db, labels, polarizations = zip(*rows, strict=True)
+    return PathLossSamples(
+        tuple(map(float, d_m)), tuple(map(float, pl_db)),
+        tuple(map(_CONDITION_OF.__getitem__, map(str.strip, labels))),
+        tuple(map(str.strip, polarizations)))
+
+
+def _walk_samples(rows: list[tuple[int, list[str]]],
+                  strict: bool) -> PathLossSamples:
+    """The rows that parse and pass ``check_sample``, one at a time; in
+    strict mode the first that fails raises with its line number."""
+    from .fitting import PathLossSamples, check_sample
+    kept = []
+    for lineno, row in rows:
+        try:
+            if len(row) != len(SAMPLE_FIELDS):
+                raise ValueError(f"expected {len(SAMPLE_FIELDS)} fields, got {len(row)}")
+            sample = (float(row[0]), float(row[1]), Condition(row[2].strip()),
+                      row[3].strip())
+            check_sample(*sample)
+        except ValueError as exc:
+            if strict:
+                raise ScenarioError(f"samples CSV line {lineno}: {exc}") from None
+            continue
+        kept.append(sample)
+    return PathLossSamples(*zip(*kept))
 
 
 MASK_FIELDS = ("rx_id", "tx_id", "mask")
@@ -325,8 +371,8 @@ def load_model_cards(path: str | Path) -> list[ModelCard]:
     """Read back a models.json written by ``emit_results``.
 
     Each card follows the scenario's number rules and the CI model's
-    checks; ``n_samples`` is optional, and the legacy ``rms_residual_db``
-    key is ignored.
+    checks; ``n_samples`` is optional and, when given, at least 1, and the
+    legacy ``rms_residual_db`` key is ignored.
     """
     from .results import ModelCard
     raw = _read_json(path)
@@ -339,6 +385,8 @@ def load_model_cards(path: str | Path) -> list[ModelCard]:
         try:
             card = _parse_record(ModelCard, obj, "", _CARD_KINDS,
                                  {"n_samples": None})
+            if card.n_samples is not None and card.n_samples < 1:
+                raise ValueError(f"n_samples: must be >= 1, got {card.n_samples}")
             card.to_model()  # the CI model's checks, under the card's index
         except ValueError as exc:
             raise ScenarioError(

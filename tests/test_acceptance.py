@@ -135,15 +135,15 @@ def test_criterion_5_fit_recovery(capsys):
                   + rng.normal(0.0, truth.sigma_db, d.size))
             cond = (Condition.NLOS if truth.condition is Condition.NLOS_BEST
                     else truth.condition)
-            samples = [m.PathLossSample(float(a), float(b), cond)
-                       for a, b in zip(d, pl)]
+            samples = m.PathLossSamples(*zip(*[(float(a), float(b), cond, "VV")
+                                               for a, b in zip(d, pl)]))
             fit = m.fit_ci(samples, truth.f_ghz)
             assert abs(fit.ple - truth.ple) <= 0.05, truth
             assert abs(fit.sigma_db - truth.sigma_db) <= 0.3, truth
 
-        noise_free = [m.PathLossSample(float(d), m.ci_mean_path_loss_db(NLOS, d),
-                                       Condition.NLOS)
-                      for d in np.linspace(10, 200, 100)]
+        noise_free = m.PathLossSamples(*zip(*[
+            (float(d), m.ci_mean_path_loss_db(NLOS, d), Condition.NLOS, "VV")
+            for d in np.linspace(10, 200, 100)]))
         exact = m.fit_ci(noise_free, NLOS.f_ghz)
         assert abs(exact.ple - NLOS.ple) <= 1e-9
         assert exact.sigma_db <= 1e-9

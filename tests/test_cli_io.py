@@ -10,10 +10,12 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmwcomp
 from mmwcomp import (CdfPoint, Condition, ModelCard, OutageRow,
-                     PathLossSample, ResultBundle, RunMetadata, ScenarioError, build_cdf, emit_results,
+                     PathLossSamples, ResultBundle, RunMetadata, ScenarioError, build_cdf, emit_results,
                      format_pct, load_model_cards, load_scenario,
                      load_topology, parse_scenario, read_masks_csv,
                      read_samples_csv, scenario_to_json, simulate_drop)
@@ -34,8 +36,8 @@ LONG_FIELD = b"9" * 200000
 
 def write_samples(samples, path):
     path.write_text("d_m,pl_db,condition,polarization\n" + "".join(
-        f"{s.d_m!r},{s.pl_db!r},{s.condition.value},{s.polarization}\n"
-        for s in samples))
+        f"{d_m!r},{pl_db!r},{cond.value},{pol}\n"
+        for d_m, pl_db, cond, pol in zip(*samples)))
 
 
 def write_masks(masks, path, n_directions=72):
@@ -135,10 +137,67 @@ class TestParseScenario:
             load_scenario(path)
 
 
+# One corruption of a samples CSV row: the cell it replaces (None drops
+# the last cell), the new text, and the message strict mode gives for it.
+SAMPLE_CORRUPTIONS = [
+    (0, "abc", "could not convert string to float: 'abc'"),
+    (2, "los", "'los' is not a valid Condition"),
+    (2, "NLOS_BEST", "sample condition must be LOS or NLOS, got NLOS_BEST"),
+    (0, "0.5", "sample distance must be finite and >= 1.0 m, got 0.5"),
+    (0, "inf", "sample distance must be finite and >= 1.0 m, got inf"),
+    (0, "nan", "sample distance must be finite and >= 1.0 m, got nan"),
+    (1, "nan", "pl_db must be finite, got nan"),
+    (3, "HH", "polarization must be one of ('VV', 'VH')"),
+    (None, None, "expected 4 fields, got 3"),
+]
+
+sample_rows = st.lists(st.tuples(
+    st.floats(min_value=1.0, max_value=1e4),
+    st.floats(min_value=-50.0, max_value=400.0),
+    st.sampled_from(["LOS", "NLOS"]), st.sampled_from(["VV", "VH"]),
+    st.sampled_from(["", " ", "\t "]),  # padding around the labels
+    st.sampled_from([None, "", "  ", " , ,"])),  # a blank row after it
+    min_size=1, max_size=50)
+
+
 class TestSamplesCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=sample_rows, data=st.data())
+    def test_columns_match_row_by_row_reference(self, rows, data):
+        lines = ["d_m,pl_db,condition,polarization"]
+        linenos, reference = [], []
+        for d_m, pl_db, label, pol, pad, blank in rows:
+            lines.append(f"{d_m!r},{pl_db!r},{pad}{label}{pad},{pad}{pol}")
+            linenos.append(len(lines))
+            reference.append((d_m, pl_db, Condition(label), pol))
+            if blank is not None:
+                lines.append(blank)
+        text = "\n".join(lines) + "\n"
+        assert read_samples_csv(io.StringIO(text)) == PathLossSamples(
+            *zip(*reference))
+
+        bad = data.draw(st.integers(0, len(rows) - 1))
+        col, value, message = data.draw(st.sampled_from(SAMPLE_CORRUPTIONS))
+        cells = lines[linenos[bad] - 1].split(",")
+        if col is None:
+            del cells[-1]
+        else:
+            cells[col] = value
+        lines[linenos[bad] - 1] = ",".join(cells)
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ScenarioError) as exc:
+            read_samples_csv(io.StringIO(text))
+        assert str(exc.value) == f"samples CSV line {linenos[bad]}: {message}"
+        kept = reference[:bad] + reference[bad + 1:]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lenient = read_samples_csv(io.StringIO(text), strict=False)
+        assert lenient == PathLossSamples(*zip(*kept))
+        assert len(caught) == (not kept)
+
     def test_round_trip_exact(self, tmp_path):
-        samples = [PathLossSample(63.0, 152.49541205654867, Condition.NLOS),
-                   PathLossSample(10.5, 91.25, Condition.LOS, "VH")]
+        samples = PathLossSamples((63.0, 10.5), (152.49541205654867, 91.25),
+                                  (Condition.NLOS, Condition.LOS), ("VV", "VH"))
         path = tmp_path / "samples.csv"
         write_samples(samples, path)
         back = read_samples_csv(path)
@@ -146,9 +205,9 @@ class TestSamplesCsv:
 
     def test_parse_basic_row(self):
         buf = io.StringIO("d_m,pl_db,condition,polarization\n63,152.5,NLOS,VV\n")
-        [s] = read_samples_csv(buf)
+        s = read_samples_csv(buf)
         assert (s.d_m, s.pl_db, s.condition, s.polarization) == (
-            63.0, 152.5, Condition.NLOS, "VV")
+            (63.0,), (152.5,), (Condition.NLOS,), ("VV",))
 
     def test_strict_reports_line_number(self):
         buf = io.StringIO(
@@ -160,7 +219,7 @@ class TestSamplesCsv:
         buf = io.StringIO(
             "d_m,pl_db,condition,polarization\n0.5,80,LOS,VV\n63,152.5,NLOS,VV\n")
         samples = read_samples_csv(buf, strict=False)
-        assert len(samples) == 1 and samples[0].d_m == 63.0
+        assert len(samples.d_m) == 1 and samples.d_m[0] == 63.0
 
     @pytest.mark.parametrize("label,message", [
         ("los", "'los' is not a valid Condition"),
@@ -173,8 +232,8 @@ class TestSamplesCsv:
         with pytest.raises(ScenarioError) as exc:
             read_samples_csv(io.StringIO(text))
         assert str(exc.value) == f"samples CSV line 3: {message}"
-        [kept] = read_samples_csv(io.StringIO(text), strict=False)
-        assert kept.condition is Condition.NLOS
+        [kept] = read_samples_csv(io.StringIO(text), strict=False).condition
+        assert kept is Condition.NLOS
 
     def test_header_mismatch(self):
         with pytest.raises(ScenarioError, match="header"):
@@ -187,7 +246,7 @@ class TestSamplesCsv:
     def test_header_only_warns(self):
         with pytest.warns(UserWarning, match="no data rows"):
             out = read_samples_csv(io.StringIO("d_m,pl_db,condition,polarization\n"))
-        assert out == []
+        assert out == PathLossSamples()
 
 
 class TestMasksCsv:
@@ -461,8 +520,8 @@ class TestCli:
         d = 10.0 ** rng.uniform(1, np.log10(200.0), size=2000)
         pl = ci_mean_path_loss_db(model, d) + rng.normal(0.0, model.sigma_db,
                                                          d.size)
-        samples = [PathLossSample(float(a), float(b), Condition.NLOS)
-                   for a, b in zip(d, pl)]
+        samples = PathLossSamples(*zip(*[(float(a), float(b), Condition.NLOS, "VV")
+                                         for a, b in zip(d, pl)]))
         csv_path = tmp_path / "samples.csv"
         write_samples(samples, csv_path)
         out_dir = tmp_path / "fit"
@@ -517,6 +576,22 @@ class TestCli:
         assert captured.err == (
             f"error: {models}: bad model card at index 0: "
             f"missing required key 'f_ghz'\n")
+
+    @pytest.mark.parametrize("name, data", [
+        ("outage.csv", b"condition,distance_m\nNLOS,63,\xff\n"),
+        ("reception.csv", b"k,p_reception_pct,n_combinations\n1,\xff,1\n"),
+    ], ids=["outage", "reception"])
+    def test_report_reads_every_file_before_printing(self, tmp_path, capsys,
+                                                     name, data):
+        assert main(["coverage", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["report", "--bundle", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {path} line 2: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("text, message", [
         ("x,p\n120.5,0.5\nabc,1.0\n", " line 3: x must be a number, got 'abc'"),
@@ -687,9 +762,12 @@ class TestCli:
         ("f_ghz", True, "f_ghz: expected a number, got True"),
         ("ple", "2.0", "ple: expected a number, got '2.0'"),
         ("n_samples", "many", "n_samples: expected an integer, got 'many'"),
+        ("n_samples", -5, "n_samples: must be >= 1, got -5"),
+        ("n_samples", 0, "n_samples: must be >= 1, got 0"),
         ("rms_db", 1.0, "unknown key(s) ['rms_db']"),
     ], ids=["negative-ple", "zero-ple", "negative-sigma", "bool-f_ghz",
-            "string-ple", "string-n_samples", "unknown-key"])
+            "string-ple", "string-n_samples", "negative-n_samples",
+            "zero-n_samples", "unknown-key"])
     def test_coverage_rejects_bad_card_with_its_index(self, tmp_path, capsys,
                                                       key, value, message):
         models = _write_models(tmp_path)
@@ -784,6 +862,11 @@ class TestCli:
         ("fit --samples {path}", "samples.csv",
          b"d_m,pl_db,condition,polarization\n63," + LONG_FIELD + b",NLOS,VV\n",
          "samples CSV line 2: field larger than field limit (131072)"),
+        ("fit --samples {path}", "samples.csv",
+         b"d_m,pl_db,condition,polarization\n63,152.5,NLOS_BEST,VV\n63,"
+         + LONG_FIELD + b",NLOS,VV\n",
+         "samples CSV line 2: sample condition must be LOS or NLOS, got "
+         "NLOS_BEST\n"),
         ("enumerate --topology {topo} --masks {path}", "masks.csv",
          b"rx_id,tx_id,mask\nU1,B1," + LONG_FIELD + b"\n",
          "masks CSV line 2: field larger than field limit (131072)"),
@@ -793,7 +876,8 @@ class TestCli:
          b"d_m,pl_db,condition,polarization\n63,152.5,NLOS,V\xff\n",
          "samples CSV line 2: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["scenario-deep", "topology-deep", "models-deep", "metadata-deep",
-            "samples-long-field", "masks-long-field", "scenario-not-utf8",
+            "samples-long-field", "samples-bad-row-before-long-field",
+            "masks-long-field", "scenario-not-utf8",
             "samples-not-utf8"])
     def test_unreadable_input_exits_1(self, tmp_path, capsys, argv, name,
                                       data, message):
@@ -905,6 +989,24 @@ class TestLazyPackage:
         assert _modules_loaded_by(
             runs, tmp_path, watched=("numpy", "mmwcomp.diversity",
                                      "mmwcomp.fitting")) == set()
+
+    def test_input_readers_load_neither_tables_nor_simulator(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("d_m,pl_db,condition,polarization\n"
+                           "20,120,NLOS,VV\n")
+        masks = tmp_path / "masks.csv"
+        write_masks({("U1", "B1"): 1}, masks)
+        topo = tmp_path / "topology.json"
+        topo.write_text('{"U1": ["B1"]}')
+        proc = _run_python(
+            "import sys, mmwcomp\n"
+            "mmwcomp.read_samples_csv(sys.argv[1])\n"
+            "mmwcomp.read_masks_csv(sys.argv[2])\n"
+            "mmwcomp.load_topology(sys.argv[3])\n"
+            "print([m for m in ('mmwcomp.coverage', 'mmwcomp.params',\n"
+            "                   'mmwcomp.diversity') if m in sys.modules])",
+            str(samples), str(masks), str(topo), cwd=tmp_path)
+        assert proc.stdout == "[]\n"
 
     def test_import_loads_no_submodule(self, tmp_path):
         proc = _run_python(

@@ -12,7 +12,7 @@ import pytest
 from scipy import special
 
 from mmwcomp import (CiModel, Condition, ConditionPolicy, CoverageQuery,
-                     LinkBudget, Node, PathLossSample, Scenario, SweepGrid,
+                     LinkBudget, Node, PathLossSamples, Scenario, SweepGrid,
                      ci_mean_path_loss_db, combination_count, distance_3d,
                      edge_outage_probability, fit_ci, max_detectable_pl_db,
                      reception_counts, simulate_drop, substream)
@@ -339,9 +339,10 @@ def test_simulated_omni_fits_lower_ple_than_directional():
     sc = scenario([bs(1, 0.0, 0.0)], ues, policy=all_nlos())
     drops = simulate_drop(sc, 10)
     d = {(u.id, b.id): distance_3d(u, b) for u, b in sc.links()}
-    samples = [PathLossSample(d[link], pl, Condition.NLOS)
-               for row in drops.omni_pl_db.tolist()
-               for link, pl in zip(drops.links, row) if math.isfinite(pl)]
+    samples = PathLossSamples(*zip(*[
+        (d[link], pl, Condition.NLOS, "VV")
+        for row in drops.omni_pl_db.tolist()
+        for link, pl in zip(drops.links, row) if math.isfinite(pl)]))
     assert fit_ci(samples, 73.5).ple < NLOS.ple
 
 

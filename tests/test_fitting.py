@@ -5,11 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from mmwcomp import (CiModel, Condition, FitError, PathLossSample,
+from mmwcomp import (CiModel, Condition, FitError, PathLossSamples,
                      ci_mean_path_loss_db, fit_ci, fspl_db,
                      group_samples_by_condition, substream)
 
 F = 73.5
+
+
+def columns(rows):
+    """One PathLossSamples from ``(d_m, pl_db, condition[, polarization])``
+    rows; a row without a polarization is VV."""
+    return PathLossSamples(*zip(*(row if len(row) == 4 else (*row, "VV")
+                                  for row in rows)))
 
 
 def make_samples(model, distances, rng=None, condition=None):
@@ -19,19 +26,19 @@ def make_samples(model, distances, rng=None, condition=None):
         pl = ci_mean_path_loss_db(model, d)
         if rng is not None:
             pl = float(pl + rng.normal(0.0, model.sigma_db))
-        out.append(PathLossSample(d, pl, cond))
-    return out
+        out.append((d, pl, cond))
+    return columns(out)
 
 
 def test_sample_validation():
     with pytest.raises(ValueError):
-        PathLossSample(0.5, 100.0, Condition.NLOS)
+        columns([(0.5, 100.0, Condition.NLOS)])
     with pytest.raises(ValueError):
-        PathLossSample(10.0, math.nan, Condition.NLOS)
+        columns([(10.0, math.nan, Condition.NLOS)])
     with pytest.raises(ValueError):
-        PathLossSample(10.0, 100.0, Condition.NLOS_BEST)
+        columns([(10.0, 100.0, Condition.NLOS_BEST)])
     with pytest.raises(ValueError):
-        PathLossSample(10.0, 100.0, Condition.NLOS, polarization="HH")
+        columns([(10.0, 100.0, Condition.NLOS, "HH")])
 
 
 def test_fit_noise_free_exact():
@@ -47,8 +54,8 @@ def test_fit_noise_free_exact():
 def test_fit_two_points_one_decade_apart():
     # 30 dB per decade between 10 m and 100 m pins the slope at 3.0.
     anchor = fspl_db(F, 1.0)
-    samples = [PathLossSample(10.0, anchor + 30.0, Condition.NLOS),
-               PathLossSample(100.0, anchor + 60.0, Condition.NLOS)]
+    samples = columns([(10.0, anchor + 30.0, Condition.NLOS),
+                       (100.0, anchor + 60.0, Condition.NLOS)])
     fit = fit_ci(samples, F)
     assert fit.ple == pytest.approx(3.0, abs=1e-12)
     assert fit.sigma_db == pytest.approx(0.0, abs=1e-12)
@@ -59,13 +66,13 @@ def test_fit_matches_closed_form_on_noisy_data():
     rng = substream(11, 0)
     samples = make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=300), rng)
     fit = fit_ci(samples, F)
-    x = np.array([10.0 * math.log10(s.d_m) for s in samples])
-    y = np.array([s.pl_db - fspl_db(F, 1.0) for s in samples])
+    x = np.array([10.0 * math.log10(d) for d in samples.d_m])
+    y = np.array([pl - fspl_db(F, 1.0) for pl in samples.pl_db])
     ple = float(x @ y / (x @ x))
     resid = y - ple * x
     assert fit.ple == pytest.approx(ple, abs=1e-12)
     assert fit.sigma_db == pytest.approx(
-        math.sqrt(float(resid @ resid) / len(samples)), abs=1e-12)
+        math.sqrt(float(resid @ resid) / len(samples.d_m)), abs=1e-12)
 
 
 def test_fit_shift_consistency():
@@ -75,26 +82,26 @@ def test_fit_shift_consistency():
     rng = substream(11, 1)
     samples = make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=200), rng)
     c = 7.0
-    shifted = [PathLossSample(s.d_m, s.pl_db + c, s.condition) for s in samples]
-    x = np.array([10.0 * math.log10(s.d_m) for s in samples])
+    shifted = columns([(d, pl + c, cond) for d, pl, cond, _ in zip(*samples)])
+    x = np.array([10.0 * math.log10(d) for d in samples.d_m])
     expect_delta = c * float(np.sum(x) / np.sum(x * x))
     assert fit_ci(shifted, F).ple - fit_ci(samples, F).ple == pytest.approx(
         expect_delta, abs=1e-10)
 
 
 def test_fit_requires_two_distinct_distances():
-    s = PathLossSample(50.0, 140.0, Condition.NLOS)
+    s = (50.0, 140.0, Condition.NLOS)
     with pytest.raises(FitError):
-        fit_ci([s], F)
+        fit_ci(columns([s]), F)
     with pytest.raises(FitError):
-        fit_ci([s, PathLossSample(50.0, 150.0, Condition.NLOS)], F)
+        fit_ci(columns([s, (50.0, 150.0, Condition.NLOS)]), F)
 
 
 @pytest.mark.parametrize("pl_db", [(1e307,) * 30, (1e308, -1e308)])
 def test_fit_rejects_path_loss_beyond_float_range(pl_db):
     # Every product is finite but the sums overflow, or they hold inf - inf.
-    samples = [PathLossSample(10.0 + i, pl, Condition.NLOS)
-               for i, pl in enumerate(pl_db)]
+    samples = columns([(10.0 + i, pl, Condition.NLOS)
+                       for i, pl in enumerate(pl_db)])
     with pytest.raises(FitError, match="too large to fit"):
         fit_ci(samples, F)
 
@@ -103,8 +110,8 @@ def test_fit_rejects_path_loss_beyond_float_range(pl_db):
                          ids=["flat-at-anchor", "falling"])
 def test_fit_rejects_non_positive_slope(pl_db):
     # A slope of 0 or below is no CI model; the error names the condition.
-    samples = [PathLossSample(d, pl, Condition.LOS)
-               for d, pl in zip((10.0, 40.0), pl_db)]
+    samples = columns([(d, pl, Condition.LOS)
+                       for d, pl in zip((10.0, 40.0), pl_db)])
     with pytest.raises(FitError, match="^LOS samples fit a path loss "
                                        "exponent of .*; the CI model needs "
                                        "ple > 0$"):
@@ -112,8 +119,8 @@ def test_fit_rejects_non_positive_slope(pl_db):
 
 
 def test_fit_rejects_mixed_conditions():
-    samples = [PathLossSample(10.0, 100.0, Condition.LOS),
-               PathLossSample(20.0, 120.0, Condition.NLOS)]
+    samples = columns([(10.0, 100.0, Condition.LOS),
+                       (20.0, 120.0, Condition.NLOS)])
     with pytest.raises(FitError):
         fit_ci(samples, F)
 
@@ -122,10 +129,11 @@ def test_fit_vh_excluded_by_default():
     truth = CiModel(F, 2.0, 0.0, Condition.LOS)
     co = make_samples(truth, [10.0, 50.0, 100.0])
     # Cross-polarized rows carry a large discrimination offset.
-    cross = [PathLossSample(s.d_m, s.pl_db + 15.0, s.condition,
-                            polarization="VH") for s in co]
-    assert fit_ci(co + cross, F).ple == pytest.approx(2.0, abs=1e-9)
-    assert fit_ci(co + cross, F, include_vh=True).ple > 2.0
+    cross = columns([(d, pl + 15.0, cond, "VH")
+                     for d, pl, cond, _ in zip(*co)])
+    both = columns([*zip(*co), *zip(*cross)])
+    assert fit_ci(both, F).ple == pytest.approx(2.0, abs=1e-9)
+    assert fit_ci(both, F, include_vh=True).ple > 2.0
     with pytest.raises(FitError):
         fit_ci(cross, F)  # nothing co-polarized left after the filter
 
@@ -137,12 +145,12 @@ def test_residuals_orthogonal_to_regressor():
     rng = substream(11, 2)
     samples = make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=500), rng)
     fit = fit_ci(samples, F)
-    x = np.array([10.0 * math.log10(s.d_m) for s in samples])
-    resid = np.array([s.pl_db - ci_mean_path_loss_db(fit, s.d_m)
-                      for s in samples])
+    x = np.array([10.0 * math.log10(d) for d in samples.d_m])
+    resid = np.array([pl - ci_mean_path_loss_db(fit, d)
+                      for d, pl in zip(samples.d_m, samples.pl_db)])
     assert float(x @ resid) == pytest.approx(0.0, abs=1e-6)
     assert fit.sigma_db == pytest.approx(
-        math.sqrt(float(resid @ resid) / len(samples)), rel=1e-12)
+        math.sqrt(float(resid @ resid) / len(samples.d_m)), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 1000, 100_000])
@@ -157,9 +165,9 @@ def test_fit_matches_numpy_least_squares(n):
         0.0, sigma_true, n)
     vh = rng.uniform(size=n) < 0.2
     vh[:2] = False
-    samples = [PathLossSample(float(a), float(b), Condition.NLOS,
-                              "VH" if c else "VV")
-               for a, b, c in zip(d, pl, vh)]
+    samples = columns([(float(a), float(b), Condition.NLOS,
+                        "VH" if c else "VV")
+                       for a, b, c in zip(d, pl, vh)])
     fit = fit_ci(samples, F)
     x = 10.0 * np.log10(d[~vh])
     y = pl[~vh] - fspl_db(F, 1.0)
@@ -170,8 +178,9 @@ def test_fit_matches_numpy_least_squares(n):
 
 
 def test_group_samples_by_condition():
-    a = PathLossSample(10.0, 100.0, Condition.LOS)
-    b = PathLossSample(20.0, 130.0, Condition.NLOS)
-    c = PathLossSample(30.0, 140.0, Condition.NLOS)
-    groups = group_samples_by_condition([a, b, c])
-    assert groups == {Condition.LOS: [a], Condition.NLOS: [b, c]}
+    a = (10.0, 100.0, Condition.LOS)
+    b = (20.0, 130.0, Condition.NLOS)
+    c = (30.0, 140.0, Condition.NLOS)
+    groups = group_samples_by_condition(columns([a, b, c]))
+    assert groups == {Condition.LOS: columns([a]),
+                      Condition.NLOS: columns([b, c])}

@@ -8,7 +8,7 @@ import pytest
 import mmwcomp
 from mmwcomp import (CdfPoint, CiModel, Condition, ConditionPolicy,
                      CoverageQuery, Drops, LinkBudget, ModelCard, Node,
-                     OutageRow, PathLossSample, ReceptionRow, ResultBundle,
+                     OutageRow, PathLossSamples, ReceptionRow, ResultBundle,
                      RunMetadata, Scenario, SweepGrid)
 
 NLOS = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
@@ -27,7 +27,7 @@ RECORDS = [
     BUDGET,
     CoverageQuery(NLOS, BUDGET, 100.0),
     OutageRow("NLOS", 63.0, 0.024, 0.007),
-    PathLossSample(20.0, 120.0, Condition.NLOS, "VH"),
+    PathLossSamples((20.0,), (120.0,), (Condition.NLOS,), ("VH",)),
     META,
     ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 10),
     ReceptionRow(2, 0.5, 6),
@@ -50,7 +50,7 @@ INVALID = [
     (LinkBudget, (14.9, 27.0, 20.0, 0.0, 175.0, 5.0),
      "bw_ghz must be positive, got 0.0"),
     (CoverageQuery, (NLOS, BUDGET, 0.5), "radius_m must be >= 1.0 m, got 0.5"),
-    (PathLossSample, (0.5, 120.0, Condition.NLOS, "VV"),
+    (PathLossSamples, ((0.5,), (120.0,), (Condition.NLOS,), ("VV",)),
      "sample distance must be finite and >= 1.0 m, got 0.5"),
     (ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
      "CDF 'best1_pl_db' is empty"),
@@ -78,8 +78,8 @@ def test_record_fields():
     # The reference distance is the constant REFERENCE_DISTANCE_M, not a
     # field, and a sample carries no angle ids.
     assert CiModel._fields == ("f_ghz", "ple", "sigma_db", "condition")
-    assert PathLossSample._fields == ("d_m", "pl_db", "condition",
-                                      "polarization")
+    assert PathLossSamples._fields == ("d_m", "pl_db", "condition",
+                                       "polarization")
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_name)
