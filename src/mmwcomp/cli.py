@@ -11,15 +11,21 @@ Exit codes: 0 on success, 1 on bad input, 2 on an internal failure (and,
 per argparse convention, on a usage error).  Files are written only under
 the --out directory (or the MMWCOMP_OUT environment variable); without
 either, output is stdout only.
+
+``run()`` is the process entry point (``python -m mmwcomp.cli`` and the
+``mmwcomp`` script); ``main()`` is the same commands for callers inside a
+process, with no effect on its garbage collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .coverage import LinkBudget, outage_table
@@ -28,9 +34,9 @@ from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M,
 from .propagation import REFERENCE_DISTANCE_M, CiModel, Condition
 from .results import (ModelCard, ReceptionRow, ResultBundle, RunMetadata,
                       build_cdf, emit_results, format_pct)
-from .scenario_io import (ScenarioError, _csv_rows, _read_json, _read_text,
-                          load_model_cards, load_scenario, load_topology,
-                          read_masks_csv, read_samples_csv)
+from .scenario_io import (ScenarioError, _csv_rows, _read_json, _read_samples,
+                          _read_text, _why_no_samples, load_model_cards,
+                          load_scenario, load_topology, read_masks_csv)
 
 OUT_ENV_VAR = "MMWCOMP_OUT"
 
@@ -67,14 +73,18 @@ def _emit(bundle: ResultBundle, out_dir: Path | None):
 
 
 def _cmd_fit(args) -> int:
-    from .fitting import VV, fit_ci, group_samples_by_condition
-    samples = read_samples_csv(args.samples, strict=args.strict)
+    from .fitting import VV, FitError, fit_ci, group_samples_by_condition
+    samples, n_rows = _read_samples(args.samples, args.strict)
     if not samples.d_m:
-        raise ScenarioError(f"{args.samples}: no usable samples")
+        raise ScenarioError(f"{args.samples}: no usable samples; the file "
+                            f"contains {_why_no_samples(n_rows)}")
     cards = []
     for cond, group in sorted(group_samples_by_condition(samples).items(),
                               key=lambda kv: kv[0].value):
-        model = fit_ci(group, args.f_ghz, include_vh=args.include_vh)
+        try:
+            model = fit_ci(group, args.f_ghz, include_vh=args.include_vh)
+        except FitError as exc:
+            raise ScenarioError(f"{args.samples}: {cond.value}: {exc}") from None
         n_fitted = (len(group.d_m) if args.include_vh
                     else group.polarization.count(VV))
         cards.append(ModelCard(label=cond.value, f_ghz=model.f_ghz,
@@ -300,5 +310,24 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """``main()`` as a whole process, with the cyclic garbage collector off.
+
+    The collector would walk every live object during numpy's import and
+    again while the interpreter shuts down.  A run leaves a few hundred
+    unreachable objects whatever its input size, so nothing is collected;
+    ``gc.freeze()`` then moves every live object to the permanent
+    generation, which the collections at exit skip.  argparse's
+    ``SystemExit`` (usage errors, ``--help``, ``--version``) leaves through
+    the same ``finally``.
+    """
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

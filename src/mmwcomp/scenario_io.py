@@ -264,8 +264,27 @@ def read_samples_csv(source: str | Path | TextIO,
 
     Returns one ``PathLossSamples`` record with a column per field, in
     file order.  In strict mode any malformed row raises ScenarioError with
-    its line number; in lenient mode malformed rows are skipped.
+    its line number; in lenient mode malformed rows are skipped.  A result
+    with no samples warns, saying whether the file had no data rows or
+    every row was skipped.
     """
+    samples, n_rows = _read_samples(source, strict)
+    if not samples.d_m:
+        warnings.warn(f"samples CSV contains {_why_no_samples(n_rows)}",
+                      stacklevel=2)
+    return samples
+
+
+def _why_no_samples(n_rows: int) -> str:
+    """What a samples CSV with ``n_rows`` data rows but no samples holds."""
+    if not n_rows:
+        return "a header but no data rows"
+    return "data rows, but every one is malformed"
+
+
+def _read_samples(source: str | Path | TextIO,
+                  strict: bool) -> tuple[PathLossSamples, int]:
+    """``read_samples_csv`` without its warning, and the number of data rows."""
     rows: list[tuple[int, list[str]]] = []
     try:
         rows.extend(_csv_rows(source, SAMPLE_FIELDS, "samples CSV"))
@@ -277,10 +296,7 @@ def read_samples_csv(source: str | Path | TextIO,
         samples = _sample_columns([row for _, row in rows])
     except (ValueError, KeyError):  # a bad cell, label or row width
         samples = _walk_samples(rows, strict)
-    if not samples.d_m:
-        warnings.warn("samples CSV contains a header but no data rows",
-                      stacklevel=2)
-    return samples
+    return samples, len(rows)
 
 
 def _sample_columns(rows: list[list[str]]) -> PathLossSamples:

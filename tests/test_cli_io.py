@@ -1,5 +1,6 @@
 """Scenario parsing, CSV round trips, result emission and the CLI."""
 
+import gc
 import io
 import json
 import math
@@ -246,6 +247,14 @@ class TestSamplesCsv:
     def test_header_only_warns(self):
         with pytest.warns(UserWarning, match="no data rows"):
             out = read_samples_csv(io.StringIO("d_m,pl_db,condition,polarization\n"))
+        assert out == PathLossSamples()
+
+    def test_all_rows_skipped_warns(self):
+        text = "d_m,pl_db,condition,polarization\n20,120,NLOS,HH\n"
+        with pytest.warns(UserWarning, match="^samples CSV contains data "
+                                             "rows, but every one is "
+                                             "malformed$"):
+            out = read_samples_csv(io.StringIO(text), strict=False)
         assert out == PathLossSamples()
 
 
@@ -538,8 +547,31 @@ class TestCli:
         assert main(["fit", "--samples", str(csv_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: samples must span at least two "
-                                "distinct distances\n")
+        assert captured.err == (f"error: {csv_path}: NLOS: samples must span "
+                                f"at least two distinct distances\n")
+
+    @pytest.mark.parametrize("rows, flags, message", [
+        ("", [], "no usable samples; the file contains a header but no data "
+                 "rows"),
+        ("20,120,NLOS,HH\n0.5,130,NLOS,VV\n", ["--no-strict"],
+         "no usable samples; the file contains data rows, but every one is "
+         "malformed"),
+        ("20,120,LOS,VH\n40,130,LOS,VH\n20,120,NLOS,VV\n40,130,NLOS,VV\n",
+         [], "LOS: no usable samples (cross-polarized rows are excluded by "
+             "default)"),
+        ("20,120,NLOS,VV\n", [], "NLOS: need at least 2 samples, got 1"),
+    ], ids=["header_only", "all_rows_skipped", "los_only_vh", "one_row"])
+    def test_fit_error_names_file(self, tmp_path, capsys, rows, flags,
+                                  message):
+        # One error line, no warning; a failed fit also names its condition.
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("d_m,pl_db,condition,polarization\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--samples", str(csv_path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {csv_path}: {message}\n"
 
     def test_report_summarizes_bundle(self, tmp_path, capsys):
         sc = self.write_scenario(tmp_path)
@@ -916,13 +948,18 @@ print("loaded:", json.dumps(loaded()))
 """
 
 
-def _run_python(code, *args, cwd) -> subprocess.CompletedProcess:
+def _python(args, cwd) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this package's sources, without MMWCOMP_OUT."""
     src = str(Path(mmwcomp.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k != "MMWCOMP_OUT"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd)
+
+
+def _run_python(code, *args, cwd) -> subprocess.CompletedProcess:
+    proc = _python(["-c", code, *args], cwd)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -944,10 +981,8 @@ def _write_models(tmp_path) -> Path:
     return tmp_path / "fit" / "models.json"
 
 
-def _closed_form_runs(tmp_path) -> list[list[str]]:
-    """Seven table and report runs on small inputs; each report reads a
-    bundle that an earlier run writes."""
-    models = _write_models(tmp_path)
+def _write_table_inputs(tmp_path) -> tuple[Path, Path, Path]:
+    """A samples CSV, a topology and its masks, small and valid."""
     samples = tmp_path / "samples.csv"
     samples.write_text("d_m,pl_db,condition,polarization\n"
                        "20,120,NLOS,VV\n40,130,NLOS,VV\n"
@@ -957,6 +992,14 @@ def _closed_form_runs(tmp_path) -> list[list[str]]:
     masks = tmp_path / "masks.csv"
     write_masks({("U1", "B1"): 1, ("U1", "B2"): 2, ("U2", "B2"): 3}, masks,
                 n_directions=2)
+    return samples, topo, masks
+
+
+def _closed_form_runs(tmp_path) -> list[list[str]]:
+    """Seven table and report runs on small inputs; each report reads a
+    bundle that an earlier run writes."""
+    models = _write_models(tmp_path)
+    samples, topo, masks = _write_table_inputs(tmp_path)
     return [
         ["fit", "--samples", str(samples), "--out", str(tmp_path / "f")],
         ["coverage", "--out", str(tmp_path / "cov")],
@@ -1043,6 +1086,120 @@ class TestRecordImports:
     def test_simulate_loads_no_dataclasses(self, tmp_path):
         assert _modules_loaded_by(_simulate_run(tmp_path), tmp_path,
                                   watched=("dataclasses",)) == set()
+
+
+def _entry_runs(tmp_path) -> dict[str, list[str]]:
+    """Commands on small inputs under ``tmp_path``; each bundle goes to
+    ``out`` below the working directory, so stdout names the same paths
+    whichever directory the command runs in."""
+    samples, topo, masks = _write_table_inputs(tmp_path)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO_JSON))
+    return {
+        "fit": ["fit", "--samples", str(samples), "--out", "out"],
+        "coverage": ["coverage", "--distances", "63,200", "--out", "out"],
+        "enumerate": ["enumerate", "--topology", str(topo), "--masks",
+                      str(masks), "--out", "out"],
+        "simulate": ["simulate", "--scenario", str(scenario), "--trials", "3",
+                     "--out", "out"],
+        "missing_file": ["fit", "--samples", "does-not-exist.csv"],
+        "usage_error": ["simulate", "--trials", "3"],
+        "version": ["--version"],
+    }
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+class TestProcessEntry:
+    """``python -m mmwcomp.cli`` runs ``run()``, which turns the garbage
+    collector off for the process; each command must print, write and
+    exit exactly as ``main()`` does inside this process."""
+
+    @pytest.mark.parametrize("name", ["fit", "coverage", "enumerate",
+                                      "simulate", "missing_file",
+                                      "usage_error", "version"])
+    def test_process_matches_main(self, tmp_path, capsys, monkeypatch, name):
+        argv = _entry_runs(tmp_path)[name]
+        proc_dir, main_dir = tmp_path / "proc", tmp_path / "main"
+        proc_dir.mkdir()
+        main_dir.mkdir()
+        proc = _python(["-m", "mmwcomp.cli", *argv], proc_dir)
+        monkeypatch.chdir(main_dir)
+        monkeypatch.delenv("MMWCOMP_OUT", raising=False)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage error or --version
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == {"missing_file": 1, "usage_error": 2}.get(name, 0)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, captured.out, captured.err)
+        assert _files(proc_dir) == _files(main_dir)
+        assert bool(_files(main_dir)) == ("--out" in argv)
+
+
+# Runs ``run()`` as the process entry does, then reports the exit code and
+# the collector's state once ``run()`` has left through ``SystemExit``.
+_RUN_PROBE = """
+import gc, sys
+from mmwcomp import cli
+try:
+    cli.run()
+except SystemExit as exc:
+    print("exit:", exc.code, gc.isenabled(), gc.get_freeze_count() > 0)
+"""
+
+
+class TestGarbageCollector:
+    @pytest.mark.parametrize("argv, code", [
+        (["coverage", "--distances", "63"], 0),
+        (["fit", "--samples", "does-not-exist.csv"], 1),
+        (["no-such-command"], 2),
+    ], ids=["ok", "bad_input", "usage_error"])
+    def test_run_disables_and_freezes(self, tmp_path, argv, code):
+        proc = _run_python(_RUN_PROBE, *argv, cwd=tmp_path)
+        assert proc.stdout.splitlines()[-1] == f"exit: {code} False True"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_collector_state(self, tmp_path, capsys, monkeypatch,
+                                         enabled):
+        runs = _entry_runs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(runs["fit"]) == 0
+            assert main(runs["simulate"][:-2]) == 0  # without --out
+            assert main(runs["missing_file"]) == 1
+            with pytest.raises(SystemExit):
+                main(runs["usage_error"])
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_simulate_garbage_does_not_grow_with_trials(self, tmp_path,
+                                                        capsys):
+        # ``run()`` never collects, so a command may leave only a fixed
+        # amount of cyclic garbage, whatever its trial count.
+        scenario = _entry_runs(tmp_path)["simulate"][2]
+        was_enabled = gc.isenabled()
+
+        def garbage(trials: int) -> int:
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(["simulate", "--scenario", scenario,
+                             "--trials", str(trials)]) == 0
+                return gc.collect()
+            finally:
+                (gc.enable if was_enabled else gc.disable)()
+
+        garbage(3)  # imports and first-use caches
+        assert garbage(3) == garbage(30)
 
 
 def test_readme_library_examples_run(monkeypatch):
