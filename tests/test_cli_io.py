@@ -709,6 +709,62 @@ class TestCli:
             b"k,p_reception_pct,n_combinations\n1,100.0,16\n2,100.0,24\n"
             b"3,100.0,16\n")
 
+    def test_report_golden_stdout(self, tmp_path, capsys):
+        # report's exact stdout on four bundles: fit, enumerate --masks, a
+        # 2-trial simulate and coverage --models with an NLOS-only card (the
+        # default models' LOS rows print 0.0; see test_golden_outputs).
+        samples = tmp_path / "samples.csv"
+        samples.write_text("d_m,pl_db,condition,polarization\n"
+                           "20,120.5,NLOS,VV\n45,141.25,NLOS,VV\n"
+                           "90,150,NLOS,VV\n150,163.75,NLOS,VH\n"
+                           "10,88.5,LOS,VV\n35,101,LOS,VV\n")
+        topo = tmp_path / "topology.json"
+        topo.write_text('{"U1": ["B1", "B2", "B3"], "U2": ["B2", "B3"]}')
+        masks = tmp_path / "masks.csv"
+        masks.write_text("rx_id,tx_id,mask\nU1,B1,1100\nU1,B2,0011\n"
+                         "U1,B3,1010\nU2,B2,0111\nU2,B3,1000\n")
+        scenario = Path(__file__).resolve().parents[1] / "configs" / (
+            "example_scenario.json")
+        runs = {
+            "fit": ["fit", "--samples", str(samples)],
+            "enum": ["enumerate", "--topology", str(topo), "--masks",
+                     str(masks)],
+            "sim": ["simulate", "--scenario", str(scenario), "--seed", "11",
+                    "--trials", "2", "--k-max", "3"],
+            "cov": ["coverage", "--models", str(_write_models(tmp_path)),
+                    "--distances", "63,200"],
+        }
+        version = mmwcomp.__version__
+        expected = {
+            "fit": f"run: fit (version {version}, seed None, trials None)\n"
+                   "models:\n"
+                   "  LOS: ple=1.98171 sigma=0.878511 dB at 73.5 GHz, n=2\n"
+                   "  NLOS: ple=4.13808 sigma=2.54479 dB at 73.5 GHz, n=3\n",
+            "enum": f"run: enumerate (version {version}, seed None, trials "
+                    "None)\n"
+                    "reception.csv:\n"
+                    "  k,p_reception_pct,n_combinations\n"
+                    "  1,0.0,5\n  2,50.0,4\n  3,100.0,1\n",
+            "sim": f"run: simulate (version {version}, seed 11, trials 2)\n"
+                   "reception.csv:\n"
+                   "  k,p_reception_pct,n_combinations\n"
+                   "  1,100.0,16\n  2,100.0,24\n  3,100.0,16\n"
+                   "cdf_best1_pl_db.csv: 8 points, median 77.5\n"
+                   "cdf_best2_pl_db.csv: 8 points, median 111.6\n"
+                   "cdf_best3_pl_db.csv: 8 points, median 115.5\n",
+            "cov": f"run: coverage (version {version}, seed None, trials "
+                   "None)\n"
+                   "outage.csv:\n"
+                   "  condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
+                   "  NLOS,63,2.4,0.7\n  NLOS,200,52.0,27.1\n",
+        }
+        for name, argv in runs.items():
+            out = tmp_path / "bundles" / name
+            assert main([*argv, "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["report", "--bundle", str(out)]) == 0
+            assert capsys.readouterr() == (expected[name], "")
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["simulate", "--scenario",
                      str(tmp_path / "nope.json")]) == 1
