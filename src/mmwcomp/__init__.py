@@ -31,7 +31,7 @@ _EXPORTS = {
                   "simulate_drop"),
     "scenario_io": ("ScenarioError", "parse_scenario", "load_scenario",
                     "load_topology", "read_samples_csv", "read_masks_csv",
-                    "load_model_cards", "scenario_to_json"),
+                    "load_model_cards", "read_bundle", "scenario_to_json"),
     "results": ("RunMetadata", "ModelCard", "ReceptionRow", "CdfPoint",
                 "ResultBundle", "format_pct", "build_cdf", "emit_results"),
     "rng": ("substream",),

@@ -32,11 +32,11 @@ from .coverage import LinkBudget, outage_table
 from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M,
                      DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET)
 from .propagation import REFERENCE_DISTANCE_M, CiModel, Condition
-from .results import (ModelCard, ReceptionRow, ResultBundle, RunMetadata,
-                      build_cdf, emit_results, format_pct)
-from .scenario_io import (ScenarioError, _csv_rows, _read_json, _read_samples,
-                          _read_text, _why_no_samples, load_model_cards,
-                          load_scenario, load_topology, read_masks_csv)
+from .results import (CdfPoint, ModelCard, ReceptionRow, ResultBundle, RunMetadata,
+                      build_cdf, bundle_csvs, emit_results, format_pct)
+from .scenario_io import (ScenarioError, _read_samples, _why_no_samples,
+                          load_model_cards, load_scenario, load_topology,
+                          read_bundle, read_masks_csv)
 
 OUT_ENV_VAR = "MMWCOMP_OUT"
 
@@ -125,8 +125,12 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .diversity import reception_counts, simulate_drop
+    from .diversity import distance_3d, reception_counts, simulate_drop
     scenario = load_scenario(args.scenario)
+    for ue, bs in scenario.links():  # coverage reads the same file without links
+        if distance_3d(ue, bs) < REFERENCE_DISTANCE_M:
+            raise ScenarioError(f"{args.scenario}: link {ue.id}/{bs.id} is shorter than "
+                                f"the CI model's {REFERENCE_DISTANCE_M} m reference")
     if args.seed is not None:
         # _replace runs no checks, and substream's own error names no flag.
         if args.seed < 0:
@@ -192,51 +196,24 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    bundle_dir = Path(args.bundle)
-    meta_path = bundle_dir / "metadata.json"
-    if not meta_path.is_file():
-        raise ScenarioError(f"{bundle_dir}: not a result bundle "
-                            f"(missing metadata.json)")
-    meta = _read_json(meta_path)
-    if not isinstance(meta, dict):
-        raise ScenarioError(f"{meta_path}: expected a JSON object")
-    models_path = bundle_dir / "models.json"
-    cards = load_model_cards(models_path) if models_path.is_file() else None
-    tables = [(name, _read_text(path, str(path)).splitlines())
-              for name in ("outage.csv", "reception.csv")
-              if (path := bundle_dir / name).is_file()]
-    cdfs = [(path.name, _read_cdf_values(path))
-            for path in sorted(bundle_dir.glob("cdf_*.csv"))]
-    print(f"run: {meta.get('command')} "
-          f"(version {meta.get('package_version')}, seed {meta.get('seed')}, "
-          f"trials {meta.get('trials')})")
-    if cards is not None:
+    bundle = read_bundle(args.bundle)
+    meta = bundle.metadata
+    print(f"run: {meta.command} (version {meta.package_version}, "
+          f"seed {meta.seed}, trials {meta.trials})")
+    if bundle.model_cards:
         print("models:")
-        for card in cards:
+        for card in bundle.model_cards:
             extra = f", n={card.n_samples}" if card.n_samples is not None else ""
             print(f"  {card.label}: ple={card.ple:g} sigma={card.sigma_db:g} dB "
                   f"at {card.f_ghz:g} GHz{extra}")
-    for name, lines in tables:
-        print(f"{name}:")
-        for line in lines:
-            print(f"  {line}")
-    for name, xs in cdfs:
-        print(f"{name}: {len(xs)} points, median {xs[len(xs) // 2]:.1f}")
+    for name, rows, text in bundle_csvs(bundle):
+        if isinstance(rows[0], CdfPoint):
+            print(f"{name}: {len(rows)} points, median {rows[len(rows) // 2].x:.1f}")
+        else:
+            print(f"{name}:")
+            for line in text.splitlines():
+                print(f"  {line}")
     return 0
-
-
-def _read_cdf_values(path: Path) -> list[float]:
-    """The x column of a ``cdf_*.csv`` file, below its ``x,p`` header."""
-    xs = []
-    for lineno, row in _csv_rows(path, ("x", "p"), str(path)):
-        try:
-            xs.append(float(row[0]))
-        except ValueError:
-            raise ScenarioError(f"{path} line {lineno}: x must be a number, "
-                                f"got {row[0]!r}") from None
-    if not xs:
-        raise ScenarioError(f"{path}: no CDF points below the header")
-    return xs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cov = sub.add_parser("coverage", help="edge and region outage table")
     p_cov.add_argument("--scenario", help="scenario JSON (models and budget)")
-    p_cov.add_argument("--models", help="models.json from a fit run")
+    p_cov.add_argument("--models", help="model cards from a fit run's --out")
     p_cov.add_argument("--distances",
                        help="comma-separated cell radii in meters")
     p_cov.add_argument("--out", help="output directory")

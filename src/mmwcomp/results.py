@@ -1,7 +1,7 @@
-"""Result records and deterministic emission to disk.
+"""Result records, the bundle format and deterministic emission to disk.
 
-This module only writes: ``scenario_io.load_model_cards`` reads a
-``models.json`` back, next to the package's other input readers.
+``BUNDLE_CSVS`` describes a bundle's CSV files: ``bundle_csvs`` renders them
+from it, and ``scenario_io.read_bundle`` reads them back through it.
 
 Every writer here produces byte-identical output for identical inputs:
 keys are sorted, line endings are "\\n", floats go through one shared
@@ -20,7 +20,7 @@ import json
 import math
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .coverage import OutageRow
 from .propagation import CiModel, Condition, validated
@@ -46,6 +46,14 @@ def format_pct(fraction: float) -> str:
         return f"{pct:.1f}"
     mantissa, exponent = f"{pct:.1E}".split("E")
     return f"{mantissa}E{int(exponent)}"
+
+
+def _parse_pct(text: str) -> float:
+    """The fraction that ``format_pct`` renders as ``text``.  Among subnormals
+    ``float(text) / 100`` can be a step off: ``1.0E-320`` would give ``9.9E-321``."""
+    x = float(text) / 100.0
+    near = (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf))
+    return next((y for y in near if format_pct(y) == text), x)
 
 
 class RunMetadata(NamedTuple):
@@ -128,6 +136,23 @@ def build_cdf(values: Iterable[float]) -> list[CdfPoint]:
     return [CdfPoint(v, (i + 1) / n) for i, v in enumerate(finite)]
 
 
+METADATA_FILE, MODELS_FILE = "metadata.json", "models.json"
+
+# The CSV files of a bundle, in the order they are written: the ResultBundle
+# field each holds, its file name ("{}" is a CDF's name), its row record and,
+# per record field, the column header, the text format and its inverse.
+BUNDLE_CSVS = (
+    ("outage_rows", "outage.csv", OutageRow, (
+        ("condition", format, str), ("distance_m", _fmt, float),
+        ("p_out_edge_pct", format_pct, _parse_pct),
+        ("p_out_region_pct", format_pct, _parse_pct))),
+    ("reception_rows", "reception.csv", ReceptionRow, (
+        ("k", format, int), ("p_reception_pct", format_pct, _parse_pct),
+        ("n_combinations", format, int))),
+    ("cdfs", "cdf_{}.csv", CdfPoint, (("x", _fmt, float), ("p", _fmt, float))),
+)
+
+
 def _model_card_obj(card: ModelCard) -> dict:
     obj = {
         "label": card.label,
@@ -145,42 +170,31 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def bundle_csvs(bundle: ResultBundle) -> Iterator[tuple[str, Sequence, str]]:
+    """Each CSV file of ``bundle`` that has rows, in file order: its name,
+    its rows and its text."""
+    for field, name, _, columns in BUNDLE_CSVS:
+        value = getattr(bundle, field)
+        for key, rows in sorted(value.items()) if field == "cdfs" else [("", value)]:
+            if rows:
+                lines = [",".join(head for head, _, _ in columns)] + [
+                    ",".join(fmt(v) for (_, fmt, _), v in zip(columns, row)) for row in rows]
+                yield name.format(key), rows, "\n".join(lines) + "\n"
+
+
 def emit_results(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     """Write the bundle under ``out_dir``; returns the files written.
 
-    Always writes metadata.json; models.json, outage.csv, reception.csv
-    and cdf_<name>.csv appear only when the bundle has content for them.
+    Always writes metadata.json; models.json and each file of
+    ``bundle_csvs`` appear only when the bundle has content for them.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def write(name: str, text: str):
-        path = out / name
-        path.write_bytes(text.encode("utf-8"))
-        written.append(path)
-
-    write("metadata.json", _dump_json(bundle.metadata._asdict()))
+    files = [(METADATA_FILE, _dump_json(bundle.metadata._asdict()))]
     if bundle.model_cards:
-        write("models.json",
-              _dump_json([_model_card_obj(c) for c in bundle.model_cards]))
-    if bundle.outage_rows:
-        lines = ["condition,distance_m,p_out_edge_pct,p_out_region_pct"]
-        for row in bundle.outage_rows:
-            lines.append(f"{row.condition},{_fmt(row.distance_m)},"
-                         f"{format_pct(row.p_out_edge)},"
-                         f"{format_pct(row.p_out_region)}")
-        write("outage.csv", "\n".join(lines) + "\n")
-    if bundle.reception_rows:
-        lines = ["k,p_reception_pct,n_combinations"]
-        for row in bundle.reception_rows:
-            lines.append(f"{row.k},{format_pct(row.probability)},"
-                         f"{row.n_combinations}")
-        write("reception.csv", "\n".join(lines) + "\n")
-    for name in sorted(bundle.cdfs):
-        lines = ["x,p"]
-        for pt in bundle.cdfs[name]:
-            lines.append(f"{_fmt(pt.x)},{_fmt(pt.p)}")
-        write(f"cdf_{name}.csv", "\n".join(lines) + "\n")
-    return written
-
+        files.append((MODELS_FILE, _dump_json(
+            [_model_card_obj(c) for c in bundle.model_cards])))
+    files += [(name, text) for name, _, text in bundle_csvs(bundle)]
+    for name, text in files:
+        (out / name).write_bytes(text.encode("utf-8"))
+    return [out / name for name, _ in files]

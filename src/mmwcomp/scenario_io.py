@@ -1,13 +1,14 @@
-"""Reading every input file: scenario, topology and model-card JSON, and
-path-loss sample and reception-mask CSV.
+"""Reading every input file: scenario, topology and model-card JSON,
+path-loss sample and reception-mask CSV, and result bundles.
 
 Files are read as UTF-8 whatever the locale.  JSON goes through one loader
 (``_read_json``), text through one decoder (``_read_text``), CSV through one
 row reader (``_csv_rows``), and every JSON record through one field-driven
 parser (``_parse_record``).  All parsers reject unknown keys, and every bad
 input raises ScenarioError with the file (undecodable JSON), a dotted key
-path (scenario JSON), the file and a card index (``models.json``) or a
-1-based line number (CSV), so it can be fixed without reading tracebacks.
+path (scenario JSON, bundle metadata), the file and a card index (model
+cards) or a 1-based line number (CSV), so it can be fixed without reading
+tracebacks.
 
 Path-loss samples are read as columns into one ``PathLossSamples`` record:
 each column is parsed and checked whole, and the rows are walked one by
@@ -31,7 +32,7 @@ from .propagation import CiModel, Condition
 if TYPE_CHECKING:
     from .diversity import LinkKey, Scenario
     from .fitting import PathLossSamples
-    from .results import ModelCard
+    from .results import ModelCard, ResultBundle
 
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -138,15 +139,16 @@ def _parse_record(cls, obj, path: str, kinds: Mapping[str, type],
     Each key of ``kinds`` is read by ``_value`` under the key path
     ``path.key`` (the bare key when ``path`` is empty); a key absent from
     ``obj`` takes its value from ``defaults`` and is required when it has
-    none there.  Unknown keys and the record's own checks fail under
-    ``path``.
+    none there, and a key whose default is ``None`` may also be ``null``.
+    Unknown keys and the record's own checks fail under ``path``.
     """
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     _check_keys(obj, set(kinds), path)
     fields = {}
     for key, kind in kinds.items():
-        if key in obj:
+        if key in obj and not (obj[key] is None and key in defaults
+                               and defaults[key] is None):
             fields[key] = _value(obj[key], kind,
                                  f"{path}.{key}" if path else key)
         elif key in defaults:
@@ -384,7 +386,7 @@ _CARD_KINDS = {"label": str, **_MODEL_KINDS, "condition": Condition,
 
 
 def load_model_cards(path: str | Path) -> list[ModelCard]:
-    """Read back a models.json written by ``emit_results``.
+    """Read back the model cards that ``emit_results`` wrote.
 
     Each card follows the scenario's number rules and the CI model's
     checks; ``n_samples`` is optional and, when given, at least 1, and the
@@ -409,6 +411,63 @@ def load_model_cards(path: str | Path) -> list[ModelCard]:
                 f"{path}: bad model card at index {i}: {exc}") from None
         cards.append(card)
     return cards
+
+
+def read_bundle(path: str | Path) -> ResultBundle:
+    """Read back a directory that ``emit_results`` wrote: the metadata by the
+    scenario's record rules, the model cards by ``load_model_cards``, and each
+    CSV file through ``results.BUNDLE_CSVS``, each cell as the text written."""
+    from .results import (BUNDLE_CSVS, METADATA_FILE, MODELS_FILE, ResultBundle,
+                          RunMetadata)
+    root = Path(path)
+    meta_path, models = root / METADATA_FILE, root / MODELS_FILE
+    if not meta_path.is_file():
+        raise ScenarioError(f"{root}: not a result bundle (missing {METADATA_FILE})")
+    raw = _read_json(meta_path)
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{meta_path}: expected a JSON object")
+    kinds = dict(zip(RunMetadata._fields, (str, str, int, int, str)))
+    try:
+        meta = _parse_record(RunMetadata, raw, "", kinds, RunMetadata._field_defaults)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{meta_path}: {exc}") from None
+    fields = {"model_cards": load_model_cards(models) if models.is_file() else ()}
+    for field, name, cls, columns in BUNDLE_CSVS:
+        prefix, _, suffix = name.partition("{}")
+        tables = {p.name[len(prefix):len(p.name) - len(suffix)]:
+                  _read_bundle_csv(p, cls, columns)
+                  for p in sorted(root.glob(name.format("*")))}
+        fields[field] = tables if field == "cdfs" else tables.get("", ())
+    return ResultBundle(meta, **fields)
+
+
+def _read_bundle_csv(path: Path, cls, columns) -> list:
+    """The ``cls`` records of one bundle CSV file; a CDF's are checked."""
+    from .results import CdfPoint, _validate_cdf
+    rows = []
+    for lineno, row in _csv_rows(path, tuple(c[0] for c in columns), str(path)):
+        if len(row) != len(columns):
+            raise ScenarioError(f"{path} line {lineno}: expected {len(columns)} fields")
+        values = []
+        for (head, fmt, parse), text in zip(columns, row):
+            try:
+                values.append(parse(text))
+                canon = fmt(values[-1])
+            except ValueError:
+                canon = None
+            if canon != text:
+                need = "be a number" if canon is None else f"read {canon!r}"
+                raise ScenarioError(f"{path} line {lineno}: {head} must {need}, "
+                                    f"got {text!r}")
+        rows.append(cls(*values))
+    if cls is CdfPoint:
+        if not rows:
+            raise ScenarioError(f"{path}: no CDF points below the header")
+        try:
+            _validate_cdf(path.name, rows)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
+    return rows
 
 
 def scenario_to_json(scenario: Scenario) -> str:

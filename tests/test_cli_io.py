@@ -7,18 +7,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmwcomp
 from mmwcomp import (CdfPoint, Condition, ModelCard, OutageRow,
-                     PathLossSamples, ResultBundle, RunMetadata, ScenarioError, build_cdf, emit_results,
-                     format_pct, load_model_cards, load_scenario,
-                     load_topology, parse_scenario, read_masks_csv,
+                     PathLossSamples, ReceptionRow, ResultBundle, RunMetadata,
+                     ScenarioError, build_cdf, emit_results, format_pct,
+                     load_model_cards, load_scenario, load_topology,
+                     parse_scenario, read_bundle, read_masks_csv,
                      read_samples_csv, scenario_to_json, simulate_drop)
 from mmwcomp.cli import main
 from mmwcomp.params import CAMPAIGN_SERVING_SETS
@@ -313,6 +315,31 @@ class TestFormatting:
         assert format_pct(0.99e-4) == "9.9E-3"
 
 
+# Bundles of every shape emit_results writes: fractions include 0, 1 and
+# subnormals, and any record may be absent.
+_fractions = st.floats(min_value=0.0, max_value=1.0)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_texts = st.text(min_size=1, max_size=8)
+_optional_ints = st.none() | st.integers(-2**70, 2**70)
+BUNDLES = st.builds(
+    ResultBundle,
+    metadata=st.builds(RunMetadata, _texts, _texts, _optional_ints,
+                       _optional_ints, st.none() | _texts),
+    model_cards=st.lists(st.builds(
+        ModelCard, _texts, st.floats(1e-300, 1e300), st.floats(1e-300, 1e300),
+        st.floats(0.0, 1e300), st.sampled_from(Condition),
+        st.none() | st.integers(1, 2**70)), max_size=3),
+    outage_rows=st.lists(st.builds(
+        OutageRow, st.sampled_from([c.value for c in Condition]), _finite,
+        _fractions, _fractions), max_size=4),
+    reception_rows=st.lists(st.builds(
+        ReceptionRow, st.integers(0, 12), _fractions, st.integers(0, 2**70)),
+        max_size=4),
+    cdfs=st.dictionaries(
+        st.from_regex(r"[a-z0-9_]{1,10}", fullmatch=True),
+        st.lists(_finite, min_size=1, max_size=6).map(build_cdf), max_size=3))
+
+
 class TestResults:
     def test_build_cdf(self):
         pts = build_cdf([3.0, 1.0, 2.0, math.inf])
@@ -366,6 +393,21 @@ class TestResults:
         [card] = load_model_cards(path)
         assert card == ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS,
                                  n_samples=10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bundle=BUNDLES)
+    @example(bundle=ResultBundle(
+        RunMetadata("coverage", "0.1.0"),
+        outage_rows=[OutageRow("LOS", 42.0, 1.04e-322, 0.0)],
+        reception_rows=[ReceptionRow(1, 1.04e-322, 1),
+                         ReceptionRow(2, 1.0, 3)]))
+    def test_bundle_round_trips_through_read_bundle(self, bundle):
+        # emit, read back, emit again: the same files, byte for byte.
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first"), Path(tmp, "second")
+            emit_results(bundle, first)
+            emit_results(read_bundle(first), second)
+            assert _files(first) == _files(second)
 
 
 SCENARIO_JSON = {
@@ -587,7 +629,15 @@ class TestCli:
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "expected a JSON object"),
         ("{not json", "invalid JSON ("),
-    ], ids=["array", "invalid"])
+        ('{"command": 5, "seed": "x"}', "command: expected a non-empty string"),
+        ('{"command": "fit", "package_version": "0.1.0", "colour": 1}',
+         "unknown key(s) ['colour']"),
+        ('{"command": null, "package_version": "0.1.0"}',
+         "command: expected a non-empty string"),
+        ('{"command": "fit", "package_version": "0.1.0", "seed": 1.5}',
+         "seed: expected an integer, got 1.5"),
+    ], ids=["array", "invalid", "wrong_types", "unknown_key", "null_command",
+            "float_seed"])
     def test_report_rejects_bad_metadata(self, tmp_path, capsys, text,
                                          message):
         meta = tmp_path / "metadata.json"
@@ -609,12 +659,31 @@ class TestCli:
             f"error: {models}: bad model card at index 0: "
             f"missing required key 'f_ghz'\n")
 
-    @pytest.mark.parametrize("name, data", [
-        ("outage.csv", b"condition,distance_m\nNLOS,63,\xff\n"),
-        ("reception.csv", b"k,p_reception_pct,n_combinations\n1,\xff,1\n"),
-    ], ids=["outage", "reception"])
+    @pytest.mark.parametrize("name, data, message", [
+        ("outage.csv", b"condition,distance_m\nNLOS,63,\xff\n",
+         "line 2: 'utf-8' codec can't decode byte 0xff"),
+        ("reception.csv", b"k,p_reception_pct,n_combinations\n1,\xff,1\n",
+         "line 2: 'utf-8' codec can't decode byte 0xff"),
+        ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
+                       b"LOS,abc,,\n",
+         "line 2: distance_m must be a number, got 'abc'\n"),
+        ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
+                       b"NLOS,63,2.4,0.7\nNLOS,63.0,2.4,0.7\n",
+         "line 3: distance_m must read '63', got '63.0'\n"),
+        ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
+                       b"NLOS,63,2.4\n",
+         "line 2: expected 4 fields\n"),
+        ("reception.csv", b"k,p\nfoo,bar,baz\n",
+         "line 1: header must be k,p_reception_pct,n_combinations\n"),
+        ("reception.csv", b"k,p_reception_pct,n_combinations\nfoo,50.0,2\n",
+         "line 2: k must be a number, got 'foo'\n"),
+        ("reception.csv", b"k,p_reception_pct,n_combinations\n1,x%,2\n",
+         "line 2: p_reception_pct must be a number, got 'x%'\n"),
+    ], ids=["outage", "reception", "outage_not_a_number", "outage_not_as_written",
+            "outage_short_row", "reception_header", "reception_k",
+            "reception_pct"])
     def test_report_reads_every_file_before_printing(self, tmp_path, capsys,
-                                                     name, data):
+                                                     name, data, message):
         assert main(["coverage", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         path = tmp_path / name
@@ -622,13 +691,15 @@ class TestCli:
         assert main(["report", "--bundle", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            f"error: {path} line 2: 'utf-8' codec can't decode byte 0xff")
+        assert captured.err.startswith(f"error: {path} {message}")
 
     @pytest.mark.parametrize("text, message", [
         ("x,p\n120.5,0.5\nabc,1.0\n", " line 3: x must be a number, got 'abc'"),
         ("x,p\n", ": no CDF points below the header"),
-    ], ids=["non_numeric", "header_only"])
+        ("x,p\n120.5,0.5\n130,abc\n", " line 3: p must be a number, got 'abc'"),
+        ("x,p\n120.5,0.25\n130,0.5\n",
+         ": CDF 'cdf_best1_pl_db.csv' must end at probability 1, got 0.5"),
+    ], ids=["non_numeric", "header_only", "p_non_numeric", "p_not_ending_at_1"])
     def test_report_rejects_bad_cdf(self, tmp_path, capsys, text, message):
         sc = self.write_scenario(tmp_path)
         out_dir = tmp_path / "run"
@@ -774,6 +845,22 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"base_stations": [], "ues": []}))
         assert main(["simulate", "--scenario", str(bad)]) == 1
+
+    def test_simulate_names_link_shorter_than_reference(self, tmp_path,
+                                                         capsys):
+        # The scenario itself is valid, so coverage, which builds no links,
+        # still reads it.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "base_stations": [{"id": "B1", "x_m": 0.0, "y_m": 0.0,
+                               "height_m": 1.4}],
+            "ues": [{"id": "U1", "x_m": 0.5, "y_m": 0.0}]}))
+        assert main(["simulate", "--scenario", str(path), "--trials", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: link U1/B1 is shorter than "
+                                f"the CI model's 1.0 m reference\n")
+        assert main(["coverage", "--scenario", str(path)]) == 0
 
     @pytest.mark.parametrize("distances, token", [
         ("100,nan", "nan"), ("inf", "inf"), ("1e400", "1e400")])

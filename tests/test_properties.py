@@ -5,7 +5,7 @@ import math
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmwcomp import (CiModel, Condition, CoverageQuery, LinkBudget, build_cdf,
@@ -14,6 +14,7 @@ from mmwcomp import (CiModel, Condition, CoverageQuery, LinkBudget, build_cdf,
                      friis_received_power_dbm, fspl_db, reception_counts,
                      region_outage_probability, substream)
 from mmwcomp.diversity import _miss_set_hits, lane_bytes
+from mmwcomp.results import _parse_pct
 
 freqs = st.floats(min_value=0.5, max_value=200.0)
 dists = st.floats(min_value=1.0, max_value=1000.0)
@@ -63,9 +64,13 @@ def test_region_outage_no_greater_than_edge(ple, sigma, radius):
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
+@example(1.04e-322)  # float(text) / 100 is one step below: 9.9E-321
+@example(5e-324)
+@example(0.99e-4)
 def test_format_pct_parses_back(fraction):
     text = format_pct(fraction)
     assert abs(float(text) - 100.0 * fraction) <= 0.05 + 1e-9
+    assert format_pct(_parse_pct(text)) == text
 
 
 @given(st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=1,
