@@ -33,7 +33,8 @@ _EXPORTS = {
                     "load_topology", "read_samples_csv", "read_masks_csv",
                     "load_model_cards", "read_bundle", "scenario_to_json"),
     "results": ("RunMetadata", "ModelCard", "ReceptionRow", "CdfPoint",
-                "ResultBundle", "format_pct", "build_cdf", "emit_results"),
+                "ResultBundle", "format_pct", "build_cdf", "bundle_csvs",
+                "emit_results"),
     "rng": ("substream",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -138,9 +138,8 @@ def build_cdf(values: Iterable[float]) -> list[CdfPoint]:
 
 METADATA_FILE, MODELS_FILE = "metadata.json", "models.json"
 
-# The CSV files of a bundle, in the order they are written: the ResultBundle
-# field each holds, its file name ("{}" is a CDF's name), its row record and,
-# per record field, the column header, the text format and its inverse.
+# Each CSV file of a bundle, in file order: its ResultBundle field, name ("{}" is
+# a CDF's name) and row record, and per field the header, text format and inverse.
 BUNDLE_CSVS = (
     ("outage_rows", "outage.csv", OutageRow, (
         ("condition", format, str), ("distance_m", _fmt, float),

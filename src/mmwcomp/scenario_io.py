@@ -414,9 +414,8 @@ def load_model_cards(path: str | Path) -> list[ModelCard]:
 
 
 def read_bundle(path: str | Path) -> ResultBundle:
-    """Read back a directory that ``emit_results`` wrote: the metadata by the
-    scenario's record rules, the model cards by ``load_model_cards``, and each
-    CSV file through ``results.BUNDLE_CSVS``, each cell as the text written."""
+    """Read back a directory that ``emit_results`` wrote, each CSV file through
+    ``results.BUNDLE_CSVS``: every cell must hold the text written for its value."""
     from .results import (BUNDLE_CSVS, METADATA_FILE, MODELS_FILE, ResultBundle,
                           RunMetadata)
     root = Path(path)
