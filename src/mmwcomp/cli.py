@@ -8,9 +8,9 @@ Subcommands:
     report     human-readable summary of an emitted result bundle
 
 Exit codes: 0 on success, 1 on bad input, 2 on an internal failure (and,
-per argparse convention, on a usage error).  Files are written only under
-the --out directory (or the MMWCOMP_OUT environment variable); without
-either, output is stdout only.
+per argparse convention, on a usage error).  Each command returns its
+result bundle, and ``main`` writes it under the --out directory (or the
+MMWCOMP_OUT environment variable); without either, output is stdout only.
 
 ``run()`` is the process entry point (``python -m mmwcomp.cli`` and the
 ``mmwcomp`` script); ``main()`` is the same commands for callers inside a
@@ -24,7 +24,6 @@ import gc
 import math
 import os
 import sys
-from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
@@ -39,13 +38,6 @@ from .scenario_io import (ScenarioError, _read_samples, _why_no_samples,
                           read_bundle, read_masks_csv)
 
 OUT_ENV_VAR = "MMWCOMP_OUT"
-
-
-def _resolve_out(args) -> Path | None:
-    if args.out is not None:
-        return Path(args.out)
-    env = os.environ.get(OUT_ENV_VAR)
-    return Path(env) if env else None
 
 
 def _parse_distances(text: str) -> list[float]:
@@ -65,14 +57,7 @@ def _parse_distances(text: str) -> list[float]:
     return distances
 
 
-def _emit(bundle: ResultBundle, out_dir: Path | None):
-    if out_dir is None:
-        return
-    for path in emit_results(bundle, out_dir):
-        print(f"wrote {path}")
-
-
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> ResultBundle:
     from .fitting import VV, FitError, fit_ci, group_samples_by_condition
     samples, n_rows = _read_samples(args.samples, args.strict)
     if not samples.d_m:
@@ -92,9 +77,7 @@ def _cmd_fit(args) -> int:
                                condition=cond, n_samples=n_fitted))
         print(f"{cond.value}: ple={model.ple:.2f} sigma={model.sigma_db:.2f} dB "
               f"(n={n_fitted})")
-    _emit(ResultBundle(RunMetadata("fit", __version__), model_cards=cards),
-          _resolve_out(args))
-    return 0
+    return ResultBundle(RunMetadata("fit", __version__), model_cards=cards)
 
 
 def _load_models(args) -> tuple[dict[Condition, CiModel], LinkBudget]:
@@ -110,7 +93,7 @@ def _load_models(args) -> tuple[dict[Condition, CiModel], LinkBudget]:
     return dict(DIRECTIONAL_CI_73GHZ), SOUNDER_LINK_BUDGET
 
 
-def _cmd_coverage(args) -> int:
+def _cmd_coverage(args) -> ResultBundle:
     models, budget = _load_models(args)
     distances = (_parse_distances(args.distances) if args.distances
                  else list(DEFAULT_COVERAGE_DISTANCES_M))
@@ -119,12 +102,10 @@ def _cmd_coverage(args) -> int:
     for row in rows:
         print(f"{row.condition} {row.distance_m:g} "
               f"{format_pct(row.p_out_edge)} {format_pct(row.p_out_region)}")
-    _emit(ResultBundle(RunMetadata("coverage", __version__), outage_rows=rows),
-          _resolve_out(args))
-    return 0
+    return ResultBundle(RunMetadata("coverage", __version__), outage_rows=rows)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> ResultBundle:
     from .diversity import distance_3d, reception_counts, simulate_drop
     scenario = load_scenario(args.scenario)
     for ue, bs in scenario.links():  # coverage reads the same file without links
@@ -159,11 +140,10 @@ def _cmd_simulate(args) -> int:
     cdfs = {f"best{n}_pl_db": build_cdf(best[:, n - 1].tolist())
             for n in range(1, k_max + 1) if np.isfinite(best[:, n - 1]).any()}
     meta = RunMetadata("simulate", __version__, scenario.seed, args.trials)
-    _emit(ResultBundle(meta, reception_rows=rows, cdfs=cdfs), _resolve_out(args))
-    return 0
+    return ResultBundle(meta, reception_rows=rows, cdfs=cdfs)
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> ResultBundle | None:
     from .diversity import combination_count, reception_counts
     if args.k is not None and args.k < 1:
         raise ScenarioError(f"--k must be >= 1, got {args.k}")
@@ -181,9 +161,8 @@ def _cmd_enumerate(args) -> int:
         for row in rows:
             print(f"k={row.k}: {row.n_combinations} combinations, "
                   f"reception={format_pct(row.probability)}%")
-        _emit(ResultBundle(RunMetadata("enumerate", __version__),
-                           reception_rows=rows), _resolve_out(args))
-        return 0
+        return ResultBundle(RunMetadata("enumerate", __version__),
+                            reception_rows=rows)
     counts = []
     for k in range(1, limit + 1):
         n = combination_count(topology, k)
@@ -192,10 +171,10 @@ def _cmd_enumerate(args) -> int:
         counts.append(n)
         print(f"k={k}: {n} combinations")
     print("counts:", ",".join(str(c) for c in counts))
-    return 0
+    return None
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     bundle = read_bundle(args.bundle)
     meta = bundle.metadata
     print(f"run: {meta.command} (version {meta.package_version}, "
@@ -213,7 +192,6 @@ def _cmd_report(args) -> int:
             print(f"{name}:")
             for line in text.splitlines():
                 print(f"  {line}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,7 +255,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        bundle = args.func(args)
+        if bundle is not None:
+            out = args.out
+            if out is None:  # an empty variable names no directory
+                out = os.environ.get(OUT_ENV_VAR) or None
+            if out is not None:
+                for path in emit_results(bundle, out):
+                    print(f"wrote {path}")
+        return 0
     except (ValueError, OSError) as exc:
         # ScenarioError and FitError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from enum import Enum
-from typing import NamedTuple
+from typing import Mapping, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 # Free-space path loss at 1 GHz and 1 m in the CI convention.  This is the
 # rounded anchor used by the CI / 3GPP model family; it differs from the
@@ -64,6 +65,17 @@ def validated(cls):
 
     cls.__new__ = staticmethod(__new__)
     return cls
+
+
+@functools.cache
+def field_kinds(cls) -> Mapping[str, type]:
+    """Each field of the record class ``cls`` and its annotated kind, with
+    ``X | None`` read as ``X``: the one statement of a record's JSON schema."""
+    kinds = get_type_hints(cls)
+    for name, hint in kinds.items():
+        if get_origin(hint) in (Union, types.UnionType):
+            kinds[name], = set(get_args(hint)) - {type(None)}
+    return types.MappingProxyType(kinds)
 
 
 @validated

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .coverage import OutageRow
-from .propagation import CiModel, Condition, validated
+from .propagation import CiModel, Condition, field_kinds, validated
 
 _FLOAT_FMT = "%.12g"  # round-trips path-loss scale values to well under 1e-9
 
@@ -64,6 +64,7 @@ class RunMetadata(NamedTuple):
     timestamp: str | None = None
 
 
+@validated
 class ModelCard(NamedTuple):
     """Fitted (or configured) CI model parameters plus fit context."""
 
@@ -73,6 +74,11 @@ class ModelCard(NamedTuple):
     sigma_db: float
     condition: Condition
     n_samples: int | None = None
+
+    def _validate(self):
+        if self.n_samples is not None and self.n_samples < 1:
+            raise ValueError(f"n_samples: must be >= 1, got {self.n_samples}")
+        self.to_model()  # the CI model's checks
 
     def to_model(self) -> CiModel:
         return CiModel(self.f_ghz, self.ple, self.sigma_db, self.condition)
@@ -153,16 +159,11 @@ BUNDLE_CSVS = (
 
 
 def _model_card_obj(card: ModelCard) -> dict:
-    obj = {
-        "label": card.label,
-        "f_ghz": float(_fmt(card.f_ghz)),
-        "ple": float(_fmt(card.ple)),
-        "sigma_db": float(_fmt(card.sigma_db)),
-        "condition": card.condition.value,
-    }
-    if card.n_samples is not None:
-        obj["n_samples"] = card.n_samples
-    return obj
+    """A card's JSON object, each field written by its kind; ``None`` is left out."""
+    kinds = field_kinds(ModelCard)
+    return {key: float(_fmt(v)) if kinds[key] is float
+            else v.value if kinds[key] is Condition else v
+            for key, v in card._asdict().items() if v is not None}
 
 
 def _dump_json(obj) -> str:

@@ -27,7 +27,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, TextIO
 
-from .propagation import CiModel, Condition
+from .propagation import CiModel, Condition, field_kinds
 
 if TYPE_CHECKING:
     from .diversity import LinkKey, Scenario
@@ -128,22 +128,21 @@ def _value(raw, kind: type, path: str):
     return num
 
 
-def _kinds_of(defaults: Mapping) -> dict[str, type]:
-    return {key: type(val) for key, val in defaults.items()}
-
-
-def _parse_record(cls, obj, path: str, kinds: Mapping[str, type],
-                  defaults: Mapping, **fixed):
+def _parse_record(cls, obj, path: str, defaults: Mapping | None = None, **fixed):
     """``cls(**fields, **fixed)`` from the JSON object ``obj``.
 
-    Each key of ``kinds`` is read by ``_value`` under the key path
-    ``path.key`` (the bare key when ``path`` is empty); a key absent from
-    ``obj`` takes its value from ``defaults`` and is required when it has
-    none there, and a key whose default is ``None`` may also be ``null``.
-    Unknown keys and the record's own checks fail under ``path``.
+    Each field of ``cls`` not in ``fixed`` is a key, read by ``_value`` as
+    its ``field_kinds`` kind under the key path ``path.key`` (the bare key
+    when ``path`` is empty).  A key absent from ``obj`` takes its value
+    from ``defaults`` (``cls._field_defaults`` unless given) and is
+    required when it has none there; a key whose default is ``None``, an
+    ``X | None`` field, may also be ``null``.  Unknown keys and the
+    record's own checks fail under ``path``.
     """
+    defaults = cls._field_defaults if defaults is None else defaults
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
+    kinds = {k: v for k, v in field_kinds(cls).items() if k not in fixed}
     _check_keys(obj, set(kinds), path)
     fields = {}
     for key, kind in kinds.items():
@@ -161,10 +160,6 @@ def _parse_record(cls, obj, path: str, kinds: Mapping[str, type],
         _fail(path, str(exc))
 
 
-_NODE_KINDS = {"id": str, "x_m": float, "y_m": float, "height_m": float}
-_MODEL_KINDS = {"f_ghz": float, "ple": float, "sigma_db": float}
-
-
 def _parse_models(obj, path: str) -> dict[Condition, CiModel]:
     from .params import DIRECTIONAL_CI_73GHZ
     if not isinstance(obj, dict):
@@ -172,8 +167,7 @@ def _parse_models(obj, path: str) -> dict[Condition, CiModel]:
     models = dict(DIRECTIONAL_CI_73GHZ)
     for key, sub in obj.items():
         cond = _parse_condition(key, path)
-        models[cond] = _parse_record(CiModel, sub, f"{path}.{key}",
-                                     _MODEL_KINDS, {}, condition=cond)
+        models[cond] = _parse_record(CiModel, sub, f"{path}.{key}", condition=cond)
     return models
 
 
@@ -218,19 +212,16 @@ def parse_scenario(obj) -> Scenario:
         if key not in obj or not isinstance(obj[key], list) or not obj[key]:
             _fail(f"scenario.{key}", "expected a non-empty array")
     bss = tuple(_parse_record(Node, n, f"scenario.base_stations[{i}]",
-                              _NODE_KINDS, {"height_m": BS_HEIGHT_M})
+                              {"height_m": BS_HEIGHT_M})
                 for i, n in enumerate(obj["base_stations"]))
     ues = tuple(_parse_record(Node, n, f"scenario.ues[{i}]",
-                              _NODE_KINDS, {"height_m": UE_HEIGHT_M})
+                              {"height_m": UE_HEIGHT_M})
                 for i, n in enumerate(obj["ues"]))
     models = (_parse_models(obj["models"], "scenario.models")
               if "models" in obj else dict(DIRECTIONAL_CI_73GHZ))
-    budget_defaults = SOUNDER_LINK_BUDGET._asdict()
     budget = _parse_record(LinkBudget, obj.get("budget", {}), "scenario.budget",
-                           _kinds_of(budget_defaults), budget_defaults)
-    sweep = _parse_record(SweepGrid, obj.get("sweep", {}), "scenario.sweep",
-                          _kinds_of(SweepGrid._field_defaults),
-                          SweepGrid._field_defaults)
+                           SOUNDER_LINK_BUDGET._asdict())
+    sweep = _parse_record(SweepGrid, obj.get("sweep", {}), "scenario.sweep")
     explicit = (_parse_conditions(obj["conditions"], "scenario.conditions")
                 if "conditions" in obj else {})
     p_los = _value(obj.get("p_los", DEFAULT_P_LOS), float, "scenario.p_los")
@@ -381,16 +372,11 @@ def load_topology(path: str | Path) -> dict[str, tuple[str, ...]]:
     return topology
 
 
-_CARD_KINDS = {"label": str, **_MODEL_KINDS, "condition": Condition,
-               "n_samples": int}
-
-
 def load_model_cards(path: str | Path) -> list[ModelCard]:
     """Read back the model cards that ``emit_results`` wrote.
 
-    Each card follows the scenario's number rules and the CI model's
-    checks; ``n_samples`` is optional and, when given, at least 1, and the
-    legacy ``rms_residual_db`` key is ignored.
+    Each card follows the scenario's number rules and ``ModelCard``'s
+    checks, and the legacy ``rms_residual_db`` key is ignored.
     """
     from .results import ModelCard
     raw = _read_json(path)
@@ -401,15 +387,10 @@ def load_model_cards(path: str | Path) -> list[ModelCard]:
         if isinstance(obj, dict):
             obj.pop("rms_residual_db", None)
         try:
-            card = _parse_record(ModelCard, obj, "", _CARD_KINDS,
-                                 {"n_samples": None})
-            if card.n_samples is not None and card.n_samples < 1:
-                raise ValueError(f"n_samples: must be >= 1, got {card.n_samples}")
-            card.to_model()  # the CI model's checks, under the card's index
-        except ValueError as exc:
+            cards.append(_parse_record(ModelCard, obj, ""))
+        except ScenarioError as exc:
             raise ScenarioError(
                 f"{path}: bad model card at index {i}: {exc}") from None
-        cards.append(card)
     return cards
 
 
@@ -425,9 +406,8 @@ def read_bundle(path: str | Path) -> ResultBundle:
     raw = _read_json(meta_path)
     if not isinstance(raw, dict):
         raise ScenarioError(f"{meta_path}: expected a JSON object")
-    kinds = dict(zip(RunMetadata._fields, (str, str, int, int, str)))
     try:
-        meta = _parse_record(RunMetadata, raw, "", kinds, RunMetadata._field_defaults)
+        meta = _parse_record(RunMetadata, raw, "")
     except ScenarioError as exc:
         raise ScenarioError(f"{meta_path}: {exc}") from None
     fields = {"model_cards": load_model_cards(models) if models.is_file() else ()}

@@ -385,6 +385,16 @@ class TestResults:
         assert back.condition is Condition.NLOS
         assert back.to_model().ple == back.ple
 
+    def test_model_card_fields_are_written_by_kind(self, tmp_path):
+        # Float fields are floats in JSON even when built from ints, and a
+        # None field is left out.
+        emit_results(ResultBundle(RunMetadata("fit", "0.1.0"), model_cards=[
+            ModelCard("LOS", 73, 2, 0, Condition.LOS)]), tmp_path)
+        assert json.loads((tmp_path / "models.json").read_text()) == [{
+            "label": "LOS", "f_ghz": 73.0, "ple": 2.0, "sigma_db": 0.0,
+            "condition": "LOS"}]
+        assert '"f_ghz": 73.0' in (tmp_path / "models.json").read_text()
+
     def test_model_cards_ignore_legacy_rms_residual(self, tmp_path):
         path = tmp_path / "models.json"
         path.write_text(json.dumps([{

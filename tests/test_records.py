@@ -1,6 +1,7 @@
 """The record contract: immutable NamedTuples that check their fields."""
 
 import pickle
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import mmwcomp
 from mmwcomp import (CdfPoint, CiModel, Condition, ConditionPolicy,
                      CoverageQuery, Drops, LinkBudget, ModelCard, Node,
                      OutageRow, PathLossSamples, ReceptionRow, ResultBundle,
-                     RunMetadata, Scenario, SweepGrid)
+                     RunMetadata, Scenario, ScenarioError, SweepGrid)
+from mmwcomp.propagation import field_kinds
+from mmwcomp.scenario_io import _parse_record
 
 NLOS = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
 BUDGET = LinkBudget(14.9, 27.0, 20.0)
@@ -54,6 +57,10 @@ INVALID = [
      "sample distance must be finite and >= 1.0 m, got 0.5"),
     (ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
      "CDF 'best1_pl_db' is empty"),
+    (ModelCard, ("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 0),
+     "n_samples: must be >= 1, got 0"),
+    (ModelCard, ("NLOS", 73.5, 0.0, 11.4, Condition.NLOS, None),
+     "ple must be positive and finite, got 0.0"),
     (Node, ("B1", 0.0, 0.0, 0.0), "height_m must be positive, got 0.0"),
     (SweepGrid, (0, 24, 3, 8.0, 15.0), "sweep grid counts must be >= 1"),
     (ConditionPolicy, ({}, 1.5), "p_los must be in [0, 1], got 1.5"),
@@ -71,7 +78,7 @@ def test_every_record_class_is_covered():
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
-    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 9
+    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 11
 
 
 def test_record_fields():
@@ -122,3 +129,84 @@ def test_replace_copies_without_checking():
     assert NLOS._replace(sigma_db=-1.0).sigma_db == -1.0
     with pytest.raises(ValueError, match="sigma_db must be >= 0"):
         CiModel(*NLOS._replace(sigma_db=-1.0))
+
+
+# Each JSON record's schema as its annotations give it: the keys of a
+# scenario section, a model card or metadata.json, in order, with each
+# key's kind.  An annotation edit here is a change of file format.
+SCHEMAS = [
+    (Node, {"id": str, "x_m": float, "y_m": float, "height_m": float}),
+    (CiModel, {"f_ghz": float, "ple": float, "sigma_db": float,
+               "condition": Condition}),
+    (LinkBudget, dict.fromkeys(["pt_dbm", "gt_dbi", "gr_dbi", "bw_ghz",
+                                "max_pl_db", "snr_threshold_db"], float)),
+    (SweepGrid, {"tx_angles": int, "rx_azimuths": int, "rx_elevations": int,
+                 "tx_step_deg": float, "rx_step_deg": float}),
+    (ModelCard, {"label": str, "f_ghz": float, "ple": float,
+                 "sigma_db": float, "condition": Condition, "n_samples": int}),
+    (RunMetadata, {"command": str, "package_version": str, "seed": int,
+                   "trials": int, "timestamp": str}),
+]
+
+
+@pytest.mark.parametrize("cls,kinds", SCHEMAS,
+                         ids=[cls.__name__ for cls, _ in SCHEMAS])
+def test_field_kinds_pin_the_json_schema(cls, kinds):
+    assert list(field_kinds(cls).items()) == list(kinds.items())
+
+
+class Probe(NamedTuple):
+    name: str
+    level: float
+    condition: Condition
+    count: int | None = None
+
+
+@pytest.mark.parametrize("obj,expected", [
+    ({"name": "a", "level": 2, "condition": "LOS"},
+     Probe("a", 2.0, Condition.LOS)),
+    ({"name": "a", "level": 2.5, "condition": "NLOS", "count": 3},
+     Probe("a", 2.5, Condition.NLOS, 3)),
+    ({"name": "a", "level": 2.5, "condition": "NLOS", "count": None},
+     Probe("a", 2.5, Condition.NLOS)),
+], ids=["int_as_float", "optional_given", "optional_null"])
+def test_parse_record_reads_annotated_kinds(obj, expected):
+    record = _parse_record(Probe, obj, "probe")
+    assert record == expected and type(record.level) is float
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"name": None}, "probe.name: expected a non-empty string"),
+    ({"level": None}, "probe.level: expected a number, got None"),
+    ({"condition": None}, "probe.condition: expected one of "
+                          "['LOS', 'NLOS', 'NLOS_BEST'], got None"),
+    ({"name": 5}, "probe.name: expected a non-empty string"),
+    ({"level": "2"}, "probe.level: expected a number, got '2'"),
+    ({"condition": "FOO"}, "probe.condition: expected one of "
+                           "['LOS', 'NLOS', 'NLOS_BEST'], got 'FOO'"),
+    ({"count": 1.5}, "probe.count: expected an integer, got 1.5"),
+    ({"count": True}, "probe.count: expected an integer, got True"),
+    ({"colour": 1}, "probe: unknown key(s) ['colour']"),
+], ids=["null_str", "null_float", "null_condition", "int_as_str",
+        "str_as_float", "bad_condition", "float_as_int", "bool_as_int",
+        "unknown_key"])
+def test_parse_record_enforces_kinds(edit, message):
+    obj = {"name": "a", "level": 2.0, "condition": "LOS", **edit}
+    with pytest.raises(ScenarioError) as exc:
+        _parse_record(Probe, obj, "probe")
+    assert str(exc.value) == message
+
+
+def test_parse_record_defaults_and_fixed_fields():
+    with pytest.raises(ScenarioError, match="^probe: missing required key 'level'$"):
+        _parse_record(Probe, {"name": "a", "condition": "LOS"}, "probe")
+    # Given defaults replace the record's own; a fixed field is no key.
+    assert _parse_record(Probe, {"name": "a"}, "probe", {"level": 1.0, "count": 4},
+                         condition=Condition.NLOS) == Probe(
+        "a", 1.0, Condition.NLOS, 4)
+    with pytest.raises(ScenarioError, match="^probe: missing required key 'count'$"):
+        _parse_record(Probe, {"name": "a", "level": 1.0}, "probe",
+                      {"level": 1.0}, condition=Condition.NLOS)
+    with pytest.raises(ScenarioError, match=r"unknown key\(s\) \['condition'\]"):
+        _parse_record(Probe, {"name": "a", "level": 1, "condition": "LOS"},
+                      "probe", condition=Condition.NLOS)
