@@ -63,6 +63,7 @@ class CoverageQuery(NamedTuple):
                              f"got {self.radius_m}")
 
 
+@validated
 class OutageRow(NamedTuple):
     """One row of an outage table (probabilities as fractions, not %)."""
 
@@ -70,6 +71,19 @@ class OutageRow(NamedTuple):
     distance_m: float
     p_out_edge: float
     p_out_region: float
+
+    def _validate(self):
+        labels = [c.value for c in Condition]
+        if self.condition not in labels:
+            raise ValueError(f"condition must be one of {labels}, "
+                             f"got {self.condition!r}")
+        if not REFERENCE_DISTANCE_M <= self.distance_m < math.inf:
+            raise ValueError(f"distance_m must be finite and >= "
+                             f"{REFERENCE_DISTANCE_M} m, got {self.distance_m}")
+        for name in ("p_out_edge", "p_out_region"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], "
+                                 f"got {getattr(self, name)}")
 
 
 def max_detectable_pl_db(budget: LinkBudget) -> float:

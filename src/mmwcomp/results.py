@@ -84,12 +84,21 @@ class ModelCard(NamedTuple):
         return CiModel(self.f_ghz, self.ple, self.sigma_db, self.condition)
 
 
+@validated
 class ReceptionRow(NamedTuple):
     """All-angle reception probability for k serving base stations."""
 
     k: int
     probability: float
     n_combinations: int
+
+    def _validate(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not 0.0 <= self.probability <= 1.0:
+            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
+        if self.n_combinations < 1:
+            raise ValueError(f"n_combinations must be >= 1, got {self.n_combinations}")
 
 
 class CdfPoint(NamedTuple):

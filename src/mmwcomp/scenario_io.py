@@ -438,7 +438,10 @@ def _read_bundle_csv(path: Path, cls, columns) -> list:
                 need = "be a number" if canon is None else f"read {canon!r}"
                 raise ScenarioError(f"{path} line {lineno}: {head} must {need}, "
                                     f"got {text!r}")
-        rows.append(cls(*values))
+        try:
+            rows.append(cls(*values))
+        except ValueError as exc:
+            raise ScenarioError(f"{path} line {lineno}: {exc}") from None
     if cls is CdfPoint:
         if not rows:
             raise ScenarioError(f"{path}: no CDF points below the header")

@@ -319,6 +319,7 @@ class TestFormatting:
 # subnormals, and any record may be absent.
 _fractions = st.floats(min_value=0.0, max_value=1.0)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+_counts = st.integers(1, 2**70)
 _texts = st.text(min_size=1, max_size=8)
 _optional_ints = st.none() | st.integers(-2**70, 2**70)
 BUNDLES = st.builds(
@@ -328,13 +329,13 @@ BUNDLES = st.builds(
     model_cards=st.lists(st.builds(
         ModelCard, _texts, st.floats(1e-300, 1e300), st.floats(1e-300, 1e300),
         st.floats(0.0, 1e300), st.sampled_from(Condition),
-        st.none() | st.integers(1, 2**70)), max_size=3),
+        st.none() | _counts), max_size=3),
     outage_rows=st.lists(st.builds(
-        OutageRow, st.sampled_from([c.value for c in Condition]), _finite,
-        _fractions, _fractions), max_size=4),
-    reception_rows=st.lists(st.builds(
-        ReceptionRow, st.integers(0, 12), _fractions, st.integers(0, 2**70)),
+        OutageRow, st.sampled_from([c.value for c in Condition]),
+        st.floats(min_value=1.0, allow_infinity=False), _fractions, _fractions),
         max_size=4),
+    reception_rows=st.lists(st.builds(
+        ReceptionRow, st.integers(1, 12), _fractions, _counts), max_size=4),
     cdfs=st.dictionaries(
         st.from_regex(r"[a-z0-9_]{1,10}", fullmatch=True),
         st.lists(_finite, min_size=1, max_size=6).map(build_cdf), max_size=3))
@@ -689,9 +690,15 @@ class TestCli:
          "line 2: k must be a number, got 'foo'\n"),
         ("reception.csv", b"k,p_reception_pct,n_combinations\n1,x%,2\n",
          "line 2: p_reception_pct must be a number, got 'x%'\n"),
+        ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
+                       b"NLOS,63,2.4,0.7\nFOO,nan,150.0,-5.0\n",
+         "line 3: condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], "
+         "got 'FOO'\n"),
+        ("reception.csv", b"k,p_reception_pct,n_combinations\n1,150.0,2\n",
+         "line 2: probability must be in [0, 1], got 1.5\n"),
     ], ids=["outage", "reception", "outage_not_a_number", "outage_not_as_written",
             "outage_short_row", "reception_header", "reception_k",
-            "reception_pct"])
+            "reception_pct", "outage_record", "reception_record"])
     def test_report_reads_every_file_before_printing(self, tmp_path, capsys,
                                                      name, data, message):
         assert main(["coverage", "--out", str(tmp_path)]) == 0

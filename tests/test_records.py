@@ -61,6 +61,14 @@ INVALID = [
      "n_samples: must be >= 1, got 0"),
     (ModelCard, ("NLOS", 73.5, 0.0, 11.4, Condition.NLOS, None),
      "ple must be positive and finite, got 0.0"),
+    (OutageRow, ("FOO", 63.0, 0.5, 0.5),
+     "condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], got 'FOO'"),
+    (OutageRow, ("LOS", 0.5, 0.5, 0.5),
+     "distance_m must be finite and >= 1.0 m, got 0.5"),
+    (OutageRow, ("LOS", 63.0, 0.5, 1.5), "p_out_region must be in [0, 1], got 1.5"),
+    (ReceptionRow, (0, 0.5, 6), "k must be >= 1, got 0"),
+    (ReceptionRow, (2, -0.5, 6), "probability must be in [0, 1], got -0.5"),
+    (ReceptionRow, (2, 0.5, 0), "n_combinations must be >= 1, got 0"),
     (Node, ("B1", 0.0, 0.0, 0.0), "height_m must be positive, got 0.0"),
     (SweepGrid, (0, 24, 3, 8.0, 15.0), "sweep grid counts must be >= 1"),
     (ConditionPolicy, ({}, 1.5), "p_los must be in [0, 1], got 1.5"),
@@ -78,7 +86,7 @@ def test_every_record_class_is_covered():
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
-    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 11
+    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 17
 
 
 def test_record_fields():
