@@ -8,9 +8,10 @@ Subcommands:
     report     human-readable summary of an emitted result bundle
 
 Exit codes: 0 on success, 1 on bad input, 2 on an internal failure (and,
-per argparse convention, on a usage error).  Each command returns its
-result bundle, and ``main`` writes it under the --out directory (or the
-MMWCOMP_OUT environment variable); without either, output is stdout only.
+per argparse convention, on a usage error).  A stdout closed by its reader
+exits 1 with nothing on stderr.  Each command returns its result bundle,
+and ``main`` writes it under the --out directory (or the MMWCOMP_OUT
+environment variable); without either, output is stdout only.
 
 ``run()`` is the process entry point (``python -m mmwcomp.cli`` and the
 ``mmwcomp`` script); ``main()`` is the same commands for callers inside a
@@ -264,6 +265,8 @@ def main(argv=None) -> int:
                 for path in emit_results(bundle, out):
                     print(f"wrote {path}")
         return 0
+    except BrokenPipeError:  # a closed stdout; ``run()`` exits 1 quietly
+        raise
     except (ValueError, OSError) as exc:
         # ScenarioError and FitError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
@@ -283,10 +286,19 @@ def run() -> NoReturn:
     generation, which the collections at exit skip.  argparse's
     ``SystemExit`` (usage errors, ``--help``, ``--version``) leaves through
     the same ``finally``.
+
+    A closed stdout exits 1 with nothing on stderr, as the ``signal``
+    module's documentation shows: the flush makes a late write fail here,
+    and stdout then points at the null device, so the flush at exit cannot
+    fail again.
     """
     gc.disable()
     try:
         code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     finally:
         gc.freeze()
     sys.exit(code)

@@ -1108,14 +1108,19 @@ print("loaded:", json.dumps(loaded()))
 """
 
 
-def _python(args, cwd) -> subprocess.CompletedProcess:
-    """A fresh interpreter on this package's sources, without MMWCOMP_OUT."""
+def _python_env() -> dict[str, str]:
+    """The environment of a fresh interpreter on this package's sources,
+    without MMWCOMP_OUT."""
     src = str(Path(mmwcomp.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k != "MMWCOMP_OUT"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _python(args, cwd) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, cwd=cwd)
+                          text=True, env=_python_env(), cwd=cwd)
 
 
 def _run_python(code, *args, cwd) -> subprocess.CompletedProcess:
@@ -1299,6 +1304,21 @@ class TestProcessEntry:
             code, captured.out, captured.err)
         assert _files(proc_dir) == _files(main_dir)
         assert bool(_files(main_dir)) == ("--out" in argv)
+
+    @pytest.mark.parametrize("name", ["coverage", "report"])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, name):
+        # The reader closes its end before the interpreter has even started,
+        # so the first write fails; that is no bad input to report.
+        argv = {"coverage": ["coverage"],
+                "report": ["report", "--bundle",
+                           str(_write_models(tmp_path).parent)]}[name]
+        proc = subprocess.Popen([sys.executable, "-m", "mmwcomp.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_python_env(), cwd=tmp_path)
+        proc.stdout.close()
+        with proc:
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"")
 
 
 # Runs ``run()`` as the process entry does, then reports the exit code and
