@@ -3,12 +3,13 @@ path-loss sample and reception-mask CSV, and result bundles.
 
 Files are read as UTF-8 whatever the locale.  JSON goes through one loader
 (``_read_json``), text through one decoder (``_read_text``), CSV through one
-row reader (``_csv_rows``), and every JSON record through one field-driven
-parser (``_parse_record``).  All parsers reject unknown keys, and every bad
-input raises ScenarioError with the file (undecodable JSON), a dotted key
-path (scenario JSON, bundle metadata), the file and a card index (model
-cards) or a 1-based line number (CSV), so it can be fixed without reading
-tracebacks.
+row reader (``_csv_rows``), and every JSON record through one parser
+(``_parse_record``) whose keys and kinds are the record class's own
+fields and annotations (``field_kinds``); no table here restates them.
+All parsers reject unknown keys, and every bad input raises ScenarioError
+with the file (undecodable JSON), a dotted key path (scenario JSON, bundle
+metadata), the file and a card index (model cards) or a 1-based line
+number (CSV), so it can be fixed without reading tracebacks.
 
 Path-loss samples are read as columns into one ``PathLossSamples`` record:
 each column is parsed and checked whole, and the rows are walked one by
