@@ -15,12 +15,12 @@ between the lowest directional loss and 10 log10(n) dB below it.
 
 Trial t draws from the (seed, t) sub-stream, for all L links in
 ``Scenario.links()`` order: L uniforms for the conditions, one (L, T*R)
-standard normal block for the sweep (TX angle major), then L best-beam
-normals when the scenario has an NLOS_BEST model.  A trial only draws;
-scaling, detection, mask packing and the omni power sum run once per
-batch of trials, and the LOS flags live only as long as their batch.  All
-trials come back as one :class:`Drops` record with one column per link:
-the omni path loss and the reception masks.
+standard normal block for the sweep (TX angle major), then L best-pair
+normals when a condition has a best-pair model.  One table per run gives
+each condition (row 0 LOS, row 1 NLOS) its arbitrary-angle model and an
+optional best-pair model, NLOS_BEST for NLOS.  A trial only draws; the
+rest runs once per batch of trials.  All trials come back as one
+:class:`Drops` record, one column per link: omni path loss and masks.
 
 A batch of masks is one int with one lane per mask: over n directions a
 lane is ``lane_bytes(n) = n // 8 + 1`` bytes, so at least one spare guard
@@ -404,10 +404,11 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     """Run ``trials`` independent drops of the beam-sweep emulation.
 
     Trial t draws from the (seed, t) sub-stream in the layout the module
-    docstring gives, so any prefix of trials is identical regardless of the
-    total trial count, and trials can be distributed without changing results.
-    Each trial only draws; the rest runs on batches of trials whose normal
-    blocks fill about ``_BATCH_BYTES``.
+    docstring gives, so any prefix of trials is identical whatever the total
+    and trials can be distributed without changing results.  Each trial only
+    draws; batches of trials (normals of about ``_BATCH_BYTES``) then scale
+    and shift each link's sweep by its condition's row of the draw table,
+    put in the row's best-pair draw, if any, and detect, pack and sum.
     """
     import numpy as np
     if trials < 1:
@@ -415,11 +416,14 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     links = scenario.links()
     keys = tuple((ue.id, bs.id) for ue, bs in links)
     d = np.array([distance_3d(ue, bs) for ue, bs in links])
-    los_model, nlos_model, best_model = (scenario.models.get(c) for c in (
-        Condition.LOS, Condition.NLOS, Condition.NLOS_BEST))
-    mean_los, mean_nlos, mean_best = (
-        None if m is None else ci_mean_path_loss_db(m, d)
-        for m in (los_model, nlos_model, best_model))
+    # The draw table, row 0 LOS and row 1 NLOS: (model, best-pair model).
+    table = ((scenario.models[Condition.LOS], None),
+             (scenario.models[Condition.NLOS],
+              scenario.models.get(Condition.NLOS_BEST)))
+    sigma = np.array([m.sigma_db for m, _ in table])
+    mean = np.array([ci_mean_path_loss_db(m, d) for m, _ in table])
+    best = [(r, ci_mean_path_loss_db(b, d), b.sigma_db)
+            for r, (_, b) in enumerate(table) if b is not None]
     pinned, pinned_los = scenario.condition_policy.pinned(keys)
     limit = max_detectable_pl_db(scenario.budget)
     sweep = scenario.sweep
@@ -434,7 +438,6 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
         omni_all = np.empty((n, n_links))
         packed = np.zeros((n, n_links, width), dtype=np.uint8)
         block = np.empty((min(batch, n), n_links, n_pairs))
-        los_block = np.empty((min(batch, n), n_links), dtype=bool)
         for b0 in range(0, n, batch):
             b1 = min(n, b0 + batch)
             pl = block[:b1 - b0]
@@ -442,19 +445,19 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
                 rng = substream(scenario.seed, lo + i)
                 rng.random(out=uniforms[i])
                 rng.standard_normal(out=pl[i - b0])
-                if best_model is not None:
+                if best:
                     rng.standard_normal(out=best_z[i])
-            los = los_block[:b1 - b0]
-            np.less(uniforms[b0:b1], scenario.condition_policy.p_los, out=los)
+            los = uniforms[b0:b1] < scenario.condition_policy.p_los
             los[:, pinned] = pinned_los
-            pl *= np.where(los, los_model.sigma_db, nlos_model.sigma_db)[..., None]
-            pl += np.where(los, mean_los, mean_nlos)[..., None]
-            if best_model is not None:
-                # The single best-aligned angle pair follows its own statistics;
-                # on NLOS links it replaces the lowest arbitrary-angle draw.
-                best = mean_best + best_model.sigma_db * best_z[b0:b1]
-                tt, ll = np.nonzero(~los)
-                pl[tt, ll, pl.argmin(axis=2)[tt, ll]] = best[tt, ll]
+            row = (~los).view(np.uint8)  # each (trial, link)'s table row
+            pl *= sigma[row][..., None]
+            pl += mean[row, range(n_links)][..., None]
+            for r, best_mean, best_sigma in best:
+                # A row's best-aligned angle pair follows its own statistics;
+                # it replaces the lowest arbitrary-angle draw on that row's links.
+                tt, ll = np.nonzero(row == r)
+                pl[tt, ll, pl.argmin(axis=2)[tt, ll]] = (
+                    best_mean[ll] + best_sigma * best_z[b0 + tt, ll])
             detect = pl <= limit
             covered = detect.reshape(b1 - b0, n_links, n_tx, n_rx).any(axis=2)
             packed[b0:b1, :, :(n_rx + 7) // 8] = np.packbits(

@@ -9,6 +9,8 @@ import signal
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from mmwcomp import (CiModel, Condition, ConditionPolicy, CoverageQuery,
@@ -603,6 +605,74 @@ def test_golden_trial_zero():
     assert drops.omni_pl_db[0].tolist() == pytest.approx(expected_omni,
                                                          abs=1e-9)
 
+
+
+_SIGMAS = st.just(0.0) | st.floats(0.5, 12.0)
+
+
+@st.composite
+def policy_scenarios(draw):
+    """Up to 3 links on the 3 x 4 sweep, with or without NLOS_BEST, each link
+    pinned LOS, pinned NLOS or drawn."""
+    n_bs = draw(st.integers(1, 3))
+    n_ue = draw(st.integers(1, 3 // n_bs))
+    xy = st.floats(-150.0, 150.0)
+    bss = [bs(i, draw(xy), draw(xy)) for i in range(n_bs)]
+    ues = [ue(i, draw(xy), draw(xy)) for i in range(n_ue)]
+    models = {Condition.LOS: CiModel(73.5, draw(st.floats(1.5, 3.0)),
+                                     draw(_SIGMAS), Condition.LOS),
+              Condition.NLOS: CiModel(73.5, draw(st.floats(2.5, 5.0)),
+                                      draw(_SIGMAS), Condition.NLOS)}
+    if draw(st.booleans()):
+        models[Condition.NLOS_BEST] = CiModel(
+            73.5, draw(st.floats(2.0, 4.0)), draw(_SIGMAS), Condition.NLOS_BEST)
+    pins = st.sampled_from([None, Condition.LOS, Condition.NLOS])
+    explicit = {(u.id, b.id): c for u in ues for b in bss
+                if (c := draw(pins)) is not None}
+    policy = ConditionPolicy(explicit, draw(st.floats(0.0, 1.0)))
+    budget = LinkBudget(14.9, 27.0, 20.0, max_pl_db=draw(st.floats(80.0, 140.0)))
+    return scenario(bss, ues, models=models, policy=policy, budget=budget,
+                    seed=draw(st.integers(0, 2**32)), sweep=SMALL_SWEEP)
+
+
+@given(policy_scenarios(), st.integers(1, 2))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_draw_policy_matches_documented_rules(sc, trials):
+    # Rebuilds every trial from its sub-stream in the documented layout and
+    # applies the per-condition rules here: a link is LOS when pinned so or
+    # when its uniform is below p_los; its sweep is the LOS or NLOS model's
+    # mean plus sigma times its normals; on an NLOS link with an NLOS_BEST
+    # model the lowest of them becomes the best-pair draw.
+    links = sc.links()
+    n_pairs = SMALL_T * SMALL_R
+    best = sc.models.get(Condition.NLOS_BEST)
+    policy = sc.condition_policy
+    limit = max_detectable_pl_db(sc.budget)
+    drops = simulate_drop(sc, trials)
+    masks = masks_by_trial(drops, SMALL_R)
+    for t in range(trials):
+        rng = substream(sc.seed, t)
+        uniforms = rng.random(len(links))
+        normals = rng.standard_normal((len(links), n_pairs))
+        best_normals = rng.standard_normal(len(links)) if best else None
+        for i, (u, b) in enumerate(links):
+            cond = policy.explicit.get((u.id, b.id))
+            los = (uniforms[i] < policy.p_los if cond is None
+                   else cond is Condition.LOS)
+            model = sc.models[Condition.LOS if los else Condition.NLOS]
+            d = distance_3d(u, b)
+            pl = oracles.ci_mean_db(model.ple, d) + model.sigma_db * normals[i]
+            if best and not los:
+                pl[np.argmin(pl)] = (oracles.ci_mean_db(best.ple, d)
+                                     + best.sigma_db * best_normals[i])
+            detect = pl <= limit
+            covered = detect.reshape(SMALL_T, SMALL_R).any(axis=0)
+            assert masks[t][i] == sum(1 << r for r in np.flatnonzero(covered))
+            power = np.sum(10.0 ** (-pl[detect] / 10.0))
+            omni = -10.0 * math.log10(power) if detect.any() else math.inf
+            got = drops.omni_pl_db[t, i]
+            assert (got == omni == math.inf
+                    or abs(got - omni) <= 1e-9), (t, i, got, omni)
 
 # Exact k >= 2 reception.  Without an NLOS_BEST model every RX direction of
 # a link is covered independently, with q = 1 - (1 - p)^T, so a k-subset S
