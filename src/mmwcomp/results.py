@@ -56,12 +56,21 @@ def _parse_pct(text: str) -> float:
     return next((y for y in near if format_pct(y) == text), x)
 
 
+@validated
 class RunMetadata(NamedTuple):
+    """The command that wrote a bundle; ``simulate`` adds its seed and trials."""
+
     command: str
     package_version: str
     seed: int | None = None
     trials: int | None = None
     timestamp: str | None = None
+
+    def _validate(self):
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
+        if self.trials is not None and self.trials < 1:
+            raise ValueError(f"trials: must be >= 1, got {self.trials}")
 
 
 @validated

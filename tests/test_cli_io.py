@@ -321,11 +321,11 @@ _fractions = st.floats(min_value=0.0, max_value=1.0)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _counts = st.integers(1, 2**70)
 _texts = st.text(min_size=1, max_size=8)
-_optional_ints = st.none() | st.integers(-2**70, 2**70)
 BUNDLES = st.builds(
     ResultBundle,
-    metadata=st.builds(RunMetadata, _texts, _texts, _optional_ints,
-                       _optional_ints, st.none() | _texts),
+    metadata=st.builds(RunMetadata, _texts, _texts,
+                       st.none() | st.integers(0, 2**70), st.none() | _counts,
+                       st.none() | _texts),
     model_cards=st.lists(st.builds(
         ModelCard, _texts, st.floats(1e-300, 1e300), st.floats(1e-300, 1e300),
         st.floats(0.0, 1e300), st.sampled_from(Condition),
@@ -672,33 +672,37 @@ class TestCli:
 
     @pytest.mark.parametrize("name, data, message", [
         ("outage.csv", b"condition,distance_m\nNLOS,63,\xff\n",
-         "line 2: 'utf-8' codec can't decode byte 0xff"),
+         " line 2: 'utf-8' codec can't decode byte 0xff"),
         ("reception.csv", b"k,p_reception_pct,n_combinations\n1,\xff,1\n",
-         "line 2: 'utf-8' codec can't decode byte 0xff"),
+         " line 2: 'utf-8' codec can't decode byte 0xff"),
         ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
                        b"LOS,abc,,\n",
-         "line 2: distance_m must be a number, got 'abc'\n"),
+         " line 2: distance_m must be a number, got 'abc'\n"),
         ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
                        b"NLOS,63,2.4,0.7\nNLOS,63.0,2.4,0.7\n",
-         "line 3: distance_m must read '63', got '63.0'\n"),
+         " line 3: distance_m must read '63', got '63.0'\n"),
         ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
                        b"NLOS,63,2.4\n",
-         "line 2: expected 4 fields\n"),
+         " line 2: expected 4 fields\n"),
         ("reception.csv", b"k,p\nfoo,bar,baz\n",
-         "line 1: header must be k,p_reception_pct,n_combinations\n"),
+         " line 1: header must be k,p_reception_pct,n_combinations\n"),
         ("reception.csv", b"k,p_reception_pct,n_combinations\nfoo,50.0,2\n",
-         "line 2: k must be a number, got 'foo'\n"),
+         " line 2: k must be a number, got 'foo'\n"),
         ("reception.csv", b"k,p_reception_pct,n_combinations\n1,x%,2\n",
-         "line 2: p_reception_pct must be a number, got 'x%'\n"),
+         " line 2: p_reception_pct must be a number, got 'x%'\n"),
         ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
                        b"NLOS,63,2.4,0.7\nFOO,nan,150.0,-5.0\n",
-         "line 3: condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], "
+         " line 3: condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], "
          "got 'FOO'\n"),
         ("reception.csv", b"k,p_reception_pct,n_combinations\n1,150.0,2\n",
-         "line 2: probability must be in [0, 1], got 1.5\n"),
+         " line 2: probability must be in [0, 1], got 1.5\n"),
+        ("metadata.json", b'{"command": "simulate", "package_version": "0.1.0", '
+                          b'"seed": -3, "trials": -5}',
+         ": seed: must be >= 0, got -3\n"),
     ], ids=["outage", "reception", "outage_not_a_number", "outage_not_as_written",
             "outage_short_row", "reception_header", "reception_k",
-            "reception_pct", "outage_record", "reception_record"])
+            "reception_pct", "outage_record", "reception_record",
+            "metadata_record"])
     def test_report_reads_every_file_before_printing(self, tmp_path, capsys,
                                                      name, data, message):
         assert main(["coverage", "--out", str(tmp_path)]) == 0
@@ -708,7 +712,7 @@ class TestCli:
         assert main(["report", "--bundle", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path} {message}")
+        assert captured.err.startswith(f"error: {path}{message}")
 
     @pytest.mark.parametrize("text, message", [
         ("x,p\n120.5,0.5\nabc,1.0\n", " line 3: x must be a number, got 'abc'"),

@@ -57,6 +57,8 @@ INVALID = [
      "sample distance must be finite and >= 1.0 m, got 0.5"),
     (ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
      "CDF 'best1_pl_db' is empty"),
+    (RunMetadata, ("simulate", "0.1.0", -3, 2, None), "seed: must be >= 0, got -3"),
+    (RunMetadata, ("simulate", "0.1.0", 7, 0, None), "trials: must be >= 1, got 0"),
     (ModelCard, ("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 0),
      "n_samples: must be >= 1, got 0"),
     (ModelCard, ("NLOS", 73.5, 0.0, 11.4, Condition.NLOS, None),
@@ -86,7 +88,7 @@ def test_every_record_class_is_covered():
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
-    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 17
+    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 19
 
 
 def test_record_fields():
