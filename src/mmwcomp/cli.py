@@ -10,8 +10,8 @@ Subcommands:
 Exit codes: 0 on success, 1 on bad input, 2 on an internal failure (and,
 per argparse convention, on a usage error).  A stdout closed by its reader
 exits 1 with nothing on stderr.  Each command returns its result bundle,
-and ``main`` writes it under the --out directory (or the MMWCOMP_OUT
-environment variable); without either, output is stdout only.
+and ``main`` writes it under the --out directory; without one, output is
+stdout only.
 
 ``run()`` is the process entry point (``python -m mmwcomp.cli`` and the
 ``mmwcomp`` script); ``main()`` is the same commands for callers inside a
@@ -34,11 +34,9 @@ from .params import (CARRIER_F_GHZ, DEFAULT_COVERAGE_DISTANCES_M,
 from .propagation import REFERENCE_DISTANCE_M, CiModel, Condition
 from .results import (CdfPoint, ModelCard, ReceptionRow, ResultBundle, RunMetadata,
                       build_cdf, bundle_csvs, emit_results, format_pct)
-from .scenario_io import (ScenarioError, _read_samples, _why_no_samples,
-                          load_model_cards, load_scenario, load_topology,
-                          read_bundle, read_masks_csv)
-
-OUT_ENV_VAR = "MMWCOMP_OUT"
+from .scenario_io import (ScenarioError, load_model_cards, load_scenario,
+                          load_topology, read_bundle, read_masks_csv,
+                          read_samples_csv)
 
 
 def _parse_distances(text: str) -> list[float]:
@@ -60,10 +58,10 @@ def _parse_distances(text: str) -> list[float]:
 
 def _cmd_fit(args) -> ResultBundle:
     from .fitting import VV, FitError, fit_ci, group_samples_by_condition
-    samples, n_rows = _read_samples(args.samples, args.strict)
+    samples = read_samples_csv(args.samples)
     if not samples.d_m:
         raise ScenarioError(f"{args.samples}: no usable samples; the file "
-                            f"contains {_why_no_samples(n_rows)}")
+                            "contains a header but no data rows")
     cards = []
     for cond, group in sorted(group_samples_by_condition(samples).items(),
                               key=lambda kv: kv[0].value):
@@ -209,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"carrier frequency in GHz (default {CARRIER_F_GHZ})")
     p_fit.add_argument("--include-vh", action="store_true",
                        help="include cross-polarized samples in the fit")
-    p_fit.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="fail on malformed CSV rows (--no-strict skips them)")
     p_fit.add_argument("--out", help="output directory")
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -257,13 +252,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         bundle = args.func(args)
-        if bundle is not None:
-            out = args.out
-            if out is None:  # an empty variable names no directory
-                out = os.environ.get(OUT_ENV_VAR) or None
-            if out is not None:
-                for path in emit_results(bundle, out):
-                    print(f"wrote {path}")
+        if bundle is not None and args.out is not None:
+            for path in emit_results(bundle, args.out):
+                print(f"wrote {path}")
         return 0
     except BrokenPipeError:  # a closed stdout; ``run()`` exits 1 quietly
         raise

@@ -13,7 +13,7 @@ number (CSV), so it can be fixed without reading tracebacks.
 
 Path-loss samples are read as columns into one ``PathLossSamples`` record:
 each column is parsed and checked whole, and the rows are walked one by
-one only to name the first bad line or to drop bad rows.  The CSV and
+one only to name the first bad line.  The CSV and
 topology readers load neither ``coverage`` nor ``params``; only the
 scenario parser needs them.
 """
@@ -24,7 +24,6 @@ import csv
 import io
 import json
 import math
-import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, TextIO
 
@@ -252,45 +251,20 @@ SAMPLE_FIELDS = ("d_m", "pl_db", "condition", "polarization")
 _CONDITION_OF = {c.value: c for c in Condition}
 
 
-def read_samples_csv(source: str | Path | TextIO,
-                     strict: bool = True) -> PathLossSamples:
+def read_samples_csv(source: str | Path | TextIO) -> PathLossSamples:
     """Read path-loss samples from CSV with header ``d_m,pl_db,condition,polarization``.
 
     Returns one ``PathLossSamples`` record with a column per field, in
-    file order.  In strict mode any malformed row raises ScenarioError with
-    its line number; in lenient mode malformed rows are skipped.  A result
-    with no samples warns, saying whether the file had no data rows or
-    every row was skipped.
+    file order; a header with no data rows gives ``PathLossSamples()``.
+    Any malformed row raises ScenarioError with its line number.
     """
-    samples, n_rows = _read_samples(source, strict)
-    if not samples.d_m:
-        warnings.warn(f"samples CSV contains {_why_no_samples(n_rows)}",
-                      stacklevel=2)
-    return samples
-
-
-def _why_no_samples(n_rows: int) -> str:
-    """What a samples CSV with ``n_rows`` data rows but no samples holds."""
-    if not n_rows:
-        return "a header but no data rows"
-    return "data rows, but every one is malformed"
-
-
-def _read_samples(source: str | Path | TextIO,
-                  strict: bool) -> tuple[PathLossSamples, int]:
-    """``read_samples_csv`` without its warning, and the number of data rows."""
     rows: list[tuple[int, list[str]]] = []
     try:
         rows.extend(_csv_rows(source, SAMPLE_FIELDS, "samples CSV"))
-    except ScenarioError:
-        if strict:  # a bad row above an unreadable line is named first
-            _walk_samples(rows, strict)
-        raise
-    try:
-        samples = _sample_columns([row for _, row in rows])
+        return _sample_columns([row for _, row in rows])
     except (ValueError, KeyError):  # a bad cell, label or row width
-        samples = _walk_samples(rows, strict)
-    return samples, len(rows)
+        _raise_first_bad_sample(rows)  # named before an unreadable line
+        raise
 
 
 def _sample_columns(rows: list[list[str]]) -> PathLossSamples:
@@ -305,25 +279,18 @@ def _sample_columns(rows: list[list[str]]) -> PathLossSamples:
         tuple(map(str.strip, polarizations)))
 
 
-def _walk_samples(rows: list[tuple[int, list[str]]],
-                  strict: bool) -> PathLossSamples:
-    """The rows that parse and pass ``check_sample``, one at a time; in
-    strict mode the first that fails raises with its line number."""
-    from .fitting import PathLossSamples, check_sample
-    kept = []
+def _raise_first_bad_sample(rows: list[tuple[int, list[str]]]):
+    """Raise ScenarioError with the line number of the first row that fails
+    to parse or fails ``check_sample``; return if every row passes."""
+    from .fitting import check_sample
     for lineno, row in rows:
         try:
             if len(row) != len(SAMPLE_FIELDS):
                 raise ValueError(f"expected {len(SAMPLE_FIELDS)} fields, got {len(row)}")
-            sample = (float(row[0]), float(row[1]), Condition(row[2].strip()),
-                      row[3].strip())
-            check_sample(*sample)
+            check_sample(float(row[0]), float(row[1]), Condition(row[2].strip()),
+                         row[3].strip())
         except ValueError as exc:
-            if strict:
-                raise ScenarioError(f"samples CSV line {lineno}: {exc}") from None
-            continue
-        kept.append(sample)
-    return PathLossSamples(*zip(*kept))
+            raise ScenarioError(f"samples CSV line {lineno}: {exc}") from None
 
 
 MASK_FIELDS = ("rx_id", "tx_id", "mask")
@@ -377,7 +344,7 @@ def load_model_cards(path: str | Path) -> list[ModelCard]:
     """Read back the model cards that ``emit_results`` wrote.
 
     Each card follows the scenario's number rules and ``ModelCard``'s
-    checks, and the legacy ``rms_residual_db`` key is ignored.
+    checks.
     """
     from .results import ModelCard
     raw = _read_json(path)
@@ -385,8 +352,6 @@ def load_model_cards(path: str | Path) -> list[ModelCard]:
         raise ScenarioError(f"{path}: expected an array of model cards")
     cards = []
     for i, obj in enumerate(raw):
-        if isinstance(obj, dict):
-            obj.pop("rms_residual_db", None)
         try:
             cards.append(_parse_record(ModelCard, obj, ""))
         except ScenarioError as exc:

@@ -191,12 +191,6 @@ class TestSamplesCsv:
         with pytest.raises(ScenarioError) as exc:
             read_samples_csv(io.StringIO(text))
         assert str(exc.value) == f"samples CSV line {linenos[bad]}: {message}"
-        kept = reference[:bad] + reference[bad + 1:]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            lenient = read_samples_csv(io.StringIO(text), strict=False)
-        assert lenient == PathLossSamples(*zip(*kept))
-        assert len(caught) == (not kept)
 
     def test_round_trip_exact(self, tmp_path):
         samples = PathLossSamples((63.0, 10.5), (152.49541205654867, 91.25),
@@ -218,12 +212,6 @@ class TestSamplesCsv:
         with pytest.raises(ScenarioError, match="line 3"):
             read_samples_csv(buf)
 
-    def test_lenient_skips_bad_rows(self):
-        buf = io.StringIO(
-            "d_m,pl_db,condition,polarization\n0.5,80,LOS,VV\n63,152.5,NLOS,VV\n")
-        samples = read_samples_csv(buf, strict=False)
-        assert len(samples.d_m) == 1 and samples.d_m[0] == 63.0
-
     @pytest.mark.parametrize("label,message", [
         ("los", "'los' is not a valid Condition"),
         ("", "'' is not a valid Condition"),
@@ -235,8 +223,6 @@ class TestSamplesCsv:
         with pytest.raises(ScenarioError) as exc:
             read_samples_csv(io.StringIO(text))
         assert str(exc.value) == f"samples CSV line 3: {message}"
-        [kept] = read_samples_csv(io.StringIO(text), strict=False).condition
-        assert kept is Condition.NLOS
 
     def test_header_mismatch(self):
         with pytest.raises(ScenarioError, match="header"):
@@ -246,17 +232,10 @@ class TestSamplesCsv:
         with pytest.raises(ScenarioError, match="empty"):
             read_samples_csv(io.StringIO(""))
 
-    def test_header_only_warns(self):
-        with pytest.warns(UserWarning, match="no data rows"):
+    def test_header_only_is_empty(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = read_samples_csv(io.StringIO("d_m,pl_db,condition,polarization\n"))
-        assert out == PathLossSamples()
-
-    def test_all_rows_skipped_warns(self):
-        text = "d_m,pl_db,condition,polarization\n20,120,NLOS,HH\n"
-        with pytest.warns(UserWarning, match="^samples CSV contains data "
-                                             "rows, but every one is "
-                                             "malformed$"):
-            out = read_samples_csv(io.StringIO(text), strict=False)
         assert out == PathLossSamples()
 
 
@@ -396,15 +375,6 @@ class TestResults:
             "condition": "LOS"}]
         assert '"f_ghz": 73.0' in (tmp_path / "models.json").read_text()
 
-    def test_model_cards_ignore_legacy_rms_residual(self, tmp_path):
-        path = tmp_path / "models.json"
-        path.write_text(json.dumps([{
-            "label": "NLOS", "f_ghz": 73.5, "ple": 4.6, "sigma_db": 11.4,
-            "condition": "NLOS", "n_samples": 10, "rms_residual_db": 11.4}]))
-        [card] = load_model_cards(path)
-        assert card == ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS,
-                                 n_samples=10)
-
     @settings(max_examples=60, deadline=None)
     @given(bundle=BUNDLES)
     @example(bundle=ResultBundle(
@@ -464,15 +434,8 @@ class TestCli:
         meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
         assert meta["seed"] == 99
 
-    def test_out_dir_from_environment(self, tmp_path, monkeypatch, capsys):
-        sc = self.write_scenario(tmp_path)
-        monkeypatch.setenv("MMWCOMP_OUT", str(tmp_path / "envout"))
-        assert main(["simulate", "--scenario", sc, "--trials", "2"]) == 0
-        assert (tmp_path / "envout" / "reception.csv").is_file()
-
     def test_no_out_dir_writes_nothing(self, tmp_path, monkeypatch, capsys):
         sc = self.write_scenario(tmp_path)
-        monkeypatch.delenv("MMWCOMP_OUT", raising=False)
         monkeypatch.chdir(tmp_path)
         before = set(tmp_path.rglob("*"))
         assert main(["simulate", "--scenario", sc, "--trials", "2"]) == 0
@@ -603,25 +566,21 @@ class TestCli:
         assert captured.err == (f"error: {csv_path}: NLOS: samples must span "
                                 f"at least two distinct distances\n")
 
-    @pytest.mark.parametrize("rows, flags, message", [
-        ("", [], "no usable samples; the file contains a header but no data "
-                 "rows"),
-        ("20,120,NLOS,HH\n0.5,130,NLOS,VV\n", ["--no-strict"],
-         "no usable samples; the file contains data rows, but every one is "
-         "malformed"),
+    @pytest.mark.parametrize("rows, message", [
+        ("", "no usable samples; the file contains a header but no data "
+             "rows"),
         ("20,120,LOS,VH\n40,130,LOS,VH\n20,120,NLOS,VV\n40,130,NLOS,VV\n",
-         [], "LOS: no usable samples (cross-polarized rows are excluded by "
-             "default)"),
-        ("20,120,NLOS,VV\n", [], "NLOS: need at least 2 samples, got 1"),
-    ], ids=["header_only", "all_rows_skipped", "los_only_vh", "one_row"])
-    def test_fit_error_names_file(self, tmp_path, capsys, rows, flags,
-                                  message):
+         "LOS: no usable samples (cross-polarized rows are excluded by "
+         "default)"),
+        ("20,120,NLOS,VV\n", "NLOS: need at least 2 samples, got 1"),
+    ], ids=["header_only", "los_only_vh", "one_row"])
+    def test_fit_error_names_file(self, tmp_path, capsys, rows, message):
         # One error line, no warning; a failed fit also names its condition.
         csv_path = tmp_path / "samples.csv"
         csv_path.write_text("d_m,pl_db,condition,polarization\n" + rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["fit", "--samples", str(csv_path), *flags]) == 1
+            assert main(["fit", "--samples", str(csv_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {csv_path}: {message}\n"
@@ -961,9 +920,10 @@ class TestCli:
         ("n_samples", -5, "n_samples: must be >= 1, got -5"),
         ("n_samples", 0, "n_samples: must be >= 1, got 0"),
         ("rms_db", 1.0, "unknown key(s) ['rms_db']"),
+        ("rms_residual_db", 11.4, "unknown key(s) ['rms_residual_db']"),
     ], ids=["negative-ple", "zero-ple", "negative-sigma", "bool-f_ghz",
             "string-ple", "string-n_samples", "negative-n_samples",
-            "zero-n_samples", "unknown-key"])
+            "zero-n_samples", "unknown-key", "legacy-key"])
     def test_coverage_rejects_bad_card_with_its_index(self, tmp_path, capsys,
                                                       key, value, message):
         models = _write_models(tmp_path)
@@ -1113,10 +1073,9 @@ print("loaded:", json.dumps(loaded()))
 
 
 def _python_env() -> dict[str, str]:
-    """The environment of a fresh interpreter on this package's sources,
-    without MMWCOMP_OUT."""
+    """The environment of a fresh interpreter on this package's sources."""
     src = str(Path(mmwcomp.__file__).parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "MMWCOMP_OUT"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return env
@@ -1297,7 +1256,6 @@ class TestProcessEntry:
         main_dir.mkdir()
         proc = _python(["-m", "mmwcomp.cli", *argv], proc_dir)
         monkeypatch.chdir(main_dir)
-        monkeypatch.delenv("MMWCOMP_OUT", raising=False)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: usage error or --version
