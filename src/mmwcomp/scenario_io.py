@@ -262,8 +262,10 @@ def read_samples_csv(source: str | Path | TextIO) -> PathLossSamples:
     try:
         rows.extend(_csv_rows(source, SAMPLE_FIELDS, "samples CSV"))
         return _sample_columns([row for _, row in rows])
-    except (ValueError, KeyError):  # a bad cell, label or row width
-        _raise_first_bad_sample(rows)  # named before an unreadable line
+    except (ValueError, KeyError):
+        # A bad cell, label or row width is named by its line, and so is a
+        # bad row above a line that the CSV reader cannot read.
+        _raise_first_bad_sample(rows)
         raise
 
 

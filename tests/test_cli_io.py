@@ -141,7 +141,7 @@ class TestParseScenario:
 
 
 # One corruption of a samples CSV row: the cell it replaces (None drops
-# the last cell), the new text, and the message strict mode gives for it.
+# the last cell), the new text, and the message the reader gives for it.
 SAMPLE_CORRUPTIONS = [
     (0, "abc", "could not convert string to float: 'abc'"),
     (2, "los", "'los' is not a valid Condition"),
