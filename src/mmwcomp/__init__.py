@@ -8,7 +8,9 @@ can be served by several base stations at once.
 
 Every public name is exported lazily (PEP 562): ``import mmwcomp`` loads
 no submodule, and the first use of a name imports only the submodule that
-defines it, so each CLI command loads only what it runs.
+defines it.  Every CLI command loads ``cli``'s top-level imports (closed
+forms, records and readers); ``fit`` adds ``fitting``, ``enumerate`` and
+``simulate`` add ``diversity``, and only ``simulate`` loads numpy.
 """
 
 from __future__ import annotations

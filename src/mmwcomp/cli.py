@@ -108,9 +108,13 @@ def _cmd_simulate(args) -> ResultBundle:
     from .diversity import distance_3d, reception_counts, simulate_drop
     scenario = load_scenario(args.scenario)
     for ue, bs in scenario.links():  # coverage reads the same file without links
-        if distance_3d(ue, bs) < REFERENCE_DISTANCE_M:
+        d = distance_3d(ue, bs)
+        if d < REFERENCE_DISTANCE_M:
             raise ScenarioError(f"{args.scenario}: link {ue.id}/{bs.id} is shorter than "
                                 f"the CI model's {REFERENCE_DISTANCE_M} m reference")
+        if not math.isfinite(d):
+            raise ScenarioError(f"{args.scenario}: link {ue.id}/{bs.id} is too long "
+                                "for its length to be a finite float")
     if args.seed is not None:
         # _replace runs no checks, and substream's own error names no flag.
         if args.seed < 0:

@@ -211,9 +211,13 @@ class Drops(NamedTuple):
 
 
 def distance_3d(a: Node, b: Node) -> float:
-    """3D Euclidean separation including the height difference."""
-    return math.sqrt((a.x_m - b.x_m) ** 2 + (a.y_m - b.y_m) ** 2
-                     + (a.height_m - b.height_m) ** 2)
+    """3D Euclidean separation including the height difference; ``inf``
+    when its square overflows."""
+    try:
+        return math.sqrt((a.x_m - b.x_m) ** 2 + (a.y_m - b.y_m) ** 2
+                         + (a.height_m - b.height_m) ** 2)
+    except OverflowError:  # float ** raises where * would give inf
+        return math.inf
 
 
 def combination_count(topology: Mapping[str, Iterable[str]], k: int) -> int:
@@ -415,14 +419,14 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
         raise ValueError(f"trials must be >= 1, got {trials}")
     links = scenario.links()
     keys = tuple((ue.id, bs.id) for ue, bs in links)
-    d = np.array([distance_3d(ue, bs) for ue, bs in links])
+    d = [distance_3d(ue, bs) for ue, bs in links]
     # The draw table, row 0 LOS and row 1 NLOS: (model, best-pair model).
     table = ((scenario.models[Condition.LOS], None),
              (scenario.models[Condition.NLOS],
               scenario.models.get(Condition.NLOS_BEST)))
     sigma = np.array([m.sigma_db for m, _ in table])
-    mean = np.array([ci_mean_path_loss_db(m, d) for m, _ in table])
-    best = [(r, ci_mean_path_loss_db(b, d), b.sigma_db)
+    mean = np.array([[ci_mean_path_loss_db(m, x) for x in d] for m, _ in table])
+    best = [(r, np.array([ci_mean_path_loss_db(b, x) for x in d]), b.sigma_db)
             for r, (_, b) in enumerate(table) if b is not None]
     pinned, pinned_los = scenario.condition_policy.pinned(keys)
     limit = max_detectable_pl_db(scenario.budget)

@@ -130,27 +130,16 @@ def friis_received_power_dbm(pt_dbm: float, gt_dbi: float, gr_dbi: float,
     return pt_dbm + gt_dbi + gr_dbi - fspl_db(f_ghz, d_m)
 
 
-def ci_mean_path_loss_db(model: CiModel, d_m):
-    """Mean CI path loss at distance(s) ``d_m``.
-
-    Accepts a scalar or array of distances; returns the distance-dependent
-    mean FSPL(f, 1 m) + 10 n log10(d) without shadow fading.  A Python
-    int or float is computed with ``math.log10`` and returns a float;
-    anything else goes through numpy and returns a float for a 0-d input.
+def ci_mean_path_loss_db(model: CiModel, d_m: float) -> float:
+    """Mean CI path loss at distance ``d_m``: FSPL(f, 1 m) + 10 n log10(d)
+    without shadow fading.  The outage kernels and the drop simulator both
+    take their means from here, so equal distances give equal bits.
 
     Raises:
-        ValueError: if any distance is below the 1 m reference distance,
+        ValueError: if the distance is below the 1 m reference distance,
             where the model is not defined.
     """
     d0 = REFERENCE_DISTANCE_M
-    if isinstance(d_m, (int, float)):
-        if d_m < d0:
-            raise ValueError(f"CI model is defined for d >= {d0} m")
-        return fspl_db(model.f_ghz, d0) + 10.0 * model.ple * math.log10(d_m)
-    import numpy as np
-    d = np.asarray(d_m, dtype=float)
-    if np.any(d < d0):
+    if d_m < d0:
         raise ValueError(f"CI model is defined for d >= {d0} m")
-    out = fspl_db(model.f_ghz, d0) + 10.0 * model.ple * np.log10(d)
-    return float(out) if out.ndim == 0 else out
-
+    return fspl_db(model.f_ghz, d0) + 10.0 * model.ple * math.log10(d_m)

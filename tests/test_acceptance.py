@@ -131,7 +131,7 @@ def test_criterion_5_fit_recovery(capsys):
         for stream, truth in enumerate(truth_sets):
             rng = m.substream(73, 5, stream)
             d = 10.0 ** rng.uniform(1.0, math.log10(200.0), size=10_000)
-            pl = (m.ci_mean_path_loss_db(truth, d)
+            pl = (np.array([m.ci_mean_path_loss_db(truth, x) for x in d])
                   + rng.normal(0.0, truth.sigma_db, d.size))
             cond = (Condition.NLOS if truth.condition is Condition.NLOS_BEST
                     else truth.condition)

@@ -289,6 +289,11 @@ class TestFormatting:
         assert format_pct(1.757e-7) == "1.8E-5"
         assert format_pct(7.066e-5) == "7.1E-3"
 
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf])
+    def test_rejects_non_finite(self, fraction):
+        with pytest.raises(ValueError, match="fraction must be finite"):
+            format_pct(fraction)
+
     def test_threshold_boundary(self):
         assert format_pct(1e-4) == "0.0"      # exactly 0.01% stays fixed
         assert format_pct(0.99e-4) == "9.9E-3"
@@ -335,6 +340,10 @@ class TestResults:
                                            CdfPoint(1.0, 1.0)]})
         with pytest.raises(ValueError, match="end at probability 1"):
             ResultBundle(meta, cdfs={"x": [CdfPoint(1.0, 0.5)]})
+        with pytest.raises(ValueError, match="non-finite x value"):
+            ResultBundle(meta, cdfs={"x": [CdfPoint(math.inf, 1.0)]})
+        with pytest.raises(ValueError, match="rise to at most 1"):
+            ResultBundle(meta, cdfs={"x": [CdfPoint(1.0, 1.5)]})
 
     def test_emit_outage_schema_and_determinism(self, tmp_path):
         bundle = ResultBundle(
@@ -479,6 +488,11 @@ class TestCli:
         assert main(["enumerate", "--topology", str(topo)]) == 0
         out = capsys.readouterr().out
         assert "counts: 36,54,42,17,3" in out
+        # --k beyond every serving set stops at the largest one.
+        topo.write_text(json.dumps({"U1": ["B1", "B2"]}))
+        assert main(["enumerate", "--topology", str(topo), "--k", "5"]) == 0
+        assert capsys.readouterr() == (
+            "k=1: 2 combinations\nk=2: 1 combinations\ncounts: 2,1\n", "")
 
     def test_enumerate_with_masks(self, tmp_path, capsys):
         topo = tmp_path / "topology.json"
@@ -543,8 +557,8 @@ class TestCli:
         model = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
         rng = substream(5, 0)
         d = 10.0 ** rng.uniform(1, np.log10(200.0), size=2000)
-        pl = ci_mean_path_loss_db(model, d) + rng.normal(0.0, model.sigma_db,
-                                                         d.size)
+        pl = (np.array([ci_mean_path_loss_db(model, x) for x in d])
+              + rng.normal(0.0, model.sigma_db, d.size))
         samples = PathLossSamples(*zip(*[(float(a), float(b), Condition.NLOS, "VV")
                                          for a, b in zip(d, pl)]))
         csv_path = tmp_path / "samples.csv"
@@ -826,20 +840,24 @@ class TestCli:
         bad.write_text(json.dumps({"base_stations": [], "ues": []}))
         assert main(["simulate", "--scenario", str(bad)]) == 1
 
-    def test_simulate_names_link_shorter_than_reference(self, tmp_path,
-                                                         capsys):
+    @pytest.mark.parametrize("bs_x, ue_x, message", [
+        (0.0, 0.5, "is shorter than the CI model's 1.0 m reference"),
+        (1e200, 0.0, "is too long for its length to be a finite float"),
+        (1e308, -1e308, "is too long for its length to be a finite float"),
+    ], ids=["shorter-than-reference", "far-1e200", "far-pm1e308"])
+    def test_simulate_names_link_of_bad_length(self, tmp_path, capsys, bs_x,
+                                               ue_x, message):
         # The scenario itself is valid, so coverage, which builds no links,
-        # still reads it.
+        # still reads it.  Squaring 1e200 overflows; 1e308 - -1e308 is inf.
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({
-            "base_stations": [{"id": "B1", "x_m": 0.0, "y_m": 0.0,
+            "base_stations": [{"id": "B1", "x_m": bs_x, "y_m": 0.0,
                                "height_m": 1.4}],
-            "ues": [{"id": "U1", "x_m": 0.5, "y_m": 0.0}]}))
+            "ues": [{"id": "U1", "x_m": ue_x, "y_m": 0.0}]}))
         assert main(["simulate", "--scenario", str(path), "--trials", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {path}: link U1/B1 is shorter than "
-                                f"the CI model's 1.0 m reference\n")
+        assert captured.err == f"error: {path}: link U1/B1 {message}\n"
         assert main(["coverage", "--scenario", str(path)]) == 0
 
     @pytest.mark.parametrize("distances, token", [
@@ -851,6 +869,14 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (
             f"error: --distances radius '{token}' is not finite\n")
+
+    @pytest.mark.parametrize("distances, message", [
+        ("a", "bad --distances value 'a'"),
+        (",", "--distances must list at least one radius")])
+    def test_coverage_rejects_unparsable_distances(self, capsys, distances,
+                                                   message):
+        assert main(["coverage", "--distances", distances]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv, token", [
         (["--distances=-5"], "-5"), (["--distances", "0.5"], "0.5"),
@@ -1031,10 +1057,46 @@ class TestCli:
         ("fit --samples {path}", "samples.csv",
          b"d_m,pl_db,condition,polarization\n63,152.5,NLOS,V\xff\n",
          "samples CSV line 2: 'utf-8' codec can't decode byte 0xff"),
+        ("coverage --scenario {path}", "scenario.json", b"[1, 2]",
+         "scenario: top level must be an object\n"),
+        ("coverage --scenario {path}", "scenario.json",
+         json.dumps(minimal(models=[1])).encode(),
+         "scenario.models: expected an object\n"),
+        ("coverage --scenario {path}", "scenario.json",
+         json.dumps(minimal(conditions=[1])).encode(),
+         "scenario.conditions: expected an object mapping 'ue/bs' to a "
+         "condition\n"),
+        ("coverage --scenario {path}", "scenario.json",
+         json.dumps(minimal(budget=5)).encode(),
+         "scenario.budget: expected an object\n"),
+        ("coverage --scenario {path}", "scenario.json",
+         json.dumps(minimal(conditions={"U1/B9": "NLOS"})).encode(),
+         "scenario.conditions: unknown base station id 'B9'\n"),
+        ("coverage --scenario {path}", "scenario.json",
+         json.dumps(minimal(p_los=2)).encode(),
+         "scenario: p_los must be in [0, 1], got 2.0\n"),
+        ("coverage --scenario {path}", "scenario.json",
+         json.dumps(minimal(ues=MINIMAL["ues"] * 2)).encode(),
+         "scenario: duplicate UE id\n"),
+        ("enumerate --topology {topo} --masks {path}", "masks.csv",
+         b"rx_id,tx_id,mask\nU1,B1,1\nU1,B2\n",
+         "masks CSV line 3: expected 3 fields\n"),
+        ("enumerate --topology {path}", "topology.json", b"{}",
+         "{path}: expected a non-empty object\n"),
+        ("enumerate --topology {path}", "topology.json",
+         b'{"U1": ["B1", "B1"]}', "{path}: U1: duplicate base station id\n"),
+        ("coverage --models {path}", "models.json", b"{}",
+         "{path}: expected an array of model cards\n"),
+        ("report --bundle {dir}", "outage.csv", b"",
+         "{dir}: not a result bundle (missing metadata.json)\n"),
     ], ids=["scenario-deep", "topology-deep", "models-deep", "metadata-deep",
             "samples-long-field", "samples-bad-row-before-long-field",
             "masks-long-field", "scenario-not-utf8",
-            "samples-not-utf8"])
+            "samples-not-utf8", "scenario-top-level", "scenario-models",
+            "scenario-conditions", "scenario-budget", "scenario-unknown-bs",
+            "scenario-p_los", "scenario-duplicate-ue", "masks-short-row",
+            "topology-empty", "topology-duplicate-bs", "models-not-array",
+            "bundle-without-metadata"])
     def test_unreadable_input_exits_1(self, tmp_path, capsys, argv, name,
                                       data, message):
         path = tmp_path / name

@@ -290,6 +290,26 @@ def test_simulate_sigma0_los_all_detectable(sweep, pairs):
     assert drops.omni_pl_db[0, 0] == pytest.approx(expect, abs=1e-9)
 
 
+@pytest.mark.parametrize("p_los, condition", [
+    (1.0, Condition.LOS), (0.0, Condition.NLOS_BEST)], ids=["LOS", "NLOS_BEST"])
+def test_simulated_mean_is_the_closed_form_mean(p_los, condition):
+    # With sigma 0 and one angle pair, a link's only draw is its mean: the
+    # LOS mean, or on an NLOS link the best-pair mean that replaces it.  A
+    # limit at ci_mean_path_loss_db's value detects it and one ulp below
+    # does not, so simulate and coverage use the same bits per distance.
+    flat = {c: m._replace(sigma_db=0.0) for c, m in MODELS.items()}
+    sweep = SweepGrid(tx_angles=1, **ONE_RX)
+    for x in np.linspace(1.0, 500.0, 400).tolist():
+        b1, u1 = bs(1, 0.0, 0.0), ue(1, x, 0.0)
+        mean = ci_mean_path_loss_db(flat[condition], distance_3d(u1, b1))
+        for limit, seen in ((mean, 1), (math.nextafter(mean, 0.0), 0)):
+            sc = scenario([b1], [u1], models=flat, sweep=sweep,
+                          policy=ConditionPolicy(p_los=p_los),
+                          budget=SOUNDER_LINK_BUDGET._replace(max_pl_db=limit))
+            assert max_detectable_pl_db(sc.budget) == limit
+            assert simulate_drop(sc, 1).masks == (seen,), (x, limit)
+
+
 def test_simulate_omni_bounded_by_best_detected_pair():
     # Rebuild each trial's directional draws from its sub-stream in the
     # documented layout.  The omni loss is the power sum over the n

@@ -39,6 +39,8 @@ def test_sample_validation():
         columns([(10.0, 100.0, Condition.NLOS_BEST)])
     with pytest.raises(ValueError):
         columns([(10.0, 100.0, Condition.NLOS, "HH")])
+    with pytest.raises(ValueError, match=r"equal lengths, got \[2, 1, 1, 1\]"):
+        PathLossSamples((20.0, 30.0), (120.0,), (Condition.NLOS,), ("VV",))
 
 
 def test_fit_noise_free_exact():
