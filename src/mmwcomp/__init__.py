@@ -24,7 +24,7 @@ _EXPORTS = {
                     "friis_received_power_dbm"),
     "fitting": ("PathLossSamples", "FitError", "fit_ci",
                 "group_samples_by_condition"),
-    "coverage": ("LinkBudget", "CoverageQuery", "OutageRow",
+    "coverage": ("LinkBudget", "OutageRow",
                  "max_detectable_pl_db", "receiver_threshold_dbm",
                  "edge_outage_probability", "region_outage_probability",
                  "outage_table"),

@@ -66,11 +66,10 @@ def _cmd_fit(args) -> ResultBundle:
     for cond, group in sorted(group_samples_by_condition(samples).items(),
                               key=lambda kv: kv[0].value):
         try:
-            model = fit_ci(group, args.f_ghz, include_vh=args.include_vh)
+            model = fit_ci(group, args.f_ghz)
         except FitError as exc:
             raise ScenarioError(f"{args.samples}: {cond.value}: {exc}") from None
-        n_fitted = (len(group.d_m) if args.include_vh
-                    else group.polarization.count(VV))
+        n_fitted = group.polarization.count(VV)
         cards.append(ModelCard(label=cond.value, f_ghz=model.f_ghz,
                                ple=model.ple, sigma_db=model.sigma_db,
                                condition=cond, n_samples=n_fitted))
@@ -124,6 +123,7 @@ def _cmd_simulate(args) -> ResultBundle:
     k_max = args.k_max if args.k_max is not None else min(5, n_bs)
     if not 1 <= k_max <= n_bs:
         raise ScenarioError(f"k_max must be in [1, {n_bs}], got {k_max}")
+    # simulate_drop checks this too; every flag is checked before it runs.
     if args.trials < 1:
         raise ScenarioError(f"trials must be >= 1, got {args.trials}")
     drops = simulate_drop(scenario, args.trials)
@@ -209,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--samples", required=True, help="path-loss sample CSV")
     p_fit.add_argument("--f-ghz", type=float, default=CARRIER_F_GHZ,
                        help=f"carrier frequency in GHz (default {CARRIER_F_GHZ})")
-    p_fit.add_argument("--include-vh", action="store_true",
-                       help="include cross-polarized samples in the fit")
     p_fit.add_argument("--out", help="output directory")
     p_fit.set_defaults(func=_cmd_fit)
 

@@ -10,7 +10,9 @@ from its center, with margin m = mean CI path loss at R minus that limit:
   using the classical closed form for lognormal shadowing over a power-law
   mean (the area integral of the edge expression).
 
-Both are noise-limited figures; interference is out of scope.
+Each kernel takes ``(model, budget, radius_m)`` and needs R >= 1 m, the
+CI model's reference distance.  Both are noise-limited figures;
+interference is out of scope.
 """
 
 from __future__ import annotations
@@ -50,20 +52,6 @@ class LinkBudget(NamedTuple):
 
 
 @validated
-class CoverageQuery(NamedTuple):
-    """One (model, budget, distance) coverage evaluation point."""
-
-    model: CiModel
-    budget: LinkBudget
-    radius_m: float
-
-    def _validate(self):
-        if self.radius_m < REFERENCE_DISTANCE_M:
-            raise ValueError(f"radius_m must be >= {REFERENCE_DISTANCE_M} m, "
-                             f"got {self.radius_m}")
-
-
-@validated
 class OutageRow(NamedTuple):
     """One row of an outage table (probabilities as fractions, not %)."""
 
@@ -99,26 +87,28 @@ def receiver_threshold_dbm(budget: LinkBudget) -> float:
             - max_detectable_pl_db(budget))
 
 
-def _margin_db(q: CoverageQuery) -> float:
+def _margin_db(model: CiModel, budget: LinkBudget, radius_m: float) -> float:
     """Mean path loss at the radius minus the detection limit."""
-    return (ci_mean_path_loss_db(q.model, q.radius_m)
-            - max_detectable_pl_db(q.budget))
+    return (ci_mean_path_loss_db(model, radius_m)
+            - max_detectable_pl_db(budget))
 
 
-def edge_outage_probability(q: CoverageQuery) -> float:
+def edge_outage_probability(model: CiModel, budget: LinkBudget,
+                            radius_m: float) -> float:
     """Probability the shadow-faded path loss at distance R is not detected.
 
     1 - (0.5 - 0.5 erf(m / (sigma sqrt(2)))) for margin m; a zero sigma
     degenerates to a step function (0.5 exactly at m = 0).
     """
-    m = _margin_db(q)
-    sigma = q.model.sigma_db
+    m = _margin_db(model, budget, radius_m)
+    sigma = model.sigma_db
     if sigma == 0.0:
         return 0.5 if m == 0.0 else float(m > 0.0)
     return 1.0 - (0.5 - 0.5 * math.erf(m / (sigma * _SQRT2)))
 
 
-def region_outage_probability(q: CoverageQuery) -> float:
+def region_outage_probability(model: CiModel, budget: LinkBudget,
+                              radius_m: float) -> float:
     """Outage probability over the whole coverage disk of radius R.
 
     1 - F_u, with F_u the useful-area fraction for a power-law mean
@@ -130,13 +120,13 @@ def region_outage_probability(q: CoverageQuery) -> float:
     A zero sigma leaves the share of the disk beyond the coverage radius,
     max(0, 1 - 10^(-m / (5 n))).  ``CiModel`` guarantees n > 0.
     """
-    m = _margin_db(q)
-    sigma = q.model.sigma_db
+    m = _margin_db(model, budget, radius_m)
+    sigma = model.sigma_db
     if sigma == 0.0:
         # m <= 0 covers the whole disk; testing it first avoids overflow.
-        return 0.0 if m <= 0.0 else 1.0 - 10.0 ** (-m / (5.0 * q.model.ple))
+        return 0.0 if m <= 0.0 else 1.0 - 10.0 ** (-m / (5.0 * model.ple))
     a = m / (sigma * _SQRT2)
-    b = 10.0 * q.model.ple * _LOG10_E / (sigma * _SQRT2)
+    b = 10.0 * model.ple * _LOG10_E / (sigma * _SQRT2)
     f_u = 0.5 * (1.0 - math.erf(a)
                  + math.exp((1.0 - 2.0 * a * b) / (b * b))
                  * (1.0 - math.erf((1.0 - a * b) / b)))
@@ -156,12 +146,11 @@ def outage_table(models: Mapping[Condition, CiModel], budget: LinkBudget,
         raise ValueError("distances must be non-empty")
     rows = []
     for condition, model in models.items():
-        for d in distances:
-            q = CoverageQuery(model=model, budget=budget, radius_m=float(d))
+        for d in map(float, distances):
             rows.append(OutageRow(
                 condition=Condition(condition).value,
-                distance_m=float(d),
-                p_out_edge=edge_outage_probability(q),
-                p_out_region=region_outage_probability(q),
+                distance_m=d,
+                p_out_edge=edge_outage_probability(model, budget, d),
+                p_out_region=region_outage_probability(model, budget, d),
             ))
     return rows

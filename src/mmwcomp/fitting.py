@@ -12,7 +12,9 @@ fit needs no numpy.
 
 Samples are held as columns in one ``PathLossSamples`` record, as
 ``read_samples_csv`` returns them; ``group_samples_by_condition`` splits
-one by condition and ``fit_ci`` fits one condition's columns.
+one by condition and ``fit_ci`` fits one condition's co-polarized (VV)
+columns.  Cross-polarized (VH) rows are validated but never fitted: the
+campaign publishes no VH parameters to fit them to.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ class PathLossSamples(NamedTuple):
     The fields are equal-length tuples, and entry i of each is sample i:
     distance in meters (finite, >= 1 m), path loss in dB (finite), a LOS
     or NLOS label and the polarization, ``VV`` or ``VH``.  Cross-polarized
-    (VH) samples are carried but excluded from fitting by default since no
-    cross-polarized model parameters are published for this campaign.
+    (VH) samples are carried and checked but never fitted.
     ``PathLossSamples()`` is the empty set, and ``PathLossSamples(*zip(*rows))``
     builds one from ``(d_m, pl_db, condition, polarization)`` rows.
 
@@ -87,15 +88,14 @@ class PathLossSamples(NamedTuple):
             check_sample(*sample)
 
 
-def fit_ci(samples: PathLossSamples, f_ghz: float,
-           include_vh: bool = False) -> CiModel:
+def fit_ci(samples: PathLossSamples, f_ghz: float) -> CiModel:
     """Closed-form MMSE fit of the CI slope and shadow-fading sigma.
 
     Args:
-        samples: observations of one condition; at least two, spanning at
-            least two distinct distances.
+        samples: observations of one condition; its VV rows are fitted,
+            and there must be at least two, spanning at least two distinct
+            distances.  VH rows are dropped.
         f_ghz: carrier frequency fixing the 1 m anchor.
-        include_vh: also use cross-polarized samples (off by default).
 
     Returns:
         CiModel labeled with the samples' condition; sigma_db is the RMS
@@ -105,13 +105,11 @@ def fit_ci(samples: PathLossSamples, f_ghz: float,
         FitError: if the samples cannot be fitted, or if the fitted slope is
             not positive, which no CI model accepts.
     """
-    d_m, pl_db, conditions = samples.d_m, samples.pl_db, samples.condition
-    if not include_vh:
-        keep = [p == VV for p in samples.polarization]
-        d_m, pl_db, conditions = (tuple(compress(col, keep))
-                                  for col in (d_m, pl_db, conditions))
+    keep = [p == VV for p in samples.polarization]
+    d_m, pl_db, conditions = (tuple(compress(col, keep)) for col in
+                              (samples.d_m, samples.pl_db, samples.condition))
     if not d_m:
-        raise FitError("no usable samples (cross-polarized rows are excluded by default)")
+        raise FitError("no usable samples (cross-polarized rows are never fitted)")
     condition = conditions[0]
     if conditions.count(condition) != len(conditions):
         raise FitError(f"samples mix conditions "

@@ -7,9 +7,9 @@ row reader (``_csv_rows``), and every JSON record through one parser
 (``_parse_record``) whose keys and kinds are the record class's own
 fields and annotations (``field_kinds``); no table here restates them.
 All parsers reject unknown keys, and every bad input raises ScenarioError
-with the file (undecodable JSON), a dotted key path (scenario JSON, bundle
-metadata), the file and a card index (model cards) or a 1-based line
-number (CSV), so it can be fixed without reading tracebacks.
+with the file (undecodable JSON), the file and a dotted key path (scenario
+JSON, bundle metadata), the file and a card index (model cards) or a
+1-based line number (CSV), so it can be fixed without reading tracebacks.
 
 Path-loss samples are read as columns into one ``PathLossSamples`` record:
 each column is parsed and checked whole, and the rows are walked one by
@@ -243,8 +243,12 @@ def parse_scenario(obj) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse a scenario JSON file."""
-    return parse_scenario(_read_json(path))
+    """Parse a scenario JSON file; every error names ``path`` first."""
+    obj = _read_json(path)
+    try:
+        return parse_scenario(obj)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 SAMPLE_FIELDS = ("d_m", "pl_db", "condition", "polarization")

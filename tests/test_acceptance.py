@@ -34,11 +34,6 @@ def criterion(capsys, number, description):
         print(f"[PASS] criterion {number}: {description}")
 
 
-def query(model, radius):
-    return m.CoverageQuery(model=model, budget=SOUNDER_LINK_BUDGET,
-                           radius_m=radius)
-
-
 def mean_reception(sc, drops, k_max):
     """Mean over trials of each trial's full-coverage share of k-subsets."""
     counts = m.reception_counts(dict(zip(drops.links, drops.masks)),
@@ -52,7 +47,7 @@ def mean_reception(sc, drops, k_max):
 def test_criterion_1_edge_outage(capsys):
     with criterion(capsys, 1, "NLOS cell-edge outage at published radii"):
         start = time.perf_counter()
-        got = [100.0 * m.edge_outage_probability(query(NLOS, d))
+        got = [100.0 * m.edge_outage_probability(NLOS, SOUNDER_LINK_BUDGET, d)
                for d in DISTANCES]
         elapsed = time.perf_counter() - start
         expect = [2.4, 5.5, 8.0, 12.2, 52.0]
@@ -64,15 +59,15 @@ def test_criterion_1_edge_outage(capsys):
 def test_criterion_2_region_outage(capsys):
     with criterion(capsys, 2, "region outage: published values and "
                               "closed form vs quadrature"):
-        got = [100.0 * m.region_outage_probability(query(NLOS, d))
+        got = [100.0 * m.region_outage_probability(NLOS, SOUNDER_LINK_BUDGET, d)
                for d in DISTANCES]
         for g, e in zip(got, [0.7, 1.8, 2.8, 4.6, 27.1]):
             assert abs(g - e) <= 0.1, (g, e)
 
-        best_edge = [100.0 * m.edge_outage_probability(query(NLOS_BEST, d))
-                     for d in DISTANCES]
-        best_region = [100.0 * m.region_outage_probability(query(NLOS_BEST, d))
-                       for d in DISTANCES]
+        best_edge = [100.0 * m.edge_outage_probability(
+                         NLOS_BEST, SOUNDER_LINK_BUDGET, d) for d in DISTANCES]
+        best_region = [100.0 * m.region_outage_probability(
+                           NLOS_BEST, SOUNDER_LINK_BUDGET, d) for d in DISTANCES]
         for g, e in zip(best_edge, [6.9e-5, 2.3e-4, 4.1e-4, 8.6e-4, 2.3e-2]):
             assert abs(g - e) <= 0.2 * e, (g, e)
         for g, e in zip(best_region, [1.8e-5, 6.0e-5, 1.1e-4, 2.4e-4, 7.1e-3]):
@@ -84,16 +79,16 @@ def test_criterion_2_region_outage(capsys):
             for sigma in (1.0, 6.5, 12.0):
                 for radius in (10.0, 100.0, 500.0):
                     model = m.CiModel(73.5, ple, sigma, Condition.NLOS)
-                    q = query(model, radius)
 
                     def integrand(r):
                         return (2.0 * r / radius**2 * m.edge_outage_probability(
-                            query(model, r)))
+                            model, SOUNDER_LINK_BUDGET, r))
 
                     oracle, err = integrate.quad(integrand, 1.0, radius,
                                                  limit=200)
                     assert err < 1e-7
-                    got_cf = m.region_outage_probability(q)
+                    got_cf = m.region_outage_probability(
+                        model, SOUNDER_LINK_BUDGET, radius)
                     assert abs(got_cf - oracle) < 1e-4, (ple, sigma, radius)
 
 
@@ -165,8 +160,8 @@ def test_criterion_6_property_spot_checks(capsys):
 
         # Region outage never exceeds edge outage
         for d in DISTANCES:
-            assert (m.region_outage_probability(query(NLOS, d))
-                    <= m.edge_outage_probability(query(NLOS, d)))
+            assert (m.region_outage_probability(NLOS, SOUNDER_LINK_BUDGET, d)
+                    <= m.edge_outage_probability(NLOS, SOUNDER_LINK_BUDGET, d))
 
         # Reception non-decreasing in k; Best-N sorted
         bss = tuple(m.Node(f"B{i}", 150.0 * math.cos(i), 150.0 * math.sin(i),

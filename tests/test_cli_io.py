@@ -548,8 +548,6 @@ class TestCli:
         assert "(n=2)" in capsys.readouterr().out
         [card] = json.loads((out_dir / "models.json").read_text())
         assert card["n_samples"] == 2
-        assert main(["fit", "--samples", str(csv_path), "--include-vh"]) == 0
-        assert "(n=3)" in capsys.readouterr().out
 
     def test_fit_end_to_end(self, tmp_path, capsys):
         import numpy as np
@@ -584,8 +582,7 @@ class TestCli:
         ("", "no usable samples; the file contains a header but no data "
              "rows"),
         ("20,120,LOS,VH\n40,130,LOS,VH\n20,120,NLOS,VV\n40,130,NLOS,VV\n",
-         "LOS: no usable samples (cross-polarized rows are excluded by "
-         "default)"),
+         "LOS: no usable samples (cross-polarized rows are never fitted)"),
         ("20,120,NLOS,VV\n", "NLOS: need at least 2 samples, got 1"),
     ], ids=["header_only", "los_only_vh", "one_row"])
     def test_fit_error_names_file(self, tmp_path, capsys, rows, message):
@@ -934,7 +931,7 @@ class TestCli:
         assert main(["coverage", "--scenario", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("key, value, message", [
         ("ple", -1.0, "ple must be positive and finite, got -1.0"),
@@ -975,8 +972,8 @@ class TestCli:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: scenario.models.NLOS: ple must be "
-                                "positive and finite, got -1.0\n")
+        assert captured.err == (f"error: {path}: scenario.models.NLOS: ple "
+                                "must be positive and finite, got -1.0\n")
 
     @pytest.mark.parametrize("d_m", ["inf", "nan"])
     def test_fit_rejects_non_finite_distance(self, tmp_path, capsys, d_m):
@@ -1058,26 +1055,26 @@ class TestCli:
          b"d_m,pl_db,condition,polarization\n63,152.5,NLOS,V\xff\n",
          "samples CSV line 2: 'utf-8' codec can't decode byte 0xff"),
         ("coverage --scenario {path}", "scenario.json", b"[1, 2]",
-         "scenario: top level must be an object\n"),
+         "{path}: scenario: top level must be an object\n"),
         ("coverage --scenario {path}", "scenario.json",
          json.dumps(minimal(models=[1])).encode(),
-         "scenario.models: expected an object\n"),
+         "{path}: scenario.models: expected an object\n"),
         ("coverage --scenario {path}", "scenario.json",
          json.dumps(minimal(conditions=[1])).encode(),
-         "scenario.conditions: expected an object mapping 'ue/bs' to a "
-         "condition\n"),
+         "{path}: scenario.conditions: expected an object mapping 'ue/bs' "
+         "to a condition\n"),
         ("coverage --scenario {path}", "scenario.json",
          json.dumps(minimal(budget=5)).encode(),
-         "scenario.budget: expected an object\n"),
+         "{path}: scenario.budget: expected an object\n"),
         ("coverage --scenario {path}", "scenario.json",
          json.dumps(minimal(conditions={"U1/B9": "NLOS"})).encode(),
-         "scenario.conditions: unknown base station id 'B9'\n"),
+         "{path}: scenario.conditions: unknown base station id 'B9'\n"),
         ("coverage --scenario {path}", "scenario.json",
          json.dumps(minimal(p_los=2)).encode(),
-         "scenario: p_los must be in [0, 1], got 2.0\n"),
+         "{path}: scenario: p_los must be in [0, 1], got 2.0\n"),
         ("coverage --scenario {path}", "scenario.json",
          json.dumps(minimal(ues=MINIMAL["ues"] * 2)).encode(),
-         "scenario: duplicate UE id\n"),
+         "{path}: scenario: duplicate UE id\n"),
         ("enumerate --topology {topo} --masks {path}", "masks.csv",
          b"rx_id,tx_id,mask\nU1,B1,1\nU1,B2\n",
          "masks CSV line 3: expected 3 fields\n"),

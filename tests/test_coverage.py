@@ -5,17 +5,13 @@ import math
 import pytest
 from scipy import integrate
 
-from mmwcomp import (CiModel, Condition, CoverageQuery, LinkBudget,
-                     edge_outage_probability, fspl_db, friis_received_power_dbm,
-                     max_detectable_pl_db, outage_table,
-                     receiver_threshold_dbm, region_outage_probability)
+from mmwcomp import (CiModel, Condition, LinkBudget, edge_outage_probability,
+                     fspl_db, friis_received_power_dbm, max_detectable_pl_db,
+                     outage_table, receiver_threshold_dbm,
+                     region_outage_probability)
 
 SOUNDER = LinkBudget(pt_dbm=14.9, gt_dbi=27.0, gr_dbi=20.0)
 NLOS = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
-
-
-def q(model, radius, budget=SOUNDER):
-    return CoverageQuery(model=model, budget=budget, radius_m=radius)
 
 
 def test_receiver_threshold():
@@ -53,8 +49,8 @@ def test_outage_depends_on_budget_only_through_detection_limit():
                    LinkBudget(30.0, 10.0, 5.0, max_pl_db=165.0)):
         for d in (30.0, 100.0, 200.0):
             for fn in (edge_outage_probability, region_outage_probability):
-                assert fn(q(NLOS, d, budget)) == pytest.approx(
-                    fn(q(NLOS, d, wide)), abs=1e-12)
+                assert fn(NLOS, budget, d) == pytest.approx(
+                    fn(NLOS, wide, d), abs=1e-12)
 
 
 def test_budget_validation():
@@ -65,53 +61,57 @@ def test_budget_validation():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        q(NLOS, 0.5)
+    # A radius below the 1 m reference distance is rejected.
+    for fn in (edge_outage_probability, region_outage_probability):
+        with pytest.raises(ValueError, match="defined for d >= 1.0 m"):
+            fn(NLOS, SOUNDER, 0.5)
+    with pytest.raises(ValueError, match="defined for d >= 1.0 m"):
+        outage_table({Condition.NLOS: NLOS}, SOUNDER, [63.0, 0.5])
 
 
 def test_edge_outage_nlos_values():
     expect = {63.0: 2.4186, 78.0: 5.4820, 87.0: 7.9498, 100.0: 12.2129,
               200.0: 52.0048}
     for d, pct in expect.items():
-        assert 100.0 * edge_outage_probability(q(NLOS, d)) == pytest.approx(
-            pct, abs=1e-3)
+        assert 100.0 * edge_outage_probability(
+            NLOS, SOUNDER, d) == pytest.approx(pct, abs=1e-3)
 
 
 def test_region_outage_nlos_values():
     expect = {63.0: 0.7420, 78.0: 1.8365, 87.0: 2.7910, 100.0: 4.5603,
               200.0: 27.0790}
     for d, pct in expect.items():
-        assert 100.0 * region_outage_probability(q(NLOS, d)) == pytest.approx(
-            pct, abs=1e-3)
+        assert 100.0 * region_outage_probability(
+            NLOS, SOUNDER, d) == pytest.approx(pct, abs=1e-3)
 
 
 def test_edge_half_at_mean_equal_threshold():
     # Mean PL at the radius exactly equals the tolerable maximum.
     model = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
     d = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
-    assert edge_outage_probability(q(model, d)) == pytest.approx(0.5, abs=1e-9)
+    assert edge_outage_probability(model, SOUNDER, d) == pytest.approx(
+        0.5, abs=1e-9)
 
 
 def test_edge_zero_sigma_step():
     near = CiModel(73.5, 4.6, 0.0, Condition.NLOS)
-    assert edge_outage_probability(q(near, 63.0)) == 0.0   # 152.5 < 175
-    assert edge_outage_probability(q(near, 200.0)) == 1.0  # 175.6 > 175
+    assert edge_outage_probability(near, SOUNDER, 63.0) == 0.0   # 152.5 < 175
+    assert edge_outage_probability(near, SOUNDER, 200.0) == 1.0  # 175.6 > 175
     d_crit = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
-    assert edge_outage_probability(q(near, d_crit)) == 0.5
+    assert edge_outage_probability(near, SOUNDER, d_crit) == 0.5
 
 
 def test_region_outage_below_edge_outage():
     # Averaging over the disk includes interior points with more margin.
     for model in (NLOS, CiModel(73.5, 2.9, 11.0, Condition.NLOS_BEST)):
         for d in (30.0, 63.0, 100.0, 200.0, 400.0):
-            query = q(model, d)
-            assert region_outage_probability(query) < edge_outage_probability(
-                query)
+            assert (region_outage_probability(model, SOUNDER, d)
+                    < edge_outage_probability(model, SOUNDER, d))
 
 
 def test_region_outage_requires_positive_ple():
     # The useful-area closed form needs n > 0; CiModel rejects any other
-    # exponent, so no query can reach the kernel with one.
+    # exponent, so no call can reach the kernel with one.
     for ple in (-1.0, 0.0, math.inf, math.nan):
         for sigma in (11.4, 0.0):
             with pytest.raises(ValueError,
@@ -126,27 +126,26 @@ def test_region_outage_zero_sigma_is_disk_share_beyond_coverage_radius():
     near = CiModel(73.5, 4.6, 0.0, Condition.NLOS)
     d_crit = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
     for d in (63.0, d_crit):
-        assert region_outage_probability(q(near, d)) == 0.0
+        assert region_outage_probability(near, SOUNDER, d) == 0.0
     for d in (200.0, 400.0):
-        assert region_outage_probability(q(near, d)) == pytest.approx(
+        assert region_outage_probability(near, SOUNDER, d) == pytest.approx(
             1.0 - (d_crit / d) ** 2, rel=1e-9)
     # ... and it is the limit of the shadowed closed form as sigma -> 0.
-    assert region_outage_probability(q(near, 200.0)) == pytest.approx(
-        region_outage_probability(q(near._replace(sigma_db=0.005), 200.0)),
+    assert region_outage_probability(near, SOUNDER, 200.0) == pytest.approx(
+        region_outage_probability(near._replace(sigma_db=0.005), SOUNDER,
+                                  200.0),
         abs=1e-6)
     # A huge negative margin must not overflow the power.
     flat = CiModel(73.5, 0.01, 0.0, Condition.NLOS)
-    assert region_outage_probability(q(flat, 10.0, LinkBudget(
-        14.9, 27.0, 20.0, max_pl_db=1000.0))) == 0.0
+    assert region_outage_probability(flat, LinkBudget(
+        14.9, 27.0, 20.0, max_pl_db=1000.0), 10.0) == 0.0
 
 
-def quadrature_region_outage(query: CoverageQuery, panels=20_000) -> float:
+def quadrature_region_outage(model, budget, radius, panels=20_000) -> float:
     """Independent oracle: integrate 2r/R^2 times edge outage over the disk."""
-    model, budget, radius = query.model, query.budget, query.radius_m
 
     def integrand(r):
-        point = CoverageQuery(model=model, budget=budget, radius_m=r)
-        return 2.0 * r / radius**2 * edge_outage_probability(point)
+        return 2.0 * r / radius**2 * edge_outage_probability(model, budget, r)
 
     grid = [1.0 + (radius - 1.0) * i / panels
             for i in range(panels + 1)]
@@ -156,9 +155,9 @@ def quadrature_region_outage(query: CoverageQuery, panels=20_000) -> float:
 def test_region_closed_form_matches_quadrature_spot_checks():
     for ple, sigma, radius in ((4.6, 11.4, 63.0), (2.9, 11.0, 200.0),
                                (1.5, 1.0, 10.0), (5.0, 12.0, 500.0)):
-        query = q(CiModel(73.5, ple, sigma, Condition.NLOS), radius)
-        assert region_outage_probability(query) == pytest.approx(
-            quadrature_region_outage(query), abs=1e-4)
+        query = (CiModel(73.5, ple, sigma, Condition.NLOS), SOUNDER, radius)
+        assert region_outage_probability(*query) == pytest.approx(
+            quadrature_region_outage(*query), abs=1e-4)
 
 
 def test_outage_table_shape_and_order():

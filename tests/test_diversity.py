@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from mmwcomp import (CiModel, Condition, ConditionPolicy, CoverageQuery,
-                     LinkBudget, Node, PathLossSamples, Scenario, SweepGrid,
+from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget,
+                     Node, PathLossSamples, Scenario, SweepGrid,
                      ci_mean_path_loss_db, combination_count, distance_3d,
                      edge_outage_probability, fit_ci, max_detectable_pl_db,
                      reception_counts, simulate_drop, substream)
@@ -534,8 +534,8 @@ def test_simulate_k1_reception_matches_edge_coverage(bw_ghz):
                   sweep=SweepGrid(tx_angles=1, rx_azimuths=1,
                                   rx_elevations=1, rx_step_deg=360.0))
     trials = 4000
-    expected = 1.0 - edge_outage_probability(
-        CoverageQuery(NLOS, sc.budget, distance_3d(user, station)))
+    expected = 1.0 - edge_outage_probability(NLOS, sc.budget,
+                                             distance_3d(user, station))
     assert 0.2 < expected < 0.9
     got = mean_reception(sc, simulate_drop(sc, trials), 1)[1]
     se = math.sqrt(expected * (1.0 - expected) / trials)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwcomp import (CiModel, Condition, CoverageQuery, LinkBudget, build_cdf,
+from mmwcomp import (CiModel, Condition, LinkBudget, build_cdf,
                      ci_mean_path_loss_db, combination_count,
                      edge_outage_probability, format_pct,
                      friis_received_power_dbm, fspl_db, reception_counts,
@@ -55,10 +55,9 @@ def test_ci_mean_monotone_in_distance(f, ple, d1, d2):
 
 @given(ples, sigmas, radii)
 def test_region_outage_no_greater_than_edge(ple, sigma, radius):
-    q = CoverageQuery(model=CiModel(73.5, ple, sigma, Condition.NLOS),
-                      budget=BUDGET, radius_m=radius)
-    edge = edge_outage_probability(q)
-    region = region_outage_probability(q)
+    model = CiModel(73.5, ple, sigma, Condition.NLOS)
+    edge = edge_outage_probability(model, BUDGET, radius)
+    region = region_outage_probability(model, BUDGET, radius)
     assert 0.0 <= region <= edge + 1e-12
     assert edge <= 1.0
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import mmwcomp
-from mmwcomp import (CdfPoint, CiModel, Condition, ConditionPolicy,
-                     CoverageQuery, Drops, LinkBudget, ModelCard, Node,
-                     OutageRow, PathLossSamples, ReceptionRow, ResultBundle,
-                     RunMetadata, Scenario, ScenarioError, SweepGrid)
+from mmwcomp import (CdfPoint, CiModel, Condition, ConditionPolicy, Drops,
+                     LinkBudget, ModelCard, Node, OutageRow, PathLossSamples,
+                     ReceptionRow, ResultBundle, RunMetadata, Scenario,
+                     ScenarioError, SweepGrid)
 from mmwcomp.propagation import field_kinds
 from mmwcomp.scenario_io import _parse_record
 
@@ -28,7 +28,6 @@ MODELS = {Condition.LOS: CiModel(73.5, 2.0, 1.9, Condition.LOS),
 RECORDS = [
     NLOS,
     BUDGET,
-    CoverageQuery(NLOS, BUDGET, 100.0),
     OutageRow("NLOS", 63.0, 0.024, 0.007),
     PathLossSamples((20.0,), (120.0,), (Condition.NLOS,), ("VH",)),
     META,
@@ -52,7 +51,6 @@ INVALID = [
      "f_ghz must be positive and finite, got 0.0"),
     (LinkBudget, (14.9, 27.0, 20.0, 0.0, 175.0, 5.0),
      "bw_ghz must be positive, got 0.0"),
-    (CoverageQuery, (NLOS, BUDGET, 0.5), "radius_m must be >= 1.0 m, got 0.5"),
     (PathLossSamples, ((0.5,), (120.0,), (Condition.NLOS,), ("VV",)),
      "sample distance must be finite and >= 1.0 m, got 0.5"),
     (ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
@@ -86,9 +84,9 @@ def _name(record):
 def test_every_record_class_is_covered():
     exported = [getattr(mmwcomp, name) for name in mmwcomp.__all__]
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
-    assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
+    assert records == {type(r) for r in RECORDS} and len(RECORDS) == 14
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
-    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 19
+    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 18
 
 
 def test_record_fields():
