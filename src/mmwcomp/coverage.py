@@ -45,9 +45,9 @@ class LinkBudget(NamedTuple):
     snr_threshold_db: float = 5.0
 
     def _validate(self):
-        if self.bw_ghz <= 0:
+        if not self.bw_ghz > 0:
             raise ValueError(f"bw_ghz must be positive, got {self.bw_ghz}")
-        if self.max_pl_db <= 0:
+        if not self.max_pl_db > 0:
             raise ValueError(f"max_pl_db must be positive, got {self.max_pl_db}")
 
 

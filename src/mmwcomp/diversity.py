@@ -1,17 +1,19 @@
 """Scenario geometry, macro-diversity statistics and the drop simulator.
 
-A scenario is a set of base stations and users on a plane with per-link
-LOS/NLOS conditions, CI models per condition, a link budget and a beam
-sweep grid.  The Monte Carlo drop simulator emulates a directional sweep:
-for every link and every (TX sector angle, RX direction) combination it
-draws a shadow-faded directional path loss, marks the combination
-detectable when the draw stays within ``max_detectable_pl_db(budget)``,
-the detection limit the outage kernels of :mod:`.coverage` also use,
-synthesizes per-link omnidirectional path loss as the linear power
-sum over the detectable combinations, and reduces each link to a
-reception mask: an int bitset with one bit per RX direction.  That sum is
-the package's only omni synthesis; over n detected combinations it lies
-between the lowest directional loss and 10 log10(n) dB below it.
+A scenario is one flat record whose fields are the scenario file's keys:
+base stations and users on a plane, CI models per condition, a link
+budget, a beam sweep grid, the links pinned LOS or NLOS, the LOS
+probability of every other link and a seed.  The Monte Carlo drop
+simulator emulates a directional sweep: for every link and every (TX
+sector angle, RX direction) combination it draws a shadow-faded
+directional path loss, marks the combination detectable when the draw
+stays within ``max_detectable_pl_db(budget)``, the detection limit the
+outage kernels of :mod:`.coverage` also use, synthesizes per-link
+omnidirectional path loss as the linear power sum over the detectable
+combinations, and reduces each link to a reception mask: an int bitset
+with one bit per RX direction.  That sum is the package's only omni
+synthesis; over n detected combinations it lies between the lowest
+directional loss and 10 log10(n) dB below it.
 
 Trial t draws from the (seed, t) sub-stream, for all L links in
 ``Scenario.links()`` order: L uniforms for the conditions, one (L, T*R)
@@ -63,7 +65,8 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple,
                     Sequence, TypeVar)
 
 from .coverage import LinkBudget, max_detectable_pl_db
-from .params import DEFAULT_P_LOS, DEFAULT_SEED
+from .params import (DEFAULT_P_LOS, DEFAULT_SEED, DIRECTIONAL_CI_73GHZ,
+                     SOUNDER_LINK_BUDGET)
 from .propagation import CiModel, Condition, ci_mean_path_loss_db, validated
 from .rng import substream
 
@@ -88,7 +91,7 @@ class Node(NamedTuple):
     height_m: float
 
     def _validate(self):
-        if self.height_m <= 0:
+        if not self.height_m > 0:
             raise ValueError(f"height_m must be positive, got {self.height_m}")
 
 
@@ -111,7 +114,7 @@ class SweepGrid(NamedTuple):
     def _validate(self):
         if self.tx_angles < 1 or self.rx_azimuths < 1 or self.rx_elevations < 1:
             raise ValueError("sweep grid counts must be >= 1")
-        if abs(self.rx_azimuths * self.rx_step_deg - 360.0) > 1e-9:
+        if not abs(self.rx_azimuths * self.rx_step_deg - 360.0) <= 1e-9:
             raise ValueError("RX azimuth bins must tile the full 360 degree plane")
 
     @property
@@ -120,44 +123,22 @@ class SweepGrid(NamedTuple):
 
 
 @validated
-class ConditionPolicy(NamedTuple):
-    """Per-link condition assignment.
+class Scenario(NamedTuple):
+    """A drop-simulation scenario; see the module docstring.
 
-    Explicit entries take precedence; remaining links draw LOS with
+    Its fields are the scenario file's keys, and every field after ``ues``
+    has the file's default.  ``conditions`` pins links, keyed
+    ``(ue_id, bs_id)``, to LOS or NLOS; every other link draws LOS with
     probability ``p_los`` (Bernoulli, one uniform per link per trial).
     """
 
-    explicit: Mapping[LinkKey, Condition] = MappingProxyType({})
-    p_los: float = DEFAULT_P_LOS
-
-    def _validate(self):
-        if not 0.0 <= self.p_los <= 1.0:
-            raise ValueError(f"p_los must be in [0, 1], got {self.p_los}")
-        for link, cond in self.explicit.items():
-            if cond not in (Condition.LOS, Condition.NLOS):
-                raise ValueError(
-                    f"explicit condition for link {link} must be LOS or NLOS")
-
-    def pinned(self, links: Sequence[LinkKey]) -> tuple[list[int], list[bool]]:
-        """Positions in ``links`` with an explicit condition, and their LOS flags.
-
-        A link is LOS when its uniform is below ``p_los``; these positions
-        then overwrite the drawn flags, as index arrays built once per run.
-        """
-        pos = [i for i, link in enumerate(links) if link in self.explicit]
-        return pos, [self.explicit[links[i]] is Condition.LOS for i in pos]
-
-
-@validated
-class Scenario(NamedTuple):
-    """A drop-simulation scenario; see the module docstring."""
-
     base_stations: tuple[Node, ...]
     ues: tuple[Node, ...]
-    condition_policy: ConditionPolicy
-    models: Mapping[Condition, CiModel]
-    budget: LinkBudget
+    models: Mapping[Condition, CiModel] = MappingProxyType(DIRECTIONAL_CI_73GHZ)
+    budget: LinkBudget = SOUNDER_LINK_BUDGET
     sweep: SweepGrid = SweepGrid()
+    conditions: Mapping[LinkKey, Condition] = MappingProxyType({})
+    p_los: float = DEFAULT_P_LOS
     seed: int = DEFAULT_SEED
 
     def _validate(self):
@@ -165,6 +146,18 @@ class Scenario(NamedTuple):
             raise ValueError("scenario needs at least one base station")
         if not self.ues:
             raise ValueError("scenario needs at least one UE")
+        ue_ids = {n.id for n in self.ues}
+        bs_ids = {n.id for n in self.base_stations}
+        for (ue_id, bs_id), cond in self.conditions.items():
+            if ue_id not in ue_ids:
+                raise ValueError(f"conditions: unknown UE id {ue_id!r}")
+            if bs_id not in bs_ids:
+                raise ValueError(f"conditions: unknown base station id {bs_id!r}")
+            if cond not in (Condition.LOS, Condition.NLOS):
+                raise ValueError(f"conditions: link {ue_id}/{bs_id} must be "
+                                 "LOS or NLOS")
+        if not 0.0 <= self.p_los <= 1.0:
+            raise ValueError(f"p_los must be in [0, 1], got {self.p_los}")
         for nodes, label in ((self.base_stations, "base station"), (self.ues, "UE")):
             ids = [n.id for n in nodes]
             if len(set(ids)) != len(ids):
@@ -428,7 +421,9 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     mean = np.array([[ci_mean_path_loss_db(m, x) for x in d] for m, _ in table])
     best = [(r, np.array([ci_mean_path_loss_db(b, x) for x in d]), b.sigma_db)
             for r, (_, b) in enumerate(table) if b is not None]
-    pinned, pinned_los = scenario.condition_policy.pinned(keys)
+    # Pinned links overwrite the drawn LOS flags, by index arrays built once.
+    pinned = [i for i, key in enumerate(keys) if key in scenario.conditions]
+    pinned_los = [scenario.conditions[keys[i]] is Condition.LOS for i in pinned]
     limit = max_detectable_pl_db(scenario.budget)
     sweep = scenario.sweep
     n_links, n_tx, n_rx = len(keys), sweep.tx_angles, sweep.n_rx_directions
@@ -451,7 +446,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
                 rng.standard_normal(out=pl[i - b0])
                 if best:
                     rng.standard_normal(out=best_z[i])
-            los = uniforms[b0:b1] < scenario.condition_policy.p_los
+            los = uniforms[b0:b1] < scenario.p_los
             los[:, pinned] = pinned_los
             row = (~los).view(np.uint8)  # each (trial, link)'s table row
             pl *= sigma[row][..., None]

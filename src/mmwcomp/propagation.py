@@ -115,7 +115,7 @@ def fspl_db(f_ghz: float, d_m: float) -> float:
     """
     if not 0 < f_ghz < math.inf:
         raise ValueError(f"frequency must be positive and finite, got {f_ghz} GHz")
-    if d_m < MIN_DISTANCE_M:
+    if not d_m >= MIN_DISTANCE_M:
         raise ValueError(f"distance must be >= {MIN_DISTANCE_M} m, got {d_m}")
     return FSPL_1GHZ_1M_DB + 20.0 * math.log10(f_ghz) + 20.0 * math.log10(d_m)
 
@@ -140,6 +140,6 @@ def ci_mean_path_loss_db(model: CiModel, d_m: float) -> float:
             where the model is not defined.
     """
     d0 = REFERENCE_DISTANCE_M
-    if d_m < d0:
+    if not d_m >= d0:
         raise ValueError(f"CI model is defined for d >= {d0} m")
     return fspl_db(model.f_ghz, d0) + 10.0 * model.ple * math.log10(d_m)

@@ -160,11 +160,12 @@ def _parse_record(cls, obj, path: str, defaults: Mapping | None = None, **fixed)
         _fail(path, str(exc))
 
 
-def _parse_models(obj, path: str) -> dict[Condition, CiModel]:
-    from .params import DIRECTIONAL_CI_73GHZ
+def _parse_models(obj, path: str, base: Mapping[Condition, CiModel]
+                  ) -> dict[Condition, CiModel]:
+    """``base`` with the models that ``obj`` gives, condition by condition."""
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
-    models = dict(DIRECTIONAL_CI_73GHZ)
+    models = dict(base)
     for key, sub in obj.items():
         cond = _parse_condition(key, path)
         models[cond] = _parse_record(CiModel, sub, f"{path}.{key}", condition=cond)
@@ -189,55 +190,50 @@ def _parse_conditions(obj, path: str) -> dict[LinkKey, Condition]:
 def parse_scenario(obj) -> Scenario:
     """Build a Scenario from a decoded JSON object.
 
-    Required keys: base_stations, ues.  Everything else has defaults:
-    node heights 4.0 m (base stations) and 1.4 m (UEs), the 73.5 GHz
-    directional CI models, the channel-sounder link budget, the standard
-    sweep grid, p_los 11/36 and seed 73.
+    The keys are ``schema_version`` and ``Scenario``'s fields, and a key
+    left out takes its field's default, so only base_stations and ues are
+    required.  A node's height defaults by role: 4.0 m for a base station
+    and 1.4 m for a UE.  ``budget`` and ``sweep`` keys left out keep the
+    default record's values, and ``models`` replaces the default models
+    condition by condition.
     """
-    from .coverage import LinkBudget
-    from .diversity import ConditionPolicy, Node, Scenario, SweepGrid
-    from .params import (BS_HEIGHT_M, DEFAULT_P_LOS, DEFAULT_SEED,
-                         DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET,
-                         UE_HEIGHT_M)
+    from .diversity import Node, Scenario
+    from .params import BS_HEIGHT_M, UE_HEIGHT_M
     if not isinstance(obj, dict):
         _fail("scenario", "top level must be an object")
-    _check_keys(obj, {"schema_version", "base_stations", "ues", "models",
-                      "budget", "sweep", "conditions", "p_los", "seed"},
-                "scenario")
+    _check_keys(obj, {"schema_version", *Scenario._fields}, "scenario")
     version = obj.get("schema_version", SCENARIO_SCHEMA_VERSION)
     if version != SCENARIO_SCHEMA_VERSION:
         _fail("scenario.schema_version",
               f"unsupported version {version!r} (supported: {SCENARIO_SCHEMA_VERSION})")
-    for key in ("base_stations", "ues"):
-        if key not in obj or not isinstance(obj[key], list) or not obj[key]:
+    defaults = Scenario._field_defaults
+    for key in Scenario._fields:  # the fields with no default: the nodes
+        if key not in defaults and not (isinstance(obj.get(key), list)
+                                        and obj[key]):
             _fail(f"scenario.{key}", "expected a non-empty array")
-    bss = tuple(_parse_record(Node, n, f"scenario.base_stations[{i}]",
-                              {"height_m": BS_HEIGHT_M})
-                for i, n in enumerate(obj["base_stations"]))
-    ues = tuple(_parse_record(Node, n, f"scenario.ues[{i}]",
-                              {"height_m": UE_HEIGHT_M})
-                for i, n in enumerate(obj["ues"]))
-    models = (_parse_models(obj["models"], "scenario.models")
-              if "models" in obj else dict(DIRECTIONAL_CI_73GHZ))
-    budget = _parse_record(LinkBudget, obj.get("budget", {}), "scenario.budget",
-                           SOUNDER_LINK_BUDGET._asdict())
-    sweep = _parse_record(SweepGrid, obj.get("sweep", {}), "scenario.sweep")
-    explicit = (_parse_conditions(obj["conditions"], "scenario.conditions")
-                if "conditions" in obj else {})
-    p_los = _value(obj.get("p_los", DEFAULT_P_LOS), float, "scenario.p_los")
-    seed = _value(obj.get("seed", DEFAULT_SEED), int, "scenario.seed")
-    if seed < 0:
-        _fail("scenario.seed", f"must be non-negative, got {seed}")
-    ue_ids = {n.id for n in ues}
-    bs_ids = {n.id for n in bss}
-    for (ue_id, bs_id) in explicit:
-        if ue_id not in ue_ids:
-            _fail("scenario.conditions", f"unknown UE id {ue_id!r}")
-        if bs_id not in bs_ids:
-            _fail("scenario.conditions", f"unknown base station id {bs_id!r}")
+    heights = {"base_stations": BS_HEIGHT_M, "ues": UE_HEIGHT_M}
+    fields = {}
+    for key, kind in field_kinds(Scenario).items():
+        path = f"scenario.{key}"
+        if key not in obj:
+            fields[key] = defaults[key]
+        elif key in heights:
+            fields[key] = tuple(_parse_record(Node, n, f"{path}[{i}]",
+                                              {"height_m": heights[key]})
+                                for i, n in enumerate(obj[key]))
+        elif key == "models":
+            fields[key] = _parse_models(obj[key], path, defaults[key])
+        elif key == "conditions":
+            fields[key] = _parse_conditions(obj[key], path)
+        elif hasattr(kind, "_fields"):  # a record: budget, sweep
+            fields[key] = _parse_record(kind, obj[key], path,
+                                        defaults[key]._asdict())
+        else:
+            fields[key] = _value(obj[key], kind, path)
+    if fields["seed"] < 0:
+        _fail("scenario.seed", f"must be non-negative, got {fields['seed']}")
     try:
-        policy = ConditionPolicy(explicit=explicit, p_los=p_los)
-        return Scenario(bss, ues, policy, models, budget, sweep, seed)
+        return Scenario(**fields)
     except ValueError as exc:
         _fail("scenario", str(exc))
 
@@ -427,6 +423,7 @@ def _read_bundle_csv(path: Path, cls, columns) -> list:
 def scenario_to_json(scenario: Scenario) -> str:
     """Serialize a scenario back to its JSON format (round-trippable)."""
     obj = {
+        **scenario._asdict(),  # the plain fields: p_los, seed
         "schema_version": SCENARIO_SCHEMA_VERSION,
         "base_stations": [n._asdict() for n in scenario.base_stations],
         "ues": [n._asdict() for n in scenario.ues],
@@ -436,10 +433,7 @@ def scenario_to_json(scenario: Scenario) -> str:
         "budget": scenario.budget._asdict(),
         "sweep": scenario.sweep._asdict(),
         "conditions": {f"{ue}/{bs}": cond.value
-                       for (ue, bs), cond
-                       in sorted(scenario.condition_policy.explicit.items())},
-        "p_los": scenario.condition_policy.p_los,
-        "seed": scenario.seed,
+                       for (ue, bs), cond in sorted(scenario.conditions.items())},
     }
     buf = io.StringIO()
     json.dump(obj, buf, indent=2, sort_keys=True)

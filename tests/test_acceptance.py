@@ -167,9 +167,7 @@ def test_criterion_6_property_spot_checks(capsys):
         bss = tuple(m.Node(f"B{i}", 150.0 * math.cos(i), 150.0 * math.sin(i),
                            4.0) for i in range(4))
         ues = (m.Node("U1", 0.0, 0.0, 1.4), m.Node("U2", 40.0, -30.0, 1.4))
-        sc = m.Scenario(bss, ues, m.ConditionPolicy(p_los=0.0),
-                        DIRECTIONAL_CI_73GHZ, SOUNDER_LINK_BUDGET,
-                        m.SweepGrid(), 73)
+        sc = m.Scenario(bss, ues, p_los=0.0)
         probs = mean_reception(sc, m.simulate_drop(sc, 20), 4)
         assert all(probs[k] <= probs[k + 1] + 1e-12 for k in range(1, 4))
         best = np.sort(m.simulate_drop(sc, 1).omni_pl_db.reshape(-1, 4), axis=1)
@@ -180,11 +178,11 @@ def test_criterion_6_property_spot_checks(capsys):
         flat = {c: m.CiModel(73.5, ple, 0.0, c)
                 for c, ple in ((Condition.LOS, 2.0), (Condition.NLOS, 4.6))}
         pair = m.Scenario((m.Node("B1", 10.0, 0.0, 4.0),),
-                          (m.Node("U1", 0.0, 0.0, 1.4),),
-                          m.ConditionPolicy(p_los=1.0), flat,
+                          (m.Node("U1", 0.0, 0.0, 1.4),), flat,
                           SOUNDER_LINK_BUDGET,
                           m.SweepGrid(tx_angles=2, rx_azimuths=1,
-                                      rx_elevations=1, rx_step_deg=360.0), 73)
+                                      rx_elevations=1, rx_step_deg=360.0),
+                          p_los=1.0)
         directional = m.ci_mean_path_loss_db(
             flat[Condition.LOS], m.distance_3d(*pair.links()[0]))
         omni = float(m.simulate_drop(pair, 1).omni_pl_db[0, 0])
@@ -214,9 +212,7 @@ def test_criterion_7_cdf_well_formedness(capsys):
                               "values themselves are not targets)"):
         bss = tuple(m.Node(f"B{i}", 120.0 * i, 40.0 * (i % 2), 4.0)
                     for i in range(1, 4))
-        sc = m.Scenario(bss, (m.Node("U1", 50.0, 10.0, 1.4),),
-                        m.ConditionPolicy(), DIRECTIONAL_CI_73GHZ,
-                        SOUNDER_LINK_BUDGET, m.SweepGrid(), 73)
+        sc = m.Scenario(bss, (m.Node("U1", 50.0, 10.0, 1.4),))
         best = np.sort(m.simulate_drop(sc, 50).omni_pl_db, axis=1)
         for rank in range(1, 4):
             pts = m.build_cdf(best[:, rank - 1].tolist())

@@ -16,14 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmwcomp
-from mmwcomp import (CdfPoint, Condition, ModelCard, OutageRow,
+from mmwcomp import (CdfPoint, Condition, ModelCard, Node, OutageRow,
                      PathLossSamples, ReceptionRow, ResultBundle, RunMetadata,
-                     ScenarioError, build_cdf, emit_results, format_pct,
+                     Scenario, ScenarioError, build_cdf, emit_results, format_pct,
                      load_model_cards, load_scenario, load_topology,
                      parse_scenario, read_bundle, read_masks_csv,
                      read_samples_csv, scenario_to_json, simulate_drop)
 from mmwcomp.cli import main
-from mmwcomp.params import CAMPAIGN_SERVING_SETS
+from mmwcomp.params import BS_HEIGHT_M, CAMPAIGN_SERVING_SETS, UE_HEIGHT_M
 
 MINIMAL = {
     "base_stations": [{"id": "B1", "x_m": 0.0, "y_m": 0.0}],
@@ -67,8 +67,19 @@ class TestParseScenario:
         assert sc.models[Condition.NLOS_BEST].ple == 2.9
         assert sc.budget.max_pl_db == 175.0
         assert sc.sweep.n_rx_directions == 72
-        assert sc.condition_policy.p_los == pytest.approx(11 / 36)
+        assert sc.p_los == pytest.approx(11 / 36)
         assert sc.seed == 73
+
+    def test_file_defaults_are_the_record_defaults(self):
+        # Only the node heights differ by role; every other key left out of
+        # the file takes Scenario's own field default.
+        bss = (Node("B1", 0.0, 0.0, BS_HEIGHT_M),)
+        ues = (Node("U1", 30.0, 0.0, UE_HEIGHT_M),)
+        assert parse_scenario(minimal()) == Scenario(bss, ues)
+        assert parse_scenario(minimal(p_los=0.5, seed=9)) == Scenario(
+            bss, ues, p_los=0.5, seed=9)
+        with pytest.raises(TypeError):  # the default models are read-only
+            Scenario(bss, ues).models[Condition.LOS] = None
 
     def test_schema_version(self):
         parse_scenario(minimal(schema_version=1))
@@ -102,7 +113,7 @@ class TestParseScenario:
 
     def test_explicit_conditions(self):
         sc = parse_scenario(minimal(conditions={"U1/B1": "NLOS"}))
-        assert sc.condition_policy.explicit[("U1", "B1")] is Condition.NLOS
+        assert sc.conditions == {("U1", "B1"): Condition.NLOS}
         with pytest.raises(ScenarioError, match="conditions"):
             parse_scenario(minimal(conditions={"U9/B1": "NLOS"}))
         with pytest.raises(ScenarioError, match="LOS or NLOS"):
@@ -1068,7 +1079,7 @@ class TestCli:
          "{path}: scenario.budget: expected an object\n"),
         ("coverage --scenario {path}", "scenario.json",
          json.dumps(minimal(conditions={"U1/B9": "NLOS"})).encode(),
-         "{path}: scenario.conditions: unknown base station id 'B9'\n"),
+         "{path}: scenario: conditions: unknown base station id 'B9'\n"),
         ("coverage --scenario {path}", "scenario.json",
          json.dumps(minimal(p_los=2)).encode(),
          "{path}: scenario: p_los must be in [0, 1], got 2.0\n"),

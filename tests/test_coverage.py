@@ -61,10 +61,11 @@ def test_budget_validation():
 
 
 def test_query_validation():
-    # A radius below the 1 m reference distance is rejected.
+    # A radius below the 1 m reference distance, or NaN, is rejected.
     for fn in (edge_outage_probability, region_outage_probability):
-        with pytest.raises(ValueError, match="defined for d >= 1.0 m"):
-            fn(NLOS, SOUNDER, 0.5)
+        for radius in (0.5, math.nan):
+            with pytest.raises(ValueError, match="defined for d >= 1.0 m"):
+                fn(NLOS, SOUNDER, radius)
     with pytest.raises(ValueError, match="defined for d >= 1.0 m"):
         outage_table({Condition.NLOS: NLOS}, SOUNDER, [63.0, 0.5])
 

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from mmwcomp import (CiModel, Condition, ConditionPolicy, LinkBudget,
-                     Node, PathLossSamples, Scenario, SweepGrid,
-                     ci_mean_path_loss_db, combination_count, distance_3d,
+from mmwcomp import (CiModel, Condition, LinkBudget, Node, PathLossSamples,
+                     Scenario, SweepGrid, ci_mean_path_loss_db,
+                     combination_count, distance_3d,
                      edge_outage_probability, fit_ci, max_detectable_pl_db,
                      reception_counts, simulate_drop, substream)
 from mmwcomp import diversity
@@ -37,14 +37,11 @@ def ue(i, x, y):
     return Node(f"U{i}", x, y, 1.4)
 
 
-def scenario(bss, ues, models=MODELS, policy=None, budget=SOUNDER_LINK_BUDGET,
-             seed=73, sweep=SweepGrid()):
-    return Scenario(tuple(bss), tuple(ues), policy or ConditionPolicy(),
-                    models, budget, sweep, seed)
-
-
-def all_nlos():
-    return ConditionPolicy(p_los=0.0)
+def scenario(bss, ues, models=MODELS, budget=SOUNDER_LINK_BUDGET, seed=73,
+             sweep=SweepGrid(), **pins):
+    """A Scenario; ``pins`` gives its ``conditions`` and ``p_los``, if any."""
+    return Scenario(tuple(bss), tuple(ues), models, budget, sweep, seed=seed,
+                    **pins)
 
 
 def masks_by_trial(drops, n):
@@ -212,8 +209,9 @@ SIGMA0_MODELS = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
                  Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS)}
 
 
-def condition_scenario(bss, ues, policy):
-    return scenario(bss, ues, models=SIGMA0_MODELS, policy=policy,
+def condition_scenario(bss, ues, conditions, p_los):
+    return scenario(bss, ues, models=SIGMA0_MODELS, conditions=conditions,
+                    p_los=p_los,
                     budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=120.0),
                     sweep=SMALL_SWEEP)
 
@@ -231,38 +229,34 @@ def stream_los(sc, trials):
     """(trials, L) LOS flags as the documented stream draws them: trial t's
     first L uniforms below ``p_los``, overwritten on the pinned links."""
     keys = [(u.id, b.id) for u, b in sc.links()]
-    pos, flags = sc.condition_policy.pinned(keys)
-    los = np.array([substream(sc.seed, t).random(len(keys))
-                    < sc.condition_policy.p_los for t in range(trials)])
-    los[:, pos] = flags
+    los = np.array([substream(sc.seed, t).random(len(keys)) < sc.p_los
+                    for t in range(trials)])
+    for i, key in enumerate(keys):
+        if key in sc.conditions:
+            los[:, i] = sc.conditions[key] is Condition.LOS
     return los
 
 
 def test_condition_policy_explicit_and_bernoulli():
     explicit = {("U1", "B1"): Condition.LOS, ("U1", "B3"): Condition.NLOS}
-    links = [("U1", "B1"), ("U1", "B2"), ("U1", "B3")]
-    assert ConditionPolicy(explicit=explicit).pinned(links) == (
-        [0, 2], [True, False])
-    assert ConditionPolicy().pinned(links) == ([], [])
     bss = [bs(i, 30.0 * i, 0.0) for i in range(1, 4)]
     for p_los, expected in ((0.0, [True, False, False]),
                             (1.0, [True, True, False])):
-        sc = condition_scenario(bss, [ue(1, 0.0, 0.0)],
-                                ConditionPolicy(explicit=explicit, p_los=p_los))
+        sc = condition_scenario(bss, [ue(1, 0.0, 0.0)], explicit, p_los)
         assert los_by_trial(simulate_drop(sc, 2)) == [expected] * 2
     # One uniform per link, explicit or not: the free middle link reads the
     # second uniform of each trial's sub-stream.
-    sc = condition_scenario(bss, [ue(1, 0.0, 0.0)],
-                            ConditionPolicy(explicit=explicit, p_los=0.5))
+    sc = condition_scenario(bss, [ue(1, 0.0, 0.0)], explicit, 0.5)
     los = np.array(los_by_trial(simulate_drop(sc, 40)))
     free = [bool(substream(sc.seed, t).random(3)[1] < 0.5) for t in range(40)]
     assert los[:, 1].tolist() == free and 0 < sum(free) < 40
     assert los[:, 0].all() and not los[:, 2].any()
     assert np.array_equal(los, stream_los(sc, 40))
     with pytest.raises(ValueError):
-        ConditionPolicy(p_los=1.5)
+        condition_scenario(bss, [ue(1, 0.0, 0.0)], {}, 1.5)
     with pytest.raises(ValueError):
-        ConditionPolicy(explicit={("U1", "B1"): Condition.NLOS_BEST})
+        condition_scenario(bss, [ue(1, 0.0, 0.0)],
+                           {("U1", "B1"): Condition.NLOS_BEST}, 0.5)
 
 
 ONE_RX = {"rx_azimuths": 1, "rx_elevations": 1, "rx_step_deg": 360.0}
@@ -277,7 +271,7 @@ def test_simulate_sigma0_los_all_detectable(sweep, pairs):
     models = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
               Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS)}
     sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
-                  policy=ConditionPolicy(p_los=1.0), sweep=sweep)
+                  p_los=1.0, sweep=sweep)
     drops = simulate_drop(sc, 1)
     assert drops.links == (("U1", "B1"),)
     n = sweep.n_rx_directions
@@ -304,7 +298,7 @@ def test_simulated_mean_is_the_closed_form_mean(p_los, condition):
         mean = ci_mean_path_loss_db(flat[condition], distance_3d(u1, b1))
         for limit, seen in ((mean, 1), (math.nextafter(mean, 0.0), 0)):
             sc = scenario([b1], [u1], models=flat, sweep=sweep,
-                          policy=ConditionPolicy(p_los=p_los),
+                          p_los=p_los,
                           budget=SOUNDER_LINK_BUDGET._replace(max_pl_db=limit))
             assert max_detectable_pl_db(sc.budget) == limit
             assert simulate_drop(sc, 1).masks == (seen,), (x, limit)
@@ -328,7 +322,7 @@ def test_simulate_omni_bounded_by_best_detected_pair():
     bounded = 0
     for t in range(trials):
         rng = substream(sc.seed, t)
-        los = rng.random(n_links) < sc.condition_policy.p_los
+        los = rng.random(n_links) < sc.p_los
         z = rng.standard_normal((n_links, n_pairs))
         z_best = rng.standard_normal(n_links)
         for i in range(n_links):
@@ -358,7 +352,7 @@ def test_simulated_omni_fits_lower_ple_than_directional():
     # Power-summing many directional looks lowers the effective path loss,
     # so a CI fit over the omni losses sits below the directional slope.
     ues = [ue(i, 20.0 + 180.0 * i / 19, 0.0) for i in range(20)]
-    sc = scenario([bs(1, 0.0, 0.0)], ues, policy=all_nlos())
+    sc = scenario([bs(1, 0.0, 0.0)], ues, p_los=0.0)
     drops = simulate_drop(sc, 10)
     d = {(u.id, b.id): distance_3d(u, b) for u, b in sc.links()}
     samples = PathLossSamples(*zip(*[
@@ -374,7 +368,7 @@ def test_simulate_sigma0_nlos_beyond_range_all_false():
     models = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
               Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS)}
     sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
-                  policy=all_nlos())
+                  p_los=0.0)
     drops = simulate_drop(sc, 1)
     assert masks_by_trial(drops, 72) == ((0,),)
     assert math.isinf(drops.omni_pl_db[0, 0])
@@ -388,7 +382,7 @@ def test_simulate_sigma0_nlos_best_single_angle():
               Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS),
               Condition.NLOS_BEST: CiModel(73.5, 2.9, 0.0, Condition.NLOS_BEST)}
     sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
-                  policy=all_nlos())
+                  p_los=0.0)
     drops = simulate_drop(sc, 1)
     assert masks_by_trial(drops, 72)[0][0].bit_count() == 1
     d = distance_3d(sc.ues[0], sc.base_stations[0])
@@ -451,7 +445,7 @@ def test_reception_vs_k_always_detectable():
 def test_reception_vs_k_monotone_under_shadowing():
     sc = scenario([bs(1, 150.0, 0.0), bs(2, 0.0, 160.0), bs(3, -170.0, 0.0)],
                   [ue(1, 0.0, 0.0), ue(2, 30.0, 30.0)],
-                  policy=all_nlos())
+                  p_los=0.0)
     probs = mean_reception(sc, simulate_drop(sc, 30), 3)
     assert probs[1] <= probs[2] + 1e-12
     assert probs[2] <= probs[3] + 1e-12
@@ -493,11 +487,11 @@ SMALL_SWEEP = SweepGrid(tx_angles=SMALL_T, rx_azimuths=SMALL_R,
 ORACLE_TRIALS = 1000
 
 
-def ring_scenario(radius_m, models, policy, max_pl_db):
+def ring_scenario(radius_m, models, p_los, max_pl_db):
     ues = [ue(i, radius_m * math.cos(i), radius_m * math.sin(i))
            for i in range(4)]
     budget = LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db)
-    return scenario([bs(1, 0.0, 0.0)], ues, models=models, policy=policy,
+    return scenario([bs(1, 0.0, 0.0)], ues, models=models, p_los=p_los,
                     budget=budget, sweep=SMALL_SWEEP)
 
 
@@ -514,8 +508,7 @@ def test_los_k1_reception_matches_closed_form():
     expected = oracles.los_full_reception(
         max_pl, oracles.ci_mean_db(LOS.ple, d), LOS.sigma_db, SMALL_T, SMALL_R)
     assert 0.2 < expected < 0.8
-    assert_k1_within_5se(ring_scenario(radius, MODELS, ConditionPolicy(p_los=1.0),
-                                       max_pl), expected)
+    assert_k1_within_5se(ring_scenario(radius, MODELS, 1.0, max_pl), expected)
 
 
 @pytest.mark.parametrize("bw_ghz", [1.0, 100.0])
@@ -527,8 +520,7 @@ def test_simulate_k1_reception_matches_edge_coverage(bw_ghz):
     station, user = bs(1, 0.0, 0.0), ue(1, 30.0, 0.0)
     sc = scenario([station], [user],
                   models={Condition.LOS: LOS, Condition.NLOS: NLOS},
-                  policy=ConditionPolicy(
-                      explicit={("U1", "B1"): Condition.NLOS}),
+                  conditions={("U1", "B1"): Condition.NLOS},
                   budget=LinkBudget(14.9, 27.0, 20.0, bw_ghz=bw_ghz,
                                     max_pl_db=150.0),
                   sweep=SweepGrid(tx_angles=1, rx_azimuths=1,
@@ -559,7 +551,7 @@ def test_nlos_best_beam_k1_reception_matches_order_statistic(best):
     if best is not NLOS_BEST:
         assert no_best - expected > 0.1
     models = {Condition.LOS: LOS, Condition.NLOS: NLOS, Condition.NLOS_BEST: best}
-    assert_k1_within_5se(ring_scenario(radius, models, all_nlos(), max_pl),
+    assert_k1_within_5se(ring_scenario(radius, models, 0.0, max_pl),
                          expected)
 
 
@@ -567,7 +559,7 @@ def test_omni_within_budget_iff_mask_nonzero():
     budget = LinkBudget(14.9, 27.0, 20.0, max_pl_db=120.0)
     sc = scenario([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -30.0, -20.0)],
                   [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0)],
-                  policy=ConditionPolicy(p_los=0.5), budget=budget,
+                  p_los=0.5, budget=budget,
                   sweep=SMALL_SWEEP)
     seen = set()
     drops = simulate_drop(sc, 200)
@@ -587,7 +579,7 @@ def test_los_share_of_random_links_matches_p_los():
     explicit = {("U1", "B1"): Condition.LOS, ("U2", "B3"): Condition.NLOS}
     sc = condition_scenario([bs(i, 30.0 * i, 0.0) for i in range(1, 4)],
                             [ue(i, 0.0, 20.0 * i) for i in range(1, 5)],
-                            ConditionPolicy(explicit=explicit, p_los=p_los))
+                            explicit, p_los)
     n_los = n = 0
     drops = simulate_drop(sc, trials)
     for link, los in zip(drops.links,
@@ -606,12 +598,11 @@ def test_golden_trial_zero():
     # Pins the per-trial stream layout: one uniform per link, the (L, T*R)
     # normal block, then one best-beam normal per link.  A change here must
     # be a deliberate change of the realised simulate values.
-    policy = ConditionPolicy(explicit={("U1", "B1"): Condition.NLOS,
-                                       ("U1", "B2"): Condition.LOS,
-                                       ("U2", "B1"): Condition.LOS},
-                             p_los=0.5)
+    conditions = {("U1", "B1"): Condition.NLOS, ("U1", "B2"): Condition.LOS,
+                  ("U2", "B1"): Condition.LOS}
     sc = scenario([bs(1, 0.0, 0.0), bs(2, 120.0, 0.0)],
-                  [ue(1, 20.0, 0.0), ue(2, 100.0, 10.0)], policy=policy,
+                  [ue(1, 20.0, 0.0), ue(2, 100.0, 10.0)],
+                  conditions=conditions, p_los=0.5,
                   budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=108.0),
                   seed=75)
     drops = simulate_drop(sc, 1)
@@ -649,10 +640,11 @@ def policy_scenarios(draw):
     pins = st.sampled_from([None, Condition.LOS, Condition.NLOS])
     explicit = {(u.id, b.id): c for u in ues for b in bss
                 if (c := draw(pins)) is not None}
-    policy = ConditionPolicy(explicit, draw(st.floats(0.0, 1.0)))
+    p_los = draw(st.floats(0.0, 1.0))
     budget = LinkBudget(14.9, 27.0, 20.0, max_pl_db=draw(st.floats(80.0, 140.0)))
-    return scenario(bss, ues, models=models, policy=policy, budget=budget,
-                    seed=draw(st.integers(0, 2**32)), sweep=SMALL_SWEEP)
+    return scenario(bss, ues, models=models, conditions=explicit, p_los=p_los,
+                    budget=budget, seed=draw(st.integers(0, 2**32)),
+                    sweep=SMALL_SWEEP)
 
 
 @given(policy_scenarios(), st.integers(1, 2))
@@ -666,7 +658,6 @@ def test_draw_policy_matches_documented_rules(sc, trials):
     links = sc.links()
     n_pairs = SMALL_T * SMALL_R
     best = sc.models.get(Condition.NLOS_BEST)
-    policy = sc.condition_policy
     limit = max_detectable_pl_db(sc.budget)
     drops = simulate_drop(sc, trials)
     masks = masks_by_trial(drops, SMALL_R)
@@ -676,8 +667,8 @@ def test_draw_policy_matches_documented_rules(sc, trials):
         normals = rng.standard_normal((len(links), n_pairs))
         best_normals = rng.standard_normal(len(links)) if best else None
         for i, (u, b) in enumerate(links):
-            cond = policy.explicit.get((u.id, b.id))
-            los = (uniforms[i] < policy.p_los if cond is None
+            cond = sc.conditions.get((u.id, b.id))
+            los = (uniforms[i] < sc.p_los if cond is None
                    else cond is Condition.LOS)
             model = sc.models[Condition.LOS if los else Condition.NLOS]
             d = distance_3d(u, b)
@@ -708,8 +699,8 @@ DENSE_BSS = [bs(i, 25.0 * i * math.cos(i), 25.0 * i * math.sin(i))
 DENSE_UES = [ue(i, 10.0 * i, -5.0 * i) for i in range(1, 4)]
 
 
-def dense_scenario(policy, max_pl_db):
-    return scenario(DENSE_BSS, DENSE_UES, models=DENSE_MODELS, policy=policy,
+def dense_scenario(pins, max_pl_db):
+    return scenario(DENSE_BSS, DENSE_UES, models=DENSE_MODELS, **pins,
                     budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db),
                     seed=7, sweep=SMALL_SWEEP)
 
@@ -736,8 +727,8 @@ def exact_reception(sc, k, trials):
                 mean = oracles.ci_mean_db(model.ple, distance_3d(u, b))
                 p = special.ndtr((sc.budget.max_pl_db - mean) / model.sigma_db)
                 miss[state, j] = (1.0 - p) ** sc.sweep.tx_angles
-            pinned = sc.condition_policy.explicit.get((u.id, b.id))
-            p_los = (sc.condition_policy.p_los if pinned is None
+            pinned = sc.conditions.get((u.id, b.id))
+            p_los = (sc.p_los if pinned is None
                      else float(pinned is Condition.LOS))
             weight[:, j] = 1.0 - p_los, p_los
         pattern_p = np.prod(weight[los_state, np.arange(n_bs)], axis=1)
@@ -759,15 +750,14 @@ def exact_reception(sc, k, trials):
 _DENSE_KEYS = [(u.id, b.id) for u in DENSE_UES for b in DENSE_BSS]
 
 
-@pytest.mark.parametrize("policy,max_pl_db", [
-    (ConditionPolicy(p_los=1.0), 100.0),
-    (ConditionPolicy(explicit={
-        key: Condition.LOS if i % 3 == 0 else Condition.NLOS
-        for i, key in enumerate(_DENSE_KEYS)}), 108.0),
-    (ConditionPolicy(p_los=0.4), 110.0),
+@pytest.mark.parametrize("pins,max_pl_db", [
+    ({"p_los": 1.0}, 100.0),
+    ({"conditions": {key: Condition.LOS if i % 3 == 0 else Condition.NLOS
+                     for i, key in enumerate(_DENSE_KEYS)}}, 108.0),
+    ({"p_los": 0.4}, 110.0),
 ], ids=["pinned_los", "pinned_mixed", "bernoulli"])
-def test_k_subset_reception_matches_exact_oracle(policy, max_pl_db):
-    sc = dense_scenario(policy, max_pl_db)
+def test_k_subset_reception_matches_exact_oracle(pins, max_pl_db):
+    sc = dense_scenario(pins, max_pl_db)
     probs = mean_reception(sc, simulate_drop(sc, DENSE_TRIALS), 6)
     for k in range(2, 7):
         expected, se = exact_reception(sc, k, DENSE_TRIALS)
@@ -783,11 +773,10 @@ def _with_cpus(monkeypatch, n):
 
 def mixed_scenario():
     """3 BS x 2 UE with pinned and drawn conditions and NLOS_BEST."""
-    policy = ConditionPolicy(explicit={("U1", "B1"): Condition.LOS,
-                                       ("U2", "B3"): Condition.NLOS},
-                             p_los=0.5)
     sc = scenario([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -60.0, 10.0)],
-                  [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0)], policy=policy,
+                  [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0)],
+                  conditions={("U1", "B1"): Condition.LOS,
+                              ("U2", "B3"): Condition.NLOS}, p_los=0.5,
                   budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=130.0),
                   sweep=SMALL_SWEEP)
     assert Condition.NLOS_BEST in sc.models
@@ -837,10 +826,9 @@ THREE_UES = [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0), ue(3, 30.0, -50.0)]
 def test_stacked_reduction_matches_per_trial_counts(monkeypatch, bss, ues,
                                                      topology, max_pl_db,
                                                      trials, k_max):
-    policy = ConditionPolicy(explicit={("U1", "B1"): Condition.LOS,
-                                       ("U2", "B3"): Condition.NLOS},
-                             p_los=0.6)
-    sc = scenario(bss, ues, policy=policy, sweep=SMALL_SWEEP,
+    sc = scenario(bss, ues, conditions={("U1", "B1"): Condition.LOS,
+                                        ("U2", "B3"): Condition.NLOS},
+                  p_los=0.6, sweep=SMALL_SWEEP,
                   budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db))
     assert Condition.NLOS_BEST in sc.models
     topology = topology or sc.topology()

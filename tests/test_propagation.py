@@ -32,6 +32,8 @@ def test_fspl_rejects_bad_inputs():
         fspl_db(-28.0, 10.0)
     with pytest.raises(ValueError):
         fspl_db(73.5, 1e-4)
+    with pytest.raises(ValueError, match="got nan"):
+        fspl_db(73.5, math.nan)
 
 
 @pytest.mark.parametrize("f_ghz", [math.nan, math.inf, -math.inf])

@@ -1,16 +1,17 @@
 """The record contract: immutable NamedTuples that check their fields."""
 
+import math
 import pickle
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import pytest
 
 import mmwcomp
-from mmwcomp import (CdfPoint, CiModel, Condition, ConditionPolicy, Drops,
-                     LinkBudget, ModelCard, Node, OutageRow, PathLossSamples,
-                     ReceptionRow, ResultBundle, RunMetadata, Scenario,
-                     ScenarioError, SweepGrid)
+from mmwcomp import (CdfPoint, CiModel, Condition, Drops, LinkBudget,
+                     ModelCard, Node, OutageRow, PathLossSamples, ReceptionRow,
+                     ResultBundle, RunMetadata, Scenario, ScenarioError,
+                     SweepGrid)
 from mmwcomp.propagation import field_kinds
 from mmwcomp.scenario_io import _parse_record
 
@@ -19,7 +20,7 @@ BUDGET = LinkBudget(14.9, 27.0, 20.0)
 META = RunMetadata("simulate", "0.1.0", 7, 2)
 B1 = Node("B1", 0.0, 0.0, 4.0)
 U1 = Node("U1", 30.0, 0.0, 1.4)
-POLICY = ConditionPolicy({("U1", "B1"): Condition.LOS}, 0.5)
+PINNED = {("U1", "B1"): Condition.LOS}
 MODELS = {Condition.LOS: CiModel(73.5, 2.0, 1.9, Condition.LOS),
           Condition.NLOS: NLOS}
 
@@ -38,19 +39,23 @@ RECORDS = [
                  {"best1_pl_db": [CdfPoint(120.0, 1.0)]}),
     B1,
     SweepGrid(),
-    POLICY,
-    Scenario((B1,), (U1,), POLICY, MODELS, BUDGET, SweepGrid(), 7),
+    Scenario((B1,), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
     # One link over two trials in one-byte lanes: masks 0b1, then 0b11.
     Drops((("U1", "B1"),), np.full((2, 1), 90.0), (1 | 3 << 8,)),
 ]
 
 # For each validated record: valid fields in field order with one bad
-# value, and the message the check gives for it.
+# value, and the message the check gives for it.  A NaN must fail each
+# check that compares a float, so those checks are written negated.
 INVALID = [
     (CiModel, (0.0, 2.0, 1.0, Condition.LOS),
      "f_ghz must be positive and finite, got 0.0"),
     (LinkBudget, (14.9, 27.0, 20.0, 0.0, 175.0, 5.0),
      "bw_ghz must be positive, got 0.0"),
+    (LinkBudget, (14.9, 27.0, 20.0, math.nan, 175.0, 5.0),
+     "bw_ghz must be positive, got nan"),
+    (LinkBudget, (14.9, 27.0, 20.0, 1.0, math.nan, 5.0),
+     "max_pl_db must be positive, got nan"),
     (PathLossSamples, ((0.5,), (120.0,), (Condition.NLOS,), ("VV",)),
      "sample distance must be finite and >= 1.0 m, got 0.5"),
     (ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
@@ -70,9 +75,11 @@ INVALID = [
     (ReceptionRow, (2, -0.5, 6), "probability must be in [0, 1], got -0.5"),
     (ReceptionRow, (2, 0.5, 0), "n_combinations must be >= 1, got 0"),
     (Node, ("B1", 0.0, 0.0, 0.0), "height_m must be positive, got 0.0"),
+    (Node, ("B1", 0.0, 0.0, math.nan), "height_m must be positive, got nan"),
     (SweepGrid, (0, 24, 3, 8.0, 15.0), "sweep grid counts must be >= 1"),
-    (ConditionPolicy, ({}, 1.5), "p_los must be in [0, 1], got 1.5"),
-    (Scenario, ((), (U1,), POLICY, MODELS, BUDGET, SweepGrid(), 7),
+    (SweepGrid, (15, 24, 3, 8.0, math.nan),
+     "RX azimuth bins must tile the full 360 degree plane"),
+    (Scenario, ((), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
      "scenario needs at least one base station"),
 ]
 
@@ -81,12 +88,19 @@ def _name(record):
     return type(record).__name__
 
 
+def _invalid_id(case):
+    """The class name, with ``_nan`` added for a NaN case."""
+    cls, values, _ = case
+    nan = any(isinstance(v, float) and math.isnan(v) for v in values)
+    return cls.__name__ + ("_nan" if nan else "")
+
+
 def test_every_record_class_is_covered():
     exported = [getattr(mmwcomp, name) for name in mmwcomp.__all__]
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
-    assert records == {type(r) for r in RECORDS} and len(RECORDS) == 14
+    assert records == {type(r) for r in RECORDS} and len(RECORDS) == 13
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
-    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 18
+    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 21
 
 
 def test_record_fields():
@@ -104,7 +118,7 @@ def test_fields_cannot_be_assigned(record):
 
 
 @pytest.mark.parametrize("cls,values,message", INVALID,
-                         ids=[cls.__name__ for cls, _, _ in INVALID])
+                         ids=map(_invalid_id, INVALID))
 def test_check_runs_positionally_and_by_keyword(cls, values, message):
     assert len(values) == len(cls._fields)
     with pytest.raises(ValueError) as positional:
@@ -139,9 +153,27 @@ def test_replace_copies_without_checking():
         CiModel(*NLOS._replace(sigma_db=-1.0))
 
 
+@pytest.mark.parametrize("pins,message", [
+    ({"conditions": {("U9", "B1"): Condition.LOS}},
+     "conditions: unknown UE id 'U9'"),
+    ({"conditions": {("U1", "B7"): Condition.NLOS}},
+     "conditions: unknown base station id 'B7'"),
+    ({"conditions": {("U1", "B1"): Condition.NLOS_BEST}},
+     "conditions: link U1/B1 must be LOS or NLOS"),
+    ({"p_los": 1.5}, "p_los must be in [0, 1], got 1.5"),
+    ({"p_los": math.nan}, "p_los must be in [0, 1], got nan"),
+], ids=["unknown_ue", "unknown_bs", "nlos_best", "p_los_above_1", "p_los_nan"])
+def test_scenario_checks_conditions_and_p_los(pins, message):
+    # A pinned link must be one of the scenario's links, so none is
+    # silently left to the Bernoulli draw.
+    with pytest.raises(ValueError) as exc:
+        Scenario((B1,), (U1,), **pins)
+    assert str(exc.value) == message
+
+
 # Each JSON record's schema as its annotations give it: the keys of a
-# scenario section, a model card or metadata.json, in order, with each
-# key's kind.  An annotation edit here is a change of file format.
+# scenario file or one of its sections, a model card or metadata.json, in
+# order, with each key's kind.  An annotation edit here is a change of file format.
 SCHEMAS = [
     (Node, {"id": str, "x_m": float, "y_m": float, "height_m": float}),
     (CiModel, {"f_ghz": float, "ple": float, "sigma_db": float,
@@ -150,6 +182,11 @@ SCHEMAS = [
                                 "max_pl_db", "snr_threshold_db"], float)),
     (SweepGrid, {"tx_angles": int, "rx_azimuths": int, "rx_elevations": int,
                  "tx_step_deg": float, "rx_step_deg": float}),
+    (Scenario, {"base_stations": tuple[Node, ...], "ues": tuple[Node, ...],
+                "models": Mapping[Condition, CiModel], "budget": LinkBudget,
+                "sweep": SweepGrid,
+                "conditions": Mapping[tuple[str, str], Condition],
+                "p_los": float, "seed": int}),
     (ModelCard, {"label": str, "f_ghz": float, "ple": float,
                  "sigma_db": float, "condition": Condition, "n_samples": int}),
     (RunMetadata, {"command": str, "package_version": str, "seed": int,
