@@ -112,8 +112,10 @@ class SweepGrid(NamedTuple):
     rx_step_deg: float = 15.0
 
     def _validate(self):
-        if self.tx_angles < 1 or self.rx_azimuths < 1 or self.rx_elevations < 1:
-            raise ValueError("sweep grid counts must be >= 1")
+        counts = (self.tx_angles, self.rx_azimuths, self.rx_elevations)
+        if not all(type(c) is int and c >= 1 for c in counts):  # bool is not int
+            raise ValueError(f"sweep grid counts must be integers >= 1, "
+                             f"got {counts}")
         if not abs(self.rx_azimuths * self.rx_step_deg - 360.0) <= 1e-9:
             raise ValueError("RX azimuth bins must tile the full 360 degree plane")
 

@@ -10,8 +10,10 @@ with the shadow-fading sigma taken as the root-mean-square residual
 (divide by N).  The sums are exactly rounded ``math.fsum`` sums, so the
 fit needs no numpy.
 
-Samples are held as columns in one ``PathLossSamples`` record, as
-``read_samples_csv`` returns them; ``group_samples_by_condition`` splits
+``check_sample`` is the one rule for a sample: ``read_samples_csv``
+applies it to each CSV row as it reads it, and building a
+``PathLossSamples`` record applies it to each sample.  Samples are held
+as columns in that record; ``group_samples_by_condition`` splits
 one by condition and ``fit_ci`` fits one condition's co-polarized (VV)
 columns.  Cross-polarized (VH) rows are validated but never fitted: the
 campaign publishes no VH parameters to fit them to.
@@ -62,8 +64,8 @@ class PathLossSamples(NamedTuple):
     ``PathLossSamples()`` is the empty set, and ``PathLossSamples(*zip(*rows))``
     builds one from ``(d_m, pl_db, condition, polarization)`` rows.
 
-    The check runs over whole columns; when one fails, the first bad
-    sample is checked alone by ``check_sample``, whose message is raised.
+    Building one checks each sample in order by ``check_sample``, whose
+    message the first bad sample raises.
     """
 
     d_m: tuple[float, ...] = ()
@@ -72,18 +74,9 @@ class PathLossSamples(NamedTuple):
     polarization: tuple[str, ...] = ()
 
     def _validate(self):
-        n = len(self.d_m)
-        if not len(self.pl_db) == len(self.condition) == len(self.polarization) == n:
+        if len(set(map(len, self))) > 1:
             raise ValueError(f"sample columns must have equal lengths, got "
                              f"{[len(col) for col in self]}")
-        # tuple.count compares by identity first, so the label checks stay
-        # in C; a NaN fails isfinite, which min() alone would not see.
-        if (all(map(math.isfinite, self.d_m))
-                and (not n or min(self.d_m) >= REFERENCE_DISTANCE_M)
-                and all(map(math.isfinite, self.pl_db))
-                and sum(map(self.condition.count, _SAMPLE_CONDITIONS)) == n
-                and sum(map(self.polarization.count, _POLARIZATIONS)) == n):
-            return
         for sample in zip(*self):
             check_sample(*sample)
 

@@ -11,11 +11,11 @@ with the file (undecodable JSON), the file and a dotted key path (scenario
 JSON, bundle metadata), the file and a card index (model cards) or a
 1-based line number (CSV), so it can be fixed without reading tracebacks.
 
-Path-loss samples are read as columns into one ``PathLossSamples`` record:
-each column is parsed and checked whole, and the rows are walked one by
-one only to name the first bad line.  The CSV and
-topology readers load neither ``coverage`` nor ``params``; only the
-scenario parser needs them.
+Path-loss samples are read row by row, in file order: each row is parsed
+and checked once by ``fitting.check_sample``, so the first bad row names
+its line, and the checked rows become the columns of one
+``PathLossSamples`` record.  The CSV and topology readers load neither
+``coverage`` nor ``params``; only the scenario parser needs them.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ def _csv_rows(source: str | Path | TextIO, fields: tuple[str, ...],
               label: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(lineno, row)`` for each non-blank row below a ``fields`` header.
 
-    A path is read by ``_read_text``.  Errors start with ``label`` and,
-    past an empty file, give the 1-based line.
+    A path is read by ``_read_text``.  Every non-blank row must have one
+    field per header column.  Errors start with ``label`` and, past an
+    empty file, give the 1-based line.
     """
     if isinstance(source, (str, Path)):
         source = io.StringIO(_read_text(source, label), newline="")
@@ -83,8 +84,12 @@ def _csv_rows(source: str | Path | TextIO, fields: tuple[str, ...],
             raise ScenarioError(
                 f"{label} line 1: header must be {','.join(fields)}")
         for lineno, row in enumerate(reader, start=2):
-            if any(map(str.strip, row)):
-                yield lineno, row
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != len(fields):
+                raise ScenarioError(f"{label} line {lineno}: expected "
+                                    f"{len(fields)} fields, got {len(row)}")
+            yield lineno, row
     except csv.Error as exc:
         raise ScenarioError(f"{label} line {reader.line_num}: {exc}") from None
 
@@ -256,43 +261,26 @@ def read_samples_csv(source: str | Path | TextIO) -> PathLossSamples:
 
     Returns one ``PathLossSamples`` record with a column per field, in
     file order; a header with no data rows gives ``PathLossSamples()``.
-    Any malformed row raises ScenarioError with its line number.
+    Each row is parsed and checked by ``check_sample`` as it is read, so
+    the first malformed row raises ScenarioError with its line number.
     """
-    rows: list[tuple[int, list[str]]] = []
-    try:
-        rows.extend(_csv_rows(source, SAMPLE_FIELDS, "samples CSV"))
-        return _sample_columns([row for _, row in rows])
-    except (ValueError, KeyError):
-        # A bad cell, label or row width is named by its line, and so is a
-        # bad row above a line that the CSV reader cannot read.
-        _raise_first_bad_sample(rows)
-        raise
-
-
-def _sample_columns(rows: list[list[str]]) -> PathLossSamples:
-    """Every row parsed a column at a time; any bad row raises."""
-    from .fitting import PathLossSamples
-    if not rows:
-        return PathLossSamples()
-    d_m, pl_db, labels, polarizations = zip(*rows, strict=True)
-    return PathLossSamples(
-        tuple(map(float, d_m)), tuple(map(float, pl_db)),
-        tuple(map(_CONDITION_OF.__getitem__, map(str.strip, labels))),
-        tuple(map(str.strip, polarizations)))
-
-
-def _raise_first_bad_sample(rows: list[tuple[int, list[str]]]):
-    """Raise ScenarioError with the line number of the first row that fails
-    to parse or fails ``check_sample``; return if every row passes."""
-    from .fitting import check_sample
-    for lineno, row in rows:
+    from .fitting import PathLossSamples, check_sample
+    rows = []
+    for lineno, (d_m, pl_db, label, polarization) in _csv_rows(
+            source, SAMPLE_FIELDS, "samples CSV"):
         try:
-            if len(row) != len(SAMPLE_FIELDS):
-                raise ValueError(f"expected {len(SAMPLE_FIELDS)} fields, got {len(row)}")
-            check_sample(float(row[0]), float(row[1]), Condition(row[2].strip()),
-                         row[3].strip())
+            label = label.strip()
+            # The dict lookup is the fast path; Condition(label) only runs
+            # to raise its message for an unknown label.
+            sample = (float(d_m), float(pl_db),
+                      _CONDITION_OF.get(label) or Condition(label),
+                      polarization.strip())
+            check_sample(*sample)
         except ValueError as exc:
             raise ScenarioError(f"samples CSV line {lineno}: {exc}") from None
+        rows.append(sample)
+    # Every row is checked already, so the record is built unchecked.
+    return PathLossSamples._make(zip(*rows)) if rows else PathLossSamples()
 
 
 MASK_FIELDS = ("rx_id", "tx_id", "mask")
@@ -311,8 +299,6 @@ def read_masks_csv(source: str | Path | TextIO
     masks: dict[LinkKey, int] = {}
     width = 0
     for lineno, row in _csv_rows(source, MASK_FIELDS, "masks CSV"):
-        if len(row) != len(MASK_FIELDS):
-            raise ScenarioError(f"masks CSV line {lineno}: expected 3 fields")
         rx_id, tx_id, bits = (cell.strip() for cell in row)
         width = width or len(bits)
         if not bits or len(bits) != width or set(bits) - {"0", "1"}:
@@ -393,8 +379,6 @@ def _read_bundle_csv(path: Path, cls, columns) -> list:
     from .results import CdfPoint, _validate_cdf
     rows = []
     for lineno, row in _csv_rows(path, tuple(c[0] for c in columns), str(path)):
-        if len(row) != len(columns):
-            raise ScenarioError(f"{path} line {lineno}: expected {len(columns)} fields")
         values = []
         for (head, fmt, parse), text in zip(columns, row):
             try:

@@ -664,7 +664,10 @@ class TestCli:
          " line 3: distance_m must read '63', got '63.0'\n"),
         ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
                        b"NLOS,63,2.4\n",
-         " line 2: expected 4 fields\n"),
+         " line 2: expected 4 fields, got 3\n"),
+        ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
+                       b"NLOS,63,2.4,0.7,9\n",
+         " line 2: expected 4 fields, got 5\n"),
         ("reception.csv", b"k,p\nfoo,bar,baz\n",
          " line 1: header must be k,p_reception_pct,n_combinations\n"),
         ("reception.csv", b"k,p_reception_pct,n_combinations\nfoo,50.0,2\n",
@@ -681,7 +684,7 @@ class TestCli:
                           b'"seed": -3, "trials": -5}',
          ": seed: must be >= 0, got -3\n"),
     ], ids=["outage", "reception", "outage_not_a_number", "outage_not_as_written",
-            "outage_short_row", "reception_header", "reception_k",
+            "outage_short_row", "outage_long_row", "reception_header", "reception_k",
             "reception_pct", "outage_record", "reception_record",
             "metadata_record"])
     def test_report_reads_every_file_before_printing(self, tmp_path, capsys,
@@ -1088,7 +1091,10 @@ class TestCli:
          "{path}: scenario: duplicate UE id\n"),
         ("enumerate --topology {topo} --masks {path}", "masks.csv",
          b"rx_id,tx_id,mask\nU1,B1,1\nU1,B2\n",
-         "masks CSV line 3: expected 3 fields\n"),
+         "masks CSV line 3: expected 3 fields, got 2\n"),
+        ("enumerate --topology {topo} --masks {path}", "masks.csv",
+         b"rx_id,tx_id,mask\nU1,B1,1,0\n",
+         "masks CSV line 2: expected 3 fields, got 4\n"),
         ("enumerate --topology {path}", "topology.json", b"{}",
          "{path}: expected a non-empty object\n"),
         ("enumerate --topology {path}", "topology.json",
@@ -1103,8 +1109,8 @@ class TestCli:
             "samples-not-utf8", "scenario-top-level", "scenario-models",
             "scenario-conditions", "scenario-budget", "scenario-unknown-bs",
             "scenario-p_los", "scenario-duplicate-ue", "masks-short-row",
-            "topology-empty", "topology-duplicate-bs", "models-not-array",
-            "bundle-without-metadata"])
+            "masks-long-row", "topology-empty", "topology-duplicate-bs",
+            "models-not-array", "bundle-without-metadata"])
     def test_unreadable_input_exits_1(self, tmp_path, capsys, argv, name,
                                       data, message):
         path = tmp_path / name

@@ -76,7 +76,12 @@ INVALID = [
     (ReceptionRow, (2, 0.5, 0), "n_combinations must be >= 1, got 0"),
     (Node, ("B1", 0.0, 0.0, 0.0), "height_m must be positive, got 0.0"),
     (Node, ("B1", 0.0, 0.0, math.nan), "height_m must be positive, got nan"),
-    (SweepGrid, (0, 24, 3, 8.0, 15.0), "sweep grid counts must be >= 1"),
+    (SweepGrid, (0, 24, 3, 8.0, 15.0),
+     "sweep grid counts must be integers >= 1, got (0, 24, 3)"),
+    (SweepGrid, (math.nan, 24, 3, 8.0, 15.0),
+     "sweep grid counts must be integers >= 1, got (nan, 24, 3)"),
+    (SweepGrid, (2.5, 24, 3, 8.0, 15.0),
+     "sweep grid counts must be integers >= 1, got (2.5, 24, 3)"),
     (SweepGrid, (15, 24, 3, 8.0, math.nan),
      "RX azimuth bins must tile the full 360 degree plane"),
     (Scenario, ((), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
@@ -89,10 +94,13 @@ def _name(record):
 
 
 def _invalid_id(case):
-    """The class name, with ``_nan`` added for a NaN case."""
+    """The class name, with ``_float`` added for a float given to an int
+    field and ``_nan`` for a NaN case."""
     cls, values, _ = case
+    kinds = field_kinds(cls).values()
+    floats = any(k is int and isinstance(v, float) for k, v in zip(kinds, values))
     nan = any(isinstance(v, float) and math.isnan(v) for v in values)
-    return cls.__name__ + ("_nan" if nan else "")
+    return cls.__name__ + ("_float" if floats else "") + ("_nan" if nan else "")
 
 
 def test_every_record_class_is_covered():
@@ -100,7 +108,7 @@ def test_every_record_class_is_covered():
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 13
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
-    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 21
+    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 23
 
 
 def test_record_fields():
