@@ -9,9 +9,10 @@ Subcommands:
 
 Exit codes: 0 on success, 1 on bad input, 2 on an internal failure (and,
 per argparse convention, on a usage error).  A stdout closed by its reader
-exits 1 with nothing on stderr.  Each command returns its result bundle,
-and ``main`` writes it under the --out directory; without one, output is
-stdout only.
+exits 1 with nothing on stderr.  Each command that writes a bundle
+returns it, and ``main`` writes it under the --out directory; without one,
+output is stdout only.  ``report`` writes no bundle, and ``enumerate``
+writes one only with --masks, so its --out without --masks exits 1.
 
 ``run()`` is the process entry point (``python -m mmwcomp.cli`` and the
 ``mmwcomp`` script); ``main()`` is the same commands for callers inside a
@@ -58,6 +59,9 @@ def _parse_distances(text: str) -> list[float]:
 
 def _cmd_fit(args) -> ResultBundle:
     from .fitting import VV, FitError, fit_ci, group_samples_by_condition
+    if not 0.0 < args.f_ghz < math.inf:
+        raise ScenarioError(f"--f-ghz must be positive and finite, "
+                            f"got {args.f_ghz}")
     samples = read_samples_csv(args.samples)
     if not samples.d_m:
         raise ScenarioError(f"{args.samples}: no usable samples; the file "
@@ -122,10 +126,10 @@ def _cmd_simulate(args) -> ResultBundle:
     n_bs = len(scenario.base_stations)
     k_max = args.k_max if args.k_max is not None else min(5, n_bs)
     if not 1 <= k_max <= n_bs:
-        raise ScenarioError(f"k_max must be in [1, {n_bs}], got {k_max}")
+        raise ScenarioError(f"--k-max must be in [1, {n_bs}], got {k_max}")
     # simulate_drop checks this too; every flag is checked before it runs.
     if args.trials < 1:
-        raise ScenarioError(f"trials must be >= 1, got {args.trials}")
+        raise ScenarioError(f"--trials must be >= 1, got {args.trials}")
     drops = simulate_drop(scenario, args.trials)
     counts = reception_counts(dict(zip(drops.links, drops.masks)),
                               scenario.topology(), k_max,
@@ -148,6 +152,9 @@ def _cmd_simulate(args) -> ResultBundle:
 
 def _cmd_enumerate(args) -> ResultBundle | None:
     from .diversity import combination_count, reception_counts
+    if args.out is not None and args.masks is None:
+        raise ScenarioError("--out needs --masks: enumerate without masks "
+                            "writes no bundle")
     if args.k is not None and args.k < 1:
         raise ScenarioError(f"--k must be >= 1, got {args.k}")
     topology = load_topology(args.topology)

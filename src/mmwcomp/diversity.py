@@ -35,10 +35,10 @@ unpack like tuples, and ``_replace`` copies one without re-running its
 checks.  :class:`Drops` compares by identity, since its fields are arrays.
 
 :func:`simulate_drop` draws its trials in contiguous chunks, one per
-usable CPU: the calling process draws the first and forked children the
-rest.  Because every trial owns its sub-stream and chunks are joined in
-trial order, the output is byte-identical for any split; nothing needs
-setting.  Platforms without ``os.fork`` draw every trial in one process.
+usable CPU: the calling thread draws the first and worker threads the
+rest, each into its own rows of one set of output arrays.  Because every
+trial owns its sub-stream, the output is byte-identical for any split;
+nothing needs setting.
 
 Reception-over-all-angles statistics for k serving base stations are then
 combinatorial: a k-combination of serving stations covers a user when the
@@ -60,9 +60,10 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from types import MappingProxyType
 from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple,
-                    Sequence, TypeVar)
+                    Sequence)
 
 from .coverage import LinkBudget, max_detectable_pl_db
 from .params import (DEFAULT_P_LOS, DEFAULT_SEED, DIRECTIONAL_CI_73GHZ,
@@ -74,7 +75,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 LinkKey = tuple[str, str]  # (ue_id, bs_id)
-_T = TypeVar("_T")
 
 # Batches of trials are post-processed together, their normal blocks
 # filling about this many bytes of float64.
@@ -333,70 +333,45 @@ def reception_counts(masks: Mapping[LinkKey, int],
     return counts
 
 
-def _map_trials(fn: Callable[[int, int], _T], trials: int) -> list[_T]:
+def _map_trials(fn: Callable[[int, int], object], trials: int) -> None:
     """``fn(lo, hi)`` over contiguous trial chunks, one per usable CPU.
 
     Chunk i covers trials ``[trials*i//w, trials*(i+1)//w)`` with
-    ``w = min(trials, usable CPUs)``; results come back in chunk order.  The
-    caller runs chunk 0 while forked children run the rest, so ``fn`` may be
-    a closure.  A child pickles ``(ok, result or exception)`` to its pipe and
-    always leaves through ``os._exit``, never returning into the caller's
-    code.  The caller reads every pipe to its end before it reaps, and it
-    reaps every child even when its own chunk raises.  A child's exception
-    is raised again; a child that exits without a result raises
-    ``RuntimeError`` naming its exit status.  Forking skips the interpreter
-    and numpy start-up that a spawned worker would pay on every call.
+    ``w = min(trials, usable CPUs)``.  The caller runs chunk 0 while threads
+    run the rest; numpy's normal fills and ufuncs release the GIL, so the
+    chunks draw in parallel.  ``fn`` returns nothing: each chunk writes its
+    own rows of arrays that the caller allocated.  Once every thread has
+    finished, the exception of the lowest-numbered failing chunk is raised.
+    The threads are daemons, so an interrupt in the caller does not wait for
+    their chunks to end.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
     w = min(trials, cpus)
-    if w <= 1 or not hasattr(os, "fork"):
-        return [fn(0, trials)]
-    import pickle
     bounds = [trials * i // w for i in range(w + 1)]
-    pids: list[int] = []
-    reads: list[int] = []
+    errors: list[BaseException | None] = [None] * w
+
+    def run(i: int) -> None:
+        try:
+            fn(bounds[i], bounds[i + 1])
+        except BaseException as exc:  # raised again in the caller
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(1, w)]
+    for t in threads:
+        t.start()
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            r, wr = os.pipe()
-            reads.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        try:
-                            out = (True, fn(lo, hi))
-                        except Exception as exc:
-                            out = (False, exc)
-                        with open(wr, "wb") as pipe:
-                            pickle.dump(out, pipe)
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-            finally:
-                os.close(wr)  # in the caller; a child never gets here
-            pids.append(pid)
-        results = [fn(0, bounds[1])]
-        blobs = []
-        for r in reads:
-            with open(r, "rb", closefd=False) as pipe:
-                blobs.append(pipe.read())
-    finally:
-        for r in reads:
-            os.close(r)
-        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    for pid in pids]
-    for blob, status in zip(blobs, statuses):
-        if status or not blob:
-            raise RuntimeError(
-                f"trial worker exited with status {status} without a result")
-        ok, value = pickle.loads(blob)
-        if not ok:
-            raise value
-        results.append(value)
-    return results
+        fn(0, bounds[1])
+    except Exception as exc:  # an interrupt leaves without the joins
+        errors[0] = exc
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def simulate_drop(scenario: Scenario, trials: int) -> Drops:
@@ -432,23 +407,24 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     n_pairs, width = n_tx * n_rx, lane_bytes(n_rx)
     batch = max(1, _BATCH_BYTES // (8 * n_links * n_pairs))
 
-    def chunk(lo: int, hi: int):
-        n = hi - lo
-        uniforms = np.empty((n, n_links))
-        best_z = np.empty((n, n_links))
-        omni_all = np.empty((n, n_links))
-        packed = np.zeros((n, n_links, width), dtype=np.uint8)
-        block = np.empty((min(batch, n), n_links, n_pairs))
-        for b0 in range(0, n, batch):
-            b1 = min(n, b0 + batch)
-            pl = block[:b1 - b0]
-            for i in range(b0, b1):
-                rng = substream(scenario.seed, lo + i)
+    omni = np.empty((trials, n_links))
+    packed = np.zeros((trials, n_links, width), dtype=np.uint8)
+
+    def chunk(lo: int, hi: int) -> None:
+        size = min(batch, hi - lo)
+        uniforms = np.empty((size, n_links))
+        best_z = np.empty((size, n_links))
+        block = np.empty((size, n_links, n_pairs))
+        for b0 in range(lo, hi, batch):
+            b1 = min(hi, b0 + batch)
+            for i, t in enumerate(range(b0, b1)):
+                rng = substream(scenario.seed, t)
                 rng.random(out=uniforms[i])
-                rng.standard_normal(out=pl[i - b0])
+                rng.standard_normal(out=block[i])
                 if best:
                     rng.standard_normal(out=best_z[i])
-            los = uniforms[b0:b1] < scenario.p_los
+            pl = block[:b1 - b0]
+            los = uniforms[:b1 - b0] < scenario.p_los
             los[:, pinned] = pinned_los
             row = (~los).view(np.uint8)  # each (trial, link)'s table row
             pl *= sigma[row][..., None]
@@ -458,7 +434,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
                 # it replaces the lowest arbitrary-angle draw on that row's links.
                 tt, ll = np.nonzero(row == r)
                 pl[tt, ll, pl.argmin(axis=2)[tt, ll]] = (
-                    best_mean[ll] + best_sigma * best_z[b0 + tt, ll])
+                    best_mean[ll] + best_sigma * best_z[tt, ll])
             detect = pl <= limit
             covered = detect.reshape(b1 - b0, n_links, n_tx, n_rx).any(axis=2)
             packed[b0:b1, :, :(n_rx + 7) // 8] = np.packbits(
@@ -469,11 +445,9 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
             np.exp(pl, out=pl)
             pl *= detect
             with np.errstate(divide="ignore"):
-                omni_all[b0:b1] = -10.0 * np.log10(pl.sum(axis=2))
-        return omni_all, packed
+                omni[b0:b1] = -10.0 * np.log10(pl.sum(axis=2))
 
-    parts = _map_trials(chunk, trials)
-    packed = np.concatenate([p[1] for p in parts])
-    return Drops(keys, np.concatenate([p[0] for p in parts]),
+    _map_trials(chunk, trials)
+    return Drops(keys, omni,
                  tuple(int.from_bytes(packed[:, i].tobytes(), "little")
                        for i in range(n_links)))

@@ -300,6 +300,9 @@ def read_masks_csv(source: str | Path | TextIO
     width = 0
     for lineno, row in _csv_rows(source, MASK_FIELDS, "masks CSV"):
         rx_id, tx_id, bits = (cell.strip() for cell in row)
+        if not (rx_id and tx_id):
+            raise ScenarioError(f"masks CSV line {lineno}: rx_id and tx_id "
+                                "must be non-empty")
         width = width or len(bits)
         if not bits or len(bits) != width or set(bits) - {"0", "1"}:
             raise ScenarioError(f"masks CSV line {lineno}: mask must be "
@@ -318,10 +321,14 @@ def load_topology(path: str | Path) -> dict[str, tuple[str, ...]]:
         raise ScenarioError(f"{path}: expected a non-empty object")
     topology = {}
     for ue_id, serving in obj.items():
+        if not ue_id:
+            raise ScenarioError(f"{path}: empty user id")
         if (not isinstance(serving, list) or not serving
                 or not all(isinstance(s, str) for s in serving)):
             raise ScenarioError(
                 f"{path}: {ue_id}: expected a non-empty array of base station ids")
+        if "" in serving:
+            raise ScenarioError(f"{path}: {ue_id}: empty base station id")
         if len(set(serving)) != len(serving):
             raise ScenarioError(f"{path}: {ue_id}: duplicate base station id")
         topology[ue_id] = tuple(serving)

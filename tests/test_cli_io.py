@@ -462,9 +462,9 @@ class TestCli:
         assert set(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("flags, message", [
-        (["--k-max", "9"], "k_max must be in [1, 2], got 9"),
-        (["--k-max", "0"], "k_max must be in [1, 2], got 0"),
-        (["--trials", "0"], "trials must be >= 1, got 0"),
+        (["--k-max", "9"], "--k-max must be in [1, 2], got 9"),
+        (["--k-max", "0"], "--k-max must be in [1, 2], got 0"),
+        (["--trials", "0"], "--trials must be >= 1, got 0"),
         (["--seed", "-5"], "--seed must be non-negative, got -5"),
     ])
     def test_simulate_validates_before_drawing(self, tmp_path, capsys,
@@ -531,6 +531,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: {masks}: missing reception mask for "
                                 f"link ('U1', 'B2')\n")
+
+    def test_enumerate_out_without_masks_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        # The topology does not exist: the flags are checked before any load.
+        assert main(["enumerate", "--topology", str(tmp_path / "t.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --out needs --masks: enumerate without masks writes "
+                "no bundle\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     @pytest.mark.parametrize("with_masks", [False, True])
@@ -913,7 +923,7 @@ class TestCli:
             "condition distance_m edge_outage_pct region_outage_pct\n"
             "NLOS 63 0.0 0.0\nNLOS 200 100.0 5.6\n")
 
-    @pytest.mark.parametrize("f_ghz", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("f_ghz", ["nan", "inf", "-inf", "0", "-1"])
     def test_fit_rejects_bad_frequency(self, tmp_path, capsys, f_ghz):
         csv_path = tmp_path / "samples.csv"
         csv_path.write_text("d_m,pl_db,condition,polarization\n"
@@ -924,8 +934,15 @@ class TestCli:
                          f"--f-ghz={f_ghz}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: frequency must be positive and "
-                                f"finite, got {float(f_ghz)} GHz\n")
+        assert captured.err == (f"error: --f-ghz must be positive and "
+                                f"finite, got {float(f_ghz)}\n")
+
+    def test_fit_checks_frequency_before_reading_samples(self, tmp_path,
+                                                         capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["fit", "--samples", str(missing), "--f-ghz", "-1"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --f-ghz must be positive and finite, got -1.0\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda obj: obj.update(budget={"max_pl_db": math.nan}),
@@ -1099,6 +1116,16 @@ class TestCli:
          "{path}: expected a non-empty object\n"),
         ("enumerate --topology {path}", "topology.json",
          b'{"U1": ["B1", "B1"]}', "{path}: U1: duplicate base station id\n"),
+        ("enumerate --topology {path}", "topology.json",
+         b'{"": ["B1"]}', "{path}: empty user id\n"),
+        ("enumerate --topology {path}", "topology.json",
+         b'{"U1": ["", "B1"]}', "{path}: U1: empty base station id\n"),
+        ("enumerate --topology {topo} --masks {path}", "masks.csv",
+         b"rx_id,tx_id,mask\nU1,B1,1\n ,B1,1\n",
+         "masks CSV line 3: rx_id and tx_id must be non-empty\n"),
+        ("enumerate --topology {topo} --masks {path}", "masks.csv",
+         b"rx_id,tx_id,mask\nU1,,1\n",
+         "masks CSV line 2: rx_id and tx_id must be non-empty\n"),
         ("coverage --models {path}", "models.json", b"{}",
          "{path}: expected an array of model cards\n"),
         ("report --bundle {dir}", "outage.csv", b"",
@@ -1110,6 +1137,8 @@ class TestCli:
             "scenario-conditions", "scenario-budget", "scenario-unknown-bs",
             "scenario-p_los", "scenario-duplicate-ue", "masks-short-row",
             "masks-long-row", "topology-empty", "topology-duplicate-bs",
+            "topology-empty-user", "topology-empty-bs", "masks-blank-rx_id",
+            "masks-blank-tx_id",
             "models-not-array", "bundle-without-metadata"])
     def test_unreadable_input_exits_1(self, tmp_path, capsys, argv, name,
                                       data, message):
@@ -1133,8 +1162,8 @@ class TestCli:
 # Runs CLI commands in a fresh interpreter and reports which of the watched
 # modules they loaded (by default numpy and the stdlib process-pool
 # modules): importing the package must load none of them.  The result is
-# printed once, so a forked worker that returned into the CLI would show as
-# a second line.
+# printed once, after every command has returned, as the one "loaded:" line
+# among the commands' own output.
 _IMPORT_PROBE = """
 import json, sys
 import mmwcomp, mmwcomp.cli

@@ -5,6 +5,9 @@ import itertools
 import math
 import os
 import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import oracles
@@ -809,6 +812,24 @@ def test_simulate_output_independent_of_worker_count(monkeypatch):
         assert outcomes[0] == outcomes[1] == outcomes[2], trials
 
 
+def test_simulate_output_holds_with_more_threads_than_cores(monkeypatch):
+    # Eight chunks share the output arrays, switching threads every
+    # microsecond: a chunk writing outside its own rows would show.
+    sc = mixed_scenario()
+    _with_cpus(monkeypatch, 1)
+    whole = simulate_drop(sc, 9)
+    _with_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _no_threads_left(), _deadline(60):
+            drops = simulate_drop(sc, 9)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(drops.omni_pl_db, whole.omni_pl_db)
+    assert drops.masks == whole.masks
+
+
 THREE_BSS = [bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -60.0, 10.0)]
 THREE_UES = [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0), ue(3, 30.0, -50.0)]
 
@@ -863,9 +884,12 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _assert_no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@contextlib.contextmanager
+def _no_threads_left():
+    """Asserts that the block leaves as many threads running as it found."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 def _reception_chunks(bad_trial):
@@ -884,45 +908,39 @@ def _reception_chunks(bad_trial):
 
 
 def test_worker_error_reaches_caller(monkeypatch):
-    # The last trial lacks one link's mask, so only the forked chunk fails.
+    # The last trial lacks one link's mask, so only the worker chunk fails.
     chunk = _reception_chunks(6)
     _with_cpus(monkeypatch, 2)
-    with _deadline(60):
+    with _no_threads_left(), _deadline(60):
         with pytest.raises(ValueError, match="missing reception mask"):
             _map_trials(chunk, 7)
-    _assert_no_children_left()
 
 
 def test_caller_chunk_error_reaps_workers(monkeypatch):
     chunk = _reception_chunks(0)
     _with_cpus(monkeypatch, 2)
-    with _deadline(60):
+    with _no_threads_left(), _deadline(60):
         with pytest.raises(ValueError, match="missing reception mask"):
             _map_trials(chunk, 7)
-    _assert_no_children_left()
 
 
-def test_worker_exit_without_result_names_status(monkeypatch):
+def test_lowest_failing_chunk_raises_after_every_chunk_ends(monkeypatch):
     _with_cpus(monkeypatch, 3)
+    ended = []
 
     def chunk(lo, hi):
-        if lo > 0:
-            os._exit(3)
-        return lo, hi
+        if lo == 1:
+            time.sleep(0.05)  # chunk 2 fails first
+            ended.append(lo)
+            raise KeyError(lo)
+        ended.append(lo)
+        if lo == 3:
+            raise ValueError(lo)
 
-    with _deadline(60):
-        with pytest.raises(RuntimeError, match="status 3"):
+    with _no_threads_left(), _deadline(60):
+        with pytest.raises(KeyError):
             _map_trials(chunk, 5)
-    _assert_no_children_left()
-
-
-def test_worker_results_larger_than_a_pipe_buffer(monkeypatch):
-    _with_cpus(monkeypatch, 3)
-    with _deadline(60):
-        parts = _map_trials(lambda lo, hi: (lo, hi, bytes(1 << 18)), 5)
-    assert [p[:2] for p in parts] == [(0, 1), (1, 3), (3, 5)]
-    assert all(len(p[2]) == 1 << 18 for p in parts)
-    _assert_no_children_left()
+    assert sorted(ended) == [0, 1, 3]
 
 
 def test_daemon_process_runs_trials_in_process(monkeypatch):
@@ -931,6 +949,6 @@ def test_daemon_process_runs_trials_in_process(monkeypatch):
     expected = simulate_drop(sc, 3).masks
     _with_cpus(monkeypatch, 2)
     # Daemonic processes, such as multiprocessing.Pool workers, may not
-    # start children of their own.
+    # start children of their own; the trial chunks run on threads there too.
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
     assert simulate_drop(sc, 3).masks == expected
