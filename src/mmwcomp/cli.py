@@ -108,16 +108,8 @@ def _cmd_coverage(args) -> ResultBundle:
 
 
 def _cmd_simulate(args) -> ResultBundle:
-    from .diversity import distance_3d, reception_counts, simulate_drop
+    from .diversity import reception_counts, simulate_drop
     scenario = load_scenario(args.scenario)
-    for ue, bs in scenario.links():  # coverage reads the same file without links
-        d = distance_3d(ue, bs)
-        if d < REFERENCE_DISTANCE_M:
-            raise ScenarioError(f"{args.scenario}: link {ue.id}/{bs.id} is shorter than "
-                                f"the CI model's {REFERENCE_DISTANCE_M} m reference")
-        if not math.isfinite(d):
-            raise ScenarioError(f"{args.scenario}: link {ue.id}/{bs.id} is too long "
-                                "for its length to be a finite float")
     if args.seed is not None:
         # _replace runs no checks, and substream's own error names no flag.
         if args.seed < 0:
@@ -130,7 +122,10 @@ def _cmd_simulate(args) -> ResultBundle:
     # simulate_drop checks this too; every flag is checked before it runs.
     if args.trials < 1:
         raise ScenarioError(f"--trials must be >= 1, got {args.trials}")
-    drops = simulate_drop(scenario, args.trials)
+    try:  # a link of bad length; coverage reads the same file without links
+        drops = simulate_drop(scenario, args.trials)
+    except ValueError as exc:
+        raise ScenarioError(f"{args.scenario}: {exc}") from None
     counts = reception_counts(dict(zip(drops.links, drops.masks)),
                               scenario.topology(), k_max,
                               scenario.sweep.n_rx_directions, args.trials)

@@ -32,9 +32,8 @@ class LinkBudget(NamedTuple):
     """System link budget yielding one detection limit.
 
     ``max_pl_db`` is the maximum measurable path loss with the TX/RX
-    antennas in place at 1 GHz RF bandwidth; ``snr_threshold_db`` is the
-    detection SNR it was derived at (informational).  Bandwidth scales the
-    limit relative to 1 GHz: see :func:`max_detectable_pl_db`.
+    antennas in place at 1 GHz RF bandwidth.  Bandwidth scales the limit
+    relative to 1 GHz: see :func:`max_detectable_pl_db`.
     """
 
     pt_dbm: float
@@ -42,7 +41,6 @@ class LinkBudget(NamedTuple):
     gr_dbi: float
     bw_ghz: float = 1.0
     max_pl_db: float = 175.0
-    snr_threshold_db: float = 5.0
 
     def _validate(self):
         if not self.bw_ghz > 0:

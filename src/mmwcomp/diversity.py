@@ -68,7 +68,8 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple,
 from .coverage import LinkBudget, max_detectable_pl_db
 from .params import (DEFAULT_P_LOS, DEFAULT_SEED, DIRECTIONAL_CI_73GHZ,
                      SOUNDER_LINK_BUDGET)
-from .propagation import CiModel, Condition, ci_mean_path_loss_db, validated
+from .propagation import (REFERENCE_DISTANCE_M, CiModel, Condition,
+                          ci_mean_path_loss_db, validated)
 from .rng import substream
 
 if TYPE_CHECKING:
@@ -91,6 +92,8 @@ class Node(NamedTuple):
     height_m: float
 
     def _validate(self):
+        if "/" in self.id:
+            raise ValueError(f"id must not contain '/', got {self.id!r}")
         if not self.height_m > 0:
             raise ValueError(f"height_m must be positive, got {self.height_m}")
 
@@ -101,23 +104,19 @@ class SweepGrid(NamedTuple):
 
     Defaults: 15 TX pointing angles at 8 degree increments (a 120 degree
     sector; 17 for the extended 136 degree sector), 24 RX azimuths at 15
-    degree increments covering the full plane, 3 RX elevation planes, for
-    72 RX beamformed directions.
+    degree (360 / 24) increments covering the full plane, 3 RX elevation
+    planes: 72 RX directions.  The steps are not fields: no output uses them.
     """
 
     tx_angles: int = 15
     rx_azimuths: int = 24
     rx_elevations: int = 3
-    tx_step_deg: float = 8.0
-    rx_step_deg: float = 15.0
 
     def _validate(self):
         counts = (self.tx_angles, self.rx_azimuths, self.rx_elevations)
         if not all(type(c) is int and c >= 1 for c in counts):  # bool is not int
             raise ValueError(f"sweep grid counts must be integers >= 1, "
                              f"got {counts}")
-        if not abs(self.rx_azimuths * self.rx_step_deg - 360.0) <= 1e-9:
-            raise ValueError("RX azimuth bins must tile the full 360 degree plane")
 
     @property
     def n_rx_directions(self) -> int:
@@ -383,6 +382,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     draws; batches of trials (normals of about ``_BATCH_BYTES``) then scale
     and shift each link's sweep by its condition's row of the draw table,
     put in the row's best-pair draw, if any, and detect, pack and sum.
+    A link shorter than 1 m, or too long for a finite length, raises ValueError.
     """
     import numpy as np
     if trials < 1:
@@ -390,6 +390,13 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     links = scenario.links()
     keys = tuple((ue.id, bs.id) for ue, bs in links)
     d = [distance_3d(ue, bs) for ue, bs in links]
+    for (ue_id, bs_id), x in zip(keys, d):
+        if x < REFERENCE_DISTANCE_M:
+            raise ValueError(f"link {ue_id}/{bs_id} is shorter than the CI "
+                             f"model's {REFERENCE_DISTANCE_M} m reference")
+        if not math.isfinite(x):
+            raise ValueError(f"link {ue_id}/{bs_id} is too long for its "
+                             "length to be a finite float")
     # The draw table, row 0 LOS and row 1 NLOS: (model, best-pair model).
     table = ((scenario.models[Condition.LOS], None),
              (scenario.models[Condition.NLOS],

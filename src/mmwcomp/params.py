@@ -47,7 +47,6 @@ SOUNDER_LINK_BUDGET = LinkBudget(
     gr_dbi=20.0,
     bw_ghz=1.0,
     max_pl_db=175.0,
-    snr_threshold_db=5.0,
 )
 
 # Serving-set topology of the campaign: which TX locations reached each RX

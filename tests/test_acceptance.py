@@ -181,7 +181,7 @@ def test_criterion_6_property_spot_checks(capsys):
                           (m.Node("U1", 0.0, 0.0, 1.4),), flat,
                           SOUNDER_LINK_BUDGET,
                           m.SweepGrid(tx_angles=2, rx_azimuths=1,
-                                      rx_elevations=1, rx_step_deg=360.0),
+                                      rx_elevations=1),
                           p_los=1.0)
         directional = m.ci_mean_path_loss_db(
             flat[Condition.LOS], m.distance_3d(*pair.links()[0]))

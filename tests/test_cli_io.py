@@ -881,6 +881,24 @@ class TestCli:
         assert captured.err == f"error: {path}: link U1/B1 {message}\n"
         assert main(["coverage", "--scenario", str(path)]) == 0
 
+    def test_simulate_takes_any_rx_azimuth_count(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # The RX azimuths tile the plane in 360 / rx_azimuths degree steps,
+        # so a count that is not 24 needs no step of its own.
+        directions = []
+
+        def spy(scenario, trials):
+            directions.append(scenario.sweep.n_rx_directions)
+            return simulate_drop(scenario, trials)
+
+        monkeypatch.setattr("mmwcomp.diversity.simulate_drop", spy)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(minimal(
+            sweep={"rx_azimuths": 12, "rx_elevations": 1})))
+        assert main(["simulate", "--scenario", str(path), "--trials", "2"]) == 0
+        assert directions == [12]
+        assert capsys.readouterr().out.startswith("k=1 reception=")
+
     @pytest.mark.parametrize("distances, token", [
         ("100,nan", "nan"), ("inf", "inf"), ("1e400", "1e400")])
     def test_coverage_rejects_non_finite_radius(self, capsys, distances,
@@ -1106,6 +1124,20 @@ class TestCli:
         ("coverage --scenario {path}", "scenario.json",
          json.dumps(minimal(ues=MINIMAL["ues"] * 2)).encode(),
          "{path}: scenario: duplicate UE id\n"),
+        ("coverage --scenario {path}", "scenario.json",
+         json.dumps(minimal(base_stations=[{"id": "B/1", "x_m": 0.0,
+                                            "y_m": 0.0}])).encode(),
+         "{path}: scenario.base_stations[0]: id must not contain '/', "
+         "got 'B/1'\n"),
+        ("coverage --scenario {path}", "scenario.json",
+         json.dumps(minimal(sweep={"tx_step_deg": 8.0})).encode(),
+         "{path}: scenario.sweep: unknown key(s) ['tx_step_deg']\n"),
+        ("coverage --scenario {path}", "scenario.json",
+         json.dumps(minimal(sweep={"rx_step_deg": 15.0})).encode(),
+         "{path}: scenario.sweep: unknown key(s) ['rx_step_deg']\n"),
+        ("coverage --scenario {path}", "scenario.json",
+         json.dumps(minimal(budget={"snr_threshold_db": 5.0})).encode(),
+         "{path}: scenario.budget: unknown key(s) ['snr_threshold_db']\n"),
         ("enumerate --topology {topo} --masks {path}", "masks.csv",
          b"rx_id,tx_id,mask\nU1,B1,1\nU1,B2\n",
          "masks CSV line 3: expected 3 fields, got 2\n"),
@@ -1135,7 +1167,9 @@ class TestCli:
             "masks-long-field", "scenario-not-utf8",
             "samples-not-utf8", "scenario-top-level", "scenario-models",
             "scenario-conditions", "scenario-budget", "scenario-unknown-bs",
-            "scenario-p_los", "scenario-duplicate-ue", "masks-short-row",
+            "scenario-p_los", "scenario-duplicate-ue", "scenario-slash-in-id",
+            "scenario-tx_step_deg", "scenario-rx_step_deg",
+            "scenario-snr_threshold_db", "masks-short-row",
             "masks-long-row", "topology-empty", "topology-duplicate-bs",
             "topology-empty-user", "topology-empty-bs", "masks-blank-rx_id",
             "masks-blank-tx_id",

@@ -93,9 +93,21 @@ def test_sweep_grid_extended_sector():
     assert SweepGrid(tx_angles=17).n_rx_directions == 72
 
 
+def test_simulate_drop_names_link_of_bad_length():
+    # The length rule holds for library callers too, not only for the CLI:
+    # a 1e200 m link's squared length overflows, and 0.1 m is below the CI
+    # model's reference distance.
+    for x, message in ((1e200, "is too long for its length to be a finite "
+                               "float"),
+                       (0.1, "is shorter than the CI model's 1.0 m "
+                             "reference")):
+        sc = scenario([Node("B1", x, 0.0, 1.4)], [ue(1, 0.0, 0.0)])
+        with pytest.raises(ValueError) as exc:
+            simulate_drop(sc, 2)
+        assert str(exc.value) == f"link U1/B1 {message}"
+
+
 def test_sweep_grid_validation():
-    with pytest.raises(ValueError):
-        SweepGrid(rx_azimuths=24, rx_step_deg=10.0)  # 240 != 360
     with pytest.raises(ValueError):
         SweepGrid(tx_angles=0)
 
@@ -262,7 +274,7 @@ def test_condition_policy_explicit_and_bernoulli():
                            {("U1", "B1"): Condition.NLOS_BEST}, 0.5)
 
 
-ONE_RX = {"rx_azimuths": 1, "rx_elevations": 1, "rx_step_deg": 360.0}
+ONE_RX = {"rx_azimuths": 1, "rx_elevations": 1}
 
 
 @pytest.mark.parametrize("sweep, pairs", [
@@ -313,8 +325,7 @@ def test_simulate_omni_bounded_by_best_detected_pair():
     # detected pairs, so it lies between the best pair and the best pair
     # minus 10 log10(n).  The links span 150-220 m, where NLOS detection
     # is partial.
-    sweep = SweepGrid(tx_angles=3, rx_azimuths=4, rx_elevations=2,
-                      rx_step_deg=90.0)
+    sweep = SweepGrid(tx_angles=3, rx_azimuths=4, rx_elevations=2)
     sc = scenario([bs(1, 160.0, 0.0), bs(2, 0.0, 230.0), bs(3, -190.0, 40.0)],
                   [ue(1, 10.0, 10.0), ue(2, -30.0, 60.0)], sweep=sweep)
     trials = 6
@@ -486,7 +497,7 @@ def test_reception_vs_k_rejects_bad_masks():
 # trial, so k=1 reception is a mean of 4 * trials Bernoulli outcomes.
 SMALL_T, SMALL_R = 3, 4
 SMALL_SWEEP = SweepGrid(tx_angles=SMALL_T, rx_azimuths=SMALL_R,
-                        rx_elevations=1, rx_step_deg=90.0)
+                        rx_elevations=1)
 ORACLE_TRIALS = 1000
 
 
@@ -527,7 +538,7 @@ def test_simulate_k1_reception_matches_edge_coverage(bw_ghz):
                   budget=LinkBudget(14.9, 27.0, 20.0, bw_ghz=bw_ghz,
                                     max_pl_db=150.0),
                   sweep=SweepGrid(tx_angles=1, rx_azimuths=1,
-                                  rx_elevations=1, rx_step_deg=360.0))
+                                  rx_elevations=1))
     trials = 4000
     expected = 1.0 - edge_outage_probability(NLOS, sc.budget,
                                              distance_3d(user, station))

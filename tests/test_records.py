@@ -50,11 +50,11 @@ RECORDS = [
 INVALID = [
     (CiModel, (0.0, 2.0, 1.0, Condition.LOS),
      "f_ghz must be positive and finite, got 0.0"),
-    (LinkBudget, (14.9, 27.0, 20.0, 0.0, 175.0, 5.0),
+    (LinkBudget, (14.9, 27.0, 20.0, 0.0, 175.0),
      "bw_ghz must be positive, got 0.0"),
-    (LinkBudget, (14.9, 27.0, 20.0, math.nan, 175.0, 5.0),
+    (LinkBudget, (14.9, 27.0, 20.0, math.nan, 175.0),
      "bw_ghz must be positive, got nan"),
-    (LinkBudget, (14.9, 27.0, 20.0, 1.0, math.nan, 5.0),
+    (LinkBudget, (14.9, 27.0, 20.0, 1.0, math.nan),
      "max_pl_db must be positive, got nan"),
     (PathLossSamples, ((0.5,), (120.0,), (Condition.NLOS,), ("VV",)),
      "sample distance must be finite and >= 1.0 m, got 0.5"),
@@ -76,14 +76,13 @@ INVALID = [
     (ReceptionRow, (2, 0.5, 0), "n_combinations must be >= 1, got 0"),
     (Node, ("B1", 0.0, 0.0, 0.0), "height_m must be positive, got 0.0"),
     (Node, ("B1", 0.0, 0.0, math.nan), "height_m must be positive, got nan"),
-    (SweepGrid, (0, 24, 3, 8.0, 15.0),
+    (Node, ("B/1", 0.0, 0.0, 4.0), "id must not contain '/', got 'B/1'"),
+    (SweepGrid, (0, 24, 3),
      "sweep grid counts must be integers >= 1, got (0, 24, 3)"),
-    (SweepGrid, (math.nan, 24, 3, 8.0, 15.0),
+    (SweepGrid, (math.nan, 24, 3),
      "sweep grid counts must be integers >= 1, got (nan, 24, 3)"),
-    (SweepGrid, (2.5, 24, 3, 8.0, 15.0),
+    (SweepGrid, (2.5, 24, 3),
      "sweep grid counts must be integers >= 1, got (2.5, 24, 3)"),
-    (SweepGrid, (15, 24, 3, 8.0, math.nan),
-     "RX azimuth bins must tile the full 360 degree plane"),
     (Scenario, ((), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
      "scenario needs at least one base station"),
 ]
@@ -187,9 +186,8 @@ SCHEMAS = [
     (CiModel, {"f_ghz": float, "ple": float, "sigma_db": float,
                "condition": Condition}),
     (LinkBudget, dict.fromkeys(["pt_dbm", "gt_dbi", "gr_dbi", "bw_ghz",
-                                "max_pl_db", "snr_threshold_db"], float)),
-    (SweepGrid, {"tx_angles": int, "rx_azimuths": int, "rx_elevations": int,
-                 "tx_step_deg": float, "rx_step_deg": float}),
+                                "max_pl_db"], float)),
+    (SweepGrid, {"tx_angles": int, "rx_azimuths": int, "rx_elevations": int}),
     (Scenario, {"base_stations": tuple[Node, ...], "ues": tuple[Node, ...],
                 "models": Mapping[Condition, CiModel], "budget": LinkBudget,
                 "sweep": SweepGrid,
