@@ -33,7 +33,7 @@ _EXPORTS = {
                   "simulate_drop"),
     "scenario_io": ("ScenarioError", "parse_scenario", "load_scenario",
                     "load_topology", "read_samples_csv", "read_masks_csv",
-                    "load_model_cards", "read_bundle", "scenario_to_json"),
+                    "load_model_cards", "read_bundle"),
     "results": ("RunMetadata", "ModelCard", "ReceptionRow", "CdfPoint",
                 "ResultBundle", "format_pct", "build_cdf", "bundle_csvs",
                 "emit_results"),

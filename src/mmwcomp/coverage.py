@@ -33,12 +33,11 @@ class LinkBudget(NamedTuple):
 
     ``max_pl_db`` is the maximum measurable path loss with the TX/RX
     antennas in place at 1 GHz RF bandwidth.  Bandwidth scales the limit
-    relative to 1 GHz: see :func:`max_detectable_pl_db`.
+    relative to 1 GHz: see :func:`max_detectable_pl_db`.  Transmit power
+    and antenna gains are not fields: no outage or detection depends on
+    them, only :func:`receiver_threshold_dbm`, which takes them.
     """
 
-    pt_dbm: float
-    gt_dbi: float
-    gr_dbi: float
     bw_ghz: float = 1.0
     max_pl_db: float = 175.0
 
@@ -78,11 +77,12 @@ def max_detectable_pl_db(budget: LinkBudget) -> float:
     return budget.max_pl_db - 10.0 * math.log10(budget.bw_ghz)
 
 
-def receiver_threshold_dbm(budget: LinkBudget) -> float:
-    """Receiver detection threshold: the detection limit seen from the
-    transmitter, P_t + G_t + G_r - :func:`max_detectable_pl_db`."""
-    return (budget.pt_dbm + budget.gt_dbi + budget.gr_dbi
-            - max_detectable_pl_db(budget))
+def receiver_threshold_dbm(budget: LinkBudget, pt_dbm: float, gt_dbi: float,
+                           gr_dbi: float) -> float:
+    """Receiver detection threshold: the detection limit seen from a
+    transmitter of power P_t with gains G_t and G_r,
+    P_t + G_t + G_r - :func:`max_detectable_pl_db`."""
+    return pt_dbm + gt_dbi + gr_dbi - max_detectable_pl_db(budget)
 
 
 def _margin_db(model: CiModel, budget: LinkBudget, radius_m: float) -> float:

@@ -4,7 +4,8 @@ Measurement-derived CI path loss parameters (vertical-vertical polarization,
 4.0 m base stations, 1.4 m users), the channel-sounder link budget those
 measurements were taken with, and the campaign's serving-set topology.
 These are the defaults used by the CLI and scenario parser; all of them can
-be overridden per run.
+be overridden per run except the sounder's transmit power and antenna
+gains, which give only its receiver threshold and so have no scenario key.
 """
 
 from __future__ import annotations
@@ -38,16 +39,14 @@ OMNI_CI_73GHZ: dict[Condition, CiModel] = {
     Condition.NLOS: CiModel(CARRIER_F_GHZ, 2.8, 8.7, Condition.NLOS),
 }
 
-# Channel-sounder link budget: 14.9 dBm into a 27 dBi TX horn, 20 dBi RX
-# horn, 1 GHz RF bandwidth, 175 dB maximum measurable path loss at a 5 dB
+# Channel sounder: 14.9 dBm into a 27 dBi TX horn, 20 dBi RX horn.  These
+# give only its receiver threshold (-113.1 dBm); detection reads the budget,
+# 1 GHz RF bandwidth and 175 dB maximum measurable path loss at a 5 dB
 # detection SNR.
-SOUNDER_LINK_BUDGET = LinkBudget(
-    pt_dbm=14.9,
-    gt_dbi=27.0,
-    gr_dbi=20.0,
-    bw_ghz=1.0,
-    max_pl_db=175.0,
-)
+SOUNDER_PT_DBM = 14.9
+SOUNDER_GT_DBI = 27.0
+SOUNDER_GR_DBI = 20.0
+SOUNDER_LINK_BUDGET = LinkBudget(bw_ghz=1.0, max_pl_db=175.0)
 
 # Serving-set topology of the campaign: which TX locations reached each RX
 # location.  36 links over 9 multi-served RX locations plus one singly

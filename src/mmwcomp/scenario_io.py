@@ -207,7 +207,8 @@ def parse_scenario(obj) -> Scenario:
     if not isinstance(obj, dict):
         _fail("scenario", "top level must be an object")
     _check_keys(obj, {"schema_version", *Scenario._fields}, "scenario")
-    version = obj.get("schema_version", SCENARIO_SCHEMA_VERSION)
+    version = _value(obj.get("schema_version", SCENARIO_SCHEMA_VERSION), int,
+                     "scenario.schema_version")
     if version != SCENARIO_SCHEMA_VERSION:
         _fail("scenario.schema_version",
               f"unsupported version {version!r} (supported: {SCENARIO_SCHEMA_VERSION})")
@@ -338,20 +339,26 @@ def load_topology(path: str | Path) -> dict[str, tuple[str, ...]]:
 def load_model_cards(path: str | Path) -> list[ModelCard]:
     """Read back the model cards that ``emit_results`` wrote.
 
-    Each card follows the scenario's number rules and ``ModelCard``'s
-    checks.
+    As ``fit`` writes them, the array is non-empty and holds at most one
+    card per condition.  Each card follows the scenario's number rules and
+    ``ModelCard``'s checks.
     """
     from .results import ModelCard
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise ScenarioError(f"{path}: expected an array of model cards")
+    if not raw:
+        raise ScenarioError(f"{path}: no model cards")
     cards = []
     for i, obj in enumerate(raw):
         try:
-            cards.append(_parse_record(ModelCard, obj, ""))
+            card = _parse_record(ModelCard, obj, "")
+            if any(c.condition is card.condition for c in cards):
+                _fail("", f"duplicate condition {card.condition.value}")
         except ScenarioError as exc:
             raise ScenarioError(
                 f"{path}: bad model card at index {i}: {exc}") from None
+        cards.append(card)
     return cards
 
 
@@ -409,24 +416,3 @@ def _read_bundle_csv(path: Path, cls, columns) -> list:
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from None
     return rows
-
-
-def scenario_to_json(scenario: Scenario) -> str:
-    """Serialize a scenario back to its JSON format (round-trippable)."""
-    obj = {
-        **scenario._asdict(),  # the plain fields: p_los, seed
-        "schema_version": SCENARIO_SCHEMA_VERSION,
-        "base_stations": [n._asdict() for n in scenario.base_stations],
-        "ues": [n._asdict() for n in scenario.ues],
-        "models": {cond.value: {"f_ghz": m.f_ghz, "ple": m.ple,
-                                "sigma_db": m.sigma_db}
-                   for cond, m in scenario.models.items()},
-        "budget": scenario.budget._asdict(),
-        "sweep": scenario.sweep._asdict(),
-        "conditions": {f"{ue}/{bs}": cond.value
-                       for (ue, bs), cond in sorted(scenario.conditions.items())},
-    }
-    buf = io.StringIO()
-    json.dump(obj, buf, indent=2, sort_keys=True)
-    buf.write("\n")
-    return buf.getvalue()

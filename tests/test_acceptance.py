@@ -15,7 +15,8 @@ from scipy import integrate
 import mmwcomp as m
 from mmwcomp import Condition
 from mmwcomp.params import (CAMPAIGN_SERVING_SETS, DIRECTIONAL_CI_73GHZ,
-                            OMNI_CI_73GHZ, SOUNDER_LINK_BUDGET)
+                            OMNI_CI_73GHZ, SOUNDER_GR_DBI, SOUNDER_GT_DBI,
+                            SOUNDER_LINK_BUDGET, SOUNDER_PT_DBM)
 
 DISTANCES = (63.0, 78.0, 87.0, 100.0, 200.0)
 NLOS = DIRECTIONAL_CI_73GHZ[Condition.NLOS]
@@ -94,7 +95,8 @@ def test_criterion_2_region_outage(capsys):
 
 def test_criterion_3_link_budget(capsys):
     with criterion(capsys, 3, "receiver threshold and 1 m free-space anchor"):
-        assert abs(m.receiver_threshold_dbm(SOUNDER_LINK_BUDGET)
+        assert abs(m.receiver_threshold_dbm(SOUNDER_LINK_BUDGET, SOUNDER_PT_DBM,
+                                            SOUNDER_GT_DBI, SOUNDER_GR_DBI)
                    - (-113.1)) <= 0.01
         assert abs(m.fspl_db(73.5, 1.0) - 69.73) <= 0.01
 

@@ -10,54 +10,55 @@ from mmwcomp import (CiModel, Condition, LinkBudget, edge_outage_probability,
                      outage_table, receiver_threshold_dbm,
                      region_outage_probability)
 
-SOUNDER = LinkBudget(pt_dbm=14.9, gt_dbi=27.0, gr_dbi=20.0)
+SOUNDER = LinkBudget()
+HORNS = (14.9, 27.0, 20.0)  # the sounder's P_t, G_t and G_r
 NLOS = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
 
 
 def test_receiver_threshold():
-    assert receiver_threshold_dbm(SOUNDER) == pytest.approx(-113.1, abs=1e-9)
+    assert receiver_threshold_dbm(SOUNDER, *HORNS) == pytest.approx(-113.1,
+                                                                    abs=1e-9)
 
 
 def test_receiver_threshold_scales_with_bandwidth():
-    tenth = LinkBudget(14.9, 27.0, 20.0, bw_ghz=0.1)
-    assert receiver_threshold_dbm(tenth) == pytest.approx(-123.1, abs=1e-9)
+    tenth = LinkBudget(bw_ghz=0.1)
+    assert receiver_threshold_dbm(tenth, *HORNS) == pytest.approx(-123.1,
+                                                                  abs=1e-9)
 
 
 def test_detection_limit_drops_with_bandwidth():
     assert max_detectable_pl_db(SOUNDER) == 175.0
     for bw, limit in ((0.1, 185.0), (10.0, 165.0), (100.0, 155.0)):
-        budget = LinkBudget(14.9, 27.0, 20.0, bw_ghz=bw)
+        budget = LinkBudget(bw_ghz=bw)
         assert max_detectable_pl_db(budget) == pytest.approx(limit, abs=1e-12)
 
 
 def test_receiver_threshold_is_detection_limit_seen_from_transmitter():
     # Plain budget arithmetic: P_t + G_t + G_r minus the detection limit,
     # which is the Friis received power where free-space loss meets it.
-    assert receiver_threshold_dbm(LinkBudget(10.0, 3.0, 2.0,
-                                             max_pl_db=100.0)) == -85.0
-    budget = LinkBudget(14.9, 27.0, 20.0, bw_ghz=4.0)
+    assert receiver_threshold_dbm(LinkBudget(max_pl_db=100.0),
+                                  10.0, 3.0, 2.0) == -85.0
+    budget = LinkBudget(bw_ghz=4.0)
     d = 10.0 ** ((max_detectable_pl_db(budget) - fspl_db(73.5, 1.0)) / 20.0)
-    assert friis_received_power_dbm(14.9, 27.0, 20.0, 73.5, d) == pytest.approx(
-        receiver_threshold_dbm(budget), abs=1e-9)
+    assert friis_received_power_dbm(*HORNS, 73.5, d) == pytest.approx(
+        receiver_threshold_dbm(budget, *HORNS), abs=1e-9)
 
 
 def test_outage_depends_on_budget_only_through_detection_limit():
-    # Transmit power and antenna gains cancel from the margin; a 10x wider
-    # bandwidth is the same as a 10 dB lower maximum path loss.
-    wide = LinkBudget(14.9, 27.0, 20.0, bw_ghz=10.0)
-    for budget in (LinkBudget(0.0, 0.0, 0.0, max_pl_db=165.0),
-                   LinkBudget(30.0, 10.0, 5.0, max_pl_db=165.0)):
-        for d in (30.0, 100.0, 200.0):
-            for fn in (edge_outage_probability, region_outage_probability):
-                assert fn(NLOS, budget, d) == pytest.approx(
-                    fn(NLOS, wide, d), abs=1e-12)
+    # A 10x wider bandwidth is the same as a 10 dB lower maximum path loss.
+    wide = LinkBudget(bw_ghz=10.0)
+    budget = LinkBudget(max_pl_db=165.0)
+    for d in (30.0, 100.0, 200.0):
+        for fn in (edge_outage_probability, region_outage_probability):
+            assert fn(NLOS, budget, d) == pytest.approx(
+                fn(NLOS, wide, d), abs=1e-12)
 
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        LinkBudget(14.9, 27.0, 20.0, bw_ghz=0.0)
+        LinkBudget(bw_ghz=0.0)
     with pytest.raises(ValueError):
-        LinkBudget(14.9, 27.0, 20.0, max_pl_db=-1.0)
+        LinkBudget(max_pl_db=-1.0)
 
 
 def test_query_validation():
@@ -138,8 +139,8 @@ def test_region_outage_zero_sigma_is_disk_share_beyond_coverage_radius():
         abs=1e-6)
     # A huge negative margin must not overflow the power.
     flat = CiModel(73.5, 0.01, 0.0, Condition.NLOS)
-    assert region_outage_probability(flat, LinkBudget(
-        14.9, 27.0, 20.0, max_pl_db=1000.0), 10.0) == 0.0
+    assert region_outage_probability(flat, LinkBudget(max_pl_db=1000.0),
+                                     10.0) == 0.0
 
 
 def quadrature_region_outage(model, budget, radius, panels=20_000) -> float:

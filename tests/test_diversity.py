@@ -227,7 +227,7 @@ SIGMA0_MODELS = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
 def condition_scenario(bss, ues, conditions, p_los):
     return scenario(bss, ues, models=SIGMA0_MODELS, conditions=conditions,
                     p_los=p_los,
-                    budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=120.0),
+                    budget=LinkBudget(max_pl_db=120.0),
                     sweep=SMALL_SWEEP)
 
 
@@ -504,7 +504,7 @@ ORACLE_TRIALS = 1000
 def ring_scenario(radius_m, models, p_los, max_pl_db):
     ues = [ue(i, radius_m * math.cos(i), radius_m * math.sin(i))
            for i in range(4)]
-    budget = LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db)
+    budget = LinkBudget(max_pl_db=max_pl_db)
     return scenario([bs(1, 0.0, 0.0)], ues, models=models, p_los=p_los,
                     budget=budget, sweep=SMALL_SWEEP)
 
@@ -535,7 +535,7 @@ def test_simulate_k1_reception_matches_edge_coverage(bw_ghz):
     sc = scenario([station], [user],
                   models={Condition.LOS: LOS, Condition.NLOS: NLOS},
                   conditions={("U1", "B1"): Condition.NLOS},
-                  budget=LinkBudget(14.9, 27.0, 20.0, bw_ghz=bw_ghz,
+                  budget=LinkBudget(bw_ghz=bw_ghz,
                                     max_pl_db=150.0),
                   sweep=SweepGrid(tx_angles=1, rx_azimuths=1,
                                   rx_elevations=1))
@@ -570,7 +570,7 @@ def test_nlos_best_beam_k1_reception_matches_order_statistic(best):
 
 
 def test_omni_within_budget_iff_mask_nonzero():
-    budget = LinkBudget(14.9, 27.0, 20.0, max_pl_db=120.0)
+    budget = LinkBudget(max_pl_db=120.0)
     sc = scenario([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -30.0, -20.0)],
                   [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0)],
                   p_los=0.5, budget=budget,
@@ -617,7 +617,7 @@ def test_golden_trial_zero():
     sc = scenario([bs(1, 0.0, 0.0), bs(2, 120.0, 0.0)],
                   [ue(1, 20.0, 0.0), ue(2, 100.0, 10.0)],
                   conditions=conditions, p_los=0.5,
-                  budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=108.0),
+                  budget=LinkBudget(max_pl_db=108.0),
                   seed=75)
     drops = simulate_drop(sc, 1)
     assert drops.links == (("U1", "B1"), ("U1", "B2"), ("U2", "B1"),
@@ -655,7 +655,7 @@ def policy_scenarios(draw):
     explicit = {(u.id, b.id): c for u in ues for b in bss
                 if (c := draw(pins)) is not None}
     p_los = draw(st.floats(0.0, 1.0))
-    budget = LinkBudget(14.9, 27.0, 20.0, max_pl_db=draw(st.floats(80.0, 140.0)))
+    budget = LinkBudget(max_pl_db=draw(st.floats(80.0, 140.0)))
     return scenario(bss, ues, models=models, conditions=explicit, p_los=p_los,
                     budget=budget, seed=draw(st.integers(0, 2**32)),
                     sweep=SMALL_SWEEP)
@@ -715,7 +715,7 @@ DENSE_UES = [ue(i, 10.0 * i, -5.0 * i) for i in range(1, 4)]
 
 def dense_scenario(pins, max_pl_db):
     return scenario(DENSE_BSS, DENSE_UES, models=DENSE_MODELS, **pins,
-                    budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db),
+                    budget=LinkBudget(max_pl_db=max_pl_db),
                     seed=7, sweep=SMALL_SWEEP)
 
 
@@ -791,7 +791,7 @@ def mixed_scenario():
                   [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0)],
                   conditions={("U1", "B1"): Condition.LOS,
                               ("U2", "B3"): Condition.NLOS}, p_los=0.5,
-                  budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=130.0),
+                  budget=LinkBudget(max_pl_db=130.0),
                   sweep=SMALL_SWEEP)
     assert Condition.NLOS_BEST in sc.models
     return sc
@@ -861,7 +861,7 @@ def test_stacked_reduction_matches_per_trial_counts(monkeypatch, bss, ues,
     sc = scenario(bss, ues, conditions={("U1", "B1"): Condition.LOS,
                                         ("U2", "B3"): Condition.NLOS},
                   p_los=0.6, sweep=SMALL_SWEEP,
-                  budget=LinkBudget(14.9, 27.0, 20.0, max_pl_db=max_pl_db))
+                  budget=LinkBudget(max_pl_db=max_pl_db))
     assert Condition.NLOS_BEST in sc.models
     topology = topology or sc.topology()
     los = stream_los(sc, trials)

@@ -81,18 +81,18 @@ def test_friis_doubling_distance_costs_6db():
 def test_received_power_is_plain_budget_arithmetic():
     # Received power at path loss PL is P_t + G_t + G_r - PL; the receiver
     # threshold is that power at the detection limit (PL_max at 1 GHz).
-    assert receiver_threshold_dbm(LinkBudget(10.0, 3.0, 2.0,
-                                             max_pl_db=100.0)) == -85.0
-    assert receiver_threshold_dbm(LinkBudget(14.9, 27.0, 20.0,
-                                             max_pl_db=175.0)) == pytest.approx(-113.1)
+    assert receiver_threshold_dbm(LinkBudget(max_pl_db=100.0),
+                                  10.0, 3.0, 2.0) == -85.0
+    assert receiver_threshold_dbm(LinkBudget(max_pl_db=175.0),
+                                  14.9, 27.0, 20.0) == pytest.approx(-113.1)
     assert friis_received_power_dbm(14.9, 27.0, 20.0, 1.0, 1.0) == pytest.approx(
         61.9 - 32.4)
 
 
 def test_received_power_round_trips_with_friis():
     pt, gt, gr, f, d = 14.9, 27.0, 20.0, 73.5, 42.0
-    budget = LinkBudget(pt, gt, gr, max_pl_db=fspl_db(f, d))
-    assert receiver_threshold_dbm(budget) == pytest.approx(
+    budget = LinkBudget(max_pl_db=fspl_db(f, d))
+    assert receiver_threshold_dbm(budget, pt, gt, gr) == pytest.approx(
         friis_received_power_dbm(pt, gt, gr, f, d), abs=1e-12)
 
 

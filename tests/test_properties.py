@@ -22,7 +22,7 @@ ples = st.floats(min_value=1.5, max_value=5.0)
 sigmas = st.floats(min_value=1.0, max_value=12.0)
 radii = st.floats(min_value=10.0, max_value=500.0)
 
-BUDGET = LinkBudget(14.9, 27.0, 20.0)
+BUDGET = LinkBudget()
 
 
 @given(freqs, dists)

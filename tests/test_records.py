@@ -16,7 +16,7 @@ from mmwcomp.propagation import field_kinds
 from mmwcomp.scenario_io import _parse_record
 
 NLOS = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
-BUDGET = LinkBudget(14.9, 27.0, 20.0)
+BUDGET = LinkBudget()
 META = RunMetadata("simulate", "0.1.0", 7, 2)
 B1 = Node("B1", 0.0, 0.0, 4.0)
 U1 = Node("U1", 30.0, 0.0, 1.4)
@@ -50,11 +50,11 @@ RECORDS = [
 INVALID = [
     (CiModel, (0.0, 2.0, 1.0, Condition.LOS),
      "f_ghz must be positive and finite, got 0.0"),
-    (LinkBudget, (14.9, 27.0, 20.0, 0.0, 175.0),
+    (LinkBudget, (0.0, 175.0),
      "bw_ghz must be positive, got 0.0"),
-    (LinkBudget, (14.9, 27.0, 20.0, math.nan, 175.0),
+    (LinkBudget, (math.nan, 175.0),
      "bw_ghz must be positive, got nan"),
-    (LinkBudget, (14.9, 27.0, 20.0, 1.0, math.nan),
+    (LinkBudget, (1.0, math.nan),
      "max_pl_db must be positive, got nan"),
     (PathLossSamples, ((0.5,), (120.0,), (Condition.NLOS,), ("VV",)),
      "sample distance must be finite and >= 1.0 m, got 0.5"),
@@ -185,8 +185,7 @@ SCHEMAS = [
     (Node, {"id": str, "x_m": float, "y_m": float, "height_m": float}),
     (CiModel, {"f_ghz": float, "ple": float, "sigma_db": float,
                "condition": Condition}),
-    (LinkBudget, dict.fromkeys(["pt_dbm", "gt_dbi", "gr_dbi", "bw_ghz",
-                                "max_pl_db"], float)),
+    (LinkBudget, {"bw_ghz": float, "max_pl_db": float}),
     (SweepGrid, {"tx_angles": int, "rx_azimuths": int, "rx_elevations": int}),
     (Scenario, {"base_stations": tuple[Node, ...], "ues": tuple[Node, ...],
                 "models": Mapping[Condition, CiModel], "budget": LinkBudget,
