@@ -107,8 +107,18 @@ def _cmd_coverage(args) -> ResultBundle:
     return ResultBundle(RunMetadata("coverage", __version__), outage_rows=rows)
 
 
+def _reception_rows(masks, topology, k_max: int, n_directions: int,
+                    lanes: int = 1) -> list[ReceptionRow]:
+    """One row per k: the full-coverage share of every lane's k-subsets."""
+    from .diversity import combination_count, reception_counts
+    counts = reception_counts(masks, topology, k_max, n_directions, lanes)
+    return [ReceptionRow(k, sum(hits) / (len(hits) * n), n)
+            for k, hits in sorted(counts.items())
+            for n in (combination_count(topology, k),)]
+
+
 def _cmd_simulate(args) -> ResultBundle:
-    from .diversity import reception_counts, simulate_drop
+    from .diversity import simulate_drop
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         # _replace runs no checks, and substream's own error names no flag.
@@ -126,16 +136,12 @@ def _cmd_simulate(args) -> ResultBundle:
         drops = simulate_drop(scenario, args.trials)
     except ValueError as exc:
         raise ScenarioError(f"{args.scenario}: {exc}") from None
-    counts = reception_counts(dict(zip(drops.links, drops.masks)),
-                              scenario.topology(), k_max,
-                              scenario.sweep.n_rx_directions, args.trials)
-    import numpy as np
-    # Each trial's reception is its full-coverage share of the k-subsets.
-    rows = [ReceptionRow(k, float(np.mean([h / n_k for h in hits])), n_k)
-            for k, (hits, n_k) in sorted(counts.items())]
+    rows = _reception_rows(drops.masks, scenario.topology(), k_max,
+                           scenario.sweep.n_rx_directions, args.trials)
     for row in rows:
         print(f"k={row.k} reception={format_pct(row.probability)}% "
               f"({row.n_combinations} combinations per trial)")
+    import numpy as np
     # Best-n CDFs: links are UE-major, so each row holds one UE's omni path
     # losses in one trial, and sorted column n-1 is its n-th lowest.
     best = np.sort(drops.omni_pl_db.reshape(-1, n_bs), axis=1)
@@ -146,7 +152,7 @@ def _cmd_simulate(args) -> ResultBundle:
 
 
 def _cmd_enumerate(args) -> ResultBundle | None:
-    from .diversity import combination_count, reception_counts
+    from .diversity import combination_count
     if args.out is not None and args.masks is None:
         raise ScenarioError("--out needs --masks: enumerate without masks "
                             "writes no bundle")
@@ -158,11 +164,9 @@ def _cmd_enumerate(args) -> ResultBundle | None:
     if args.masks is not None:
         masks, n_directions = read_masks_csv(args.masks)
         try:
-            counts = reception_counts(masks, topology, limit, n_directions)
+            rows = _reception_rows(masks, topology, limit, n_directions)
         except ValueError as exc:  # a topology link without a mask row
             raise ScenarioError(f"{args.masks}: {exc}") from None
-        rows = [ReceptionRow(k, hits[0] / n, n)
-                for k, (hits, n) in sorted(counts.items())]
         for row in rows:
             print(f"k={row.k}: {row.n_combinations} combinations, "
                   f"reception={format_pct(row.probability)}%")

@@ -22,31 +22,31 @@ normals when a condition has a best-pair model.  One table per run gives
 each condition (row 0 LOS, row 1 NLOS) its arbitrary-angle model and an
 optional best-pair model, NLOS_BEST for NLOS.  A trial only draws; the
 rest runs once per batch of trials.  All trials come back as one
-:class:`Drops` record, one column per link: omni path loss and masks.
+:class:`Drops` record: omni path loss and each link's masks.
 
 A batch of masks is one int with one lane per mask: over n directions a
 lane is ``lane_bytes(n) = n // 8 + 1`` bytes, so at least one spare guard
 bit sits above every mask, and lane l starts at bit ``l * 8 *
-lane_bytes(n)``.  ``Drops.masks[i]`` holds link i's masks in one such
-int, lane t for trial t.
+lane_bytes(n)``.  A mask set maps each link ``(ue_id, bs_id)`` to one
+such int: measured masks (``read_masks_csv``) have one lane, and
+``Drops.masks`` one lane per trial.
 
 The records here are ``typing.NamedTuple`` classes: they are immutable and
 unpack like tuples, and ``_replace`` copies one without re-running its
 checks.  :class:`Drops` compares by identity, since its fields are arrays.
 
 :func:`simulate_drop` draws its trials in contiguous chunks, one per
-usable CPU: the calling thread draws the first and worker threads the
-rest, each into its own rows of one set of output arrays.  Because every
-trial owns its sub-stream, the output is byte-identical for any split;
-nothing needs setting.
+usable CPU, each on a worker thread and into its own rows of one set of
+output arrays.  Because every trial owns its sub-stream, the output is
+byte-identical for any split; nothing needs setting.
 
 Reception-over-all-angles statistics for k serving base stations are then
 combinatorial: a k-combination of serving stations covers a user when the
 bitwise OR of its reception masks has every direction bit set.  One
 miss-set kernel counts those combinations for every lane of its packed
 masks at once, and :func:`reception_counts`, the one reception reducer,
-calls it once per distinct serving set: with one lane for measured masks
-and with ``Drops.masks`` and one lane per trial for simulated drops.
+calls it once per distinct serving set of a mask set;
+:func:`combination_count` gives the k-subsets each lane counts from.
 
 Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
@@ -180,23 +180,21 @@ class Scenario(NamedTuple):
 
 
 class Drops(NamedTuple):
-    """Monte Carlo drops: row t is trial t, column i is link ``links[i]``.
+    """Monte Carlo drops: row t of ``omni_pl_db`` and lane t of each mask
+    are trial t.
 
-    ``links`` follows ``Scenario.links()``: UE-major, base stations by id.
-    ``omni_pl_db`` is a (trials, L) array, +inf where no angle pair was
-    detected.  ``masks[i]`` holds link i's reception masks for every trial
-    in one int, one lane per trial: with n RX directions, lane t starts at
-    bit ``t * 8 * lane_bytes(n)``, and its bit ``el * n_azimuths + az`` is
-    set when that RX direction received signal from at least one TX sector
-    angle (elevation-major ordering).
-    ``reception_counts(dict(zip(links, masks)), ..., lanes=trials)`` reduces
-    them.  Only :func:`simulate_drop` builds this record, so it alone loads
-    numpy; the masks are plain ints.
+    ``masks`` is a mask set in ``Scenario.links()`` order (UE-major, base
+    stations by id); column i of the (trials, L) array ``omni_pl_db`` is its
+    link i, +inf where no angle pair was detected.  With n RX directions,
+    lane t of a mask starts at bit ``t * 8 * lane_bytes(n)``, and its bit
+    ``el * n_azimuths + az`` is set when that RX direction received signal
+    from at least one TX sector angle (elevation-major ordering).
+    ``reception_counts(drops.masks, ..., lanes=trials)`` reduces them.  Only
+    :func:`simulate_drop` builds this record, so it alone loads numpy.
     """
 
-    links: tuple[LinkKey, ...]
     omni_pl_db: np.ndarray
-    masks: tuple[int, ...]
+    masks: dict[LinkKey, int]
 
     # Identity, not field-wise, comparison: the fields are arrays.
     __eq__ = object.__eq__
@@ -283,19 +281,18 @@ def _widen(packed: int, lanes: int, width: int, wider: int) -> int:
 
 def reception_counts(masks: Mapping[LinkKey, int],
                      topology: Mapping[str, Iterable[str]], k_max: int,
-                     n_directions: int, lanes: int = 1
-                     ) -> dict[int, tuple[list[int], int]]:
-    """Per-lane full-coverage and total k-subset counts for k = 1..k_max.
+                     n_directions: int, lanes: int = 1) -> dict[int, list[int]]:
+    """Per-lane full-coverage k-subset counts for k = 1..k_max.
 
     Every mask packs ``lanes`` masks of ``n_directions`` bits, lane l at bit
     ``l * 8 * lane_bytes(n_directions)``: a plain bitset is one lane, and
-    ``Drops.masks`` has one lane per trial.  Returns k -> (for each lane,
-    the subsets whose masks OR to all ``n_directions`` bits, summed over
-    UEs; the subsets in each lane) for every k that some serving set
-    reaches.  UEs with the same serving set share one miss-set kernel call,
-    each UE's lanes above the previous UE's.  Lanes are widened beyond
-    ``lane_bytes`` only when a lane's count summed over such a group could
-    outgrow them.
+    ``Drops.masks`` has one lane per trial.  Returns k -> for each lane, the
+    subsets whose masks OR to all ``n_directions`` bits, summed over UEs,
+    for every k that some serving set reaches; ``combination_count`` is
+    each lane's total.  UEs with the same serving set share one miss-set
+    kernel call, each UE's lanes above the previous UE's.  Lanes are widened
+    beyond ``lane_bytes`` only when a lane's count summed over such a group
+    could outgrow them.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -312,7 +309,7 @@ def reception_counts(masks: Mapping[LinkKey, int],
                 raise ValueError(f"reception mask for link {link} does not "
                                  f"fit {lanes} lane(s) of {n_directions} bits")
         groups.setdefault(serving, []).append(ue_id)
-    counts: dict[int, tuple[list[int], int]] = {}
+    counts: dict[int, list[int]] = {}
     for serving, ues in groups.items():
         s, top = len(serving), min(k_max, len(serving))
         most = len(ues) * math.comb(s, min(top, s // 2))
@@ -325,10 +322,8 @@ def reception_counts(masks: Mapping[LinkKey, int],
         for k, packed in enumerate(hits, 1):
             # Adding the UEs' blocks of lanes sums each lane over the UEs.
             summed = sum(_lane_values(packed, len(ues), lanes * width))
-            h, n = counts.get(k, ([0] * lanes, 0))
-            counts[k] = ([a + b for a, b in
-                          zip(h, _lane_values(summed, lanes, width))],
-                         n + len(ues) * math.comb(s, k))
+            counts[k] = [a + b for a, b in zip(
+                counts.get(k, [0] * lanes), _lane_values(summed, lanes, width))]
     return counts
 
 
@@ -336,13 +331,13 @@ def _map_trials(fn: Callable[[int, int], object], trials: int) -> None:
     """``fn(lo, hi)`` over contiguous trial chunks, one per usable CPU.
 
     Chunk i covers trials ``[trials*i//w, trials*(i+1)//w)`` with
-    ``w = min(trials, usable CPUs)``.  The caller runs chunk 0 while threads
-    run the rest; numpy's normal fills and ufuncs release the GIL, so the
+    ``w = min(trials, usable CPUs)``, each on its own thread while the caller
+    joins them; numpy's normal fills and ufuncs release the GIL, so the
     chunks draw in parallel.  ``fn`` returns nothing: each chunk writes its
     own rows of arrays that the caller allocated.  Once every thread has
     finished, the exception of the lowest-numbered failing chunk is raised.
-    The threads are daemons, so an interrupt in the caller does not wait for
-    their chunks to end.
+    The threads are daemons, so an interrupt in the caller's join does not
+    wait for their chunks to end.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -359,13 +354,9 @@ def _map_trials(fn: Callable[[int, int], object], trials: int) -> None:
             errors[i] = exc
 
     threads = [threading.Thread(target=run, args=(i,), daemon=True)
-               for i in range(1, w)]
+               for i in range(w)]
     for t in threads:
         t.start()
-    try:
-        fn(0, bounds[1])
-    except Exception as exc:  # an interrupt leaves without the joins
-        errors[0] = exc
     for t in threads:
         t.join()
     for exc in errors:
@@ -405,9 +396,10 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     mean = np.array([[ci_mean_path_loss_db(m, x) for x in d] for m, _ in table])
     best = [(r, np.array([ci_mean_path_loss_db(b, x) for x in d]), b.sigma_db)
             for r, (_, b) in enumerate(table) if b is not None]
-    # Pinned links overwrite the drawn LOS flags, by index arrays built once.
-    pinned = [i for i, key in enumerate(keys) if key in scenario.conditions]
-    pinned_los = [scenario.conditions[keys[i]] is Condition.LOS for i in pinned]
+    # Each link's LOS probability, 1 or 0 when pinned: uniforms lie in [0, 1).
+    p_los = np.array([float(scenario.conditions[key] is Condition.LOS)
+                      if key in scenario.conditions else scenario.p_los
+                      for key in keys])
     limit = max_detectable_pl_db(scenario.budget)
     sweep = scenario.sweep
     n_links, n_tx, n_rx = len(keys), sweep.tx_angles, sweep.n_rx_directions
@@ -431,8 +423,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
                 if best:
                     rng.standard_normal(out=best_z[i])
             pl = block[:b1 - b0]
-            los = uniforms[:b1 - b0] < scenario.p_los
-            los[:, pinned] = pinned_los
+            los = uniforms[:b1 - b0] < p_los
             row = (~los).view(np.uint8)  # each (trial, link)'s table row
             pl *= sigma[row][..., None]
             pl += mean[row, range(n_links)][..., None]
@@ -455,6 +446,5 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
                 omni[b0:b1] = -10.0 * np.log10(pl.sum(axis=2))
 
     _map_trials(chunk, trials)
-    return Drops(keys, omni,
-                 tuple(int.from_bytes(packed[:, i].tobytes(), "little")
-                       for i in range(n_links)))
+    return Drops(omni, {key: int.from_bytes(packed[:, i].tobytes(), "little")
+                        for i, key in enumerate(keys)})

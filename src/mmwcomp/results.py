@@ -126,6 +126,10 @@ class ResultBundle(NamedTuple):
     cdfs: Mapping[str, Sequence[CdfPoint]] = MappingProxyType({})
 
     def _validate(self):
+        for i, card in enumerate(self.model_cards):
+            if any(c.condition is card.condition for c in self.model_cards[:i]):
+                raise ValueError(f"model card at index {i}: duplicate condition "
+                                 f"{card.condition.value}")
         for name, pts in self.cdfs.items():
             _validate_cdf(name, pts)
 

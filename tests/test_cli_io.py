@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 import mmwcomp
 from mmwcomp import (CdfPoint, Condition, ModelCard, Node, OutageRow,
                      PathLossSamples, ReceptionRow, ResultBundle, RunMetadata,
-                     Scenario, ScenarioError, build_cdf, emit_results, format_pct,
+                     Scenario, ScenarioError, build_cdf, combination_count,
+                     emit_results, format_pct,
                      load_model_cards, load_scenario, load_topology,
                      parse_scenario, read_bundle, read_masks_csv,
-                     read_samples_csv, simulate_drop)
+                     read_samples_csv, reception_counts, simulate_drop)
 from mmwcomp.cli import main
+from mmwcomp.diversity import lane_bytes
 from mmwcomp.params import BS_HEIGHT_M, CAMPAIGN_SERVING_SETS, UE_HEIGHT_M
 
 MINIMAL = {
@@ -413,6 +415,17 @@ SCENARIO_JSON = {
                       {"id": "B2", "x_m": 80.0, "y_m": 0.0}],
     "ues": [{"id": "U1", "x_m": 30.0, "y_m": 20.0}],
     "seed": 7,
+}
+
+# Three UEs listed out of id order and two base stations, far enough apart
+# that some links go undetected and reception differs from trial to trial.
+FAR_SCENARIO_JSON = {
+    "base_stations": [{"id": "B2", "x_m": 150.0, "y_m": 0.0},
+                      {"id": "B1", "x_m": 0.0, "y_m": 0.0}],
+    "ues": [{"id": "U3", "x_m": 140.0, "y_m": 10.0},
+            {"id": "U1", "x_m": 10.0, "y_m": 5.0},
+            {"id": "U2", "x_m": 75.0, "y_m": 30.0}],
+    "budget": {"max_pl_db": 110.0}, "seed": 11,
 }
 
 
@@ -1037,23 +1050,15 @@ class TestCli:
 
     def test_simulate_best_n_cdfs_are_per_ue_order_statistics(self, tmp_path,
                                                                capsys):
-        # Three UEs listed out of id order and two base stations, far enough
-        # apart that some links go undetected, so both the UE-major grouping
-        # and the finite filter show in the CDFs.
-        obj = {"base_stations": [{"id": "B2", "x_m": 150.0, "y_m": 0.0},
-                                 {"id": "B1", "x_m": 0.0, "y_m": 0.0}],
-               "ues": [{"id": "U3", "x_m": 140.0, "y_m": 10.0},
-                       {"id": "U1", "x_m": 10.0, "y_m": 5.0},
-                       {"id": "U2", "x_m": 75.0, "y_m": 30.0}],
-               "budget": {"max_pl_db": 110.0}, "seed": 11}
+        # Both the UE-major grouping and the finite filter show in the CDFs.
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(json.dumps(FAR_SCENARIO_JSON))
         out_dir = tmp_path / "run"
         assert main(["simulate", "--scenario", str(path), "--trials", "20",
                      "--k-max", "2", "--out", str(out_dir)]) == 0
         drops = simulate_drop(load_scenario(path), 20)
         per_ue = {}
-        for link, column in zip(drops.links, drops.omni_pl_db.T.tolist()):
+        for link, column in zip(drops.masks, drops.omni_pl_db.T.tolist()):
             per_ue.setdefault(link[0], []).append(column)
         assert sorted(per_ue) == ["U1", "U2", "U3"]
         undetected = 0
@@ -1066,6 +1071,53 @@ class TestCli:
             assert [line.split(",")[0] for line in lines[1:]] == [
                 "%.12g" % v for v in finite]
         assert undetected > 0
+
+    def far_reception(self, tmp_path, trials):
+        """The far scenario's path, topology and per-lane k -> hits counts
+        over ``trials`` drops, reduced as ``simulate`` reduces them."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(FAR_SCENARIO_JSON))
+        sc = load_scenario(path)
+        drops = simulate_drop(sc, trials)
+        counts = reception_counts(drops.masks, sc.topology(), 2,
+                                  sc.sweep.n_rx_directions, trials)
+        return path, sc.topology(), drops, counts
+
+    def test_simulate_reception_is_the_share_of_all_subsets(self, tmp_path,
+                                                            capsys):
+        trials = 40
+        path, topology, _, counts = self.far_reception(tmp_path, trials)
+        assert main(["simulate", "--scenario", str(path), "--trials",
+                     str(trials), "--out", str(tmp_path / "run")]) == 0
+        expected = ["k,p_reception_pct,n_combinations"]
+        for k, hits in sorted(counts.items()):
+            n = combination_count(topology, k)
+            assert 0 < sum(hits) < trials * n
+            expected.append(f"{k},{format_pct(sum(hits) / (trials * n))},{n}")
+        reception = (tmp_path / "run" / "reception.csv").read_text()
+        assert reception.splitlines() == expected
+
+    def test_enumerate_masks_scores_a_simulated_trial(self, tmp_path, capsys):
+        # Trial t's masks, written as a masks CSV and scored by enumerate
+        # --masks, give lane t of simulate's one reduction.
+        trials, n_directions = 12, 72
+        _, topology, drops, counts = self.far_reception(tmp_path, trials)
+        assert len(set(counts[1])) > 1  # trials differ
+        topo = tmp_path / "topology.json"
+        topo.write_text(json.dumps(topology))
+        width = 8 * lane_bytes(n_directions)
+        for t in range(trials):
+            masks = tmp_path / f"masks{t}.csv"
+            write_masks({link: (m >> (t * width)) & ((1 << n_directions) - 1)
+                         for link, m in drops.masks.items()}, masks)
+            out = tmp_path / f"enumerate{t}"
+            assert main(["enumerate", "--topology", str(topo), "--masks",
+                         str(masks), "--out", str(out)]) == 0
+            expected = ["k,p_reception_pct,n_combinations"] + [
+                f"{k},{format_pct(hits[t] / n)},{n}"
+                for k, hits in sorted(counts.items())
+                for n in (combination_count(topology, k),)]
+            assert (out / "reception.csv").read_text().splitlines() == expected
 
     def test_coverage_models_invalid_json_names_path(self, tmp_path, capsys):
         models = tmp_path / "models.json"

@@ -56,9 +56,9 @@ def masks_by_trial(drops, n):
     """
     width = 8 * lane_bytes(n)
     rows = tuple(tuple((m >> (t * width)) & ((1 << n) - 1)
-                       for m in drops.masks)
+                       for m in drops.masks.values())
                  for t in range(drops.omni_pl_db.shape[0]))
-    for i, m in enumerate(drops.masks):
+    for i, m in enumerate(drops.masks.values()):
         assert m == sum(row[i] << (t * width) for t, row in enumerate(rows))
     return rows
 
@@ -152,7 +152,8 @@ def fixture_masks(n_full=20):
 
 def probabilities(masks, topology, k_max, n_directions=72):
     counts = reception_counts(masks, topology, k_max, n_directions)
-    return {k: hits[0] / n for k, (hits, n) in counts.items()}
+    return {k: hits[0] / combination_count(topology, k)
+            for k, hits in counts.items()}
 
 
 def test_k1_reception_fixture():
@@ -201,8 +202,9 @@ def test_reception_monotone_in_k_on_fixture():
 
 def test_reception_counts_fixture_table():
     counts = reception_counts(fixture_masks(20), CAMPAIGN_SERVING_SETS, 9, 72)
-    assert [counts[k][1] for k in sorted(counts)] == [36, 54, 42, 17, 3]
-    assert counts[1] == ([20], 36)
+    assert [combination_count(CAMPAIGN_SERVING_SETS, k)
+            for k in sorted(counts)] == [36, 54, 42, 17, 3]
+    assert counts[1] == [20]
 
 
 def test_scenario_validation():
@@ -288,7 +290,7 @@ def test_simulate_sigma0_los_all_detectable(sweep, pairs):
     sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   p_los=1.0, sweep=sweep)
     drops = simulate_drop(sc, 1)
-    assert drops.links == (("U1", "B1"),)
+    assert list(drops.masks) == [("U1", "B1")]
     n = sweep.n_rx_directions
     assert masks_by_trial(drops, n) == (((1 << n) - 1,),)
     d = distance_3d(sc.ues[0], sc.base_stations[0])
@@ -316,7 +318,8 @@ def test_simulated_mean_is_the_closed_form_mean(p_los, condition):
                           p_los=p_los,
                           budget=SOUNDER_LINK_BUDGET._replace(max_pl_db=limit))
             assert max_detectable_pl_db(sc.budget) == limit
-            assert simulate_drop(sc, 1).masks == (seen,), (x, limit)
+            masks = simulate_drop(sc, 1).masks
+            assert masks == {("U1", "B1"): seen}, (x, limit)
 
 
 def test_simulate_omni_bounded_by_best_detected_pair():
@@ -372,7 +375,7 @@ def test_simulated_omni_fits_lower_ple_than_directional():
     samples = PathLossSamples(*zip(*[
         (d[link], pl, Condition.NLOS, "VV")
         for row in drops.omni_pl_db.tolist()
-        for link, pl in zip(drops.links, row) if math.isfinite(pl)]))
+        for link, pl in zip(drops.masks, row) if math.isfinite(pl)]))
     assert fit_ci(samples, 73.5).ple < NLOS.ple
 
 
@@ -430,7 +433,8 @@ def test_best_n_sorted_and_order_invariant_to_bs_input_order():
     sc_rev = scenario(list(reversed(bss)), [ue(1, 5.0, 5.0)])
     fwd = simulate_drop(sc_fwd, 1)
     rev = simulate_drop(sc_rev, 1)
-    assert fwd.links == rev.links == (("U1", "B1"), ("U1", "B2"), ("U1", "B3"))
+    assert (list(fwd.masks) == list(rev.masks)
+            == [("U1", "B1"), ("U1", "B2"), ("U1", "B3")])
     assert np.array_equal(fwd.omni_pl_db, rev.omni_pl_db)
     assert fwd.masks == rev.masks
     losses = np.sort(fwd.omni_pl_db.reshape(-1, 3), axis=1)[0].tolist()
@@ -438,13 +442,13 @@ def test_best_n_sorted_and_order_invariant_to_bs_input_order():
 
 
 def mean_reception(sc, drops, k_max):
-    """Mean over trials of each trial's full-coverage share, as ``simulate``
-    writes it, from one ``reception_counts`` call with a lane per trial."""
-    counts = reception_counts(dict(zip(drops.links, drops.masks)),
-                              sc.topology(), k_max, sc.sweep.n_rx_directions,
+    """Full-coverage share of all trials' k-subsets, as ``simulate`` writes
+    it, from one ``reception_counts`` call with a lane per trial."""
+    counts = reception_counts(drops.masks, sc.topology(), k_max,
+                              sc.sweep.n_rx_directions,
                               drops.omni_pl_db.shape[0])
-    return {k: float(np.mean([h / n for h in hits]))
-            for k, (hits, n) in counts.items()}
+    return {k: sum(hits) / (len(hits) * combination_count(sc.topology(), k))
+            for k, hits in counts.items()}
 
 
 def test_reception_vs_k_always_detectable():
@@ -478,14 +482,14 @@ def test_reception_vs_k_rejects_bad_masks():
     sc = scenario([bs(1, 10.0, 0.0), bs(2, 0.0, 10.0)], [ue(1, 0.0, 0.0)],
                   sweep=SMALL_SWEEP)
     drops = simulate_drop(sc, 2)
+    b1, b2 = ("U1", "B1"), ("U1", "B2")
     with pytest.raises(ValueError, match=r"missing reception mask for link "
                                          r"\('U1', 'B2'\)"):
-        reception_counts({drops.links[0]: drops.masks[0]}, sc.topology(), 2,
-                         SMALL_R, 2)
+        reception_counts({b1: drops.masks[b1]}, sc.topology(), 2, SMALL_R, 2)
     # A one-byte lane over 4 directions: bit 4 is lane 0's guard bit and
     # bit 16 would be a third trial's lane.
     for stray in (1 << 4, 1 << 16):
-        bad = dict(zip(drops.links, (drops.masks[0], drops.masks[1] | stray)))
+        bad = {b1: drops.masks[b1], b2: drops.masks[b2] | stray}
         with pytest.raises(ValueError, match=r"link \('U1', 'B2'\) does not "
                                              r"fit 2 lane\(s\) of 4 bits"):
             reception_counts(bad, sc.topology(), 2, SMALL_R, 2)
@@ -596,7 +600,7 @@ def test_los_share_of_random_links_matches_p_los():
                             explicit, p_los)
     n_los = n = 0
     drops = simulate_drop(sc, trials)
-    for link, los in zip(drops.links,
+    for link, los in zip(drops.masks,
                          np.array(los_by_trial(drops)).T.tolist()):
         if link in explicit:
             assert los == [explicit[link] is Condition.LOS] * trials
@@ -620,11 +624,12 @@ def test_golden_trial_zero():
                   budget=LinkBudget(max_pl_db=108.0),
                   seed=75)
     drops = simulate_drop(sc, 1)
-    assert drops.links == (("U1", "B1"), ("U1", "B2"), ("U2", "B1"),
-                           ("U2", "B2"))
     # One trial: each link's packed mask is its lane-0 mask alone.
-    assert drops.masks == (0xe811344061c655c47a, 0xd7ffffffffffffffbf,
-                           0xffdffddfffffefcffe, 0x1044006a430000aad1)
+    assert list(drops.masks.items()) == [
+        (("U1", "B1"), 0xe811344061c655c47a),
+        (("U1", "B2"), 0xd7ffffffffffffffbf),
+        (("U2", "B1"), 0xffdffddfffffefcffe),
+        (("U2", "B2"), 0x1044006a430000aad1)]
     expected_omni = [86.26707598711603, 84.13904572926874,
                      84.68460688675947, 88.6393954055026]
     assert drops.omni_pl_db[0].tolist() == pytest.approx(expected_omni,
@@ -869,15 +874,15 @@ def test_stacked_reduction_matches_per_trial_counts(monkeypatch, bss, ues,
     for cpus in (1, 2, 3):
         _with_cpus(monkeypatch, cpus)
         drops = simulate_drop(sc, trials)
-        per_trial = [reception_counts(dict(zip(drops.links, row)), topology,
+        per_trial = [reception_counts(dict(zip(drops.masks, row)), topology,
                                       k_max, SMALL_R)
                      for row in masks_by_trial(drops, SMALL_R)]
-        stacked = reception_counts(dict(zip(drops.links, drops.masks)),
-                                   topology, k_max, SMALL_R, trials)
-        assert stacked == {k: ([c[k][0][0] for c in per_trial],
-                               per_trial[0][k][1])
+        stacked = reception_counts(drops.masks, topology, k_max, SMALL_R,
+                                   trials)
+        assert stacked == {k: [c[k][0] for c in per_trial]
                            for k in range(1, k_max + 1)}
-        share = [np.mean(hits) / n for hits, n in stacked.values()]
+        share = [np.mean(hits) / combination_count(topology, k)
+                 for k, hits in stacked.items()]
         assert 0.0 < share[0] < share[k_max - 2] < 1.0
 
 
@@ -912,7 +917,7 @@ def _reception_chunks(bad_trial):
             for t, row in enumerate(masks_by_trial(drops, SMALL_R))]
 
     def chunk(lo, hi):
-        return [reception_counts(dict(zip(drops.links, row)), sc.topology(), 2,
+        return [reception_counts(dict(zip(drops.masks, row)), sc.topology(), 2,
                                  SMALL_SWEEP.n_rx_directions)
                 for row in rows[lo:hi]]
     return chunk
@@ -927,7 +932,7 @@ def test_worker_error_reaches_caller(monkeypatch):
             _map_trials(chunk, 7)
 
 
-def test_caller_chunk_error_reaps_workers(monkeypatch):
+def test_first_chunk_error_reaps_workers(monkeypatch):
     chunk = _reception_chunks(0)
     _with_cpus(monkeypatch, 2)
     with _no_threads_left(), _deadline(60):

@@ -41,7 +41,7 @@ RECORDS = [
     SweepGrid(),
     Scenario((B1,), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
     # One link over two trials in one-byte lanes: masks 0b1, then 0b11.
-    Drops((("U1", "B1"),), np.full((2, 1), 90.0), (1 | 3 << 8,)),
+    Drops(np.full((2, 1), 90.0), {("U1", "B1"): 1 | 3 << 8}),
 ]
 
 # For each validated record: valid fields in field order with one bad
@@ -60,6 +60,10 @@ INVALID = [
      "sample distance must be finite and >= 1.0 m, got 0.5"),
     (ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
      "CDF 'best1_pl_db' is empty"),
+    (ResultBundle, (META, (ModelCard("LOS", 73.5, 2.0, 1.9, Condition.LOS),
+                           ModelCard("LOS", 73.5, 2.1, 1.9, Condition.LOS)),
+                    (), (), {}),
+     "model card at index 1: duplicate condition LOS"),
     (RunMetadata, ("simulate", "0.1.0", -3, 2, None), "seed: must be >= 0, got -3"),
     (RunMetadata, ("simulate", "0.1.0", 7, 0, None), "trials: must be >= 1, got 0"),
     (ModelCard, ("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 0),
@@ -107,7 +111,7 @@ def test_every_record_class_is_covered():
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 13
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
-    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 23
+    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 24
 
 
 def test_record_fields():
@@ -140,7 +144,7 @@ def test_pickle_round_trip(record):
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record)
     if isinstance(record, Drops):  # identity equality; compare the fields
-        assert copy.links == record.links and copy.masks == record.masks
+        assert copy.masks == record.masks
         np.testing.assert_array_equal(copy.omni_pl_db, record.omni_pl_db)
     else:
         assert copy == record
