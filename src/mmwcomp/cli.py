@@ -112,7 +112,7 @@ def _reception_rows(masks, topology, k_max: int, n_directions: int,
     """One row per k: the full-coverage share of every lane's k-subsets."""
     from .diversity import combination_count, reception_counts
     counts = reception_counts(masks, topology, k_max, n_directions, lanes)
-    return [ReceptionRow(k, sum(hits) / (len(hits) * n), n)
+    return [ReceptionRow(k, hits / (lanes * n), n)
             for k, hits in sorted(counts.items())
             for n in (combination_count(topology, k),)]
 
@@ -136,6 +136,9 @@ def _cmd_simulate(args) -> ResultBundle:
         drops = simulate_drop(scenario, args.trials)
     except ValueError as exc:
         raise ScenarioError(f"{args.scenario}: {exc}") from None
+    except MemoryError:
+        raise ScenarioError(f"{args.scenario}: --trials {args.trials} needs "
+                            "more memory than is free") from None
     rows = _reception_rows(drops.masks, scenario.topology(), k_max,
                            scenario.sweep.n_rx_directions, args.trials)
     for row in rows:

@@ -43,10 +43,10 @@ byte-identical for any split; nothing needs setting.
 Reception-over-all-angles statistics for k serving base stations are then
 combinatorial: a k-combination of serving stations covers a user when the
 bitwise OR of its reception masks has every direction bit set.  One
-miss-set kernel counts those combinations for every lane of its packed
-masks at once, and :func:`reception_counts`, the one reception reducer,
-calls it once per distinct serving set of a mask set;
-:func:`combination_count` gives the k-subsets each lane counts from.
+miss-set kernel counts those combinations in every lane of its packed
+masks at once and returns one total per k.  :func:`reception_counts`, the
+one reception reducer, calls it once per distinct serving set of a mask
+set; :func:`combination_count` gives the k-subsets of each lane.
 
 Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
@@ -229,29 +229,22 @@ def _lane_ones(lanes: int, width: int) -> int:
     return int.from_bytes(b"\1".ljust(width, b"\0") * lanes, "little")
 
 
-def _lane_values(packed: int, lanes: int, width: int) -> list[int]:
-    """The ``lanes`` lanes of ``width`` bytes in ``packed``, lane 0 first."""
-    raw = packed.to_bytes(lanes * width, "little")
-    return [int.from_bytes(raw[i:i + width], "little")
-            for i in range(0, len(raw), width)]
-
-
 def _miss_set_hits(columns: Sequence[int], one: int, n: int,
                    top: int) -> list[int]:
-    """Lane-packed full-coverage counts of the k-subsets of ``columns``.
+    """Full-coverage counts of the k-subsets of ``columns``, summed over lanes.
 
     Each column is one station's masks packed in lanes, ``one`` has bit 0
     of every lane set, and every lane holds n direction bits with room for
-    a guard bit above them.  Returns, for k = 1..top, an int whose lane l
-    counts the k-subsets that cover all n directions in lane l; each lane
-    must be wide enough for that count.  ``level[s]`` counts the s-subsets
-    by miss set, the directions none of them covers.  Station j moves each
-    level s-1 entry to level s with its bits cleared, for s in descending
-    order so that j joins each subset once.  Equal miss sets share an
-    entry, and full unions all land on miss set 0, so the work grows with
-    the distinct partial unions, not with the subsets.  Adding ``full`` to
-    a miss set carries into a lane's guard bit exactly when that lane
-    misses a direction, so the flipped guard bits mark the lanes it hits.
+    a guard bit above them.  Returns, for k = 1..top, the number of
+    (k-subset, lane) pairs whose masks cover all n directions in that lane.
+    ``level[s]`` counts the s-subsets by miss set, the directions none of
+    them covers.  Station j moves each level s-1 entry to level s with its
+    bits cleared, for s in descending order so that j joins each subset
+    once.  Equal miss sets share an entry, and full unions all land on miss
+    set 0, so the work grows with the distinct partial unions, not with the
+    subsets.  Adding ``full`` to a miss set carries into a lane's guard bit
+    exactly when that lane misses a direction, so each of an entry's subsets
+    hits in as many lanes as the sum leaves guard bits unset.
     """
     full = one * ((1 << n) - 1)
     guard = one << n
@@ -263,36 +256,23 @@ def _miss_set_hits(columns: Sequence[int], one: int, n: int,
             for miss, c in level[s - 1].items():
                 miss &= clear
                 nxt[miss] = nxt.get(miss, 0) + c
-    return [sum(c * ((((miss + full) & guard) ^ guard) >> n)
+    return [sum(c * (((miss + full) & guard) ^ guard).bit_count()
                 for miss, c in level[k].items())
             for k in range(1, top + 1)]
 
 
-def _widen(packed: int, lanes: int, width: int, wider: int) -> int:
-    """The ``lanes`` lanes of ``width`` bytes in ``packed``, each padded to
-    ``wider`` bytes."""
-    if wider == width:
-        return packed
-    raw = packed.to_bytes(lanes * width, "little")
-    return int.from_bytes(b"".join(raw[i:i + width].ljust(wider, b"\0")
-                                   for i in range(0, len(raw), width)),
-                          "little")
-
-
 def reception_counts(masks: Mapping[LinkKey, int],
                      topology: Mapping[str, Iterable[str]], k_max: int,
-                     n_directions: int, lanes: int = 1) -> dict[int, list[int]]:
-    """Per-lane full-coverage k-subset counts for k = 1..k_max.
+                     n_directions: int, lanes: int = 1) -> dict[int, int]:
+    """Full-coverage k-subset counts for k = 1..k_max.
 
     Every mask packs ``lanes`` masks of ``n_directions`` bits, lane l at bit
     ``l * 8 * lane_bytes(n_directions)``: a plain bitset is one lane, and
-    ``Drops.masks`` has one lane per trial.  Returns k -> for each lane, the
-    subsets whose masks OR to all ``n_directions`` bits, summed over UEs,
-    for every k that some serving set reaches; ``combination_count`` is
-    each lane's total.  UEs with the same serving set share one miss-set
-    kernel call, each UE's lanes above the previous UE's.  Lanes are widened
-    beyond ``lane_bytes`` only when a lane's count summed over such a group
-    could outgrow them.
+    ``Drops.masks`` has one lane per trial.  Returns k -> the (k-subset,
+    lane) pairs whose masks OR to all ``n_directions`` bits, summed over
+    UEs, for every k that some serving set reaches; each lane has
+    ``combination_count`` k-subsets.  UEs with the same serving set share
+    one miss-set kernel call, each UE's lanes above the previous UE's.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -309,21 +289,15 @@ def reception_counts(masks: Mapping[LinkKey, int],
                 raise ValueError(f"reception mask for link {link} does not "
                                  f"fit {lanes} lane(s) of {n_directions} bits")
         groups.setdefault(serving, []).append(ue_id)
-    counts: dict[int, list[int]] = {}
+    counts: dict[int, int] = {}
+    block = 8 * lanes * lb
     for serving, ues in groups.items():
-        s, top = len(serving), min(k_max, len(serving))
-        most = len(ues) * math.comb(s, min(top, s // 2))
-        width = max(lb, -(-most.bit_length() // 8))
-        block = 8 * lanes * width
-        columns = [sum(_widen(masks[(u, b)], lanes, lb, width) << (i * block)
-                       for i, u in enumerate(ues)) for b in serving]
-        hits = _miss_set_hits(columns, _lane_ones(len(ues) * lanes, width),
-                              n_directions, top)
-        for k, packed in enumerate(hits, 1):
-            # Adding the UEs' blocks of lanes sums each lane over the UEs.
-            summed = sum(_lane_values(packed, len(ues), lanes * width))
-            counts[k] = [a + b for a, b in zip(
-                counts.get(k, [0] * lanes), _lane_values(summed, lanes, width))]
+        columns = [sum(masks[(u, b)] << (i * block) for i, u in enumerate(ues))
+                   for b in serving]
+        hits = _miss_set_hits(columns, _lane_ones(len(ues) * lanes, lb),
+                              n_directions, min(k_max, len(serving)))
+        for k, h in enumerate(hits, 1):
+            counts[k] = counts.get(k, 0) + h
     return counts
 
 

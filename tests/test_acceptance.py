@@ -14,6 +14,7 @@ from scipy import integrate
 
 import mmwcomp as m
 from mmwcomp import Condition
+from mmwcomp.cli import _reception_rows
 from mmwcomp.params import (CAMPAIGN_SERVING_SETS, DIRECTIONAL_CI_73GHZ,
                             OMNI_CI_73GHZ, SOUNDER_GR_DBI, SOUNDER_GT_DBI,
                             SOUNDER_LINK_BUDGET, SOUNDER_PT_DBM)
@@ -37,11 +38,9 @@ def criterion(capsys, number, description):
 
 def mean_reception(sc, drops, k_max):
     """Full-coverage share of all trials' k-subsets, as simulate writes it."""
-    counts = m.reception_counts(drops.masks, sc.topology(), k_max,
-                                sc.sweep.n_rx_directions,
-                                drops.omni_pl_db.shape[0])
-    return {k: sum(hits) / (len(hits) * m.combination_count(sc.topology(), k))
-            for k, hits in counts.items()}
+    rows = _reception_rows(drops.masks, sc.topology(), k_max,
+                           sc.sweep.n_rx_directions, drops.omni_pl_db.shape[0])
+    return {row.k: row.probability for row in rows}
 
 
 def test_criterion_1_edge_outage(capsys):
@@ -114,7 +113,7 @@ def test_criterion_4_combinatorics(capsys):
                  for i, link in enumerate(links)}
         reception = m.reception_counts(masks, CAMPAIGN_SERVING_SETS, 5, 72)
         assert sorted(reception) == list(range(1, 6))
-        (hits,) = reception[1]
+        hits = reception[1]
         assert abs(100.0 * hits / counts[0] - 55.6) <= 0.05
 
 

@@ -891,6 +891,23 @@ class TestCli:
         assert captured.err == f"error: {path}: link U1/B1 {message}\n"
         assert main(["coverage", "--scenario", str(path)]) == 0
 
+    def test_simulate_out_of_memory_names_trials(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # numpy raises MemoryError when the drops' arrays do not fit; a
+        # small --trials keeps a missed patch from allocating much.
+        import numpy as np
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        sc = self.write_scenario(tmp_path)
+        assert main(["simulate", "--scenario", sc, "--trials", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {sc}: --trials 7 needs more memory "
+                                "than is free\n")
+
     def test_simulate_takes_any_rx_azimuth_count(self, tmp_path, capsys,
                                                  monkeypatch):
         # The RX azimuths tile the plane in 360 / rx_azimuths degree steps,
@@ -1073,7 +1090,7 @@ class TestCli:
         assert undetected > 0
 
     def far_reception(self, tmp_path, trials):
-        """The far scenario's path, topology and per-lane k -> hits counts
+        """The far scenario's path, topology, drops and k -> hits counts
         over ``trials`` drops, reduced as ``simulate`` reduces them."""
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(FAR_SCENARIO_JSON))
@@ -1092,32 +1109,38 @@ class TestCli:
         expected = ["k,p_reception_pct,n_combinations"]
         for k, hits in sorted(counts.items()):
             n = combination_count(topology, k)
-            assert 0 < sum(hits) < trials * n
-            expected.append(f"{k},{format_pct(sum(hits) / (trials * n))},{n}")
+            assert 0 < hits < trials * n
+            expected.append(f"{k},{format_pct(hits / (trials * n))},{n}")
         reception = (tmp_path / "run" / "reception.csv").read_text()
         assert reception.splitlines() == expected
 
     def test_enumerate_masks_scores_a_simulated_trial(self, tmp_path, capsys):
         # Trial t's masks, written as a masks CSV and scored by enumerate
-        # --masks, give lane t of simulate's one reduction.
+        # --masks, give trial t's one-lane counts, and those counts sum to
+        # simulate's one reduction.
         trials, n_directions = 12, 72
         _, topology, drops, counts = self.far_reception(tmp_path, trials)
-        assert len(set(counts[1])) > 1  # trials differ
         topo = tmp_path / "topology.json"
         topo.write_text(json.dumps(topology))
         width = 8 * lane_bytes(n_directions)
+        per_trial = []
         for t in range(trials):
+            trial = {link: (m >> (t * width)) & ((1 << n_directions) - 1)
+                     for link, m in drops.masks.items()}
+            hits = reception_counts(trial, topology, 2, n_directions)
+            per_trial.append(hits)
             masks = tmp_path / f"masks{t}.csv"
-            write_masks({link: (m >> (t * width)) & ((1 << n_directions) - 1)
-                         for link, m in drops.masks.items()}, masks)
+            write_masks(trial, masks)
             out = tmp_path / f"enumerate{t}"
             assert main(["enumerate", "--topology", str(topo), "--masks",
                          str(masks), "--out", str(out)]) == 0
             expected = ["k,p_reception_pct,n_combinations"] + [
-                f"{k},{format_pct(hits[t] / n)},{n}"
-                for k, hits in sorted(counts.items())
+                f"{k},{format_pct(hits[k] / n)},{n}"
+                for k in sorted(hits)
                 for n in (combination_count(topology, k),)]
             assert (out / "reception.csv").read_text().splitlines() == expected
+        assert len({c[1] for c in per_trial}) > 1  # trials differ
+        assert counts == {k: sum(c[k] for c in per_trial) for k in counts}
 
     def test_coverage_models_invalid_json_names_path(self, tmp_path, capsys):
         models = tmp_path / "models.json"
@@ -1546,12 +1569,13 @@ class TestGarbageCollector:
         assert garbage(3) == garbage(30)
 
 
-def test_readme_library_examples_run(monkeypatch):
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_readme_library_examples_run(monkeypatch, doc):
     root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text()
-    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    text = (root / doc).read_text()
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     blocks = section.split("```python\n")[1:]
     assert len(blocks) == 2
     monkeypatch.chdir(root)
     for block in blocks:
-        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+        exec(compile(block.split("```", 1)[0], doc, "exec"), {})

@@ -22,6 +22,7 @@ from mmwcomp import (CiModel, Condition, LinkBudget, Node, PathLossSamples,
                      edge_outage_probability, fit_ci, max_detectable_pl_db,
                      reception_counts, simulate_drop, substream)
 from mmwcomp import diversity
+from mmwcomp.cli import _reception_rows
 from mmwcomp.diversity import _map_trials, lane_bytes
 from mmwcomp.params import CAMPAIGN_SERVING_SETS, SOUNDER_LINK_BUDGET
 
@@ -150,10 +151,11 @@ def fixture_masks(n_full=20):
             for i, link in enumerate(links)}
 
 
-def probabilities(masks, topology, k_max, n_directions=72):
-    counts = reception_counts(masks, topology, k_max, n_directions)
-    return {k: hits[0] / combination_count(topology, k)
-            for k, hits in counts.items()}
+def probabilities(masks, topology, k_max, n_directions=72, lanes=1):
+    """k -> the full-coverage share of every lane's k-subsets, as the CLI
+    writes it."""
+    return {row.k: row.probability for row in _reception_rows(
+        masks, topology, k_max, n_directions, lanes)}
 
 
 def test_k1_reception_fixture():
@@ -204,7 +206,7 @@ def test_reception_counts_fixture_table():
     counts = reception_counts(fixture_masks(20), CAMPAIGN_SERVING_SETS, 9, 72)
     assert [combination_count(CAMPAIGN_SERVING_SETS, k)
             for k in sorted(counts)] == [36, 54, 42, 17, 3]
-    assert counts[1] == [20]
+    assert counts[1] == 20
 
 
 def test_scenario_validation():
@@ -443,12 +445,9 @@ def test_best_n_sorted_and_order_invariant_to_bs_input_order():
 
 def mean_reception(sc, drops, k_max):
     """Full-coverage share of all trials' k-subsets, as ``simulate`` writes
-    it, from one ``reception_counts`` call with a lane per trial."""
-    counts = reception_counts(drops.masks, sc.topology(), k_max,
-                              sc.sweep.n_rx_directions,
-                              drops.omni_pl_db.shape[0])
-    return {k: sum(hits) / (len(hits) * combination_count(sc.topology(), k))
-            for k, hits in counts.items()}
+    it, from one reduction with a lane per trial."""
+    return probabilities(drops.masks, sc.topology(), k_max,
+                         sc.sweep.n_rx_directions, drops.omni_pl_db.shape[0])
 
 
 def test_reception_vs_k_always_detectable():
@@ -855,11 +854,11 @@ THREE_UES = [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0), ue(3, 30.0, -50.0)]
     # U1 and U3 share a serving set and one kernel call; U2's set differs.
     (THREE_BSS, THREE_UES, {"U1": ("B1", "B2", "B3"), "U2": ("B3", "B2"),
                             "U3": ("B3", "B1", "B2")}, 130.0, 9, 3),
-    # Up to 2 * C(10, 5) = 504 hits per trial outgrow a one-byte lane.
+    # Up to 2 * C(10, 5) = 504 hits per trial, more than one byte holds.
     ([bs(i, 20.0 * i * math.cos(i), 20.0 * i * math.sin(i))
       for i in range(1, 11)], [ue(1, 0.0, 0.0), ue(2, 15.0, 5.0)], None,
      125.0, 5, 5),
-], ids=["3bs_3ue", "3bs_shared_serving_sets", "10bs_widened_lanes"])
+], ids=["3bs_3ue", "3bs_shared_serving_sets", "10bs_counts_over_a_byte"])
 def test_stacked_reduction_matches_per_trial_counts(monkeypatch, bss, ues,
                                                      topology, max_pl_db,
                                                      trials, k_max):
@@ -879,10 +878,10 @@ def test_stacked_reduction_matches_per_trial_counts(monkeypatch, bss, ues,
                      for row in masks_by_trial(drops, SMALL_R)]
         stacked = reception_counts(drops.masks, topology, k_max, SMALL_R,
                                    trials)
-        assert stacked == {k: [c[k][0] for c in per_trial]
+        assert stacked == {k: sum(c[k] for c in per_trial)
                            for k in range(1, k_max + 1)}
-        share = [np.mean(hits) / combination_count(topology, k)
-                 for k, hits in stacked.items()]
+        share = list(probabilities(drops.masks, topology, k_max, SMALL_R,
+                                   trials).values())
         assert 0.0 < share[0] < share[k_max - 2] < 1.0
 
 

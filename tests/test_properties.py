@@ -13,6 +13,7 @@ from mmwcomp import (CiModel, Condition, LinkBudget, build_cdf,
                      edge_outage_probability, format_pct,
                      friis_received_power_dbm, fspl_db, reception_counts,
                      region_outage_probability, substream)
+from mmwcomp.cli import _reception_rows
 from mmwcomp.diversity import _miss_set_hits, lane_bytes
 from mmwcomp.results import _parse_pct
 
@@ -103,9 +104,8 @@ def test_reception_monotone_per_ue(masks):
     # non-decreasing in k.
     topology = {"U1": tuple(f"B{i}" for i in range(len(masks)))}
     links = {("U1", f"B{i}"): m for i, m in enumerate(masks)}
-    counts = reception_counts(links, topology, len(masks), 4)
-    probs = [hits[0] / combination_count(topology, k)
-             for k, hits in sorted(counts.items())]
+    probs = [row.probability
+             for row in _reception_rows(links, topology, len(masks), 4)]
     for a, b in zip(probs, probs[1:]):
         assert b >= a - 1e-12
 
@@ -120,7 +120,8 @@ def test_reception_counts_match_brute_force(n_directions, lanes, data):
                                st.integers(0, full)))
     stations = [f"B{i}" for i in range(10)]
     # A fixed set drawn often, in any order, so that UEs share serving sets;
-    # three UEs sharing all ten stations outgrow a one-byte lane.
+    # three UEs sharing all ten stations count more hits per lane than one
+    # byte holds.
     serving = st.one_of(
         st.permutations(stations[:3]).map(tuple),
         st.just(tuple(stations)),
@@ -136,11 +137,14 @@ def test_reception_counts_match_brute_force(n_directions, lanes, data):
                        for lane, m in enumerate(per_lane)) for link in links}
     k_max = max(len(s) for s in topology.values())
     counts = reception_counts(masks, topology, k_max, n_directions, lanes)
+    one_lane = [reception_counts(m, topology, k_max, n_directions)
+                for m in per_lane]
     assert sorted(counts) == list(range(1, k_max + 1))
     for k in range(1, k_max + 1):
         brute = [oracles.union_reception(topology, m, n_directions, k)
                  for m in per_lane]
-        assert counts[k] == [hits for hits, _ in brute]
+        assert [c[k] for c in one_lane] == [hits for hits, _ in brute]
+        assert counts[k] == sum(c[k] for c in one_lane)
         assert combination_count(topology, k) == brute[0][1]
 
 
@@ -163,8 +167,8 @@ def test_reception_counts_match_brute_force_on_twelve_stations():
     assert sorted(counts) == list(range(1, 7))
     for k in range(1, 7):
         hits, n = oracles.union_reception(topology, masks, n_directions, k)
-        assert counts[k] == [hits] and combination_count(topology, k) == n, k
-    assert all(0 < counts[k][0] < combination_count(topology, k)
+        assert counts[k] == hits and combination_count(topology, k) == n, k
+    assert all(0 < counts[k] < combination_count(topology, k)
                for k in range(2, 7))
 
 
@@ -184,13 +188,14 @@ def test_lane_kernel_counts_every_lane_like_brute_force(n, lanes, n_bs, data):
     one = sum(1 << (lane * width) for lane in range(lanes))
     hits = _miss_set_hits(columns, one, n, top)
     assert len(hits) == top
+    one_lane = [_miss_set_hits(ms, 1, n, top) for ms in per_lane]
+    assert hits == [sum(lane_hits) for lane_hits in zip(*one_lane)]
     topology = {"U1": [f"B{j}" for j in range(n_bs)]}
-    for k, packed in enumerate(hits, 1):
-        assert packed >> (lanes * width) == 0
-        for lane, ms in enumerate(per_lane):
+    for ms, lane_hits in zip(per_lane, one_lane):
+        for k, got in enumerate(lane_hits, 1):
             expected, _ = oracles.union_reception(
                 topology, {("U1", f"B{j}"): m for j, m in enumerate(ms)}, n, k)
-            assert (packed >> (lane * width)) & ((1 << width) - 1) == expected
+            assert got == expected
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 100))

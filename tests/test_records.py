@@ -46,64 +46,79 @@ RECORDS = [
 
 # For each validated record: valid fields in field order with one bad
 # value, and the message the check gives for it.  A NaN must fail each
-# check that compares a float, so those checks are written negated.
-INVALID = [
-    (CiModel, (0.0, 2.0, 1.0, Condition.LOS),
-     "f_ghz must be positive and finite, got 0.0"),
-    (LinkBudget, (0.0, 175.0),
-     "bw_ghz must be positive, got 0.0"),
-    (LinkBudget, (math.nan, 175.0),
-     "bw_ghz must be positive, got nan"),
-    (LinkBudget, (1.0, math.nan),
-     "max_pl_db must be positive, got nan"),
-    (PathLossSamples, ((0.5,), (120.0,), (Condition.NLOS,), ("VV",)),
-     "sample distance must be finite and >= 1.0 m, got 0.5"),
-    (ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
-     "CDF 'best1_pl_db' is empty"),
-    (ResultBundle, (META, (ModelCard("LOS", 73.5, 2.0, 1.9, Condition.LOS),
-                           ModelCard("LOS", 73.5, 2.1, 1.9, Condition.LOS)),
-                    (), (), {}),
-     "model card at index 1: duplicate condition LOS"),
-    (RunMetadata, ("simulate", "0.1.0", -3, 2, None), "seed: must be >= 0, got -3"),
-    (RunMetadata, ("simulate", "0.1.0", 7, 0, None), "trials: must be >= 1, got 0"),
-    (ModelCard, ("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 0),
-     "n_samples: must be >= 1, got 0"),
-    (ModelCard, ("NLOS", 73.5, 0.0, 11.4, Condition.NLOS, None),
-     "ple must be positive and finite, got 0.0"),
-    (OutageRow, ("FOO", 63.0, 0.5, 0.5),
-     "condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], got 'FOO'"),
-    (OutageRow, ("LOS", 0.5, 0.5, 0.5),
-     "distance_m must be finite and >= 1.0 m, got 0.5"),
-    (OutageRow, ("LOS", 63.0, 0.5, 1.5), "p_out_region must be in [0, 1], got 1.5"),
-    (ReceptionRow, (0, 0.5, 6), "k must be >= 1, got 0"),
-    (ReceptionRow, (2, -0.5, 6), "probability must be in [0, 1], got -0.5"),
-    (ReceptionRow, (2, 0.5, 0), "n_combinations must be >= 1, got 0"),
-    (Node, ("B1", 0.0, 0.0, 0.0), "height_m must be positive, got 0.0"),
-    (Node, ("B1", 0.0, 0.0, math.nan), "height_m must be positive, got nan"),
-    (Node, ("B/1", 0.0, 0.0, 4.0), "id must not contain '/', got 'B/1'"),
-    (SweepGrid, (0, 24, 3),
-     "sweep grid counts must be integers >= 1, got (0, 24, 3)"),
-    (SweepGrid, (math.nan, 24, 3),
-     "sweep grid counts must be integers >= 1, got (nan, 24, 3)"),
-    (SweepGrid, (2.5, 24, 3),
-     "sweep grid counts must be integers >= 1, got (2.5, 24, 3)"),
-    (Scenario, ((), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
-     "scenario needs at least one base station"),
-]
+# check that compares a float, so those checks are written negated.  Each
+# row's key is its fixed test id, so adding a row renames no other.
+INVALID = {
+    "CiModel": (
+        CiModel, (0.0, 2.0, 1.0, Condition.LOS),
+        "f_ghz must be positive and finite, got 0.0"),
+    "LinkBudget": (
+        LinkBudget, (0.0, 175.0), "bw_ghz must be positive, got 0.0"),
+    "LinkBudget_nan0": (
+        LinkBudget, (math.nan, 175.0), "bw_ghz must be positive, got nan"),
+    "LinkBudget_nan1": (
+        LinkBudget, (1.0, math.nan), "max_pl_db must be positive, got nan"),
+    "PathLossSamples": (
+        PathLossSamples, ((0.5,), (120.0,), (Condition.NLOS,), ("VV",)),
+        "sample distance must be finite and >= 1.0 m, got 0.5"),
+    "ResultBundle0": (
+        ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
+        "CDF 'best1_pl_db' is empty"),
+    "ResultBundle1": (
+        ResultBundle, (META, (ModelCard("LOS", 73.5, 2.0, 1.9, Condition.LOS),
+                              ModelCard("LOS", 73.5, 2.1, 1.9, Condition.LOS)),
+                       (), (), {}),
+        "model card at index 1: duplicate condition LOS"),
+    "RunMetadata0": (
+        RunMetadata, ("simulate", "0.1.0", -3, 2, None),
+        "seed: must be >= 0, got -3"),
+    "RunMetadata1": (
+        RunMetadata, ("simulate", "0.1.0", 7, 0, None),
+        "trials: must be >= 1, got 0"),
+    "ModelCard0": (
+        ModelCard, ("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 0),
+        "n_samples: must be >= 1, got 0"),
+    "ModelCard1": (
+        ModelCard, ("NLOS", 73.5, 0.0, 11.4, Condition.NLOS, None),
+        "ple must be positive and finite, got 0.0"),
+    "OutageRow0": (
+        OutageRow, ("FOO", 63.0, 0.5, 0.5),
+        "condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], got 'FOO'"),
+    "OutageRow1": (
+        OutageRow, ("LOS", 0.5, 0.5, 0.5),
+        "distance_m must be finite and >= 1.0 m, got 0.5"),
+    "OutageRow2": (
+        OutageRow, ("LOS", 63.0, 0.5, 1.5),
+        "p_out_region must be in [0, 1], got 1.5"),
+    "ReceptionRow0": (
+        ReceptionRow, (0, 0.5, 6), "k must be >= 1, got 0"),
+    "ReceptionRow1": (
+        ReceptionRow, (2, -0.5, 6), "probability must be in [0, 1], got -0.5"),
+    "ReceptionRow2": (
+        ReceptionRow, (2, 0.5, 0), "n_combinations must be >= 1, got 0"),
+    "Node0": (
+        Node, ("B1", 0.0, 0.0, 0.0), "height_m must be positive, got 0.0"),
+    "Node_nan": (
+        Node, ("B1", 0.0, 0.0, math.nan), "height_m must be positive, got nan"),
+    "Node1": (
+        Node, ("B/1", 0.0, 0.0, 4.0), "id must not contain '/', got 'B/1'"),
+    "SweepGrid": (
+        SweepGrid, (0, 24, 3),
+        "sweep grid counts must be integers >= 1, got (0, 24, 3)"),
+    "SweepGrid_float_nan": (
+        SweepGrid, (math.nan, 24, 3),
+        "sweep grid counts must be integers >= 1, got (nan, 24, 3)"),
+    "SweepGrid_float": (
+        SweepGrid, (2.5, 24, 3),
+        "sweep grid counts must be integers >= 1, got (2.5, 24, 3)"),
+    "Scenario": (
+        Scenario, ((), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
+        "scenario needs at least one base station"),
+}
 
 
 def _name(record):
     return type(record).__name__
-
-
-def _invalid_id(case):
-    """The class name, with ``_float`` added for a float given to an int
-    field and ``_nan`` for a NaN case."""
-    cls, values, _ = case
-    kinds = field_kinds(cls).values()
-    floats = any(k is int and isinstance(v, float) for k, v in zip(kinds, values))
-    nan = any(isinstance(v, float) and math.isnan(v) for v in values)
-    return cls.__name__ + ("_float" if floats else "") + ("_nan" if nan else "")
 
 
 def test_every_record_class_is_covered():
@@ -111,7 +126,8 @@ def test_every_record_class_is_covered():
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 13
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
-    assert checked == {cls for cls, _, _ in INVALID} and len(INVALID) == 24
+    assert (checked == {cls for cls, _, _ in INVALID.values()}
+            and len(INVALID) == 24)
 
 
 def test_record_fields():
@@ -128,8 +144,8 @@ def test_fields_cannot_be_assigned(record):
         setattr(record, record._fields[0], None)
 
 
-@pytest.mark.parametrize("cls,values,message", INVALID,
-                         ids=map(_invalid_id, INVALID))
+@pytest.mark.parametrize("cls,values,message", list(INVALID.values()),
+                         ids=list(INVALID))
 def test_check_runs_positionally_and_by_keyword(cls, values, message):
     assert len(values) == len(cls._fields)
     with pytest.raises(ValueError) as positional:
