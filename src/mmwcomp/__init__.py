@@ -28,7 +28,7 @@ _EXPORTS = {
                  "max_detectable_pl_db", "receiver_threshold_dbm",
                  "edge_outage_probability", "region_outage_probability",
                  "outage_table"),
-    "diversity": ("Node", "SweepGrid", "Scenario", "Drops",
+    "diversity": ("Node", "SweepGrid", "Scenario", "MaskSet", "Drops",
                   "distance_3d", "combination_count", "reception_counts",
                   "simulate_drop"),
     "scenario_io": ("ScenarioError", "parse_scenario", "load_scenario",

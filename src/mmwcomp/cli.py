@@ -107,12 +107,11 @@ def _cmd_coverage(args) -> ResultBundle:
     return ResultBundle(RunMetadata("coverage", __version__), outage_rows=rows)
 
 
-def _reception_rows(masks, topology, k_max: int, n_directions: int,
-                    lanes: int = 1) -> list[ReceptionRow]:
+def _reception_rows(mask_set, topology, k_max: int) -> list[ReceptionRow]:
     """One row per k: the full-coverage share of every lane's k-subsets."""
     from .diversity import combination_count, reception_counts
-    counts = reception_counts(masks, topology, k_max, n_directions, lanes)
-    return [ReceptionRow(k, hits / (lanes * n), n)
+    counts = reception_counts(mask_set, topology, k_max)
+    return [ReceptionRow(k, hits / (mask_set.lanes * n), n)
             for k, hits in sorted(counts.items())
             for n in (combination_count(topology, k),)]
 
@@ -136,11 +135,12 @@ def _cmd_simulate(args) -> ResultBundle:
         drops = simulate_drop(scenario, args.trials)
     except ValueError as exc:
         raise ScenarioError(f"{args.scenario}: {exc}") from None
-    except MemoryError:
-        raise ScenarioError(f"{args.scenario}: --trials {args.trials} needs "
-                            "more memory than is free") from None
-    rows = _reception_rows(drops.masks, scenario.topology(), k_max,
-                           scenario.sweep.n_rx_directions, args.trials)
+    except MemoryError:  # each link draws T*R angle pairs per trial
+        pairs = scenario.sweep.tx_angles * scenario.sweep.n_rx_directions
+        raise ScenarioError(f"{args.scenario}: --trials {args.trials} on "
+                            f"{n_bs * len(scenario.ues)} link(s) of {pairs} angle "
+                            "pairs each needs more memory than is free") from None
+    rows = _reception_rows(drops.masks, scenario.topology(), k_max)
     for row in rows:
         print(f"k={row.k} reception={format_pct(row.probability)}% "
               f"({row.n_combinations} combinations per trial)")
@@ -155,7 +155,7 @@ def _cmd_simulate(args) -> ResultBundle:
 
 
 def _cmd_enumerate(args) -> ResultBundle | None:
-    from .diversity import combination_count
+    from .diversity import MaskSet, combination_count
     if args.out is not None and args.masks is None:
         raise ScenarioError("--out needs --masks: enumerate without masks "
                             "writes no bundle")
@@ -165,9 +165,9 @@ def _cmd_enumerate(args) -> ResultBundle | None:
     sizes = [len(set(s)) for s in topology.values()]
     limit = args.k if args.k is not None else max(sizes)
     if args.masks is not None:
-        masks, n_directions = read_masks_csv(args.masks)
+        mask_set = MaskSet(*read_masks_csv(args.masks))
         try:
-            rows = _reception_rows(masks, topology, limit, n_directions)
+            rows = _reception_rows(mask_set, topology, limit)
         except ValueError as exc:  # a topology link without a mask row
             raise ScenarioError(f"{args.masks}: {exc}") from None
         for row in rows:

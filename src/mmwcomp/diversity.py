@@ -22,14 +22,8 @@ normals when a condition has a best-pair model.  One table per run gives
 each condition (row 0 LOS, row 1 NLOS) its arbitrary-angle model and an
 optional best-pair model, NLOS_BEST for NLOS.  A trial only draws; the
 rest runs once per batch of trials.  All trials come back as one
-:class:`Drops` record: omni path loss and each link's masks.
-
-A batch of masks is one int with one lane per mask: over n directions a
-lane is ``lane_bytes(n) = n // 8 + 1`` bytes, so at least one spare guard
-bit sits above every mask, and lane l starts at bit ``l * 8 *
-lane_bytes(n)``.  A mask set maps each link ``(ue_id, bs_id)`` to one
-such int: measured masks (``read_masks_csv``) have one lane, and
-``Drops.masks`` one lane per trial.
+:class:`Drops` record: omni path loss and each link's masks, one
+:class:`MaskSet` lane per trial; its docstring states the lane layout.
 
 The records here are ``typing.NamedTuple`` classes: they are immutable and
 unpack like tuples, and ``_replace`` copies one without re-running its
@@ -45,8 +39,8 @@ combinatorial: a k-combination of serving stations covers a user when the
 bitwise OR of its reception masks has every direction bit set.  One
 miss-set kernel counts those combinations in every lane of its packed
 masks at once and returns one total per k.  :func:`reception_counts`, the
-one reception reducer, calls it once per distinct serving set of a mask
-set; :func:`combination_count` gives the k-subsets of each lane.
+one reception reducer, calls it once per distinct serving set of a
+:class:`MaskSet`; :func:`combination_count` gives the k-subsets of each lane.
 
 Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
@@ -179,22 +173,54 @@ class Scenario(NamedTuple):
         return {ue.id: bs_ids for ue in sorted(self.ues, key=lambda n: n.id)}
 
 
+@validated
+class MaskSet(NamedTuple):
+    """Reception masks: ``bits`` maps each link ``(ue_id, bs_id)`` to one int
+    packing ``lanes`` masks of ``n_directions`` bits; bit i of a mask is RX
+    direction i.  Over n directions a lane is ``lane_bytes(n) = n // 8 + 1``
+    bytes, so a spare guard bit sits above every mask, and lane l starts at
+    bit ``l * 8 * lane_bytes(n)``.  Measured masks (``read_masks_csv``) have
+    one lane, and ``Drops.masks`` one per trial.
+    """
+
+    bits: Mapping[LinkKey, int]
+    n_directions: int
+    lanes: int = 1
+
+    def _validate(self):
+        n, lanes = self.n_directions, self.lanes
+        if not lanes >= 1:
+            raise ValueError(f"lanes must be >= 1, got {lanes}")
+        fits = _lane_ones(lanes, lane_bytes(n)) * ((1 << n) - 1)
+        for link, m in self.bits.items():
+            if m & ~fits:
+                raise ValueError(f"reception mask for link {link} does not "
+                                 f"fit {lanes} lane(s) of {n} bits")
+
+    def lane(self, t: int) -> MaskSet:
+        """Lane t of every mask, as a one-lane mask set."""
+        if not 0 <= t < self.lanes:
+            raise IndexError(f"lane {t} is outside [0, {self.lanes})")
+        n = self.n_directions
+        shift, full = t * 8 * lane_bytes(n), (1 << n) - 1
+        return MaskSet._make(({link: (m >> shift) & full
+                               for link, m in self.bits.items()}, n, 1))
+
+
 class Drops(NamedTuple):
-    """Monte Carlo drops: row t of ``omni_pl_db`` and lane t of each mask
+    """Monte Carlo drops: row t of ``omni_pl_db`` and lane t of ``masks``
     are trial t.
 
-    ``masks`` is a mask set in ``Scenario.links()`` order (UE-major, base
-    stations by id); column i of the (trials, L) array ``omni_pl_db`` is its
-    link i, +inf where no angle pair was detected.  With n RX directions,
-    lane t of a mask starts at bit ``t * 8 * lane_bytes(n)``, and its bit
+    ``masks`` holds the links in ``Scenario.links()`` order (UE-major, base
+    stations by id), and column i of the (trials, L) array ``omni_pl_db``
+    is link i, +inf where no angle pair was detected.  A mask's bit
     ``el * n_azimuths + az`` is set when that RX direction received signal
-    from at least one TX sector angle (elevation-major ordering).
-    ``reception_counts(drops.masks, ..., lanes=trials)`` reduces them.  Only
+    from at least one TX sector angle (elevation-major ordering).  Only
     :func:`simulate_drop` builds this record, so it alone loads numpy.
     """
 
     omni_pl_db: np.ndarray
-    masks: dict[LinkKey, int]
+    masks: MaskSet
 
     # Identity, not field-wise, comparison: the fields are arrays.
     __eq__ = object.__eq__
@@ -261,41 +287,34 @@ def _miss_set_hits(columns: Sequence[int], one: int, n: int,
             for k in range(1, top + 1)]
 
 
-def reception_counts(masks: Mapping[LinkKey, int],
-                     topology: Mapping[str, Iterable[str]], k_max: int,
-                     n_directions: int, lanes: int = 1) -> dict[int, int]:
+def reception_counts(mask_set: MaskSet, topology: Mapping[str, Iterable[str]],
+                     k_max: int) -> dict[int, int]:
     """Full-coverage k-subset counts for k = 1..k_max.
 
-    Every mask packs ``lanes`` masks of ``n_directions`` bits, lane l at bit
-    ``l * 8 * lane_bytes(n_directions)``: a plain bitset is one lane, and
-    ``Drops.masks`` has one lane per trial.  Returns k -> the (k-subset,
-    lane) pairs whose masks OR to all ``n_directions`` bits, summed over
-    UEs, for every k that some serving set reaches; each lane has
-    ``combination_count`` k-subsets.  UEs with the same serving set share
-    one miss-set kernel call, each UE's lanes above the previous UE's.
+    Returns k -> the (k-subset, lane) pairs of ``mask_set`` whose masks OR
+    to all its directions, summed over UEs, for every k that some serving
+    set reaches; each lane has ``combination_count`` k-subsets.  UEs with
+    the same serving set share one miss-set kernel call, each UE's lanes
+    above the previous UE's.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    lb = lane_bytes(n_directions)
-    in_lanes = _lane_ones(lanes, lb) * ((1 << n_directions) - 1)
+    masks, n, lanes = mask_set
     groups: dict[tuple[str, ...], list[str]] = {}
     for ue_id in sorted(topology):
         serving = tuple(sorted(set(topology[ue_id])))
         for b in serving:
-            link = (ue_id, b)
-            if link not in masks:
-                raise ValueError(f"missing reception mask for link {link}")
-            if masks[link] & ~in_lanes:
-                raise ValueError(f"reception mask for link {link} does not "
-                                 f"fit {lanes} lane(s) of {n_directions} bits")
+            if (ue_id, b) not in masks:
+                raise ValueError(f"missing reception mask for link {(ue_id, b)}")
         groups.setdefault(serving, []).append(ue_id)
     counts: dict[int, int] = {}
+    lb = lane_bytes(n)
     block = 8 * lanes * lb
     for serving, ues in groups.items():
         columns = [sum(masks[(u, b)] << (i * block) for i, u in enumerate(ues))
                    for b in serving]
-        hits = _miss_set_hits(columns, _lane_ones(len(ues) * lanes, lb),
-                              n_directions, min(k_max, len(serving)))
+        hits = _miss_set_hits(columns, _lane_ones(len(ues) * lanes, lb), n,
+                              min(k_max, len(serving)))
         for k, h in enumerate(hits, 1):
             counts[k] = counts.get(k, 0) + h
     return counts
@@ -420,5 +439,6 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
                 omni[b0:b1] = -10.0 * np.log10(pl.sum(axis=2))
 
     _map_trials(chunk, trials)
-    return Drops(omni, {key: int.from_bytes(packed[:, i].tobytes(), "little")
-                        for i, key in enumerate(keys)})
+    bits = {key: int.from_bytes(packed[:, i].tobytes(), "little")
+            for i, key in enumerate(keys)}
+    return Drops(omni, MaskSet(bits, n_rx, trials))

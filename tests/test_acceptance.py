@@ -38,8 +38,7 @@ def criterion(capsys, number, description):
 
 def mean_reception(sc, drops, k_max):
     """Full-coverage share of all trials' k-subsets, as simulate writes it."""
-    rows = _reception_rows(drops.masks, sc.topology(), k_max,
-                           sc.sweep.n_rx_directions, drops.omni_pl_db.shape[0])
+    rows = _reception_rows(drops.masks, sc.topology(), k_max)
     return {row.k: row.probability for row in rows}
 
 
@@ -111,7 +110,8 @@ def test_criterion_4_combinatorics(capsys):
         full = (1 << 72) - 1
         masks = {link: full if i < 20 else full & ~(1 << (i % 72))
                  for i, link in enumerate(links)}
-        reception = m.reception_counts(masks, CAMPAIGN_SERVING_SETS, 5, 72)
+        reception = m.reception_counts(m.MaskSet(masks, 72),
+                                       CAMPAIGN_SERVING_SETS, 5)
         assert sorted(reception) == list(range(1, 6))
         hits = reception[1]
         assert abs(100.0 * hits / counts[0] - 55.6) <= 0.05

@@ -24,7 +24,6 @@ from mmwcomp import (CdfPoint, Condition, ModelCard, Node, OutageRow,
                      parse_scenario, read_bundle, read_masks_csv,
                      read_samples_csv, reception_counts, simulate_drop)
 from mmwcomp.cli import main
-from mmwcomp.diversity import lane_bytes
 from mmwcomp.params import BS_HEIGHT_M, CAMPAIGN_SERVING_SETS, UE_HEIGHT_M
 
 MINIMAL = {
@@ -894,19 +893,27 @@ class TestCli:
     def test_simulate_out_of_memory_names_trials(self, tmp_path, capsys,
                                                  monkeypatch):
         # numpy raises MemoryError when the drops' arrays do not fit; a
-        # small --trials keeps a missed patch from allocating much.
+        # small --trials keeps a missed patch from allocating much.  The
+        # message names the trials, the links and each link's T*R angle
+        # pairs, since a sweep too large for memory fails at one trial.
         import numpy as np
 
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 11.9 GiB for an array")
 
         monkeypatch.setattr(np, "empty", no_memory)
-        sc = self.write_scenario(tmp_path)
-        assert main(["simulate", "--scenario", sc, "--trials", "7"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: {sc}: --trials 7 needs more memory "
-                                "than is free\n")
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(minimal(sweep={"tx_angles": 10**10})))
+        for sc, trials, links, pairs in (
+                (self.write_scenario(tmp_path), 7, 2, 15 * 72),
+                (str(big), 1, 1, 10**10 * 72)):
+            assert main(["simulate", "--scenario", sc, "--trials",
+                         str(trials)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {sc}: --trials {trials} on {links} link(s) of "
+                f"{pairs} angle pairs each needs more memory than is free\n")
 
     def test_simulate_takes_any_rx_azimuth_count(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -1075,7 +1082,7 @@ class TestCli:
                      "--k-max", "2", "--out", str(out_dir)]) == 0
         drops = simulate_drop(load_scenario(path), 20)
         per_ue = {}
-        for link, column in zip(drops.masks, drops.omni_pl_db.T.tolist()):
+        for link, column in zip(drops.masks.bits, drops.omni_pl_db.T.tolist()):
             per_ue.setdefault(link[0], []).append(column)
         assert sorted(per_ue) == ["U1", "U2", "U3"]
         undetected = 0
@@ -1096,8 +1103,7 @@ class TestCli:
         path.write_text(json.dumps(FAR_SCENARIO_JSON))
         sc = load_scenario(path)
         drops = simulate_drop(sc, trials)
-        counts = reception_counts(drops.masks, sc.topology(), 2,
-                                  sc.sweep.n_rx_directions, trials)
+        counts = reception_counts(drops.masks, sc.topology(), 2)
         return path, sc.topology(), drops, counts
 
     def test_simulate_reception_is_the_share_of_all_subsets(self, tmp_path,
@@ -1118,19 +1124,17 @@ class TestCli:
         # Trial t's masks, written as a masks CSV and scored by enumerate
         # --masks, give trial t's one-lane counts, and those counts sum to
         # simulate's one reduction.
-        trials, n_directions = 12, 72
+        trials = 12
         _, topology, drops, counts = self.far_reception(tmp_path, trials)
         topo = tmp_path / "topology.json"
         topo.write_text(json.dumps(topology))
-        width = 8 * lane_bytes(n_directions)
         per_trial = []
         for t in range(trials):
-            trial = {link: (m >> (t * width)) & ((1 << n_directions) - 1)
-                     for link, m in drops.masks.items()}
-            hits = reception_counts(trial, topology, 2, n_directions)
+            trial = drops.masks.lane(t)
+            hits = reception_counts(trial, topology, 2)
             per_trial.append(hits)
             masks = tmp_path / f"masks{t}.csv"
-            write_masks(trial, masks)
+            write_masks(trial.bits, masks, trial.n_directions)
             out = tmp_path / f"enumerate{t}"
             assert main(["enumerate", "--topology", str(topo), "--masks",
                          str(masks), "--out", str(out)]) == 0

@@ -16,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from mmwcomp import (CiModel, Condition, LinkBudget, Node, PathLossSamples,
-                     Scenario, SweepGrid, ci_mean_path_loss_db,
+from mmwcomp import (CiModel, Condition, LinkBudget, MaskSet, Node,
+                     PathLossSamples, Scenario, SweepGrid, ci_mean_path_loss_db,
                      combination_count, distance_3d,
                      edge_outage_probability, fit_ci, max_detectable_pl_db,
                      reception_counts, simulate_drop, substream)
 from mmwcomp import diversity
 from mmwcomp.cli import _reception_rows
-from mmwcomp.diversity import _map_trials, lane_bytes
+from mmwcomp.diversity import _map_trials
 from mmwcomp.params import CAMPAIGN_SERVING_SETS, SOUNDER_LINK_BUDGET
 
 LOS = CiModel(73.5, 2.0, 1.9, Condition.LOS)
@@ -52,16 +52,15 @@ def masks_by_trial(drops, n):
     """``drops.masks`` as one tuple per trial, indexed [t][i]: lane t of
     each link's packed mask over n RX directions.
 
-    Also checks that every packed mask is exactly its lanes, so no bit
-    lies outside the n direction bits of a trial's lane.
+    Also checks that the mask set has n directions and a lane per trial,
+    and that every packed mask is exactly its lanes, so no bit lies
+    outside the n direction bits of a trial's lane.
     """
-    width = 8 * lane_bytes(n)
-    rows = tuple(tuple((m >> (t * width)) & ((1 << n) - 1)
-                       for m in drops.masks.values())
-                 for t in range(drops.omni_pl_db.shape[0]))
-    for i, m in enumerate(drops.masks.values()):
-        assert m == sum(row[i] << (t * width) for t, row in enumerate(rows))
-    return rows
+    masks = drops.masks
+    assert (masks.n_directions, masks.lanes) == (n, drops.omni_pl_db.shape[0])
+    assert MaskSet(*masks) == masks  # building the record checks the fit
+    return tuple(tuple(masks.lane(t).bits.values())
+                 for t in range(masks.lanes))
 
 
 def test_distance_3d_vertical_only():
@@ -147,15 +146,15 @@ def fixture_masks(n_full=20):
     """Campaign-topology masks with exactly n_full full-reception links."""
     links = [(u, b) for u in sorted(CAMPAIGN_SERVING_SETS)
              for b in sorted(CAMPAIGN_SERVING_SETS[u])]
-    return {link: FULL if i < n_full else holed_mask(i % 72)
-            for i, link in enumerate(links)}
+    return MaskSet({link: FULL if i < n_full else holed_mask(i % 72)
+                    for i, link in enumerate(links)}, 72)
 
 
-def probabilities(masks, topology, k_max, n_directions=72, lanes=1):
+def probabilities(masks, topology, k_max):
     """k -> the full-coverage share of every lane's k-subsets, as the CLI
     writes it."""
-    return {row.k: row.probability for row in _reception_rows(
-        masks, topology, k_max, n_directions, lanes)}
+    return {row.k: row.probability
+            for row in _reception_rows(masks, topology, k_max)}
 
 
 def test_k1_reception_fixture():
@@ -164,7 +163,7 @@ def test_k1_reception_fixture():
 
 
 def test_reception_all_true_masks():
-    masks = dict.fromkeys(fixture_masks(), FULL)
+    masks = MaskSet(dict.fromkeys(fixture_masks().bits, FULL), 72)
     assert probabilities(masks, CAMPAIGN_SERVING_SETS, 5) == {
         k: 1.0 for k in range(1, 6)}
 
@@ -174,13 +173,13 @@ def test_reception_union_semantics():
     half_b = FULL ^ half_a
     topology = {"U1": ("B1", "B2")}
     masks = {("U1", "B1"): half_a, ("U1", "B2"): half_b}
-    assert probabilities(masks, topology, 2) == {1: 0.0, 2: 1.0}
+    assert probabilities(MaskSet(masks, 72), topology, 2) == {1: 0.0, 2: 1.0}
 
 
 def test_reception_missing_record():
     topology = {"U1": ("B1", "B2")}
     with pytest.raises(ValueError, match="missing reception mask"):
-        reception_counts({("U1", "B1"): FULL}, topology, 1, 72)
+        reception_counts(MaskSet({("U1", "B1"): FULL}, 72), topology, 1)
 
 
 def test_reception_rejects_mask_wider_than_directions():
@@ -189,12 +188,12 @@ def test_reception_rejects_mask_wider_than_directions():
     with pytest.raises(ValueError,
                        match=r"link \('U1', 'B2'\) does not fit 1 lane\(s\) "
                              r"of 2 bits"):
-        reception_counts(masks, topology, 2, 2)
+        MaskSet(masks, 2)
 
 
 def test_reception_k_max_validation():
     with pytest.raises(ValueError):
-        reception_counts(fixture_masks(), CAMPAIGN_SERVING_SETS, 0, 72)
+        reception_counts(fixture_masks(), CAMPAIGN_SERVING_SETS, 0)
 
 
 def test_reception_monotone_in_k_on_fixture():
@@ -203,7 +202,7 @@ def test_reception_monotone_in_k_on_fixture():
 
 
 def test_reception_counts_fixture_table():
-    counts = reception_counts(fixture_masks(20), CAMPAIGN_SERVING_SETS, 9, 72)
+    counts = reception_counts(fixture_masks(20), CAMPAIGN_SERVING_SETS, 9)
     assert [combination_count(CAMPAIGN_SERVING_SETS, k)
             for k in sorted(counts)] == [36, 54, 42, 17, 3]
     assert counts[1] == 20
@@ -292,7 +291,7 @@ def test_simulate_sigma0_los_all_detectable(sweep, pairs):
     sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   p_los=1.0, sweep=sweep)
     drops = simulate_drop(sc, 1)
-    assert list(drops.masks) == [("U1", "B1")]
+    assert list(drops.masks.bits) == [("U1", "B1")]
     n = sweep.n_rx_directions
     assert masks_by_trial(drops, n) == (((1 << n) - 1,),)
     d = distance_3d(sc.ues[0], sc.base_stations[0])
@@ -321,7 +320,7 @@ def test_simulated_mean_is_the_closed_form_mean(p_los, condition):
                           budget=SOUNDER_LINK_BUDGET._replace(max_pl_db=limit))
             assert max_detectable_pl_db(sc.budget) == limit
             masks = simulate_drop(sc, 1).masks
-            assert masks == {("U1", "B1"): seen}, (x, limit)
+            assert masks == MaskSet({("U1", "B1"): seen}, 1), (x, limit)
 
 
 def test_simulate_omni_bounded_by_best_detected_pair():
@@ -377,7 +376,7 @@ def test_simulated_omni_fits_lower_ple_than_directional():
     samples = PathLossSamples(*zip(*[
         (d[link], pl, Condition.NLOS, "VV")
         for row in drops.omni_pl_db.tolist()
-        for link, pl in zip(drops.masks, row) if math.isfinite(pl)]))
+        for link, pl in zip(drops.masks.bits, row) if math.isfinite(pl)]))
     assert fit_ci(samples, 73.5).ple < NLOS.ple
 
 
@@ -435,7 +434,7 @@ def test_best_n_sorted_and_order_invariant_to_bs_input_order():
     sc_rev = scenario(list(reversed(bss)), [ue(1, 5.0, 5.0)])
     fwd = simulate_drop(sc_fwd, 1)
     rev = simulate_drop(sc_rev, 1)
-    assert (list(fwd.masks) == list(rev.masks)
+    assert (list(fwd.masks.bits) == list(rev.masks.bits)
             == [("U1", "B1"), ("U1", "B2"), ("U1", "B3")])
     assert np.array_equal(fwd.omni_pl_db, rev.omni_pl_db)
     assert fwd.masks == rev.masks
@@ -446,8 +445,7 @@ def test_best_n_sorted_and_order_invariant_to_bs_input_order():
 def mean_reception(sc, drops, k_max):
     """Full-coverage share of all trials' k-subsets, as ``simulate`` writes
     it, from one reduction with a lane per trial."""
-    return probabilities(drops.masks, sc.topology(), k_max,
-                         sc.sweep.n_rx_directions, drops.omni_pl_db.shape[0])
+    return probabilities(drops.masks, sc.topology(), k_max)
 
 
 def test_reception_vs_k_always_detectable():
@@ -484,14 +482,15 @@ def test_reception_vs_k_rejects_bad_masks():
     b1, b2 = ("U1", "B1"), ("U1", "B2")
     with pytest.raises(ValueError, match=r"missing reception mask for link "
                                          r"\('U1', 'B2'\)"):
-        reception_counts({b1: drops.masks[b1]}, sc.topology(), 2, SMALL_R, 2)
+        reception_counts(drops.masks._replace(bits={b1: drops.masks.bits[b1]}),
+                         sc.topology(), 2)
     # A one-byte lane over 4 directions: bit 4 is lane 0's guard bit and
     # bit 16 would be a third trial's lane.
     for stray in (1 << 4, 1 << 16):
-        bad = {b1: drops.masks[b1], b2: drops.masks[b2] | stray}
+        bad = {b1: drops.masks.bits[b1], b2: drops.masks.bits[b2] | stray}
         with pytest.raises(ValueError, match=r"link \('U1', 'B2'\) does not "
                                              r"fit 2 lane\(s\) of 4 bits"):
-            reception_counts(bad, sc.topology(), 2, SMALL_R, 2)
+            MaskSet(bad, SMALL_R, 2)
 
 
 # Analytic oracles for the simulator.  A small sweep grid (T = 3 TX angles,
@@ -599,7 +598,7 @@ def test_los_share_of_random_links_matches_p_los():
                             explicit, p_los)
     n_los = n = 0
     drops = simulate_drop(sc, trials)
-    for link, los in zip(drops.masks,
+    for link, los in zip(drops.masks.bits,
                          np.array(los_by_trial(drops)).T.tolist()):
         if link in explicit:
             assert los == [explicit[link] is Condition.LOS] * trials
@@ -624,7 +623,7 @@ def test_golden_trial_zero():
                   seed=75)
     drops = simulate_drop(sc, 1)
     # One trial: each link's packed mask is its lane-0 mask alone.
-    assert list(drops.masks.items()) == [
+    assert list(drops.masks.bits.items()) == [
         (("U1", "B1"), 0xe811344061c655c47a),
         (("U1", "B2"), 0xd7ffffffffffffffbf),
         (("U2", "B1"), 0xffdffddfffffefcffe),
@@ -873,15 +872,12 @@ def test_stacked_reduction_matches_per_trial_counts(monkeypatch, bss, ues,
     for cpus in (1, 2, 3):
         _with_cpus(monkeypatch, cpus)
         drops = simulate_drop(sc, trials)
-        per_trial = [reception_counts(dict(zip(drops.masks, row)), topology,
-                                      k_max, SMALL_R)
-                     for row in masks_by_trial(drops, SMALL_R)]
-        stacked = reception_counts(drops.masks, topology, k_max, SMALL_R,
-                                   trials)
+        per_trial = [reception_counts(drops.masks.lane(t), topology, k_max)
+                     for t in range(trials)]
+        stacked = reception_counts(drops.masks, topology, k_max)
         assert stacked == {k: sum(c[k] for c in per_trial)
                            for k in range(1, k_max + 1)}
-        share = list(probabilities(drops.masks, topology, k_max, SMALL_R,
-                                   trials).values())
+        share = list(probabilities(drops.masks, topology, k_max).values())
         assert 0.0 < share[0] < share[k_max - 2] < 1.0
 
 
@@ -912,13 +908,12 @@ def _reception_chunks(bad_trial):
     sc = scenario([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0)], [ue(1, 10.0, 10.0)],
                   sweep=SMALL_SWEEP)
     drops = simulate_drop(sc, 7)
-    rows = [row[:-1] if t == bad_trial else row
-            for t, row in enumerate(masks_by_trial(drops, SMALL_R))]
+    lanes = [drops.masks.lane(t) for t in range(7)]
+    bad = lanes[bad_trial]
+    lanes[bad_trial] = bad._replace(bits=dict(list(bad.bits.items())[:-1]))
 
     def chunk(lo, hi):
-        return [reception_counts(dict(zip(drops.masks, row)), sc.topology(), 2,
-                                 SMALL_SWEEP.n_rx_directions)
-                for row in rows[lo:hi]]
+        return [reception_counts(m, sc.topology(), 2) for m in lanes[lo:hi]]
     return chunk
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwcomp import (CiModel, Condition, LinkBudget, build_cdf,
+from mmwcomp import (CiModel, Condition, LinkBudget, MaskSet, build_cdf,
                      ci_mean_path_loss_db, combination_count,
                      edge_outage_probability, format_pct,
                      friis_received_power_dbm, fspl_db, reception_counts,
@@ -105,7 +105,8 @@ def test_reception_monotone_per_ue(masks):
     topology = {"U1": tuple(f"B{i}" for i in range(len(masks)))}
     links = {("U1", f"B{i}"): m for i, m in enumerate(masks)}
     probs = [row.probability
-             for row in _reception_rows(links, topology, len(masks), 4)]
+             for row in _reception_rows(MaskSet(links, 4), topology,
+                                        len(masks))]
     for a, b in zip(probs, probs[1:]):
         assert b >= a - 1e-12
 
@@ -136,8 +137,9 @@ def test_reception_counts_match_brute_force(n_directions, lanes, data):
     masks = {link: sum(m[link] << (lane * width)
                        for lane, m in enumerate(per_lane)) for link in links}
     k_max = max(len(s) for s in topology.values())
-    counts = reception_counts(masks, topology, k_max, n_directions, lanes)
-    one_lane = [reception_counts(m, topology, k_max, n_directions)
+    counts = reception_counts(MaskSet(masks, n_directions, lanes), topology,
+                              k_max)
+    one_lane = [reception_counts(MaskSet(m, n_directions), topology, k_max)
                 for m in per_lane]
     assert sorted(counts) == list(range(1, k_max + 1))
     for k in range(1, k_max + 1):
@@ -163,7 +165,7 @@ def test_reception_counts_match_brute_force_on_twelve_stations():
     topology = {ue: tuple(f"B{i:02d}" for i in range(12)) for ue in serving}
     masks = {(ue, f"B{i:02d}"): m for ue, ms in serving.items()
              for i, m in enumerate(ms)}
-    counts = reception_counts(masks, topology, 6, n_directions)
+    counts = reception_counts(MaskSet(masks, n_directions), topology, 6)
     assert sorted(counts) == list(range(1, 7))
     for k in range(1, 7):
         hits, n = oracles.union_reception(topology, masks, n_directions, k)

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from pathlib import Path
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 
 import mmwcomp
 from mmwcomp import (CdfPoint, CiModel, Condition, Drops, LinkBudget,
-                     ModelCard, Node, OutageRow, PathLossSamples, ReceptionRow,
-                     ResultBundle, RunMetadata, Scenario, ScenarioError,
-                     SweepGrid)
+                     MaskSet, ModelCard, Node, OutageRow, PathLossSamples,
+                     ReceptionRow, ResultBundle, RunMetadata, Scenario,
+                     ScenarioError, SweepGrid, load_scenario, simulate_drop)
+from mmwcomp.cli import _reception_rows
 from mmwcomp.propagation import field_kinds
 from mmwcomp.scenario_io import _parse_record
 
@@ -40,8 +42,9 @@ RECORDS = [
     B1,
     SweepGrid(),
     Scenario((B1,), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
+    MaskSet({("U1", "B1"): 0b101}, 3),
     # One link over two trials in one-byte lanes: masks 0b1, then 0b11.
-    Drops(np.full((2, 1), 90.0), {("U1", "B1"): 1 | 3 << 8}),
+    Drops(np.full((2, 1), 90.0), MaskSet({("U1", "B1"): 1 | 3 << 8}, 2, 2)),
 ]
 
 # For each validated record: valid fields in field order with one bad
@@ -114,6 +117,12 @@ INVALID = {
     "Scenario": (
         Scenario, ((), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
         "scenario needs at least one base station"),
+    # Bit 2 of a two-lane set over 2 directions is lane 0's guard bit.
+    "MaskSet_wider_than_lanes": (
+        MaskSet, ({("U1", "B1"): 0b100}, 2, 2),
+        "reception mask for link ('U1', 'B1') does not fit 2 lane(s) of 2 bits"),
+    "MaskSet_no_lanes": (
+        MaskSet, ({("U1", "B1"): 1}, 2, 0), "lanes must be >= 1, got 0"),
 }
 
 
@@ -124,10 +133,10 @@ def _name(record):
 def test_every_record_class_is_covered():
     exported = [getattr(mmwcomp, name) for name in mmwcomp.__all__]
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
-    assert records == {type(r) for r in RECORDS} and len(RECORDS) == 13
+    assert records == {type(r) for r in RECORDS} and len(RECORDS) == 14
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
     assert (checked == {cls for cls, _, _ in INVALID.values()}
-            and len(INVALID) == 24)
+            and len(INVALID) == 26)
 
 
 def test_record_fields():
@@ -174,6 +183,19 @@ def test_drops_compare_by_identity():
     assert len({drops, twin, drops}) == 2
 
 
+def test_drops_share_comes_from_the_mask_set_alone():
+    # The record carries its width and lane count, so no caller can reduce
+    # these 50 trials as 100 lanes and read 0.5 where every subset receives.
+    sc = load_scenario(Path(__file__).parents[1] / "configs/example_scenario.json")
+    masks = simulate_drop(sc, 50).masks
+    assert (masks.n_directions, masks.lanes) == (72, 50)
+    assert [row.probability
+            for row in _reception_rows(masks, sc.topology(), 2)] == [1.0, 1.0]
+    assert masks.lane(49).lanes == 1
+    with pytest.raises(IndexError, match=r"lane 50 is outside \[0, 50\)"):
+        masks.lane(50)
+
+
 def test_replace_copies_without_checking():
     assert NLOS._replace(sigma_db=-1.0).sigma_db == -1.0
     with pytest.raises(ValueError, match="sigma_db must be >= 0"):
@@ -216,6 +238,8 @@ SCHEMAS = [
                  "sigma_db": float, "condition": Condition, "n_samples": int}),
     (RunMetadata, {"command": str, "package_version": str, "seed": int,
                    "trials": int, "timestamp": str}),
+    (MaskSet, {"bits": Mapping[tuple[str, str], int], "n_directions": int,
+               "lanes": int}),
 ]
 
 
