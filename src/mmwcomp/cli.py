@@ -58,27 +58,29 @@ def _parse_distances(text: str) -> list[float]:
 
 
 def _cmd_fit(args) -> ResultBundle:
-    from .fitting import VV, FitError, fit_ci, group_samples_by_condition
+    from .fitting import FitError, fit_ci
     if not 0.0 < args.f_ghz < math.inf:
         raise ScenarioError(f"--f-ghz must be positive and finite, "
                             f"got {args.f_ghz}")
-    samples = read_samples_csv(args.samples)
-    if not samples.d_m:
+    groups = read_samples_csv(args.samples)
+    if not groups:
         raise ScenarioError(f"{args.samples}: no usable samples; the file "
                             "contains a header but no data rows")
     cards = []
-    for cond, group in sorted(group_samples_by_condition(samples).items(),
-                              key=lambda kv: kv[0].value):
+    for cond, group in groups.items():
         try:
+            if not group.d_m:  # the condition's rows are all VH
+                raise FitError("no usable samples (cross-polarized rows are "
+                               "never fitted)")
             model = fit_ci(group, args.f_ghz)
         except FitError as exc:
             raise ScenarioError(f"{args.samples}: {cond.value}: {exc}") from None
-        n_fitted = group.polarization.count(VV)
+        n = len(group.d_m)
         cards.append(ModelCard(label=cond.value, f_ghz=model.f_ghz,
                                ple=model.ple, sigma_db=model.sigma_db,
-                               condition=cond, n_samples=n_fitted))
+                               condition=cond, n_samples=n))
         print(f"{cond.value}: ple={model.ple:.2f} sigma={model.sigma_db:.2f} dB "
-              f"(n={n_fitted})")
+              f"(n={n})")
     return ResultBundle(RunMetadata("fit", __version__), model_cards=cards)
 
 

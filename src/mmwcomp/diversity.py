@@ -390,7 +390,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     best = [(r, np.array([ci_mean_path_loss_db(b, x) for x in d]), b.sigma_db)
             for r, (_, b) in enumerate(table) if b is not None]
     # Each link's LOS probability, 1 or 0 when pinned: uniforms lie in [0, 1).
-    p_los = np.array([float(scenario.conditions[key] is Condition.LOS)
+    p_los = np.array([float(scenario.conditions[key] == Condition.LOS)
                       if key in scenario.conditions else scenario.p_los
                       for key in keys])
     limit = max_detectable_pl_db(scenario.budget)

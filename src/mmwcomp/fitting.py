@@ -10,59 +10,45 @@ with the shadow-fading sigma taken as the root-mean-square residual
 (divide by N).  The sums are exactly rounded ``math.fsum`` sums, so the
 fit needs no numpy.
 
-``check_sample`` is the one rule for a sample: ``read_samples_csv``
-applies it to each CSV row as it reads it, and building a
-``PathLossSamples`` record applies it to each sample.  Samples are held
-as columns in that record; ``group_samples_by_condition`` splits
-one by condition and ``fit_ci`` fits one condition's co-polarized (VV)
-columns.  Cross-polarized (VH) rows are validated but never fitted: the
-campaign publishes no VH parameters to fit them to.
+``check_sample`` is the one rule for a sample's numbers:
+``read_samples_csv`` applies it to each CSV row as it reads it, and
+building a ``PathLossSamples`` record applies it to each sample.  A record
+holds one condition's samples as columns; the reader returns one per
+condition and keeps only the co-polarized (VV) rows, because the campaign
+publishes no cross-polarized (VH) parameters to fit them to.  ``fit_ci``
+fits every sample of the record it is given.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
 from typing import NamedTuple
 
-from .propagation import (CiModel, Condition, REFERENCE_DISTANCE_M, fspl_db,
-                          validated)
-
-VV = "VV"
-VH = "VH"
-_POLARIZATIONS = (VV, VH)
-_SAMPLE_CONDITIONS = (Condition.LOS, Condition.NLOS)
+from .propagation import CiModel, REFERENCE_DISTANCE_M, fspl_db, validated
 
 
 class FitError(ValueError):
     """Raised when a sample set cannot support a CI fit."""
 
 
-def check_sample(d_m: float, pl_db: float, condition: Condition,
-                 polarization: str):
+def check_sample(d_m: float, pl_db: float):
     """Raise ValueError naming the first field of one sample that is bad."""
     if not REFERENCE_DISTANCE_M <= d_m < math.inf:
         raise ValueError(f"sample distance must be finite and >= "
                          f"{REFERENCE_DISTANCE_M} m, got {d_m}")
     if not math.isfinite(pl_db):
         raise ValueError(f"pl_db must be finite, got {pl_db}")
-    if condition not in _SAMPLE_CONDITIONS:
-        label = getattr(condition, "value", condition)
-        raise ValueError(f"sample condition must be LOS or NLOS, got {label}")
-    if polarization not in _POLARIZATIONS:
-        raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
 
 
 @validated
 class PathLossSamples(NamedTuple):
-    """Path-loss observations with antenna gains removed, one column per field.
+    """One condition's path-loss observations with antenna gains removed,
+    one column per field.
 
     The fields are equal-length tuples, and entry i of each is sample i:
-    distance in meters (finite, >= 1 m), path loss in dB (finite), a LOS
-    or NLOS label and the polarization, ``VV`` or ``VH``.  Cross-polarized
-    (VH) samples are carried and checked but never fitted.
+    distance in meters (finite, >= 1 m) and path loss in dB (finite).
     ``PathLossSamples()`` is the empty set, and ``PathLossSamples(*zip(*rows))``
-    builds one from ``(d_m, pl_db, condition, polarization)`` rows.
+    builds one from ``(d_m, pl_db)`` rows.
 
     Building one checks each sample in order by ``check_sample``, whose
     message the first bad sample raises.
@@ -70,8 +56,6 @@ class PathLossSamples(NamedTuple):
 
     d_m: tuple[float, ...] = ()
     pl_db: tuple[float, ...] = ()
-    condition: tuple[Condition, ...] = ()
-    polarization: tuple[str, ...] = ()
 
     def _validate(self):
         if len(set(map(len, self))) > 1:
@@ -85,28 +69,18 @@ def fit_ci(samples: PathLossSamples, f_ghz: float) -> CiModel:
     """Closed-form MMSE fit of the CI slope and shadow-fading sigma.
 
     Args:
-        samples: observations of one condition; its VV rows are fitted,
-            and there must be at least two, spanning at least two distinct
-            distances.  VH rows are dropped.
+        samples: the observations to fit, every one of them; there must be
+            at least two, spanning at least two distinct distances.
         f_ghz: carrier frequency fixing the 1 m anchor.
 
     Returns:
-        CiModel labeled with the samples' condition; sigma_db is the RMS
-        fit residual.
+        CiModel whose sigma_db is the RMS fit residual.
 
     Raises:
         FitError: if the samples cannot be fitted, or if the fitted slope is
             not positive, which no CI model accepts.
     """
-    keep = [p == VV for p in samples.polarization]
-    d_m, pl_db, conditions = (tuple(compress(col, keep)) for col in
-                              (samples.d_m, samples.pl_db, samples.condition))
-    if not d_m:
-        raise FitError("no usable samples (cross-polarized rows are never fitted)")
-    condition = conditions[0]
-    if conditions.count(condition) != len(conditions):
-        raise FitError(f"samples mix conditions "
-                       f"{sorted(c.value for c in set(conditions))}")
+    d_m, pl_db = samples
     if len(d_m) < 2:
         raise FitError(f"need at least 2 samples, got {len(d_m)}")
     if len(set(d_m)) < 2:
@@ -122,24 +96,6 @@ def fit_ci(samples: PathLossSamples, f_ghz: float) -> CiModel:
     except (OverflowError, ValueError):  # fsum overflow or inf - inf
         raise FitError("path loss values are too large to fit") from None
     if not ple > 0:
-        raise FitError(f"{condition.value} samples fit a path loss exponent "
-                       f"of {ple:.6g}; the CI model needs ple > 0")
-    return CiModel(f_ghz=f_ghz, ple=ple, sigma_db=sigma, condition=condition)
-
-
-def group_samples_by_condition(
-        samples: PathLossSamples) -> dict[Condition, PathLossSamples]:
-    """Split a mixed sample set by condition label, preserving order.
-
-    The groups come in order of each label's first sample, and each keeps
-    its samples in their original order.
-    """
-    present = sorted((c for c in _SAMPLE_CONDITIONS if c in samples.condition),
-                     key=samples.condition.index)
-    groups = {}
-    for cond in present:
-        keep = [c == cond for c in samples.condition]
-        # Rows of an already checked record need no second check.
-        groups[cond] = PathLossSamples._make(tuple(compress(col, keep))
-                                             for col in samples)
-    return groups
+        raise FitError(f"samples fit a path loss exponent of {ple:.6g}; "
+                       "the CI model needs ple > 0")
+    return CiModel(f_ghz=f_ghz, ple=ple, sigma_db=sigma)

@@ -28,15 +28,15 @@ DEFAULT_SEED = 73
 # Directional (single beam pair) CI parameters.  NLOS_BEST is the statistics
 # of the optimally aligned beam pair on an obstructed link.
 DIRECTIONAL_CI_73GHZ: dict[Condition, CiModel] = {
-    Condition.LOS: CiModel(CARRIER_F_GHZ, 2.0, 1.9, Condition.LOS),
-    Condition.NLOS: CiModel(CARRIER_F_GHZ, 4.6, 11.4, Condition.NLOS),
-    Condition.NLOS_BEST: CiModel(CARRIER_F_GHZ, 2.9, 11.0, Condition.NLOS_BEST),
+    Condition.LOS: CiModel(CARRIER_F_GHZ, 2.0, 1.9),
+    Condition.NLOS: CiModel(CARRIER_F_GHZ, 4.6, 11.4),
+    Condition.NLOS_BEST: CiModel(CARRIER_F_GHZ, 2.9, 11.0),
 }
 
 # Omnidirectional CI parameters synthesized from the directional scans.
 OMNI_CI_73GHZ: dict[Condition, CiModel] = {
-    Condition.LOS: CiModel(CARRIER_F_GHZ, 1.9, 1.7, Condition.LOS),
-    Condition.NLOS: CiModel(CARRIER_F_GHZ, 2.8, 8.7, Condition.NLOS),
+    Condition.LOS: CiModel(CARRIER_F_GHZ, 1.9, 1.7),
+    Condition.NLOS: CiModel(CARRIER_F_GHZ, 2.8, 8.7),
 }
 
 # Channel sounder: 14.9 dBm into a 27 dBi TX horn, 20 dBi RX horn.  These

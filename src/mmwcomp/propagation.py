@@ -86,13 +86,14 @@ class CiModel(NamedTuple):
         f_ghz: carrier frequency in GHz.
         ple: path loss exponent (n = 2 is free space); must be > 0.
         sigma_db: shadow fading standard deviation in dB.
-        condition: environment label the parameters were derived for.
+
+    A model carries no condition label: the condition it was derived for
+    is its key in a models mapping.
     """
 
     f_ghz: float
     ple: float
     sigma_db: float
-    condition: Condition
 
     def _validate(self):
         if not 0 < self.f_ghz < math.inf:

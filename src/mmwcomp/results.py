@@ -90,7 +90,7 @@ class ModelCard(NamedTuple):
         self.to_model()  # the CI model's checks
 
     def to_model(self) -> CiModel:
-        return CiModel(self.f_ghz, self.ple, self.sigma_db, self.condition)
+        return CiModel(self.f_ghz, self.ple, self.sigma_db)
 
 
 @validated

@@ -12,10 +12,11 @@ JSON, bundle metadata), the file and a card index (model cards) or a
 1-based line number (CSV), so it can be fixed without reading tracebacks.
 
 Path-loss samples are read row by row, in file order: each row is parsed
-and checked once by ``fitting.check_sample``, so the first bad row names
-its line, and the checked rows become the columns of one
-``PathLossSamples`` record.  The CSV and topology readers load neither
-``coverage`` nor ``params``; only the scenario parser needs them.
+and checked once, its numbers by ``fitting.check_sample`` and then its
+labels, so the first bad row names its line.  The checked co-polarized
+rows become the columns of one ``PathLossSamples`` record per condition.
+The CSV and topology readers load neither ``coverage`` nor ``params``;
+only the scenario parser needs them.
 """
 
 from __future__ import annotations
@@ -133,11 +134,11 @@ def _value(raw, kind: type, path: str):
     return num
 
 
-def _parse_record(cls, obj, path: str, defaults: Mapping | None = None, **fixed):
-    """``cls(**fields, **fixed)`` from the JSON object ``obj``.
+def _parse_record(cls, obj, path: str, defaults: Mapping | None = None):
+    """``cls(**fields)`` from the JSON object ``obj``.
 
-    Each field of ``cls`` not in ``fixed`` is a key, read by ``_value`` as
-    its ``field_kinds`` kind under the key path ``path.key`` (the bare key
+    Each field of ``cls`` is a key, read by ``_value`` as its
+    ``field_kinds`` kind under the key path ``path.key`` (the bare key
     when ``path`` is empty).  A key absent from ``obj`` takes its value
     from ``defaults`` (``cls._field_defaults`` unless given) and is
     required when it has none there; a key whose default is ``None``, an
@@ -147,7 +148,7 @@ def _parse_record(cls, obj, path: str, defaults: Mapping | None = None, **fixed)
     defaults = cls._field_defaults if defaults is None else defaults
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
-    kinds = {k: v for k, v in field_kinds(cls).items() if k not in fixed}
+    kinds = field_kinds(cls)
     _check_keys(obj, set(kinds), path)
     fields = {}
     for key, kind in kinds.items():
@@ -160,7 +161,7 @@ def _parse_record(cls, obj, path: str, defaults: Mapping | None = None, **fixed)
         else:
             _fail(path, f"missing required key {key!r}")
     try:
-        return cls(**fields, **fixed)
+        return cls(**fields)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -172,8 +173,8 @@ def _parse_models(obj, path: str, base: Mapping[Condition, CiModel]
         _fail(path, "expected an object")
     models = dict(base)
     for key, sub in obj.items():
-        cond = _parse_condition(key, path)
-        models[cond] = _parse_record(CiModel, sub, f"{path}.{key}", condition=cond)
+        models[_parse_condition(key, path)] = _parse_record(
+            CiModel, sub, f"{path}.{key}")
     return models
 
 
@@ -255,33 +256,47 @@ def load_scenario(path: str | Path) -> Scenario:
 
 SAMPLE_FIELDS = ("d_m", "pl_db", "condition", "polarization")
 _CONDITION_OF = {c.value: c for c in Condition}
+_SAMPLE_CONDITIONS = (Condition.LOS, Condition.NLOS)
+_POLARIZATIONS = ("VV", "VH")
 
 
-def read_samples_csv(source: str | Path | TextIO) -> PathLossSamples:
+def read_samples_csv(source: str | Path | TextIO
+                     ) -> dict[Condition, PathLossSamples]:
     """Read path-loss samples from CSV with header ``d_m,pl_db,condition,polarization``.
 
-    Returns one ``PathLossSamples`` record with a column per field, in
-    file order; a header with no data rows gives ``PathLossSamples()``.
-    Each row is parsed and checked by ``check_sample`` as it is read, so
-    the first malformed row raises ScenarioError with its line number.
+    Returns one ``PathLossSamples`` record per condition in the file, LOS
+    before NLOS, holding that condition's co-polarized (VV) samples in file
+    order.  Cross-polarized (VH) rows are checked but never kept, so a
+    condition seen only in VH rows maps to ``PathLossSamples()``; a header
+    with no data rows gives ``{}``.  Each row is parsed and checked as it
+    is read, so the first malformed row raises ScenarioError with its line
+    number.
     """
     from .fitting import PathLossSamples, check_sample
-    rows = []
+    groups = {}
     for lineno, (d_m, pl_db, label, polarization) in _csv_rows(
             source, SAMPLE_FIELDS, "samples CSV"):
         try:
-            label = label.strip()
+            d_m, pl_db, label = float(d_m), float(pl_db), label.strip()
             # The dict lookup is the fast path; Condition(label) only runs
             # to raise its message for an unknown label.
-            sample = (float(d_m), float(pl_db),
-                      _CONDITION_OF.get(label) or Condition(label),
-                      polarization.strip())
-            check_sample(*sample)
+            cond = _CONDITION_OF.get(label) or Condition(label)
+            check_sample(d_m, pl_db)
+            if cond not in _SAMPLE_CONDITIONS:
+                raise ValueError(f"sample condition must be LOS or NLOS, "
+                                 f"got {cond.value}")
+            polarization = polarization.strip()
+            if polarization not in _POLARIZATIONS:
+                raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
         except ValueError as exc:
             raise ScenarioError(f"samples CSV line {lineno}: {exc}") from None
-        rows.append(sample)
-    # Every row is checked already, so the record is built unchecked.
-    return PathLossSamples._make(zip(*rows)) if rows else PathLossSamples()
+        columns = groups.setdefault(cond, ([], []))
+        if polarization == "VV":
+            columns[0].append(d_m)
+            columns[1].append(pl_db)
+    # Every row is checked already, so the records are built unchecked.
+    return {cond: PathLossSamples._make(map(tuple, groups[cond]))
+            for cond in _SAMPLE_CONDITIONS if cond in groups}
 
 
 MASK_FIELDS = ("rx_id", "tx_id", "mask")

@@ -76,7 +76,7 @@ def test_criterion_2_region_outage(capsys):
         for ple in (1.5, 3.25, 5.0):
             for sigma in (1.0, 6.5, 12.0):
                 for radius in (10.0, 100.0, 500.0):
-                    model = m.CiModel(73.5, ple, sigma, Condition.NLOS)
+                    model = m.CiModel(73.5, ple, sigma)
 
                     def integrand(r):
                         return (2.0 * r / radius**2 * m.edge_outage_probability(
@@ -128,16 +128,13 @@ def test_criterion_5_fit_recovery(capsys):
             d = 10.0 ** rng.uniform(1.0, math.log10(200.0), size=10_000)
             pl = (np.array([m.ci_mean_path_loss_db(truth, x) for x in d])
                   + rng.normal(0.0, truth.sigma_db, d.size))
-            cond = (Condition.NLOS if truth.condition is Condition.NLOS_BEST
-                    else truth.condition)
-            samples = m.PathLossSamples(*zip(*[(float(a), float(b), cond, "VV")
-                                               for a, b in zip(d, pl)]))
+            samples = m.PathLossSamples(tuple(d.tolist()), tuple(pl.tolist()))
             fit = m.fit_ci(samples, truth.f_ghz)
             assert abs(fit.ple - truth.ple) <= 0.05, truth
             assert abs(fit.sigma_db - truth.sigma_db) <= 0.3, truth
 
         noise_free = m.PathLossSamples(*zip(*[
-            (float(d), m.ci_mean_path_loss_db(NLOS, d), Condition.NLOS, "VV")
+            (float(d), m.ci_mean_path_loss_db(NLOS, d))
             for d in np.linspace(10, 200, 100)]))
         exact = m.fit_ci(noise_free, NLOS.f_ghz)
         assert abs(exact.ple - NLOS.ple) <= 1e-9
@@ -175,7 +172,7 @@ def test_criterion_6_property_spot_checks(capsys):
         assert (np.diff(best, axis=1) >= 0).all()
 
         # Omni synthesis: an equal-power pair of detected angles gains 3 dB
-        flat = {c: m.CiModel(73.5, ple, 0.0, c)
+        flat = {c: m.CiModel(73.5, ple, 0.0)
                 for c, ple in ((Condition.LOS, 2.0), (Condition.NLOS, 4.6))}
         pair = m.Scenario((m.Node("B1", 10.0, 0.0, 4.0),),
                           (m.Node("U1", 0.0, 0.0, 1.4),), flat,

@@ -38,10 +38,11 @@ DEEP_JSON = b"[" * 100000 + b"]" * 100000
 LONG_FIELD = b"9" * 200000
 
 
-def write_samples(samples, path):
+def write_samples(groups, path):
+    """Write ``{condition: PathLossSamples}`` as the VV rows of a samples CSV."""
     path.write_text("d_m,pl_db,condition,polarization\n" + "".join(
-        f"{d_m!r},{pl_db!r},{cond.value},{pol}\n"
-        for d_m, pl_db, cond, pol in zip(*samples)))
+        f"{d_m!r},{pl_db!r},{cond.value},VV\n"
+        for cond, samples in groups.items() for d_m, pl_db in zip(*samples)))
 
 
 def write_masks(masks, path, n_directions=72):
@@ -95,6 +96,12 @@ class TestParseScenario:
         obj["base_stations"][0]["colour"] = "red"
         with pytest.raises(ScenarioError, match=r"base_stations\[0\]"):
             parse_scenario(obj)
+        # A model's condition is its key, so the entry may not restate it.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(minimal(models={"LOS": {
+                "f_ghz": 73.5, "ple": 2.0, "sigma_db": 1.9, "condition": "LOS"}}))
+        assert str(exc.value) == ("scenario.models.LOS: unknown key(s) "
+                                  "['condition']")
 
     def test_negative_sigma_rejected_with_key_path(self):
         obj = minimal(models={"LOS": {"f_ghz": 73.5, "ple": 2.0,
@@ -176,16 +183,21 @@ class TestSamplesCsv:
     @given(rows=sample_rows, data=st.data())
     def test_columns_match_row_by_row_reference(self, rows, data):
         lines = ["d_m,pl_db,condition,polarization"]
-        linenos, reference = [], []
+        linenos, reference = [], {}
         for d_m, pl_db, label, pol, pad, blank in rows:
             lines.append(f"{d_m!r},{pl_db!r},{pad}{label}{pad},{pad}{pol}")
             linenos.append(len(lines))
-            reference.append((d_m, pl_db, Condition(label), pol))
+            kept = reference.setdefault(Condition(label), [])
+            if pol == "VV":
+                kept.append((d_m, pl_db))
             if blank is not None:
                 lines.append(blank)
         text = "\n".join(lines) + "\n"
-        assert read_samples_csv(io.StringIO(text)) == PathLossSamples(
-            *zip(*reference))
+        # One record per condition seen, LOS first, of its VV rows in order.
+        expected = {c: PathLossSamples(*zip(*reference[c]))
+                    for c in (Condition.LOS, Condition.NLOS) if c in reference}
+        out = read_samples_csv(io.StringIO(text))
+        assert out == expected and list(out) == list(expected)
 
         bad = data.draw(st.integers(0, len(rows) - 1))
         col, value, message = data.draw(st.sampled_from(SAMPLE_CORRUPTIONS))
@@ -201,18 +213,18 @@ class TestSamplesCsv:
         assert str(exc.value) == f"samples CSV line {linenos[bad]}: {message}"
 
     def test_round_trip_exact(self, tmp_path):
-        samples = PathLossSamples((63.0, 10.5), (152.49541205654867, 91.25),
-                                  (Condition.NLOS, Condition.LOS), ("VV", "VH"))
+        samples = {Condition.NLOS: PathLossSamples((63.0,), (152.49541205654867,)),
+                   Condition.LOS: PathLossSamples((10.5, 20.0), (91.25, 0.1))}
         path = tmp_path / "samples.csv"
         write_samples(samples, path)
         back = read_samples_csv(path)
         assert back == samples  # repr text reloads bit-exact
+        assert list(back) == [Condition.LOS, Condition.NLOS]
 
     def test_parse_basic_row(self):
         buf = io.StringIO("d_m,pl_db,condition,polarization\n63,152.5,NLOS,VV\n")
-        s = read_samples_csv(buf)
-        assert (s.d_m, s.pl_db, s.condition, s.polarization) == (
-            (63.0,), (152.5,), (Condition.NLOS,), ("VV",))
+        assert read_samples_csv(buf) == {
+            Condition.NLOS: PathLossSamples((63.0,), (152.5,))}
 
     def test_strict_reports_line_number(self):
         buf = io.StringIO(
@@ -244,7 +256,7 @@ class TestSamplesCsv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = read_samples_csv(io.StringIO("d_m,pl_db,condition,polarization\n"))
-        assert out == PathLossSamples()
+        assert out == {}
 
 
 class TestMasksCsv:
@@ -582,15 +594,14 @@ class TestCli:
     def test_fit_end_to_end(self, tmp_path, capsys):
         import numpy as np
         from mmwcomp import CiModel, ci_mean_path_loss_db, substream
-        model = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
+        model = CiModel(73.5, 4.6, 11.4)
         rng = substream(5, 0)
         d = 10.0 ** rng.uniform(1, np.log10(200.0), size=2000)
         pl = (np.array([ci_mean_path_loss_db(model, x) for x in d])
               + rng.normal(0.0, model.sigma_db, d.size))
-        samples = PathLossSamples(*zip(*[(float(a), float(b), Condition.NLOS, "VV")
-                                         for a, b in zip(d, pl)]))
+        samples = PathLossSamples(tuple(d.tolist()), tuple(pl.tolist()))
         csv_path = tmp_path / "samples.csv"
-        write_samples(samples, csv_path)
+        write_samples({Condition.NLOS: samples}, csv_path)
         out_dir = tmp_path / "fit"
         assert main(["fit", "--samples", str(csv_path),
                      "--out", str(out_dir)]) == 0
@@ -614,7 +625,10 @@ class TestCli:
         ("20,120,LOS,VH\n40,130,LOS,VH\n20,120,NLOS,VV\n40,130,NLOS,VV\n",
          "LOS: no usable samples (cross-polarized rows are never fitted)"),
         ("20,120,NLOS,VV\n", "NLOS: need at least 2 samples, got 1"),
-    ], ids=["header_only", "los_only_vh", "one_row"])
+        ("20,60,LOS,VV\n40,50,LOS,VV\n",
+         "LOS: samples fit a path loss exponent of -1.03903; the CI model "
+         "needs ple > 0"),
+    ], ids=["header_only", "los_only_vh", "one_row", "falling"])
     def test_fit_error_names_file(self, tmp_path, capsys, rows, message):
         # One error line, no warning; a failed fit also names its condition.
         csv_path = tmp_path / "samples.csv"

@@ -12,7 +12,7 @@ from mmwcomp import (CiModel, Condition, LinkBudget, edge_outage_probability,
 
 SOUNDER = LinkBudget()
 HORNS = (14.9, 27.0, 20.0)  # the sounder's P_t, G_t and G_r
-NLOS = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
+NLOS = CiModel(73.5, 4.6, 11.4)
 
 
 def test_receiver_threshold():
@@ -89,14 +89,14 @@ def test_region_outage_nlos_values():
 
 def test_edge_half_at_mean_equal_threshold():
     # Mean PL at the radius exactly equals the tolerable maximum.
-    model = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
+    model = CiModel(73.5, 4.6, 11.4)
     d = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
     assert edge_outage_probability(model, SOUNDER, d) == pytest.approx(
         0.5, abs=1e-9)
 
 
 def test_edge_zero_sigma_step():
-    near = CiModel(73.5, 4.6, 0.0, Condition.NLOS)
+    near = CiModel(73.5, 4.6, 0.0)
     assert edge_outage_probability(near, SOUNDER, 63.0) == 0.0   # 152.5 < 175
     assert edge_outage_probability(near, SOUNDER, 200.0) == 1.0  # 175.6 > 175
     d_crit = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
@@ -105,7 +105,7 @@ def test_edge_zero_sigma_step():
 
 def test_region_outage_below_edge_outage():
     # Averaging over the disk includes interior points with more margin.
-    for model in (NLOS, CiModel(73.5, 2.9, 11.0, Condition.NLOS_BEST)):
+    for model in (NLOS, CiModel(73.5, 2.9, 11.0)):
         for d in (30.0, 63.0, 100.0, 200.0, 400.0):
             assert (region_outage_probability(model, SOUNDER, d)
                     < edge_outage_probability(model, SOUNDER, d))
@@ -119,13 +119,13 @@ def test_region_outage_requires_positive_ple():
             with pytest.raises(ValueError,
                                match=f"ple must be positive and finite, "
                                      f"got {ple}"):
-                CiModel(73.5, ple, sigma, Condition.NLOS)
+                CiModel(73.5, ple, sigma)
 
 
 def test_region_outage_zero_sigma_is_disk_share_beyond_coverage_radius():
     # Without shadowing a point is in outage beyond the radius where the
     # mean path loss meets the 175 dB limit: d_crit = 10^((175 - FSPL) / 46).
-    near = CiModel(73.5, 4.6, 0.0, Condition.NLOS)
+    near = CiModel(73.5, 4.6, 0.0)
     d_crit = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
     for d in (63.0, d_crit):
         assert region_outage_probability(near, SOUNDER, d) == 0.0
@@ -138,7 +138,7 @@ def test_region_outage_zero_sigma_is_disk_share_beyond_coverage_radius():
                                   200.0),
         abs=1e-6)
     # A huge negative margin must not overflow the power.
-    flat = CiModel(73.5, 0.01, 0.0, Condition.NLOS)
+    flat = CiModel(73.5, 0.01, 0.0)
     assert region_outage_probability(flat, LinkBudget(max_pl_db=1000.0),
                                      10.0) == 0.0
 
@@ -157,13 +157,13 @@ def quadrature_region_outage(model, budget, radius, panels=20_000) -> float:
 def test_region_closed_form_matches_quadrature_spot_checks():
     for ple, sigma, radius in ((4.6, 11.4, 63.0), (2.9, 11.0, 200.0),
                                (1.5, 1.0, 10.0), (5.0, 12.0, 500.0)):
-        query = (CiModel(73.5, ple, sigma, Condition.NLOS), SOUNDER, radius)
+        query = (CiModel(73.5, ple, sigma), SOUNDER, radius)
         assert region_outage_probability(*query) == pytest.approx(
             quadrature_region_outage(*query), abs=1e-4)
 
 
 def test_outage_table_shape_and_order():
-    models = {Condition.LOS: CiModel(73.5, 2.0, 1.9, Condition.LOS),
+    models = {Condition.LOS: CiModel(73.5, 2.0, 1.9),
               Condition.NLOS: NLOS}
     rows = outage_table(models, SOUNDER, [63.0, 100.0])
     assert [(r.condition, r.distance_m) for r in rows] == [

@@ -26,9 +26,9 @@ from mmwcomp.cli import _reception_rows
 from mmwcomp.diversity import _map_trials
 from mmwcomp.params import CAMPAIGN_SERVING_SETS, SOUNDER_LINK_BUDGET
 
-LOS = CiModel(73.5, 2.0, 1.9, Condition.LOS)
-NLOS = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
-NLOS_BEST = CiModel(73.5, 2.9, 11.0, Condition.NLOS_BEST)
+LOS = CiModel(73.5, 2.0, 1.9)
+NLOS = CiModel(73.5, 4.6, 11.4)
+NLOS_BEST = CiModel(73.5, 2.9, 11.0)
 MODELS = {Condition.LOS: LOS, Condition.NLOS: NLOS,
           Condition.NLOS_BEST: NLOS_BEST}
 
@@ -223,8 +223,8 @@ def test_scenario_validation():
 # Shadowing-free models and a 120 dB limit, which every LOS draw meets and
 # no NLOS draw does on links of 30-125 m, with no best-beam replacement: a
 # link's mask is full exactly when the link is LOS in that trial.
-SIGMA0_MODELS = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
-                 Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS)}
+SIGMA0_MODELS = {Condition.LOS: CiModel(73.5, 2.0, 0.0),
+                 Condition.NLOS: CiModel(73.5, 4.6, 0.0)}
 
 
 def condition_scenario(bss, ues, conditions, p_los):
@@ -277,6 +277,20 @@ def test_condition_policy_explicit_and_bernoulli():
                            {("U1", "B1"): Condition.NLOS_BEST}, 0.5)
 
 
+def test_pin_equal_to_los_simulates_as_los():
+    # Scenario accepts a pin that equals Condition.LOS, such as the plain
+    # string "LOS", so the simulator must read that pin as LOS too.
+    b1, u1 = bs(1, 30.0, 0.0), ue(1, 0.0, 0.0)
+    drops = [simulate_drop(scenario([b1], [u1], models=SIGMA0_MODELS,
+                                    sweep=SweepGrid(1, 1, 1),
+                                    conditions={("U1", "B1"): pin}), 1)
+             for pin in (Condition.LOS, "LOS")]
+    assert drops[0].omni_pl_db.tolist() == drops[1].omni_pl_db.tolist()
+    assert drops[0].omni_pl_db[0, 0] == pytest.approx(ci_mean_path_loss_db(
+        SIGMA0_MODELS[Condition.LOS], distance_3d(u1, b1)))
+    assert drops[0].masks == drops[1].masks
+
+
 ONE_RX = {"rx_azimuths": 1, "rx_elevations": 1}
 
 
@@ -286,8 +300,8 @@ ONE_RX = {"rx_azimuths": 1, "rx_elevations": 1}
     (SweepGrid(), 15 * 72),
 ], ids=["1_pair", "2_pairs", "15x72_pairs"])
 def test_simulate_sigma0_los_all_detectable(sweep, pairs):
-    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
-              Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS)}
+    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0),
+              Condition.NLOS: CiModel(73.5, 4.6, 0.0)}
     sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   p_los=1.0, sweep=sweep)
     drops = simulate_drop(sc, 1)
@@ -374,7 +388,7 @@ def test_simulated_omni_fits_lower_ple_than_directional():
     drops = simulate_drop(sc, 10)
     d = {(u.id, b.id): distance_3d(u, b) for u, b in sc.links()}
     samples = PathLossSamples(*zip(*[
-        (d[link], pl, Condition.NLOS, "VV")
+        (d[link], pl)
         for row in drops.omni_pl_db.tolist()
         for link, pl in zip(drops.masks.bits, row) if math.isfinite(pl)]))
     assert fit_ci(samples, 73.5).ple < NLOS.ple
@@ -383,8 +397,8 @@ def test_simulated_omni_fits_lower_ple_than_directional():
 def test_simulate_sigma0_nlos_beyond_range_all_false():
     # Without a best-angle model the 200 m NLOS mean of 175.6 dB exceeds
     # the 175 dB budget at every angle.
-    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
-              Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS)}
+    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0),
+              Condition.NLOS: CiModel(73.5, 4.6, 0.0)}
     sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   p_los=0.0)
     drops = simulate_drop(sc, 1)
@@ -396,9 +410,9 @@ def test_simulate_sigma0_nlos_best_single_angle():
     # The deterministic best-angle draw (136.5 dB at ~200 m) survives the
     # budget while every arbitrary-angle entry fails: exactly one angle
     # pair detectable, and the omni PL equals it.
-    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
-              Condition.NLOS: CiModel(73.5, 4.6, 0.0, Condition.NLOS),
-              Condition.NLOS_BEST: CiModel(73.5, 2.9, 0.0, Condition.NLOS_BEST)}
+    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0),
+              Condition.NLOS: CiModel(73.5, 4.6, 0.0),
+              Condition.NLOS_BEST: CiModel(73.5, 2.9, 0.0)}
     sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
                   p_los=0.0)
     drops = simulate_drop(sc, 1)
@@ -449,8 +463,8 @@ def mean_reception(sc, drops, k_max):
 
 
 def test_reception_vs_k_always_detectable():
-    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0, Condition.LOS),
-              Condition.NLOS: CiModel(73.5, 2.0, 0.0, Condition.NLOS)}
+    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0),
+              Condition.NLOS: CiModel(73.5, 2.0, 0.0)}
     sc = scenario([bs(1, 10.0, 0.0), bs(2, 0.0, 10.0)], [ue(1, 0.0, 0.0)],
                   models=models)
     probs = mean_reception(sc, simulate_drop(sc, 2), 2)
@@ -551,7 +565,7 @@ def test_simulate_k1_reception_matches_edge_coverage(bw_ghz):
 
 
 @pytest.mark.parametrize("best", [NLOS_BEST,
-                                  CiModel(73.5, 6.0, 1.0, Condition.NLOS_BEST)])
+                                  CiModel(73.5, 6.0, 1.0)])
 def test_nlos_best_beam_k1_reception_matches_order_statistic(best):
     # The second best-beam model is never detected, so replacing the lowest
     # draw removes it: reception falls well below the no-replacement value.
@@ -648,12 +662,12 @@ def policy_scenarios(draw):
     bss = [bs(i, draw(xy), draw(xy)) for i in range(n_bs)]
     ues = [ue(i, draw(xy), draw(xy)) for i in range(n_ue)]
     models = {Condition.LOS: CiModel(73.5, draw(st.floats(1.5, 3.0)),
-                                     draw(_SIGMAS), Condition.LOS),
+                                     draw(_SIGMAS)),
               Condition.NLOS: CiModel(73.5, draw(st.floats(2.5, 5.0)),
-                                      draw(_SIGMAS), Condition.NLOS)}
+                                      draw(_SIGMAS))}
     if draw(st.booleans()):
         models[Condition.NLOS_BEST] = CiModel(
-            73.5, draw(st.floats(2.0, 4.0)), draw(_SIGMAS), Condition.NLOS_BEST)
+            73.5, draw(st.floats(2.0, 4.0)), draw(_SIGMAS))
     pins = st.sampled_from([None, Condition.LOS, Condition.NLOS])
     explicit = {(u.id, b.id): c for u in ues for b in bss
                 if (c := draw(pins)) is not None}
@@ -708,8 +722,8 @@ def test_draw_policy_matches_documented_rules(sc, trials):
 # conditions are summed out over the 2^B LOS/NLOS patterns of a user's
 # links.  The Monte Carlo bound uses the exact pairwise joint reception
 # [1 - m_S - m_S' + m_{S u S'}]^R, with m the per-direction miss product.
-DENSE_MODELS = {Condition.LOS: CiModel(73.5, 2.0, 6.0, Condition.LOS),
-                Condition.NLOS: CiModel(73.5, 3.0, 9.0, Condition.NLOS)}
+DENSE_MODELS = {Condition.LOS: CiModel(73.5, 2.0, 6.0),
+                Condition.NLOS: CiModel(73.5, 3.0, 9.0)}
 DENSE_TRIALS = 400
 DENSE_BSS = [bs(i, 25.0 * i * math.cos(i), 25.0 * i * math.sin(i))
              for i in range(1, 7)]

@@ -1,70 +1,69 @@
 """CI model fitting and the sample record."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from mmwcomp import (CiModel, Condition, FitError, PathLossSamples,
-                     ci_mean_path_loss_db, fit_ci, fspl_db,
-                     group_samples_by_condition, substream)
+                     ci_mean_path_loss_db, fit_ci, fspl_db, read_samples_csv,
+                     substream)
 
 F = 73.5
 
 
 def columns(rows):
-    """One PathLossSamples from ``(d_m, pl_db, condition[, polarization])``
-    rows; a row without a polarization is VV."""
-    return PathLossSamples(*zip(*(row if len(row) == 4 else (*row, "VV")
-                                  for row in rows)))
+    """One PathLossSamples from ``(d_m, pl_db)`` rows."""
+    return PathLossSamples(*zip(*rows))
 
 
-def make_samples(model, distances, rng=None, condition=None):
-    cond = condition or model.condition
+def read_rows(rows):
+    """``read_samples_csv`` of ``(d_m, pl_db, condition, polarization)`` rows."""
+    return read_samples_csv(io.StringIO(
+        "d_m,pl_db,condition,polarization\n"
+        + "".join(f"{d!r},{pl!r},{cond},{pol}\n" for d, pl, cond, pol in rows)))
+
+
+def make_samples(model, distances, rng=None):
     out = []
     for d in distances:
         pl = ci_mean_path_loss_db(model, d)
         if rng is not None:
             pl = float(pl + rng.normal(0.0, model.sigma_db))
-        out.append((d, pl, cond))
+        out.append((d, pl))
     return columns(out)
 
 
 def test_sample_validation():
     with pytest.raises(ValueError):
-        columns([(0.5, 100.0, Condition.NLOS)])
+        columns([(0.5, 100.0)])
     with pytest.raises(ValueError):
-        columns([(10.0, math.nan, Condition.NLOS)])
-    with pytest.raises(ValueError):
-        columns([(10.0, 100.0, Condition.NLOS_BEST)])
-    with pytest.raises(ValueError):
-        columns([(10.0, 100.0, Condition.NLOS, "HH")])
-    with pytest.raises(ValueError, match=r"equal lengths, got \[2, 1, 1, 1\]"):
-        PathLossSamples((20.0, 30.0), (120.0,), (Condition.NLOS,), ("VV",))
+        columns([(10.0, math.nan)])
+    with pytest.raises(ValueError, match=r"equal lengths, got \[2, 1\]"):
+        PathLossSamples((20.0, 30.0), (120.0,))
 
 
 def test_fit_noise_free_exact():
-    truth = CiModel(F, 2.0, 0.0, Condition.LOS)
+    truth = CiModel(F, 2.0, 0.0)
     samples = make_samples(truth, np.linspace(10, 200, 50))
     fit = fit_ci(samples, F)
     assert fit.ple == pytest.approx(2.0, abs=1e-9)
     assert fit.sigma_db == pytest.approx(0.0, abs=1e-9)
-    assert fit.condition is Condition.LOS
     assert fit.f_ghz == F
 
 
 def test_fit_two_points_one_decade_apart():
     # 30 dB per decade between 10 m and 100 m pins the slope at 3.0.
     anchor = fspl_db(F, 1.0)
-    samples = columns([(10.0, anchor + 30.0, Condition.NLOS),
-                       (100.0, anchor + 60.0, Condition.NLOS)])
+    samples = columns([(10.0, anchor + 30.0), (100.0, anchor + 60.0)])
     fit = fit_ci(samples, F)
     assert fit.ple == pytest.approx(3.0, abs=1e-12)
     assert fit.sigma_db == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_matches_closed_form_on_noisy_data():
-    truth = CiModel(F, 4.6, 11.4, Condition.NLOS)
+    truth = CiModel(F, 4.6, 11.4)
     rng = substream(11, 0)
     samples = make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=300), rng)
     fit = fit_ci(samples, F)
@@ -80,11 +79,11 @@ def test_fit_matches_closed_form_on_noisy_data():
 def test_fit_shift_consistency():
     # Adding c dB to every sample shifts the fitted slope by c*sum(x)/sum(x^2)
     # in the anchored (no-intercept) closed form.
-    truth = CiModel(F, 2.8, 8.7, Condition.NLOS)
+    truth = CiModel(F, 2.8, 8.7)
     rng = substream(11, 1)
     samples = make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=200), rng)
     c = 7.0
-    shifted = columns([(d, pl + c, cond) for d, pl, cond, _ in zip(*samples)])
+    shifted = columns([(d, pl + c) for d, pl in zip(*samples)])
     x = np.array([10.0 * math.log10(d) for d in samples.d_m])
     expect_delta = c * float(np.sum(x) / np.sum(x * x))
     assert fit_ci(shifted, F).ple - fit_ci(samples, F).ple == pytest.approx(
@@ -92,18 +91,17 @@ def test_fit_shift_consistency():
 
 
 def test_fit_requires_two_distinct_distances():
-    s = (50.0, 140.0, Condition.NLOS)
+    s = (50.0, 140.0)
     with pytest.raises(FitError):
         fit_ci(columns([s]), F)
     with pytest.raises(FitError):
-        fit_ci(columns([s, (50.0, 150.0, Condition.NLOS)]), F)
+        fit_ci(columns([s, (50.0, 150.0)]), F)
 
 
 @pytest.mark.parametrize("pl_db", [(1e307,) * 30, (1e308, -1e308)])
 def test_fit_rejects_path_loss_beyond_float_range(pl_db):
     # Every product is finite but the sums overflow, or they hold inf - inf.
-    samples = columns([(10.0 + i, pl, Condition.NLOS)
-                       for i, pl in enumerate(pl_db)])
+    samples = columns([(10.0 + i, pl) for i, pl in enumerate(pl_db)])
     with pytest.raises(FitError, match="too large to fit"):
         fit_ci(samples, F)
 
@@ -111,38 +109,32 @@ def test_fit_rejects_path_loss_beyond_float_range(pl_db):
 @pytest.mark.parametrize("pl_db", [(fspl_db(F, 1.0),) * 2, (60.0, 50.0)],
                          ids=["flat-at-anchor", "falling"])
 def test_fit_rejects_non_positive_slope(pl_db):
-    # A slope of 0 or below is no CI model; the error names the condition.
-    samples = columns([(d, pl, Condition.LOS)
-                       for d, pl in zip((10.0, 40.0), pl_db)])
-    with pytest.raises(FitError, match="^LOS samples fit a path loss "
-                                       "exponent of .*; the CI model needs "
-                                       "ple > 0$"):
-        fit_ci(samples, F)
-
-
-def test_fit_rejects_mixed_conditions():
-    samples = columns([(10.0, 100.0, Condition.LOS),
-                       (20.0, 120.0, Condition.NLOS)])
-    with pytest.raises(FitError):
+    # A slope of 0 or below is no CI model; the caller names the condition.
+    samples = columns(zip((10.0, 40.0), pl_db))
+    with pytest.raises(FitError, match="^samples fit a path loss exponent "
+                                       "of .*; the CI model needs ple > 0$"):
         fit_ci(samples, F)
 
 
 def test_fit_vh_excluded_by_default():
-    truth = CiModel(F, 2.0, 0.0, Condition.LOS)
+    truth = CiModel(F, 2.0, 0.0)
     co = make_samples(truth, [10.0, 50.0, 100.0])
-    # Cross-polarized rows carry a large discrimination offset.
-    cross = columns([(d, pl + 15.0, cond, "VH")
-                     for d, pl, cond, _ in zip(*co)])
-    both = columns([*zip(*co), *zip(*cross)])
-    assert fit_ci(both, F).ple == pytest.approx(2.0, abs=1e-9)
+    # Cross-polarized rows carry a large discrimination offset; the reader
+    # checks them and keeps none.
+    cross = [(d, pl + 15.0, "LOS", "VH") for d, pl in zip(*co)]
+    both = read_rows([*((d, pl, "LOS", "VV") for d, pl in zip(*co)), *cross])
+    assert both == {Condition.LOS: co}
+    assert fit_ci(both[Condition.LOS], F).ple == pytest.approx(2.0, abs=1e-9)
+    only_cross = read_rows(cross)
+    assert only_cross == {Condition.LOS: PathLossSamples()}
     with pytest.raises(FitError):
-        fit_ci(cross, F)  # nothing co-polarized left after the filter
+        fit_ci(only_cross[Condition.LOS], F)  # nothing co-polarized is left
 
 
 def test_residuals_orthogonal_to_regressor():
     # The anchored one-parameter fit leaves residuals orthogonal to
     # 10*log10(d); their plain mean is generally nonzero.
-    truth = CiModel(F, 4.6, 11.4, Condition.NLOS)
+    truth = CiModel(F, 4.6, 11.4)
     rng = substream(11, 2)
     samples = make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=500), rng)
     fit = fit_ci(samples, F)
@@ -158,7 +150,7 @@ def test_residuals_orthogonal_to_regressor():
 def test_fit_matches_numpy_least_squares(n):
     # Oracle: the same closed form over numpy arrays with np.sum, on
     # distances across [1, 1e4] m and a share of cross-polarized rows that
-    # the fit must leave out.
+    # the reader must leave out of what the fit sees.
     rng = substream(23, n)
     d = 10.0 ** rng.uniform(0.0, 4.0, size=n)
     ple_true, sigma_true = rng.uniform(1.5, 6.0), rng.uniform(1.0, 15.0)
@@ -166,10 +158,9 @@ def test_fit_matches_numpy_least_squares(n):
         0.0, sigma_true, n)
     vh = rng.uniform(size=n) < 0.2
     vh[:2] = False
-    samples = columns([(float(a), float(b), Condition.NLOS,
-                        "VH" if c else "VV")
-                       for a, b, c in zip(d, pl, vh)])
-    fit = fit_ci(samples, F)
+    samples = read_rows((a, b, "NLOS", "VH" if c else "VV")
+                        for a, b, c in zip(d.tolist(), pl.tolist(), vh))
+    fit = fit_ci(samples[Condition.NLOS], F)
     x = 10.0 * np.log10(d[~vh])
     y = pl[~vh] - fspl_db(F, 1.0)
     ple = np.sum(x * y) / np.sum(x * x)
@@ -177,11 +168,3 @@ def test_fit_matches_numpy_least_squares(n):
     assert fit.ple == pytest.approx(float(ple), rel=1e-12, abs=0)
     assert fit.sigma_db == pytest.approx(float(sigma), rel=1e-12, abs=0)
 
-
-def test_group_samples_by_condition():
-    a = (10.0, 100.0, Condition.LOS)
-    b = (20.0, 130.0, Condition.NLOS)
-    c = (30.0, 140.0, Condition.NLOS)
-    groups = group_samples_by_condition(columns([a, b, c]))
-    assert groups == {Condition.LOS: columns([a]),
-                      Condition.NLOS: columns([b, c])}

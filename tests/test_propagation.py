@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mmwcomp import (CiModel, Condition, LinkBudget, ci_mean_path_loss_db,
+from mmwcomp import (CiModel, LinkBudget, ci_mean_path_loss_db,
                      friis_received_power_dbm, fspl_db, receiver_threshold_dbm,
                      substream)
 
@@ -41,7 +41,7 @@ def test_non_finite_frequency_rejected(f_ghz):
     with pytest.raises(ValueError, match=f"got {f_ghz}"):
         fspl_db(f_ghz, 10.0)
     with pytest.raises(ValueError, match=f"got {f_ghz}"):
-        CiModel(f_ghz, 2.0, 1.0, Condition.LOS)
+        CiModel(f_ghz, 2.0, 1.0)
 
 
 def test_friis_log_form_matches_linear_form():
@@ -98,13 +98,13 @@ def test_received_power_round_trips_with_friis():
 
 def test_ci_model_validation():
     with pytest.raises(ValueError):
-        CiModel(0.0, 2.0, 1.0, Condition.LOS)
+        CiModel(0.0, 2.0, 1.0)
     with pytest.raises(ValueError):
-        CiModel(73.5, 2.0, -1.0, Condition.LOS)
+        CiModel(73.5, 2.0, -1.0)
 
 
 def test_ci_mean_free_space_reduces_to_fspl():
-    model = CiModel(73.5, 2.0, 0.0, Condition.LOS)
+    model = CiModel(73.5, 2.0, 0.0)
     for d in (1.0, 10.0, 63.0, 200.0):
         assert ci_mean_path_loss_db(model, d) == pytest.approx(
             fspl_db(73.5, d), abs=1e-12)
@@ -112,20 +112,20 @@ def test_ci_mean_free_space_reduces_to_fspl():
 
 def test_ci_mean_anchored_at_reference_distance():
     for ple in (1.5, 2.0, 4.6):
-        model = CiModel(73.5, ple, 5.0, Condition.NLOS)
+        model = CiModel(73.5, ple, 5.0)
         assert ci_mean_path_loss_db(model, 1.0) == pytest.approx(
             fspl_db(73.5, 1.0), abs=1e-12)
 
 
 def test_ci_mean_nlos_values():
-    model = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
+    model = CiModel(73.5, 4.6, 11.4)
     assert ci_mean_path_loss_db(model, 63.0) == pytest.approx(152.495, abs=1e-3)
     assert ci_mean_path_loss_db(model, 200.0) == pytest.approx(175.573, abs=1e-3)
     assert isinstance(ci_mean_path_loss_db(model, 10), float)
 
 
 def test_ci_mean_rejects_below_reference():
-    model = CiModel(73.5, 2.0, 0.0, Condition.LOS)
+    model = CiModel(73.5, 2.0, 0.0)
     with pytest.raises(ValueError):
         ci_mean_path_loss_db(model, 0.5)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwcomp import (CiModel, Condition, LinkBudget, MaskSet, build_cdf,
+from mmwcomp import (CiModel, LinkBudget, MaskSet, build_cdf,
                      ci_mean_path_loss_db, combination_count,
                      edge_outage_probability, format_pct,
                      friis_received_power_dbm, fspl_db, reception_counts,
@@ -42,21 +42,21 @@ def test_fspl_decade_rule(f, d):
 
 @given(freqs, ples, sigmas)
 def test_ci_anchored_at_reference(f, ple, sigma):
-    model = CiModel(f, ple, sigma, Condition.NLOS)
+    model = CiModel(f, ple, sigma)
     assert ci_mean_path_loss_db(model, 1.0) == pytest.approx(fspl_db(f, 1.0),
                                                              abs=1e-9)
 
 
 @given(freqs, ples, dists, dists)
 def test_ci_mean_monotone_in_distance(f, ple, d1, d2):
-    model = CiModel(f, ple, 5.0, Condition.NLOS)
+    model = CiModel(f, ple, 5.0)
     lo, hi = sorted((d1, d2))
     assert ci_mean_path_loss_db(model, lo) <= ci_mean_path_loss_db(model, hi) + 1e-12
 
 
 @given(ples, sigmas, radii)
 def test_region_outage_no_greater_than_edge(ple, sigma, radius):
-    model = CiModel(73.5, ple, sigma, Condition.NLOS)
+    model = CiModel(73.5, ple, sigma)
     edge = edge_outage_probability(model, BUDGET, radius)
     region = region_outage_probability(model, BUDGET, radius)
     assert 0.0 <= region <= edge + 1e-12

@@ -17,13 +17,13 @@ from mmwcomp.cli import _reception_rows
 from mmwcomp.propagation import field_kinds
 from mmwcomp.scenario_io import _parse_record
 
-NLOS = CiModel(73.5, 4.6, 11.4, Condition.NLOS)
+NLOS = CiModel(73.5, 4.6, 11.4)
 BUDGET = LinkBudget()
 META = RunMetadata("simulate", "0.1.0", 7, 2)
 B1 = Node("B1", 0.0, 0.0, 4.0)
 U1 = Node("U1", 30.0, 0.0, 1.4)
 PINNED = {("U1", "B1"): Condition.LOS}
-MODELS = {Condition.LOS: CiModel(73.5, 2.0, 1.9, Condition.LOS),
+MODELS = {Condition.LOS: CiModel(73.5, 2.0, 1.9),
           Condition.NLOS: NLOS}
 
 # One valid record of every class; mappings are plain dicts, as the parsers
@@ -32,7 +32,7 @@ RECORDS = [
     NLOS,
     BUDGET,
     OutageRow("NLOS", 63.0, 0.024, 0.007),
-    PathLossSamples((20.0,), (120.0,), (Condition.NLOS,), ("VH",)),
+    PathLossSamples((20.0,), (120.0,)),
     META,
     ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS, 10),
     ReceptionRow(2, 0.5, 6),
@@ -53,7 +53,7 @@ RECORDS = [
 # row's key is its fixed test id, so adding a row renames no other.
 INVALID = {
     "CiModel": (
-        CiModel, (0.0, 2.0, 1.0, Condition.LOS),
+        CiModel, (0.0, 2.0, 1.0),
         "f_ghz must be positive and finite, got 0.0"),
     "LinkBudget": (
         LinkBudget, (0.0, 175.0), "bw_ghz must be positive, got 0.0"),
@@ -62,7 +62,7 @@ INVALID = {
     "LinkBudget_nan1": (
         LinkBudget, (1.0, math.nan), "max_pl_db must be positive, got nan"),
     "PathLossSamples": (
-        PathLossSamples, ((0.5,), (120.0,), (Condition.NLOS,), ("VV",)),
+        PathLossSamples, ((0.5,), (120.0,)),
         "sample distance must be finite and >= 1.0 m, got 0.5"),
     "ResultBundle0": (
         ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
@@ -141,10 +141,10 @@ def test_every_record_class_is_covered():
 
 def test_record_fields():
     # The reference distance is the constant REFERENCE_DISTANCE_M, not a
-    # field, and a sample carries no angle ids.
-    assert CiModel._fields == ("f_ghz", "ple", "sigma_db", "condition")
-    assert PathLossSamples._fields == ("d_m", "pl_db", "condition",
-                                       "polarization")
+    # field, and a sample carries no angle ids.  A condition is the key of
+    # a models or samples mapping, never a field.
+    assert CiModel._fields == ("f_ghz", "ple", "sigma_db")
+    assert PathLossSamples._fields == ("d_m", "pl_db")
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_name)
@@ -225,8 +225,7 @@ def test_scenario_checks_conditions_and_p_los(pins, message):
 # order, with each key's kind.  An annotation edit here is a change of file format.
 SCHEMAS = [
     (Node, {"id": str, "x_m": float, "y_m": float, "height_m": float}),
-    (CiModel, {"f_ghz": float, "ple": float, "sigma_db": float,
-               "condition": Condition}),
+    (CiModel, {"f_ghz": float, "ple": float, "sigma_db": float}),
     (LinkBudget, {"bw_ghz": float, "max_pl_db": float}),
     (SweepGrid, {"tx_angles": int, "rx_azimuths": int, "rx_elevations": int}),
     (Scenario, {"base_stations": tuple[Node, ...], "ues": tuple[Node, ...],
@@ -291,16 +290,13 @@ def test_parse_record_enforces_kinds(edit, message):
     assert str(exc.value) == message
 
 
-def test_parse_record_defaults_and_fixed_fields():
+def test_parse_record_defaults():
     with pytest.raises(ScenarioError, match="^probe: missing required key 'level'$"):
         _parse_record(Probe, {"name": "a", "condition": "LOS"}, "probe")
-    # Given defaults replace the record's own; a fixed field is no key.
-    assert _parse_record(Probe, {"name": "a"}, "probe", {"level": 1.0, "count": 4},
-                         condition=Condition.NLOS) == Probe(
+    # Given defaults replace the record's own.
+    assert _parse_record(Probe, {"name": "a", "condition": "NLOS"}, "probe",
+                         {"level": 1.0, "count": 4}) == Probe(
         "a", 1.0, Condition.NLOS, 4)
     with pytest.raises(ScenarioError, match="^probe: missing required key 'count'$"):
-        _parse_record(Probe, {"name": "a", "level": 1.0}, "probe",
-                      {"level": 1.0}, condition=Condition.NLOS)
-    with pytest.raises(ScenarioError, match=r"unknown key\(s\) \['condition'\]"):
-        _parse_record(Probe, {"name": "a", "level": 1, "condition": "LOS"},
-                      "probe", condition=Condition.NLOS)
+        _parse_record(Probe, {"name": "a", "level": 1.0, "condition": "NLOS"},
+                      "probe", {"level": 1.0})
