@@ -28,8 +28,8 @@ _EXPORTS = {
                  "edge_outage_probability", "region_outage_probability",
                  "outage_table"),
     "diversity": ("Node", "SweepGrid", "Scenario", "MaskSet", "Drops",
-                  "distance_3d", "combination_count", "reception_counts",
-                  "simulate_drop"),
+                  "LinkStatistics", "distance_3d", "combination_count",
+                  "reception_counts", "link_statistics", "simulate_drop"),
     "scenario_io": ("ScenarioError", "parse_scenario", "load_scenario",
                     "load_topology", "read_samples_csv", "read_masks_csv",
                     "load_model_cards", "read_bundle"),

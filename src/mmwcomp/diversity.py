@@ -18,11 +18,10 @@ directional loss and 10 log10(n) dB below it.
 Trial t draws from the (seed, t) sub-stream, for all L links in
 ``Scenario.links()`` order: L uniforms for the conditions, one (L, T*R)
 standard normal block for the sweep (TX angle major), then L best-pair
-normals when a condition has a best-pair model.  One table per run gives
-each condition (row 0 LOS, row 1 NLOS) its arbitrary-angle model and an
-optional best-pair model, NLOS_BEST for NLOS.  A trial only draws; the
-rest runs once per batch of trials.  All trials come back as one
-:class:`Drops` record: omni path loss and each link's masks, one
+normals when a condition has a best-pair model.  :func:`link_statistics`
+is the one statement of what those draws mean for each link.  A trial
+only draws; the rest runs once per batch of trials.  All trials come back
+as one :class:`Drops` record: omni path loss and each link's masks, one
 :class:`MaskSet` lane per trial; its docstring states the lane layout.
 
 The records here are ``typing.NamedTuple`` classes: they are immutable and
@@ -45,9 +44,9 @@ one reception reducer, calls it once per distinct serving set of a
 Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
 
-numpy is imported only when :func:`simulate_drop` runs; the miss-set
-kernel, :func:`reception_counts` and the serving-set counts are pure
-Python, so importing this module does not load numpy.
+numpy is imported only when :func:`simulate_drop` runs; the statistics,
+the miss-set kernel, :func:`reception_counts` and the serving-set counts
+are pure Python, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -357,20 +356,29 @@ def _map_trials(fn: Callable[[int, int], object], trials: int) -> None:
             raise exc
 
 
-def simulate_drop(scenario: Scenario, trials: int) -> Drops:
-    """Run ``trials`` independent drops of the beam-sweep emulation.
+class LinkStatistics(NamedTuple):
+    """The one statement of the simulator's statistics, per link.
 
-    Trial t draws from the (seed, t) sub-stream in the layout the module
-    docstring gives, so any prefix of trials is identical whatever the total
-    and trials can be distributed without changing results.  Each trial only
-    draws; batches of trials (normals of about ``_BATCH_BYTES``) then scale
-    and shift each link's sweep by its condition's row of the draw table,
-    put in the row's best-pair draw, if any, and detect, pack and sum.
-    A link shorter than 1 m, or too long for a finite length, raises ValueError.
+    ``keys`` are the links in ``Scenario.links()`` order; entry i of a
+    per-link tuple is link i.  Link i is LOS in a trial when its uniform
+    lies below ``p_los[i]``: the scenario's ``p_los``, or 1 or 0 when pinned.
+    The other fields have a row per condition, row 0 LOS and row 1 NLOS.
+    Row r's sweep draws have per-link means ``mean_db[r]`` and deviation
+    ``sigma_db[r]``.  Its best-aligned pair draws from ``best_mean_db[r]``
+    and ``best_sigma_db[r]``: NLOS_BEST's on NLOS, if given, else ``None``.
     """
-    import numpy as np
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+
+    keys: tuple[LinkKey, ...]
+    p_los: tuple[float, ...]
+    mean_db: tuple[tuple[float, ...], ...]
+    sigma_db: tuple[float, ...]
+    best_mean_db: tuple[tuple[float, ...] | None, ...]
+    best_sigma_db: tuple[float | None, ...]
+
+
+def link_statistics(scenario: Scenario) -> LinkStatistics:
+    """The scenario's :class:`LinkStatistics`; a link shorter than 1 m, or
+    too long for a finite length, raises ValueError."""
     links = scenario.links()
     keys = tuple((ue.id, bs.id) for ue, bs in links)
     d = [distance_3d(ue, bs) for ue, bs in links]
@@ -381,21 +389,43 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
         if not math.isfinite(x):
             raise ValueError(f"link {ue_id}/{bs_id} is too long for its "
                              "length to be a finite float")
-    # The draw table, row 0 LOS and row 1 NLOS: (model, best-pair model).
-    table = ((scenario.models[Condition.LOS], None),
-             (scenario.models[Condition.NLOS],
-              scenario.models.get(Condition.NLOS_BEST)))
-    sigma = np.array([m.sigma_db for m, _ in table])
-    mean = np.array([[ci_mean_path_loss_db(m, x) for x in d] for m, _ in table])
-    best = [(r, np.array([ci_mean_path_loss_db(b, x) for x in d]), b.sigma_db)
-            for r, (_, b) in enumerate(table) if b is not None]
-    # Each link's LOS probability, 1 or 0 when pinned: uniforms lie in [0, 1).
-    p_los = np.array([float(scenario.conditions[key] == Condition.LOS)
-                      if key in scenario.conditions else scenario.p_los
-                      for key in keys])
+    models = scenario.models
+    rows = ((models[Condition.LOS], None),
+            (models[Condition.NLOS], models.get(Condition.NLOS_BEST)))
+    # A pin compares with ==, as the plain string "LOS" is a valid pin.
+    return LinkStatistics(
+        keys, tuple(float(scenario.conditions[key] == Condition.LOS)
+                    if key in scenario.conditions else scenario.p_los
+                    for key in keys),
+        tuple(tuple(ci_mean_path_loss_db(m, x) for x in d) for m, _ in rows),
+        tuple(m.sigma_db for m, _ in rows),
+        tuple(None if b is None else
+              tuple(ci_mean_path_loss_db(b, x) for x in d) for _, b in rows),
+        tuple(None if b is None else b.sigma_db for _, b in rows))
+
+
+def simulate_drop(scenario: Scenario, trials: int) -> Drops:
+    """Run ``trials`` independent drops of the beam-sweep emulation.
+
+    Trial t draws from the (seed, t) sub-stream in the layout the module
+    docstring gives, so any prefix of trials is identical whatever the total
+    and trials can be distributed without changing results.  Each trial only
+    draws; batches of trials (normals of about ``_BATCH_BYTES``) then scale
+    and shift each link's sweep by its row of :func:`link_statistics`, put
+    in the row's best-pair draw, if any, and detect, pack and sum.
+    A link shorter than 1 m, or too long for a finite length, raises ValueError.
+    """
+    import numpy as np
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    stats = link_statistics(scenario)
+    p_los, sigma = np.array(stats.p_los), np.array(stats.sigma_db)
+    mean = np.array(stats.mean_db)
+    best = [(r, np.array(m), s) for r, (m, s) in enumerate(zip(
+        stats.best_mean_db, stats.best_sigma_db)) if m is not None]
     limit = max_detectable_pl_db(scenario.budget)
     sweep = scenario.sweep
-    n_links, n_tx, n_rx = len(keys), sweep.tx_angles, sweep.n_rx_directions
+    n_links, n_tx, n_rx = len(stats.keys), sweep.tx_angles, sweep.n_rx_directions
     n_pairs, width = n_tx * n_rx, lane_bytes(n_rx)
     batch = max(1, _BATCH_BYTES // (8 * n_links * n_pairs))
 
@@ -440,5 +470,5 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
 
     _map_trials(chunk, trials)
     bits = {key: int.from_bytes(packed[:, i].tobytes(), "little")
-            for i, key in enumerate(keys)}
+            for i, key in enumerate(stats.keys)}
     return Drops(omni, MaskSet(bits, n_rx, trials))

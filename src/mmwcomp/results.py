@@ -85,6 +85,9 @@ class ModelCard(NamedTuple):
     n_samples: int | None = None
 
     def _validate(self):
+        if not isinstance(self.condition, Condition):
+            raise ValueError(f"condition: must be a Condition, "
+                             f"got {self.condition!r}")
         if self.n_samples is not None and self.n_samples < 1:
             raise ValueError(f"n_samples: must be >= 1, got {self.n_samples}")
         self.to_model()  # the CI model's checks

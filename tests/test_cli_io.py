@@ -1422,6 +1422,16 @@ class TestLazyPackage:
             str(samples), str(masks), str(topo), cwd=tmp_path)
         assert proc.stdout == "[]\n"
 
+    def test_link_statistics_load_no_numpy(self, tmp_path):
+        scenario = Path(__file__).resolve().parents[1] / "configs" / (
+            "example_scenario.json")
+        proc = _run_python(
+            "import sys, mmwcomp\n"
+            "sc = mmwcomp.load_scenario(sys.argv[1])\n"
+            "print(len(mmwcomp.link_statistics(sc).keys), 'numpy' in sys.modules)",
+            str(scenario), cwd=tmp_path)
+        assert proc.stdout == "16 False\n"
+
     def test_import_loads_no_submodule(self, tmp_path):
         proc = _run_python(
             "import sys, mmwcomp\n"

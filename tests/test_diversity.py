@@ -19,8 +19,9 @@ from scipy import special
 from mmwcomp import (CiModel, Condition, LinkBudget, MaskSet, Node,
                      PathLossSamples, Scenario, SweepGrid, ci_mean_path_loss_db,
                      combination_count, distance_3d,
-                     edge_outage_probability, fit_ci, max_detectable_pl_db,
-                     reception_counts, simulate_drop, substream)
+                     edge_outage_probability, fit_ci, link_statistics,
+                     max_detectable_pl_db, reception_counts, simulate_drop,
+                     substream)
 from mmwcomp import diversity
 from mmwcomp.cli import _reception_rows
 from mmwcomp.diversity import _map_trials
@@ -93,7 +94,10 @@ def test_sweep_grid_extended_sector():
     assert SweepGrid(tx_angles=17).n_rx_directions == 72
 
 
-def test_simulate_drop_names_link_of_bad_length():
+@pytest.mark.parametrize("entry", [lambda sc: simulate_drop(sc, 2),
+                                   link_statistics],
+                         ids=["simulate_drop", "link_statistics"])
+def test_simulate_drop_names_link_of_bad_length(entry):
     # The length rule holds for library callers too, not only for the CLI:
     # a 1e200 m link's squared length overflows, and 0.1 m is below the CI
     # model's reference distance.
@@ -103,7 +107,7 @@ def test_simulate_drop_names_link_of_bad_length():
                              "reference")):
         sc = scenario([Node("B1", x, 0.0, 1.4)], [ue(1, 0.0, 0.0)])
         with pytest.raises(ValueError) as exc:
-            simulate_drop(sc, 2)
+            entry(sc)
         assert str(exc.value) == f"link U1/B1 {message}"
 
 
@@ -812,6 +816,31 @@ def mixed_scenario():
                   sweep=SMALL_SWEEP)
     assert Condition.NLOS_BEST in sc.models
     return sc
+
+
+def test_link_statistics_state_each_link():
+    sc = mixed_scenario()
+    stats = link_statistics(sc)
+    links = sc.links()
+    assert stats.keys == tuple((u.id, b.id) for u, b in links)
+    # Pinned LOS, pinned NLOS, and p_los on every drawn link.
+    assert stats.p_los == tuple(
+        {("U1", "B1"): 1.0, ("U2", "B3"): 0.0}.get(key, 0.5)
+        for key in stats.keys)
+    for r, cond in enumerate((Condition.LOS, Condition.NLOS)):
+        model = sc.models[cond]
+        assert stats.mean_db[r] == tuple(
+            ci_mean_path_loss_db(model, distance_3d(u, b)) for u, b in links)
+        assert stats.sigma_db[r] == model.sigma_db
+    best = sc.models[Condition.NLOS_BEST]
+    assert (stats.best_mean_db[0], stats.best_sigma_db[0]) == (None, None)
+    assert stats.best_mean_db[1] == tuple(
+        ci_mean_path_loss_db(best, distance_3d(u, b)) for u, b in links)
+    assert stats.best_sigma_db[1] == best.sigma_db
+    no_best = link_statistics(sc._replace(models={Condition.LOS: LOS,
+                                                  Condition.NLOS: NLOS}))
+    assert no_best.best_mean_db == no_best.best_sigma_db == (None, None)
+    assert no_best.mean_db == stats.mean_db
 
 
 def test_simulate_output_independent_of_batch_size(monkeypatch):

@@ -12,7 +12,8 @@ import mmwcomp
 from mmwcomp import (CdfPoint, CiModel, Condition, Drops, LinkBudget,
                      MaskSet, ModelCard, Node, OutageRow, PathLossSamples,
                      ReceptionRow, ResultBundle, RunMetadata, Scenario,
-                     ScenarioError, SweepGrid, load_scenario, simulate_drop)
+                     ScenarioError, SweepGrid, link_statistics, load_scenario,
+                     simulate_drop)
 from mmwcomp.cli import _reception_rows
 from mmwcomp.propagation import field_kinds
 from mmwcomp.scenario_io import _parse_record
@@ -43,6 +44,7 @@ RECORDS = [
     SweepGrid(),
     Scenario((B1,), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
     MaskSet({("U1", "B1"): 0b101}, 3),
+    link_statistics(Scenario((B1,), (U1,), MODELS, conditions=PINNED)),
     # One link over two trials in one-byte lanes: masks 0b1, then 0b11.
     Drops(np.full((2, 1), 90.0), MaskSet({("U1", "B1"): 1 | 3 << 8}, 2, 2)),
 ]
@@ -84,6 +86,14 @@ INVALID = {
     "ModelCard1": (
         ModelCard, ("NLOS", 73.5, 0.0, 11.4, Condition.NLOS, None),
         "ple must be positive and finite, got 0.0"),
+    "ModelCard_condition_label": (
+        ModelCard, ("X", 73.5, 3.0, 11.4, "BOGUS", None),
+        "condition: must be a Condition, got 'BOGUS'"),
+    # Equal to Condition.NLOS but not it, so the `is` duplicate checks of
+    # ResultBundle and load_model_cards would miss it.
+    "ModelCard_condition_str": (
+        ModelCard, ("NLOS", 73.5, 3.0, 11.4, "NLOS", None),
+        "condition: must be a Condition, got 'NLOS'"),
     "OutageRow0": (
         OutageRow, ("FOO", 63.0, 0.5, 0.5),
         "condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], got 'FOO'"),
@@ -133,10 +143,10 @@ def _name(record):
 def test_every_record_class_is_covered():
     exported = [getattr(mmwcomp, name) for name in mmwcomp.__all__]
     records = {c for c in exported if isinstance(c, type) and issubclass(c, tuple)}
-    assert records == {type(r) for r in RECORDS} and len(RECORDS) == 14
+    assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
     assert (checked == {cls for cls, _, _ in INVALID.values()}
-            and len(INVALID) == 26)
+            and len(INVALID) == 28)
 
 
 def test_record_fields():
