@@ -1,9 +1,11 @@
 """Puts ``bench/`` on ``sys.path`` so that tests can ``import oracles``.
 
-``bench/oracles.py`` is the one home of the analytic references, the
-closed forms and brute-force counts that the benchmark checkers and the
-tests both compare the program against.  It imports nothing from
-``mmwcomp``.
+``bench/oracles.py`` holds the analytic references, the closed forms and
+brute-force counts that the benchmark checkers and the tests both compare
+the program against.  It imports nothing from ``mmwcomp``.  Two references
+still live in the tests, ``quadrature_region_outage`` in
+``test_coverage.py`` and ``exact_reception`` in ``test_diversity.py``; they
+move to ``bench/oracles.py`` only with a change to the benchmark.
 """
 
 import sys

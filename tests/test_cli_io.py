@@ -26,6 +26,9 @@ from mmwcomp import (CdfPoint, Condition, ModelCard, Node, OutageRow,
 from mmwcomp.cli import main
 from mmwcomp.params import BS_HEIGHT_M, CAMPAIGN_SERVING_SETS, UE_HEIGHT_M
 
+EXAMPLE_SCENARIO = (Path(__file__).resolve().parents[1] / "configs"
+                    / "example_scenario.json")
+
 MINIMAL = {
     "base_stations": [{"id": "B1", "x_m": 0.0, "y_m": 0.0}],
     "ues": [{"id": "U1", "x_m": 30.0, "y_m": 0.0}],
@@ -582,14 +585,19 @@ class TestCli:
     def test_fit_counts_only_fitted_samples(self, tmp_path, capsys):
         csv_path = tmp_path / "samples.csv"
         csv_path.write_text("d_m,pl_db,condition,polarization\n"
+                            "20,100,LOS,VV\n30,125,LOS,VH\n40,106,LOS,VV\n"
                             "20,120,NLOS,VV\n40,130,NLOS,VV\n"
                             "30,140,NLOS,VH\n")
         out_dir = tmp_path / "fit"
         assert main(["fit", "--samples", str(csv_path),
                      "--out", str(out_dir)]) == 0
-        assert "(n=2)" in capsys.readouterr().out
-        [card] = json.loads((out_dir / "models.json").read_text())
-        assert card["n_samples"] == 2
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out
+                if line.endswith("(n=2)")] == ["LOS", "NLOS"]
+        models = out_dir / "models.json"
+        cards = json.loads(models.read_text())
+        assert [card["n_samples"] for card in cards] == [2, 2]
+        assert main(["coverage", "--models", str(models)]) == 0
 
     def test_fit_end_to_end(self, tmp_path, capsys):
         import numpy as np
@@ -802,11 +810,10 @@ class TestCli:
         assert (out / "reception.csv").read_bytes() == (
             b"k,p_reception_pct,n_combinations\n1,0.0,5\n2,50.0,4\n"
             b"3,100.0,1\n")
-        scenario = Path(__file__).resolve().parents[1] / "configs" / (
-            "example_scenario.json")
         out = tmp_path / "sim"
-        assert main(["simulate", "--scenario", str(scenario), "--seed", "11",
-                     "--trials", "3", "--k-max", "3", "--out", str(out)]) == 0
+        assert main(["simulate", "--scenario", str(EXAMPLE_SCENARIO),
+                     "--seed", "11", "--trials", "3", "--k-max", "3",
+                     "--out", str(out)]) == 0
         assert capsys.readouterr().out == (
             "k=1 reception=100.0% (16 combinations per trial)\n"
             "k=2 reception=100.0% (24 combinations per trial)\n"
@@ -832,14 +839,12 @@ class TestCli:
         masks = tmp_path / "masks.csv"
         masks.write_text("rx_id,tx_id,mask\nU1,B1,1100\nU1,B2,0011\n"
                          "U1,B3,1010\nU2,B2,0111\nU2,B3,1000\n")
-        scenario = Path(__file__).resolve().parents[1] / "configs" / (
-            "example_scenario.json")
         runs = {
             "fit": ["fit", "--samples", str(samples)],
             "enum": ["enumerate", "--topology", str(topo), "--masks",
                      str(masks)],
-            "sim": ["simulate", "--scenario", str(scenario), "--seed", "11",
-                    "--trials", "2", "--k-max", "3"],
+            "sim": ["simulate", "--scenario", str(EXAMPLE_SCENARIO),
+                    "--seed", "11", "--trials", "2", "--k-max", "3"],
             "cov": ["coverage", "--models", str(_write_models(tmp_path)),
                     "--distances", "63,200"],
         }
@@ -1185,6 +1190,11 @@ class TestCli:
          + LONG_FIELD + b",NLOS,VV\n",
          "samples CSV line 2: sample condition must be LOS or NLOS, got "
          "NLOS_BEST\n"),
+        ("fit --samples {path}", "samples.csv",
+         b"d_m,pl_db,condition,polarization\n63,152.5,NLOS,VV\n0.5,80,LOS,VV\n"
+         b"63,152.5,NLOS\n",
+         "samples CSV line 3: sample distance must be finite and >= 1.0 m, "
+         "got 0.5\n"),
         ("enumerate --topology {topo} --masks {path}", "masks.csv",
          b"rx_id,tx_id,mask\nU1,B1," + LONG_FIELD + b"\n",
          "masks CSV line 2: field larger than field limit (131072)"),
@@ -1266,6 +1276,7 @@ class TestCli:
          "{dir}: not a result bundle (missing metadata.json)\n"),
     ], ids=["scenario-deep", "topology-deep", "models-deep", "metadata-deep",
             "samples-long-field", "samples-bad-row-before-long-field",
+            "samples-bad-row-before-short-row",
             "masks-long-field", "scenario-not-utf8",
             "samples-not-utf8", "scenario-top-level", "scenario-models",
             "scenario-conditions", "scenario-budget", "scenario-unknown-bs",
@@ -1295,6 +1306,14 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+    def test_internal_failure_exits_2(self, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("mmwcomp.cli._cmd_coverage", crash)
+        assert main(["coverage"]) == 2
+        assert capsys.readouterr() == ("", "internal error: boom\n")
 
 
 # Runs CLI commands in a fresh interpreter and reports which of the watched
@@ -1367,13 +1386,14 @@ def _write_table_inputs(tmp_path) -> tuple[Path, Path, Path]:
 
 
 def _closed_form_runs(tmp_path) -> list[list[str]]:
-    """Seven table and report runs on small inputs; each report reads a
+    """Eight table and report runs on small inputs; each report reads a
     bundle that an earlier run writes."""
     models = _write_models(tmp_path)
     samples, topo, masks = _write_table_inputs(tmp_path)
     return [
         ["fit", "--samples", str(samples), "--out", str(tmp_path / "f")],
         ["coverage", "--out", str(tmp_path / "cov")],
+        ["coverage", "--scenario", str(EXAMPLE_SCENARIO)],
         ["coverage", "--models", str(models), "--distances", "63,200"],
         ["enumerate", "--topology", str(topo)],
         ["enumerate", "--topology", str(topo), "--masks", str(masks)],
@@ -1423,13 +1443,11 @@ class TestLazyPackage:
         assert proc.stdout == "[]\n"
 
     def test_link_statistics_load_no_numpy(self, tmp_path):
-        scenario = Path(__file__).resolve().parents[1] / "configs" / (
-            "example_scenario.json")
         proc = _run_python(
             "import sys, mmwcomp\n"
             "sc = mmwcomp.load_scenario(sys.argv[1])\n"
             "print(len(mmwcomp.link_statistics(sc).keys), 'numpy' in sys.modules)",
-            str(scenario), cwd=tmp_path)
+            str(EXAMPLE_SCENARIO), cwd=tmp_path)
         assert proc.stdout == "16 False\n"
 
     def test_import_loads_no_submodule(self, tmp_path):
@@ -1515,6 +1533,7 @@ class TestProcessEntry:
             code = exc.code
         captured = capsys.readouterr()
         assert code == {"missing_file": 1, "usage_error": 2}.get(name, 0)
+        assert captured.err.startswith("error: ") == (code == 1)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             code, captured.out, captured.err)
         assert _files(proc_dir) == _files(main_dir)
