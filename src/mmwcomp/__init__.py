@@ -20,8 +20,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "propagation": ("CiModel", "Condition", "fspl_db", "ci_mean_path_loss_db",
-                    "friis_received_power_dbm"),
+    "propagation": ("CiModel", "Condition", "fspl_db", "ci_mean_path_loss_db"),
     "fitting": ("PathLossSamples", "FitError", "fit_ci"),
     "coverage": ("LinkBudget", "OutageRow",
                  "max_detectable_pl_db", "receiver_threshold_dbm",
@@ -29,14 +28,14 @@ _EXPORTS = {
                  "outage_table"),
     "diversity": ("Node", "SweepGrid", "Scenario", "MaskSet", "Drops",
                   "LinkStatistics", "distance_3d", "combination_count",
-                  "reception_counts", "link_statistics", "simulate_drop"),
+                  "reception_counts", "link_statistics", "simulate_drop",
+                  "substream"),
     "scenario_io": ("ScenarioError", "parse_scenario", "load_scenario",
                     "load_topology", "read_samples_csv", "read_masks_csv",
                     "load_model_cards", "read_bundle"),
     "results": ("RunMetadata", "ModelCard", "ReceptionRow", "CdfPoint",
                 "ResultBundle", "format_pct", "build_cdf", "bundle_csvs",
                 "emit_results"),
-    "rng": ("substream",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

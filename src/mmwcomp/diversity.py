@@ -15,14 +15,17 @@ with one bit per RX direction.  That sum is the package's only omni
 synthesis; over n detected combinations it lies between the lowest
 directional loss and 10 log10(n) dB below it.
 
-Trial t draws from the (seed, t) sub-stream, for all L links in
-``Scenario.links()`` order: L uniforms for the conditions, one (L, T*R)
-standard normal block for the sweep (TX angle major), then L best-pair
-normals when a condition has a best-pair model.  :func:`link_statistics`
-is the one statement of what those draws mean for each link.  A trial
-only draws; the rest runs once per batch of trials.  All trials come back
-as one :class:`Drops` record: omni path loss and each link's masks, one
-:class:`MaskSet` lane per trial; its docstring states the lane layout.
+Every stochastic routine in the package draws from a generator that
+:func:`substream` returns, so the whole output of a run is a pure function
+of the configured seed.  Trial t draws from the (seed, t) sub-stream, for
+all L links in ``Scenario.links()`` order: L uniforms for the conditions,
+one (L, T*R) standard normal block for the sweep (TX angle major), then L
+best-pair normals when a condition has a best-pair model.
+:func:`link_statistics` is the one statement of what those draws mean for
+each link.  A trial only draws; the rest runs once per batch of trials.
+All trials come back as one :class:`Drops` record: omni path loss and each
+link's masks, one :class:`MaskSet` lane per trial; its docstring states the
+lane layout.
 
 The records here are ``typing.NamedTuple`` classes: they are immutable and
 unpack like tuples, and ``_replace`` copies one without re-running its
@@ -44,9 +47,10 @@ one reception reducer, calls it once per distinct serving set of a
 Known limitation: directional draws across the angles of one link are
 independent; no angular correlation model is applied.
 
-numpy is imported only when :func:`simulate_drop` runs; the statistics,
-the miss-set kernel, :func:`reception_counts` and the serving-set counts
-are pure Python, so importing this module does not load numpy.
+numpy is imported only when :func:`simulate_drop` or :func:`substream`
+runs; the statistics, the miss-set kernel, :func:`reception_counts` and the
+serving-set counts are pure Python, so importing this module does not load
+numpy.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ from .params import (DEFAULT_P_LOS, DEFAULT_SEED, DIRECTIONAL_CI_73GHZ,
                      SOUNDER_LINK_BUDGET)
 from .propagation import (REFERENCE_DISTANCE_M, CiModel, Condition,
                           ci_mean_path_loss_db, validated)
-from .rng import substream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -317,6 +320,19 @@ def reception_counts(mask_set: MaskSet, topology: Mapping[str, Iterable[str]],
         for k, h in enumerate(hits, 1):
             counts[k] = counts.get(k, 0) + h
     return counts
+
+
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """Independent generator for stream ``key`` under ``seed``.
+
+    ``substream(seed)`` is the root stream; ``substream(seed, t)`` is the
+    stream for trial ``t``.  Streams with different keys never overlap.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    import numpy as np
+    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
+    return np.random.default_rng(ss)
 
 
 def _map_trials(fn: Callable[[int, int], object], trials: int) -> None:

@@ -1,8 +1,7 @@
 """Closed-form propagation math for millimeter-wave link analysis.
 
-Free-space path loss, the Friis transmission equation and the single-slope
-close-in (CI) reference-distance path loss model with lognormal shadow
-fading.
+Free-space path loss and the single-slope close-in (CI) reference-distance
+path loss model with lognormal shadow fading.
 
 Conventions used throughout the package: path loss in dB, powers in dBm,
 antenna gains in dBi, distances in meters, carrier frequencies in GHz.
@@ -119,16 +118,6 @@ def fspl_db(f_ghz: float, d_m: float) -> float:
     if not d_m >= MIN_DISTANCE_M:
         raise ValueError(f"distance must be >= {MIN_DISTANCE_M} m, got {d_m}")
     return FSPL_1GHZ_1M_DB + 20.0 * math.log10(f_ghz) + 20.0 * math.log10(d_m)
-
-
-def friis_received_power_dbm(pt_dbm: float, gt_dbi: float, gr_dbi: float,
-                             f_ghz: float, d_m: float) -> float:
-    """Friis free-space received power in dBm.
-
-    Log-domain form: P_t + G_t + G_r - FSPL(f, d).  Equivalent to the linear
-    form P_t * g_t * g_r * (lambda / 4 pi d)^2 expressed in dBm.
-    """
-    return pt_dbm + gt_dbi + gr_dbi - fspl_db(f_ghz, d_m)
 
 
 def ci_mean_path_loss_db(model: CiModel, d_m: float) -> float:

@@ -6,9 +6,8 @@ import pytest
 from scipy import integrate
 
 from mmwcomp import (CiModel, Condition, LinkBudget, edge_outage_probability,
-                     fspl_db, friis_received_power_dbm, max_detectable_pl_db,
-                     outage_table, receiver_threshold_dbm,
-                     region_outage_probability)
+                     fspl_db, max_detectable_pl_db, outage_table,
+                     receiver_threshold_dbm, region_outage_probability)
 
 SOUNDER = LinkBudget()
 HORNS = (14.9, 27.0, 20.0)  # the sounder's P_t, G_t and G_r
@@ -35,12 +34,12 @@ def test_detection_limit_drops_with_bandwidth():
 
 def test_receiver_threshold_is_detection_limit_seen_from_transmitter():
     # Plain budget arithmetic: P_t + G_t + G_r minus the detection limit,
-    # which is the Friis received power where free-space loss meets it.
+    # the received power where free-space loss meets that limit.
     assert receiver_threshold_dbm(LinkBudget(max_pl_db=100.0),
                                   10.0, 3.0, 2.0) == -85.0
     budget = LinkBudget(bw_ghz=4.0)
     d = 10.0 ** ((max_detectable_pl_db(budget) - fspl_db(73.5, 1.0)) / 20.0)
-    assert friis_received_power_dbm(*HORNS, 73.5, d) == pytest.approx(
+    assert sum(HORNS) - fspl_db(73.5, d) == pytest.approx(
         receiver_threshold_dbm(budget, *HORNS), abs=1e-9)
 
 

@@ -887,6 +887,20 @@ def test_simulate_output_holds_with_more_threads_than_cores(monkeypatch):
     assert drops.masks == whole.masks
 
 
+def test_simulate_counts_cpus_without_affinity(monkeypatch):
+    # Where os has no sched_getaffinity, the chunks follow os.cpu_count().
+    sc = mixed_scenario()
+    whole = simulate_drop(sc, 5)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    chunks = []
+    _map_trials(lambda lo, hi: chunks.append((lo, hi)), 5)
+    assert sorted(chunks) == [(0, 1), (1, 3), (3, 5)]
+    drops = simulate_drop(sc, 5)
+    assert drops.masks.bits == whole.masks.bits
+    assert drops.omni_pl_db.tobytes() == whole.omni_pl_db.tobytes()
+
+
 THREE_BSS = [bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -60.0, 10.0)]
 THREE_UES = [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0), ue(3, 30.0, -50.0)]
 

@@ -1,13 +1,12 @@
-"""Free-space path loss, Friis and the CI model."""
+"""Free-space path loss, received power from a link budget and the CI model."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mmwcomp import (CiModel, LinkBudget, ci_mean_path_loss_db,
-                     friis_received_power_dbm, fspl_db, receiver_threshold_dbm,
-                     substream)
+from mmwcomp import (CiModel, LinkBudget, ci_mean_path_loss_db, fspl_db,
+                     receiver_threshold_dbm, substream)
 
 
 def test_fspl_anchor_at_1ghz_1m():
@@ -44,40 +43,6 @@ def test_non_finite_frequency_rejected(f_ghz):
         CiModel(f_ghz, 2.0, 1.0)
 
 
-def test_friis_log_form_matches_linear_form():
-    # Linear-domain Friis with the same rounded anchor, computed in mW.
-    pt, gt, gr, f, d = 14.9, 27.0, 20.0, 73.5, 25.0
-    got = friis_received_power_dbm(pt, gt, gr, f, d)
-    pl_lin = 10.0 ** (fspl_db(f, d) / 10.0)
-    pr_mw = (10.0 ** (pt / 10.0)) * 10.0 ** (gt / 10.0) * 10.0 ** (gr / 10.0) / pl_lin
-    assert got == pytest.approx(10.0 * math.log10(pr_mw), abs=1e-10)
-
-
-def test_friis_example_value():
-    got = friis_received_power_dbm(14.9, 27.0, 20.0, 73.5, 10.0)
-    assert got == pytest.approx(14.9 + 27.0 + 20.0 - 89.7257467816839, abs=1e-9)
-
-
-def test_friis_sounder_budget_at_reference_distance():
-    got = friis_received_power_dbm(14.9, 27.0, 20.0, 73.5, 1.0)
-    assert got == pytest.approx(-7.8257467816839, abs=1e-9)
-    assert round(got, 2) == -7.83
-
-
-def test_friis_zero_budget_is_negated_fspl():
-    for f, d in ((1.0, 10.0), (73.5, 63.0)):
-        assert friis_received_power_dbm(0.0, 0.0, 0.0, f, d) == pytest.approx(
-            -fspl_db(f, d), abs=1e-12)
-
-
-def test_friis_doubling_distance_costs_6db():
-    delta = 20.0 * math.log10(2.0)
-    for d in (1.0, 10.0, 63.0):
-        drop = (friis_received_power_dbm(14.9, 27.0, 20.0, 73.5, d)
-                - friis_received_power_dbm(14.9, 27.0, 20.0, 73.5, 2.0 * d))
-        assert drop == pytest.approx(delta, abs=1e-12)
-
-
 def test_received_power_is_plain_budget_arithmetic():
     # Received power at path loss PL is P_t + G_t + G_r - PL; the receiver
     # threshold is that power at the detection limit (PL_max at 1 GHz).
@@ -85,15 +50,13 @@ def test_received_power_is_plain_budget_arithmetic():
                                   10.0, 3.0, 2.0) == -85.0
     assert receiver_threshold_dbm(LinkBudget(max_pl_db=175.0),
                                   14.9, 27.0, 20.0) == pytest.approx(-113.1)
-    assert friis_received_power_dbm(14.9, 27.0, 20.0, 1.0, 1.0) == pytest.approx(
-        61.9 - 32.4)
 
 
 def test_received_power_round_trips_with_friis():
     pt, gt, gr, f, d = 14.9, 27.0, 20.0, 73.5, 42.0
     budget = LinkBudget(max_pl_db=fspl_db(f, d))
     assert receiver_threshold_dbm(budget, pt, gt, gr) == pytest.approx(
-        friis_received_power_dbm(pt, gt, gr, f, d), abs=1e-12)
+        pt + gt + gr - fspl_db(f, d), abs=1e-12)
 
 
 def test_ci_model_validation():

@@ -1,7 +1,6 @@
 """Property-based checks over the numeric core."""
 
 import itertools
-import math
 
 import oracles
 import pytest
@@ -10,9 +9,8 @@ from hypothesis import strategies as st
 
 from mmwcomp import (CiModel, LinkBudget, MaskSet, build_cdf,
                      ci_mean_path_loss_db, combination_count,
-                     edge_outage_probability, format_pct,
-                     friis_received_power_dbm, fspl_db, reception_counts,
-                     region_outage_probability, substream)
+                     edge_outage_probability, format_pct, fspl_db,
+                     reception_counts, region_outage_probability, substream)
 from mmwcomp.cli import _reception_rows
 from mmwcomp.diversity import _miss_set_hits, lane_bytes
 from mmwcomp.results import _parse_pct
@@ -24,14 +22,6 @@ sigmas = st.floats(min_value=1.0, max_value=12.0)
 radii = st.floats(min_value=10.0, max_value=500.0)
 
 BUDGET = LinkBudget()
-
-
-@given(freqs, dists)
-def test_friis_log_linear_agreement(f, d):
-    pt, gt, gr = 10.0, 15.0, 5.0
-    log_form = friis_received_power_dbm(pt, gt, gr, f, d)
-    pr_mw = (10.0 ** ((pt + gt + gr) / 10.0)) / 10.0 ** (fspl_db(f, d) / 10.0)
-    assert abs(log_form - 10.0 * math.log10(pr_mw)) < 1e-9
 
 
 @given(freqs, dists)
