@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "propagation": ("CiModel", "Condition", "fspl_db", "ci_mean_path_loss_db"),
     "fitting": ("PathLossSamples", "FitError", "fit_ci"),
-    "coverage": ("LinkBudget", "OutageRow",
-                 "max_detectable_pl_db", "receiver_threshold_dbm",
+    "coverage": ("LinkBudget", "OutageRow", "receiver_threshold_dbm",
                  "edge_outage_probability", "region_outage_probability",
                  "outage_table"),
     "diversity": ("Node", "SweepGrid", "Scenario", "MaskSet", "Drops",

@@ -1,8 +1,8 @@
 """Link-budget detection limit and lognormal-shadowing outage probabilities.
 
-A budget becomes one detection limit, :func:`max_detectable_pl_db`, which
-the drop simulator detects against too.  For a cell of radius R served
-from its center, with margin m = mean CI path loss at R minus that limit:
+A budget is one detection limit, ``LinkBudget.max_pl_db``, which the drop
+simulator detects against too.  For a cell of radius R served from its
+center, with margin m = mean CI path loss at R minus that limit:
 
 * cell-edge outage: probability that the shadow-faded path loss at R
   exceeds the limit, ``1 - (0.5 - 0.5 erf(m / (sigma sqrt(2))))``;
@@ -29,21 +29,18 @@ _LOG10_E = math.log10(math.e)
 
 @validated
 class LinkBudget(NamedTuple):
-    """System link budget yielding one detection limit.
+    """System link budget: one detection limit.
 
-    ``max_pl_db`` is the maximum measurable path loss with the TX/RX
-    antennas in place at 1 GHz RF bandwidth.  Bandwidth scales the limit
-    relative to 1 GHz: see :func:`max_detectable_pl_db`.  Transmit power
-    and antenna gains are not fields: no outage or detection depends on
-    them, only :func:`receiver_threshold_dbm`, which takes them.
+    ``max_pl_db`` is the largest detectable path loss with the TX/RX
+    antennas in place; the paper's sounder reaches 175 dB at 1 GHz RF
+    bandwidth.  Transmit power and antenna gains are not fields: no outage
+    or detection depends on them, only :func:`receiver_threshold_dbm`,
+    which takes them.
     """
 
-    bw_ghz: float = 1.0
     max_pl_db: float = 175.0
 
     def _validate(self):
-        if not self.bw_ghz > 0:
-            raise ValueError(f"bw_ghz must be positive, got {self.bw_ghz}")
         if not self.max_pl_db > 0:
             raise ValueError(f"max_pl_db must be positive, got {self.max_pl_db}")
 
@@ -71,24 +68,17 @@ class OutageRow(NamedTuple):
                                  f"got {getattr(self, name)}")
 
 
-def max_detectable_pl_db(budget: LinkBudget) -> float:
-    """Largest detectable path loss, PL_max - 10 log10(BW / 1 GHz); the
-    outage kernels and the drop simulator both detect against it."""
-    return budget.max_pl_db - 10.0 * math.log10(budget.bw_ghz)
-
-
 def receiver_threshold_dbm(budget: LinkBudget, pt_dbm: float, gt_dbi: float,
                            gr_dbi: float) -> float:
     """Receiver detection threshold: the detection limit seen from a
     transmitter of power P_t with gains G_t and G_r,
-    P_t + G_t + G_r - :func:`max_detectable_pl_db`."""
-    return pt_dbm + gt_dbi + gr_dbi - max_detectable_pl_db(budget)
+    P_t + G_t + G_r - ``budget.max_pl_db``."""
+    return pt_dbm + gt_dbi + gr_dbi - budget.max_pl_db
 
 
 def _margin_db(model: CiModel, budget: LinkBudget, radius_m: float) -> float:
     """Mean path loss at the radius minus the detection limit."""
-    return (ci_mean_path_loss_db(model, radius_m)
-            - max_detectable_pl_db(budget))
+    return ci_mean_path_loss_db(model, radius_m) - budget.max_pl_db
 
 
 def edge_outage_probability(model: CiModel, budget: LinkBudget,

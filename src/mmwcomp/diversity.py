@@ -7,13 +7,13 @@ probability of every other link and a seed.  The Monte Carlo drop
 simulator emulates a directional sweep: for every link and every (TX
 sector angle, RX direction) combination it draws a shadow-faded
 directional path loss, marks the combination detectable when the draw
-stays within ``max_detectable_pl_db(budget)``, the detection limit the
-outage kernels of :mod:`.coverage` also use, synthesizes per-link
-omnidirectional path loss as the linear power sum over the detectable
-combinations, and reduces each link to a reception mask: an int bitset
-with one bit per RX direction.  That sum is the package's only omni
-synthesis; over n detected combinations it lies between the lowest
-directional loss and 10 log10(n) dB below it.
+stays within ``budget.max_pl_db``, the detection limit the outage kernels
+of :mod:`.coverage` also use, synthesizes per-link omnidirectional path
+loss as the linear power sum over the detectable combinations, and
+reduces each link to a reception mask: an int bitset with one bit per RX
+direction.  That sum is the package's only omni synthesis; over n
+detected combinations it lies between the lowest directional loss and
+10 log10(n) dB below it.
 
 Every stochastic routine in the package draws from a generator that
 :func:`substream` returns, so the whole output of a run is a pure function
@@ -62,7 +62,7 @@ from types import MappingProxyType
 from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple,
                     Sequence)
 
-from .coverage import LinkBudget, max_detectable_pl_db
+from .coverage import LinkBudget
 from .params import (DEFAULT_P_LOS, DEFAULT_SEED, DIRECTIONAL_CI_73GHZ,
                      SOUNDER_LINK_BUDGET)
 from .propagation import (REFERENCE_DISTANCE_M, CiModel, Condition,
@@ -439,7 +439,7 @@ def simulate_drop(scenario: Scenario, trials: int) -> Drops:
     mean = np.array(stats.mean_db)
     best = [(r, np.array(m), s) for r, (m, s) in enumerate(zip(
         stats.best_mean_db, stats.best_sigma_db)) if m is not None]
-    limit = max_detectable_pl_db(scenario.budget)
+    limit = scenario.budget.max_pl_db
     sweep = scenario.sweep
     n_links, n_tx, n_rx = len(stats.keys), sweep.tx_angles, sweep.n_rx_directions
     n_pairs, width = n_tx * n_rx, lane_bytes(n_rx)

@@ -41,12 +41,12 @@ OMNI_CI_73GHZ: dict[Condition, CiModel] = {
 
 # Channel sounder: 14.9 dBm into a 27 dBi TX horn, 20 dBi RX horn.  These
 # give only its receiver threshold (-113.1 dBm); detection reads the budget,
-# 1 GHz RF bandwidth and 175 dB maximum measurable path loss at a 5 dB
+# the 175 dB maximum measurable path loss at 1 GHz RF bandwidth and a 5 dB
 # detection SNR.
 SOUNDER_PT_DBM = 14.9
 SOUNDER_GT_DBI = 27.0
 SOUNDER_GR_DBI = 20.0
-SOUNDER_LINK_BUDGET = LinkBudget(bw_ghz=1.0, max_pl_db=175.0)
+SOUNDER_LINK_BUDGET = LinkBudget(max_pl_db=175.0)
 
 # Serving-set topology of the campaign: which TX locations reached each RX
 # location.  36 links over 9 multi-served RX locations plus one singly

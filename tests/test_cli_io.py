@@ -1238,11 +1238,12 @@ class TestCli:
         ("coverage --scenario {path}", "scenario.json",
          json.dumps(minimal(budget={"snr_threshold_db": 5.0})).encode(),
          "{path}: scenario.budget: unknown key(s) ['snr_threshold_db']\n"),
-        # No output depends on the transmit power or the antenna gains.
+        # No output depends on the transmit power or the antenna gains, and
+        # a bandwidth is already folded into the maximum path loss.
         *(("coverage --scenario {path}", "scenario.json",
            json.dumps(minimal(budget={key: 14.9})).encode(),
            f"{{path}}: scenario.budget: unknown key(s) ['{key}']\n")
-          for key in ("pt_dbm", "gt_dbi", "gr_dbi")),
+          for key in ("pt_dbm", "gt_dbi", "gr_dbi", "bw_ghz")),
         ("enumerate --topology {topo} --masks {path}", "masks.csv",
          b"rx_id,tx_id,mask\nU1,B1,1\nU1,B2\n",
          "masks CSV line 3: expected 3 fields, got 2\n"),
@@ -1283,7 +1284,7 @@ class TestCli:
             "scenario-p_los", "scenario-duplicate-ue", "scenario-slash-in-id",
             "scenario-tx_step_deg", "scenario-rx_step_deg",
             "scenario-snr_threshold_db", "scenario-pt_dbm", "scenario-gt_dbi",
-            "scenario-gr_dbi", "masks-short-row",
+            "scenario-gr_dbi", "scenario-bw_ghz", "masks-short-row",
             "masks-long-row", "topology-empty", "topology-duplicate-bs",
             "topology-empty-user", "topology-empty-bs", "masks-blank-rx_id",
             "masks-blank-tx_id",

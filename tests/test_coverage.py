@@ -6,8 +6,8 @@ import pytest
 from scipy import integrate
 
 from mmwcomp import (CiModel, Condition, LinkBudget, edge_outage_probability,
-                     fspl_db, max_detectable_pl_db, outage_table,
-                     receiver_threshold_dbm, region_outage_probability)
+                     fspl_db, outage_table, receiver_threshold_dbm,
+                     region_outage_probability)
 
 SOUNDER = LinkBudget()
 HORNS = (14.9, 27.0, 20.0)  # the sounder's P_t, G_t and G_r
@@ -19,43 +19,18 @@ def test_receiver_threshold():
                                                                     abs=1e-9)
 
 
-def test_receiver_threshold_scales_with_bandwidth():
-    tenth = LinkBudget(bw_ghz=0.1)
-    assert receiver_threshold_dbm(tenth, *HORNS) == pytest.approx(-123.1,
-                                                                  abs=1e-9)
-
-
-def test_detection_limit_drops_with_bandwidth():
-    assert max_detectable_pl_db(SOUNDER) == 175.0
-    for bw, limit in ((0.1, 185.0), (10.0, 165.0), (100.0, 155.0)):
-        budget = LinkBudget(bw_ghz=bw)
-        assert max_detectable_pl_db(budget) == pytest.approx(limit, abs=1e-12)
-
-
 def test_receiver_threshold_is_detection_limit_seen_from_transmitter():
     # Plain budget arithmetic: P_t + G_t + G_r minus the detection limit,
     # the received power where free-space loss meets that limit.
     assert receiver_threshold_dbm(LinkBudget(max_pl_db=100.0),
                                   10.0, 3.0, 2.0) == -85.0
-    budget = LinkBudget(bw_ghz=4.0)
-    d = 10.0 ** ((max_detectable_pl_db(budget) - fspl_db(73.5, 1.0)) / 20.0)
+    budget = LinkBudget(max_pl_db=175.0 - 10.0 * math.log10(4.0))  # at 4 GHz
+    d = 10.0 ** ((budget.max_pl_db - fspl_db(73.5, 1.0)) / 20.0)
     assert sum(HORNS) - fspl_db(73.5, d) == pytest.approx(
         receiver_threshold_dbm(budget, *HORNS), abs=1e-9)
 
 
-def test_outage_depends_on_budget_only_through_detection_limit():
-    # A 10x wider bandwidth is the same as a 10 dB lower maximum path loss.
-    wide = LinkBudget(bw_ghz=10.0)
-    budget = LinkBudget(max_pl_db=165.0)
-    for d in (30.0, 100.0, 200.0):
-        for fn in (edge_outage_probability, region_outage_probability):
-            assert fn(NLOS, budget, d) == pytest.approx(
-                fn(NLOS, wide, d), abs=1e-12)
-
-
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        LinkBudget(bw_ghz=0.0)
     with pytest.raises(ValueError):
         LinkBudget(max_pl_db=-1.0)
 

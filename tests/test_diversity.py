@@ -20,8 +20,7 @@ from mmwcomp import (CiModel, Condition, LinkBudget, MaskSet, Node,
                      PathLossSamples, Scenario, SweepGrid, ci_mean_path_loss_db,
                      combination_count, distance_3d,
                      edge_outage_probability, fit_ci, link_statistics,
-                     max_detectable_pl_db, reception_counts, simulate_drop,
-                     substream)
+                     reception_counts, simulate_drop, substream)
 from mmwcomp import diversity
 from mmwcomp.cli import _reception_rows
 from mmwcomp.diversity import _map_trials
@@ -336,7 +335,7 @@ def test_simulated_mean_is_the_closed_form_mean(p_los, condition):
             sc = scenario([b1], [u1], models=flat, sweep=sweep,
                           p_los=p_los,
                           budget=SOUNDER_LINK_BUDGET._replace(max_pl_db=limit))
-            assert max_detectable_pl_db(sc.budget) == limit
+            assert sc.budget.max_pl_db == limit
             masks = simulate_drop(sc, 1).masks
             assert masks == MaskSet({("U1", "B1"): seen}, 1), (x, limit)
 
@@ -367,7 +366,7 @@ def test_simulate_omni_bounded_by_best_detected_pair():
             if not los[i]:
                 pl[pl.argmin()] = (ci_mean_path_loss_db(NLOS_BEST, d[i])
                                    + NLOS_BEST.sigma_db * z_best[i])
-            detect = pl <= max_detectable_pl_db(sc.budget)
+            detect = pl <= sc.budget.max_pl_db
             covered = detect.reshape(sweep.tx_angles, -1).any(axis=0)
             assert masks[t][i] == sum(1 << int(b)
                                       for b in np.flatnonzero(covered))
@@ -545,18 +544,16 @@ def test_los_k1_reception_matches_closed_form():
     assert_k1_within_5se(ring_scenario(radius, MODELS, 1.0, max_pl), expected)
 
 
-@pytest.mark.parametrize("bw_ghz", [1.0, 100.0])
-def test_simulate_k1_reception_matches_edge_coverage(bw_ghz):
+@pytest.mark.parametrize("max_pl_db", [150.0, 130.0])
+def test_simulate_k1_reception_matches_edge_coverage(max_pl_db):
     # With one TX angle and one RX direction a link is received exactly when
     # its single draw stays within the detection limit, so simulate's k=1
     # reception estimates coverage's 1 - edge outage at the link distance.
-    # Both read the budget's bandwidth through the same limit.
     station, user = bs(1, 0.0, 0.0), ue(1, 30.0, 0.0)
     sc = scenario([station], [user],
                   models={Condition.LOS: LOS, Condition.NLOS: NLOS},
                   conditions={("U1", "B1"): Condition.NLOS},
-                  budget=LinkBudget(bw_ghz=bw_ghz,
-                                    max_pl_db=150.0),
+                  budget=LinkBudget(max_pl_db=max_pl_db),
                   sweep=SweepGrid(tx_angles=1, rx_azimuths=1,
                                   rx_elevations=1))
     trials = 4000
@@ -693,7 +690,7 @@ def test_draw_policy_matches_documented_rules(sc, trials):
     links = sc.links()
     n_pairs = SMALL_T * SMALL_R
     best = sc.models.get(Condition.NLOS_BEST)
-    limit = max_detectable_pl_db(sc.budget)
+    limit = sc.budget.max_pl_db
     drops = simulate_drop(sc, trials)
     masks = masks_by_trial(drops, SMALL_R)
     for t in range(trials):

@@ -1,12 +1,11 @@
-"""Free-space path loss, received power from a link budget and the CI model."""
+"""Free-space path loss and the CI model."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mmwcomp import (CiModel, LinkBudget, ci_mean_path_loss_db, fspl_db,
-                     receiver_threshold_dbm, substream)
+from mmwcomp import CiModel, ci_mean_path_loss_db, fspl_db, substream
 
 
 def test_fspl_anchor_at_1ghz_1m():
@@ -41,22 +40,6 @@ def test_non_finite_frequency_rejected(f_ghz):
         fspl_db(f_ghz, 10.0)
     with pytest.raises(ValueError, match=f"got {f_ghz}"):
         CiModel(f_ghz, 2.0, 1.0)
-
-
-def test_received_power_is_plain_budget_arithmetic():
-    # Received power at path loss PL is P_t + G_t + G_r - PL; the receiver
-    # threshold is that power at the detection limit (PL_max at 1 GHz).
-    assert receiver_threshold_dbm(LinkBudget(max_pl_db=100.0),
-                                  10.0, 3.0, 2.0) == -85.0
-    assert receiver_threshold_dbm(LinkBudget(max_pl_db=175.0),
-                                  14.9, 27.0, 20.0) == pytest.approx(-113.1)
-
-
-def test_received_power_round_trips_with_friis():
-    pt, gt, gr, f, d = 14.9, 27.0, 20.0, 73.5, 42.0
-    budget = LinkBudget(max_pl_db=fspl_db(f, d))
-    assert receiver_threshold_dbm(budget, pt, gt, gr) == pytest.approx(
-        pt + gt + gr - fspl_db(f, d), abs=1e-12)
 
 
 def test_ci_model_validation():

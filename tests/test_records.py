@@ -58,11 +58,9 @@ INVALID = {
         CiModel, (0.0, 2.0, 1.0),
         "f_ghz must be positive and finite, got 0.0"),
     "LinkBudget": (
-        LinkBudget, (0.0, 175.0), "bw_ghz must be positive, got 0.0"),
-    "LinkBudget_nan0": (
-        LinkBudget, (math.nan, 175.0), "bw_ghz must be positive, got nan"),
+        LinkBudget, (0.0,), "max_pl_db must be positive, got 0.0"),
     "LinkBudget_nan1": (
-        LinkBudget, (1.0, math.nan), "max_pl_db must be positive, got nan"),
+        LinkBudget, (math.nan,), "max_pl_db must be positive, got nan"),
     "PathLossSamples": (
         PathLossSamples, ((0.5,), (120.0,)),
         "sample distance must be finite and >= 1.0 m, got 0.5"),
@@ -146,7 +144,7 @@ def test_every_record_class_is_covered():
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
     assert (checked == {cls for cls, _, _ in INVALID.values()}
-            and len(INVALID) == 28)
+            and len(INVALID) == 27)
 
 
 def test_record_fields():
@@ -236,7 +234,7 @@ def test_scenario_checks_conditions_and_p_los(pins, message):
 SCHEMAS = [
     (Node, {"id": str, "x_m": float, "y_m": float, "height_m": float}),
     (CiModel, {"f_ghz": float, "ple": float, "sigma_db": float}),
-    (LinkBudget, {"bw_ghz": float, "max_pl_db": float}),
+    (LinkBudget, {"max_pl_db": float}),
     (SweepGrid, {"tx_angles": int, "rx_azimuths": int, "rx_elevations": int}),
     (Scenario, {"base_stations": tuple[Node, ...], "ues": tuple[Node, ...],
                 "models": Mapping[Condition, CiModel], "budget": LinkBudget,
