@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ import mmwcomp
 from mmwcomp import (CdfPoint, Condition, ModelCard, Node, OutageRow,
                      PathLossSamples, ReceptionRow, ResultBundle, RunMetadata,
                      Scenario, ScenarioError, build_cdf, combination_count,
-                     emit_results, format_pct,
+                     emit_results, format_pct, link_statistics,
                      load_model_cards, load_scenario, load_topology,
                      parse_scenario, read_bundle, read_masks_csv,
                      read_samples_csv, reception_counts, simulate_drop)
@@ -87,30 +86,8 @@ class TestParseScenario:
             Scenario(bss, ues).models[Condition.LOS] = None
 
     def test_schema_version(self):
-        parse_scenario(minimal(schema_version=1))
-        for version in (2, True, 1.0):
-            with pytest.raises(ScenarioError, match="schema_version"):
-                parse_scenario(minimal(schema_version=version))
-
-    def test_unknown_key_rejected_with_path(self):
-        with pytest.raises(ScenarioError, match="scenario"):
-            parse_scenario(minimal(extra_field=1))
-        obj = minimal()
-        obj["base_stations"][0]["colour"] = "red"
-        with pytest.raises(ScenarioError, match=r"base_stations\[0\]"):
-            parse_scenario(obj)
-        # A model's condition is its key, so the entry may not restate it.
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(minimal(models={"LOS": {
-                "f_ghz": 73.5, "ple": 2.0, "sigma_db": 1.9, "condition": "LOS"}}))
-        assert str(exc.value) == ("scenario.models.LOS: unknown key(s) "
-                                  "['condition']")
-
-    def test_negative_sigma_rejected_with_key_path(self):
-        obj = minimal(models={"LOS": {"f_ghz": 73.5, "ple": 2.0,
-                                      "sigma_db": -1.0}})
-        with pytest.raises(ScenarioError, match=r"models\.LOS"):
-            parse_scenario(obj)
+        assert parse_scenario(minimal(schema_version=1)) == parse_scenario(
+            minimal())
 
     def test_partial_models_merge_with_defaults(self):
         obj = minimal(models={"NLOS": {"f_ghz": 73.5, "ple": 3.4,
@@ -119,43 +96,9 @@ class TestParseScenario:
         assert sc.models[Condition.NLOS].ple == 3.4
         assert sc.models[Condition.LOS].ple == 2.0  # untouched default
 
-    def test_missing_required_sections(self):
-        with pytest.raises(ScenarioError, match="ues"):
-            parse_scenario({"base_stations": MINIMAL["base_stations"]})
-
     def test_explicit_conditions(self):
         sc = parse_scenario(minimal(conditions={"U1/B1": "NLOS"}))
         assert sc.conditions == {("U1", "B1"): Condition.NLOS}
-        with pytest.raises(ScenarioError, match="conditions"):
-            parse_scenario(minimal(conditions={"U9/B1": "NLOS"}))
-        with pytest.raises(ScenarioError, match="LOS or NLOS"):
-            parse_scenario(minimal(conditions={"U1/B1": "NLOS_BEST"}))
-        with pytest.raises(ScenarioError, match="ue_id/bs_id"):
-            parse_scenario(minimal(conditions={"U1B1": "NLOS"}))
-
-    def test_bad_number_type(self):
-        obj = minimal()
-        obj["ues"][0]["x_m"] = "thirty"
-        with pytest.raises(ScenarioError, match="x_m"):
-            parse_scenario(obj)
-
-    def test_bad_number_names_key_once(self):
-        obj = minimal(budget={"max_pl_db": "high"})
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(obj)
-        assert str(exc.value) == (
-            "scenario.budget.max_pl_db: expected a number, got 'high'")
-
-    def test_negative_seed_rejected_with_key_path(self):
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(minimal(seed=-1))
-        assert str(exc.value) == "scenario.seed: must be non-negative, got -1"
-
-    def test_load_scenario_bad_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ScenarioError, match="invalid JSON"):
-            load_scenario(path)
 
 
 # One corruption of a samples CSV row: the cell it replaces (None drops
@@ -256,9 +199,7 @@ class TestSamplesCsv:
             read_samples_csv(io.StringIO(""))
 
     def test_header_only_is_empty(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = read_samples_csv(io.StringIO("d_m,pl_db,condition,polarization\n"))
+        out = read_samples_csv(io.StringIO("d_m,pl_db,condition,polarization\n"))
         assert out == {}
 
 
@@ -443,6 +384,328 @@ FAR_SCENARIO_JSON = {
 }
 
 
+def scenario_json(**extra) -> bytes:
+    return json.dumps(minimal(**extra)).encode()
+
+
+SAMPLES = b"d_m,pl_db,condition,polarization\n"
+MASKS = b"rx_id,tx_id,mask\n"
+OUTAGE = b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
+MASK_U1_B1 = b"U1,B1,1" + b"0" * 71 + b"\n"
+CARD = {"label": "NLOS", "f_ghz": 73.5, "ple": 4.6, "sigma_db": 11.4,
+        "condition": "NLOS", "n_samples": 10}
+# Valid scenarios whose one link is too short, or too long, to simulate:
+# squaring 1e200 overflows, and 1e308 - -1e308 is inf.
+BAD_LINKS = {
+    "shorter-than-reference": (0.0, 0.5, "is shorter than the CI model's "
+                               "1.0 m reference"),
+    "far-1e200": (1e200, 0.0, "is too long for its length to be a finite "
+                  "float"),
+    "far-pm1e308": (1e308, -1e308, "is too long for its length to be a "
+                    "finite float"),
+}
+
+
+def bad_link_scenario(bs_x, ue_x) -> bytes:
+    return scenario_json(base_stations=[{"id": "B1", "x_m": bs_x, "y_m": 0.0,
+                                         "height_m": 1.4}],
+                         ues=[{"id": "U1", "x_m": ue_x, "y_m": 0.0}])
+
+
+# Inputs that exit 1 with nothing on stdout: (id, argv, file name, file
+# bytes or None for no file, stderr after "error: ").  A message that ends
+# in a newline is the whole of stderr; one without is a prefix, where
+# Python words the rest.  {path} is the row's file and {dir} the directory
+# of every file.  {topo} is a topology serving U1 from B1 and B2, and {cov},
+# {sim} and {fit} are bundles that coverage, a 3-trial simulate and a fit
+# write first; a row may replace one of their files.
+EXIT_1 = [
+    *((f"scenario-{case}", "coverage --scenario {path}", "scenario.json", data,
+       "{path}: " + message) for case, data, message in [
+        ("deep", DEEP_JSON, "invalid JSON (maximum recursion depth exceeded"),
+        ("not-utf8", b'{"seed": 7\xff}',
+         "invalid JSON ('utf-8' codec can't decode byte 0xff"),
+        ("invalid-json", b"{not json", "invalid JSON ("),
+        ("top-level", b"[1, 2]", "scenario: top level must be an object\n"),
+        ("models", scenario_json(models=[1]),
+         "scenario.models: expected an object\n"),
+        ("conditions", scenario_json(conditions=[1]), "scenario.conditions: "
+         "expected an object mapping 'ue/bs' to a condition\n"),
+        ("budget", scenario_json(budget=5),
+         "scenario.budget: expected an object\n"),
+        ("unknown-bs", scenario_json(conditions={"U1/B9": "NLOS"}),
+         "scenario: conditions: unknown base station id 'B9'\n"),
+        ("unknown-ue", scenario_json(conditions={"U9/B1": "NLOS"}),
+         "scenario: conditions: unknown UE id 'U9'\n"),
+        ("pin-nlos_best", scenario_json(conditions={"U1/B1": "NLOS_BEST"}),
+         "scenario.conditions.U1/B1: explicit link condition must be LOS or "
+         "NLOS\n"),
+        ("pin-without-slash", scenario_json(conditions={"U1B1": "NLOS"}),
+         "scenario.conditions.U1B1: link key must look like 'ue_id/bs_id'\n"),
+        ("p_los", scenario_json(p_los=2),
+         "scenario: p_los must be in [0, 1], got 2.0\n"),
+        ("duplicate-ue", scenario_json(ues=MINIMAL["ues"] * 2),
+         "scenario: duplicate UE id\n"),
+        ("slash-in-id", scenario_json(base_stations=[
+            {"id": "B/1", "x_m": 0.0, "y_m": 0.0}]),
+         "scenario.base_stations[0]: id must not contain '/', got 'B/1'\n"),
+        ("missing-ues", json.dumps({"base_stations": MINIMAL["base_stations"]})
+         .encode(), "scenario.ues: expected a non-empty array\n"),
+        ("schema_version-2", scenario_json(schema_version=2),
+         "scenario.schema_version: unsupported version 2 (supported: 1)\n"),
+        ("schema_version-true", scenario_json(schema_version=True),
+         "scenario.schema_version: expected an integer, got True\n"),
+        ("schema_version-float", scenario_json(schema_version=1.0),
+         "scenario.schema_version: expected an integer, got 1.0\n"),
+        ("unknown-key", scenario_json(extra_field=1),
+         "scenario: unknown key(s) ['extra_field']\n"),
+        ("unknown-node-key", scenario_json(base_stations=[
+            {"id": "B1", "x_m": 0.0, "y_m": 0.0, "colour": "red"}]),
+         "scenario.base_stations[0]: unknown key(s) ['colour']\n"),
+        # A model's condition is its key, so the entry may not restate it.
+        ("model-condition-key", scenario_json(models={"LOS": {
+            "f_ghz": 73.5, "ple": 2.0, "sigma_db": 1.9, "condition": "LOS"}}),
+         "scenario.models.LOS: unknown key(s) ['condition']\n"),
+        ("negative-sigma", scenario_json(models={"LOS": {
+            "f_ghz": 73.5, "ple": 2.0, "sigma_db": -1.0}}),
+         "scenario.models.LOS: sigma_db must be >= 0, got -1.0\n"),
+        ("string-x_m", scenario_json(ues=[{"id": "U1", "x_m": "thirty",
+                                            "y_m": 0.0}]),
+         "scenario.ues[0].x_m: expected a number, got 'thirty'\n"),
+        ("string-max_pl_db", scenario_json(budget={"max_pl_db": "high"}),
+         "scenario.budget.max_pl_db: expected a number, got 'high'\n"),
+        ("negative-seed", scenario_json(seed=-1),
+         "scenario.seed: must be non-negative, got -1\n"),
+        # json.dumps writes the NaN and Infinity literals, which the reader
+        # decodes; an integer beyond the float range reads as inf.
+        ("max_pl_db-NaN", scenario_json(budget={"max_pl_db": math.nan}),
+         "scenario.budget.max_pl_db: expected a finite number, got nan\n"),
+        ("x_m-Infinity", scenario_json(ues=[{"id": "U1", "x_m": math.inf,
+                                              "y_m": 0.0}]),
+         "scenario.ues[0].x_m: expected a finite number, got inf\n"),
+        ("y_m-huge-integer", scenario_json(base_stations=[
+            {"id": "B1", "x_m": 0.0, "y_m": 10 ** 400}]),
+         "scenario.base_stations[0].y_m: expected a finite number, got inf\n"),
+        # No output depends on the transmit power or the antenna gains, and
+        # a bandwidth is already folded into the maximum path loss.
+        *((key, scenario_json(**{section: {key: value}}),
+           f"scenario.{section}: unknown key(s) ['{key}']\n")
+          for section, key, value in [
+              ("sweep", "tx_step_deg", 8.0), ("sweep", "rx_step_deg", 15.0),
+              ("budget", "snr_threshold_db", 5.0), ("budget", "pt_dbm", 14.9),
+              ("budget", "gt_dbi", 14.9), ("budget", "gr_dbi", 14.9),
+              ("budget", "bw_ghz", 14.9)])]),
+    *((f"scenario-negative-ple-{argv.split()[0]}", argv, "scenario.json",
+       scenario_json(models={"NLOS": {"f_ghz": 73.5, "ple": -1.0,
+                                      "sigma_db": 8.0}}),
+       "{path}: scenario.models.NLOS: ple must be positive and finite, "
+       "got -1.0\n")
+      for argv in ("coverage --scenario {path}",
+                   "simulate --scenario {path} --trials 1")),
+    ("simulate-missing-scenario", "simulate --scenario {path}", "nope.json",
+     None, "[Errno 2] No such file or directory: '{path}'\n"),
+    ("simulate-no-nodes", "simulate --scenario {path}", "bad.json",
+     b'{"base_stations": [], "ues": []}',
+     "{path}: scenario.base_stations: expected a non-empty array\n"),
+    # The scenario is valid, so only the link checks can name the link.
+    *((f"simulate-link-{link}", "simulate --scenario {path} --trials 2",
+       "scenario.json", bad_link_scenario(bs_x, ue_x),
+       f"{{path}}: link U1/B1 {message}\n")
+      for link, (bs_x, ue_x, message) in BAD_LINKS.items()),
+    # Every flag is checked before simulate_drop runs.
+    *((f"simulate-{flag}-{value}", f"simulate --scenario {{path}} --{flag} "
+       f"{value}", "scenario.json", json.dumps(SCENARIO_JSON).encode(),
+       f"--{flag} {message}, got {value}\n") for flag, value, message in [
+           ("k-max", 9, "must be in [1, 2]"), ("k-max", 0, "must be in [1, 2]"),
+           ("trials", 0, "must be >= 1"), ("seed", -5, "must be non-negative")]),
+    ("coverage-models-and-scenario",
+     "coverage --models {fit}/models.json --scenario {path}", "scenario.json",
+     json.dumps(SCENARIO_JSON).encode(),
+     "--models and --scenario are mutually exclusive\n"),
+    *((f"coverage-distances-{distances}", f"coverage --distances {distances}",
+       None, None, f"{message}\n") for distances, message in [
+           ("100,nan", "--distances radius 'nan' is not finite"),
+           ("inf", "--distances radius 'inf' is not finite"),
+           ("1e400", "--distances radius '1e400' is not finite"),
+           ("a", "bad --distances value 'a'"),
+           (",", "--distances must list at least one radius"),
+           ("0.5", "--distances radius '0.5' must be >= 1.0 m"),
+           ("63,0", "--distances radius '0' must be >= 1.0 m")]),
+    ("coverage-distances--5", "coverage --distances=-5", None, None,
+     "--distances radius '-5' must be >= 1.0 m\n"),
+    ("models-deep", "coverage --models {path}", "models.json", DEEP_JSON,
+     "{path}: invalid JSON (maximum recursion depth exceeded"),
+    ("models-invalid-json", "coverage --models {path}", "models.json",
+     b"not json", "{path}: invalid JSON ("),
+    ("models-not-array", "coverage --models {path}", "models.json", b"{}",
+     "{path}: expected an array of model cards\n"),
+    ("models-empty", "coverage --models {path}", "models.json", b"[]",
+     "{path}: no model cards\n"),
+    ("models-duplicate-condition", "coverage --models {path}", "models.json",
+     json.dumps([CARD, {**CARD, "ple": 3.0}]).encode(),
+     "{path}: bad model card at index 1: duplicate condition NLOS\n"),
+    *((f"card-{card}", "coverage --models {path} --distances 63",
+       "models.json", json.dumps([{**CARD, key: value}]).encode(),
+       f"{{path}}: bad model card at index 0: {message}\n")
+      for card, key, value, message in [
+          ("negative-ple", "ple", -1.0,
+           "ple must be positive and finite, got -1.0"),
+          ("zero-ple", "ple", 0.0, "ple must be positive and finite, got 0.0"),
+          ("negative-sigma", "sigma_db", -3.0,
+           "sigma_db must be >= 0, got -3.0"),
+          ("bool-f_ghz", "f_ghz", True, "f_ghz: expected a number, got True"),
+          ("string-ple", "ple", "2.0", "ple: expected a number, got '2.0'"),
+          ("string-n_samples", "n_samples", "many",
+           "n_samples: expected an integer, got 'many'"),
+          ("negative-n_samples", "n_samples", -5,
+           "n_samples: must be >= 1, got -5"),
+          ("zero-n_samples", "n_samples", 0, "n_samples: must be >= 1, got 0"),
+          ("unknown-key", "rms_db", 1.0, "unknown key(s) ['rms_db']"),
+          ("legacy-key", "rms_residual_db", 11.4,
+           "unknown key(s) ['rms_residual_db']")]),
+    ("samples-long-field", "fit --samples {path}", "samples.csv",
+     SAMPLES + b"63," + LONG_FIELD + b",NLOS,VV\n",
+     "samples CSV line 2: field larger than field limit (131072)"),
+    ("samples-bad-row-before-long-field", "fit --samples {path}",
+     "samples.csv",
+     SAMPLES + b"63,152.5,NLOS_BEST,VV\n63," + LONG_FIELD + b",NLOS,VV\n",
+     "samples CSV line 2: sample condition must be LOS or NLOS, got "
+     "NLOS_BEST\n"),
+    ("samples-bad-row-before-short-row", "fit --samples {path}", "samples.csv",
+     SAMPLES + b"63,152.5,NLOS,VV\n0.5,80,LOS,VV\n63,152.5,NLOS\n",
+     "samples CSV line 3: sample distance must be finite and >= 1.0 m, "
+     "got 0.5\n"),
+    ("samples-not-utf8", "fit --samples {path}", "samples.csv",
+     SAMPLES + b"63,152.5,NLOS,V\xff\n",
+     "samples CSV line 2: 'utf-8' codec can't decode byte 0xff"),
+    *((f"fit-distance-{d_m}", "fit --samples {path}", "samples.csv",
+       SAMPLES + f"{d_m},130,NLOS,VV\n20,120,NLOS,VV\n".encode(),
+       "samples CSV line 2: sample distance must be finite and >= 1.0 m, "
+       f"got {float(d_m)}\n") for d_m in ("inf", "nan")),
+    # One error line, no warning; a failed fit also names its condition.
+    *((f"fit-{case}", "fit --samples {path}", "samples.csv", SAMPLES + rows,
+       "{path}: " + message) for case, rows, message in [
+           ("single-distance", b"50,140,NLOS,VV\n50,150,NLOS,VV\n",
+            "NLOS: samples must span at least two distinct distances\n"),
+           ("header-only", b"", "no usable samples; the file contains a "
+            "header but no data rows\n"),
+           ("los-only-vh",
+            b"20,120,LOS,VH\n40,130,LOS,VH\n20,120,NLOS,VV\n40,130,NLOS,VV\n",
+            "LOS: no usable samples (cross-polarized rows are never "
+            "fitted)\n"),
+           ("one-row", b"20,120,NLOS,VV\n",
+            "NLOS: need at least 2 samples, got 1\n"),
+           ("falling", b"20,60,LOS,VV\n40,50,LOS,VV\n",
+            "LOS: samples fit a path loss exponent of -1.03903; the CI model "
+            "needs ple > 0\n")]),
+    *((f"fit-f_ghz-{f_ghz}", f"fit --samples {{path}} --f-ghz={f_ghz}",
+       "samples.csv", SAMPLES + b"20,120,NLOS,VV\n40,130,NLOS,VV\n",
+       f"--f-ghz must be positive and finite, got {float(f_ghz)}\n")
+      for f_ghz in ("nan", "inf", "-inf", "0", "-1")),
+    ("fit-f_ghz-before-samples", "fit --samples {path} --f-ghz -1",
+     "missing.csv", None, "--f-ghz must be positive and finite, got -1.0\n"),
+    ("topology-deep", "enumerate --topology {path}", "topology.json",
+     DEEP_JSON, "{path}: invalid JSON (maximum recursion depth exceeded"),
+    ("topology-empty", "enumerate --topology {path}", "topology.json", b"{}",
+     "{path}: expected a non-empty object\n"),
+    ("topology-duplicate-bs", "enumerate --topology {path}", "topology.json",
+     b'{"U1": ["B1", "B1"]}', "{path}: U1: duplicate base station id\n"),
+    ("topology-empty-user", "enumerate --topology {path}", "topology.json",
+     b'{"": ["B1"]}', "{path}: empty user id\n"),
+    ("topology-empty-bs", "enumerate --topology {path}", "topology.json",
+     b'{"U1": ["", "B1"]}', "{path}: U1: empty base station id\n"),
+    *((f"masks-{case}", "enumerate --topology {topo} --masks {path}",
+       "masks.csv", MASKS + rows, message) for case, rows, message in [
+           ("long-field", b"U1,B1," + LONG_FIELD + b"\n",
+            "masks CSV line 2: field larger than field limit (131072)"),
+           ("short-row", b"U1,B1,1\nU1,B2\n",
+            "masks CSV line 3: expected 3 fields, got 2\n"),
+           ("long-row", b"U1,B1,1,0\n",
+            "masks CSV line 2: expected 3 fields, got 4\n"),
+           ("blank-rx_id", b"U1,B1,1\n ,B1,1\n",
+            "masks CSV line 3: rx_id and tx_id must be non-empty\n"),
+           ("blank-tx_id", b"U1,,1\n",
+            "masks CSV line 2: rx_id and tx_id must be non-empty\n"),
+           ("missing-link", MASK_U1_B1,
+            "{path}: missing reception mask for link ('U1', 'B2')\n")]),
+    # The flags are checked before any file is read.
+    ("enumerate-out-without-masks", "enumerate --topology {path} --out {dir}/d",
+     "t.json", None, "--out needs --masks: enumerate without masks writes no "
+     "bundle\n"),
+    *((f"enumerate-k-{k}{with_masks}", f"enumerate --topology {{topo}} --k {k}"
+       f"{with_masks and ' --masks {path}'}", "masks.csv",
+       MASKS + MASK_U1_B1 + b"U1,B2,01" + b"0" * 70 + b"\n",
+       f"--k must be >= 1, got {k}\n")
+      for k in ("0", "-2") for with_masks in ("", "-masks")),
+    ("bundle-without-metadata", "report --bundle {dir}", "outage.csv", b"",
+     "{dir}: not a result bundle (missing metadata.json)\n"),
+    *((f"metadata-{meta}", "report --bundle {dir}", "metadata.json", text,
+       f"{{path}}: {message}") for meta, text, message in [
+           ("deep", DEEP_JSON, "invalid JSON (maximum recursion depth "
+            "exceeded"),
+           ("array", b"[1, 2]", "expected a JSON object\n"),
+           ("invalid", b"{not json", "invalid JSON ("),
+           ("wrong_types", b'{"command": 5, "seed": "x"}',
+            "command: expected a non-empty string\n"),
+           ("unknown_key",
+            b'{"command": "fit", "package_version": "0.1.0", "colour": 1}',
+            "unknown key(s) ['colour']\n"),
+           ("null_command", b'{"command": null, "package_version": "0.1.0"}',
+            "command: expected a non-empty string\n"),
+           ("float_seed",
+            b'{"command": "fit", "package_version": "0.1.0", "seed": 1.5}',
+            "seed: expected an integer, got 1.5\n")]),
+    ("card-missing-f_ghz", "report --bundle {fit}", "fit/models.json",
+     json.dumps([{k: v for k, v in CARD.items() if k != "f_ghz"}]).encode(),
+     "{path}: bad model card at index 0: missing required key 'f_ghz'\n"),
+    # report reads every file of a bundle before it prints.
+    *((f"report-{case}", "report --bundle {cov}", f"cov/{name}", data,
+       "{path}" + message) for case, name, data, message in [
+           ("outage", "outage.csv", b"condition,distance_m\nNLOS,63,\xff\n",
+            " line 2: 'utf-8' codec can't decode byte 0xff"),
+           ("reception", "reception.csv",
+            b"k,p_reception_pct,n_combinations\n1,\xff,1\n",
+            " line 2: 'utf-8' codec can't decode byte 0xff"),
+           ("outage_not_a_number", "outage.csv", OUTAGE + b"LOS,abc,,\n",
+            " line 2: distance_m must be a number, got 'abc'\n"),
+           ("outage_not_as_written", "outage.csv",
+            OUTAGE + b"NLOS,63,2.4,0.7\nNLOS,63.0,2.4,0.7\n",
+            " line 3: distance_m must read '63', got '63.0'\n"),
+           ("outage_short_row", "outage.csv", OUTAGE + b"NLOS,63,2.4\n",
+            " line 2: expected 4 fields, got 3\n"),
+           ("outage_long_row", "outage.csv", OUTAGE + b"NLOS,63,2.4,0.7,9\n",
+            " line 2: expected 4 fields, got 5\n"),
+           ("reception_header", "reception.csv", b"k,p\nfoo,bar,baz\n",
+            " line 1: header must be k,p_reception_pct,n_combinations\n"),
+           ("reception_k", "reception.csv",
+            b"k,p_reception_pct,n_combinations\nfoo,50.0,2\n",
+            " line 2: k must be a number, got 'foo'\n"),
+           ("reception_pct", "reception.csv",
+            b"k,p_reception_pct,n_combinations\n1,x%,2\n",
+            " line 2: p_reception_pct must be a number, got 'x%'\n"),
+           ("outage_record", "outage.csv",
+            OUTAGE + b"NLOS,63,2.4,0.7\nFOO,nan,150.0,-5.0\n",
+            " line 3: condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], "
+            "got 'FOO'\n"),
+           ("reception_record", "reception.csv",
+            b"k,p_reception_pct,n_combinations\n1,150.0,2\n",
+            " line 2: probability must be in [0, 1], got 1.5\n"),
+           ("metadata_record", "metadata.json",
+            b'{"command": "simulate", "package_version": "0.1.0", '
+            b'"seed": -3, "trials": -5}', ": seed: must be >= 0, got -3\n")]),
+    *((f"cdf-{case}", "report --bundle {sim}", "sim/cdf_best1_pl_db.csv",
+       text, "{path}" + message) for case, text, message in [
+           ("non_numeric", b"x,p\n120.5,0.5\nabc,1.0\n",
+            " line 3: x must be a number, got 'abc'\n"),
+           ("header_only", b"x,p\n", ": no CDF points below the header\n"),
+           ("p_non_numeric", b"x,p\n120.5,0.5\n130,abc\n",
+            " line 3: p must be a number, got 'abc'\n"),
+           ("p_not_ending_at_1", b"x,p\n120.5,0.25\n130,0.5\n",
+            ": CDF 'cdf_best1_pl_db.csv' must end at probability 1, got "
+            "0.5\n")]),
+]
+
+
 class TestCli:
     def write_scenario(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -485,37 +748,6 @@ class TestCli:
         assert main(["simulate", "--scenario", sc, "--trials", "2"]) == 0
         assert set(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--k-max", "9"], "--k-max must be in [1, 2], got 9"),
-        (["--k-max", "0"], "--k-max must be in [1, 2], got 0"),
-        (["--trials", "0"], "--trials must be >= 1, got 0"),
-        (["--seed", "-5"], "--seed must be non-negative, got -5"),
-    ])
-    def test_simulate_validates_before_drawing(self, tmp_path, capsys,
-                                               monkeypatch, flags, message):
-        def fail(*args):
-            raise AssertionError("simulate_drop called")
-
-        monkeypatch.setattr("mmwcomp.diversity.simulate_drop", fail)
-        sc = self.write_scenario(tmp_path)
-        assert main(["simulate", "--scenario", sc, *flags]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    def test_coverage_rejects_models_with_scenario(self, tmp_path, capsys):
-        models = tmp_path / "models.json"
-        emit_results(ResultBundle(RunMetadata("fit", "test"), model_cards=[
-            ModelCard("NLOS", 73.5, 4.6, 11.4, Condition.NLOS)]), tmp_path)
-        assert models.is_file()
-        argv = ["coverage", "--models", str(models),
-                "--scenario", self.write_scenario(tmp_path)]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: --models and --scenario are mutually exclusive\n")
-
     def test_enumerate_counts(self, tmp_path, capsys):
         topo = tmp_path / "topology.json"
         topo.write_text(json.dumps({u: list(s)
@@ -543,44 +775,6 @@ class TestCli:
                      "--masks", str(masks)]) == 0
         out = capsys.readouterr().out
         assert "k=1: 36 combinations, reception=55.6%" in out
-
-    def test_enumerate_masks_missing_link_names_file(self, tmp_path, capsys):
-        topo = tmp_path / "topology.json"
-        topo.write_text(json.dumps({"U1": ["B1", "B2"]}))
-        masks = tmp_path / "masks.csv"
-        write_masks({("U1", "B1"): 1}, masks)
-        assert main(["enumerate", "--topology", str(topo),
-                     "--masks", str(masks)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: {masks}: missing reception mask for "
-                                f"link ('U1', 'B2')\n")
-
-    def test_enumerate_out_without_masks_exits_1(self, tmp_path, capsys):
-        out = tmp_path / "d"
-        # The topology does not exist: the flags are checked before any load.
-        assert main(["enumerate", "--topology", str(tmp_path / "t.json"),
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr() == (
-            "", "error: --out needs --masks: enumerate without masks writes "
-                "no bundle\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("k", ["0", "-2"])
-    @pytest.mark.parametrize("with_masks", [False, True])
-    def test_enumerate_rejects_k_below_1(self, tmp_path, capsys, k,
-                                         with_masks):
-        topo = tmp_path / "topology.json"
-        topo.write_text(json.dumps({"U1": ["B1", "B2"]}))
-        masks = tmp_path / "masks.csv"
-        write_masks({("U1", "B1"): 1, ("U1", "B2"): 2}, masks)
-        argv = ["enumerate", "--topology", str(topo), "--k", k]
-        if with_masks:
-            argv += ["--masks", str(masks)]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--k must be >= 1" in captured.err
 
     def test_fit_counts_only_fitted_samples(self, tmp_path, capsys):
         csv_path = tmp_path / "samples.csv"
@@ -617,37 +811,6 @@ class TestCli:
         assert card.ple == pytest.approx(4.6, abs=0.15)
         assert card.sigma_db == pytest.approx(11.4, abs=0.7)
 
-    def test_fit_single_distance_exits_1(self, tmp_path, capsys):
-        csv_path = tmp_path / "samples.csv"
-        csv_path.write_text("d_m,pl_db,condition,polarization\n"
-                            "50,140,NLOS,VV\n50,150,NLOS,VV\n")
-        assert main(["fit", "--samples", str(csv_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: {csv_path}: NLOS: samples must span "
-                                f"at least two distinct distances\n")
-
-    @pytest.mark.parametrize("rows, message", [
-        ("", "no usable samples; the file contains a header but no data "
-             "rows"),
-        ("20,120,LOS,VH\n40,130,LOS,VH\n20,120,NLOS,VV\n40,130,NLOS,VV\n",
-         "LOS: no usable samples (cross-polarized rows are never fitted)"),
-        ("20,120,NLOS,VV\n", "NLOS: need at least 2 samples, got 1"),
-        ("20,60,LOS,VV\n40,50,LOS,VV\n",
-         "LOS: samples fit a path loss exponent of -1.03903; the CI model "
-         "needs ple > 0"),
-    ], ids=["header_only", "los_only_vh", "one_row", "falling"])
-    def test_fit_error_names_file(self, tmp_path, capsys, rows, message):
-        # One error line, no warning; a failed fit also names its condition.
-        csv_path = tmp_path / "samples.csv"
-        csv_path.write_text("d_m,pl_db,condition,polarization\n" + rows)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["fit", "--samples", str(csv_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {csv_path}: {message}\n"
-
     def test_report_summarizes_bundle(self, tmp_path, capsys):
         sc = self.write_scenario(tmp_path)
         out_dir = tmp_path / "run"
@@ -658,106 +821,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "run: simulate" in out
         assert "reception.csv" in out
-
-    @pytest.mark.parametrize("text, message", [
-        ("[1, 2]", "expected a JSON object"),
-        ("{not json", "invalid JSON ("),
-        ('{"command": 5, "seed": "x"}', "command: expected a non-empty string"),
-        ('{"command": "fit", "package_version": "0.1.0", "colour": 1}',
-         "unknown key(s) ['colour']"),
-        ('{"command": null, "package_version": "0.1.0"}',
-         "command: expected a non-empty string"),
-        ('{"command": "fit", "package_version": "0.1.0", "seed": 1.5}',
-         "seed: expected an integer, got 1.5"),
-    ], ids=["array", "invalid", "wrong_types", "unknown_key", "null_command",
-            "float_seed"])
-    def test_report_rejects_bad_metadata(self, tmp_path, capsys, text,
-                                         message):
-        meta = tmp_path / "metadata.json"
-        meta.write_text(text)
-        assert main(["report", "--bundle", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {meta}: {message}")
-
-    def test_report_rejects_bad_model_card(self, tmp_path, capsys):
-        models = _write_models(tmp_path)
-        cards = json.loads(models.read_text())
-        del cards[0]["f_ghz"]
-        models.write_text(json.dumps(cards))
-        assert main(["report", "--bundle", str(models.parent)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {models}: bad model card at index 0: "
-            f"missing required key 'f_ghz'\n")
-
-    @pytest.mark.parametrize("name, data, message", [
-        ("outage.csv", b"condition,distance_m\nNLOS,63,\xff\n",
-         " line 2: 'utf-8' codec can't decode byte 0xff"),
-        ("reception.csv", b"k,p_reception_pct,n_combinations\n1,\xff,1\n",
-         " line 2: 'utf-8' codec can't decode byte 0xff"),
-        ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
-                       b"LOS,abc,,\n",
-         " line 2: distance_m must be a number, got 'abc'\n"),
-        ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
-                       b"NLOS,63,2.4,0.7\nNLOS,63.0,2.4,0.7\n",
-         " line 3: distance_m must read '63', got '63.0'\n"),
-        ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
-                       b"NLOS,63,2.4\n",
-         " line 2: expected 4 fields, got 3\n"),
-        ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
-                       b"NLOS,63,2.4,0.7,9\n",
-         " line 2: expected 4 fields, got 5\n"),
-        ("reception.csv", b"k,p\nfoo,bar,baz\n",
-         " line 1: header must be k,p_reception_pct,n_combinations\n"),
-        ("reception.csv", b"k,p_reception_pct,n_combinations\nfoo,50.0,2\n",
-         " line 2: k must be a number, got 'foo'\n"),
-        ("reception.csv", b"k,p_reception_pct,n_combinations\n1,x%,2\n",
-         " line 2: p_reception_pct must be a number, got 'x%'\n"),
-        ("outage.csv", b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
-                       b"NLOS,63,2.4,0.7\nFOO,nan,150.0,-5.0\n",
-         " line 3: condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], "
-         "got 'FOO'\n"),
-        ("reception.csv", b"k,p_reception_pct,n_combinations\n1,150.0,2\n",
-         " line 2: probability must be in [0, 1], got 1.5\n"),
-        ("metadata.json", b'{"command": "simulate", "package_version": "0.1.0", '
-                          b'"seed": -3, "trials": -5}',
-         ": seed: must be >= 0, got -3\n"),
-    ], ids=["outage", "reception", "outage_not_a_number", "outage_not_as_written",
-            "outage_short_row", "outage_long_row", "reception_header", "reception_k",
-            "reception_pct", "outage_record", "reception_record",
-            "metadata_record"])
-    def test_report_reads_every_file_before_printing(self, tmp_path, capsys,
-                                                     name, data, message):
-        assert main(["coverage", "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        path = tmp_path / name
-        path.write_bytes(data)
-        assert main(["report", "--bundle", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}{message}")
-
-    @pytest.mark.parametrize("text, message", [
-        ("x,p\n120.5,0.5\nabc,1.0\n", " line 3: x must be a number, got 'abc'"),
-        ("x,p\n", ": no CDF points below the header"),
-        ("x,p\n120.5,0.5\n130,abc\n", " line 3: p must be a number, got 'abc'"),
-        ("x,p\n120.5,0.25\n130,0.5\n",
-         ": CDF 'cdf_best1_pl_db.csv' must end at probability 1, got 0.5"),
-    ], ids=["non_numeric", "header_only", "p_non_numeric", "p_not_ending_at_1"])
-    def test_report_rejects_bad_cdf(self, tmp_path, capsys, text, message):
-        sc = self.write_scenario(tmp_path)
-        out_dir = tmp_path / "run"
-        assert main(["simulate", "--scenario", sc, "--trials", "3",
-                     "--out", str(out_dir)]) == 0
-        capsys.readouterr()
-        cdf = out_dir / "cdf_best1_pl_db.csv"
-        cdf.write_text(text)
-        assert main(["report", "--bundle", str(out_dir)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {cdf}{message}\n"
 
     def test_golden_outputs(self, tmp_path, capsys):
         # Exact bytes of three commands on small fixed inputs.  coverage is
@@ -879,36 +942,6 @@ class TestCli:
             assert main(["report", "--bundle", str(out)]) == 0
             assert capsys.readouterr() == (expected[name], "")
 
-    def test_missing_file_exits_1(self, tmp_path, capsys):
-        assert main(["simulate", "--scenario",
-                     str(tmp_path / "nope.json")]) == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_invalid_scenario_exits_1(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"base_stations": [], "ues": []}))
-        assert main(["simulate", "--scenario", str(bad)]) == 1
-
-    @pytest.mark.parametrize("bs_x, ue_x, message", [
-        (0.0, 0.5, "is shorter than the CI model's 1.0 m reference"),
-        (1e200, 0.0, "is too long for its length to be a finite float"),
-        (1e308, -1e308, "is too long for its length to be a finite float"),
-    ], ids=["shorter-than-reference", "far-1e200", "far-pm1e308"])
-    def test_simulate_names_link_of_bad_length(self, tmp_path, capsys, bs_x,
-                                               ue_x, message):
-        # The scenario itself is valid, so coverage, which builds no links,
-        # still reads it.  Squaring 1e200 overflows; 1e308 - -1e308 is inf.
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({
-            "base_stations": [{"id": "B1", "x_m": bs_x, "y_m": 0.0,
-                               "height_m": 1.4}],
-            "ues": [{"id": "U1", "x_m": ue_x, "y_m": 0.0}]}))
-        assert main(["simulate", "--scenario", str(path), "--trials", "2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {path}: link U1/B1 {message}\n"
-        assert main(["coverage", "--scenario", str(path)]) == 0
-
     def test_simulate_out_of_memory_names_trials(self, tmp_path, capsys,
                                                  monkeypatch):
         # numpy raises MemoryError when the drops' arrays do not fit; a
@@ -952,35 +985,6 @@ class TestCli:
         assert directions == [12]
         assert capsys.readouterr().out.startswith("k=1 reception=")
 
-    @pytest.mark.parametrize("distances, token", [
-        ("100,nan", "nan"), ("inf", "inf"), ("1e400", "1e400")])
-    def test_coverage_rejects_non_finite_radius(self, capsys, distances,
-                                                token):
-        assert main(["coverage", "--distances", distances]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: --distances radius '{token}' is not finite\n")
-
-    @pytest.mark.parametrize("distances, message", [
-        ("a", "bad --distances value 'a'"),
-        (",", "--distances must list at least one radius")])
-    def test_coverage_rejects_unparsable_distances(self, capsys, distances,
-                                                   message):
-        assert main(["coverage", "--distances", distances]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-
-    @pytest.mark.parametrize("argv, token", [
-        (["--distances=-5"], "-5"), (["--distances", "0.5"], "0.5"),
-        (["--distances", "63,0"], "0")])
-    def test_coverage_rejects_radius_below_reference(self, capsys, argv,
-                                                      token):
-        assert main(["coverage", *argv]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: --distances radius '{token}' must be >= 1.0 m\n")
-
     def test_coverage_models_zero_sigma(self, tmp_path, capsys):
         # Without shadowing the edge outage is a step and the region
         # outage the share of the disk beyond the coverage radius.
@@ -993,103 +997,6 @@ class TestCli:
         assert capsys.readouterr().out == (
             "condition distance_m edge_outage_pct region_outage_pct\n"
             "NLOS 63 0.0 0.0\nNLOS 200 100.0 5.6\n")
-
-    @pytest.mark.parametrize("f_ghz", ["nan", "inf", "-inf", "0", "-1"])
-    def test_fit_rejects_bad_frequency(self, tmp_path, capsys, f_ghz):
-        csv_path = tmp_path / "samples.csv"
-        csv_path.write_text("d_m,pl_db,condition,polarization\n"
-                            "20,120,NLOS,VV\n40,130,NLOS,VV\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["fit", "--samples", str(csv_path),
-                         f"--f-ghz={f_ghz}"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: --f-ghz must be positive and "
-                                f"finite, got {float(f_ghz)}\n")
-
-    def test_fit_checks_frequency_before_reading_samples(self, tmp_path,
-                                                         capsys):
-        missing = tmp_path / "missing.csv"
-        assert main(["fit", "--samples", str(missing), "--f-ghz", "-1"]) == 1
-        assert capsys.readouterr() == (
-            "", "error: --f-ghz must be positive and finite, got -1.0\n")
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda obj: obj.update(budget={"max_pl_db": math.nan}),
-         "scenario.budget.max_pl_db: expected a finite number, got nan"),
-        (lambda obj: obj["ues"][0].update(x_m=math.inf),
-         "scenario.ues[0].x_m: expected a finite number, got inf"),
-        (lambda obj: obj["base_stations"][0].update(y_m=10 ** 400),
-         "scenario.base_stations[0].y_m: expected a finite number, got inf"),
-    ], ids=["max_pl_db-NaN", "x_m-Infinity", "y_m-huge-integer"])
-    def test_coverage_rejects_non_finite_scenario_number(self, tmp_path,
-                                                         capsys, edit,
-                                                         message):
-        obj = minimal()
-        edit(obj)
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(obj))  # writes the NaN / Infinity literals
-        assert main(["coverage", "--scenario", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {path}: {message}\n"
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("ple", -1.0, "ple must be positive and finite, got -1.0"),
-        ("ple", 0.0, "ple must be positive and finite, got 0.0"),
-        ("sigma_db", -3.0, "sigma_db must be >= 0, got -3.0"),
-        ("f_ghz", True, "f_ghz: expected a number, got True"),
-        ("ple", "2.0", "ple: expected a number, got '2.0'"),
-        ("n_samples", "many", "n_samples: expected an integer, got 'many'"),
-        ("n_samples", -5, "n_samples: must be >= 1, got -5"),
-        ("n_samples", 0, "n_samples: must be >= 1, got 0"),
-        ("rms_db", 1.0, "unknown key(s) ['rms_db']"),
-        ("rms_residual_db", 11.4, "unknown key(s) ['rms_residual_db']"),
-    ], ids=["negative-ple", "zero-ple", "negative-sigma", "bool-f_ghz",
-            "string-ple", "string-n_samples", "negative-n_samples",
-            "zero-n_samples", "unknown-key", "legacy-key"])
-    def test_coverage_rejects_bad_card_with_its_index(self, tmp_path, capsys,
-                                                      key, value, message):
-        models = _write_models(tmp_path)
-        cards = json.loads(models.read_text())
-        cards[0][key] = value
-        models.write_text(json.dumps(cards))
-        assert main(["coverage", "--models", str(models),
-                     "--distances", "63"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {models}: bad model card at index 0: {message}\n")
-
-    @pytest.mark.parametrize("command", ["coverage", "simulate"])
-    def test_scenario_model_with_negative_ple_names_key_path(self, tmp_path,
-                                                             capsys, command):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(minimal(models={
-            "NLOS": {"f_ghz": 73.5, "ple": -1.0, "sigma_db": 8.0}})))
-        argv = [command, "--scenario", str(path)]
-        if command == "simulate":
-            argv += ["--trials", "1"]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: {path}: scenario.models.NLOS: ple "
-                                "must be positive and finite, got -1.0\n")
-
-    @pytest.mark.parametrize("d_m", ["inf", "nan"])
-    def test_fit_rejects_non_finite_distance(self, tmp_path, capsys, d_m):
-        csv_path = tmp_path / "samples.csv"
-        csv_path.write_text("d_m,pl_db,condition,polarization\n"
-                            f"{d_m},130,NLOS,VV\n20,120,NLOS,VV\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["fit", "--samples", str(csv_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: samples CSV line 2: sample distance must be finite and "
-            f">= 1.0 m, got {float(d_m)}\n")
 
     def test_simulate_best_n_cdfs_are_per_ue_order_statistics(self, tmp_path,
                                                                capsys):
@@ -1165,143 +1072,47 @@ class TestCli:
         assert len({c[1] for c in per_trial}) > 1  # trials differ
         assert counts == {k: sum(c[k] for c in per_trial) for k in counts}
 
-    def test_coverage_models_invalid_json_names_path(self, tmp_path, capsys):
-        models = tmp_path / "models.json"
-        models.write_text("not json")
-        assert main(["coverage", "--models", str(models)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {models}: invalid JSON (")
+    @pytest.mark.parametrize("argv, name, data, message",
+                             [row[1:] for row in EXIT_1],
+                             ids=[row[0] for row in EXIT_1])
+    def test_unreadable_input_exits_1(self, tmp_path, capsys, monkeypatch,
+                                      argv, name, data, message):
+        names = {key: tmp_path / key for key in ("cov", "sim", "fit")}
+        if "{cov}" in argv:
+            assert main(["coverage", "--out", str(names["cov"])]) == 0
+        if "{sim}" in argv:
+            assert main(["simulate", "--scenario", self.write_scenario(tmp_path),
+                         "--trials", "3", "--out", str(names["sim"])]) == 0
+        if "{fit}" in argv:
+            _write_models(tmp_path)
+        names.update(dir=tmp_path, topo=tmp_path / "topology.json",
+                     path=tmp_path / (name or ""))
+        names["topo"].write_text('{"U1": ["B1", "B2"]}')
+        if data is not None:
+            names["path"].write_bytes(data)
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
 
-    @pytest.mark.parametrize("argv, name, data, message", [
-        ("coverage --scenario {path}", "scenario.json", DEEP_JSON,
-         "{path}: invalid JSON (maximum recursion depth exceeded"),
-        ("enumerate --topology {path}", "topology.json", DEEP_JSON,
-         "{path}: invalid JSON (maximum recursion depth exceeded"),
-        ("coverage --models {path}", "models.json", DEEP_JSON,
-         "{path}: invalid JSON (maximum recursion depth exceeded"),
-        ("report --bundle {dir}", "metadata.json", DEEP_JSON,
-         "{path}: invalid JSON (maximum recursion depth exceeded"),
-        ("fit --samples {path}", "samples.csv",
-         b"d_m,pl_db,condition,polarization\n63," + LONG_FIELD + b",NLOS,VV\n",
-         "samples CSV line 2: field larger than field limit (131072)"),
-        ("fit --samples {path}", "samples.csv",
-         b"d_m,pl_db,condition,polarization\n63,152.5,NLOS_BEST,VV\n63,"
-         + LONG_FIELD + b",NLOS,VV\n",
-         "samples CSV line 2: sample condition must be LOS or NLOS, got "
-         "NLOS_BEST\n"),
-        ("fit --samples {path}", "samples.csv",
-         b"d_m,pl_db,condition,polarization\n63,152.5,NLOS,VV\n0.5,80,LOS,VV\n"
-         b"63,152.5,NLOS\n",
-         "samples CSV line 3: sample distance must be finite and >= 1.0 m, "
-         "got 0.5\n"),
-        ("enumerate --topology {topo} --masks {path}", "masks.csv",
-         b"rx_id,tx_id,mask\nU1,B1," + LONG_FIELD + b"\n",
-         "masks CSV line 2: field larger than field limit (131072)"),
-        ("coverage --scenario {path}", "scenario.json", b'{"seed": 7\xff}',
-         "{path}: invalid JSON ('utf-8' codec can't decode byte 0xff"),
-        ("fit --samples {path}", "samples.csv",
-         b"d_m,pl_db,condition,polarization\n63,152.5,NLOS,V\xff\n",
-         "samples CSV line 2: 'utf-8' codec can't decode byte 0xff"),
-        ("coverage --scenario {path}", "scenario.json", b"[1, 2]",
-         "{path}: scenario: top level must be an object\n"),
-        ("coverage --scenario {path}", "scenario.json",
-         json.dumps(minimal(models=[1])).encode(),
-         "{path}: scenario.models: expected an object\n"),
-        ("coverage --scenario {path}", "scenario.json",
-         json.dumps(minimal(conditions=[1])).encode(),
-         "{path}: scenario.conditions: expected an object mapping 'ue/bs' "
-         "to a condition\n"),
-        ("coverage --scenario {path}", "scenario.json",
-         json.dumps(minimal(budget=5)).encode(),
-         "{path}: scenario.budget: expected an object\n"),
-        ("coverage --scenario {path}", "scenario.json",
-         json.dumps(minimal(conditions={"U1/B9": "NLOS"})).encode(),
-         "{path}: scenario: conditions: unknown base station id 'B9'\n"),
-        ("coverage --scenario {path}", "scenario.json",
-         json.dumps(minimal(p_los=2)).encode(),
-         "{path}: scenario: p_los must be in [0, 1], got 2.0\n"),
-        ("coverage --scenario {path}", "scenario.json",
-         json.dumps(minimal(ues=MINIMAL["ues"] * 2)).encode(),
-         "{path}: scenario: duplicate UE id\n"),
-        ("coverage --scenario {path}", "scenario.json",
-         json.dumps(minimal(base_stations=[{"id": "B/1", "x_m": 0.0,
-                                            "y_m": 0.0}])).encode(),
-         "{path}: scenario.base_stations[0]: id must not contain '/', "
-         "got 'B/1'\n"),
-        ("coverage --scenario {path}", "scenario.json",
-         json.dumps(minimal(sweep={"tx_step_deg": 8.0})).encode(),
-         "{path}: scenario.sweep: unknown key(s) ['tx_step_deg']\n"),
-        ("coverage --scenario {path}", "scenario.json",
-         json.dumps(minimal(sweep={"rx_step_deg": 15.0})).encode(),
-         "{path}: scenario.sweep: unknown key(s) ['rx_step_deg']\n"),
-        ("coverage --scenario {path}", "scenario.json",
-         json.dumps(minimal(budget={"snr_threshold_db": 5.0})).encode(),
-         "{path}: scenario.budget: unknown key(s) ['snr_threshold_db']\n"),
-        # No output depends on the transmit power or the antenna gains, and
-        # a bandwidth is already folded into the maximum path loss.
-        *(("coverage --scenario {path}", "scenario.json",
-           json.dumps(minimal(budget={key: 14.9})).encode(),
-           f"{{path}}: scenario.budget: unknown key(s) ['{key}']\n")
-          for key in ("pt_dbm", "gt_dbi", "gr_dbi", "bw_ghz")),
-        ("enumerate --topology {topo} --masks {path}", "masks.csv",
-         b"rx_id,tx_id,mask\nU1,B1,1\nU1,B2\n",
-         "masks CSV line 3: expected 3 fields, got 2\n"),
-        ("enumerate --topology {topo} --masks {path}", "masks.csv",
-         b"rx_id,tx_id,mask\nU1,B1,1,0\n",
-         "masks CSV line 2: expected 3 fields, got 4\n"),
-        ("enumerate --topology {path}", "topology.json", b"{}",
-         "{path}: expected a non-empty object\n"),
-        ("enumerate --topology {path}", "topology.json",
-         b'{"U1": ["B1", "B1"]}', "{path}: U1: duplicate base station id\n"),
-        ("enumerate --topology {path}", "topology.json",
-         b'{"": ["B1"]}', "{path}: empty user id\n"),
-        ("enumerate --topology {path}", "topology.json",
-         b'{"U1": ["", "B1"]}', "{path}: U1: empty base station id\n"),
-        ("enumerate --topology {topo} --masks {path}", "masks.csv",
-         b"rx_id,tx_id,mask\nU1,B1,1\n ,B1,1\n",
-         "masks CSV line 3: rx_id and tx_id must be non-empty\n"),
-        ("enumerate --topology {topo} --masks {path}", "masks.csv",
-         b"rx_id,tx_id,mask\nU1,,1\n",
-         "masks CSV line 2: rx_id and tx_id must be non-empty\n"),
-        ("coverage --models {path}", "models.json", b"{}",
-         "{path}: expected an array of model cards\n"),
-        ("coverage --models {path}", "models.json", b"[]",
-         "{path}: no model cards\n"),
-        ("coverage --models {path}", "models.json",
-         json.dumps([{"label": "NLOS", "f_ghz": 73.5, "ple": ple,
-                      "sigma_db": 11.4, "condition": "NLOS"}
-                     for ple in (4.6, 3.0)]).encode(),
-         "{path}: bad model card at index 1: duplicate condition NLOS\n"),
-        ("report --bundle {dir}", "outage.csv", b"",
-         "{dir}: not a result bundle (missing metadata.json)\n"),
-    ], ids=["scenario-deep", "topology-deep", "models-deep", "metadata-deep",
-            "samples-long-field", "samples-bad-row-before-long-field",
-            "samples-bad-row-before-short-row",
-            "masks-long-field", "scenario-not-utf8",
-            "samples-not-utf8", "scenario-top-level", "scenario-models",
-            "scenario-conditions", "scenario-budget", "scenario-unknown-bs",
-            "scenario-p_los", "scenario-duplicate-ue", "scenario-slash-in-id",
-            "scenario-tx_step_deg", "scenario-rx_step_deg",
-            "scenario-snr_threshold_db", "scenario-pt_dbm", "scenario-gt_dbi",
-            "scenario-gr_dbi", "scenario-bw_ghz", "masks-short-row",
-            "masks-long-row", "topology-empty", "topology-duplicate-bs",
-            "topology-empty-user", "topology-empty-bs", "masks-blank-rx_id",
-            "masks-blank-tx_id",
-            "models-not-array", "models-empty", "models-duplicate-condition",
-            "bundle-without-metadata"])
-    def test_unreadable_input_exits_1(self, tmp_path, capsys, argv, name,
-                                      data, message):
-        path = tmp_path / name
-        path.write_bytes(data)
-        topo = tmp_path / "topology.json"
-        if not topo.exists():
-            topo.write_text('{"U1": ["B1"]}')
-        names = {"path": path, "dir": tmp_path, "topo": topo}
+        def no_draw(scenario, trials):  # the link checks run; a draw fails
+            link_statistics(scenario)
+            raise AssertionError("simulate_drop called")
+
+        monkeypatch.setattr("mmwcomp.diversity.simulate_drop", no_draw)
         assert main([arg.format(**names) for arg in argv.split()]) == 1
         captured = capsys.readouterr()
+        expected = "error: " + message.format(**names)
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {message.format(**names)}")
+        assert (captured.err if expected.endswith("\n")
+                else captured.err[:len(expected)]) == expected
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_coverage_reads_scenario_with_bad_link(self, tmp_path, capsys):
+        # coverage builds no links, so it reads the scenarios that simulate
+        # rejects for a link's length.
+        path = tmp_path / "scenario.json"
+        for bs_x, ue_x, _ in BAD_LINKS.values():
+            path.write_bytes(bad_link_scenario(bs_x, ue_x))
+            assert main(["coverage", "--scenario", str(path)]) == 0
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

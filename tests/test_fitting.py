@@ -116,7 +116,7 @@ def test_fit_rejects_non_positive_slope(pl_db):
         fit_ci(samples, F)
 
 
-def test_fit_vh_excluded_by_default():
+def test_reader_keeps_no_cross_polarized_rows():
     truth = CiModel(F, 2.0, 0.0)
     co = make_samples(truth, [10.0, 50.0, 100.0])
     # Cross-polarized rows carry a large discrimination offset; the reader
