@@ -75,7 +75,7 @@ MUTANTS = [
      ROW + "[fit-f_ghz-before-samples]"),
     ("enumerate-skip-k-check", "cli.py",
      "    if args.k is not None and args.k < 1:\n", "    if False:\n",
-     ROW + "[enumerate-k-0]"),
+     CLI + "test_enumerate_rejects_k_below_1[False-0]"),
     ("coverage-models-with-scenario", "cli.py",
      "    if args.models is not None and args.scenario is not None:\n",
      "    if False:\n", ROW + "[coverage-models-and-scenario]"),

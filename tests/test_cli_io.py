@@ -507,11 +507,6 @@ EXIT_1 = [
     ("simulate-no-nodes", "simulate --scenario {path}", "bad.json",
      b'{"base_stations": [], "ues": []}',
      "{path}: scenario.base_stations: expected a non-empty array\n"),
-    # The scenario is valid, so only the link checks can name the link.
-    *((f"simulate-link-{link}", "simulate --scenario {path} --trials 2",
-       "scenario.json", bad_link_scenario(bs_x, ue_x),
-       f"{{path}}: link U1/B1 {message}\n")
-      for link, (bs_x, ue_x, message) in BAD_LINKS.items()),
     # Every flag is checked before simulate_drop runs.
     *((f"simulate-{flag}-{value}", f"simulate --scenario {{path}} --{flag} "
        f"{value}", "scenario.json", json.dumps(SCENARIO_JSON).encode(),
@@ -544,25 +539,6 @@ EXIT_1 = [
     ("models-duplicate-condition", "coverage --models {path}", "models.json",
      json.dumps([CARD, {**CARD, "ple": 3.0}]).encode(),
      "{path}: bad model card at index 1: duplicate condition NLOS\n"),
-    *((f"card-{card}", "coverage --models {path} --distances 63",
-       "models.json", json.dumps([{**CARD, key: value}]).encode(),
-       f"{{path}}: bad model card at index 0: {message}\n")
-      for card, key, value, message in [
-          ("negative-ple", "ple", -1.0,
-           "ple must be positive and finite, got -1.0"),
-          ("zero-ple", "ple", 0.0, "ple must be positive and finite, got 0.0"),
-          ("negative-sigma", "sigma_db", -3.0,
-           "sigma_db must be >= 0, got -3.0"),
-          ("bool-f_ghz", "f_ghz", True, "f_ghz: expected a number, got True"),
-          ("string-ple", "ple", "2.0", "ple: expected a number, got '2.0'"),
-          ("string-n_samples", "n_samples", "many",
-           "n_samples: expected an integer, got 'many'"),
-          ("negative-n_samples", "n_samples", -5,
-           "n_samples: must be >= 1, got -5"),
-          ("zero-n_samples", "n_samples", 0, "n_samples: must be >= 1, got 0"),
-          ("unknown-key", "rms_db", 1.0, "unknown key(s) ['rms_db']"),
-          ("legacy-key", "rms_residual_db", 11.4,
-           "unknown key(s) ['rms_residual_db']")]),
     ("samples-long-field", "fit --samples {path}", "samples.csv",
      SAMPLES + b"63," + LONG_FIELD + b",NLOS,VV\n",
      "samples CSV line 2: field larger than field limit (131072)"),
@@ -582,26 +558,9 @@ EXIT_1 = [
        SAMPLES + f"{d_m},130,NLOS,VV\n20,120,NLOS,VV\n".encode(),
        "samples CSV line 2: sample distance must be finite and >= 1.0 m, "
        f"got {float(d_m)}\n") for d_m in ("inf", "nan")),
-    # One error line, no warning; a failed fit also names its condition.
-    *((f"fit-{case}", "fit --samples {path}", "samples.csv", SAMPLES + rows,
-       "{path}: " + message) for case, rows, message in [
-           ("single-distance", b"50,140,NLOS,VV\n50,150,NLOS,VV\n",
-            "NLOS: samples must span at least two distinct distances\n"),
-           ("header-only", b"", "no usable samples; the file contains a "
-            "header but no data rows\n"),
-           ("los-only-vh",
-            b"20,120,LOS,VH\n40,130,LOS,VH\n20,120,NLOS,VV\n40,130,NLOS,VV\n",
-            "LOS: no usable samples (cross-polarized rows are never "
-            "fitted)\n"),
-           ("one-row", b"20,120,NLOS,VV\n",
-            "NLOS: need at least 2 samples, got 1\n"),
-           ("falling", b"20,60,LOS,VV\n40,50,LOS,VV\n",
-            "LOS: samples fit a path loss exponent of -1.03903; the CI model "
-            "needs ple > 0\n")]),
-    *((f"fit-f_ghz-{f_ghz}", f"fit --samples {{path}} --f-ghz={f_ghz}",
-       "samples.csv", SAMPLES + b"20,120,NLOS,VV\n40,130,NLOS,VV\n",
-       f"--f-ghz must be positive and finite, got {float(f_ghz)}\n")
-      for f_ghz in ("nan", "inf", "-inf", "0", "-1")),
+    ("fit-single-distance", "fit --samples {path}", "samples.csv",
+     SAMPLES + b"50,140,NLOS,VV\n50,150,NLOS,VV\n",
+     "{path}: NLOS: samples must span at least two distinct distances\n"),
     ("fit-f_ghz-before-samples", "fit --samples {path} --f-ghz -1",
      "missing.csv", None, "--f-ghz must be positive and finite, got -1.0\n"),
     ("topology-deep", "enumerate --topology {path}", "topology.json",
@@ -632,78 +591,130 @@ EXIT_1 = [
     ("enumerate-out-without-masks", "enumerate --topology {path} --out {dir}/d",
      "t.json", None, "--out needs --masks: enumerate without masks writes no "
      "bundle\n"),
-    *((f"enumerate-k-{k}{with_masks}", f"enumerate --topology {{topo}} --k {k}"
-       f"{with_masks and ' --masks {path}'}", "masks.csv",
-       MASKS + MASK_U1_B1 + b"U1,B2,01" + b"0" * 70 + b"\n",
-       f"--k must be >= 1, got {k}\n")
-      for k in ("0", "-2") for with_masks in ("", "-masks")),
     ("bundle-without-metadata", "report --bundle {dir}", "outage.csv", b"",
      "{dir}: not a result bundle (missing metadata.json)\n"),
-    *((f"metadata-{meta}", "report --bundle {dir}", "metadata.json", text,
-       f"{{path}}: {message}") for meta, text, message in [
-           ("deep", DEEP_JSON, "invalid JSON (maximum recursion depth "
-            "exceeded"),
-           ("array", b"[1, 2]", "expected a JSON object\n"),
-           ("invalid", b"{not json", "invalid JSON ("),
-           ("wrong_types", b'{"command": 5, "seed": "x"}',
-            "command: expected a non-empty string\n"),
-           ("unknown_key",
-            b'{"command": "fit", "package_version": "0.1.0", "colour": 1}',
-            "unknown key(s) ['colour']\n"),
-           ("null_command", b'{"command": null, "package_version": "0.1.0"}',
-            "command: expected a non-empty string\n"),
-           ("float_seed",
-            b'{"command": "fit", "package_version": "0.1.0", "seed": 1.5}',
-            "seed: expected an integer, got 1.5\n")]),
+    ("metadata-deep", "report --bundle {dir}", "metadata.json", DEEP_JSON,
+     "{path}: invalid JSON (maximum recursion depth exceeded"),
     ("card-missing-f_ghz", "report --bundle {fit}", "fit/models.json",
      json.dumps([{k: v for k, v in CARD.items() if k != "f_ghz"}]).encode(),
      "{path}: bad model card at index 0: missing required key 'f_ghz'\n"),
-    # report reads every file of a bundle before it prints.
-    *((f"report-{case}", "report --bundle {cov}", f"cov/{name}", data,
-       "{path}" + message) for case, name, data, message in [
-           ("outage", "outage.csv", b"condition,distance_m\nNLOS,63,\xff\n",
-            " line 2: 'utf-8' codec can't decode byte 0xff"),
-           ("reception", "reception.csv",
-            b"k,p_reception_pct,n_combinations\n1,\xff,1\n",
-            " line 2: 'utf-8' codec can't decode byte 0xff"),
-           ("outage_not_a_number", "outage.csv", OUTAGE + b"LOS,abc,,\n",
-            " line 2: distance_m must be a number, got 'abc'\n"),
-           ("outage_not_as_written", "outage.csv",
-            OUTAGE + b"NLOS,63,2.4,0.7\nNLOS,63.0,2.4,0.7\n",
-            " line 3: distance_m must read '63', got '63.0'\n"),
-           ("outage_short_row", "outage.csv", OUTAGE + b"NLOS,63,2.4\n",
-            " line 2: expected 4 fields, got 3\n"),
-           ("outage_long_row", "outage.csv", OUTAGE + b"NLOS,63,2.4,0.7,9\n",
-            " line 2: expected 4 fields, got 5\n"),
-           ("reception_header", "reception.csv", b"k,p\nfoo,bar,baz\n",
-            " line 1: header must be k,p_reception_pct,n_combinations\n"),
-           ("reception_k", "reception.csv",
-            b"k,p_reception_pct,n_combinations\nfoo,50.0,2\n",
-            " line 2: k must be a number, got 'foo'\n"),
-           ("reception_pct", "reception.csv",
-            b"k,p_reception_pct,n_combinations\n1,x%,2\n",
-            " line 2: p_reception_pct must be a number, got 'x%'\n"),
-           ("outage_record", "outage.csv",
-            OUTAGE + b"NLOS,63,2.4,0.7\nFOO,nan,150.0,-5.0\n",
-            " line 3: condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], "
-            "got 'FOO'\n"),
-           ("reception_record", "reception.csv",
-            b"k,p_reception_pct,n_combinations\n1,150.0,2\n",
-            " line 2: probability must be in [0, 1], got 1.5\n"),
-           ("metadata_record", "metadata.json",
-            b'{"command": "simulate", "package_version": "0.1.0", '
-            b'"seed": -3, "trials": -5}', ": seed: must be >= 0, got -3\n")]),
-    *((f"cdf-{case}", "report --bundle {sim}", "sim/cdf_best1_pl_db.csv",
-       text, "{path}" + message) for case, text, message in [
-           ("non_numeric", b"x,p\n120.5,0.5\nabc,1.0\n",
-            " line 3: x must be a number, got 'abc'\n"),
-           ("header_only", b"x,p\n", ": no CDF points below the header\n"),
-           ("p_non_numeric", b"x,p\n120.5,0.5\n130,abc\n",
-            " line 3: p must be a number, got 'abc'\n"),
-           ("p_not_ending_at_1", b"x,p\n120.5,0.25\n130,0.5\n",
-            ": CDF 'cdf_best1_pl_db.csv' must end at probability 1, got "
-            "0.5\n")]),
 ]
+# Rows of the same shape, each set under the test that first checked it.
+# The scenario is valid, so only the link checks can name the link.
+BAD_LINK_ROWS = [(link, "simulate --scenario {path} --trials 2",
+                  "scenario.json", bad_link_scenario(bs_x, ue_x),
+                  f"{{path}}: link U1/B1 {message}\n")
+                 for link, (bs_x, ue_x, message) in BAD_LINKS.items()]
+BAD_CARD_ROWS = [
+    (card, "coverage --models {path} --distances 63", "models.json",
+     json.dumps([{**CARD, key: value}]).encode(),
+     f"{{path}}: bad model card at index 0: {message}\n")
+    for card, key, value, message in [
+        ("negative-ple", "ple", -1.0,
+         "ple must be positive and finite, got -1.0"),
+        ("zero-ple", "ple", 0.0, "ple must be positive and finite, got 0.0"),
+        ("negative-sigma", "sigma_db", -3.0, "sigma_db must be >= 0, got -3.0"),
+        ("bool-f_ghz", "f_ghz", True, "f_ghz: expected a number, got True"),
+        ("string-ple", "ple", "2.0", "ple: expected a number, got '2.0'"),
+        ("string-n_samples", "n_samples", "many",
+         "n_samples: expected an integer, got 'many'"),
+        ("negative-n_samples", "n_samples", -5,
+         "n_samples: must be >= 1, got -5"),
+        ("zero-n_samples", "n_samples", 0, "n_samples: must be >= 1, got 0"),
+        ("unknown-key", "rms_db", 1.0, "unknown key(s) ['rms_db']"),
+        ("legacy-key", "rms_residual_db", 11.4,
+         "unknown key(s) ['rms_residual_db']")]]
+# One error line, no warning; a failed fit also names its condition.
+FIT_ERROR_ROWS = [
+    (case, "fit --samples {path}", "samples.csv", SAMPLES + rows,
+     "{path}: " + message) for case, rows, message in [
+        ("header_only", b"", "no usable samples; the file contains a header "
+         "but no data rows\n"),
+        ("los_only_vh",
+         b"20,120,LOS,VH\n40,130,LOS,VH\n20,120,NLOS,VV\n40,130,NLOS,VV\n",
+         "LOS: no usable samples (cross-polarized rows are never fitted)\n"),
+        ("one_row", b"20,120,NLOS,VV\n",
+         "NLOS: need at least 2 samples, got 1\n"),
+        ("falling", b"20,60,LOS,VV\n40,50,LOS,VV\n",
+         "LOS: samples fit a path loss exponent of -1.03903; the CI model "
+         "needs ple > 0\n")]]
+BAD_F_GHZ_ROWS = [
+    (f_ghz, f"fit --samples {{path}} --f-ghz={f_ghz}", "samples.csv",
+     SAMPLES + b"20,120,NLOS,VV\n40,130,NLOS,VV\n",
+     f"--f-ghz must be positive and finite, got {float(f_ghz)}\n")
+    for f_ghz in ("nan", "inf", "-inf", "0", "-1")]
+K_BELOW_1_ROWS = [
+    (f"{with_masks}-{k}", "enumerate --topology {topo} --k " + k
+     + " --masks {path}" * with_masks, "masks.csv",
+     MASKS + MASK_U1_B1 + b"U1,B2,01" + b"0" * 70 + b"\n",
+     f"--k must be >= 1, got {k}\n")
+    for k in ("0", "-2") for with_masks in (False, True)]
+BAD_METADATA_ROWS = [
+    (meta, "report --bundle {dir}", "metadata.json", text,
+     f"{{path}}: {message}") for meta, text, message in [
+        ("array", b"[1, 2]", "expected a JSON object\n"),
+        ("invalid", b"{not json", "invalid JSON ("),
+        ("wrong_types", b'{"command": 5, "seed": "x"}',
+         "command: expected a non-empty string\n"),
+        ("unknown_key",
+         b'{"command": "fit", "package_version": "0.1.0", "colour": 1}',
+         "unknown key(s) ['colour']\n"),
+        ("null_command", b'{"command": null, "package_version": "0.1.0"}',
+         "command: expected a non-empty string\n"),
+        ("float_seed",
+         b'{"command": "fit", "package_version": "0.1.0", "seed": 1.5}',
+         "seed: expected an integer, got 1.5\n")]]
+# report reads every file of a bundle before it prints.
+BUNDLE_FILE_ROWS = [
+    (case, "report --bundle {cov}", f"cov/{name}", data, "{path}" + message)
+    for case, name, data, message in [
+        ("outage", "outage.csv", b"condition,distance_m\nNLOS,63,\xff\n",
+         " line 2: 'utf-8' codec can't decode byte 0xff"),
+        ("reception", "reception.csv",
+         b"k,p_reception_pct,n_combinations\n1,\xff,1\n",
+         " line 2: 'utf-8' codec can't decode byte 0xff"),
+        ("outage_not_a_number", "outage.csv", OUTAGE + b"LOS,abc,,\n",
+         " line 2: distance_m must be a number, got 'abc'\n"),
+        ("outage_not_as_written", "outage.csv",
+         OUTAGE + b"NLOS,63,2.4,0.7\nNLOS,63.0,2.4,0.7\n",
+         " line 3: distance_m must read '63', got '63.0'\n"),
+        ("outage_short_row", "outage.csv", OUTAGE + b"NLOS,63,2.4\n",
+         " line 2: expected 4 fields, got 3\n"),
+        ("outage_long_row", "outage.csv", OUTAGE + b"NLOS,63,2.4,0.7,9\n",
+         " line 2: expected 4 fields, got 5\n"),
+        ("reception_header", "reception.csv", b"k,p\nfoo,bar,baz\n",
+         " line 1: header must be k,p_reception_pct,n_combinations\n"),
+        ("reception_k", "reception.csv",
+         b"k,p_reception_pct,n_combinations\nfoo,50.0,2\n",
+         " line 2: k must be a number, got 'foo'\n"),
+        ("reception_pct", "reception.csv",
+         b"k,p_reception_pct,n_combinations\n1,x%,2\n",
+         " line 2: p_reception_pct must be a number, got 'x%'\n"),
+        ("outage_record", "outage.csv",
+         OUTAGE + b"NLOS,63,2.4,0.7\nFOO,nan,150.0,-5.0\n",
+         " line 3: condition must be one of ['LOS', 'NLOS', 'NLOS_BEST'], "
+         "got 'FOO'\n"),
+        ("reception_record", "reception.csv",
+         b"k,p_reception_pct,n_combinations\n1,150.0,2\n",
+         " line 2: probability must be in [0, 1], got 1.5\n"),
+        ("metadata_record", "metadata.json",
+         b'{"command": "simulate", "package_version": "0.1.0", '
+         b'"seed": -3, "trials": -5}', ": seed: must be >= 0, got -3\n")]]
+BAD_CDF_ROWS = [
+    (case, "report --bundle {sim}", "sim/cdf_best1_pl_db.csv", text,
+     "{path}" + message) for case, text, message in [
+        ("non_numeric", b"x,p\n120.5,0.5\nabc,1.0\n",
+         " line 3: x must be a number, got 'abc'\n"),
+        ("header_only", b"x,p\n", ": no CDF points below the header\n"),
+        ("p_non_numeric", b"x,p\n120.5,0.5\n130,abc\n",
+         " line 3: p must be a number, got 'abc'\n"),
+        ("p_not_ending_at_1", b"x,p\n120.5,0.25\n130,0.5\n",
+         ": CDF 'cdf_best1_pl_db.csv' must end at probability 1, got "
+         "0.5\n")]]
+
+
+def exit_1_rows(rows):
+    return pytest.mark.parametrize("row", rows, ids=[row[0] for row in rows])
 
 
 class TestCli:
@@ -1072,11 +1083,12 @@ class TestCli:
         assert len({c[1] for c in per_trial}) > 1  # trials differ
         assert counts == {k: sum(c[k] for c in per_trial) for k in counts}
 
-    @pytest.mark.parametrize("argv, name, data, message",
-                             [row[1:] for row in EXIT_1],
-                             ids=[row[0] for row in EXIT_1])
-    def test_unreadable_input_exits_1(self, tmp_path, capsys, monkeypatch,
-                                      argv, name, data, message):
+    @pytest.fixture
+    def exits_1(self, tmp_path, capsys, monkeypatch):
+        return lambda row: self.check_row(tmp_path, capsys, monkeypatch, row)
+
+    def check_row(self, tmp_path, capsys, monkeypatch, row):
+        _, argv, name, data, message = row
         names = {key: tmp_path / key for key in ("cov", "sim", "fit")}
         if "{cov}" in argv:
             assert main(["coverage", "--out", str(names["cov"])]) == 0
@@ -1105,6 +1117,42 @@ class TestCli:
         assert (captured.err if expected.endswith("\n")
                 else captured.err[:len(expected)]) == expected
         assert sorted(tmp_path.rglob("*")) == before
+
+    @exit_1_rows(EXIT_1)
+    def test_unreadable_input_exits_1(self, exits_1, row):
+        exits_1(row)
+
+    @exit_1_rows(BAD_LINK_ROWS)
+    def test_simulate_names_link_of_bad_length(self, exits_1, row):
+        exits_1(row)
+
+    @exit_1_rows(BAD_CARD_ROWS)
+    def test_coverage_rejects_bad_card_with_its_index(self, exits_1, row):
+        exits_1(row)
+
+    @exit_1_rows(FIT_ERROR_ROWS)
+    def test_fit_error_names_file(self, exits_1, row):
+        exits_1(row)
+
+    @exit_1_rows(BAD_F_GHZ_ROWS)
+    def test_fit_rejects_bad_frequency(self, exits_1, row):
+        exits_1(row)
+
+    @exit_1_rows(K_BELOW_1_ROWS)
+    def test_enumerate_rejects_k_below_1(self, exits_1, row):
+        exits_1(row)
+
+    @exit_1_rows(BAD_METADATA_ROWS)
+    def test_report_rejects_bad_metadata(self, exits_1, row):
+        exits_1(row)
+
+    @exit_1_rows(BUNDLE_FILE_ROWS)
+    def test_report_reads_every_file_before_printing(self, exits_1, row):
+        exits_1(row)
+
+    @exit_1_rows(BAD_CDF_ROWS)
+    def test_report_rejects_bad_cdf(self, exits_1, row):
+        exits_1(row)
 
     def test_coverage_reads_scenario_with_bad_link(self, tmp_path, capsys):
         # coverage builds no links, so it reads the scenarios that simulate
