@@ -1,12 +1,11 @@
 """Mutant gate: small bugs planted in a copy of ``src/``, each of which a
 named tier-1 test must catch.
 
-    python tests/mutants.py           # every mutant
-    python tests/mutants.py NAME ...  # the named ones
+    python tests/mutants.py
 
 A mutant is one edit to one file of ``src/mmwcomp/``: its exact old text,
 which must occur in that file exactly once, and its new text.  The gate
-first runs every chosen node on an unmutated copy of ``src/``, where each
+first runs every node on an unmutated copy of ``src/``, where each
 must pass.  Then, for each mutant, it copies ``src/`` to a temporary
 directory, applies the edit there, checks that a child on that
 ``PYTHONPATH`` imports ``mmwcomp`` from the copy, and runs
@@ -109,19 +108,15 @@ def copy_src(tmp: Path) -> None:
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m[0] for m in MUTANTS}
-    if unknown:
-        sys.exit(f"no such mutant: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not names or m[0] in names]
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy_src(Path(tmp))
-        code = pytest_exit_code(Path(tmp), dict.fromkeys(m[4] for m in chosen))
+        code = pytest_exit_code(Path(tmp), dict.fromkeys(m[4] for m in MUTANTS))
     if code != 0:
         print(f"the unmutated tests exit {code}; every node must pass")
         return 1
     failed = 0
-    for name, file, old, new, node in chosen:
+    for name, file, old, new, node in MUTANTS:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
             copy_src(Path(tmp))
@@ -140,9 +135,9 @@ def main(names: list[str]) -> int:
         failed += verdict != "killed"
         print(f"{name}: {verdict} ({node}, {time.perf_counter() - start:.1f} s)",
               flush=True)
-    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

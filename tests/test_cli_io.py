@@ -88,6 +88,8 @@ class TestParseScenario:
     def test_schema_version(self):
         assert parse_scenario(minimal(schema_version=1)) == parse_scenario(
             minimal())
+        with pytest.raises(ScenarioError):  # not a bare ValueError
+            parse_scenario(minimal(schema_version=2))
 
     def test_partial_models_merge_with_defaults(self):
         obj = minimal(models={"NLOS": {"f_ghz": 73.5, "ple": 3.4,
@@ -709,8 +711,7 @@ BAD_CDF_ROWS = [
         ("p_non_numeric", b"x,p\n120.5,0.5\n130,abc\n",
          " line 3: p must be a number, got 'abc'\n"),
         ("p_not_ending_at_1", b"x,p\n120.5,0.25\n130,0.5\n",
-         ": CDF 'cdf_best1_pl_db.csv' must end at probability 1, got "
-         "0.5\n")]]
+         ": CDF 'cdf_best1_pl_db.csv' must end at probability 1, got 0.5\n")]]
 
 
 def exit_1_rows(rows):
@@ -1085,74 +1086,72 @@ class TestCli:
 
     @pytest.fixture
     def exits_1(self, tmp_path, capsys, monkeypatch):
-        return lambda row: self.check_row(tmp_path, capsys, monkeypatch, row)
-
-    def check_row(self, tmp_path, capsys, monkeypatch, row):
-        _, argv, name, data, message = row
-        names = {key: tmp_path / key for key in ("cov", "sim", "fit")}
-        if "{cov}" in argv:
-            assert main(["coverage", "--out", str(names["cov"])]) == 0
-        if "{sim}" in argv:
-            assert main(["simulate", "--scenario", self.write_scenario(tmp_path),
-                         "--trials", "3", "--out", str(names["sim"])]) == 0
-        if "{fit}" in argv:
-            _write_models(tmp_path)
-        names.update(dir=tmp_path, topo=tmp_path / "topology.json",
-                     path=tmp_path / (name or ""))
-        names["topo"].write_text('{"U1": ["B1", "B2"]}')
-        if data is not None:
-            names["path"].write_bytes(data)
-        capsys.readouterr()
-        before = sorted(tmp_path.rglob("*"))
-
         def no_draw(scenario, trials):  # the link checks run; a draw fails
             link_statistics(scenario)
             raise AssertionError("simulate_drop called")
 
-        monkeypatch.setattr("mmwcomp.diversity.simulate_drop", no_draw)
-        assert main([arg.format(**names) for arg in argv.split()]) == 1
-        captured = capsys.readouterr()
-        expected = "error: " + message.format(**names)
-        assert captured.out == ""
-        assert (captured.err if expected.endswith("\n")
-                else captured.err[:len(expected)]) == expected
-        assert sorted(tmp_path.rglob("*")) == before
+        def check(_, argv, name, data, message):
+            names = {key: tmp_path / key for key in ("cov", "sim", "fit")}
+            if "{cov}" in argv:
+                assert main(["coverage", "--out", str(names["cov"])]) == 0
+            if "{sim}" in argv:
+                assert main(["simulate", "--scenario",
+                             self.write_scenario(tmp_path), "--trials", "3",
+                             "--out", str(names["sim"])]) == 0
+            if "{fit}" in argv:
+                _write_models(tmp_path)
+            names.update(dir=tmp_path, topo=tmp_path / "topology.json",
+                         path=tmp_path / (name or ""))
+            names["topo"].write_text('{"U1": ["B1", "B2"]}')
+            if data is not None:
+                names["path"].write_bytes(data)
+            capsys.readouterr()
+            before = sorted(tmp_path.rglob("*"))
+            monkeypatch.setattr("mmwcomp.diversity.simulate_drop", no_draw)
+            assert main([arg.format(**names) for arg in argv.split()]) == 1
+            captured = capsys.readouterr()
+            expected = "error: " + message.format(**names)
+            assert captured.out == ""
+            assert (captured.err if expected.endswith("\n")
+                    else captured.err[:len(expected)]) == expected
+            assert sorted(tmp_path.rglob("*")) == before
+        return check
 
     @exit_1_rows(EXIT_1)
     def test_unreadable_input_exits_1(self, exits_1, row):
-        exits_1(row)
+        exits_1(*row)
 
     @exit_1_rows(BAD_LINK_ROWS)
     def test_simulate_names_link_of_bad_length(self, exits_1, row):
-        exits_1(row)
+        exits_1(*row)
 
     @exit_1_rows(BAD_CARD_ROWS)
     def test_coverage_rejects_bad_card_with_its_index(self, exits_1, row):
-        exits_1(row)
+        exits_1(*row)
 
     @exit_1_rows(FIT_ERROR_ROWS)
     def test_fit_error_names_file(self, exits_1, row):
-        exits_1(row)
+        exits_1(*row)
 
     @exit_1_rows(BAD_F_GHZ_ROWS)
     def test_fit_rejects_bad_frequency(self, exits_1, row):
-        exits_1(row)
+        exits_1(*row)
 
     @exit_1_rows(K_BELOW_1_ROWS)
     def test_enumerate_rejects_k_below_1(self, exits_1, row):
-        exits_1(row)
+        exits_1(*row)
 
     @exit_1_rows(BAD_METADATA_ROWS)
     def test_report_rejects_bad_metadata(self, exits_1, row):
-        exits_1(row)
+        exits_1(*row)
 
     @exit_1_rows(BUNDLE_FILE_ROWS)
     def test_report_reads_every_file_before_printing(self, exits_1, row):
-        exits_1(row)
+        exits_1(*row)
 
     @exit_1_rows(BAD_CDF_ROWS)
     def test_report_rejects_bad_cdf(self, exits_1, row):
-        exits_1(row)
+        exits_1(*row)
 
     def test_coverage_reads_scenario_with_bad_link(self, tmp_path, capsys):
         # coverage builds no links, so it reads the scenarios that simulate

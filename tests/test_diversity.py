@@ -649,7 +649,6 @@ def test_golden_trial_zero():
                                                          abs=1e-9)
 
 
-
 _SIGMAS = st.just(0.0) | st.floats(0.5, 12.0)
 
 
