@@ -35,6 +35,7 @@ CLI = "tests/test_cli_io.py::TestCli::"
 ROW = CLI + "test_unreadable_input_exits_1"
 TWELVE = ("tests/test_properties.py::"
           "test_reception_counts_match_brute_force_on_twelve_stations")
+DIV = "tests/test_diversity.py::"
 
 # (name, file under src/mmwcomp/, old text, new text, node that must fail)
 MUTANTS = [
@@ -50,10 +51,29 @@ MUTANTS = [
     ("pin-compared-with-is", "diversity.py",
      "scenario.conditions[key] == Condition.LOS",
      "scenario.conditions[key] is Condition.LOS",
-     "tests/test_diversity.py::test_pin_equal_to_los_simulates_as_los"),
+     DIV + "test_simulate_sigma0_drop_is_exact[pin_los_str]"),
     ("one-cpu-without-affinity", "diversity.py", "cpus = os.cpu_count() or 1",
-     "cpus = 1",
-     "tests/test_diversity.py::test_simulate_counts_cpus_without_affinity"),
+     "cpus = 1", DIV + "test_simulate_output_independent_of_trial_split"
+                       "[5_trials_3_cpus_without_affinity]"),
+    ("omni-is-best-pair", "diversity.py", "np.log10(pl.sum(axis=2))",
+     "np.log10(pl.max(axis=2))",
+     DIV + "test_simulate_sigma0_drop_is_exact[los_2_pairs]"),
+    ("substream-keyed-by-batch", "diversity.py",
+     "substream(scenario.seed, t)", "substream(scenario.seed, t - b0)",
+     DIV + "test_simulate_output_independent_of_trial_split"
+           "[7_trials_1_cpus_batches_of_2]"),
+    ("last-failing-chunk-raises", "diversity.py", "for exc in errors:",
+     "for exc in reversed(errors):",
+     DIV + "test_lowest_failing_chunk_raises_after_every_chunk_ends"
+           "[two_chunks]"),
+    ("k-max-0-allowed", "diversity.py", "if k_max < 1:", "if k_max < 0:",
+     DIV + "test_library_rejects[reception_k_max_0]"),
+    ("best-pair-replaces-highest-draw", "diversity.py", "pl.argmin(axis=2)",
+     "pl.argmax(axis=2)", DIV + "test_draw_policy_matches_documented_rules"),
+    ("duplicate-ids-allowed", "diversity.py",
+     "if len(set(ids)) != len(ids):", "if False:",
+     "tests/test_records.py::test_check_runs_positionally_and_by_keyword"
+     "[Scenario_duplicate_id]"),
     ("internal-error-exits-1", "cli.py",
      'file=sys.stderr)\n        return 2', 'file=sys.stderr)\n        return 1',
      CLI + "test_internal_failure_exits_2"),

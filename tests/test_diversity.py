@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import multiprocessing
 import os
 import signal
 import sys
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -78,11 +79,6 @@ def test_distance_3d_symmetric():
     assert distance_3d(a, b) == distance_3d(b, a)
 
 
-def test_node_height_validation():
-    with pytest.raises(ValueError):
-        Node("B1", 0.0, 0.0, 0.0)
-
-
 def test_sweep_grid_defaults():
     grid = SweepGrid()
     assert grid.n_rx_directions == 72
@@ -93,63 +89,14 @@ def test_sweep_grid_extended_sector():
     assert SweepGrid(tx_angles=17).n_rx_directions == 72
 
 
-@pytest.mark.parametrize("entry", [lambda sc: simulate_drop(sc, 2),
-                                   link_statistics],
-                         ids=["simulate_drop", "link_statistics"])
-def test_simulate_drop_names_link_of_bad_length(entry):
-    # The length rule holds for library callers too, not only for the CLI:
-    # a 1e200 m link's squared length overflows, and 0.1 m is below the CI
-    # model's reference distance.
-    for x, message in ((1e200, "is too long for its length to be a finite "
-                               "float"),
-                       (0.1, "is shorter than the CI model's 1.0 m "
-                             "reference")):
-        sc = scenario([Node("B1", x, 0.0, 1.4)], [ue(1, 0.0, 0.0)])
-        with pytest.raises(ValueError) as exc:
-            entry(sc)
-        assert str(exc.value) == f"link U1/B1 {message}"
-
-
-def test_sweep_grid_validation():
-    with pytest.raises(ValueError):
-        SweepGrid(tx_angles=0)
-
-
-def test_campaign_combination_counts():
-    counts = [combination_count(CAMPAIGN_SERVING_SETS, k) for k in range(1, 6)]
-    assert counts == [36, 54, 42, 17, 3]
-
-
-def test_combinations_against_brute_force():
-    topology = {"U1": ("B1", "B2", "B3", "B4"), "U2": ("B2", "B5"),
-                "U3": ("B1",)}
-    for k in range(1, 5):
-        brute = [sub for s in topology.values()
-                 for sub in itertools.combinations(s, k)]
-        assert combination_count(topology, k) == len(brute)
-
-
-def test_combinations_k_too_large_is_empty():
-    assert combination_count({"U1": ("B1", "B2")}, 3) == 0
-
-
-def test_combinations_k_validation():
-    with pytest.raises(ValueError):
-        combination_count({"U1": ("B1",)}, 0)
-
-
 FULL = (1 << 72) - 1
 
 
-def holed_mask(hole=0):
-    return FULL & ~(1 << hole)
-
-
-def fixture_masks(n_full=20):
-    """Campaign-topology masks with exactly n_full full-reception links."""
+def fixture_masks():
+    """Campaign-topology masks with exactly 20 full-reception links."""
     links = [(u, b) for u in sorted(CAMPAIGN_SERVING_SETS)
              for b in sorted(CAMPAIGN_SERVING_SETS[u])]
-    return MaskSet({link: FULL if i < n_full else holed_mask(i % 72)
+    return MaskSet({link: FULL if i < 20 else FULL & ~(1 << (i % 72))
                     for i, link in enumerate(links)}, 72)
 
 
@@ -158,11 +105,6 @@ def probabilities(masks, topology, k_max):
     writes it."""
     return {row.k: row.probability
             for row in _reception_rows(masks, topology, k_max)}
-
-
-def test_k1_reception_fixture():
-    p = probabilities(fixture_masks(20), CAMPAIGN_SERVING_SETS, 1)[1]
-    assert 100.0 * p == pytest.approx(100.0 * 20 / 36, abs=1e-9)
 
 
 def test_reception_all_true_masks():
@@ -179,48 +121,72 @@ def test_reception_union_semantics():
     assert probabilities(MaskSet(masks, 72), topology, 2) == {1: 0.0, 2: 1.0}
 
 
-def test_reception_missing_record():
-    topology = {"U1": ("B1", "B2")}
-    with pytest.raises(ValueError, match="missing reception mask"):
-        reception_counts(MaskSet({("U1", "B1"): FULL}, 72), topology, 1)
-
-
-def test_reception_rejects_mask_wider_than_directions():
-    topology = {"U1": ("B1", "B2")}
-    masks = {("U1", "B1"): 0b11, ("U1", "B2"): 0b101}
-    with pytest.raises(ValueError,
-                       match=r"link \('U1', 'B2'\) does not fit 1 lane\(s\) "
-                             r"of 2 bits"):
-        MaskSet(masks, 2)
-
-
-def test_reception_k_max_validation():
-    with pytest.raises(ValueError):
-        reception_counts(fixture_masks(), CAMPAIGN_SERVING_SETS, 0)
-
-
-def test_reception_monotone_in_k_on_fixture():
-    probs = probabilities(fixture_masks(20), CAMPAIGN_SERVING_SETS, 5)
-    assert all(probs[k + 1] >= probs[k] - 1e-12 for k in range(1, 5))
-
-
 def test_reception_counts_fixture_table():
-    counts = reception_counts(fixture_masks(20), CAMPAIGN_SERVING_SETS, 9)
+    counts = reception_counts(fixture_masks(), CAMPAIGN_SERVING_SETS, 9)
     assert [combination_count(CAMPAIGN_SERVING_SETS, k)
             for k in sorted(counts)] == [36, 54, 42, 17, 3]
     assert counts[1] == 20
 
 
-def test_scenario_validation():
-    with pytest.raises(ValueError):
-        scenario([], [ue(1, 0.0, 0.0)])
-    with pytest.raises(ValueError):
-        scenario([bs(1, 0.0, 0.0)], [])
-    with pytest.raises(ValueError):
-        scenario([bs(1, 0.0, 0.0), bs(1, 9.0, 0.0)], [ue(1, 0.0, 0.0)])
-    with pytest.raises(ValueError):
-        scenario([bs(1, 0.0, 0.0)], [ue(1, 0.0, 0.0)],
-                 models={Condition.LOS: LOS})
+def drop_masks_with_stray_bit(bit):
+    """The masks of a 2-trial drop from B1 and B2 to U1 on the 3 x 4 sweep,
+    built again with ``bit`` also set in U1/B2's mask."""
+    sc = scenario([bs(1, 10.0, 0.0), bs(2, 0.0, 10.0)], [ue(1, 0.0, 0.0)],
+                  sweep=SMALL_SWEEP)
+    bits = dict(simulate_drop(sc, 2).masks.bits)
+    bits[("U1", "B2")] |= bit
+    return MaskSet(bits, SMALL_R, 2)
+
+
+# Library calls that raise ValueError, each with its exact message.
+REJECTIONS = {
+    "combination_count_k_0": (
+        lambda: combination_count({"U1": ("B1",)}, 0), "k must be >= 1, got 0"),
+    "reception_k_max_0": (
+        lambda: reception_counts(fixture_masks(), CAMPAIGN_SERVING_SETS, 0),
+        "k_max must be >= 1, got 0"),
+    "reception_missing_mask": (
+        lambda: reception_counts(MaskSet({("U1", "B1"): FULL}, 72),
+                                 {"U1": ("B1", "B2")}, 1),
+        "missing reception mask for link ('U1', 'B2')"),
+    # A one-byte lane over 4 directions: bit 4 is lane 0's guard bit and
+    # bit 16 would be a third trial's lane.
+    "drop_mask_guard_bit": (
+        lambda: drop_masks_with_stray_bit(1 << 4),
+        "reception mask for link ('U1', 'B2') does not fit 2 lane(s) of 4 bits"),
+    "drop_mask_third_lane": (
+        lambda: drop_masks_with_stray_bit(1 << 16),
+        "reception mask for link ('U1', 'B2') does not fit 2 lane(s) of 4 bits"),
+    "simulate_0_trials": (
+        lambda: simulate_drop(scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)]),
+                              0),
+        "trials must be >= 1, got 0"),
+    "substream_negative_seed": (
+        lambda: substream(-1, 0), "seed must be non-negative, got -1"),
+}
+
+
+@pytest.mark.parametrize("call, message", list(REJECTIONS.values()),
+                         ids=list(REJECTIONS))
+def test_library_rejects(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry", [lambda sc: simulate_drop(sc, 2),
+                                   link_statistics],
+                         ids=["simulate_drop", "link_statistics"])
+def test_simulate_drop_names_link_of_bad_length(entry):
+    # The length rule holds for library callers too, not only for the CLI:
+    # a 1e200 m link's squared length overflows, and 0.1 m is below the CI
+    # model's reference distance.
+    for x, message in ((1e200, "is too long for its length to be a finite "
+                               "float"),
+                       (0.1, "is shorter than the CI model's 1.0 m "
+                             "reference")):
+        sc = scenario([Node("B1", x, 0.0, 1.4)], [ue(1, 0.0, 0.0)])
+        test_library_rejects(lambda: entry(sc), f"link U1/B1 {message}")
 
 
 # Shadowing-free models and a 120 dB limit, which every LOS draw meets and
@@ -246,16 +212,43 @@ def los_by_trial(drops):
     return [[m == full for m in row] for row in rows]
 
 
-def stream_los(sc, trials):
-    """(trials, L) LOS flags as the documented stream draws them: trial t's
-    first L uniforms below ``p_los``, overwritten on the pinned links."""
-    keys = [(u.id, b.id) for u, b in sc.links()]
-    los = np.array([substream(sc.seed, t).random(len(keys)) < sc.p_los
-                    for t in range(trials)])
-    for i, key in enumerate(keys):
-        if key in sc.conditions:
-            los[:, i] = sc.conditions[key] is Condition.LOS
-    return los
+def documented_draws(sc, t):
+    """Trial t's LOS flags and (L, T*R) sweep path losses, rebuilt from its
+    sub-stream in the documented layout: L uniforms, the (L, T*R) normal
+    block, then one best-pair normal per link if there is an NLOS_BEST model.
+
+    A link is LOS when pinned so or when its uniform is below ``p_los``.
+    Its sweep is the LOS or NLOS model's mean plus sigma times its normals;
+    on an NLOS link with an NLOS_BEST model the lowest of them becomes the
+    best-pair draw.
+    """
+    links = sc.links()
+    best = sc.models.get(Condition.NLOS_BEST)
+    rng = substream(sc.seed, t)
+    uniforms = rng.random(len(links))
+    normals = rng.standard_normal(
+        (len(links), sc.sweep.tx_angles * sc.sweep.n_rx_directions))
+    best_normals = rng.standard_normal(len(links)) if best else None
+    los, pl = np.empty(len(links), bool), np.empty_like(normals)
+    for i, (u, b) in enumerate(links):
+        cond = sc.conditions.get((u.id, b.id))
+        los[i] = (uniforms[i] < sc.p_los if cond is None
+                  else cond is Condition.LOS)
+        model = sc.models[Condition.LOS if los[i] else Condition.NLOS]
+        d = distance_3d(u, b)
+        pl[i] = oracles.ci_mean_db(model.ple, d) + model.sigma_db * normals[i]
+        if best and not los[i]:
+            pl[i, np.argmin(pl[i])] = (oracles.ci_mean_db(best.ple, d)
+                                       + best.sigma_db * best_normals[i])
+    return los, pl
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(0, 100))
+@settings(max_examples=25)
+def test_substream_reproducible_and_independent(seed, key):
+    a, b, c = (substream(seed, k).normal(size=8) for k in (key, key, key + 1))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_condition_policy_explicit_and_bernoulli():
@@ -272,51 +265,73 @@ def test_condition_policy_explicit_and_bernoulli():
     free = [bool(substream(sc.seed, t).random(3)[1] < 0.5) for t in range(40)]
     assert los[:, 1].tolist() == free and 0 < sum(free) < 40
     assert los[:, 0].all() and not los[:, 2].any()
-    assert np.array_equal(los, stream_los(sc, 40))
-    with pytest.raises(ValueError):
-        condition_scenario(bss, [ue(1, 0.0, 0.0)], {}, 1.5)
-    with pytest.raises(ValueError):
-        condition_scenario(bss, [ue(1, 0.0, 0.0)],
-                           {("U1", "B1"): Condition.NLOS_BEST}, 0.5)
-
-
-def test_pin_equal_to_los_simulates_as_los():
-    # Scenario accepts a pin that equals Condition.LOS, such as the plain
-    # string "LOS", so the simulator must read that pin as LOS too.
-    b1, u1 = bs(1, 30.0, 0.0), ue(1, 0.0, 0.0)
-    drops = [simulate_drop(scenario([b1], [u1], models=SIGMA0_MODELS,
-                                    sweep=SweepGrid(1, 1, 1),
-                                    conditions={("U1", "B1"): pin}), 1)
-             for pin in (Condition.LOS, "LOS")]
-    assert drops[0].omni_pl_db.tolist() == drops[1].omni_pl_db.tolist()
-    assert drops[0].omni_pl_db[0, 0] == pytest.approx(ci_mean_path_loss_db(
-        SIGMA0_MODELS[Condition.LOS], distance_3d(u1, b1)))
-    assert drops[0].masks == drops[1].masks
+    assert np.array_equal(
+        los, np.array([documented_draws(sc, t)[0] for t in range(40)]))
 
 
 ONE_RX = {"rx_azimuths": 1, "rx_elevations": 1}
 
 
-@pytest.mark.parametrize("sweep, pairs", [
-    (SweepGrid(tx_angles=1, **ONE_RX), 1),
-    (SweepGrid(tx_angles=2, **ONE_RX), 2),
-    (SweepGrid(), 15 * 72),
-], ids=["1_pair", "2_pairs", "15x72_pairs"])
-def test_simulate_sigma0_los_all_detectable(sweep, pairs):
-    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0),
-              Condition.NLOS: CiModel(73.5, 4.6, 0.0)}
-    sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
-                  p_los=1.0, sweep=sweep)
-    drops = simulate_drop(sc, 1)
-    assert list(drops.masks.bits) == [("U1", "B1")]
+def sigma0_omni_db(ple, x, pairs=1):
+    """The omni loss of ``pairs`` detected pairs, each at the CI mean of a
+    link from a station at (x, 0) to a UE at the origin.  Equal-power pairs
+    power-sum below the mean: one pair equals its directional loss, two
+    gain 3.0103 dB."""
+    d = distance_3d(bs(1, x, 0.0), ue(1, 0.0, 0.0))
+    return oracles.ci_mean_db(ple, d) - 10.0 * math.log10(pairs)
+
+
+# Shadowing-free drops of stations at (x, 0) to one UE at the origin:
+# models, stations, pins, sweep, trials, then each link's detected RX
+# directions and omni loss in every trial.  The 200 m NLOS mean of 175.6 dB
+# exceeds the 175 dB budget at every angle; a 136.5 dB best-angle draw
+# replaces one of them and is the only detected pair.  Scenario accepts a
+# pin that equals Condition.LOS, such as the plain string "LOS", so the
+# simulator must read that pin as LOS too.
+SIGMA0_DROPS = {
+    "los_1_pair": (SIGMA0_MODELS, [bs(1, 10.0, 0.0)], {"p_los": 1.0},
+                   SweepGrid(tx_angles=1, **ONE_RX), 1, 1,
+                   sigma0_omni_db(2.0, 10.0)),
+    "los_2_pairs": (SIGMA0_MODELS, [bs(1, 10.0, 0.0)], {"p_los": 1.0},
+                    SweepGrid(tx_angles=2, **ONE_RX), 1, 1,
+                    sigma0_omni_db(2.0, 10.0, 2)),
+    "los_15x72_pairs": (SIGMA0_MODELS, [bs(1, 10.0, 0.0)], {"p_los": 1.0},
+                        SweepGrid(), 1, 72,
+                        sigma0_omni_db(2.0, 10.0, 15 * 72)),
+    "nlos_beyond_range": (SIGMA0_MODELS, [bs(1, 200.0, 0.0)], {"p_los": 0.0},
+                          SweepGrid(), 1, 0, math.inf),
+    "nlos_best_single_angle": (
+        {**SIGMA0_MODELS, Condition.NLOS_BEST: CiModel(73.5, 2.9, 0.0)},
+        [bs(1, 200.0, 0.0)], {"p_los": 0.0}, SweepGrid(), 1, 1,
+        sigma0_omni_db(2.9, 200.0)),
+    "pin_los": (SIGMA0_MODELS, [bs(1, 30.0, 0.0)],
+                {"conditions": {("U1", "B1"): Condition.LOS}},
+                SweepGrid(1, 1, 1), 1, 1, sigma0_omni_db(2.0, 30.0)),
+    "pin_los_str": (SIGMA0_MODELS, [bs(1, 30.0, 0.0)],
+                    {"conditions": {("U1", "B1"): "LOS"}},
+                    SweepGrid(1, 1, 1), 1, 1, sigma0_omni_db(2.0, 30.0)),
+    "two_stations_always_detectable": (
+        {Condition.LOS: CiModel(73.5, 2.0, 0.0),
+         Condition.NLOS: CiModel(73.5, 2.0, 0.0)},
+        [bs(1, 10.0, 0.0), bs(2, 0.0, 10.0)], {}, SweepGrid(), 2, 72,
+        sigma0_omni_db(2.0, 10.0, 15 * 72)),
+}
+
+
+@pytest.mark.parametrize("models, bss, pins, sweep, trials, seen, omni",
+                         list(SIGMA0_DROPS.values()), ids=list(SIGMA0_DROPS))
+def test_simulate_sigma0_drop_is_exact(models, bss, pins, sweep, trials, seen,
+                                       omni):
+    sc = scenario(bss, [ue(1, 0.0, 0.0)], models=models, sweep=sweep, **pins)
+    drops = simulate_drop(sc, trials)
+    assert list(drops.masks.bits) == [("U1", b.id) for b in bss]
     n = sweep.n_rx_directions
-    assert masks_by_trial(drops, n) == (((1 << n) - 1,),)
-    d = distance_3d(sc.ues[0], sc.base_stations[0])
-    mean_pl = 69.7257467816839 + 20.0 * math.log10(d)
-    # Equal-power detectable pairs power-sum below the mean PL: one pair
-    # equals its directional loss, two gain 3.0103 dB.
-    expect = mean_pl - 10.0 * math.log10(pairs)
-    assert drops.omni_pl_db[0, 0] == pytest.approx(expect, abs=1e-9)
+    assert [[m.bit_count() for m in row]
+            for row in masks_by_trial(drops, n)] == [[seen] * len(bss)] * trials
+    assert drops.omni_pl_db.tolist() == [
+        [pytest.approx(omni, abs=1e-9)] * len(bss)] * trials
+    assert mean_reception(sc, drops, len(bss)) == dict.fromkeys(
+        range(1, len(bss) + 1), float(seen == n))
 
 
 @pytest.mark.parametrize("p_los, condition", [
@@ -340,49 +355,6 @@ def test_simulated_mean_is_the_closed_form_mean(p_los, condition):
             assert masks == MaskSet({("U1", "B1"): seen}, 1), (x, limit)
 
 
-def test_simulate_omni_bounded_by_best_detected_pair():
-    # Rebuild each trial's directional draws from its sub-stream in the
-    # documented layout.  The omni loss is the power sum over the n
-    # detected pairs, so it lies between the best pair and the best pair
-    # minus 10 log10(n).  The links span 150-220 m, where NLOS detection
-    # is partial.
-    sweep = SweepGrid(tx_angles=3, rx_azimuths=4, rx_elevations=2)
-    sc = scenario([bs(1, 160.0, 0.0), bs(2, 0.0, 230.0), bs(3, -190.0, 40.0)],
-                  [ue(1, 10.0, 10.0), ue(2, -30.0, 60.0)], sweep=sweep)
-    trials = 6
-    drops = simulate_drop(sc, trials)
-    masks = masks_by_trial(drops, sweep.n_rx_directions)
-    d = np.array([distance_3d(u, b) for u, b in sc.links()])
-    n_links, n_pairs = d.size, sweep.tx_angles * sweep.n_rx_directions
-    bounded = 0
-    for t in range(trials):
-        rng = substream(sc.seed, t)
-        los = rng.random(n_links) < sc.p_los
-        z = rng.standard_normal((n_links, n_pairs))
-        z_best = rng.standard_normal(n_links)
-        for i in range(n_links):
-            model = LOS if los[i] else NLOS
-            pl = ci_mean_path_loss_db(model, d[i]) + model.sigma_db * z[i]
-            if not los[i]:
-                pl[pl.argmin()] = (ci_mean_path_loss_db(NLOS_BEST, d[i])
-                                   + NLOS_BEST.sigma_db * z_best[i])
-            detect = pl <= sc.budget.max_pl_db
-            covered = detect.reshape(sweep.tx_angles, -1).any(axis=0)
-            assert masks[t][i] == sum(1 << int(b)
-                                      for b in np.flatnonzero(covered))
-            omni, n = drops.omni_pl_db[t, i], int(detect.sum())
-            if n == 0:
-                assert omni == math.inf
-                continue
-            assert omni == pytest.approx(
-                -10.0 * math.log10(np.sum(10.0 ** (-pl[detect] / 10.0))),
-                abs=1e-9)
-            best = pl[detect].min()
-            assert best - 10.0 * math.log10(n) - 1e-9 <= omni <= best + 1e-9
-            bounded += 1 < n < n_pairs
-    assert bounded >= 5
-
-
 def test_simulated_omni_fits_lower_ple_than_directional():
     # Power-summing many directional looks lowers the effective path loss,
     # so a CI fit over the omni losses sits below the directional slope.
@@ -395,47 +367,6 @@ def test_simulated_omni_fits_lower_ple_than_directional():
         for row in drops.omni_pl_db.tolist()
         for link, pl in zip(drops.masks.bits, row) if math.isfinite(pl)]))
     assert fit_ci(samples, 73.5).ple < NLOS.ple
-
-
-def test_simulate_sigma0_nlos_beyond_range_all_false():
-    # Without a best-angle model the 200 m NLOS mean of 175.6 dB exceeds
-    # the 175 dB budget at every angle.
-    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0),
-              Condition.NLOS: CiModel(73.5, 4.6, 0.0)}
-    sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
-                  p_los=0.0)
-    drops = simulate_drop(sc, 1)
-    assert masks_by_trial(drops, 72) == ((0,),)
-    assert math.isinf(drops.omni_pl_db[0, 0])
-
-
-def test_simulate_sigma0_nlos_best_single_angle():
-    # The deterministic best-angle draw (136.5 dB at ~200 m) survives the
-    # budget while every arbitrary-angle entry fails: exactly one angle
-    # pair detectable, and the omni PL equals it.
-    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0),
-              Condition.NLOS: CiModel(73.5, 4.6, 0.0),
-              Condition.NLOS_BEST: CiModel(73.5, 2.9, 0.0)}
-    sc = scenario([bs(1, 200.0, 0.0)], [ue(1, 0.0, 0.0)], models=models,
-                  p_los=0.0)
-    drops = simulate_drop(sc, 1)
-    assert masks_by_trial(drops, 72)[0][0].bit_count() == 1
-    d = distance_3d(sc.ues[0], sc.base_stations[0])
-    best_pl = 69.7257467816839 + 29.0 * math.log10(d)
-    assert drops.omni_pl_db[0, 0] == pytest.approx(best_pl, abs=1e-9)
-
-
-def test_simulate_deterministic_and_prefix_stable():
-    sc = scenario([bs(1, 40.0, 0.0), bs(2, 0.0, 90.0)],
-                  [ue(1, 10.0, 10.0), ue(2, -20.0, 40.0)])
-    a = simulate_drop(sc, 3)
-    b = simulate_drop(sc, 3)
-    c = simulate_drop(sc, 5)
-    assert a.omni_pl_db.shape == (3, 4)
-    assert np.array_equal(a.omni_pl_db, b.omni_pl_db)
-    assert np.array_equal(a.omni_pl_db, c.omni_pl_db[:3])
-    assert (masks_by_trial(a, 72) == masks_by_trial(b, 72)
-            == masks_by_trial(c, 72)[:3])
 
 
 def test_simulate_seed_changes_output():
@@ -465,15 +396,6 @@ def mean_reception(sc, drops, k_max):
     return probabilities(drops.masks, sc.topology(), k_max)
 
 
-def test_reception_vs_k_always_detectable():
-    models = {Condition.LOS: CiModel(73.5, 2.0, 0.0),
-              Condition.NLOS: CiModel(73.5, 2.0, 0.0)}
-    sc = scenario([bs(1, 10.0, 0.0), bs(2, 0.0, 10.0)], [ue(1, 0.0, 0.0)],
-                  models=models)
-    probs = mean_reception(sc, simulate_drop(sc, 2), 2)
-    assert probs == {1: 1.0, 2: 1.0}
-
-
 def test_reception_vs_k_monotone_under_shadowing():
     sc = scenario([bs(1, 150.0, 0.0), bs(2, 0.0, 160.0), bs(3, -170.0, 0.0)],
                   [ue(1, 0.0, 0.0), ue(2, 30.0, 30.0)],
@@ -488,26 +410,6 @@ def test_reception_vs_k_bounds():
     sc = scenario([bs(1, 10.0, 0.0)], [ue(1, 0.0, 0.0)])
     # No serving set reaches k = 2, so only k = 1 is counted.
     assert mean_reception(sc, simulate_drop(sc, 1), 2).keys() == {1}
-    with pytest.raises(ValueError):
-        simulate_drop(sc, 0)
-
-
-def test_reception_vs_k_rejects_bad_masks():
-    sc = scenario([bs(1, 10.0, 0.0), bs(2, 0.0, 10.0)], [ue(1, 0.0, 0.0)],
-                  sweep=SMALL_SWEEP)
-    drops = simulate_drop(sc, 2)
-    b1, b2 = ("U1", "B1"), ("U1", "B2")
-    with pytest.raises(ValueError, match=r"missing reception mask for link "
-                                         r"\('U1', 'B2'\)"):
-        reception_counts(drops.masks._replace(bits={b1: drops.masks.bits[b1]}),
-                         sc.topology(), 2)
-    # A one-byte lane over 4 directions: bit 4 is lane 0's guard bit and
-    # bit 16 would be a third trial's lane.
-    for stray in (1 << 4, 1 << 16):
-        bad = {b1: drops.masks.bits[b1], b2: drops.masks.bits[b2] | stray}
-        with pytest.raises(ValueError, match=r"link \('U1', 'B2'\) does not "
-                                             r"fit 2 lane\(s\) of 4 bits"):
-            MaskSet(bad, SMALL_R, 2)
 
 
 # Analytic oracles for the simulator.  A small sweep grid (T = 3 TX angles,
@@ -678,43 +580,44 @@ def policy_scenarios(draw):
                     sweep=SMALL_SWEEP)
 
 
+# 3 BS x 2 UE on a 3 x 4 x 2 sweep: the links span 150-220 m, where NLOS
+# detection is partial.
+PARTIAL_DETECTION = scenario(
+    [bs(1, 160.0, 0.0), bs(2, 0.0, 230.0), bs(3, -190.0, 40.0)],
+    [ue(1, 10.0, 10.0), ue(2, -30.0, 60.0)],
+    sweep=SweepGrid(tx_angles=3, rx_azimuths=4, rx_elevations=2))
+
+
 @given(policy_scenarios(), st.integers(1, 2))
+@example(PARTIAL_DETECTION, 6)
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_draw_policy_matches_documented_rules(sc, trials):
-    # Rebuilds every trial from its sub-stream in the documented layout and
-    # applies the per-condition rules here: a link is LOS when pinned so or
-    # when its uniform is below p_los; its sweep is the LOS or NLOS model's
-    # mean plus sigma times its normals; on an NLOS link with an NLOS_BEST
-    # model the lowest of them becomes the best-pair draw.
-    links = sc.links()
-    n_pairs = SMALL_T * SMALL_R
-    best = sc.models.get(Condition.NLOS_BEST)
-    limit = sc.budget.max_pl_db
+    # Rebuilds every trial's draws as ``documented_draws`` gives them.  The
+    # omni loss is the power sum over the n detected pairs, so it lies
+    # between the best pair and the best pair minus 10 log10(n).
+    sweep = sc.sweep
+    n_pairs = sweep.tx_angles * sweep.n_rx_directions
     drops = simulate_drop(sc, trials)
-    masks = masks_by_trial(drops, SMALL_R)
+    masks = masks_by_trial(drops, sweep.n_rx_directions)
+    bounded = 0
     for t in range(trials):
-        rng = substream(sc.seed, t)
-        uniforms = rng.random(len(links))
-        normals = rng.standard_normal((len(links), n_pairs))
-        best_normals = rng.standard_normal(len(links)) if best else None
-        for i, (u, b) in enumerate(links):
-            cond = sc.conditions.get((u.id, b.id))
-            los = (uniforms[i] < sc.p_los if cond is None
-                   else cond is Condition.LOS)
-            model = sc.models[Condition.LOS if los else Condition.NLOS]
-            d = distance_3d(u, b)
-            pl = oracles.ci_mean_db(model.ple, d) + model.sigma_db * normals[i]
-            if best and not los:
-                pl[np.argmin(pl)] = (oracles.ci_mean_db(best.ple, d)
-                                     + best.sigma_db * best_normals[i])
-            detect = pl <= limit
-            covered = detect.reshape(SMALL_T, SMALL_R).any(axis=0)
-            assert masks[t][i] == sum(1 << r for r in np.flatnonzero(covered))
-            power = np.sum(10.0 ** (-pl[detect] / 10.0))
-            omni = -10.0 * math.log10(power) if detect.any() else math.inf
-            got = drops.omni_pl_db[t, i]
-            assert (got == omni == math.inf
-                    or abs(got - omni) <= 1e-9), (t, i, got, omni)
+        for i, pl in enumerate(documented_draws(sc, t)[1]):
+            detect = pl <= sc.budget.max_pl_db
+            covered = detect.reshape(sweep.tx_angles, -1).any(axis=0)
+            assert masks[t][i] == sum(1 << int(r)
+                                      for r in np.flatnonzero(covered))
+            got, n = drops.omni_pl_db[t, i], int(detect.sum())
+            if n == 0:
+                assert got == math.inf, (t, i, got)
+                continue
+            omni = -10.0 * math.log10(np.sum(10.0 ** (-pl[detect] / 10.0)))
+            assert abs(got - omni) <= 1e-9, (t, i, got, omni)
+            best = pl[detect].min()
+            assert best - 10.0 * math.log10(n) - 1e-9 <= got <= best + 1e-9
+            bounded += 1 < n < n_pairs
+    if sc is PARTIAL_DETECTION:
+        assert bounded >= 5
+
 
 # Exact k >= 2 reception.  Without an NLOS_BEST model every RX direction of
 # a link is covered independently, with q = 1 - (1 - p)^T, so a k-subset S
@@ -839,62 +742,69 @@ def test_link_statistics_state_each_link():
     assert no_best.mean_db == stats.mean_db
 
 
-def test_simulate_output_independent_of_batch_size(monkeypatch):
-    sc = mixed_scenario()
-    whole = simulate_drop(sc, 7)
-    trial_bytes = 8 * len(sc.links()) * SMALL_T * SMALL_R
-    for per_batch in (1, 2, 3):
-        # Batches of 1, 2 or 3 trials, so the last batch of a chunk is short.
-        monkeypatch.setattr(diversity, "_BATCH_BYTES", per_batch * trial_bytes)
-        for cpus in (1, 2):
-            _with_cpus(monkeypatch, cpus)
-            drops = simulate_drop(sc, 7)
-            assert np.array_equal(drops.omni_pl_db, whole.omni_pl_db)
-            assert drops.masks == whole.masks
+def _batches_of(n):
+    """Batches of n trials of ``mixed_scenario``, so the last batch of a
+    chunk may be short."""
+    trial_bytes = 8 * len(mixed_scenario().links()) * SMALL_T * SMALL_R
+    return lambda monkeypatch: monkeypatch.setattr(
+        diversity, "_BATCH_BYTES", n * trial_bytes)
 
 
-def test_simulate_output_independent_of_worker_count(monkeypatch):
-    sc = mixed_scenario()
-    for trials in (1, 2, 7):
-        outcomes = []
-        for cpus in (1, 2, 3):
-            _with_cpus(monkeypatch, cpus)
-            drops = simulate_drop(sc, trials)
-            outcomes.append((drops.omni_pl_db.tolist(), drops.masks,
-                             mean_reception(sc, drops, 3)))
-        assert outcomes[0] == outcomes[1] == outcomes[2], trials
+def _no_affinity(monkeypatch):
+    # Where os has no sched_getaffinity, the chunks follow os.cpu_count().
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
 
 
-def test_simulate_output_holds_with_more_threads_than_cores(monkeypatch):
-    # Eight chunks share the output arrays, switching threads every
-    # microsecond: a chunk writing outside its own rows would show.
+def _daemon(monkeypatch):
+    # Daemonic processes, such as multiprocessing.Pool workers, may not
+    # start children of their own; the trial chunks run on threads there too.
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+
+
+# Splits of the trials: trials, usable CPUs and any other patch.
+SPLITS = {
+    **{f"{t}_trials_{c}_cpus": (t, c, None)
+       for t in (1, 2, 3, 5, 7) for c in (1, 2, 3)},
+    **{f"7_trials_{c}_cpus_batches_of_{n}": (7, c, _batches_of(n))
+       for n in (1, 2, 3) for c in (1, 2)},
+    "9_trials_8_cpus": (9, 8, None),
+    "5_trials_3_cpus_without_affinity": (5, 3, _no_affinity),
+    "3_trials_2_cpus_daemon": (3, 2, _daemon),
+}
+
+
+@pytest.mark.parametrize("trials, cpus, patch", list(SPLITS.values()),
+                         ids=list(SPLITS))
+def test_simulate_output_independent_of_trial_split(monkeypatch, trials, cpus,
+                                                    patch):
+    # Trial t's output is the same whatever the trial count, chunks and
+    # batches: a prefix of one reference run.  The chunks share the output
+    # arrays, switching threads every microsecond, so a chunk writing
+    # outside its own rows would show.
     sc = mixed_scenario()
     _with_cpus(monkeypatch, 1)
-    whole = simulate_drop(sc, 9)
-    _with_cpus(monkeypatch, 8)
+    reference = simulate_drop(sc, 9)
+    _with_cpus(monkeypatch, cpus)
+    if patch:
+        patch(monkeypatch)
+    chunks = []
+    map_trials = diversity._map_trials
+    monkeypatch.setattr(diversity, "_map_trials", lambda fn, n: map_trials(
+        lambda lo, hi: chunks.append((lo, hi)) or fn(lo, hi), n))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with _no_threads_left(), _deadline(60):
-            drops = simulate_drop(sc, 9)
+            drops = simulate_drop(sc, trials)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(drops.omni_pl_db, whole.omni_pl_db)
-    assert drops.masks == whole.masks
-
-
-def test_simulate_counts_cpus_without_affinity(monkeypatch):
-    # Where os has no sched_getaffinity, the chunks follow os.cpu_count().
-    sc = mixed_scenario()
-    whole = simulate_drop(sc, 5)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    chunks = []
-    _map_trials(lambda lo, hi: chunks.append((lo, hi)), 5)
-    assert sorted(chunks) == [(0, 1), (1, 3), (3, 5)]
-    drops = simulate_drop(sc, 5)
-    assert drops.masks.bits == whole.masks.bits
-    assert drops.omni_pl_db.tobytes() == whole.omni_pl_db.tobytes()
+    w = min(trials, cpus)
+    assert sorted(chunks) == [(trials * i // w, trials * (i + 1) // w)
+                              for i in range(w)]
+    assert drops.omni_pl_db.tobytes() == reference.omni_pl_db[:trials].tobytes()
+    assert (masks_by_trial(drops, SMALL_R)
+            == masks_by_trial(reference, SMALL_R)[:trials])
 
 
 THREE_BSS = [bs(1, 40.0, 0.0), bs(2, 0.0, 90.0), bs(3, -60.0, 10.0)]
@@ -920,7 +830,7 @@ def test_stacked_reduction_matches_per_trial_counts(monkeypatch, bss, ues,
                   budget=LinkBudget(max_pl_db=max_pl_db))
     assert Condition.NLOS_BEST in sc.models
     topology = topology or sc.topology()
-    los = stream_los(sc, trials)
+    los = np.array([documented_draws(sc, t)[0] for t in range(trials)])
     assert los.any() and not los.all()
     for cpus in (1, 2, 3):
         _with_cpus(monkeypatch, cpus)
@@ -970,48 +880,43 @@ def _reception_chunks(bad_trial):
     return chunk
 
 
-def test_worker_error_reaches_caller(monkeypatch):
-    # The last trial lacks one link's mask, so only the worker chunk fails.
-    chunk = _reception_chunks(6)
-    _with_cpus(monkeypatch, 2)
-    with _no_threads_left(), _deadline(60):
-        with pytest.raises(ValueError, match="missing reception mask"):
-            _map_trials(chunk, 7)
-
-
-def test_first_chunk_error_reaps_workers(monkeypatch):
-    chunk = _reception_chunks(0)
-    _with_cpus(monkeypatch, 2)
-    with _no_threads_left(), _deadline(60):
-        with pytest.raises(ValueError, match="missing reception mask"):
-            _map_trials(chunk, 7)
-
-
-def test_lowest_failing_chunk_raises_after_every_chunk_ends(monkeypatch):
-    _with_cpus(monkeypatch, 3)
-    ended = []
-
+def _second_chunk_fails_last():
+    """A chunk function over 5 trials on 3 CPUs whose chunks 1 and 2 fail,
+    chunk 2 first."""
     def chunk(lo, hi):
         if lo == 1:
-            time.sleep(0.05)  # chunk 2 fails first
-            ended.append(lo)
+            time.sleep(0.05)
             raise KeyError(lo)
-        ended.append(lo)
         if lo == 3:
             raise ValueError(lo)
+    return chunk
+
+
+# Failing chunks: usable CPUs, trials, the chunk function's maker, and the
+# error and message that reach the caller.
+CHUNK_ERRORS = {
+    "last_chunk": (2, 7, lambda: _reception_chunks(6), ValueError,
+                   "missing reception mask"),
+    "first_chunk": (2, 7, lambda: _reception_chunks(0), ValueError,
+                    "missing reception mask"),
+    "two_chunks": (3, 5, _second_chunk_fails_last, KeyError, None),
+}
+
+
+@pytest.mark.parametrize("cpus, trials, make_chunk, error, match",
+                         list(CHUNK_ERRORS.values()), ids=list(CHUNK_ERRORS))
+def test_lowest_failing_chunk_raises_after_every_chunk_ends(
+        monkeypatch, cpus, trials, make_chunk, error, match):
+    _with_cpus(monkeypatch, cpus)
+    chunk, ended = make_chunk(), []
+
+    def run(lo, hi):
+        try:
+            chunk(lo, hi)
+        finally:
+            ended.append(lo)
 
     with _no_threads_left(), _deadline(60):
-        with pytest.raises(KeyError):
-            _map_trials(chunk, 5)
-    assert sorted(ended) == [0, 1, 3]
-
-
-def test_daemon_process_runs_trials_in_process(monkeypatch):
-    import multiprocessing
-    sc = scenario([bs(1, 40.0, 0.0)], [ue(1, 10.0, 10.0)], sweep=SMALL_SWEEP)
-    expected = simulate_drop(sc, 3).masks
-    _with_cpus(monkeypatch, 2)
-    # Daemonic processes, such as multiprocessing.Pool workers, may not
-    # start children of their own; the trial chunks run on threads there too.
-    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-    assert simulate_drop(sc, 3).masks == expected
+        with pytest.raises(error, match=match):
+            _map_trials(run, trials)
+    assert sorted(ended) == [trials * i // cpus for i in range(cpus)]

@@ -125,6 +125,24 @@ INVALID = {
     "Scenario": (
         Scenario, ((), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
         "scenario needs at least one base station"),
+    "Scenario_no_ues": (
+        Scenario, ((B1,), (), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
+        "scenario needs at least one UE"),
+    "Scenario_duplicate_id": (
+        Scenario, ((B1, Node("B1", 9.0, 0.0, 4.0)), (U1,), MODELS, BUDGET,
+                   SweepGrid(), PINNED, 0.5, 7),
+        "duplicate base station id"),
+    "Scenario_missing_model": (
+        Scenario, ((B1,), (U1,), {Condition.LOS: MODELS[Condition.LOS]},
+                   BUDGET, SweepGrid(), PINNED, 0.5, 7),
+        "missing CI model for condition NLOS"),
+    "Scenario_p_los": (
+        Scenario, ((B1,), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 1.5, 7),
+        "p_los must be in [0, 1], got 1.5"),
+    "Scenario_pin_nlos_best": (
+        Scenario, ((B1,), (U1,), MODELS, BUDGET, SweepGrid(),
+                   {("U1", "B1"): Condition.NLOS_BEST}, 0.5, 7),
+        "conditions: link U1/B1 must be LOS or NLOS"),
     # Bit 2 of a two-lane set over 2 directions is lane 0's guard bit.
     "MaskSet_wider_than_lanes": (
         MaskSet, ({("U1", "B1"): 0b100}, 2, 2),
@@ -144,7 +162,7 @@ def test_every_record_class_is_covered():
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
     assert (checked == {cls for cls, _, _ in INVALID.values()}
-            and len(INVALID) == 27)
+            and len(INVALID) == 32)
 
 
 def test_record_fields():
