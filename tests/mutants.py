@@ -69,7 +69,8 @@ MUTANTS = [
     ("k-max-0-allowed", "diversity.py", "if k_max < 1:", "if k_max < 0:",
      DIV + "test_library_rejects[reception_k_max_0]"),
     ("best-pair-replaces-highest-draw", "diversity.py", "pl.argmin(axis=2)",
-     "pl.argmax(axis=2)", DIV + "test_draw_policy_matches_documented_rules"),
+     "pl.argmax(axis=2)",
+     DIV + "test_simulate_omni_bounded_by_best_detected_pair"),
     ("duplicate-ids-allowed", "diversity.py",
      "if len(set(ids)) != len(ids):", "if False:",
      "tests/test_records.py::test_check_runs_positionally_and_by_keyword"

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from mmwcomp import CiModel, ci_mean_path_loss_db, fspl_db
+from mmwcomp import CiModel, ci_mean_path_loss_db, fspl_db, substream
 
 
 def test_fspl_anchor_at_1ghz_1m():
@@ -73,3 +74,13 @@ def test_ci_mean_rejects_below_reference():
     model = CiModel(73.5, 2.0, 0.0)
     with pytest.raises(ValueError):
         ci_mean_path_loss_db(model, 0.5)
+
+
+def test_substream_reproducible_and_independent():
+    a = substream(7, 1).normal(size=8)
+    b = substream(7, 1).normal(size=8)
+    c = substream(7, 2).normal(size=8)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    with pytest.raises(ValueError):
+        substream(-1, 0)

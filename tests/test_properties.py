@@ -4,13 +4,13 @@ import itertools
 
 import oracles
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmwcomp import (CiModel, LinkBudget, MaskSet, build_cdf,
                      ci_mean_path_loss_db, combination_count,
                      edge_outage_probability, format_pct, fspl_db,
-                     reception_counts, region_outage_probability)
+                     reception_counts, region_outage_probability, substream)
 from mmwcomp.cli import _reception_rows
 from mmwcomp.diversity import _miss_set_hits, lane_bytes
 from mmwcomp.results import _parse_pct
@@ -188,3 +188,12 @@ def test_lane_kernel_counts_every_lane_like_brute_force(n, lanes, n_bs, data):
             expected, _ = oracles.union_reception(
                 topology, {("U1", f"B{j}"): m for j, m in enumerate(ms)}, n, k)
             assert got == expected
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(0, 100))
+@settings(max_examples=25)
+def test_substream_deterministic(seed, key):
+    a, b, c = (substream(seed, k).integers(0, 2**63, size=4)
+               for k in (key, key, key + 1))
+    assert list(a) == list(b)
+    assert list(a) != list(c)
