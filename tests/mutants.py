@@ -36,6 +36,8 @@ ROW = CLI + "test_unreadable_input_exits_1"
 TWELVE = ("tests/test_properties.py::"
           "test_reception_counts_match_brute_force_on_twelve_stations")
 DIV = "tests/test_diversity.py::"
+INVALID = "tests/test_records.py::test_check_runs_positionally_and_by_keyword"
+FITS = "tests/test_fitting.py::test_fit_matches_numpy_least_squares"
 
 # (name, file under src/mmwcomp/, old text, new text, node that must fail)
 MUTANTS = [
@@ -47,7 +49,23 @@ MUTANTS = [
      "level[s].items()", TWELVE),
     ("fit-sigma-over-n-minus-1", "fitting.py", "/ len(d_m))",
      "/ (len(d_m) - 1))",
-     "tests/test_fitting.py::test_fit_matches_closed_form_on_noisy_data"),
+     FITS + "[closed_form_on_noisy_data]"),
+    ("fit-unanchored", "fitting.py",
+     "anchor_db = fspl_db(f_ghz, REFERENCE_DISTANCE_M)", "anchor_db = 0.0",
+     FITS + "[closed_form_on_noisy_data]"),
+    ("region-sign", "coverage.py", "(1.0 - a * b) / b", "(1.0 + a * b) / b",
+     "tests/test_coverage.py::test_nlos_outage_values[63m]"),
+    ("ci-mean-nan-distance", "propagation.py", "if not d_m >= d0:",
+     "if d_m < d0:", "tests/test_coverage.py::test_library_rejects"
+                     "[edge_radius_nan]"),
+    ("fspl-10db-per-decade", "propagation.py", "20.0 * math.log10(d_m)",
+     "10.0 * math.log10(d_m)",
+     "tests/test_propagation.py::test_spot_value[fspl_20db_per_decade]"),
+    ("ple-nan-accepted", "propagation.py", "if not 0 < self.ple < math.inf:",
+     "if self.ple <= 0 or self.ple >= math.inf:",
+     INVALID + "[CiModel_ple_nan_sigma_11.4]"),
+    ("sigma-nan-accepted", "propagation.py", "if not self.sigma_db >= 0:",
+     "if self.sigma_db < 0:", INVALID + "[CiModel_sigma_nan]"),
     ("pin-compared-with-is", "diversity.py",
      "scenario.conditions[key] == Condition.LOS",
      "scenario.conditions[key] is Condition.LOS",
@@ -73,8 +91,15 @@ MUTANTS = [
      DIV + "test_simulate_omni_bounded_by_best_detected_pair"),
     ("duplicate-ids-allowed", "diversity.py",
      "if len(set(ids)) != len(ids):", "if False:",
-     "tests/test_records.py::test_check_runs_positionally_and_by_keyword"
-     "[Scenario_duplicate_id]"),
+     INVALID + "[Scenario_duplicate_id]"),
+    ("p-los-nan-accepted", "diversity.py", "if not 0.0 <= self.p_los <= 1.0:",
+     "if self.p_los < 0.0 or self.p_los > 1.0:",
+     INVALID + "[Scenario_p_los_nan]"),
+    ("sweep-grid-allows-bool", "diversity.py", "type(c) is int",
+     "isinstance(c, int)", INVALID + "[SweepGrid_bool]"),
+    ("lane-allows-negative", "diversity.py", "if not 0 <= t < self.lanes:",
+     "if not t < self.lanes:",
+     "tests/test_records.py::test_drops_share_comes_from_the_mask_set_alone"),
     ("internal-error-exits-1", "cli.py",
      'file=sys.stderr)\n        return 2', 'file=sys.stderr)\n        return 1',
      CLI + "test_internal_failure_exits_2"),
@@ -104,6 +129,15 @@ MUTANTS = [
     ("model-cards-allow-duplicates", "scenario_io.py",
      "if any(c.condition is card.condition for c in cards):",
      "if False:", ROW + "[models-duplicate-condition]"),
+    ("masks-skip-01-check", "scenario_io.py",
+     'len(bits) != width or set(bits) - {"0", "1"}:', "len(bits) != width:",
+     ROW + "[masks-bad-char]"),
+    ("masks-allow-empty", "scenario_io.py",
+     "if not bits or len(bits) != width", "if len(bits) != width",
+     ROW + "[masks-empty-mask]"),
+    ("csv-header-unstripped", "scenario_io.py",
+     "tuple(h.strip() for h in header)", "tuple(header)",
+     "tests/test_cli_io.py::TestSamplesCsv::test_parse_basic_row"),
 ]
 
 

@@ -170,9 +170,12 @@ class TestSamplesCsv:
         assert list(back) == [Condition.LOS, Condition.NLOS]
 
     def test_parse_basic_row(self):
-        buf = io.StringIO("d_m,pl_db,condition,polarization\n63,152.5,NLOS,VV\n")
-        assert read_samples_csv(buf) == {
-            Condition.NLOS: PathLossSamples((63.0,), (152.5,))}
+        # A header cell may carry spaces around its name.
+        for header in ("d_m,pl_db,condition,polarization",
+                       "d_m, pl_db, condition, polarization"):
+            buf = io.StringIO(f"{header}\n63,152.5,NLOS,VV\n")
+            assert read_samples_csv(buf) == {
+                Condition.NLOS: PathLossSamples((63.0,), (152.5,))}
 
     def test_strict_reports_line_number(self):
         buf = io.StringIO(
@@ -587,6 +590,10 @@ EXIT_1 = [
             "masks CSV line 3: rx_id and tx_id must be non-empty\n"),
            ("blank-tx_id", b"U1,,1\n",
             "masks CSV line 2: rx_id and tx_id must be non-empty\n"),
+           ("bad-char", b"U1,B1,1021\n",
+            "masks CSV line 2: mask must be 4 chars of 0/1\n"),
+           ("empty-mask", b"U1,B1,\n",
+            "masks CSV line 2: mask must be one or more chars of 0/1\n"),
            ("missing-link", MASK_U1_B1,
             "{path}: missing reception mask for link ('U1', 'B2')\n")]),
     # The flags are checked before any file is read.
@@ -718,6 +725,22 @@ def exit_1_rows(rows):
     return pytest.mark.parametrize("row", rows, ids=[row[0] for row in rows])
 
 
+def write_golden_inputs(tmp_path):
+    """Write the samples, topology and masks files of the golden tests to
+    ``tmp_path`` and return their paths."""
+    samples = tmp_path / "samples.csv"
+    samples.write_text("d_m,pl_db,condition,polarization\n"
+                       "20,120.5,NLOS,VV\n45,141.25,NLOS,VV\n"
+                       "90,150,NLOS,VV\n150,163.75,NLOS,VH\n"
+                       "10,88.5,LOS,VV\n35,101,LOS,VV\n")
+    topo = tmp_path / "topology.json"
+    topo.write_text('{"U1": ["B1", "B2", "B3"], "U2": ["B2", "B3"]}')
+    masks = tmp_path / "masks.csv"
+    masks.write_text("rx_id,tx_id,mask\nU1,B1,1100\nU1,B2,0011\n"
+                     "U1,B3,1010\nU2,B2,0111\nU2,B3,1000\n")
+    return samples, topo, masks
+
+
 class TestCli:
     def write_scenario(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -841,11 +864,7 @@ class TestCli:
         # ROADMAP.md change those bytes on purpose.  The CDF
         # files are left out because their %.12g values come from numpy's
         # exp, whose last bit may differ between CPUs.
-        samples = tmp_path / "samples.csv"
-        samples.write_text("d_m,pl_db,condition,polarization\n"
-                           "20,120.5,NLOS,VV\n45,141.25,NLOS,VV\n"
-                           "90,150,NLOS,VV\n150,163.75,NLOS,VH\n"
-                           "10,88.5,LOS,VV\n35,101,LOS,VV\n")
+        samples, topo, masks = write_golden_inputs(tmp_path)
         assert main(["fit", "--samples", str(samples),
                      "--out", str(tmp_path / "fit")]) == 0
         capsys.readouterr()
@@ -869,11 +888,6 @@ class TestCli:
   }
 ]
 """
-        topo = tmp_path / "topology.json"
-        topo.write_text('{"U1": ["B1", "B2", "B3"], "U2": ["B2", "B3"]}')
-        masks = tmp_path / "masks.csv"
-        masks.write_text("rx_id,tx_id,mask\nU1,B1,1100\nU1,B2,0011\n"
-                         "U1,B3,1010\nU2,B2,0111\nU2,B3,1000\n")
         out = tmp_path / "enum"
         assert main(["enumerate", "--topology", str(topo), "--masks",
                      str(masks), "--out", str(out)]) == 0
@@ -904,16 +918,7 @@ class TestCli:
         # report's exact stdout on four bundles: fit, enumerate --masks, a
         # 2-trial simulate and coverage --models with an NLOS-only card (the
         # default models' LOS rows print 0.0; see test_golden_outputs).
-        samples = tmp_path / "samples.csv"
-        samples.write_text("d_m,pl_db,condition,polarization\n"
-                           "20,120.5,NLOS,VV\n45,141.25,NLOS,VV\n"
-                           "90,150,NLOS,VV\n150,163.75,NLOS,VH\n"
-                           "10,88.5,LOS,VV\n35,101,LOS,VV\n")
-        topo = tmp_path / "topology.json"
-        topo.write_text('{"U1": ["B1", "B2", "B3"], "U2": ["B2", "B3"]}')
-        masks = tmp_path / "masks.csv"
-        masks.write_text("rx_id,tx_id,mask\nU1,B1,1100\nU1,B2,0011\n"
-                         "U1,B3,1010\nU2,B2,0111\nU2,B3,1000\n")
+        samples, topo, masks = write_golden_inputs(tmp_path)
         runs = {
             "fit": ["fit", "--samples", str(samples)],
             "enum": ["enumerate", "--topology", str(topo), "--masks",

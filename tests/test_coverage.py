@@ -12,6 +12,9 @@ from mmwcomp import (CiModel, Condition, LinkBudget, edge_outage_probability,
 SOUNDER = LinkBudget()
 HORNS = (14.9, 27.0, 20.0)  # the sounder's P_t, G_t and G_r
 NLOS = CiModel(73.5, 4.6, 11.4)
+NEAR = CiModel(73.5, 4.6, 0.0)  # NLOS without shadowing
+# The radius where the NLOS mean path loss meets the 175 dB limit.
+D_CRIT = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
 
 
 def test_receiver_threshold():
@@ -30,51 +33,54 @@ def test_receiver_threshold_is_detection_limit_seen_from_transmitter():
         receiver_threshold_dbm(budget, *HORNS), abs=1e-9)
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        LinkBudget(max_pl_db=-1.0)
-
-
-def test_query_validation():
+REJECTIONS = {
     # A radius below the 1 m reference distance, or NaN, is rejected.
-    for fn in (edge_outage_probability, region_outage_probability):
-        for radius in (0.5, math.nan):
-            with pytest.raises(ValueError, match="defined for d >= 1.0 m"):
-                fn(NLOS, SOUNDER, radius)
-    with pytest.raises(ValueError, match="defined for d >= 1.0 m"):
-        outage_table({Condition.NLOS: NLOS}, SOUNDER, [63.0, 0.5])
+    **{f"{name}_radius_{radius}": (
+        lambda fn=fn, radius=radius: fn(NLOS, SOUNDER, radius), ValueError,
+        "CI model is defined for d >= 1.0 m")
+       for name, fn in (("edge", edge_outage_probability),
+                        ("region", region_outage_probability))
+       for radius in (0.5, math.nan)},
+    "table_radius_0.5": (
+        lambda: outage_table({Condition.NLOS: NLOS}, SOUNDER, [63.0, 0.5]),
+        ValueError, "CI model is defined for d >= 1.0 m"),
+    "table_no_distances": (
+        lambda: outage_table({Condition.NLOS: NLOS}, SOUNDER, []),
+        ValueError, "distances must be non-empty"),
+}
 
 
-def test_edge_outage_nlos_values():
-    expect = {63.0: 2.4186, 78.0: 5.4820, 87.0: 7.9498, 100.0: 12.2129,
-              200.0: 52.0048}
-    for d, pct in expect.items():
-        assert 100.0 * edge_outage_probability(
-            NLOS, SOUNDER, d) == pytest.approx(pct, abs=1e-3)
+@pytest.mark.parametrize("call, error, message", list(REJECTIONS.values()),
+                         ids=list(REJECTIONS))
+def test_library_rejects(call, error, message, rejects):
+    rejects(call, error, message)
 
 
-def test_region_outage_nlos_values():
-    expect = {63.0: 0.7420, 78.0: 1.8365, 87.0: 2.7910, 100.0: 4.5603,
-              200.0: 27.0790}
-    for d, pct in expect.items():
-        assert 100.0 * region_outage_probability(
-            NLOS, SOUNDER, d) == pytest.approx(pct, abs=1e-3)
+# NLOS edge and region outage in percent at each cell radius.
+NLOS_OUTAGE_PCT = [(63.0, 2.4186, 0.7420), (78.0, 5.4820, 1.8365),
+                   (87.0, 7.9498, 2.7910), (100.0, 12.2129, 4.5603),
+                   (200.0, 52.0048, 27.0790)]
+
+
+@pytest.mark.parametrize("radius, edge_pct, region_pct", NLOS_OUTAGE_PCT,
+                         ids=[f"{row[0]:g}m" for row in NLOS_OUTAGE_PCT])
+def test_nlos_outage_values(radius, edge_pct, region_pct):
+    assert 100.0 * edge_outage_probability(
+        NLOS, SOUNDER, radius) == pytest.approx(edge_pct, abs=1e-3)
+    assert 100.0 * region_outage_probability(
+        NLOS, SOUNDER, radius) == pytest.approx(region_pct, abs=1e-3)
 
 
 def test_edge_half_at_mean_equal_threshold():
     # Mean PL at the radius exactly equals the tolerable maximum.
-    model = CiModel(73.5, 4.6, 11.4)
-    d = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
-    assert edge_outage_probability(model, SOUNDER, d) == pytest.approx(
+    assert edge_outage_probability(NLOS, SOUNDER, D_CRIT) == pytest.approx(
         0.5, abs=1e-9)
 
 
 def test_edge_zero_sigma_step():
-    near = CiModel(73.5, 4.6, 0.0)
-    assert edge_outage_probability(near, SOUNDER, 63.0) == 0.0   # 152.5 < 175
-    assert edge_outage_probability(near, SOUNDER, 200.0) == 1.0  # 175.6 > 175
-    d_crit = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
-    assert edge_outage_probability(near, SOUNDER, d_crit) == 0.5
+    assert edge_outage_probability(NEAR, SOUNDER, 63.0) == 0.0   # 152.5 < 175
+    assert edge_outage_probability(NEAR, SOUNDER, 200.0) == 1.0  # 175.6 > 175
+    assert edge_outage_probability(NEAR, SOUNDER, D_CRIT) == 0.5
 
 
 def test_region_outage_below_edge_outage():
@@ -85,30 +91,17 @@ def test_region_outage_below_edge_outage():
                     < edge_outage_probability(model, SOUNDER, d))
 
 
-def test_region_outage_requires_positive_ple():
-    # The useful-area closed form needs n > 0; CiModel rejects any other
-    # exponent, so no call can reach the kernel with one.
-    for ple in (-1.0, 0.0, math.inf, math.nan):
-        for sigma in (11.4, 0.0):
-            with pytest.raises(ValueError,
-                               match=f"ple must be positive and finite, "
-                                     f"got {ple}"):
-                CiModel(73.5, ple, sigma)
-
-
 def test_region_outage_zero_sigma_is_disk_share_beyond_coverage_radius():
-    # Without shadowing a point is in outage beyond the radius where the
-    # mean path loss meets the 175 dB limit: d_crit = 10^((175 - FSPL) / 46).
-    near = CiModel(73.5, 4.6, 0.0)
-    d_crit = 10.0 ** ((SOUNDER.max_pl_db - 69.7257467816839) / 46.0)
-    for d in (63.0, d_crit):
-        assert region_outage_probability(near, SOUNDER, d) == 0.0
+    # Without shadowing a point is in outage beyond D_CRIT, the radius where
+    # the mean path loss meets the 175 dB limit.
+    for d in (63.0, D_CRIT):
+        assert region_outage_probability(NEAR, SOUNDER, d) == 0.0
     for d in (200.0, 400.0):
-        assert region_outage_probability(near, SOUNDER, d) == pytest.approx(
-            1.0 - (d_crit / d) ** 2, rel=1e-9)
+        assert region_outage_probability(NEAR, SOUNDER, d) == pytest.approx(
+            1.0 - (D_CRIT / d) ** 2, rel=1e-9)
     # ... and it is the limit of the shadowed closed form as sigma -> 0.
-    assert region_outage_probability(near, SOUNDER, 200.0) == pytest.approx(
-        region_outage_probability(near._replace(sigma_db=0.005), SOUNDER,
+    assert region_outage_probability(NEAR, SOUNDER, 200.0) == pytest.approx(
+        region_outage_probability(NEAR._replace(sigma_db=0.005), SOUNDER,
                                   200.0),
         abs=1e-6)
     # A huge negative margin must not overflow the power.
@@ -144,8 +137,3 @@ def test_outage_table_shape_and_order():
         ("LOS", 63.0), ("LOS", 100.0), ("NLOS", 63.0), ("NLOS", 100.0)]
     for row in rows:
         assert 0.0 <= row.p_out_region <= row.p_out_edge <= 1.0
-
-
-def test_outage_table_rejects_empty_distances():
-    with pytest.raises(ValueError):
-        outage_table({Condition.NLOS: NLOS}, SOUNDER, [])

@@ -168,16 +168,14 @@ REJECTIONS = {
 
 @pytest.mark.parametrize("call, message", list(REJECTIONS.values()),
                          ids=list(REJECTIONS))
-def test_library_rejects(call, message):
-    with pytest.raises(ValueError) as exc:
-        call()
-    assert str(exc.value) == message
+def test_library_rejects(call, message, rejects):
+    rejects(call, ValueError, message)
 
 
 @pytest.mark.parametrize("entry", [lambda sc: simulate_drop(sc, 2),
                                    link_statistics],
                          ids=["simulate_drop", "link_statistics"])
-def test_simulate_drop_names_link_of_bad_length(entry):
+def test_simulate_drop_names_link_of_bad_length(entry, rejects):
     # The length rule holds for library callers too, not only for the CLI:
     # a 1e200 m link's squared length overflows, and 0.1 m is below the CI
     # model's reference distance.
@@ -186,7 +184,7 @@ def test_simulate_drop_names_link_of_bad_length(entry):
                        (0.1, "is shorter than the CI model's 1.0 m "
                              "reference")):
         sc = scenario([Node("B1", x, 0.0, 1.4)], [ue(1, 0.0, 0.0)])
-        test_library_rejects(lambda: entry(sc), f"link U1/B1 {message}")
+        rejects(lambda: entry(sc), ValueError, f"link U1/B1 {message}")
 
 
 # Shadowing-free models and a 120 dB limit, which every LOS draw meets and

@@ -35,13 +35,32 @@ def make_samples(model, distances, rng=None):
     return columns(out)
 
 
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        columns([(0.5, 100.0)])
-    with pytest.raises(ValueError):
-        columns([(10.0, math.nan)])
-    with pytest.raises(ValueError, match=r"equal lengths, got \[2, 1\]"):
-        PathLossSamples((20.0, 30.0), (120.0,))
+def noisy(truth, key, size):
+    """``size`` samples of ``truth``, shadowing included, drawn on
+    ``substream(11, key)`` at log-uniform distances over [10, 200] m."""
+    rng = substream(11, key)
+    return make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=size), rng)
+
+
+def every_sample(samples):
+    """``samples`` and its columns as arrays, for a fit of every sample."""
+    return samples, np.array(samples.d_m), np.array(samples.pl_db)
+
+
+def mixed_polarizations(n):
+    """``n`` samples over [1, 1e4] m, about a fifth of them cross-polarized,
+    as ``read_samples_csv`` returns them, and the co-polarized distances and
+    losses as arrays: the reader must leave the VH rows out of the fit."""
+    rng = substream(23, n)
+    d = 10.0 ** rng.uniform(0.0, 4.0, size=n)
+    ple_true, sigma_true = rng.uniform(1.5, 6.0), rng.uniform(1.0, 15.0)
+    pl = fspl_db(F, 1.0) + 10.0 * ple_true * np.log10(d) + rng.normal(
+        0.0, sigma_true, n)
+    vh = rng.uniform(size=n) < 0.2
+    vh[:2] = False
+    samples = read_rows((a, b, "NLOS", "VH" if c else "VV")
+                        for a, b, c in zip(d.tolist(), pl.tolist(), vh))
+    return samples[Condition.NLOS], d[~vh], pl[~vh]
 
 
 def test_fit_noise_free_exact():
@@ -62,26 +81,34 @@ def test_fit_two_points_one_decade_apart():
     assert fit.sigma_db == pytest.approx(0.0, abs=1e-12)
 
 
-def test_fit_matches_closed_form_on_noisy_data():
-    truth = CiModel(F, 4.6, 11.4)
-    rng = substream(11, 0)
-    samples = make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=300), rng)
+# Each row makes the samples to fit and the distances and losses that the
+# numpy closed form fits, and gives the tolerance of the comparison.
+FITS = {
+    "closed_form_on_noisy_data": (
+        lambda: every_sample(noisy(CiModel(F, 4.6, 11.4), 0, 300)),
+        {"abs": 1e-12}),
+    **{str(n): (lambda n=n: mixed_polarizations(n), {"rel": 1e-12, "abs": 0})
+       for n in (2, 3, 17, 1000, 100_000)},
+}
+
+
+@pytest.mark.parametrize("make, tol", list(FITS.values()), ids=list(FITS))
+def test_fit_matches_numpy_least_squares(make, tol):
+    # Oracle: the same closed form over numpy arrays with np.sum.
+    samples, d, pl = make()
     fit = fit_ci(samples, F)
-    x = np.array([10.0 * math.log10(d) for d in samples.d_m])
-    y = np.array([pl - fspl_db(F, 1.0) for pl in samples.pl_db])
-    ple = float(x @ y / (x @ x))
-    resid = y - ple * x
-    assert fit.ple == pytest.approx(ple, abs=1e-12)
-    assert fit.sigma_db == pytest.approx(
-        math.sqrt(float(resid @ resid) / len(samples.d_m)), abs=1e-12)
+    x = 10.0 * np.log10(d)
+    y = pl - fspl_db(F, 1.0)
+    ple = np.sum(x * y) / np.sum(x * x)
+    sigma = np.sqrt(np.sum((y - ple * x) ** 2) / x.size)
+    assert fit.ple == pytest.approx(float(ple), **tol)
+    assert fit.sigma_db == pytest.approx(float(sigma), **tol)
 
 
 def test_fit_shift_consistency():
     # Adding c dB to every sample shifts the fitted slope by c*sum(x)/sum(x^2)
     # in the anchored (no-intercept) closed form.
-    truth = CiModel(F, 2.8, 8.7)
-    rng = substream(11, 1)
-    samples = make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=200), rng)
+    samples = noisy(CiModel(F, 2.8, 8.7), 1, 200)
     c = 7.0
     shifted = columns([(d, pl + c) for d, pl in zip(*samples)])
     x = np.array([10.0 * math.log10(d) for d in samples.d_m])
@@ -90,33 +117,37 @@ def test_fit_shift_consistency():
         expect_delta, abs=1e-10)
 
 
-def test_fit_requires_two_distinct_distances():
-    s = (50.0, 140.0)
-    with pytest.raises(FitError):
-        fit_ci(columns([s]), F)
-    with pytest.raises(FitError):
-        fit_ci(columns([s, (50.0, 150.0)]), F)
-
-
-@pytest.mark.parametrize("pl_db", [(1e307,) * 30, (1e308, -1e308)])
-def test_fit_rejects_path_loss_beyond_float_range(pl_db):
+REJECTIONS = {
+    "one_sample": (lambda: fit_ci(columns([(50.0, 140.0)]), F), FitError,
+                   "need at least 2 samples, got 1"),
+    "one_distance": (
+        lambda: fit_ci(columns([(50.0, 140.0), (50.0, 150.0)]), F), FitError,
+        "samples must span at least two distinct distances"),
     # Every product is finite but the sums overflow, or they hold inf - inf.
-    samples = columns([(10.0 + i, pl) for i, pl in enumerate(pl_db)])
-    with pytest.raises(FitError, match="too large to fit"):
-        fit_ci(samples, F)
-
-
-@pytest.mark.parametrize("pl_db", [(fspl_db(F, 1.0),) * 2, (60.0, 50.0)],
-                         ids=["flat-at-anchor", "falling"])
-def test_fit_rejects_non_positive_slope(pl_db):
+    **{f"sums_{name}": (
+        lambda pl_db=pl_db: fit_ci(
+            columns([(10.0 + i, pl) for i, pl in enumerate(pl_db)]), F),
+        FitError, "path loss values are too large to fit")
+       for name, pl_db in (("overflow", (1e307,) * 30),
+                           ("inf_minus_inf", (1e308, -1e308)))},
     # A slope of 0 or below is no CI model; the caller names the condition.
-    samples = columns(zip((10.0, 40.0), pl_db))
-    with pytest.raises(FitError, match="^samples fit a path loss exponent "
-                                       "of .*; the CI model needs ple > 0$"):
-        fit_ci(samples, F)
+    **{f"slope_{name}": (
+        lambda pl_db=pl_db: fit_ci(columns(zip((10.0, 40.0), pl_db)), F),
+        FitError, f"samples fit a path loss exponent of {ple}; the CI model "
+                  "needs ple > 0")
+       for name, pl_db, ple in (
+           ("flat_at_anchor", (fspl_db(F, 1.0),) * 2, "0"),
+           ("falling", (60.0, 50.0), "-1.15874"))},
+}
 
 
-def test_reader_keeps_no_cross_polarized_rows():
+@pytest.mark.parametrize("call, error, message", list(REJECTIONS.values()),
+                         ids=list(REJECTIONS))
+def test_library_rejects(call, error, message, rejects):
+    rejects(call, error, message)
+
+
+def test_reader_keeps_no_cross_polarized_rows(rejects):
     truth = CiModel(F, 2.0, 0.0)
     co = make_samples(truth, [10.0, 50.0, 100.0])
     # Cross-polarized rows carry a large discrimination offset; the reader
@@ -127,16 +158,15 @@ def test_reader_keeps_no_cross_polarized_rows():
     assert fit_ci(both[Condition.LOS], F).ple == pytest.approx(2.0, abs=1e-9)
     only_cross = read_rows(cross)
     assert only_cross == {Condition.LOS: PathLossSamples()}
-    with pytest.raises(FitError):
-        fit_ci(only_cross[Condition.LOS], F)  # nothing co-polarized is left
+    # Nothing co-polarized is left to fit.
+    rejects(lambda: fit_ci(only_cross[Condition.LOS], F), FitError,
+            "need at least 2 samples, got 0")
 
 
 def test_residuals_orthogonal_to_regressor():
     # The anchored one-parameter fit leaves residuals orthogonal to
     # 10*log10(d); their plain mean is generally nonzero.
-    truth = CiModel(F, 4.6, 11.4)
-    rng = substream(11, 2)
-    samples = make_samples(truth, 10.0 ** rng.uniform(1, 2.3, size=500), rng)
+    samples = noisy(CiModel(F, 4.6, 11.4), 2, 500)
     fit = fit_ci(samples, F)
     x = np.array([10.0 * math.log10(d) for d in samples.d_m])
     resid = np.array([pl - ci_mean_path_loss_db(fit, d)
@@ -144,27 +174,3 @@ def test_residuals_orthogonal_to_regressor():
     assert float(x @ resid) == pytest.approx(0.0, abs=1e-6)
     assert fit.sigma_db == pytest.approx(
         math.sqrt(float(resid @ resid) / len(samples.d_m)), rel=1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 3, 17, 1000, 100_000])
-def test_fit_matches_numpy_least_squares(n):
-    # Oracle: the same closed form over numpy arrays with np.sum, on
-    # distances across [1, 1e4] m and a share of cross-polarized rows that
-    # the reader must leave out of what the fit sees.
-    rng = substream(23, n)
-    d = 10.0 ** rng.uniform(0.0, 4.0, size=n)
-    ple_true, sigma_true = rng.uniform(1.5, 6.0), rng.uniform(1.0, 15.0)
-    pl = fspl_db(F, 1.0) + 10.0 * ple_true * np.log10(d) + rng.normal(
-        0.0, sigma_true, n)
-    vh = rng.uniform(size=n) < 0.2
-    vh[:2] = False
-    samples = read_rows((a, b, "NLOS", "VH" if c else "VV")
-                        for a, b, c in zip(d.tolist(), pl.tolist(), vh))
-    fit = fit_ci(samples[Condition.NLOS], F)
-    x = 10.0 * np.log10(d[~vh])
-    y = pl[~vh] - fspl_db(F, 1.0)
-    ple = np.sum(x * y) / np.sum(x * x)
-    sigma = np.sqrt(np.sum((y - ple * x) ** 2) / x.size)
-    assert fit.ple == pytest.approx(float(ple), rel=1e-12, abs=0)
-    assert fit.sigma_db == pytest.approx(float(sigma), rel=1e-12, abs=0)
-

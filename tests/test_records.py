@@ -26,6 +26,13 @@ U1 = Node("U1", 30.0, 0.0, 1.4)
 PINNED = {("U1", "B1"): Condition.LOS}
 MODELS = {Condition.LOS: CiModel(73.5, 2.0, 1.9),
           Condition.NLOS: NLOS}
+SCENARIO = Scenario((B1,), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7)
+
+
+def edited(record, **fields):
+    """The fields of ``record`` with some of them replaced, unchecked."""
+    return tuple(record._replace(**fields))
+
 
 # One valid record of every class; mappings are plain dicts, as the parsers
 # build them (the read-only empty default mappings do not pickle).
@@ -42,7 +49,7 @@ RECORDS = [
                  {"best1_pl_db": [CdfPoint(120.0, 1.0)]}),
     B1,
     SweepGrid(),
-    Scenario((B1,), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
+    SCENARIO,
     MaskSet({("U1", "B1"): 0b101}, 3),
     link_statistics(Scenario((B1,), (U1,), MODELS, conditions=PINNED)),
     # One link over two trials in one-byte lanes: masks 0b1, then 0b11.
@@ -54,16 +61,31 @@ RECORDS = [
 # check that compares a float, so those checks are written negated.  Each
 # row's key is its fixed test id, so adding a row renames no other.
 INVALID = {
-    "CiModel": (
-        CiModel, (0.0, 2.0, 1.0),
-        "f_ghz must be positive and finite, got 0.0"),
-    "LinkBudget": (
-        LinkBudget, (0.0,), "max_pl_db must be positive, got 0.0"),
-    "LinkBudget_nan1": (
-        LinkBudget, (math.nan,), "max_pl_db must be positive, got nan"),
+    **{f"CiModel{name}": (
+        CiModel, (f, 2.0, 1.0), f"f_ghz must be positive and finite, got {f}")
+       for name, f in (("", 0.0), ("_f_ghz_nan", math.nan),
+                       ("_f_ghz_inf", math.inf), ("_f_ghz_-inf", -math.inf))},
+    # The region outage's closed form needs n > 0, with or without shadowing.
+    **{f"CiModel_ple_{ple}_sigma_{sigma}": (
+        CiModel, edited(NLOS, ple=ple, sigma_db=sigma),
+        f"ple must be positive and finite, got {ple}")
+       for ple in (-1.0, 0.0, math.inf, math.nan) for sigma in (11.4, 0.0)},
+    **{f"CiModel_sigma_{sigma}": (
+        CiModel, (73.5, 2.0, sigma), f"sigma_db must be >= 0, got {sigma}")
+       for sigma in (-1.0, math.nan)},
+    **{f"LinkBudget{name}": (
+        LinkBudget, (limit,), f"max_pl_db must be positive, got {limit}")
+       for name, limit in (("", 0.0), ("_nan1", math.nan),
+                           ("_negative", -1.0))},
     "PathLossSamples": (
         PathLossSamples, ((0.5,), (120.0,)),
         "sample distance must be finite and >= 1.0 m, got 0.5"),
+    "PathLossSamples_pl_nan": (
+        PathLossSamples, ((10.0,), (math.nan,)),
+        "pl_db must be finite, got nan"),
+    "PathLossSamples_unequal_columns": (
+        PathLossSamples, ((20.0, 30.0), (120.0,)),
+        "sample columns must have equal lengths, got [2, 1]"),
     "ResultBundle0": (
         ResultBundle, (META, (), (), (), {"best1_pl_db": []}),
         "CDF 'best1_pl_db' is empty"),
@@ -122,27 +144,38 @@ INVALID = {
     "SweepGrid_float": (
         SweepGrid, (2.5, 24, 3),
         "sweep grid counts must be integers >= 1, got (2.5, 24, 3)"),
+    "SweepGrid_bool": (
+        SweepGrid, (True, 24, 3),
+        "sweep grid counts must be integers >= 1, got (True, 24, 3)"),
     "Scenario": (
-        Scenario, ((), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
+        Scenario, edited(SCENARIO, base_stations=()),
         "scenario needs at least one base station"),
     "Scenario_no_ues": (
-        Scenario, ((B1,), (), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7),
-        "scenario needs at least one UE"),
+        Scenario, edited(SCENARIO, ues=()), "scenario needs at least one UE"),
     "Scenario_duplicate_id": (
-        Scenario, ((B1, Node("B1", 9.0, 0.0, 4.0)), (U1,), MODELS, BUDGET,
-                   SweepGrid(), PINNED, 0.5, 7),
+        Scenario,
+        edited(SCENARIO, base_stations=(B1, Node("B1", 9.0, 0.0, 4.0))),
         "duplicate base station id"),
     "Scenario_missing_model": (
-        Scenario, ((B1,), (U1,), {Condition.LOS: MODELS[Condition.LOS]},
-                   BUDGET, SweepGrid(), PINNED, 0.5, 7),
+        Scenario,
+        edited(SCENARIO, models={Condition.LOS: MODELS[Condition.LOS]}),
         "missing CI model for condition NLOS"),
-    "Scenario_p_los": (
-        Scenario, ((B1,), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 1.5, 7),
-        "p_los must be in [0, 1], got 1.5"),
+    # A pinned link must be one of the scenario's links, so none is
+    # silently left to the Bernoulli draw.
+    "Scenario_unknown_ue": (
+        Scenario, edited(SCENARIO, conditions={("U9", "B1"): Condition.LOS}),
+        "conditions: unknown UE id 'U9'"),
+    "Scenario_unknown_bs": (
+        Scenario, edited(SCENARIO, conditions={("U1", "B7"): Condition.NLOS}),
+        "conditions: unknown base station id 'B7'"),
     "Scenario_pin_nlos_best": (
-        Scenario, ((B1,), (U1,), MODELS, BUDGET, SweepGrid(),
-                   {("U1", "B1"): Condition.NLOS_BEST}, 0.5, 7),
+        Scenario,
+        edited(SCENARIO, conditions={("U1", "B1"): Condition.NLOS_BEST}),
         "conditions: link U1/B1 must be LOS or NLOS"),
+    **{f"Scenario_p_los{name}": (
+        Scenario, edited(SCENARIO, p_los=p_los),
+        f"p_los must be in [0, 1], got {p_los}")
+       for name, p_los in (("", 1.5), ("_nan", math.nan))},
     # Bit 2 of a two-lane set over 2 directions is lane 0's guard bit.
     "MaskSet_wider_than_lanes": (
         MaskSet, ({("U1", "B1"): 0b100}, 2, 2),
@@ -162,7 +195,7 @@ def test_every_record_class_is_covered():
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
     assert (checked == {cls for cls, _, _ in INVALID.values()}
-            and len(INVALID) == 32)
+            and len(INVALID) == 52)
 
 
 def test_record_fields():
@@ -181,13 +214,11 @@ def test_fields_cannot_be_assigned(record):
 
 @pytest.mark.parametrize("cls,values,message", list(INVALID.values()),
                          ids=list(INVALID))
-def test_check_runs_positionally_and_by_keyword(cls, values, message):
+def test_check_runs_positionally_and_by_keyword(cls, values, message,
+                                                rejects):
     assert len(values) == len(cls._fields)
-    with pytest.raises(ValueError) as positional:
-        cls(*values)
-    with pytest.raises(ValueError) as keyword:
-        cls(**dict(zip(cls._fields, values)))
-    assert str(positional.value) == str(keyword.value) == message
+    rejects(lambda: cls(*values), ValueError, message)
+    rejects(lambda: cls(**dict(zip(cls._fields, values))), ValueError, message)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_name)
@@ -209,7 +240,7 @@ def test_drops_compare_by_identity():
     assert len({drops, twin, drops}) == 2
 
 
-def test_drops_share_comes_from_the_mask_set_alone():
+def test_drops_share_comes_from_the_mask_set_alone(rejects):
     # The record carries its width and lane count, so no caller can reduce
     # these 50 trials as 100 lanes and read 0.5 where every subset receives.
     sc = load_scenario(Path(__file__).parents[1] / "configs/example_scenario.json")
@@ -218,32 +249,15 @@ def test_drops_share_comes_from_the_mask_set_alone():
     assert [row.probability
             for row in _reception_rows(masks, sc.topology(), 2)] == [1.0, 1.0]
     assert masks.lane(49).lanes == 1
-    with pytest.raises(IndexError, match=r"lane 50 is outside \[0, 50\)"):
-        masks.lane(50)
+    for t in (-1, 50):
+        rejects(lambda: masks.lane(t), IndexError,
+                f"lane {t} is outside [0, 50)")
 
 
-def test_replace_copies_without_checking():
+def test_replace_copies_without_checking(rejects):
     assert NLOS._replace(sigma_db=-1.0).sigma_db == -1.0
-    with pytest.raises(ValueError, match="sigma_db must be >= 0"):
-        CiModel(*NLOS._replace(sigma_db=-1.0))
-
-
-@pytest.mark.parametrize("pins,message", [
-    ({"conditions": {("U9", "B1"): Condition.LOS}},
-     "conditions: unknown UE id 'U9'"),
-    ({"conditions": {("U1", "B7"): Condition.NLOS}},
-     "conditions: unknown base station id 'B7'"),
-    ({"conditions": {("U1", "B1"): Condition.NLOS_BEST}},
-     "conditions: link U1/B1 must be LOS or NLOS"),
-    ({"p_los": 1.5}, "p_los must be in [0, 1], got 1.5"),
-    ({"p_los": math.nan}, "p_los must be in [0, 1], got nan"),
-], ids=["unknown_ue", "unknown_bs", "nlos_best", "p_los_above_1", "p_los_nan"])
-def test_scenario_checks_conditions_and_p_los(pins, message):
-    # A pinned link must be one of the scenario's links, so none is
-    # silently left to the Bernoulli draw.
-    with pytest.raises(ValueError) as exc:
-        Scenario((B1,), (U1,), **pins)
-    assert str(exc.value) == message
+    rejects(lambda: CiModel(*NLOS._replace(sigma_db=-1.0)), ValueError,
+            "sigma_db must be >= 0, got -1.0")
 
 
 # Each JSON record's schema as its annotations give it: the keys of a
