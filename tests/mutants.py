@@ -54,7 +54,7 @@ MUTANTS = [
      "anchor_db = fspl_db(f_ghz, REFERENCE_DISTANCE_M)", "anchor_db = 0.0",
      FITS + "[closed_form_on_noisy_data]"),
     ("region-sign", "coverage.py", "(1.0 - a * b) / b", "(1.0 + a * b) / b",
-     "tests/test_coverage.py::test_nlos_outage_values[63m]"),
+     "tests/test_coverage.py::test_region_outage_nlos_values"),
     ("ci-mean-nan-distance", "propagation.py", "if not d_m >= d0:",
      "if d_m < d0:", "tests/test_coverage.py::test_library_rejects"
                      "[edge_radius_nan]"),
@@ -94,7 +94,8 @@ MUTANTS = [
      INVALID + "[Scenario_duplicate_id]"),
     ("p-los-nan-accepted", "diversity.py", "if not 0.0 <= self.p_los <= 1.0:",
      "if self.p_los < 0.0 or self.p_los > 1.0:",
-     INVALID + "[Scenario_p_los_nan]"),
+     "tests/test_records.py::test_scenario_checks_conditions_and_p_los"
+     "[p_los_nan]"),
     ("sweep-grid-allows-bool", "diversity.py", "type(c) is int",
      "isinstance(c, int)", INVALID + "[SweepGrid_bool]"),
     ("lane-allows-negative", "diversity.py", "if not 0 <= t < self.lanes:",

@@ -24,8 +24,7 @@ META = RunMetadata("simulate", "0.1.0", 7, 2)
 B1 = Node("B1", 0.0, 0.0, 4.0)
 U1 = Node("U1", 30.0, 0.0, 1.4)
 PINNED = {("U1", "B1"): Condition.LOS}
-MODELS = {Condition.LOS: CiModel(73.5, 2.0, 1.9),
-          Condition.NLOS: NLOS}
+MODELS = {Condition.LOS: CiModel(73.5, 2.0, 1.9), Condition.NLOS: NLOS}
 SCENARIO = Scenario((B1,), (U1,), MODELS, BUDGET, SweepGrid(), PINNED, 0.5, 7)
 
 
@@ -153,29 +152,16 @@ INVALID = {
     "Scenario_no_ues": (
         Scenario, edited(SCENARIO, ues=()), "scenario needs at least one UE"),
     "Scenario_duplicate_id": (
-        Scenario,
-        edited(SCENARIO, base_stations=(B1, Node("B1", 9.0, 0.0, 4.0))),
+        Scenario, edited(SCENARIO, base_stations=(B1, Node("B1", 9.0, 0.0, 4.0))),
         "duplicate base station id"),
     "Scenario_missing_model": (
-        Scenario,
-        edited(SCENARIO, models={Condition.LOS: MODELS[Condition.LOS]}),
+        Scenario, edited(SCENARIO, models={Condition.LOS: MODELS[Condition.LOS]}),
         "missing CI model for condition NLOS"),
-    # A pinned link must be one of the scenario's links, so none is
-    # silently left to the Bernoulli draw.
-    "Scenario_unknown_ue": (
-        Scenario, edited(SCENARIO, conditions={("U9", "B1"): Condition.LOS}),
-        "conditions: unknown UE id 'U9'"),
-    "Scenario_unknown_bs": (
-        Scenario, edited(SCENARIO, conditions={("U1", "B7"): Condition.NLOS}),
-        "conditions: unknown base station id 'B7'"),
+    "Scenario_p_los": (Scenario, edited(SCENARIO, p_los=1.5),
+                       "p_los must be in [0, 1], got 1.5"),
     "Scenario_pin_nlos_best": (
-        Scenario,
-        edited(SCENARIO, conditions={("U1", "B1"): Condition.NLOS_BEST}),
+        Scenario, edited(SCENARIO, conditions={("U1", "B1"): Condition.NLOS_BEST}),
         "conditions: link U1/B1 must be LOS or NLOS"),
-    **{f"Scenario_p_los{name}": (
-        Scenario, edited(SCENARIO, p_los=p_los),
-        f"p_los must be in [0, 1], got {p_los}")
-       for name, p_los in (("", 1.5), ("_nan", math.nan))},
     # Bit 2 of a two-lane set over 2 directions is lane 0's guard bit.
     "MaskSet_wider_than_lanes": (
         MaskSet, ({("U1", "B1"): 0b100}, 2, 2),
@@ -195,7 +181,7 @@ def test_every_record_class_is_covered():
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
     assert (checked == {cls for cls, _, _ in INVALID.values()}
-            and len(INVALID) == 52)
+            and len(INVALID) == 49)
 
 
 def test_record_fields():
@@ -258,6 +244,22 @@ def test_replace_copies_without_checking(rejects):
     assert NLOS._replace(sigma_db=-1.0).sigma_db == -1.0
     rejects(lambda: CiModel(*NLOS._replace(sigma_db=-1.0)), ValueError,
             "sigma_db must be >= 0, got -1.0")
+
+
+@pytest.mark.parametrize("pins,message", [
+    ({"conditions": {("U9", "B1"): Condition.LOS}},
+     "conditions: unknown UE id 'U9'"),
+    ({"conditions": {("U1", "B7"): Condition.NLOS}},
+     "conditions: unknown base station id 'B7'"),
+    ({"conditions": {("U1", "B1"): Condition.NLOS_BEST}},
+     "conditions: link U1/B1 must be LOS or NLOS"),
+    ({"p_los": 1.5}, "p_los must be in [0, 1], got 1.5"),
+    ({"p_los": math.nan}, "p_los must be in [0, 1], got nan"),
+], ids=["unknown_ue", "unknown_bs", "nlos_best", "p_los_above_1", "p_los_nan"])
+def test_scenario_checks_conditions_and_p_los(pins, message, rejects):
+    # Every other field takes its default.  A pinned link must be one of the
+    # scenario's links, so none is silently left to the Bernoulli draw.
+    rejects(lambda: Scenario((B1,), (U1,), **pins), ValueError, message)
 
 
 # Each JSON record's schema as its annotations give it: the keys of a
