@@ -131,5 +131,5 @@ def ci_mean_path_loss_db(model: CiModel, d_m: float) -> float:
     """
     d0 = REFERENCE_DISTANCE_M
     if not d_m >= d0:
-        raise ValueError(f"CI model is defined for d >= {d0} m")
+        raise ValueError(f"CI model is defined for d >= {d0} m, got {d_m}")
     return fspl_db(model.f_ghz, d0) + 10.0 * model.ple * math.log10(d_m)

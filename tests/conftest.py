@@ -1,12 +1,10 @@
 """Puts ``bench/`` on ``sys.path`` so that tests can ``import oracles``,
 and holds the ``rejects`` fixture that every ``REJECTIONS`` table shares.
 
-``bench/oracles.py`` holds the analytic references, the closed forms and
-brute-force counts that the benchmark checkers and the tests both compare
-the program against.  It imports nothing from ``mmwcomp``.  Two references
-still live in the tests, ``quadrature_region_outage`` in
-``test_coverage.py`` and ``exact_reception`` in ``test_diversity.py``; they
-move to ``bench/oracles.py`` only with a change to the benchmark.
+``bench/oracles.py`` holds every analytic reference, the closed forms,
+quadratures, least-squares fits and brute-force counts that the benchmark
+checkers and the tests both compare the program against.  It imports
+nothing from ``mmwcomp``, and no test keeps a reference of its own.
 """
 
 import sys

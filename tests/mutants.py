@@ -55,6 +55,15 @@ MUTANTS = [
      FITS + "[closed_form_on_noisy_data]"),
     ("region-sign", "coverage.py", "(1.0 - a * b) / b", "(1.0 + a * b) / b",
      "tests/test_coverage.py::test_region_outage_nlos_values"),
+    ("region-exp-coefficient", "coverage.py",
+     "math.exp((1.0 - 2.0 * a * b) / (b * b))",
+     "math.exp((1.0 - a * b) / (b * b))",
+     "tests/test_coverage.py::"
+     "test_region_closed_form_matches_quadrature_spot_checks"),
+    ("region-b-without-log10e", "coverage.py",
+     "b = 10.0 * model.ple * _LOG10_E / (sigma * _SQRT2)",
+     "b = 10.0 * model.ple / (sigma * _SQRT2)",
+     "tests/test_acceptance.py::test_criterion_2_region_outage"),
     ("ci-mean-nan-distance", "propagation.py", "if not d_m >= d0:",
      "if d_m < d0:", "tests/test_coverage.py::test_library_rejects"
                      "[edge_radius_nan]"),
@@ -76,6 +85,9 @@ MUTANTS = [
     ("omni-is-best-pair", "diversity.py", "np.log10(pl.sum(axis=2))",
      "np.log10(pl.max(axis=2))",
      DIV + "test_simulate_sigma0_drop_is_exact[los_2_pairs]"),
+    ("los-flag-inverted", "diversity.py", "los = uniforms[:b1 - b0] < p_los",
+     "los = uniforms[:b1 - b0] > p_los",
+     DIV + "test_k_subset_reception_matches_exact_oracle[bernoulli]"),
     ("substream-keyed-by-batch", "diversity.py",
      "substream(scenario.seed, t)", "substream(scenario.seed, t - b0)",
      DIV + "test_simulate_output_independent_of_trial_split"
@@ -136,6 +148,15 @@ MUTANTS = [
     ("masks-allow-empty", "scenario_io.py",
      "if not bits or len(bits) != width", "if len(bits) != width",
      ROW + "[masks-empty-mask]"),
+    ("masks-allow-duplicate-links", "scenario_io.py", "if link in masks:",
+     "if False:", "tests/test_cli_io.py::TestMasksCsv::test_duplicate_link"),
+    ("topology-allows-empty-serving-set", "scenario_io.py",
+     "if (not isinstance(serving, list) or not serving",
+     "if (not isinstance(serving, list)",
+     "tests/test_cli_io.py::test_load_topology"),
+    ("cdf-allows-p-above-1", "results.py",
+     "if pt.p < last_p or pt.p > 1.0 + 1e-12:", "if pt.p < last_p:",
+     "tests/test_cli_io.py::TestResults::test_bundle_rejects_malformed_cdf"),
     ("csv-header-unstripped", "scenario_io.py",
      "tuple(h.strip() for h in header)", "tuple(header)",
      "tests/test_cli_io.py::TestSamplesCsv::test_parse_basic_row"),

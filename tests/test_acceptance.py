@@ -9,8 +9,8 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import oracles
 import pytest
-from scipy import integrate
 
 import mmwcomp as m
 from mmwcomp import Condition
@@ -71,22 +71,16 @@ def test_criterion_2_region_outage(capsys):
         for g, e in zip(best_region, [1.8e-5, 6.0e-5, 1.1e-4, 2.4e-4, 7.1e-3]):
             assert abs(g - e) <= 0.2 * e, (g, e)
 
-        # Closed form against adaptive quadrature of the edge expression
-        # over a grid spanning the supported parameter ranges.
+        # Closed form against the oracle's adaptive quadrature over a grid
+        # spanning the supported parameter ranges.
         for ple in (1.5, 3.25, 5.0):
             for sigma in (1.0, 6.5, 12.0):
                 for radius in (10.0, 100.0, 500.0):
-                    model = m.CiModel(73.5, ple, sigma)
-
-                    def integrand(r):
-                        return (2.0 * r / radius**2 * m.edge_outage_probability(
-                            model, SOUNDER_LINK_BUDGET, r))
-
-                    oracle, err = integrate.quad(integrand, 1.0, radius,
-                                                 limit=200)
-                    assert err < 1e-7
+                    oracle = math.exp(oracles.log_region_outage(
+                        ple, sigma, radius, SOUNDER_LINK_BUDGET.max_pl_db))
                     got_cf = m.region_outage_probability(
-                        model, SOUNDER_LINK_BUDGET, radius)
+                        m.CiModel(73.5, ple, sigma), SOUNDER_LINK_BUDGET,
+                        radius)
                     assert abs(got_cf - oracle) < 1e-4, (ple, sigma, radius)
 
 

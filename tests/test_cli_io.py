@@ -177,11 +177,12 @@ class TestSamplesCsv:
             assert read_samples_csv(buf) == {
                 Condition.NLOS: PathLossSamples((63.0,), (152.5,))}
 
-    def test_strict_reports_line_number(self):
+    def test_strict_reports_line_number(self, rejects):
         buf = io.StringIO(
             "d_m,pl_db,condition,polarization\n63,152.5,NLOS,VV\n0.5,80,LOS,VV\n")
-        with pytest.raises(ScenarioError, match="line 3"):
-            read_samples_csv(buf)
+        rejects(lambda: read_samples_csv(buf), ScenarioError,
+                "samples CSV line 3: sample distance must be finite and "
+                ">= 1.0 m, got 0.5")
 
     @pytest.mark.parametrize("label,message", [
         ("los", "'los' is not a valid Condition"),
@@ -195,13 +196,14 @@ class TestSamplesCsv:
             read_samples_csv(io.StringIO(text))
         assert str(exc.value) == f"samples CSV line 3: {message}"
 
-    def test_header_mismatch(self):
-        with pytest.raises(ScenarioError, match="header"):
-            read_samples_csv(io.StringIO("distance,pl\n1,2\n"))
+    def test_header_mismatch(self, rejects):
+        rejects(lambda: read_samples_csv(io.StringIO("distance,pl\n1,2\n")),
+                ScenarioError, "samples CSV line 1: header must be "
+                "d_m,pl_db,condition,polarization")
 
-    def test_empty_file(self):
-        with pytest.raises(ScenarioError, match="empty"):
-            read_samples_csv(io.StringIO(""))
+    def test_empty_file(self, rejects):
+        rejects(lambda: read_samples_csv(io.StringIO("")), ScenarioError,
+                "samples CSV: empty file")
 
     def test_header_only_is_empty(self):
         out = read_samples_csv(io.StringIO("d_m,pl_db,condition,polarization\n"))
@@ -223,27 +225,27 @@ class TestMasksCsv:
         buf = io.StringIO("rx_id,tx_id,mask\nU1,B1,1100\n")
         assert read_masks_csv(buf) == ({("U1", "B1"): 0b0011}, 4)
 
-    def test_bad_mask_length(self):
+    def test_bad_mask_length(self, rejects):
         buf = io.StringIO("rx_id,tx_id,mask\nU1,B1," + "1" * 72
                           + "\nU1,B2,101\n")
-        with pytest.raises(ScenarioError, match="72"):
-            read_masks_csv(buf)
+        rejects(lambda: read_masks_csv(buf), ScenarioError,
+                "masks CSV line 3: mask must be 72 chars of 0/1")
 
-    def test_duplicate_link(self):
+    def test_duplicate_link(self, rejects):
         row = "U1,B1," + "1" * 72
         buf = io.StringIO(f"rx_id,tx_id,mask\n{row}\n{row}\n")
-        with pytest.raises(ScenarioError, match="duplicate"):
-            read_masks_csv(buf)
+        rejects(lambda: read_masks_csv(buf), ScenarioError,
+                "masks CSV line 3: duplicate link ('U1', 'B1')")
 
 
-def test_load_topology(tmp_path):
+def test_load_topology(tmp_path, rejects):
     path = tmp_path / "topology.json"
     path.write_text(json.dumps({u: list(s)
                                 for u, s in CAMPAIGN_SERVING_SETS.items()}))
     assert load_topology(path) == CAMPAIGN_SERVING_SETS
     path.write_text(json.dumps({"U1": []}))
-    with pytest.raises(ScenarioError):
-        load_topology(path)
+    rejects(lambda: load_topology(path), ScenarioError,
+            f"{path}: U1: expected a non-empty array of base station ids")
 
 
 class TestFormatting:
@@ -259,9 +261,9 @@ class TestFormatting:
         assert format_pct(7.066e-5) == "7.1E-3"
 
     @pytest.mark.parametrize("fraction", [math.nan, math.inf])
-    def test_rejects_non_finite(self, fraction):
-        with pytest.raises(ValueError, match="fraction must be finite"):
-            format_pct(fraction)
+    def test_rejects_non_finite(self, fraction, rejects):
+        rejects(lambda: format_pct(fraction), ValueError,
+                f"fraction must be finite, got {fraction}")
 
     def test_threshold_boundary(self):
         assert format_pct(1e-4) == "0.0"      # exactly 0.01% stays fixed
@@ -296,24 +298,24 @@ BUNDLES = st.builds(
 
 
 class TestResults:
-    def test_build_cdf(self):
+    def test_build_cdf(self, rejects):
         pts = build_cdf([3.0, 1.0, 2.0, math.inf])
         assert [p.x for p in pts] == [1.0, 2.0, 3.0]
         assert pts[-1].p == 1.0
-        with pytest.raises(ValueError):
-            build_cdf([math.inf])
+        rejects(lambda: build_cdf([math.inf]), ValueError,
+                "no finite values to build a CDF from")
 
-    def test_bundle_rejects_malformed_cdf(self):
+    def test_bundle_rejects_malformed_cdf(self, rejects):
         meta = RunMetadata("test", "0")
-        with pytest.raises(ValueError, match="non-decreasing"):
-            ResultBundle(meta, cdfs={"x": [CdfPoint(2.0, 0.5),
-                                           CdfPoint(1.0, 1.0)]})
-        with pytest.raises(ValueError, match="end at probability 1"):
-            ResultBundle(meta, cdfs={"x": [CdfPoint(1.0, 0.5)]})
-        with pytest.raises(ValueError, match="non-finite x value"):
-            ResultBundle(meta, cdfs={"x": [CdfPoint(math.inf, 1.0)]})
-        with pytest.raises(ValueError, match="rise to at most 1"):
-            ResultBundle(meta, cdfs={"x": [CdfPoint(1.0, 1.5)]})
+        for points, message in (
+                ([CdfPoint(2.0, 0.5), CdfPoint(1.0, 1.0)],
+                 "x values must be non-decreasing"),
+                ([CdfPoint(1.0, 0.5)], "must end at probability 1, got 0.5"),
+                ([CdfPoint(math.inf, 1.0)], "has a non-finite x value"),
+                ([CdfPoint(1.0, 1.5)],
+                 "probabilities must rise to at most 1")):
+            rejects(lambda: ResultBundle(meta, cdfs={"x": points}), ValueError,
+                    f"CDF 'x' {message}")
 
     def test_emit_outage_schema_and_determinism(self, tmp_path):
         bundle = ResultBundle(

@@ -2,8 +2,8 @@
 
 import math
 
+import oracles
 import pytest
-from scipy import integrate
 
 from mmwcomp import (CiModel, Condition, LinkBudget, edge_outage_probability,
                      fspl_db, outage_table, receiver_threshold_dbm,
@@ -37,13 +37,13 @@ REJECTIONS = {
     # A radius below the 1 m reference distance, or NaN, is rejected.
     **{f"{name}_radius_{radius}": (
         lambda fn=fn, radius=radius: fn(NLOS, SOUNDER, radius), ValueError,
-        "CI model is defined for d >= 1.0 m")
+        f"CI model is defined for d >= 1.0 m, got {radius}")
        for name, fn in (("edge", edge_outage_probability),
                         ("region", region_outage_probability))
        for radius in (0.5, math.nan)},
     "table_radius_0.5": (
         lambda: outage_table({Condition.NLOS: NLOS}, SOUNDER, [63.0, 0.5]),
-        ValueError, "CI model is defined for d >= 1.0 m"),
+        ValueError, "CI model is defined for d >= 1.0 m, got 0.5"),
     "table_no_distances": (
         lambda: outage_table({Condition.NLOS: NLOS}, SOUNDER, []),
         ValueError, "distances must be non-empty"),
@@ -113,22 +113,13 @@ def test_region_outage_zero_sigma_is_disk_share_beyond_coverage_radius():
                                      10.0) == 0.0
 
 
-def quadrature_region_outage(model, budget, radius, panels=20_000) -> float:
-    """Independent oracle: integrate 2r/R^2 times edge outage over the disk."""
-
-    def integrand(r):
-        return 2.0 * r / radius**2 * edge_outage_probability(model, budget, r)
-
-    grid = [1.0 + (radius - 1.0) * i / panels for i in range(panels + 1)]
-    return integrate.simpson([integrand(r) for r in grid], x=grid)
-
-
 def test_region_closed_form_matches_quadrature_spot_checks():
     for ple, sigma, radius in ((4.6, 11.4, 63.0), (2.9, 11.0, 200.0),
                                (1.5, 1.0, 10.0), (5.0, 12.0, 500.0)):
-        query = (CiModel(73.5, ple, sigma), SOUNDER, radius)
-        assert region_outage_probability(*query) == pytest.approx(
-            quadrature_region_outage(*query), abs=1e-4)
+        got = region_outage_probability(CiModel(73.5, ple, sigma), SOUNDER,
+                                        radius)
+        assert got == pytest.approx(math.exp(oracles.log_region_outage(
+            ple, sigma, radius, SOUNDER.max_pl_db)), abs=1e-4)
 
 
 def test_outage_table_shape_and_order():

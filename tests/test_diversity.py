@@ -15,7 +15,6 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from mmwcomp import (CiModel, Condition, LinkBudget, MaskSet, Node,
                      PathLossSamples, Scenario, SweepGrid, ci_mean_path_loss_db,
@@ -618,11 +617,10 @@ def test_simulate_omni_bounded_by_best_detected_pair():
 
 
 # Exact k >= 2 reception.  Without an NLOS_BEST model every RX direction of
-# a link is covered independently, with q = 1 - (1 - p)^T, so a k-subset S
-# receives with [1 - prod_S (1 - q)]^R given the conditions of S; random
-# conditions are summed out over the 2^B LOS/NLOS patterns of a user's
-# links.  The Monte Carlo bound uses the exact pairwise joint reception
-# [1 - m_S - m_S' + m_{S u S'}]^R, with m the per-direction miss product.
+# a link is covered independently, so ``oracles.dense_reception`` is exact
+# for one LOS/NLOS pattern of a user's links; random conditions are summed
+# out over the patterns with nonzero probability, and the Monte Carlo bound
+# takes the mixture's variance from each pattern's mean and variance.
 DENSE_MODELS = {Condition.LOS: CiModel(73.5, 2.0, 6.0),
                 Condition.NLOS: CiModel(73.5, 3.0, 9.0)}
 DENSE_TRIALS = 400
@@ -641,39 +639,30 @@ def exact_reception(sc, k, trials):
     """Exact k-subset reception of ``sc`` and the standard error of its
     ``trials``-trial estimate: (mean over users and subsets, SE)."""
     bss = sorted(sc.base_stations, key=lambda n: n.id)
-    n_bs = len(bss)
-    # Row a: bit j of a, read as link j's LOS flag in condition pattern a,
-    # or as whether link j belongs to the link set with bitmask a.
-    los_state = (np.arange(1 << n_bs)[:, None] >> np.arange(n_bs)) & 1
-    member = los_state.astype(bool)
-    bits = np.array([sum(1 << j for j in s)
-                     for s in itertools.combinations(range(n_bs), k)])
-    union = bits[:, None] | bits[None, :]
+    r = sc.sweep.n_rx_directions
     means, variances = [], []
     for u in sorted(sc.ues, key=lambda n: n.id):
-        miss = np.empty((2, n_bs))    # [NLOS, LOS] per-direction miss
-        weight = np.empty((2, n_bs))  # [NLOS, LOS] condition probability
-        for j, b in enumerate(bss):
-            for state, cond in enumerate((Condition.NLOS, Condition.LOS)):
-                model = sc.models[cond]
-                mean = oracles.ci_mean_db(model.ple, distance_3d(u, b))
-                p = special.ndtr((sc.budget.max_pl_db - mean) / model.sigma_db)
-                miss[state, j] = (1.0 - p) ** sc.sweep.tx_angles
+        choices = []  # per link: (probability, model) of each possible state
+        for b in bss:
             pinned = sc.conditions.get((u.id, b.id))
             p_los = (sc.p_los if pinned is None
                      else float(pinned is Condition.LOS))
-            weight[:, j] = 1.0 - p_los, p_los
-        pattern_p = np.prod(weight[los_state, np.arange(n_bs)], axis=1)
-        link_miss = miss[los_state, np.arange(n_bs)]
-        set_miss = np.prod(np.where(member[None], link_miss[:, None, :], 1.0),
-                           axis=2)  # (pattern, link set)
-        m = set_miss[:, bits]
-        r = sc.sweep.n_rx_directions
-        full = pattern_p @ (1.0 - m) ** r
-        both = np.einsum("p,pij->ij", pattern_p, np.maximum(
-            1.0 - m[:, :, None] - m[:, None, :] + set_miss[:, union], 0.0) ** r)
-        means.append(full.mean())
-        variances.append(both.mean() - full.mean() ** 2)
+            choices.append([(w, sc.models[cond]) for w, cond in (
+                (p_los, Condition.LOS), (1.0 - p_los, Condition.NLOS)) if w])
+        mean = second = 0.0
+        for pattern in itertools.product(*choices):
+            models = [model for _, model in pattern]
+            q = oracles.direction_cover_prob(
+                sc.budget.max_pl_db,
+                [oracles.ci_mean_db(m.ple, distance_3d(u, b))
+                 for m, b in zip(models, bss)],
+                np.array([m.sigma_db for m in models]), sc.sweep.tx_angles)
+            m_p, var_p = oracles.dense_reception(q[None], k, r)
+            w = math.prod(p for p, _ in pattern)
+            mean += w * m_p
+            second += w * (var_p[0] + m_p ** 2)
+        means.append(mean)
+        variances.append(second - mean ** 2)
     n_ue = len(means)
     return (float(np.mean(means)),
             math.sqrt(max(sum(variances), 0.0) / trials) / n_ue)

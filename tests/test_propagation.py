@@ -54,7 +54,7 @@ REJECTIONS = {
        for d in (1e-4, math.nan)},
     "ci_mean_below_reference": (
         lambda: ci_mean_path_loss_db(CiModel(73.5, 2.0, 0.0), 0.5), ValueError,
-        "CI model is defined for d >= 1.0 m"),
+        "CI model is defined for d >= 1.0 m, got 0.5"),
 }
 
 

@@ -325,20 +325,20 @@ def test_parse_record_reads_annotated_kinds(obj, expected):
 ], ids=["null_str", "null_float", "null_condition", "int_as_str",
         "str_as_float", "bad_condition", "float_as_int", "bool_as_int",
         "unknown_key"])
-def test_parse_record_enforces_kinds(edit, message):
+def test_parse_record_enforces_kinds(edit, message, rejects):
     obj = {"name": "a", "level": 2.0, "condition": "LOS", **edit}
-    with pytest.raises(ScenarioError) as exc:
-        _parse_record(Probe, obj, "probe")
-    assert str(exc.value) == message
+    rejects(lambda: _parse_record(Probe, obj, "probe"), ScenarioError, message)
 
 
-def test_parse_record_defaults():
-    with pytest.raises(ScenarioError, match="^probe: missing required key 'level'$"):
-        _parse_record(Probe, {"name": "a", "condition": "LOS"}, "probe")
+def test_parse_record_defaults(rejects):
+    rejects(lambda: _parse_record(Probe, {"name": "a", "condition": "LOS"},
+                                  "probe"),
+            ScenarioError, "probe: missing required key 'level'")
     # Given defaults replace the record's own.
     assert _parse_record(Probe, {"name": "a", "condition": "NLOS"}, "probe",
                          {"level": 1.0, "count": 4}) == Probe(
         "a", 1.0, Condition.NLOS, 4)
-    with pytest.raises(ScenarioError, match="^probe: missing required key 'count'$"):
-        _parse_record(Probe, {"name": "a", "level": 1.0, "condition": "NLOS"},
-                      "probe", {"level": 1.0})
+    rejects(lambda: _parse_record(
+                Probe, {"name": "a", "level": 1.0, "condition": "NLOS"},
+                "probe", {"level": 1.0}),
+            ScenarioError, "probe: missing required key 'count'")
