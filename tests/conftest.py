@@ -1,5 +1,5 @@
 """Puts ``bench/`` on ``sys.path`` so that tests can ``import oracles``,
-and holds the ``rejects`` fixture that every ``REJECTIONS`` table shares.
+and holds the ``rejects`` fixture shared by five ``REJECTIONS`` tables.
 
 ``bench/oracles.py`` holds every analytic reference, the closed forms,
 quadratures, least-squares fits and brute-force counts that the benchmark

@@ -31,8 +31,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CLI = "tests/test_cli_io.py::TestCli::"
+IO = "tests/test_cli_io.py::"
+CLI = IO + "TestCli::"
 ROW = CLI + "test_unreadable_input_exits_1"
+LIB = IO + "test_library_rejects"
 TWELVE = ("tests/test_properties.py::"
           "test_reception_counts_match_brute_force_on_twelve_stations")
 DIV = "tests/test_diversity.py::"
@@ -122,8 +124,7 @@ MUTANTS = [
      "from .propagation import CiModel, Condition, field_kinds\n",
      "from .propagation import CiModel, Condition, field_kinds\n"
      "from .diversity import Scenario\n",
-     "tests/test_cli_io.py::TestLazyPackage::"
-     "test_input_readers_load_neither_tables_nor_simulator"),
+     IO + "TestLazyPackage::test_input_readers_load_neither_tables_nor_simulator"),
     ("distances-skip-isfinite", "cli.py",
      "        if not math.isfinite(d):\n            raise ScenarioError(f\""
      "--distances radius {tok!r} is not finite\")\n", "",
@@ -149,17 +150,49 @@ MUTANTS = [
      "if not bits or len(bits) != width", "if len(bits) != width",
      ROW + "[masks-empty-mask]"),
     ("masks-allow-duplicate-links", "scenario_io.py", "if link in masks:",
-     "if False:", "tests/test_cli_io.py::TestMasksCsv::test_duplicate_link"),
+     "if False:", LIB + "[masks_duplicate_link]"),
     ("topology-allows-empty-serving-set", "scenario_io.py",
      "if (not isinstance(serving, list) or not serving",
      "if (not isinstance(serving, list)",
-     "tests/test_cli_io.py::test_load_topology"),
+     IO + "test_load_topology"),
     ("cdf-allows-p-above-1", "results.py",
      "if pt.p < last_p or pt.p > 1.0 + 1e-12:", "if pt.p < last_p:",
-     "tests/test_cli_io.py::TestResults::test_bundle_rejects_malformed_cdf"),
+     LIB + "[cdf_p_above_1]"),
     ("csv-header-unstripped", "scenario_io.py",
      "tuple(h.strip() for h in header)", "tuple(header)",
-     "tests/test_cli_io.py::TestSamplesCsv::test_parse_basic_row"),
+     IO + "TestSamplesCsv::test_parse_basic_row"),
+    ("format-pct-accepts-inf", "results.py", "if not math.isfinite(fraction):",
+     "if math.isnan(fraction):", LIB + "[format_pct_inf]"),
+    ("csv-empty-file-unchecked", "scenario_io.py", "        if header is None:\n",
+     "        if False:\n", LIB + "[samples_empty_file]"),
+    ("schema-version-unchecked", "scenario_io.py",
+     "    if version != SCENARIO_SCHEMA_VERSION:\n", "    if False:\n",
+     LIB + "[scenario_schema_version_2]"),
+    ("pct-threshold-exclusive", "results.py", "abs(pct) >= 0.01",
+     "abs(pct) > 0.01", IO + "test_format_pct[1e-4]"),
+    ("cli-imports-diversity", "cli.py",
+     "from .coverage import LinkBudget, outage_table\n",
+     "from .coverage import LinkBudget, outage_table\n"
+     "from . import diversity  # noqa: F401\n",
+     IO + "TestLazyPackage::test_coverage_loads_neither_simulator_nor_fitting"),
+    ("fitting-imports-numpy", "fitting.py", "import math\n",
+     "import math\nimport numpy  # noqa: F401\n",
+     IO + "TestNumpyImportBoundary::test_closed_form_commands_do_not_load_numpy"),
+    ("results-imports-dataclasses", "results.py", "import json\n",
+     "import dataclasses  # noqa: F401\nimport json\n",
+     IO + "TestRecordImports::"
+     "test_table_commands_load_neither_dataclasses_nor_inspect"),
+    ("package-imports-coverage", "__init__.py",
+     "from importlib import import_module\n",
+     "from importlib import import_module\nfrom . import coverage  # noqa: F401\n",
+     IO + "TestLazyPackage::test_import_loads_no_submodule"),
+    ("link-statistics-loads-numpy", "diversity.py",
+     "    links = scenario.links()\n    keys = tuple(",
+     "    import numpy  # noqa: F401\n    links = scenario.links()\n    keys = tuple(",
+     IO + "TestLazyPackage::test_link_statistics_load_no_numpy"),
+    ("diversity-imports-dataclasses", "diversity.py", "import threading\n",
+     "import threading\nimport dataclasses  # noqa: F401\n",
+     IO + "TestRecordImports::test_simulate_loads_no_dataclasses"),
 ]
 
 

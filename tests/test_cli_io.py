@@ -28,6 +28,7 @@ from mmwcomp.params import BS_HEIGHT_M, CAMPAIGN_SERVING_SETS, UE_HEIGHT_M
 EXAMPLE_SCENARIO = (Path(__file__).resolve().parents[1] / "configs"
                     / "example_scenario.json")
 
+SAMPLES_HEADER = "d_m,pl_db,condition,polarization\n"
 MINIMAL = {
     "base_stations": [{"id": "B1", "x_m": 0.0, "y_m": 0.0}],
     "ues": [{"id": "U1", "x_m": 30.0, "y_m": 0.0}],
@@ -42,7 +43,7 @@ LONG_FIELD = b"9" * 200000
 
 def write_samples(groups, path):
     """Write ``{condition: PathLossSamples}`` as the VV rows of a samples CSV."""
-    path.write_text("d_m,pl_db,condition,polarization\n" + "".join(
+    path.write_text(SAMPLES_HEADER + "".join(
         f"{d_m!r},{pl_db!r},{cond.value},VV\n"
         for cond, samples in groups.items() for d_m, pl_db in zip(*samples)))
 
@@ -88,8 +89,6 @@ class TestParseScenario:
     def test_schema_version(self):
         assert parse_scenario(minimal(schema_version=1)) == parse_scenario(
             minimal())
-        with pytest.raises(ScenarioError):  # not a bare ValueError
-            parse_scenario(minimal(schema_version=2))
 
     def test_partial_models_merge_with_defaults(self):
         obj = minimal(models={"NLOS": {"f_ghz": 73.5, "ple": 3.4,
@@ -177,37 +176,8 @@ class TestSamplesCsv:
             assert read_samples_csv(buf) == {
                 Condition.NLOS: PathLossSamples((63.0,), (152.5,))}
 
-    def test_strict_reports_line_number(self, rejects):
-        buf = io.StringIO(
-            "d_m,pl_db,condition,polarization\n63,152.5,NLOS,VV\n0.5,80,LOS,VV\n")
-        rejects(lambda: read_samples_csv(buf), ScenarioError,
-                "samples CSV line 3: sample distance must be finite and "
-                ">= 1.0 m, got 0.5")
-
-    @pytest.mark.parametrize("label,message", [
-        ("los", "'los' is not a valid Condition"),
-        ("", "'' is not a valid Condition"),
-        ("NLOS_BEST", "sample condition must be LOS or NLOS, got NLOS_BEST"),
-    ])
-    def test_condition_labels(self, label, message):
-        text = ("d_m,pl_db,condition,polarization\n"
-                f"63,152.5, NLOS ,VV\n70,150,{label},VV\n")
-        with pytest.raises(ScenarioError) as exc:
-            read_samples_csv(io.StringIO(text))
-        assert str(exc.value) == f"samples CSV line 3: {message}"
-
-    def test_header_mismatch(self, rejects):
-        rejects(lambda: read_samples_csv(io.StringIO("distance,pl\n1,2\n")),
-                ScenarioError, "samples CSV line 1: header must be "
-                "d_m,pl_db,condition,polarization")
-
-    def test_empty_file(self, rejects):
-        rejects(lambda: read_samples_csv(io.StringIO("")), ScenarioError,
-                "samples CSV: empty file")
-
     def test_header_only_is_empty(self):
-        out = read_samples_csv(io.StringIO("d_m,pl_db,condition,polarization\n"))
-        assert out == {}
+        assert read_samples_csv(io.StringIO(SAMPLES_HEADER)) == {}
 
 
 class TestMasksCsv:
@@ -225,18 +195,6 @@ class TestMasksCsv:
         buf = io.StringIO("rx_id,tx_id,mask\nU1,B1,1100\n")
         assert read_masks_csv(buf) == ({("U1", "B1"): 0b0011}, 4)
 
-    def test_bad_mask_length(self, rejects):
-        buf = io.StringIO("rx_id,tx_id,mask\nU1,B1," + "1" * 72
-                          + "\nU1,B2,101\n")
-        rejects(lambda: read_masks_csv(buf), ScenarioError,
-                "masks CSV line 3: mask must be 72 chars of 0/1")
-
-    def test_duplicate_link(self, rejects):
-        row = "U1,B1," + "1" * 72
-        buf = io.StringIO(f"rx_id,tx_id,mask\n{row}\n{row}\n")
-        rejects(lambda: read_masks_csv(buf), ScenarioError,
-                "masks CSV line 3: duplicate link ('U1', 'B1')")
-
 
 def test_load_topology(tmp_path, rejects):
     path = tmp_path / "topology.json"
@@ -248,26 +206,20 @@ def test_load_topology(tmp_path, rejects):
             f"{path}: U1: expected a non-empty array of base station ids")
 
 
-class TestFormatting:
-    def test_fixed_one_decimal(self):
-        assert format_pct(0.024186) == "2.4"
-        assert format_pct(0.555555) == "55.6"
-        assert format_pct(1.0) == "100.0"
-        assert format_pct(0.0) == "0.0"
+# format_pct's text for each fraction, keyed by the fraction's literal:
+# one fixed decimal from 0.01 % up, scientific notation below it.
+PCT_TEXT = {
+    "0.024186": "2.4", "0.555555": "55.6", "1.0": "100.0", "0.0": "0.0",
+    "6.942e-7": "6.9E-5", "1.757e-7": "1.8E-5", "7.066e-5": "7.1E-3",
+    "1e-4": "0.0",  # exactly 0.01 % stays fixed
+    "0.99e-4": "9.9E-3",
+}
 
-    def test_scientific_below_threshold(self):
-        assert format_pct(6.942e-7) == "6.9E-5"
-        assert format_pct(1.757e-7) == "1.8E-5"
-        assert format_pct(7.066e-5) == "7.1E-3"
 
-    @pytest.mark.parametrize("fraction", [math.nan, math.inf])
-    def test_rejects_non_finite(self, fraction, rejects):
-        rejects(lambda: format_pct(fraction), ValueError,
-                f"fraction must be finite, got {fraction}")
-
-    def test_threshold_boundary(self):
-        assert format_pct(1e-4) == "0.0"      # exactly 0.01% stays fixed
-        assert format_pct(0.99e-4) == "9.9E-3"
+@pytest.mark.parametrize("fraction, text", list(PCT_TEXT.items()),
+                         ids=list(PCT_TEXT))
+def test_format_pct(fraction, text):
+    assert format_pct(float(fraction)) == text
 
 
 # Bundles of every shape emit_results writes: fractions include 0, 1 and
@@ -298,24 +250,10 @@ BUNDLES = st.builds(
 
 
 class TestResults:
-    def test_build_cdf(self, rejects):
+    def test_build_cdf(self):
         pts = build_cdf([3.0, 1.0, 2.0, math.inf])
         assert [p.x for p in pts] == [1.0, 2.0, 3.0]
         assert pts[-1].p == 1.0
-        rejects(lambda: build_cdf([math.inf]), ValueError,
-                "no finite values to build a CDF from")
-
-    def test_bundle_rejects_malformed_cdf(self, rejects):
-        meta = RunMetadata("test", "0")
-        for points, message in (
-                ([CdfPoint(2.0, 0.5), CdfPoint(1.0, 1.0)],
-                 "x values must be non-decreasing"),
-                ([CdfPoint(1.0, 0.5)], "must end at probability 1, got 0.5"),
-                ([CdfPoint(math.inf, 1.0)], "has a non-finite x value"),
-                ([CdfPoint(1.0, 1.5)],
-                 "probabilities must rise to at most 1")):
-            rejects(lambda: ResultBundle(meta, cdfs={"x": points}), ValueError,
-                    f"CDF 'x' {message}")
 
     def test_emit_outage_schema_and_determinism(self, tmp_path):
         bundle = ResultBundle(
@@ -372,6 +310,64 @@ class TestResults:
             assert _files(first) == _files(second)
 
 
+# The condition label of line 3 goes in {}.
+LABELLED = SAMPLES_HEADER + "63,152.5, NLOS ,VV\n70,150,{},VV\n"
+MASK_72 = "1" * 72
+# Library calls on bad input: (call, exception class, its exact text).
+REJECTIONS = {
+    **{f"samples_{case}": (lambda text=text: read_samples_csv(io.StringIO(text)),
+                           ScenarioError, "samples CSV" + message)
+       for case, text, message in [
+           ("distance_0.5", SAMPLES_HEADER + "63,152.5,NLOS,VV\n0.5,80,LOS,VV\n",
+            " line 3: sample distance must be finite and >= 1.0 m, got 0.5"),
+           ("label_los", LABELLED.format("los"),
+            " line 3: 'los' is not a valid Condition"),
+           ("label_empty", LABELLED.format(""),
+            " line 3: '' is not a valid Condition"),
+           ("label_NLOS_BEST", LABELLED.format("NLOS_BEST"), " line 3: sample "
+            "condition must be LOS or NLOS, got NLOS_BEST"),
+           ("header_mismatch", "distance,pl\n1,2\n",
+            " line 1: header must be d_m,pl_db,condition,polarization"),
+           ("empty_file", "", ": empty file")]},
+    **{f"masks_{case}": (lambda row=row: read_masks_csv(io.StringIO(
+        f"rx_id,tx_id,mask\nU1,B1,{MASK_72}\n{row}\n")), ScenarioError,
+        f"masks CSV line 3: {message}") for case, row, message in [
+            ("mask_length", "U1,B2,101", "mask must be 72 chars of 0/1"),
+            ("duplicate_link", f"U1,B1,{MASK_72}",
+             "duplicate link ('U1', 'B1')")]},
+    **{f"format_pct_{x}": (lambda x=x: format_pct(x), ValueError,
+                           f"fraction must be finite, got {x}")
+       for x in (math.nan, math.inf)},
+    "build_cdf_inf": (lambda: build_cdf([math.inf]), ValueError,
+                      "no finite values to build a CDF from"),
+    **{f"cdf_{case}": (
+        lambda points=points: ResultBundle(RunMetadata("test", "0"),
+                                           cdfs={"x": points}),
+        ValueError, f"CDF 'x' {message}") for case, points, message in [
+            ("x_decreasing", [CdfPoint(2.0, 0.5), CdfPoint(1.0, 1.0)],
+             "x values must be non-decreasing"),
+            ("not_ending_at_1", [CdfPoint(1.0, 0.5)],
+             "must end at probability 1, got 0.5"),
+            ("non_finite_x", [CdfPoint(math.inf, 1.0)],
+             "has a non-finite x value"),
+            ("p_above_1", [CdfPoint(1.0, 1.5)],
+             "probabilities must rise to at most 1")]},
+    # A ScenarioError, not a bare ValueError.
+    "scenario_schema_version_2": (
+        lambda: parse_scenario(minimal(schema_version=2)), ScenarioError,
+        "scenario.schema_version: unsupported version 2 (supported: 1)"),
+    "package_unknown_name": (
+        lambda: mmwcomp.no_such_name, AttributeError,
+        "module 'mmwcomp' has no attribute 'no_such_name'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", list(REJECTIONS.values()),
+                         ids=list(REJECTIONS))
+def test_library_rejects(call, error, message, rejects):
+    rejects(call, error, message)
+
+
 SCENARIO_JSON = {
     "base_stations": [{"id": "B1", "x_m": 0.0, "y_m": 0.0},
                       {"id": "B2", "x_m": 80.0, "y_m": 0.0}],
@@ -395,7 +391,7 @@ def scenario_json(**extra) -> bytes:
     return json.dumps(minimal(**extra)).encode()
 
 
-SAMPLES = b"d_m,pl_db,condition,polarization\n"
+SAMPLES = SAMPLES_HEADER.encode()
 MASKS = b"rx_id,tx_id,mask\n"
 OUTAGE = b"condition,distance_m,p_out_edge_pct,p_out_region_pct\n"
 MASK_U1_B1 = b"U1,B1,1" + b"0" * 71 + b"\n"
@@ -723,15 +719,22 @@ BAD_CDF_ROWS = [
          ": CDF 'cdf_best1_pl_db.csv' must end at probability 1, got 0.5\n")]]
 
 
+def write_scenario(directory, scenario=SCENARIO_JSON) -> str:
+    """Write ``scenario`` to ``directory`` and return its path."""
+    path = directory / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
 def exit_1_rows(rows):
     return pytest.mark.parametrize("row", rows, ids=[row[0] for row in rows])
 
 
 def write_golden_inputs(tmp_path):
-    """Write the samples, topology and masks files of the golden tests to
-    ``tmp_path`` and return their paths."""
+    """Write a small samples CSV, topology and masks file to ``tmp_path``
+    and return their paths; the golden tests pin the outputs on them."""
     samples = tmp_path / "samples.csv"
-    samples.write_text("d_m,pl_db,condition,polarization\n"
+    samples.write_text(SAMPLES_HEADER +
                        "20,120.5,NLOS,VV\n45,141.25,NLOS,VV\n"
                        "90,150,NLOS,VV\n150,163.75,NLOS,VH\n"
                        "10,88.5,LOS,VV\n35,101,LOS,VV\n")
@@ -744,11 +747,6 @@ def write_golden_inputs(tmp_path):
 
 
 class TestCli:
-    def write_scenario(self, tmp_path):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(SCENARIO_JSON))
-        return str(path)
-
     def test_coverage_stdout(self, capsys):
         assert main(["coverage"]) == 0
         out = capsys.readouterr().out
@@ -761,25 +759,21 @@ class TestCli:
         assert "NLOS 200" not in out
 
     def test_simulate_deterministic_bytes(self, tmp_path, capsys):
-        sc = self.write_scenario(tmp_path)
+        sc = write_scenario(tmp_path)
         for sub in ("a", "b"):
             assert main(["simulate", "--scenario", sc, "--trials", "5",
                          "--out", str(tmp_path / sub)]) == 0
-        files_a = sorted((tmp_path / "a").iterdir())
-        files_b = sorted((tmp_path / "b").iterdir())
-        assert [p.name for p in files_a] == [p.name for p in files_b]
-        for pa, pb in zip(files_a, files_b):
-            assert pa.read_bytes() == pb.read_bytes()
+        assert _files(tmp_path / "a") == _files(tmp_path / "b")
 
     def test_simulate_seed_flag_overrides_scenario(self, tmp_path, capsys):
-        sc = self.write_scenario(tmp_path)
+        sc = write_scenario(tmp_path)
         assert main(["simulate", "--scenario", sc, "--trials", "2",
                      "--seed", "99", "--out", str(tmp_path / "o")]) == 0
         meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
         assert meta["seed"] == 99
 
     def test_no_out_dir_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        sc = self.write_scenario(tmp_path)
+        sc = write_scenario(tmp_path)
         monkeypatch.chdir(tmp_path)
         before = set(tmp_path.rglob("*"))
         assert main(["simulate", "--scenario", sc, "--trials", "2"]) == 0
@@ -815,7 +809,7 @@ class TestCli:
 
     def test_fit_counts_only_fitted_samples(self, tmp_path, capsys):
         csv_path = tmp_path / "samples.csv"
-        csv_path.write_text("d_m,pl_db,condition,polarization\n"
+        csv_path.write_text(SAMPLES_HEADER +
                             "20,100,LOS,VV\n30,125,LOS,VH\n40,106,LOS,VV\n"
                             "20,120,NLOS,VV\n40,130,NLOS,VV\n"
                             "30,140,NLOS,VH\n")
@@ -849,7 +843,7 @@ class TestCli:
         assert card.sigma_db == pytest.approx(11.4, abs=0.7)
 
     def test_report_summarizes_bundle(self, tmp_path, capsys):
-        sc = self.write_scenario(tmp_path)
+        sc = write_scenario(tmp_path)
         out_dir = tmp_path / "run"
         assert main(["simulate", "--scenario", sc, "--trials", "3",
                      "--out", str(out_dir)]) == 0
@@ -976,7 +970,7 @@ class TestCli:
         big = tmp_path / "big.json"
         big.write_text(json.dumps(minimal(sweep={"tx_angles": 10**10})))
         for sc, trials, links, pairs in (
-                (self.write_scenario(tmp_path), 7, 2, 15 * 72),
+                (write_scenario(tmp_path), 7, 2, 15 * 72),
                 (str(big), 1, 1, 10**10 * 72)):
             assert main(["simulate", "--scenario", sc, "--trials",
                          str(trials)]) == 1
@@ -1020,10 +1014,9 @@ class TestCli:
     def test_simulate_best_n_cdfs_are_per_ue_order_statistics(self, tmp_path,
                                                                capsys):
         # Both the UE-major grouping and the finite filter show in the CDFs.
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(FAR_SCENARIO_JSON))
+        path = write_scenario(tmp_path, FAR_SCENARIO_JSON)
         out_dir = tmp_path / "run"
-        assert main(["simulate", "--scenario", str(path), "--trials", "20",
+        assert main(["simulate", "--scenario", path, "--trials", "20",
                      "--k-max", "2", "--out", str(out_dir)]) == 0
         drops = simulate_drop(load_scenario(path), 20)
         per_ue = {}
@@ -1044,8 +1037,7 @@ class TestCli:
     def far_reception(self, tmp_path, trials):
         """The far scenario's path, topology, drops and k -> hits counts
         over ``trials`` drops, reduced as ``simulate`` reduces them."""
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(FAR_SCENARIO_JSON))
+        path = write_scenario(tmp_path, FAR_SCENARIO_JSON)
         sc = load_scenario(path)
         drops = simulate_drop(sc, trials)
         counts = reception_counts(drops.masks, sc.topology(), 2)
@@ -1055,7 +1047,7 @@ class TestCli:
                                                             capsys):
         trials = 40
         path, topology, _, counts = self.far_reception(tmp_path, trials)
-        assert main(["simulate", "--scenario", str(path), "--trials",
+        assert main(["simulate", "--scenario", path, "--trials",
                      str(trials), "--out", str(tmp_path / "run")]) == 0
         expected = ["k,p_reception_pct,n_combinations"]
         for k, hits in sorted(counts.items()):
@@ -1103,7 +1095,7 @@ class TestCli:
                 assert main(["coverage", "--out", str(names["cov"])]) == 0
             if "{sim}" in argv:
                 assert main(["simulate", "--scenario",
-                             self.write_scenario(tmp_path), "--trials", "3",
+                             write_scenario(tmp_path), "--trials", "3",
                              "--out", str(names["sim"])]) == 0
             if "{fit}" in argv:
                 _write_models(tmp_path)
@@ -1182,22 +1174,26 @@ class TestCli:
         assert capsys.readouterr() == ("", "internal error: boom\n")
 
 
-# Runs CLI commands in a fresh interpreter and reports which of the watched
-# modules they loaded (by default numpy and the stdlib process-pool
-# modules): importing the package must load none of them.  The result is
-# printed once, after every command has returned, as the one "loaded:" line
-# among the commands' own output.
+# Runs steps in a fresh interpreter and reports which of the watched
+# modules they loaded: CLI argv lists, which must exit 0, or library
+# statements.  If any step is a CLI run, it first imports mmwcomp.cli,
+# which must load no watched module.  The one "loaded:" line comes last.
 _IMPORT_PROBE = """
-import json, sys
-import mmwcomp, mmwcomp.cli
-watched = json.loads(sys.argv[2])
+import json, sys, mmwcomp
+steps, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 def loaded():
     return [m for m in watched if m in sys.modules]
-assert not loaded(), f"importing mmwcomp.cli loaded {loaded()}"
-for argv in json.loads(sys.argv[1]):
-    assert mmwcomp.cli.main(argv) == 0, argv
+if any(isinstance(step, list) for step in steps):
+    import mmwcomp.cli
+    assert not loaded(), f"importing mmwcomp.cli loaded {loaded()}"
+for step in steps:
+    if isinstance(step, list):
+        assert mmwcomp.cli.main(step) == 0, step
+    else:
+        exec(step, {"mmwcomp": mmwcomp})
 print("loaded:", json.dumps(loaded()))
 """
+_POOLS = ("multiprocessing", "concurrent.futures")  # stdlib process pools
 
 
 def _python_env() -> dict[str, str]:
@@ -1220,9 +1216,8 @@ def _run_python(code, *args, cwd) -> subprocess.CompletedProcess:
     return proc
 
 
-def _modules_loaded_by(runs, cwd, watched=("numpy", "multiprocessing",
-                                           "concurrent.futures")) -> set[str]:
-    proc = _run_python(_IMPORT_PROBE, json.dumps(runs), json.dumps(watched),
+def _modules_loaded_by(steps, cwd, watched) -> set[str]:
+    proc = _run_python(_IMPORT_PROBE, json.dumps(steps), json.dumps(watched),
                        cwd=cwd)
     reports = [line.split(" ", 1)[1] for line in proc.stdout.splitlines()
                if line.startswith("loaded: ")]
@@ -1237,25 +1232,11 @@ def _write_models(tmp_path) -> Path:
     return tmp_path / "fit" / "models.json"
 
 
-def _write_table_inputs(tmp_path) -> tuple[Path, Path, Path]:
-    """A samples CSV, a topology and its masks, small and valid."""
-    samples = tmp_path / "samples.csv"
-    samples.write_text("d_m,pl_db,condition,polarization\n"
-                       "20,120,NLOS,VV\n40,130,NLOS,VV\n"
-                       "10,90,LOS,VV\n30,100,LOS,VH\n50,104,LOS,VV\n")
-    topo = tmp_path / "topology.json"
-    topo.write_text(json.dumps({"U1": ["B1", "B2"], "U2": ["B2"]}))
-    masks = tmp_path / "masks.csv"
-    write_masks({("U1", "B1"): 1, ("U1", "B2"): 2, ("U2", "B2"): 3}, masks,
-                n_directions=2)
-    return samples, topo, masks
-
-
 def _closed_form_runs(tmp_path) -> list[list[str]]:
     """Eight table and report runs on small inputs; each report reads a
     bundle that an earlier run writes."""
     models = _write_models(tmp_path)
-    samples, topo, masks = _write_table_inputs(tmp_path)
+    samples, topo, masks = write_golden_inputs(tmp_path)
     return [
         ["fit", "--samples", str(samples), "--out", str(tmp_path / "f")],
         ["coverage", "--out", str(tmp_path / "cov")],
@@ -1268,18 +1249,29 @@ def _closed_form_runs(tmp_path) -> list[list[str]]:
     ]
 
 
-def _simulate_run(tmp_path) -> list[list[str]]:
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(SCENARIO_JSON))
-    return [["simulate", "--scenario", str(scenario), "--trials", "2"]]
+# Each probe runs once per module; its tests each check their own subset
+# of the modules it watches.
+@pytest.fixture(scope="module")
+def closed_form_loads(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("closed_form")
+    return _modules_loaded_by(_closed_form_runs(tmp), tmp, watched=(
+        "numpy", *_POOLS, "dataclasses", "inspect"))
+
+
+@pytest.fixture(scope="module")
+def simulate_loads(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("simulate")
+    return _modules_loaded_by(
+        [["simulate", "--scenario", write_scenario(tmp), "--trials", "2"]],
+        tmp, watched=("numpy", *_POOLS, "dataclasses"))
 
 
 class TestNumpyImportBoundary:
-    def test_closed_form_commands_do_not_load_numpy(self, tmp_path):
-        assert _modules_loaded_by(_closed_form_runs(tmp_path), tmp_path) == set()
+    def test_closed_form_commands_do_not_load_numpy(self, closed_form_loads):
+        assert closed_form_loads & {"numpy", *_POOLS} == set()
 
-    def test_simulate_loads_numpy_on_use(self, tmp_path):
-        assert _modules_loaded_by(_simulate_run(tmp_path), tmp_path) == {"numpy"}
+    def test_simulate_loads_numpy_on_use(self, simulate_loads):
+        assert simulate_loads & {"numpy", *_POOLS} == {"numpy"}
 
 
 class TestLazyPackage:
@@ -1291,30 +1283,16 @@ class TestLazyPackage:
                                      "mmwcomp.fitting")) == set()
 
     def test_input_readers_load_neither_tables_nor_simulator(self, tmp_path):
-        samples = tmp_path / "samples.csv"
-        samples.write_text("d_m,pl_db,condition,polarization\n"
-                           "20,120,NLOS,VV\n")
-        masks = tmp_path / "masks.csv"
-        write_masks({("U1", "B1"): 1}, masks)
-        topo = tmp_path / "topology.json"
-        topo.write_text('{"U1": ["B1"]}')
-        proc = _run_python(
-            "import sys, mmwcomp\n"
-            "mmwcomp.read_samples_csv(sys.argv[1])\n"
-            "mmwcomp.read_masks_csv(sys.argv[2])\n"
-            "mmwcomp.load_topology(sys.argv[3])\n"
-            "print([m for m in ('mmwcomp.coverage', 'mmwcomp.params',\n"
-            "                   'mmwcomp.diversity') if m in sys.modules])",
-            str(samples), str(masks), str(topo), cwd=tmp_path)
-        assert proc.stdout == "[]\n"
+        steps = [f"mmwcomp.{reader}({str(path)!r})" for reader, path in zip(
+            ("read_samples_csv", "load_topology", "read_masks_csv"),
+            write_golden_inputs(tmp_path))]
+        assert _modules_loaded_by(steps, tmp_path, watched=(
+            "mmwcomp.coverage", "mmwcomp.params", "mmwcomp.diversity")) == set()
 
     def test_link_statistics_load_no_numpy(self, tmp_path):
-        proc = _run_python(
-            "import sys, mmwcomp\n"
-            "sc = mmwcomp.load_scenario(sys.argv[1])\n"
-            "print(len(mmwcomp.link_statistics(sc).keys), 'numpy' in sys.modules)",
-            str(EXAMPLE_SCENARIO), cwd=tmp_path)
-        assert proc.stdout == "16 False\n"
+        step = ("assert len(mmwcomp.link_statistics(mmwcomp.load_scenario("
+                f"{str(EXAMPLE_SCENARIO)!r})).keys) == 16")
+        assert _modules_loaded_by([step], tmp_path, watched=("numpy",)) == set()
 
     def test_import_loads_no_submodule(self, tmp_path):
         proc = _run_python(
@@ -1332,8 +1310,6 @@ class TestLazyPackage:
         assert mmwcomp.fit_ci is sys.modules["mmwcomp.fitting"].fit_ci
 
     def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            mmwcomp.no_such_name
         assert not hasattr(mmwcomp, "write_samples_csv")
         assert not hasattr(mmwcomp, "synthesize_omni_path_loss_db")
 
@@ -1342,31 +1318,26 @@ class TestLazyPackage:
 # ``inspect`` module it imports.  numpy imports ``inspect`` itself, so the
 # simulate run watches ``dataclasses`` alone.
 class TestRecordImports:
-    def test_table_commands_load_neither_dataclasses_nor_inspect(self,
-                                                                 tmp_path):
-        assert _modules_loaded_by(
-            _closed_form_runs(tmp_path), tmp_path,
-            watched=("dataclasses", "inspect")) == set()
+    def test_table_commands_load_neither_dataclasses_nor_inspect(
+            self, closed_form_loads):
+        assert closed_form_loads & {"dataclasses", "inspect"} == set()
 
-    def test_simulate_loads_no_dataclasses(self, tmp_path):
-        assert _modules_loaded_by(_simulate_run(tmp_path), tmp_path,
-                                  watched=("dataclasses",)) == set()
+    def test_simulate_loads_no_dataclasses(self, simulate_loads):
+        assert "dataclasses" not in simulate_loads
 
 
 def _entry_runs(tmp_path) -> dict[str, list[str]]:
     """Commands on small inputs under ``tmp_path``; each bundle goes to
     ``out`` below the working directory, so stdout names the same paths
     whichever directory the command runs in."""
-    samples, topo, masks = _write_table_inputs(tmp_path)
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(SCENARIO_JSON))
+    samples, topo, masks = write_golden_inputs(tmp_path)
     return {
         "fit": ["fit", "--samples", str(samples), "--out", "out"],
         "coverage": ["coverage", "--distances", "63,200", "--out", "out"],
         "enumerate": ["enumerate", "--topology", str(topo), "--masks",
                       str(masks), "--out", "out"],
-        "simulate": ["simulate", "--scenario", str(scenario), "--trials", "3",
-                     "--out", "out"],
+        "simulate": ["simulate", "--scenario", write_scenario(tmp_path),
+                     "--trials", "3", "--out", "out"],
         "missing_file": ["fit", "--samples", "does-not-exist.csv"],
         "usage_error": ["simulate", "--trials", "3"],
         "version": ["--version"],
@@ -1465,7 +1436,7 @@ class TestGarbageCollector:
                                                         capsys):
         # ``run()`` never collects, so a command may leave only a fixed
         # amount of cyclic garbage, whatever its trial count.
-        scenario = _entry_runs(tmp_path)["simulate"][2]
+        scenario = write_scenario(tmp_path)
         was_enabled = gc.isenabled()
 
         def garbage(trials: int) -> int:

@@ -157,11 +157,6 @@ INVALID = {
     "Scenario_missing_model": (
         Scenario, edited(SCENARIO, models={Condition.LOS: MODELS[Condition.LOS]}),
         "missing CI model for condition NLOS"),
-    "Scenario_p_los": (Scenario, edited(SCENARIO, p_los=1.5),
-                       "p_los must be in [0, 1], got 1.5"),
-    "Scenario_pin_nlos_best": (
-        Scenario, edited(SCENARIO, conditions={("U1", "B1"): Condition.NLOS_BEST}),
-        "conditions: link U1/B1 must be LOS or NLOS"),
     # Bit 2 of a two-lane set over 2 directions is lane 0's guard bit.
     "MaskSet_wider_than_lanes": (
         MaskSet, ({("U1", "B1"): 0b100}, 2, 2),
@@ -181,7 +176,7 @@ def test_every_record_class_is_covered():
     assert records == {type(r) for r in RECORDS} and len(RECORDS) == 15
     checked = {c for c in records if hasattr(c.__new__, "__wrapped__")}
     assert (checked == {cls for cls, _, _ in INVALID.values()}
-            and len(INVALID) == 49)
+            and len(INVALID) == 47)
 
 
 def test_record_fields():
